@@ -12,12 +12,20 @@ baseline:
 * level 1: per-AP combiners built from local estimates only, the
   recovery is a plain average of the per-AP estimates, full power
 * cellular: each group is served by a single co-located array.
+
+Level 3 and cellular share one solver core.  It sees the estimates through
+channel views: one stacked view that every group's combiner uses at level
+3, one view per serving BS in the cellular system.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve
+
+
+class NonFiniteSolve(ValueError):
+    """A solver system matrix or objective value is not finite."""
 
 
 @dataclass(frozen=True)
@@ -43,11 +51,13 @@ class OptHistory:
     values[0] is the weighted sum-MSE at the full-power initialization with
     matched combiners; values[i] the value after full iteration i.  The
     sequence is non-increasing (each half-step is an exact minimization).
+    group_values[i] holds the per-group MSEs that values[i] weights.
     """
 
     values: np.ndarray
     iterations: int
     terminated_by: str  # "threshold" or "max_iters"
+    group_values: np.ndarray  # (iterations + 1, G)
 
 
 @dataclass(frozen=True)
@@ -139,35 +149,6 @@ def _target(problem, g):
     return np.where(own, w.gamma * w.nu, 0.0)
 
 
-def _conditional_mse(h_hat, error_cov, b, v, target, noise_power):
-    """Closed-form MSE of one group's recovery, conditioned on estimates.
-
-    ``sum_k |v^H h_hat_k b_k - target_k|^2 + |b_k|^2 v^H C_k v`` plus the
-    combined noise power, where target_k is gamma*nu for the group's own
-    devices and 0 for interferers.
-    """
-    proj = h_hat @ v.conj()                      # v^H h_hat_k for all k
-    quad = np.einsum("i,kij,j->k", v.conj(), error_cov, v).real
-    signal = np.abs(proj * b - target) ** 2
-    return float(
-        signal.sum()
-        + (np.abs(b) ** 2 * quad).sum()
-        + noise_power * np.vdot(v, v).real
-    )
-
-
-# ---------------------------------------------------------------------------
-# Level 3: fully centralized processing
-# ---------------------------------------------------------------------------
-
-def mse_level3(problem, b, v, g):
-    """Conditional aggregation MSE of group g under centralized combining."""
-    return _conditional_mse(
-        problem.h_hat, problem.error_cov, b, v, _target(problem, g),
-        problem.noise_power,
-    )
-
-
 def _system_matrix(h_hat, error_cov, b, noise_power):
     """sum_k |b_k|^2 (h_hat_k h_hat_k^H + C_k) + noise_power I, Hermitian."""
     p = np.abs(b) ** 2
@@ -177,28 +158,219 @@ def _system_matrix(h_hat, error_cov, b, noise_power):
     return 0.5 * (mat + mat.conj().T)
 
 
-def _combiner_rhs(problem, b, g):
-    w = problem.weights
-    own = problem.group_of_device == g
-    coef = np.where(own, w.gamma * b * w.nu, 0.0)
-    return problem.h_hat.T @ coef
+# ---------------------------------------------------------------------------
+# Level 3 and cellular: one batched alternating solver
+# ---------------------------------------------------------------------------
 
+def _views(problem):
+    """Estimates (Gv, K, D) and error covariances (Gv, K, D, D) per view.
 
-def combiner_level3(problem, b, g):
-    """MMSE-optimal stacked combiner of group g for fixed coefficients.
-
-    Solves the Hermitian positive-definite normal equations; the global
-    minimizer of the convex per-group MSE.
+    A level-3 problem has one view (Gv = 1) shared by every group; a
+    cellular problem has one view per group (Gv = G).
     """
-    mat = _system_matrix(problem.h_hat, problem.error_cov, b, problem.noise_power)
-    return cho_solve(cho_factor(mat), _combiner_rhs(problem, b, g))
+    if problem.h_hat.ndim == 2:
+        return problem.h_hat[None], problem.error_cov[None]
+    return problem.h_hat, problem.error_cov
+
+
+class _Stack:
+    """B problems that share estimates and weights and differ in power only.
+
+    Every method takes and returns arrays with a leading problem axis B.
+    Each problem's arithmetic is a separate matrix product or solve of the
+    same shape whatever B is, so a problem gets bit-identical results alone
+    and in any batch.
+    """
+
+    def __init__(self, problem):
+        h, cov = _views(problem)
+        n_views, n_dev, dim = h.shape
+        w = problem.weights
+        gdev = np.asarray(problem.group_of_device)
+        self.n_groups = problem.n_groups
+        self.n_views = n_views
+        self.per_view = self.n_groups // n_views
+        self.h_conj = h.conj()
+        self.h_t = h.swapaxes(-1, -2)                                 # (Gv, D, K)
+        self.cov = cov
+        # Device axis first, so the error term is one product per problem
+        # (a view, not a copy, of a level-3 or runner-built covariance).
+        self.cov_by_device = cov.swapaxes(0, 1).reshape(n_dev, -1)    # (K, Gv*D*D)
+        self.noise_power = problem.noise_power
+        self.noise_eye = problem.noise_power * np.eye(dim)
+        self.own = gdev == np.arange(self.n_groups)[:, None]          # (G, K)
+        self.target = np.where(self.own, w.gamma * w.nu, 0.0)         # (G, K)
+        self.gamma, self.nu, self.omega = w.gamma, w.nu, w.omega
+        self.gain = w.omega[gdev] * w.gamma * w.nu                    # (K,)
+        self.gdev, self.devices = gdev, np.arange(n_dev)
+
+    def combiners(self, b):
+        """MMSE combiners (B, G, D) of every group for coefficients b (B, K).
+
+        One Hermitian system per problem and view, solved for all of the
+        view's groups at once.
+        """
+        n_prob, n_dev = b.shape
+        p = np.abs(b) ** 2
+        mat = (self.h_t * p[:, None, None, :]) @ self.h_conj         # (B, Gv, D, D)
+        mat = mat + (p[:, None, :] @ self.cov_by_device).reshape(mat.shape)
+        mat = mat + self.noise_eye
+        mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+        if not np.isfinite(mat).all():
+            raise NonFiniteSolve("combiner system matrix is not finite")
+        coef = np.where(self.own, (self.gamma * b * self.nu)[:, None, :], 0.0)
+        coef = coef.reshape(n_prob, self.n_views, self.per_view, n_dev)
+        rhs = self.h_t @ coef.swapaxes(-1, -2)                        # (B, Gv, D, G/Gv)
+        v = np.linalg.solve(mat, rhs)
+        return v.swapaxes(-1, -2).reshape(n_prob, self.n_groups, -1)
+
+    def forms(self, v):
+        """proj[b, p, k] = v_p^H h_k and quad[b, p, k] = v_p^H C_k v_p, each
+        in group p's view; shapes (B, G, K)."""
+        n_prob, n_groups, dim = v.shape
+        v = v.reshape(n_prob, self.n_views, self.per_view, dim)
+        vh = v.conj()
+        proj = (vh @ self.h_t).reshape(n_prob, n_groups, -1)
+        left = vh[:, :, None] @ self.cov                              # (B, Gv, K, G/Gv, D)
+        quad = (left * v[:, :, None]).sum(axis=-1).real
+        return proj, quad.swapaxes(-1, -2).reshape(n_prob, n_groups, -1)
+
+    def tco(self, proj, quad, sqrt_power):
+        """Closed-form coefficient update of every device and its KKT multiplier.
+
+        |b_k|^2 <= P_k always holds, and mu_k > 0 only on the boundary.
+        """
+        own = proj[:, self.gdev, self.devices]                        # (B, K)
+        denom = (self.omega[:, None] * (np.abs(proj) ** 2 + quad)).sum(axis=1)
+        mu = np.maximum(0.0, self.gain * np.abs(own) / sqrt_power - denom)
+        den = denom + mu
+        moving = den != 0.0
+        b = np.zeros(den.shape, dtype=complex)
+        np.divide(self.gain * own.conj(), den, out=b, where=moving)
+        return b, np.where(moving, mu, 0.0)
+
+    def group_mses(self, b, v, proj, quad):
+        """Per-group conditional MSEs (B, G): signal mismatch, estimation-error
+        inflation and combined noise."""
+        bb = b[:, None, :]
+        signal = (np.abs(proj * bb - self.target) ** 2).sum(axis=-1)
+        inflation = (np.abs(bb) ** 2 * quad).sum(axis=-1)
+        return signal + inflation + self.noise_power * (v.conj() * v).real.sum(axis=-1)
+
+    def objective(self, mses):
+        values = (mses * self.omega).sum(axis=-1)
+        if not np.isfinite(values).all():
+            raise NonFiniteSolve("weighted sum-MSE is not finite")
+        return values
+
+
+def _solve(stack, power_limits, eps, max_iters, b_init=None):
+    """Lockstep block-coordinate descent over a stack of problems.
+
+    Each iteration refreshes all combiners, then all coefficients; both are
+    exact minimizations, so every problem's objective never increases.  A
+    problem stops once an iteration decreases its objective by less than
+    eps, and is dropped from the batch.
+    """
+    power = np.asarray(power_limits, dtype=float)
+    n_prob = len(power)
+    sqrt_power = np.sqrt(power)
+    if b_init is None:
+        b = sqrt_power.astype(complex)
+    else:
+        b = np.array(b_init, dtype=complex).reshape(power.shape)
+    v = stack.combiners(b)
+    proj, quad = stack.forms(v)
+    mses = stack.group_mses(b, v, proj, quad)
+    prev = stack.objective(mses)
+
+    values = np.empty((n_prob, max_iters + 1))
+    group_values = np.empty((n_prob, max_iters + 1, stack.n_groups))
+    values[:, 0], group_values[:, 0] = prev, mses
+    out_b, out_v, out_mu = b.copy(), v.copy(), np.zeros(power.shape)
+    iterations = np.zeros(n_prob, dtype=int)
+    ended = np.full(n_prob, "max_iters", dtype=object)
+    live = np.arange(n_prob)
+    for it in range(1, max_iters + 1):
+        if it > 1:
+            v = stack.combiners(b)
+            proj, quad = stack.forms(v)
+        b, mu = stack.tco(proj, quad, sqrt_power)
+        mses = stack.group_mses(b, v, proj, quad)
+        cur = stack.objective(mses)
+        values[live, it], group_values[live, it] = cur, mses
+        iterations[live] = it
+        out_b[live], out_v[live], out_mu[live] = b, v, mu
+        done = prev - cur < eps
+        if done.any():
+            ended[live[done]] = "threshold"
+            keep = ~done
+            live, b, sqrt_power, cur = live[keep], b[keep], sqrt_power[keep], cur[keep]
+            if not live.size:
+                break
+        prev = cur
+
+    solutions = []
+    for i in range(n_prob):
+        n = iterations[i] + 1
+        history = OptHistory(values[i, :n].copy(), int(iterations[i]), ended[i],
+                             group_values[i, :n].copy())
+        solutions.append(AggregationSolution(b=out_b[i], combiners=out_v[i],
+                                             mu=out_mu[i], history=history))
+    return solutions
+
+
+def _solve_one(problem, eps, max_iters, b_init):
+    b0 = None if b_init is None else np.asarray(b_init)[None]
+    return _solve(_Stack(problem), problem.power_limit[None], eps, max_iters, b0)[0]
+
+
+def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500):
+    """Solve a stack of problems that differ only in their power limits.
+
+    ``problem`` (level 3 or cellular) supplies the estimates and weights;
+    row i of ``power_limits`` (B, K) replaces its power_limit in problem i.
+    All problems iterate in lockstep from full power, each with its own
+    stopping test, and each result equals that of ``alternating_optimize``
+    (``cellular_optimize``) on the single problem.  Returns one
+    AggregationSolution per row.
+    """
+    return _solve(_Stack(problem), power_limits, eps, max_iters)
+
+
+def alternating_optimize(problem, eps=1e-10, max_iters=500, b_init=None):
+    """Jointly tune level-3 combiners and transmit coefficients.
+
+    Coefficients start at full power ``sqrt(P_k)`` unless b_init is given.
+    """
+    return _solve_one(problem, eps, max_iters, b_init)
+
+
+def cellular_optimize(problem, eps=1e-10, max_iters=500, b_init=None):
+    """Alternating combiner/coefficient optimization for the cellular system."""
+    return _solve_one(problem, eps, max_iters, b_init)
 
 
 def combiners_level3(problem, b):
-    """All group combiners at once; the system matrix is factorized once."""
-    mat = _system_matrix(problem.h_hat, problem.error_cov, b, problem.noise_power)
-    rhs = np.column_stack([_combiner_rhs(problem, b, g) for g in range(problem.n_groups)])
-    return cho_solve(cho_factor(mat), rhs).T
+    """All group combiners (G, D) for fixed coefficients, level 3 or cellular.
+
+    Each is the global minimizer of its group's convex MSE.
+    """
+    return _Stack(problem).combiners(np.asarray(b, dtype=complex)[None])[0]
+
+
+def combiner_level3(problem, b, g):
+    """MMSE-optimal combiner of group g for fixed coefficients."""
+    return combiners_level3(problem, b)[g]
+
+
+def tco_steps(problem, combiners):
+    """Optimal coefficients and KKT multipliers of all devices, (K,) each,
+    for fixed combiners: the vectorized update the solver runs."""
+    stack = _Stack(problem)
+    proj, quad = stack.forms(np.asarray(combiners)[None])
+    b, mu = stack.tco(proj, quad, np.sqrt(problem.power_limit)[None])
+    return b[0], mu[0]
 
 
 def tco_step(problem, combiners, k):
@@ -206,13 +378,17 @@ def tco_step(problem, combiners, k):
 
     Returns (b_k, mu_k) satisfying the stationarity and complementary
     slackness conditions of the power-constrained subproblem:
-    |b_k|^2 <= P_k always holds, and mu_k > 0 only on the boundary.
+    |b_k|^2 <= P_k always holds, and mu_k > 0 only on the boundary.  A
+    one-device reference for ``tco_steps``.
     """
     w = problem.weights
     g = int(problem.group_of_device[k])
-    proj = combiners.conj() @ problem.h_hat[k]   # v_p^H h_hat_k, all groups
-    quad = np.einsum("pi,ij,pj->p", combiners.conj(), problem.error_cov[k],
-                     combiners).real
+    h, cov = _views(problem)
+    per_view = len(combiners) // len(h)
+    h_k = np.repeat(h[:, k], per_view, axis=0)       # device k in each group's view
+    cov_k = np.repeat(cov[:, k], per_view, axis=0)
+    proj = np.einsum("pi,pi->p", combiners.conj(), h_k)
+    quad = np.einsum("pi,pij,pj->p", combiners.conj(), cov_k, combiners).real
     denom = float(np.dot(w.omega, np.abs(proj) ** 2 + quad))
     gain = w.omega[g] * w.gamma[k] * w.nu[k]
     mu = max(0.0, gain * abs(proj[g]) / np.sqrt(problem.power_limit[k]) - denom)
@@ -221,63 +397,23 @@ def tco_step(problem, combiners, k):
     return gain * proj[g].conjugate() / (denom + mu), mu
 
 
-def weighted_sum_mse_level3(problem, b, combiners):
-    return float(sum(
-        problem.weights.omega[g] * mse_level3(problem, b, combiners[g], g)
-        for g in range(problem.n_groups)
-    ))
+def mse_level3(problem, b, v, g):
+    """Conditional aggregation MSE of group g with combiner v.
 
-
-def _alternate(update_combiners, update_coefficients, objective, b_init,
-               eps, max_iters):
-    """Block-coordinate descent shared by the level-3 and cellular solvers.
-
-    Each iteration refreshes all combiners, then all coefficients; both are
-    exact minimizations, so the recorded objective never increases.  Stops
-    once an iteration decreases the objective by less than eps.
+    ``sum_k |v^H h_hat_k b_k - target_k|^2 + |b_k|^2 v^H C_k v`` plus the
+    combined noise power, where target_k is gamma*nu for the group's own
+    devices and 0 for interferers.  Takes a level-3 problem or a cellular
+    one (the estimates at group g's serving BS).
     """
-    b = np.asarray(b_init, dtype=complex)
-    mu = np.zeros(len(b))
-    combiners = update_combiners(b)
-    prev = objective(b, combiners)
-    values = [prev]
-    iterations = 0
-    terminated_by = "max_iters"
-    for it in range(1, max_iters + 1):
-        if it > 1:
-            combiners = update_combiners(b)
-        b, mu = update_coefficients(combiners)
-        cur = objective(b, combiners)
-        values.append(cur)
-        iterations = it
-        if prev - cur < eps:
-            terminated_by = "threshold"
-            break
-        prev = cur
-    history = OptHistory(np.array(values), iterations, terminated_by)
-    return b, combiners, mu, history
+    stack = _Stack(problem)
+    combiners = np.zeros((1, problem.n_groups, len(v)), dtype=complex)
+    combiners[0, g] = v
+    proj, quad = stack.forms(combiners)
+    b = np.asarray(b, dtype=complex)[None]
+    return float(stack.group_mses(b, combiners, proj, quad)[0, g])
 
 
-def alternating_optimize(problem, eps=1e-10, max_iters=500, b_init=None):
-    """Jointly tune level-3 combiners and transmit coefficients.
-
-    Coefficients start at full power ``sqrt(P_k)`` unless b_init is given.
-    """
-    if b_init is None:
-        b_init = np.sqrt(problem.power_limit).astype(complex)
-
-    def coefficients(combiners):
-        pairs = [tco_step(problem, combiners, k) for k in range(len(problem.h_hat))]
-        return (np.array([p[0] for p in pairs], dtype=complex),
-                np.array([p[1] for p in pairs]))
-
-    b, combiners, mu, history = _alternate(
-        lambda b: combiners_level3(problem, b),
-        coefficients,
-        lambda b, v: weighted_sum_mse_level3(problem, b, v),
-        b_init, eps, max_iters,
-    )
-    return AggregationSolution(b=b, combiners=combiners, mu=mu, history=history)
+mse_cellular = mse_level3
 
 
 # ---------------------------------------------------------------------------
@@ -342,78 +478,10 @@ def level1_solution(problem):
     """Full-power coefficients and local combiners (no TCO at level 1)."""
     b = np.sqrt(problem.power_limit).astype(complex)
     combiners = combiners_level1(problem, b)
-    history = OptHistory(np.array([]), 0, "threshold")
+    history = OptHistory(np.array([]), 0, "threshold",
+                         np.empty((0, problem.n_groups)))
     return AggregationSolution(b=b, combiners=combiners,
                                mu=np.zeros(len(b)), history=history)
-
-
-# ---------------------------------------------------------------------------
-# Cellular baseline: one co-located array per group
-# ---------------------------------------------------------------------------
-
-def mse_cellular(problem, b, w_g, g):
-    """Conditional aggregation MSE of group g at its serving base station."""
-    return _conditional_mse(
-        problem.h_hat[g], problem.error_cov[g], b, w_g, _target(problem, g),
-        problem.noise_power,
-    )
-
-
-def combiner_cellular(problem, b, g):
-    """MMSE combiner of group g at its serving BS for fixed coefficients."""
-    mat = _system_matrix(problem.h_hat[g], problem.error_cov[g], b,
-                         problem.noise_power)
-    w = problem.weights
-    own = problem.group_of_device == g
-    coef = np.where(own, w.gamma * b * w.nu, 0.0)
-    return cho_solve(cho_factor(mat), problem.h_hat[g].T @ coef)
-
-
-def combiners_cellular(problem, b):
-    return np.stack([combiner_cellular(problem, b, g)
-                     for g in range(problem.n_groups)])
-
-
-def tco_step_cellular(problem, combiners, k):
-    """Transmit-coefficient update where every group sees its own BS channel."""
-    w = problem.weights
-    g = int(problem.group_of_device[k])
-    proj = np.einsum("pm,pm->p", combiners.conj(), problem.h_hat[:, k])
-    quad = np.einsum("pi,pij,pj->p", combiners.conj(), problem.error_cov[:, k],
-                     combiners).real
-    denom = float(np.dot(w.omega, np.abs(proj) ** 2 + quad))
-    gain = w.omega[g] * w.gamma[k] * w.nu[k]
-    mu = max(0.0, gain * abs(proj[g]) / np.sqrt(problem.power_limit[k]) - denom)
-    if denom + mu == 0.0:
-        return 0.0 + 0.0j, 0.0
-    return gain * proj[g].conjugate() / (denom + mu), mu
-
-
-def weighted_sum_mse_cellular(problem, b, combiners):
-    return float(sum(
-        problem.weights.omega[g] * mse_cellular(problem, b, combiners[g], g)
-        for g in range(problem.n_groups)
-    ))
-
-
-def cellular_optimize(problem, eps=1e-10, max_iters=500, b_init=None):
-    """Alternating combiner/coefficient optimization for the cellular system."""
-    if b_init is None:
-        b_init = np.sqrt(problem.power_limit).astype(complex)
-
-    def coefficients(combiners):
-        pairs = [tco_step_cellular(problem, combiners, k)
-                 for k in range(problem.h_hat.shape[1])]
-        return (np.array([p[0] for p in pairs], dtype=complex),
-                np.array([p[1] for p in pairs]))
-
-    b, combiners, mu, history = _alternate(
-        lambda b: combiners_cellular(problem, b),
-        coefficients,
-        lambda b, w: weighted_sum_mse_cellular(problem, b, w),
-        b_init, eps, max_iters,
-    )
-    return AggregationSolution(b=b, combiners=combiners, mu=mu, history=history)
 
 
 # ---------------------------------------------------------------------------

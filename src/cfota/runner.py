@@ -196,9 +196,19 @@ def validate_config(cfg):
         if arch not in VALID_ARCHITECTURES:
             raise ValidationError(f"unknown architecture {arch!r}")
     for name in ("n_aps", "n_ap_antennas", "n_bs_antennas", "n_devices",
-                 "n_groups", "tau_p", "tau_u", "cells"):
+                 "n_groups", "tau_p", "tau_u", "cells", "max_iters",
+                 "hidden_units", "samples_per_device"):
         if getattr(cfg, name) < 1:
             raise ValidationError(f"{name} must be positive")
+    # Written so that NaN fails too.
+    if not cfg.epsilon >= 0.0:
+        raise ValidationError(f"epsilon={cfg.epsilon} must be >= 0")
+    if not cfg.learning_rate > 0.0:
+        raise ValidationError(f"learning_rate={cfg.learning_rate} must be > 0")
+    if not cfg.sweep_dbm:
+        raise ValidationError("sweep_dbm must not be empty")
+    if not np.isfinite(cfg.sweep_dbm).all():
+        raise ValidationError(f"sweep_dbm values must be finite, got {cfg.sweep_dbm}")
     if cfg.n_devices % cfg.n_groups != 0:
         raise ValidationError(
             f"n_devices={cfg.n_devices} must be divisible by n_groups={cfg.n_groups}")
@@ -264,6 +274,22 @@ def _read_exact(fh, count, path):
     return data
 
 
+def _read_images_header(fh, path):
+    """(count, rows, cols) from an IDX image file's 16-byte header."""
+    magic, n_images, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, path))
+    if magic != IDX_IMAGES_MAGIC:
+        raise BadMagic(f"{path}: magic {magic:#010x}, "
+                       f"expected {IDX_IMAGES_MAGIC:#010x}")
+    return n_images, rows, cols
+
+
+def _idx_image_width(images_path):
+    """Features per image (rows * cols) read from an IDX image file's header."""
+    with _open_maybe_gzip(images_path) as fh:
+        _, rows, cols = _read_images_header(fh, images_path)
+    return rows * cols
+
+
 def load_idx_dataset(images_path, labels_path, label_filter=None, n_classes=None):
     """Load an IDX image/label pair into ([0,1] features, integer labels).
 
@@ -273,11 +299,7 @@ def load_idx_dataset(images_path, labels_path, label_filter=None, n_classes=None
     LabelOutOfRange.  Plain and gzip-compressed files are accepted.
     """
     with _open_maybe_gzip(images_path) as fh:
-        magic, n_images, rows, cols = struct.unpack(
-            ">IIII", _read_exact(fh, 16, images_path))
-        if magic != IDX_IMAGES_MAGIC:
-            raise BadMagic(f"{images_path}: magic {magic:#010x}, "
-                           f"expected {IDX_IMAGES_MAGIC:#010x}")
+        n_images, rows, cols = _read_images_header(fh, images_path)
         raw = _read_exact(fh, n_images * rows * cols, images_path)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n_images, rows * cols)
     images = images.astype(float) / 255.0
@@ -539,8 +561,11 @@ def _initial_model(cfg, seed, group):
     rng = substream(cfg.master_seed, seed, "init", group)
     if cfg.task == "ridge":
         return rng.standard_normal(cfg.n_features)
-    model = fl_engine.Fnn(cfg.n_features if cfg.task == "synthetic" else 784,
-                          cfg.hidden_units, cfg.n_classes)
+    if cfg.task == "synthetic":
+        width = cfg.n_features
+    else:
+        width = _idx_image_width(_idx_path(cfg, group, "idx_train_images"))
+    model = fl_engine.Fnn(width, cfg.hidden_units, cfg.n_classes)
     return model.init_params(rng)
 
 
@@ -553,10 +578,21 @@ def _sweep_one_seed(cfg, seed, grid_dbm):
     nu, theta_bar = _initial_round_stats(cfg, seed)
     weights = make_weights(cfg, geometry.group_of_device, nu, theta_bar)
     omega = weights.omega
+    powers = np.stack([np.full(cfg.n_devices, dbm_to_watt(p)) for p in grid_dbm])
+    # One lockstep solve over the power grid per solver kind; level 2 takes
+    # the level-3 solution and differs only in its fronthaul columns.  Each
+    # solution's history starts at the full-power (tco=0) state.
+    solved = {}
+    if {"level2", "level3"} & set(cfg.architectures):
+        solved["level3"] = aggregation.optimize_batch(
+            level3_problem(stats, round_state, weights), powers,
+            eps=cfg.epsilon, max_iters=cfg.max_iters)
+    if "cellular" in cfg.architectures:
+        solved["cellular"] = aggregation.optimize_batch(
+            cellular_problem(stats, round_state, weights), powers,
+            eps=cfg.epsilon, max_iters=cfg.max_iters)
     rows = []
-    for p_dbm in grid_dbm:
-        power = np.full(cfg.n_devices, dbm_to_watt(p_dbm))
-        stats_p = replace(stats, power_limit=power)
+    for i, p_dbm in enumerate(grid_dbm):
         for arch in cfg.architectures:
             fh = _fronthaul_counts(cfg, arch)
             if arch == "errorfree":
@@ -565,7 +601,8 @@ def _sweep_one_seed(cfg, seed, grid_dbm):
                                       (), fh))
                 continue
             if arch == "level1":
-                problem = level1_problem(stats_p, round_state, weights)
+                problem = level1_problem(replace(stats, power_limit=powers[i]),
+                                         round_state, weights)
                 sol = aggregation.level1_solution(problem)
                 proj = aggregation.channel_projections(sol.combiners,
                                                        round_state.ap.h)
@@ -575,28 +612,11 @@ def _sweep_one_seed(cfg, seed, grid_dbm):
                 rows.append(ResultRow(arch, 0, seed, float(p_dbm),
                                       float(np.dot(omega, mses)), mses, (), fh))
                 continue
-            if arch in ("level2", "level3"):
-                problem = level3_problem(stats_p, round_state, weights)
-                solve = aggregation.alternating_optimize
-                mse_fn = aggregation.mse_level3
-                comb_fn = aggregation.combiners_level3
-            else:  # cellular
-                problem = cellular_problem(stats_p, round_state, weights)
-                solve = aggregation.cellular_optimize
-                mse_fn = aggregation.mse_cellular
-                comb_fn = aggregation.combiners_cellular
-            b_full = np.sqrt(power).astype(complex)
-            comb_full = comb_fn(problem, b_full)
-            mses_full = tuple(mse_fn(problem, b_full, comb_full[g], g)
-                              for g in range(cfg.n_groups))
-            rows.append(ResultRow(arch, 0, seed, float(p_dbm),
-                                  float(np.dot(omega, mses_full)), mses_full,
-                                  (), fh))
-            sol = solve(problem, eps=cfg.epsilon, max_iters=cfg.max_iters)
-            mses = tuple(mse_fn(problem, sol.b, sol.combiners[g], g)
-                         for g in range(cfg.n_groups))
-            rows.append(ResultRow(arch, 1, seed, float(p_dbm),
-                                  float(np.dot(omega, mses)), mses, (), fh))
+            trace = solved["level3" if arch == "level2" else arch][i].history.group_values
+            for tco, group_mses in ((0, trace[0]), (1, trace[-1])):
+                mses = tuple(float(m) for m in group_mses)
+                rows.append(ResultRow(arch, tco, seed, float(p_dbm),
+                                      float(np.dot(omega, mses)), mses, (), fh))
     return rows
 
 
@@ -676,24 +696,26 @@ class _GroupTask:
         return self.model.accuracy(theta, self.x_test, self.y_test)
 
 
-def _load_idx_task(cfg, group, rng, group_size):
-    def path(key):
-        raw = cfg.idx_paths.get(f"{key}_g{group}")
-        if raw is None:
-            raise ValidationError(f"task=idx requires key {key}_g{group}")
-        base = cfg.data_dir or os.environ.get(DATA_DIR_ENV, "")
-        return raw if os.path.isabs(raw) or not base else os.path.join(base, raw)
+def _idx_path(cfg, group, key):
+    """Group's IDX file for ``key``, resolved against data_dir or CFOTA_DATA_DIR."""
+    raw = cfg.idx_paths.get(f"{key}_g{group}")
+    if raw is None:
+        raise ValidationError(f"task=idx requires key {key}_g{group}")
+    base = cfg.data_dir or os.environ.get(DATA_DIR_ENV, "")
+    return raw if os.path.isabs(raw) or not base else os.path.join(base, raw)
 
+
+def _load_idx_task(cfg, group, rng, group_size):
     filt = None
     raw_filter = cfg.idx_paths.get(f"idx_label_filter_g{group}")
     if raw_filter:
         filt = [int(v) for v in raw_filter.split(",")]
-    x_train, y_train = load_idx_dataset(path("idx_train_images"),
-                                        path("idx_train_labels"),
+    x_train, y_train = load_idx_dataset(_idx_path(cfg, group, "idx_train_images"),
+                                        _idx_path(cfg, group, "idx_train_labels"),
                                         label_filter=filt,
                                         n_classes=cfg.n_classes)
-    x_test, y_test = load_idx_dataset(path("idx_test_images"),
-                                      path("idx_test_labels"),
+    x_test, y_test = load_idx_dataset(_idx_path(cfg, group, "idx_test_images"),
+                                      _idx_path(cfg, group, "idx_test_labels"),
                                       label_filter=filt,
                                       n_classes=cfg.n_classes)
     need = group_size * cfg.samples_per_device
@@ -703,47 +725,33 @@ def _load_idx_task(cfg, group, rng, group_size):
 
 
 def _solve_round(cfg, arch, stats, round_state, weights):
-    """Solver outputs for one architecture as a transmission link."""
-    if arch == "errorfree":
-        return fl_engine.RoundLink(level="errorfree")
+    """One architecture's transmission link and closed-form per-group MSEs."""
     if arch == "level1":
         problem = level1_problem(stats, round_state, weights)
         sol = aggregation.level1_solution(problem)
+        proj = aggregation.channel_projections(sol.combiners, round_state.ap.h)
+        mses = tuple(aggregation.mse_level1(problem, sol.b, sol.combiners, proj, g)
+                     for g in range(cfg.n_groups))
         return fl_engine.RoundLink(level="level1", b=sol.b,
                                    combiners=sol.combiners,
                                    channels=round_state.ap.h,
-                                   noise_power=stats.noise_power)
+                                   noise_power=stats.noise_power), mses
     if arch in ("level2", "level3"):
         problem = level3_problem(stats, round_state, weights)
         sol = aggregation.alternating_optimize(problem, eps=cfg.epsilon,
                                                max_iters=cfg.max_iters)
-        return fl_engine.RoundLink(level=arch, b=sol.b, combiners=sol.combiners,
+        link = fl_engine.RoundLink(level=arch, b=sol.b, combiners=sol.combiners,
                                    channels=round_state.ap.h,
                                    noise_power=stats.noise_power)
-    problem = cellular_problem(stats, round_state, weights)
-    sol = aggregation.cellular_optimize(problem, eps=cfg.epsilon,
-                                        max_iters=cfg.max_iters)
-    return fl_engine.RoundLink(level="cellular", b=sol.b, combiners=sol.combiners,
-                               bs_channels=round_state.bs.h,
-                               noise_power=stats.noise_power)
-
-
-def _closed_form_mses(cfg, arch, stats, round_state, weights, link):
-    if arch == "errorfree":
-        return tuple(0.0 for _ in range(cfg.n_groups))
-    if arch == "level1":
-        problem = level1_problem(stats, round_state, weights)
-        proj = aggregation.channel_projections(link.combiners, round_state.ap.h)
-        return tuple(aggregation.mse_level1(problem, link.b, link.combiners,
-                                            proj, g)
-                     for g in range(cfg.n_groups))
-    if arch in ("level2", "level3"):
-        problem = level3_problem(stats, round_state, weights)
-        return tuple(aggregation.mse_level3(problem, link.b, link.combiners[g], g)
-                     for g in range(cfg.n_groups))
-    problem = cellular_problem(stats, round_state, weights)
-    return tuple(aggregation.mse_cellular(problem, link.b, link.combiners[g], g)
-                 for g in range(cfg.n_groups))
+    else:
+        problem = cellular_problem(stats, round_state, weights)
+        sol = aggregation.cellular_optimize(problem, eps=cfg.epsilon,
+                                            max_iters=cfg.max_iters)
+        link = fl_engine.RoundLink(level="cellular", b=sol.b,
+                                   combiners=sol.combiners,
+                                   bs_channels=round_state.bs.h,
+                                   noise_power=stats.noise_power)
+    return link, tuple(float(m) for m in sol.history.group_values[-1])
 
 
 def _train_one_seed(cfg, seed):
@@ -792,9 +800,7 @@ def _train_one_seed(cfg, seed):
                     (fl_engine.normalize(local_params[k])[1]
                      for k in range(cfg.n_devices))])
                 weights = make_weights(cfg, gdev, nu, theta_bar)
-                link = _solve_round(cfg, arch, stats, round_state, weights)
-                mses = _closed_form_mses(cfg, arch, stats, round_state, weights,
-                                         link)
+                link, mses = _solve_round(cfg, arch, stats, round_state, weights)
             result = fl_engine.ota_round(
                 local_params, link, gamma, omega, gdev,
                 substream(cfg.master_seed, seed, "slots", t))

@@ -1,3 +1,7 @@
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -418,3 +422,129 @@ def test_stack_for_cpu_shapes_and_blocks():
     np.testing.assert_allclose(cov[2, n:2 * n, n:2 * n],
                                state.error_cov[2, 1])
     np.testing.assert_allclose(cov[2, :n, n:2 * n], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Batched lockstep solver: properties on small random instances
+# ---------------------------------------------------------------------------
+
+def random_problem(seed, cellular, n_groups, per_group, dim):
+    """Random estimates, PSD error covariances and weights; views per group
+    for the cellular kind, one shared view otherwise."""
+    rng = np.random.default_rng(seed)
+    n_dev = n_groups * per_group
+    views = (n_groups,) if cellular else ()
+
+    def cn(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+    root = cn(*views, n_dev, dim, dim) * rng.uniform(0.05, 0.5)
+    weights = agg.AggregationWeights(
+        gamma=np.full(n_dev, 1.0 / per_group),
+        omega=rng.uniform(0.5, 2.0, n_groups),
+        nu=rng.uniform(0.5, 1.5, n_dev),
+        theta_bar=np.zeros(n_dev))
+    kind = agg.CellularProblem if cellular else agg.Level3Problem
+    return kind(h_hat=cn(*views, n_dev, dim),
+                error_cov=root @ root.conj().swapaxes(-1, -2),
+                group_of_device=np.arange(n_dev) % n_groups, weights=weights,
+                noise_power=10.0 ** rng.uniform(-2.0, 0.0),
+                power_limit=np.ones(n_dev))
+
+
+def single_solve(problem, power, **kwargs):
+    solve = (agg.cellular_optimize if isinstance(problem, agg.CellularProblem)
+             else agg.alternating_optimize)
+    return solve(replace(problem, power_limit=power), **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cellular=st.booleans(),
+       n_groups=st.integers(1, 3), per_group=st.integers(1, 3),
+       dim=st.integers(1, 4),
+       power_db=st.lists(st.floats(-30.0, 20.0), min_size=1, max_size=5))
+def test_lockstep_batch_properties(seed, cellular, n_groups, per_group, dim,
+                                   power_db):
+    # Low powers stop in a few iterations and high ones run to the cap, so
+    # the batch shrinks while the rest keep iterating.
+    problem = random_problem(seed, cellular, n_groups, per_group, dim)
+    n_dev = len(problem.group_of_device)
+    powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
+    batch = agg.optimize_batch(problem, powers, max_iters=40)
+    assert len(batch) == len(powers)
+    for power, sol in zip(powers, batch):
+        one = single_solve(problem, power, max_iters=40)
+        assert sol.history.iterations == one.history.iterations
+        assert sol.history.terminated_by == one.history.terminated_by
+        np.testing.assert_allclose(sol.history.values, one.history.values,
+                                   rtol=1e-12, atol=0.0)
+        values = sol.history.values
+        assert np.all(np.diff(values) <= 1e-12 * values[0])
+        np.testing.assert_allclose(sol.history.group_values @ problem.weights.omega,
+                                   values, rtol=1e-12)
+        assert np.all(np.isfinite(sol.b)) and np.all(np.isfinite(sol.combiners))
+        assert np.all(np.abs(sol.b) ** 2 <= power * (1.0 + 1e-12))
+        boundary = np.isclose(np.abs(sol.b) ** 2, power, rtol=1e-9)
+        assert np.all(sol.mu >= 0.0)
+        assert np.all(boundary[sol.mu > 0.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cellular=st.booleans(),
+       n_groups=st.integers(1, 3), per_group=st.integers(1, 3),
+       dim=st.integers(1, 4), power_db=st.floats(-30.0, 20.0))
+def test_tco_step_matches_vectorized_step(seed, cellular, n_groups, per_group,
+                                          dim, power_db):
+    problem = random_problem(seed, cellular, n_groups, per_group, dim)
+    problem = replace(problem,
+                      power_limit=problem.power_limit * 10.0 ** (power_db / 10.0))
+    b0 = np.sqrt(problem.power_limit).astype(complex)
+    combiners = agg.combiners_level3(problem, b0)
+    b, mu = agg.tco_steps(problem, combiners)
+    for k in range(len(b)):
+        b_k, mu_k = agg.tco_step(problem, combiners, k)
+        assert b[k] == pytest.approx(b_k, rel=1e-12, abs=1e-300)
+        assert mu[k] == pytest.approx(mu_k, rel=1e-12, abs=1e-300)
+
+
+def test_lockstep_batch_compacts_mixed_termination():
+    # the desk instance's power grid mixes early threshold stops with
+    # solves that hit the cap; the batch must reproduce each one exactly
+    inst = draw_instance(21)
+    for kind in ("level3", "cellular"):
+        problem = inst[kind]
+        powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(problem.power_limit)))
+        batch = agg.optimize_batch(problem, powers, max_iters=60)
+        ended = {sol.history.terminated_by for sol in batch}
+        assert ended == {"threshold", "max_iters"}
+        assert len({sol.history.iterations for sol in batch}) > 2
+        for power, sol in zip(powers, batch):
+            one = single_solve(problem, power, max_iters=60)
+            assert sol.history.iterations == one.history.iterations
+            np.testing.assert_array_equal(sol.history.values, one.history.values)
+            np.testing.assert_array_equal(sol.b, one.b)
+            np.testing.assert_array_equal(sol.combiners, one.combiners)
+
+
+def test_infinite_power_limit_raises_named_error():
+    inst = draw_instance(22)
+    for kind, solve in (("level3", agg.alternating_optimize),
+                        ("cellular", agg.cellular_optimize)):
+        problem = inst[kind]
+        power = problem.power_limit.copy()
+        power[1] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(agg.NonFiniteSolve):
+            solve(replace(problem, power_limit=power))
+        with np.errstate(invalid="ignore"), pytest.raises(agg.NonFiniteSolve):
+            agg.optimize_batch(problem, np.stack([problem.power_limit, power]))
+
+
+def test_nan_estimate_raises_named_error():
+    inst = draw_instance(23)
+    for kind, solve in (("level3", agg.alternating_optimize),
+                        ("cellular", agg.cellular_optimize)):
+        problem = inst[kind]
+        h_hat = problem.h_hat.copy()
+        h_hat[..., 0, 0] = np.nan
+        with pytest.raises(agg.NonFiniteSolve):
+            solve(replace(problem, h_hat=h_hat))

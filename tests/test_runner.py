@@ -60,6 +60,24 @@ def test_fair_comparison_validation():
     assert ok.cells * ok.n_bs_antennas == ok.n_aps * ok.n_ap_antennas
 
 
+@pytest.mark.parametrize("key,value", [
+    ("max_iters", "0"),
+    ("epsilon", "-1e-12"),
+    ("learning_rate", "0"),
+    ("hidden_units", "0"),
+    ("samples_per_device", "0"),
+    ("sweep_dbm", ""),
+    ("sweep_dbm", "0, inf"),
+    ("epsilon", "nan"),
+])
+def test_out_of_range_value_names_its_key(tmp_path, key, value):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(runner.ValidationError) as err:
+        runner.load_config(path)
+    assert key in str(err.value)
+
+
 def test_overrides_apply_after_file(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text("rounds = 7\n")
@@ -309,6 +327,33 @@ def test_training_idx_task_end_to_end(tmp_path, monkeypatch):
     rows = runner.run_fl_training(cfg)
     assert len(rows) == 2
     assert all(0.0 <= m <= 1.0 for row in rows for m in row.metric_per_group)
+
+
+def test_sweep_idx_task_uses_dataset_input_width(tmp_path):
+    # 5x3 images: the sweep's initial models must have the width training
+    # uses (x_train.shape[1] = 15), so both report the same round-one stats
+    rng = substream(8, "idxdata")
+    cfg_lines = []
+    for g in range(2):
+        for split in ("train", "test"):
+            sub = tmp_path / f"g{g}{split}"
+            sub.mkdir()
+            img, lab = _write_idx_pair(sub, rng.integers(0, 256, size=(12, 5, 3)),
+                                       np.resize(np.arange(4), 12))
+            cfg_lines += [f"idx_{split}_images_g{g} = {img}",
+                          f"idx_{split}_labels_g{g} = {lab}"]
+    cfg = _train_cfg(task="idx", samples_per_device=2, test_samples=6)
+    cfg = runner.parse_config_lines(cfg_lines, base=cfg)
+    nu, theta_bar = runner._initial_round_stats(cfg, 0)
+    for g in range(cfg.n_groups):
+        task = runner._GroupTask(cfg, 0, g)
+        assert task.x_train.shape[1] == 15
+        _, st = fl.normalize(task.initial_params(cfg, 0, g))
+        members = slice(g * cfg.group_size, (g + 1) * cfg.group_size)
+        np.testing.assert_array_equal(nu[members], st.std)
+        np.testing.assert_array_equal(theta_bar[members], st.mean)
+    rows = runner.run_mse_sweep(cfg, grid_dbm=[10.0])
+    assert all(np.isfinite(r.wsum_mse) for r in rows)
 
 
 def test_training_ridge_gap_below_bound():
