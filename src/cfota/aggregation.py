@@ -359,11 +359,6 @@ def combiners_level3(problem, b):
     return _Stack(problem).combiners(np.asarray(b, dtype=complex)[None])[0]
 
 
-def combiner_level3(problem, b, g):
-    """MMSE-optimal combiner of group g for fixed coefficients."""
-    return combiners_level3(problem, b)[g]
-
-
 def tco_steps(problem, combiners):
     """Optimal coefficients and KKT multipliers of all devices, (K,) each,
     for fixed combiners: the vectorized update the solver runs."""
@@ -419,16 +414,6 @@ mse_cellular = mse_level3
 # ---------------------------------------------------------------------------
 # Level 1: local combining, simple central averaging
 # ---------------------------------------------------------------------------
-
-def combiner_level1(problem, b, g, ap):
-    """Local MMSE combiner of group g at one AP (local estimates only)."""
-    mat = _system_matrix(problem.h_hat[:, ap], problem.error_cov[:, ap], b,
-                         problem.noise_power)
-    w = problem.weights
-    own = problem.group_of_device == g
-    coef = np.where(own, w.gamma * b * w.nu, 0.0)
-    return cho_solve(cho_factor(mat), problem.h_hat[:, ap].T @ coef)
-
 
 def combiners_level1(problem, b):
     """Local combiners for every (group, AP); per-AP matrix factorized once."""
@@ -488,32 +473,28 @@ def level1_solution(problem):
 # Recovery of one aggregated parameter from received signals
 # ---------------------------------------------------------------------------
 
-def split_combiner(v, n_aps, n_ant):
-    """View a stacked combiner as per-AP slices of length n_ant."""
-    return v.reshape(n_aps, n_ant)
-
-
 def combine_signals(level, signals, combiner):
     """Complex combiner output for one group, before the mean offset.
 
     ``signals`` is the per-AP receive tensor of shape (L, N) for a single
     slot or (L, N, D) for D slots (for the cellular level, the serving BS
-    signal of shape (M,) or (M, D)).  The combiner matches the level:
-    stacked (LN,) for levels 3 and 2, per-AP (L, N) for level 1, (M,) for
-    cellular.  Level 2 forms per-AP partial combines and sums them, which
-    reproduces the level-3 value up to floating-point reassociation; level 1
-    averages the per-AP combines.
+    signal of shape (M,) or (M, D)).  ``level`` names the architecture,
+    "level1" | "level2" | "level3" | "cellular", and the combiner matches
+    it: stacked (LN,) for levels 3 and 2, per-AP (L, N) for level 1, (M,)
+    for cellular.  Level 2 forms per-AP partial combines and sums them,
+    which reproduces the level-3 value up to floating-point reassociation;
+    level 1 averages the per-AP combines.
     """
     signals = np.asarray(signals)
-    if level == 3:
+    if level == "level3":
         flat = signals.reshape(-1, *signals.shape[2:])
         return np.tensordot(combiner.conj(), flat, axes=(0, 0))
-    if level == 2:
-        per_ap = split_combiner(combiner, signals.shape[0], signals.shape[1])
+    if level == "level2":
+        per_ap = combiner.reshape(signals.shape[:2])
         partial = [np.tensordot(per_ap[ap].conj(), signals[ap], axes=(0, 0))
                    for ap in range(signals.shape[0])]
         return sum(partial)
-    if level == 1:
+    if level == "level1":
         per_ap = [np.tensordot(combiner[ap].conj(), signals[ap], axes=(0, 0))
                   for ap in range(signals.shape[0])]
         return sum(per_ap) / signals.shape[0]

@@ -24,6 +24,8 @@ def _load(args):
         overrides.append(f"master_seed = {args.seed}")
     if args.out is not None:
         overrides.append(f"out = {args.out}")
+    if getattr(args, "grid", None) is not None:
+        overrides.append(f"sweep_dbm = {args.grid}")
     return runner.load_config(args.config, overrides=overrides)
 
 
@@ -45,7 +47,8 @@ def main(argv=None):
                            help="aggregation MSE versus transmit power budget")
     _add_common(sweep)
     sweep.add_argument("--grid", default=None,
-                       help="comma-separated P_max grid in dBm")
+                       help="comma-separated P_max grid in dBm "
+                            "(overrides sweep_dbm)")
 
     train = sub.add_parser("train", help="federated training over the channel")
     _add_common(train)
@@ -66,10 +69,7 @@ def main(argv=None):
             print("config OK")
             return 0
         if args.command == "mse-sweep":
-            grid = None
-            if args.grid:
-                grid = [float(v) for v in args.grid.split(",")]
-            rows = runner.run_mse_sweep(cfg, grid_dbm=grid, threads=args.threads)
+            rows = runner.run_mse_sweep(cfg, threads=args.threads)
             _emit(rows, cfg)
             return 0
         if args.command == "train":

@@ -149,14 +149,10 @@ def ota_round(local_params, link, gamma, omega, group_of_device, rng):
         if link.level == "cellular":
             y = np.einsum("km,kd->md", link.bs_channels[:, g], sent)
             y = y + _cn_noise(y.shape, link.noise_power, rng)
-            combined = aggregation.combine_signals("cellular", y,
-                                                   link.combiners[g])
-        else:
-            level = {"level1": 1, "level2": 2, "level3": 3}[link.level]
-            if g == 0:
-                y = np.einsum("kln,kd->lnd", link.channels, sent)
-                y = y + _cn_noise(y.shape, link.noise_power, rng)
-            combined = aggregation.combine_signals(level, y, link.combiners[g])
+        elif g == 0:
+            y = np.einsum("kln,kd->lnd", link.channels, sent)
+            y = y + _cn_noise(y.shape, link.noise_power, rng)
+        combined = aggregation.combine_signals(link.level, y, link.combiners[g])
         offset = aggregation.group_offset(weights, group_of_device, g)
         recovered[g] = np.real(combined) + offset
         error_sq[g] = float(np.abs(desired[g] - (combined + offset)) ** 2

@@ -23,7 +23,35 @@ from .topology import (Area, DistributionMode, NetworkGeometry, grid_points,
 
 DATA_DIR_ENV = "CFOTA_DATA_DIR"
 
-VALID_ARCHITECTURES = ("errorfree", "level1", "level2", "level3", "cellular")
+
+@dataclass(frozen=True)
+class Architecture:
+    """How the runner solves, scores, recovers and accounts one architecture.
+
+    ``name`` is also the recovery level that ``RoundLink.level`` and
+    ``aggregation.recover`` take.  ``solver`` is the kind of round solve:
+    "level1" (local combiners at full power), "level3" (the alternating
+    solver on the stacked AP view), "cellular" (the same solver on the
+    serving-BS views) or None (error-free, no channel).  ``fronthaul`` is
+    the accounting level (None: no AP fronthaul), ``tco`` is 1 when the
+    transmit coefficients are optimized, and ``needs_bs`` says whether the
+    serving-BS view is drawn.
+    """
+
+    name: str
+    solver: str | None
+    fronthaul: int | None
+    tco: int
+    needs_bs: bool = False
+
+
+ARCHITECTURES = {arch.name: arch for arch in (
+    Architecture("errorfree", None, None, 0),
+    Architecture("level1", "level1", 1, 0),
+    Architecture("level2", "level3", 2, 1),
+    Architecture("level3", "level3", 3, 1),
+    Architecture("cellular", "cellular", None, 1, needs_bs=True),
+)}
 
 
 class ParseError(ValueError):
@@ -193,22 +221,28 @@ def validate_config(cfg):
     if not cfg.architectures:
         raise ValidationError("architectures must not be empty")
     for arch in cfg.architectures:
-        if arch not in VALID_ARCHITECTURES:
+        if arch not in ARCHITECTURES:
             raise ValidationError(f"unknown architecture {arch!r}")
     for name in ("n_aps", "n_ap_antennas", "n_bs_antennas", "n_devices",
                  "n_groups", "tau_p", "tau_u", "cells", "max_iters",
-                 "hidden_units", "samples_per_device"):
+                 "hidden_units", "samples_per_device", "test_samples",
+                 "n_classes"):
         if getattr(cfg, name) < 1:
             raise ValidationError(f"{name} must be positive")
     # Written so that NaN fails too.
+    if not cfg.side_m > 0.0:
+        raise ValidationError(f"side_m={cfg.side_m} must be > 0")
     if not cfg.epsilon >= 0.0:
         raise ValidationError(f"epsilon={cfg.epsilon} must be >= 0")
     if not cfg.learning_rate > 0.0:
         raise ValidationError(f"learning_rate={cfg.learning_rate} must be > 0")
+    if not all(0.0 < w < np.inf for w in cfg.omega):
+        raise ValidationError(f"omega={cfg.omega} must be finite and > 0")
     if not cfg.sweep_dbm:
         raise ValidationError("sweep_dbm must not be empty")
-    if not np.isfinite(cfg.sweep_dbm).all():
-        raise ValidationError(f"sweep_dbm values must be finite, got {cfg.sweep_dbm}")
+    for name in ("p_max_dbm", "pilot_power_dbm", "noise_dbm", "sweep_dbm"):
+        if not np.isfinite(getattr(cfg, name)).all():
+            raise ValidationError(f"{name} must be finite, got {getattr(cfg, name)}")
     if cfg.n_devices % cfg.n_groups != 0:
         raise ValidationError(
             f"n_devices={cfg.n_devices} must be divisible by n_groups={cfg.n_groups}")
@@ -226,7 +260,8 @@ def validate_config(cfg):
             f"tau_p={cfg.tau_p} below group size {cfg.group_size} causes pilot shortage")
     if cfg.omega and len(cfg.omega) != cfg.n_groups:
         raise ValidationError("omega must list one weight per group")
-    if "cellular" in cfg.architectures and cfg.n_groups > cfg.cells:
+    if (any(ARCHITECTURES[a].needs_bs for a in cfg.architectures)
+            and cfg.n_groups > cfg.cells):
         raise ValidationError("cellular needs one serving BS (cell) per group")
     if cfg.fair_comparison:
         total_cf = cfg.n_aps * cfg.n_ap_antennas
@@ -401,17 +436,15 @@ def build_geometry(cfg, rng):
     )
 
 
-def build_statistics(cfg, geometry, rng, need_bs=None):
+def build_statistics(cfg, geometry, rng):
     """Spatial correlations for the AP (and, if needed, serving-BS) links."""
-    if need_bs is None:
-        need_bs = "cellular" in cfg.architectures
     params = cfg.large_scale_params()
     asd = np.deg2rad(cfg.asd_deg)
     ap_corr = correlation_matrices(
         geometry.device_positions, geometry.ap_positions,
         cfg.n_ap_antennas, geometry.area, params, asd, rng)
     bs_corr = None
-    if need_bs:
+    if any(ARCHITECTURES[a].needs_bs for a in cfg.architectures):
         serving = geometry.bs_positions[:cfg.n_groups]
         bs_corr = correlation_matrices(
             geometry.device_positions, serving,
@@ -433,15 +466,16 @@ def _draw_view(correlations, plan, noise_power, rng_fading, rng_pilot):
                         estimate_cov=est.estimate_cov, error_cov=est.error_cov)
 
 
-def draw_round(stats, seed_tags, need_bs=False):
-    """Sample one coherence block and estimate it, from purpose-keyed streams."""
+def draw_round(stats, seed_tags):
+    """Sample one coherence block and estimate it, from purpose-keyed streams.
+
+    The serving-BS view is drawn exactly when the statistics include it.
+    """
     ap = _draw_view(stats.ap_correlations, stats.plan, stats.noise_power,
                     substream(*seed_tags, "fading"),
                     substream(*seed_tags, "pilot-noise"))
     bs = None
-    if need_bs:
-        if stats.bs_correlations is None:
-            raise ValueError("BS correlations were not built for this scenario")
+    if stats.bs_correlations is not None:
         bs = _draw_view(stats.bs_correlations, stats.plan, stats.noise_power,
                         substream(*seed_tags, "fading-bs"),
                         substream(*seed_tags, "pilot-noise-bs"))
@@ -530,11 +564,10 @@ def emit_csv(rows, path, n_groups):
 
 
 def _fronthaul_counts(cfg, arch):
-    levels = {"level1": 1, "level2": 2, "level3": 3}
-    if arch not in levels:
+    if arch.fronthaul is None:
         return (0, 0, 0)
     rep = accounting.fronthaul_scalars(
-        levels[arch], cfg.tau_p, cfg.tau_u, cfg.n_ap_antennas, cfg.n_aps,
+        arch.fronthaul, cfg.tau_p, cfg.tau_u, cfg.n_ap_antennas, cfg.n_aps,
         cfg.n_groups, cfg.n_devices)
     return (rep.pilot_data_scalars, rep.combiner_scalars,
             rep.statistics_display())
@@ -569,71 +602,71 @@ def _initial_model(cfg, seed, group):
     return model.init_params(rng)
 
 
-def _sweep_one_seed(cfg, seed, grid_dbm):
+def _level1_round(stats, round_state, weights):
+    """Level-1 solution (local combiners at full power) and its per-group MSEs."""
+    problem = level1_problem(stats, round_state, weights)
+    sol = aggregation.level1_solution(problem)
+    proj = aggregation.channel_projections(sol.combiners, round_state.ap.h)
+    mses = tuple(aggregation.mse_level1(problem, sol.b, sol.combiners, proj, g)
+                 for g in range(problem.n_groups))
+    return sol, mses
+
+
+def _channel_problem(kind, stats, round_state, weights):
+    """The problem the alternating solver of ``kind`` (level3, cellular) solves."""
+    build = level3_problem if kind == "level3" else cellular_problem
+    return build(stats, round_state, weights)
+
+
+def _sweep_one_seed(cfg, seed):
     geometry = build_geometry(cfg, substream(cfg.master_seed, seed, "geometry"))
     stats = build_statistics(cfg, geometry,
                              substream(cfg.master_seed, seed, "shadowing"))
-    round_state = draw_round(stats, (cfg.master_seed, seed, "round", 0),
-                             need_bs="cellular" in cfg.architectures)
+    round_state = draw_round(stats, (cfg.master_seed, seed, "round", 0))
     nu, theta_bar = _initial_round_stats(cfg, seed)
     weights = make_weights(cfg, geometry.group_of_device, nu, theta_bar)
-    omega = weights.omega
-    powers = np.stack([np.full(cfg.n_devices, dbm_to_watt(p)) for p in grid_dbm])
-    # One lockstep solve over the power grid per solver kind; level 2 takes
-    # the level-3 solution and differs only in its fronthaul columns.  Each
-    # solution's history starts at the full-power (tco=0) state.
-    solved = {}
-    if {"level2", "level3"} & set(cfg.architectures):
-        solved["level3"] = aggregation.optimize_batch(
-            level3_problem(stats, round_state, weights), powers,
-            eps=cfg.epsilon, max_iters=cfg.max_iters)
-    if "cellular" in cfg.architectures:
-        solved["cellular"] = aggregation.optimize_batch(
-            cellular_problem(stats, round_state, weights), powers,
-            eps=cfg.epsilon, max_iters=cfg.max_iters)
+    archs = [ARCHITECTURES[name] for name in cfg.architectures]
+    kinds = {arch.solver for arch in archs}
+    powers = np.stack([np.full(cfg.n_devices, dbm_to_watt(p)) for p in cfg.sweep_dbm])
+    # traces[kind][i]: per-group MSEs at grid point i, first at full power
+    # (tco=0), last after the solve (tco=1).  Each alternating kind solves
+    # the whole grid in one lockstep batch; level 2 takes the level-3 trace.
+    traces = {None: np.zeros((len(powers), 1, cfg.n_groups))}
+    if "level1" in kinds:
+        traces["level1"] = [
+            [_level1_round(replace(stats, power_limit=p), round_state, weights)[1]]
+            for p in powers]
+    for kind in ("level3", "cellular"):
+        if kind in kinds:
+            solutions = aggregation.optimize_batch(
+                _channel_problem(kind, stats, round_state, weights), powers,
+                eps=cfg.epsilon, max_iters=cfg.max_iters)
+            traces[kind] = [sol.history.group_values for sol in solutions]
     rows = []
-    for i, p_dbm in enumerate(grid_dbm):
-        for arch in cfg.architectures:
-            fh = _fronthaul_counts(cfg, arch)
-            if arch == "errorfree":
-                zeros = tuple(0.0 for _ in range(cfg.n_groups))
-                rows.append(ResultRow(arch, 0, seed, float(p_dbm), 0.0, zeros,
+    for arch in archs:
+        fh = _fronthaul_counts(cfg, arch)
+        for p_dbm, trace in zip(cfg.sweep_dbm, traces[arch.solver]):
+            for tco in range(1 + arch.tco):
+                mses = tuple(float(m) for m in trace[-1 if tco else 0])
+                rows.append(ResultRow(arch.name, tco, seed, float(p_dbm),
+                                      float(np.dot(weights.omega, mses)), mses,
                                       (), fh))
-                continue
-            if arch == "level1":
-                problem = level1_problem(replace(stats, power_limit=powers[i]),
-                                         round_state, weights)
-                sol = aggregation.level1_solution(problem)
-                proj = aggregation.channel_projections(sol.combiners,
-                                                       round_state.ap.h)
-                mses = tuple(
-                    aggregation.mse_level1(problem, sol.b, sol.combiners, proj, g)
-                    for g in range(cfg.n_groups))
-                rows.append(ResultRow(arch, 0, seed, float(p_dbm),
-                                      float(np.dot(omega, mses)), mses, (), fh))
-                continue
-            trace = solved["level3" if arch == "level2" else arch][i].history.group_values
-            for tco, group_mses in ((0, trace[0]), (1, trace[-1])):
-                mses = tuple(float(m) for m in group_mses)
-                rows.append(ResultRow(arch, tco, seed, float(p_dbm),
-                                      float(np.dot(omega, mses)), mses, (), fh))
     return rows
 
 
-def run_mse_sweep(cfg, grid_dbm=None, threads=1):
-    """Weighted sum-MSE of every configured architecture over a power grid.
+def run_mse_sweep(cfg, threads=1):
+    """Weighted sum-MSE of every configured architecture over ``sweep_dbm``.
 
     Uses one channel/estimate draw per seed (shared across grid points), the
     round-one parameter statistics of each group's initial model, and both
     the full-power and the optimized transmit coefficients where TCO applies.
     """
-    grid = tuple(grid_dbm) if grid_dbm is not None else cfg.sweep_dbm
     seeds = range(cfg.seeds)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda s: _sweep_one_seed(cfg, s, grid), seeds))
+            chunks = list(pool.map(lambda s: _sweep_one_seed(cfg, s), seeds))
     else:
-        chunks = [_sweep_one_seed(cfg, s, grid) for s in seeds]
+        chunks = [_sweep_one_seed(cfg, s) for s in seeds]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=ResultRow.sort_key)
     return rows
@@ -670,12 +703,6 @@ class _GroupTask:
         self.x_train, self.y_train = x_train, fl_engine.onehot(y_train,
                                                                cfg.n_classes)
         self.x_test, self.y_test = x_test, y_test
-
-    def initial_params(self, cfg, seed, group):
-        rng = substream(cfg.master_seed, seed, "init", group)
-        if self.kind == "ridge":
-            return rng.standard_normal(cfg.n_features)
-        return self.model.init_params(rng)
 
     def device_gradient_fn(self, device):
         if self.kind == "ridge":
@@ -724,92 +751,71 @@ def _load_idx_task(cfg, group, rng, group_size):
     return x_train[pick], y_train[pick], x_test[test_pick], y_test[test_pick]
 
 
-def _solve_round(cfg, arch, stats, round_state, weights):
-    """One architecture's transmission link and closed-form per-group MSEs."""
-    if arch == "level1":
-        problem = level1_problem(stats, round_state, weights)
-        sol = aggregation.level1_solution(problem)
-        proj = aggregation.channel_projections(sol.combiners, round_state.ap.h)
-        mses = tuple(aggregation.mse_level1(problem, sol.b, sol.combiners, proj, g)
-                     for g in range(cfg.n_groups))
-        return fl_engine.RoundLink(level="level1", b=sol.b,
-                                   combiners=sol.combiners,
-                                   channels=round_state.ap.h,
-                                   noise_power=stats.noise_power), mses
-    if arch in ("level2", "level3"):
-        problem = level3_problem(stats, round_state, weights)
-        sol = aggregation.alternating_optimize(problem, eps=cfg.epsilon,
-                                               max_iters=cfg.max_iters)
-        link = fl_engine.RoundLink(level=arch, b=sol.b, combiners=sol.combiners,
-                                   channels=round_state.ap.h,
-                                   noise_power=stats.noise_power)
+def _round_link(cfg, arch, stats, round_state, weights):
+    """One architecture's uplink for a round and its closed-form per-group MSEs."""
+    if arch.solver is None:
+        return fl_engine.RoundLink(level=arch.name), (0.0,) * cfg.n_groups
+    if arch.solver == "level1":
+        sol, mses = _level1_round(stats, round_state, weights)
     else:
-        problem = cellular_problem(stats, round_state, weights)
-        sol = aggregation.cellular_optimize(problem, eps=cfg.epsilon,
-                                            max_iters=cfg.max_iters)
-        link = fl_engine.RoundLink(level="cellular", b=sol.b,
-                                   combiners=sol.combiners,
-                                   bs_channels=round_state.bs.h,
-                                   noise_power=stats.noise_power)
-    return link, tuple(float(m) for m in sol.history.group_values[-1])
+        # The one-problem entry points, which bench/spans.py counts as solves.
+        optimize = (aggregation.alternating_optimize if arch.solver == "level3"
+                    else aggregation.cellular_optimize)
+        sol = optimize(_channel_problem(arch.solver, stats, round_state, weights),
+                       eps=cfg.epsilon, max_iters=cfg.max_iters)
+        mses = tuple(float(m) for m in sol.history.group_values[-1])
+    return fl_engine.RoundLink(
+        level=arch.name, noise_power=stats.noise_power, b=sol.b,
+        combiners=sol.combiners, channels=round_state.ap.h,
+        bs_channels=round_state.bs.h if arch.needs_bs else None), mses
 
 
 def _train_one_seed(cfg, seed):
     geometry = build_geometry(cfg, substream(cfg.master_seed, seed, "geometry"))
-    needs_channel = any(a != "errorfree" for a in cfg.architectures)
+    archs = [ARCHITECTURES[name] for name in cfg.architectures]
     stats = None
-    if needs_channel:
+    if any(arch.solver for arch in archs):
         stats = build_statistics(cfg, geometry,
                                  substream(cfg.master_seed, seed, "shadowing"))
     tasks = [_GroupTask(cfg, seed, g) for g in range(cfg.n_groups)]
-    init = [tasks[g].initial_params(cfg, seed, g) for g in range(cfg.n_groups)]
-    dims = {len(v) for v in init}
-    if len(dims) != 1:
+    init = [_initial_model(cfg, seed, g) for g in range(cfg.n_groups)]
+    if len({len(v) for v in init}) != 1:
         raise fl_engine.ShapeMismatch(
             "all groups must train models of the same parameter count")
     gdev = geometry.group_of_device
-    gamma = np.full(cfg.n_devices, 1.0 / cfg.group_size)
-    omega = cfg.omega_or_default
 
-    rows = []
-    for arch in cfg.architectures:
-        fh = _fronthaul_counts(cfg, arch)
-        models = [v.copy() for v in init]
-        rows.append(ResultRow(arch, int(arch not in ("errorfree", "level1")),
-                              seed, 0.0, None, (),
-                              tuple(tasks[g].metric(models[g])
-                                    for g in range(cfg.n_groups)), fh))
-        for t in range(1, cfg.rounds + 1):
+    def metrics(models):
+        return tuple(tasks[g].metric(models[g]) for g in range(cfg.n_groups))
+
+    fronthaul = [_fronthaul_counts(cfg, arch) for arch in archs]
+    models = [init] * len(archs)
+    rows = [ResultRow(arch.name, arch.tco, seed, 0.0, None, (), metrics(init), fh)
+            for arch, fh in zip(archs, fronthaul)]
+    # Rounds outer, architectures inner: every architecture of a seed shares
+    # the round's one channel draw.
+    for t in range(1, cfg.rounds + 1):
+        round_state = None
+        if stats is not None:
+            round_state = draw_round(stats, (cfg.master_seed, seed, "round", t))
+        for i, arch in enumerate(archs):
             local_params = np.stack([
                 fl_engine.local_update(
-                    models[gdev[k]],
+                    models[i][gdev[k]],
                     tasks[gdev[k]].device_gradient_fn(k % cfg.group_size),
                     tasks[gdev[k]].learning_rate(cfg))
                 for k in range(cfg.n_devices)
             ])
-            if arch == "errorfree":
-                link = fl_engine.RoundLink(level="errorfree")
-                mses = tuple(0.0 for _ in range(cfg.n_groups))
-                round_state = None
-            else:
-                round_state = draw_round(
-                    stats, (cfg.master_seed, seed, "round", t),
-                    need_bs=(arch == "cellular"))
-                nu, theta_bar = zip(*[
-                    (st.std, st.mean) for st in
-                    (fl_engine.normalize(local_params[k])[1]
-                     for k in range(cfg.n_devices))])
-                weights = make_weights(cfg, gdev, nu, theta_bar)
-                link, mses = _solve_round(cfg, arch, stats, round_state, weights)
+            nu, theta_bar = zip(*[(st.std, st.mean) for st in
+                                  (fl_engine.normalize(p)[1] for p in local_params)])
+            weights = make_weights(cfg, gdev, nu, theta_bar)
+            link, mses = _round_link(cfg, arch, stats, round_state, weights)
             result = fl_engine.ota_round(
-                local_params, link, gamma, omega, gdev,
+                local_params, link, weights.gamma, weights.omega, gdev,
                 substream(cfg.master_seed, seed, "slots", t))
-            models = [result.recovered[g] for g in range(cfg.n_groups)]
-            rows.append(ResultRow(
-                arch, int(arch not in ("errorfree", "level1")), seed, float(t),
-                float(np.dot(omega, mses)), mses,
-                tuple(tasks[g].metric(models[g]) for g in range(cfg.n_groups)),
-                fh))
+            models[i] = list(result.recovered)
+            rows.append(ResultRow(arch.name, arch.tco, seed, float(t),
+                                  float(np.dot(weights.omega, mses)), mses,
+                                  metrics(models[i]), fronthaul[i]))
     return rows
 
 

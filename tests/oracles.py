@@ -37,9 +37,8 @@ def draw_instance(seed, cfg=None, nu_scale=1.0):
     """
     cfg = cfg or desk_config()
     geometry = runner.build_geometry(cfg, substream(seed, "geometry"))
-    stats = runner.build_statistics(cfg, geometry, substream(seed, "shadowing"),
-                                    need_bs=True)
-    state = runner.draw_round(stats, (seed, "round", 0), need_bs=True)
+    stats = runner.build_statistics(cfg, geometry, substream(seed, "shadowing"))
+    state = runner.draw_round(stats, (seed, "round", 0))
     rng = substream(seed, "weights")
     nu = nu_scale * rng.uniform(0.5, 1.5, cfg.n_devices)
     theta_bar = rng.uniform(-1.0, 1.0, cfg.n_devices)

@@ -105,9 +105,9 @@ def test_criterion_3_level_equivalences_and_ordering(soundness_solutions):
                  + 1j * rng.standard_normal(y.shape))
         y = y + np.sqrt(p3.noise_power / 2.0) * noise
         for g in range(p3.n_groups):
-            r3 = agg.recover(3, y, sol3.combiners[g], p3.weights,
+            r3 = agg.recover("level3", y, sol3.combiners[g], p3.weights,
                              p3.group_of_device, g)
-            r2 = agg.recover(2, y, sol3.combiners[g], p3.weights,
+            r2 = agg.recover("level2", y, sol3.combiners[g], p3.weights,
                              p3.group_of_device, g)
             scale = np.maximum(np.abs(r3), 1e-300)
             assert np.max(np.abs(r2 - r3) / scale) <= 1e-10
@@ -159,9 +159,9 @@ def test_criterion_5_power_sweep_shape():
     """Per-seed level-3 MSE is non-increasing over -10..40 dBm with a
     strictly positive floor under imperfect CSI; with perfect CSI a single
     interference-free device drops by more than 1000x over the sweep."""
-    grid = [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0]
-    cfg = desk_config(seeds=3, architectures=("level3",))
-    rows = runner.run_mse_sweep(cfg, grid_dbm=grid)
+    grid = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
+    cfg = desk_config(seeds=3, architectures=("level3",), sweep_dbm=grid)
+    rows = runner.run_mse_sweep(cfg)
     eps = np.finfo(float).eps
     for seed in range(cfg.seeds):
         vals = [r.wsum_mse for r in rows if r.seed == seed and r.tco == 1]
@@ -185,7 +185,7 @@ def test_criterion_5_power_sweep_shape():
             group_of_device=np.array([0]), weights=weights,
             noise_power=inst["level3"].noise_power, power_limit=power)
         b = np.sqrt(power).astype(complex)
-        v = agg.combiner_level3(problem, b, 0)
+        v = agg.combiners_level3(problem, b)[0]
         mses[p_dbm] = agg.mse_level3(problem, b, v, 0)
     assert mses[40.0] < 1e-3 * mses[-10.0]
     _report(5, "power-sweep shape")

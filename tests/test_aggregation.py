@@ -60,14 +60,14 @@ def test_mse_level3_matches_monte_carlo():
 def test_combiner_level3_zero_coefficients():
     inst = draw_instance(2)
     problem = inst["level3"]
-    v = agg.combiner_level3(problem, np.zeros(len(problem.h_hat), complex), 0)
+    v = agg.combiners_level3(problem, np.zeros(len(problem.h_hat), complex))[0]
     np.testing.assert_allclose(v, 0.0)
 
 
 def test_combiner_level3_scalar_hand_value():
     # (|b|^2 (h h^H + C) + noise)^{-1} gamma b nu h = (1 + 1)^{-1} * 1
     problem = scalar_problem()
-    v = agg.combiner_level3(problem, np.array([1.0 + 0j]), 0)
+    v = agg.combiners_level3(problem, np.array([1.0 + 0j]))[0]
     assert v[0] == pytest.approx(0.5)
 
 
@@ -78,7 +78,7 @@ def test_combiner_level3_is_minimizer():
     b = np.sqrt(problem.power_limit).astype(complex)
     rng = substream(3, "perturb")
     for g in range(problem.n_groups):
-        v_opt = agg.combiner_level3(problem, b, g)
+        v_opt = agg.combiners_level3(problem, b)[g]
         base = agg.mse_level3(problem, b, v_opt, g)
         scale = np.linalg.norm(v_opt)
         for eps in (1e-3, 1e-2):
@@ -206,16 +206,16 @@ def test_combiner_level1_single_ap_equals_level3():
     problem3, problem1 = inst["level3"], inst["level1"]
     b = np.sqrt(problem1.power_limit).astype(complex)
     for g in range(problem1.n_groups):
-        v3 = agg.combiner_level3(problem3, b, g)
-        v1 = agg.combiner_level1(problem1, b, g, ap=0)
+        v3 = agg.combiners_level3(problem3, b)[g]
+        v1 = agg.combiners_level1(problem1, b)[g, 0]
         np.testing.assert_allclose(v1, v3, rtol=1e-10)
 
 
 def test_combiner_level1_zero_coefficients_and_scalar_value():
     inst = draw_instance(6)
     problem = inst["level1"]
-    v = agg.combiner_level1(problem, np.zeros(len(problem.h_hat), complex),
-                            0, 0)
+    v = agg.combiners_level1(problem,
+                             np.zeros(len(problem.h_hat), complex))[0, 0]
     np.testing.assert_allclose(v, 0.0)
 
     weights = agg.AggregationWeights(gamma=np.array([1.0]),
@@ -227,7 +227,7 @@ def test_combiner_level1_zero_coefficients_and_scalar_value():
         error_cov=np.zeros((1, 1, 1, 1), dtype=complex),
         group_of_device=np.array([0]), weights=weights, noise_power=1.0,
         power_limit=np.array([100.0]))
-    v = agg.combiner_level1(scalar, np.array([1.0 + 0j]), 0, 0)
+    v = agg.combiners_level1(scalar, np.array([1.0 + 0j]))[0, 0]
     assert v[0] == pytest.approx(0.5)
 
 
@@ -292,9 +292,9 @@ def test_recover_level2_equals_level3():
         + np.einsum("kln,kd->lnd", inst["state"].ap.h,
                     (sol.b[:, None] * rng.standard_normal((cfg.n_devices, 16))))
     for g in range(problem.n_groups):
-        r3 = agg.recover(3, signals, sol.combiners[g], problem.weights,
+        r3 = agg.recover("level3", signals, sol.combiners[g], problem.weights,
                          problem.group_of_device, g)
-        r2 = agg.recover(2, signals, sol.combiners[g], problem.weights,
+        r2 = agg.recover("level2", signals, sol.combiners[g], problem.weights,
                          problem.group_of_device, g)
         np.testing.assert_allclose(r2, r3, rtol=1e-10, atol=1e-18)
 
@@ -309,7 +309,7 @@ def test_recover_level1_averages_local_combines():
                + 1j * rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8)))
     w = problem.weights
     for g in range(problem.n_groups):
-        got = agg.recover(1, signals, sol.combiners[g], w,
+        got = agg.recover("level1", signals, sol.combiners[g], w,
                           problem.group_of_device, g)
         per_ap = np.stack([
             np.einsum("n,nd->d", sol.combiners[g, ap].conj(), signals[ap])
@@ -330,7 +330,7 @@ def test_recover_zero_signals_returns_offset():
     for g in range(problem.n_groups):
         own = problem.group_of_device == g
         offset = float(np.dot(w.gamma[own], w.theta_bar[own]))
-        got = agg.recover(3, signals, v, w, problem.group_of_device, g)
+        got = agg.recover("level3", signals, v, w, problem.group_of_device, g)
         assert got == pytest.approx(offset)
 
 
@@ -347,10 +347,10 @@ def test_recover_noiseless_single_device_inverts():
         group_of_device=np.array([0]), weights=weights,
         noise_power=1e-10, power_limit=np.array([4.0]))
     b = np.array([2.0 + 0j])
-    v = agg.combiner_level3(problem, b, 0)
+    v = agg.combiners_level3(problem, b)[0]
     s = 1.3
     signals = (h[0] * b[0] * s).reshape(1, 2)
-    got = agg.recover(3, signals, v, weights, np.array([0]), 0)
+    got = agg.recover("level3", signals, v, weights, np.array([0]), 0)
     assert got == pytest.approx(0.7 * s + 0.2, abs=1e-8)
 
 

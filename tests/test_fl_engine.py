@@ -198,7 +198,7 @@ def test_ota_round_noiseless_perfect_csi_recovers_desired():
                                        np.array([stats.std]),
                                        np.array([stats.mean])),
         noise_power=1e-12, power_limit=np.array([4.0]))
-    v = agg.combiner_level3(problem, b, 0)
+    v = agg.combiners_level3(problem, b)[0]
     link = fl.RoundLink(level="level3", noise_power=0.0, b=b,
                         combiners=v[None, :], channels=h)
     res = fl.ota_round(theta, link, gamma=[1.0], omega=[1.0],

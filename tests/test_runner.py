@@ -1,5 +1,6 @@
 import gzip
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,13 @@ def test_fair_comparison_validation():
     ("sweep_dbm", ""),
     ("sweep_dbm", "0, inf"),
     ("epsilon", "nan"),
+    ("test_samples", "0"),
+    ("n_classes", "0"),
+    ("omega", "-1, 1"),
+    ("noise_dbm", "nan"),
+    ("p_max_dbm", "inf"),
+    ("pilot_power_dbm", "-inf"),
+    ("side_m", "0"),
 ])
 def test_out_of_range_value_names_its_key(tmp_path, key, value):
     path = tmp_path / "scenario.cfg"
@@ -206,8 +214,8 @@ def test_emit_csv_io_error(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_sweep_single_point_rows_per_architecture():
-    cfg = desk_config(seeds=1)
-    rows = runner.run_mse_sweep(cfg, grid_dbm=[20.0])
+    cfg = desk_config(seeds=1, sweep_dbm=(20.0,))
+    rows = runner.run_mse_sweep(cfg)
     by_scenario = {}
     for row in rows:
         by_scenario.setdefault(row.scenario, []).append(row)
@@ -220,14 +228,16 @@ def test_sweep_single_point_rows_per_architecture():
 
 
 def test_sweep_errorfree_is_zero():
-    cfg = desk_config(seeds=1, architectures=("errorfree",))
-    rows = runner.run_mse_sweep(cfg, grid_dbm=[0.0, 20.0])
+    cfg = desk_config(seeds=1, architectures=("errorfree",),
+                      sweep_dbm=(0.0, 20.0))
+    rows = runner.run_mse_sweep(cfg)
     assert all(row.wsum_mse == 0.0 for row in rows)
 
 
 def test_sweep_tco_never_worse_than_full_power():
-    cfg = desk_config(seeds=2, architectures=("level3", "cellular"))
-    rows = runner.run_mse_sweep(cfg, grid_dbm=[0.0, 20.0])
+    cfg = desk_config(seeds=2, architectures=("level3", "cellular"),
+                      sweep_dbm=(0.0, 20.0))
+    rows = runner.run_mse_sweep(cfg)
     table = {(r.scenario, r.tco, r.seed, r.point): r.wsum_mse for r in rows}
     for (scenario, tco, seed, point), wsm in table.items():
         if tco == 1:
@@ -235,9 +245,9 @@ def test_sweep_tco_never_worse_than_full_power():
 
 
 def test_sweep_level3_non_increasing_in_power_per_seed():
-    cfg = desk_config(seeds=2, architectures=("level3",))
-    grid = [-10.0, 0.0, 10.0, 20.0]
-    rows = runner.run_mse_sweep(cfg, grid_dbm=grid)
+    cfg = desk_config(seeds=2, architectures=("level3",),
+                      sweep_dbm=(-10.0, 0.0, 10.0, 20.0))
+    rows = runner.run_mse_sweep(cfg)
     for seed in range(2):
         vals = [r.wsum_mse for r in rows
                 if r.seed == seed and r.tco == 1]
@@ -245,9 +255,10 @@ def test_sweep_level3_non_increasing_in_power_per_seed():
 
 
 def test_sweep_threads_do_not_change_results():
-    cfg = desk_config(seeds=3, architectures=("level3", "level1"))
-    rows1 = runner.run_mse_sweep(cfg, grid_dbm=[10.0], threads=1)
-    rows2 = runner.run_mse_sweep(cfg, grid_dbm=[10.0], threads=3)
+    cfg = desk_config(seeds=3, architectures=("level3", "level1"),
+                      sweep_dbm=(10.0,))
+    rows1 = runner.run_mse_sweep(cfg, threads=1)
+    rows2 = runner.run_mse_sweep(cfg, threads=3)
     assert rows1 == rows2
 
 
@@ -276,7 +287,7 @@ def test_training_errorfree_matches_plain_fedsgd_bitwise():
     rows = runner.run_fl_training(cfg)
     # the reference path: same primitives, no channel anywhere
     tasks = [runner._GroupTask(cfg, 0, g) for g in range(cfg.n_groups)]
-    models = [tasks[g].initial_params(cfg, 0, g) for g in range(cfg.n_groups)]
+    models = [runner._initial_model(cfg, 0, g) for g in range(cfg.n_groups)]
     gamma = np.full(cfg.group_size, 1.0 / cfg.group_size)
     metrics = [tuple(tasks[g].metric(models[g]) for g in range(cfg.n_groups))]
     for _ in range(cfg.rounds):
@@ -304,6 +315,32 @@ def test_training_rows_and_determinism():
         per_arch.setdefault(row.scenario, []).append(row)
     assert len(per_arch["errorfree"]) == 2 * 3  # seeds * (rounds + 1)
     assert len(per_arch["level3"]) == 2 * 3
+
+
+def test_training_shares_each_round_draw_across_architectures(monkeypatch):
+    # one draw_round per (seed, round) whatever the number of channel
+    # architectures; each architecture's rows equal a run configured with
+    # that architecture alone, at any thread count
+    archs = ("errorfree", "level1", "level2", "level3", "cellular")
+    cfg = _train_cfg(architectures=archs, rounds=2, seeds=2)
+    draws = []
+    draw_round = runner.draw_round
+
+    def counting_draw(stats, seed_tags):
+        draws.append(seed_tags)
+        return draw_round(stats, seed_tags)
+
+    monkeypatch.setattr(runner, "draw_round", counting_draw)
+    rows = runner.run_fl_training(cfg, threads=1)
+    assert sorted(draws) == [(cfg.master_seed, seed, "round", t)
+                             for seed in range(cfg.seeds)
+                             for t in range(1, cfg.rounds + 1)]
+    monkeypatch.undo()
+    assert runner.run_fl_training(cfg, threads=2) == rows
+    for arch in archs:
+        alone = runner.run_fl_training(_train_cfg(architectures=(arch,),
+                                                  rounds=2, seeds=2))
+        assert alone == [row for row in rows if row.scenario == arch]
 
 
 def test_training_idx_task_end_to_end(tmp_path, monkeypatch):
@@ -348,11 +385,11 @@ def test_sweep_idx_task_uses_dataset_input_width(tmp_path):
     for g in range(cfg.n_groups):
         task = runner._GroupTask(cfg, 0, g)
         assert task.x_train.shape[1] == 15
-        _, st = fl.normalize(task.initial_params(cfg, 0, g))
+        _, st = fl.normalize(runner._initial_model(cfg, 0, g))
         members = slice(g * cfg.group_size, (g + 1) * cfg.group_size)
         np.testing.assert_array_equal(nu[members], st.std)
         np.testing.assert_array_equal(theta_bar[members], st.mean)
-    rows = runner.run_mse_sweep(cfg, grid_dbm=[10.0])
+    rows = runner.run_mse_sweep(replace(cfg, sweep_dbm=(10.0,)))
     assert all(np.isfinite(r.wsum_mse) for r in rows)
 
 
@@ -400,12 +437,42 @@ def test_cli_validate_and_sweep(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2  # header + 2 grid points x (tco, no-tco)
 
 
+def test_cli_grid_with_negative_first_point(tmp_path, capsys):
+    # argparse reads a bare "-10,0" as an option; the "=" form passes it
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text(
+        "architectures = level3\nseeds = 1\nn_devices = 6\nn_groups = 2\n"
+        "tau_p = 3\nsweep_dbm = 20\n")
+    out = tmp_path / "rows.csv"
+    assert cli_main(["mse-sweep", "-c", str(cfgfile), "--out", str(out),
+                     "--grid=-10,0"]) == 0
+    points = sorted({float(line.split(",")[3])
+                     for line in out.read_text().splitlines()[1:]})
+    assert points == [-10.0, 0.0]
+
+
 def test_cli_reports_named_errors(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("n_devices = 7\nn_groups = 3\n")
     assert cli_main(["validate-config", "-c", str(cfgfile)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ValidationError")
+
+
+@pytest.mark.parametrize("arch,grid,error", [
+    ("level3", "nan,0", "ValidationError"),
+    ("level3", "0,x", "ParseError"),
+    ("level1", "nan", "ValidationError"),
+])
+def test_cli_bad_grid_is_named_error(tmp_path, capsys, arch, grid, error):
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text(f"architectures = {arch}\nseeds = 1\n")
+    out = tmp_path / "rows.csv"
+    assert cli_main(["mse-sweep", "-c", str(cfgfile), "--out", str(out),
+                     "--grid", grid]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error) and "sweep_dbm" in err
+    assert not out.exists()
 
 
 def test_cli_fronthaul(tmp_path, capsys):
