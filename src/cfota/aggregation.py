@@ -21,7 +21,7 @@ channel views: one stacked view that every group's combiner uses at level
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 
 class NonFiniteSolve(ValueError):
@@ -138,8 +138,11 @@ def stack_for_cpu(h_hat, error_cov):
     """
     n_dev, n_aps, n_ant = h_hat.shape
     flat = h_hat.reshape(n_dev, n_aps * n_ant)
-    cov = np.stack([block_diag(*error_cov[k]) for k in range(n_dev)])
-    return flat, cov
+    cov = np.zeros((n_dev, n_aps, n_ant, n_aps, n_ant), dtype=error_cov.dtype)
+    ap = np.arange(n_aps)
+    # The two index arrays move the AP axis first: (L, K, N, N).
+    cov[:, ap, :, ap, :] = np.swapaxes(error_cov, 0, 1)
+    return flat, cov.reshape(n_dev, n_aps * n_ant, n_aps * n_ant)
 
 
 def _target(problem, g):

@@ -19,6 +19,8 @@ def _add_common(parser):
 
 
 def _load(args):
+    if args.threads < 1:
+        raise runner.ValidationError(f"--threads={args.threads} must be >= 1")
     overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(f"master_seed = {args.seed}")

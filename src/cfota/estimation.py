@@ -5,6 +5,11 @@ reused across groups, so estimates of devices in different groups that
 share a pilot are contaminated.  Estimation works on the despread pilot
 observation and produces, per link, the estimate together with its
 covariance and the estimation-error covariance.
+
+The covariances and the factorized despread covariances depend only on the
+pilot plan, the spatial correlations and the noise power, so
+``mmse_statistics`` computes them once per deployment; ``estimate_all``
+then turns each coherence block's observation into estimates.
 """
 
 from dataclasses import dataclass
@@ -50,6 +55,23 @@ class ChannelEstimateSet:
     """Estimates for every (device, receiver) pair, stacked into arrays."""
 
     h_hat: np.ndarray         # (K, R, N)
+    estimate_cov: np.ndarray  # (K, R, N, N)
+    error_cov: np.ndarray     # (K, R, N, N)
+
+
+@dataclass(frozen=True)
+class MmseStatistics:
+    """What MMSE estimation of one receiver view needs besides the draw.
+
+    factors[rx][t] is the Cholesky factor of the despread covariance of
+    pilot t at receiver rx (None for an unused pilot).  The covariance
+    arrays are read-only.
+    """
+
+    plan: PilotPlan
+    correlations: np.ndarray  # (K, R, N, N)
+    noise_power: float
+    factors: tuple
     estimate_cov: np.ndarray  # (K, R, N, N)
     error_cov: np.ndarray     # (K, R, N, N)
 
@@ -105,6 +127,15 @@ def _despread_covariance(plan, correlations, rx, pilot, noise_power):
     return xi
 
 
+def _link_covariances(r_kl, factor, scale):
+    """Estimate and error covariances of one link, both Hermitian."""
+    est_cov = scale**2 * (r_kl @ cho_solve(factor, r_kl))
+    est_cov = 0.5 * (est_cov + est_cov.conj().T)
+    err_cov = r_kl - est_cov
+    err_cov = 0.5 * (err_cov + err_cov.conj().T)
+    return est_cov, err_cov
+
+
 def mmse_estimate(y_kl, plan, correlations, k, rx, noise_power):
     """MMSE estimate of device k's channel at one receiver.
 
@@ -118,39 +149,59 @@ def mmse_estimate(y_kl, plan, correlations, k, rx, noise_power):
     scale = np.sqrt(plan.pilot_power[k] * plan.tau_p)
     factor = cho_factor(xi)
     h_hat = scale * (r_kl @ cho_solve(factor, y_kl))
-    est_cov = scale**2 * (r_kl @ cho_solve(factor, r_kl))
-    est_cov = 0.5 * (est_cov + est_cov.conj().T)
-    err_cov = r_kl - est_cov
-    err_cov = 0.5 * (err_cov + err_cov.conj().T)
+    est_cov, err_cov = _link_covariances(r_kl, factor, scale)
     return ChannelEstimate(h_hat=h_hat, estimate_cov=est_cov, error_cov=err_cov)
 
 
-def estimate_all(y_pilot, plan, correlations, noise_power):
-    """MMSE estimates for every (device, receiver) pair.
+def mmse_statistics(plan, correlations, noise_power):
+    """Draw-independent MMSE statistics of every (device, receiver) link.
 
-    Factorizes each despread covariance once per (pilot, receiver) and
-    reuses it for all sharers of that pilot.
+    Factorizes each despread covariance once per (receiver, pilot) and
+    derives every sharer's estimate and error covariances from it.  The
+    covariance arrays are read-only: every coherence block shares them.
     """
     correlations = np.asarray(correlations)
     n_dev, n_rx, n_ant = correlations.shape[:3]
-    h_hat = np.zeros((n_dev, n_rx, n_ant), dtype=complex)
+    scale = np.sqrt(plan.pilot_power * plan.tau_p)
     est_cov = np.zeros((n_dev, n_rx, n_ant, n_ant), dtype=complex)
     err_cov = np.zeros_like(est_cov)
+    factors = []
     for rx in range(n_rx):
+        row = []
         for t in range(plan.tau_p):
             sharers = plan.devices_on_pilot(t)
-            if not sharers.size:
+            factor = None
+            if sharers.size:
+                factor = cho_factor(
+                    _despread_covariance(plan, correlations, rx, t, noise_power))
+                for k in sharers:
+                    est_cov[k, rx], err_cov[k, rx] = _link_covariances(
+                        correlations[k, rx], factor, scale[k])
+            row.append(factor)
+        factors.append(tuple(row))
+    est_cov.flags.writeable = False
+    err_cov.flags.writeable = False
+    return MmseStatistics(plan=plan, correlations=correlations,
+                          noise_power=noise_power, factors=tuple(factors),
+                          estimate_cov=est_cov, error_cov=err_cov)
+
+
+def estimate_all(y_pilot, statistics):
+    """MMSE estimates for every (device, receiver) pair of one block.
+
+    Solves each (receiver, pilot) observation once against the per-seed
+    factor and reuses it for all sharers of that pilot; the covariances
+    are the statistics' shared arrays.
+    """
+    plan, correlations = statistics.plan, statistics.correlations
+    scale = np.sqrt(plan.pilot_power * plan.tau_p)
+    h_hat = np.zeros(correlations.shape[:3], dtype=complex)
+    for rx, factors in enumerate(statistics.factors):
+        for t, factor in enumerate(factors):
+            if factor is None:
                 continue
-            xi = _despread_covariance(plan, correlations, rx, t, noise_power)
-            factor = cho_factor(xi)
             solved_y = cho_solve(factor, y_pilot[t, rx])
-            for k in sharers:
-                r_kl = correlations[k, rx]
-                scale = np.sqrt(plan.pilot_power[k] * plan.tau_p)
-                h_hat[k, rx] = scale * (r_kl @ solved_y)
-                cov = scale**2 * (r_kl @ cho_solve(factor, r_kl))
-                cov = 0.5 * (cov + cov.conj().T)
-                est_cov[k, rx] = cov
-                err = r_kl - cov
-                err_cov[k, rx] = 0.5 * (err + err.conj().T)
-    return ChannelEstimateSet(h_hat=h_hat, estimate_cov=est_cov, error_cov=err_cov)
+            for k in plan.devices_on_pilot(t):
+                h_hat[k, rx] = scale[k] * (correlations[k, rx] @ solved_y)
+    return ChannelEstimateSet(h_hat=h_hat, estimate_cov=statistics.estimate_cov,
+                              error_cov=statistics.error_cov)

@@ -220,13 +220,15 @@ def validate_config(cfg):
     """Raise ValidationError naming the first violated invariant."""
     if not cfg.architectures:
         raise ValidationError("architectures must not be empty")
-    for arch in cfg.architectures:
+    for i, arch in enumerate(cfg.architectures):
         if arch not in ARCHITECTURES:
             raise ValidationError(f"unknown architecture {arch!r}")
+        if arch in cfg.architectures[:i]:
+            raise ValidationError(f"architectures lists {arch!r} twice")
     for name in ("n_aps", "n_ap_antennas", "n_bs_antennas", "n_devices",
                  "n_groups", "tau_p", "tau_u", "cells", "max_iters",
                  "hidden_units", "samples_per_device", "test_samples",
-                 "n_classes"):
+                 "n_classes", "n_features"):
         if getattr(cfg, name) < 1:
             raise ValidationError(f"{name} must be positive")
     # Written so that NaN fails too.
@@ -274,6 +276,10 @@ def validate_config(cfg):
         raise ValidationError("seeds must be >= 1 and rounds >= 0")
     if cfg.task not in ("synthetic", "ridge", "idx"):
         raise ValidationError(f"unknown task {cfg.task!r}")
+    # A ridge model is its feature vector, and normalizing needs 2 entries.
+    if cfg.task == "ridge" and cfg.n_features < 2:
+        raise ValidationError(
+            f"n_features={cfg.n_features} must be >= 2 for task = ridge")
     return cfg
 
 
@@ -394,19 +400,26 @@ def make_synthetic_ridge(n_features, n_samples, n_devices, rng, ridge=0.1,
 
 @dataclass(frozen=True)
 class SystemStatistics:
-    """Static (per-seed) state: geometry, pilots, spatial correlations."""
+    """Static (per-seed) state: geometry and the MMSE statistics of each view.
+
+    ``ap`` covers the (K, L) device-AP links; ``bs`` the (K, G) links to
+    the serving BSs, present exactly when an architecture needs that view.
+    """
 
     geometry: NetworkGeometry
-    plan: estimation.PilotPlan
-    ap_correlations: np.ndarray        # (K, L, N, N)
-    bs_correlations: np.ndarray | None  # (K, G, M, M) serving BSs only
+    ap: estimation.MmseStatistics
+    bs: estimation.MmseStatistics | None
     noise_power: float
-    power_limit: np.ndarray            # (K,)
+    power_limit: np.ndarray  # (K,)
 
 
 @dataclass(frozen=True)
 class ChannelState:
-    """One coherence block: true channels and their MMSE estimates."""
+    """One coherence block: true channels and their MMSE estimates.
+
+    ``correlations`` and the covariances are the per-seed arrays of the
+    view's statistics, shared by every block.
+    """
 
     correlations: np.ndarray
     h: np.ndarray
@@ -437,32 +450,33 @@ def build_geometry(cfg, rng):
 
 
 def build_statistics(cfg, geometry, rng):
-    """Spatial correlations for the AP (and, if needed, serving-BS) links."""
+    """Spatial correlations and MMSE statistics of the AP (and, if needed,
+    serving-BS) links."""
     params = cfg.large_scale_params()
     asd = np.deg2rad(cfg.asd_deg)
-    ap_corr = correlation_matrices(
-        geometry.device_positions, geometry.ap_positions,
-        cfg.n_ap_antennas, geometry.area, params, asd, rng)
-    bs_corr = None
-    if any(ARCHITECTURES[a].needs_bs for a in cfg.architectures):
-        serving = geometry.bs_positions[:cfg.n_groups]
-        bs_corr = correlation_matrices(
-            geometry.device_positions, serving,
-            cfg.n_bs_antennas, geometry.area, params, asd, rng)
     plan = estimation.assign_pilots(
         geometry.group_of_device, cfg.tau_p, dbm_to_watt(cfg.pilot_power_dbm))
+
+    def view(receivers, n_ant):
+        corr = correlation_matrices(geometry.device_positions, receivers, n_ant,
+                                    geometry.area, params, asd, rng)
+        return estimation.mmse_statistics(plan, corr, cfg.noise_power)
+
+    ap = view(geometry.ap_positions, cfg.n_ap_antennas)
+    bs = None
+    if any(ARCHITECTURES[a].needs_bs for a in cfg.architectures):
+        bs = view(geometry.bs_positions[:cfg.n_groups], cfg.n_bs_antennas)
     return SystemStatistics(
-        geometry=geometry, plan=plan, ap_correlations=ap_corr,
-        bs_correlations=bs_corr, noise_power=cfg.noise_power,
+        geometry=geometry, ap=ap, bs=bs, noise_power=cfg.noise_power,
         power_limit=np.full(cfg.n_devices, dbm_to_watt(cfg.p_max_dbm)),
     )
 
 
-def _draw_view(correlations, plan, noise_power, rng_fading, rng_pilot):
-    h = sample_channels(correlations, rng_fading)
-    y = estimation.pilot_observation(h, plan, noise_power, rng_pilot)
-    est = estimation.estimate_all(y, plan, correlations, noise_power)
-    return ChannelState(correlations=correlations, h=h, h_hat=est.h_hat,
+def _draw_view(mmse, rng_fading, rng_pilot):
+    h = sample_channels(mmse.correlations, rng_fading)
+    y = estimation.pilot_observation(h, mmse.plan, mmse.noise_power, rng_pilot)
+    est = estimation.estimate_all(y, mmse)
+    return ChannelState(correlations=mmse.correlations, h=h, h_hat=est.h_hat,
                         estimate_cov=est.estimate_cov, error_cov=est.error_cov)
 
 
@@ -471,13 +485,11 @@ def draw_round(stats, seed_tags):
 
     The serving-BS view is drawn exactly when the statistics include it.
     """
-    ap = _draw_view(stats.ap_correlations, stats.plan, stats.noise_power,
-                    substream(*seed_tags, "fading"),
+    ap = _draw_view(stats.ap, substream(*seed_tags, "fading"),
                     substream(*seed_tags, "pilot-noise"))
     bs = None
-    if stats.bs_correlations is not None:
-        bs = _draw_view(stats.bs_correlations, stats.plan, stats.noise_power,
-                        substream(*seed_tags, "fading-bs"),
+    if stats.bs is not None:
+        bs = _draw_view(stats.bs, substream(*seed_tags, "fading-bs"),
                         substream(*seed_tags, "pilot-noise-bs"))
     return RoundState(ap=ap, bs=bs)
 

@@ -315,7 +315,7 @@ def test_criterion_10_estimation_and_gradient_statistics():
     from cfota.channel import sample_channels
     from cfota.estimation import mmse_estimate
     cfg = inst["cfg"]
-    plan = inst["stats"].plan
+    plan = inst["stats"].ap.plan
     corr = state.correlations
     k, ap = 0, 1
     pilot = plan.pilot_of_device[k]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from cfota import aggregation as agg
 from cfota.rng import substream
@@ -422,6 +423,22 @@ def test_stack_for_cpu_shapes_and_blocks():
     np.testing.assert_allclose(cov[2, n:2 * n, n:2 * n],
                                state.error_cov[2, 1])
     np.testing.assert_allclose(cov[2, :n, n:2 * n], 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_dev=st.integers(1, 5),
+       n_aps=st.integers(1, 5), n_ant=st.integers(1, 4))
+def test_stack_for_cpu_equals_block_diag(seed, n_dev, n_aps, n_ant):
+    rng = np.random.default_rng(seed)
+    shape = (n_dev, n_aps, n_ant)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    e = (rng.standard_normal(shape + (n_ant,))
+         + 1j * rng.standard_normal(shape + (n_ant,)))
+    flat, cov = agg.stack_for_cpu(h, e)
+    np.testing.assert_array_equal(flat, h.reshape(n_dev, n_aps * n_ant))
+    expected = np.stack([block_diag(*e[k]) for k in range(n_dev)])
+    assert cov.dtype == expected.dtype
+    assert np.array_equal(cov, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from cfota.channel import local_scattering_R, sample_channels
 from cfota.estimation import (PilotShortage, assign_pilots, estimate_all,
-                              mmse_estimate, pilot_observation)
+                              mmse_estimate, mmse_statistics,
+                              pilot_observation)
 from cfota.rng import substream
 
 from oracles import matrix_observation_oracle
@@ -107,7 +108,7 @@ def test_covariance_split_adds_to_R():
     corr, plan, noise = _toy_setup(0)
     h = sample_channels(corr, substream(0, "h"))
     y = pilot_observation(h, plan, noise, substream(0, "n"))
-    est = estimate_all(y, plan, corr, noise)
+    est = estimate_all(y, mmse_statistics(plan, corr, noise))
     total = est.estimate_cov + est.error_cov
     assert np.max(np.abs(total - corr)) / np.max(np.abs(corr)) < 1e-8
 
@@ -144,7 +145,7 @@ def test_estimate_statistics_match_covariances():
     errs = h[:, k] - hats
     est = estimate_all(pilot_observation(
         sample_channels(corr, substream(9, "h")), plan, noise,
-        substream(9, "n")), plan, corr, noise)
+        substream(9, "n")), mmse_statistics(plan, corr, noise))
     expected_b = est.estimate_cov[k, r]
     emp_b = np.einsum("mi,mj->ij", hats, hats.conj()) / n
     scale = np.linalg.norm(corr[k, r])
@@ -178,15 +179,19 @@ def test_despread_equals_matrix_form_in_distribution():
 
 
 def test_estimate_all_matches_single_link_op():
+    # the per-seed statistics plus the per-block estimates reproduce the
+    # single-link operation bit for bit on every link
     corr, plan, noise = _toy_setup(3)
     h = sample_channels(corr, substream(3, "h"))
     y = pilot_observation(h, plan, noise, substream(3, "n"))
-    batch = estimate_all(y, plan, corr, noise)
-    for k in (0, 3):
-        for r in (0, 1):
+    batch = estimate_all(y, mmse_statistics(plan, corr, noise))
+    for k in range(corr.shape[0]):
+        for r in range(corr.shape[1]):
             single = mmse_estimate(y[plan.pilot_of_device[k], r], plan, corr,
                                    k, r, noise)
-            np.testing.assert_allclose(single.h_hat, batch.h_hat[k, r],
-                                       atol=1e-12)
-            np.testing.assert_allclose(single.error_cov, batch.error_cov[k, r],
-                                       atol=1e-12)
+            np.testing.assert_array_equal(single.h_hat, batch.h_hat[k, r])
+            np.testing.assert_array_equal(single.estimate_cov,
+                                          batch.estimate_cov[k, r])
+            np.testing.assert_array_equal(single.error_cov,
+                                          batch.error_cov[k, r])
+

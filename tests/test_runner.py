@@ -77,6 +77,9 @@ def test_fair_comparison_validation():
     ("p_max_dbm", "inf"),
     ("pilot_power_dbm", "-inf"),
     ("side_m", "0"),
+    ("n_features", "0"),
+    # a second line of the file sets the task the bound depends on
+    pytest.param("n_features", "1\ntask = ridge", id="n_features-1-ridge"),
 ])
 def test_out_of_range_value_names_its_key(tmp_path, key, value):
     path = tmp_path / "scenario.cfg"
@@ -84,6 +87,14 @@ def test_out_of_range_value_names_its_key(tmp_path, key, value):
     with pytest.raises(runner.ValidationError) as err:
         runner.load_config(path)
     assert key in str(err.value)
+
+
+def test_repeated_architecture_is_named_error(tmp_path):
+    path = tmp_path / "scenario.cfg"
+    path.write_text("architectures = level3, level1, level3\n")
+    with pytest.raises(runner.ValidationError) as err:
+        runner.load_config(path)
+    assert "architectures" in str(err.value) and "'level3'" in str(err.value)
 
 
 def test_overrides_apply_after_file(tmp_path):
@@ -343,6 +354,39 @@ def test_training_shares_each_round_draw_across_architectures(monkeypatch):
         assert alone == [row for row in rows if row.scenario == arch]
 
 
+def test_round_draws_share_read_only_seed_statistics():
+    # every block of a seed shares its views' covariance arrays, which
+    # cannot be written; the estimates are the block's own
+    cfg = desk_config()
+    geometry = runner.build_geometry(cfg, substream(4, "geometry"))
+    stats = runner.build_statistics(cfg, geometry, substream(4, "shadowing"))
+    first, second = (runner.draw_round(stats, (4, "round", t)) for t in (1, 2))
+    for view, a, b in (("ap", first.ap, second.ap), ("bs", first.bs, second.bs)):
+        shared = getattr(stats, view)
+        assert a.estimate_cov is b.estimate_cov is shared.estimate_cov
+        assert a.error_cov is b.error_cov is shared.error_cov
+        assert not np.array_equal(a.h_hat, b.h_hat)
+        for cov in (a.estimate_cov, a.error_cov):
+            with pytest.raises(ValueError):
+                cov[0, 0, 0, 0] = 0.0
+
+
+def test_training_computes_mmse_statistics_once_per_seed_and_view(monkeypatch):
+    archs = ("errorfree", "level1", "level2", "level3", "cellular")
+    cfg = _train_cfg(architectures=archs, rounds=3, seeds=2)
+    calls = []
+    mmse_statistics = runner.estimation.mmse_statistics
+
+    def counting(plan, correlations, noise_power):
+        calls.append(correlations.shape[1])
+        return mmse_statistics(plan, correlations, noise_power)
+
+    monkeypatch.setattr(runner.estimation, "mmse_statistics", counting)
+    runner.run_fl_training(cfg, threads=1)
+    # the AP view (n_aps receivers) and the serving-BS view (n_groups)
+    assert calls == [cfg.n_aps, cfg.n_groups] * cfg.seeds
+
+
 def test_training_idx_task_end_to_end(tmp_path, monkeypatch):
     rng = substream(7, "idxdata")
     cfg_lines = []
@@ -472,6 +516,20 @@ def test_cli_bad_grid_is_named_error(tmp_path, capsys, arch, grid, error):
                      "--grid", grid]) == 1
     err = capsys.readouterr().err
     assert err.startswith(error) and "sweep_dbm" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mse-sweep", "train"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_is_named_error(tmp_path, capsys, command,
+                                              threads):
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text("architectures = level3\nseeds = 1\nrounds = 1\n")
+    out = tmp_path / "rows.csv"
+    assert cli_main([command, "-c", str(cfgfile), "--out", str(out),
+                     "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError") and "--threads" in err
     assert not out.exists()
 
 
