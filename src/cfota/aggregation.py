@@ -13,15 +13,16 @@ baseline:
   recovery is a plain average of the per-AP estimates, full power
 * cellular: each group is served by a single co-located array.
 
-Level 3 and cellular share one solver core.  It sees the estimates through
-channel views: one stacked view that every group's combiner uses at level
-3, one view per serving BS in the cellular system.
+Every receiver shares one combiner core.  It sees the estimates through
+channel views: one per AP at level 1 and one stacked view at level 3, each
+serving every group, and one view per serving BS in the cellular system,
+serving its own group only.  Level 3 and cellular also share the
+alternating solver built on that core.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 class NonFiniteSolve(ValueError):
@@ -152,28 +153,23 @@ def _target(problem, g):
     return np.where(own, w.gamma * w.nu, 0.0)
 
 
-def _system_matrix(h_hat, error_cov, b, noise_power):
-    """sum_k |b_k|^2 (h_hat_k h_hat_k^H + C_k) + noise_power I, Hermitian."""
-    p = np.abs(b) ** 2
-    mat = np.einsum("k,ki,kj->ij", p, h_hat, h_hat.conj())
-    mat = mat + np.tensordot(p, error_cov, axes=(0, 0))
-    mat = mat + noise_power * np.eye(h_hat.shape[1])
-    return 0.5 * (mat + mat.conj().T)
-
-
 # ---------------------------------------------------------------------------
-# Level 3 and cellular: one batched alternating solver
+# One combiner core; level 3 and cellular add the batched alternating solver
 # ---------------------------------------------------------------------------
 
 def _views(problem):
-    """Estimates (Gv, K, D) and error covariances (Gv, K, D, D) per view.
+    """Estimates (Gv, K, D), error covariances (Gv, K, D, D), and whether
+    every view serves every group.
 
-    A level-3 problem has one view (Gv = 1) shared by every group; a
-    cellular problem has one view per group (Gv = G).
+    A level-1 problem has one view per AP (Gv = L) and a level-3 problem one
+    stacked view (Gv = 1), each serving every group; a cellular problem has
+    one view per group (Gv = G), serving that group only.
     """
-    if problem.h_hat.ndim == 2:
-        return problem.h_hat[None], problem.error_cov[None]
-    return problem.h_hat, problem.error_cov
+    if isinstance(problem, Level1Problem):
+        return problem.h_hat.swapaxes(0, 1), problem.error_cov.swapaxes(0, 1), True
+    if isinstance(problem, Level3Problem):
+        return problem.h_hat[None], problem.error_cov[None], True
+    return problem.h_hat, problem.error_cov, False
 
 
 class _Stack:
@@ -182,17 +178,17 @@ class _Stack:
     Every method takes and returns arrays with a leading problem axis B.
     Each problem's arithmetic is a separate matrix product or solve of the
     same shape whatever B is, so a problem gets bit-identical results alone
-    and in any batch.
+    and in any batch.  Level 1 uses ``combiners`` only.
     """
 
     def __init__(self, problem):
-        h, cov = _views(problem)
+        h, cov, shared = _views(problem)
         n_views, n_dev, dim = h.shape
         w = problem.weights
         gdev = np.asarray(problem.group_of_device)
         self.n_groups = problem.n_groups
         self.n_views = n_views
-        self.per_view = self.n_groups // n_views
+        self.per_view = self.n_groups if shared else self.n_groups // n_views
         self.h_conj = h.conj()
         self.h_t = h.swapaxes(-1, -2)                                 # (Gv, D, K)
         self.cov = cov
@@ -208,10 +204,11 @@ class _Stack:
         self.gdev, self.devices = gdev, np.arange(n_dev)
 
     def combiners(self, b):
-        """MMSE combiners (B, G, D) of every group for coefficients b (B, K).
+        """MMSE combiners of every group for coefficients b (B, K).
 
         One Hermitian system per problem and view, solved for all of the
-        view's groups at once.
+        view's groups at once; a group's combiner joins its part of every
+        view: (B, G, D) at level 3 and cellular, (B, G, L*N) at level 1.
         """
         n_prob, n_dev = b.shape
         p = np.abs(b) ** 2
@@ -222,10 +219,11 @@ class _Stack:
         if not np.isfinite(mat).all():
             raise NonFiniteSolve("combiner system matrix is not finite")
         coef = np.where(self.own, (self.gamma * b * self.nu)[:, None, :], 0.0)
-        coef = coef.reshape(n_prob, self.n_views, self.per_view, n_dev)
-        rhs = self.h_t @ coef.swapaxes(-1, -2)                        # (B, Gv, D, G/Gv)
+        # (B, 1 or Gv, per_view, K): views that serve every group share one set.
+        coef = coef.reshape(n_prob, -1, self.per_view, n_dev)
+        rhs = self.h_t @ coef.swapaxes(-1, -2)                        # (B, Gv, D, per_view)
         v = np.linalg.solve(mat, rhs)
-        return v.swapaxes(-1, -2).reshape(n_prob, self.n_groups, -1)
+        return v.transpose(0, 3, 1, 2).reshape(n_prob, self.n_groups, -1)
 
     def forms(self, v):
         """proj[b, p, k] = v_p^H h_k and quad[b, p, k] = v_p^H C_k v_p, each
@@ -381,7 +379,7 @@ def tco_step(problem, combiners, k):
     """
     w = problem.weights
     g = int(problem.group_of_device[k])
-    h, cov = _views(problem)
+    h, cov, _ = _views(problem)
     per_view = len(combiners) // len(h)
     h_k = np.repeat(h[:, k], per_view, axis=0)       # device k in each group's view
     cov_k = np.repeat(cov[:, k], per_view, axis=0)
@@ -419,20 +417,9 @@ mse_cellular = mse_level3
 # ---------------------------------------------------------------------------
 
 def combiners_level1(problem, b):
-    """Local combiners for every (group, AP); per-AP matrix factorized once."""
-    n_groups, n_aps = problem.n_groups, problem.n_aps
-    n_ant = problem.h_hat.shape[2]
-    w = problem.weights
-    out = np.empty((n_groups, n_aps, n_ant), dtype=complex)
-    for ap in range(n_aps):
-        mat = _system_matrix(problem.h_hat[:, ap], problem.error_cov[:, ap], b,
-                             problem.noise_power)
-        factor = cho_factor(mat)
-        for g in range(n_groups):
-            own = problem.group_of_device == g
-            coef = np.where(own, w.gamma * b * w.nu, 0.0)
-            out[g, ap] = cho_solve(factor, problem.h_hat[:, ap].T @ coef)
-    return out
+    """Local combiners (G, L, N) of every group at every AP for coefficients b."""
+    combiners = _Stack(problem).combiners(np.asarray(b, dtype=complex)[None])
+    return combiners.reshape(problem.n_groups, problem.n_aps, -1)
 
 
 def channel_projections(combiners, channels):
@@ -462,14 +449,26 @@ def weighted_sum_mse_level1(problem, b, combiners, projections):
     ))
 
 
+def level1_batch(problem, power_limits):
+    """Full-power coefficients and local combiners (no TCO at level 1) of a
+    stack of problems that differ only in their power limits.
+
+    Row i of ``power_limits`` (B, K) replaces the power_limit of ``problem``
+    in problem i; each result equals ``level1_solution`` on that problem.
+    Returns one AggregationSolution per row.
+    """
+    b = np.sqrt(np.asarray(power_limits, dtype=float)).astype(complex)
+    combiners = _Stack(problem).combiners(b).reshape(len(b), problem.n_groups,
+                                                     problem.n_aps, -1)
+    no_steps = np.empty((0, problem.n_groups))
+    return [AggregationSolution(b=b_i, combiners=v_i, mu=np.zeros(len(b_i)),
+                                history=OptHistory(np.array([]), 0, "threshold", no_steps))
+            for b_i, v_i in zip(b, combiners)]
+
+
 def level1_solution(problem):
     """Full-power coefficients and local combiners (no TCO at level 1)."""
-    b = np.sqrt(problem.power_limit).astype(complex)
-    combiners = combiners_level1(problem, b)
-    history = OptHistory(np.array([]), 0, "threshold",
-                         np.empty((0, problem.n_groups)))
-    return AggregationSolution(b=b, combiners=combiners,
-                               mu=np.zeros(len(b)), history=history)
+    return level1_batch(problem, problem.power_limit[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -242,9 +242,16 @@ def validate_config(cfg):
         raise ValidationError(f"omega={cfg.omega} must be finite and > 0")
     if not cfg.sweep_dbm:
         raise ValidationError("sweep_dbm must not be empty")
-    for name in ("p_max_dbm", "pilot_power_dbm", "noise_dbm", "sweep_dbm"):
+    for name in ("p_max_dbm", "pilot_power_dbm", "noise_dbm", "sweep_dbm",
+                 "beta0_db"):
         if not np.isfinite(getattr(cfg, name)).all():
             raise ValidationError(f"{name} must be finite, got {getattr(cfg, name)}")
+    for name in ("alpha", "d0_m", "decorr_m"):
+        if not 0.0 < getattr(cfg, name) < np.inf:
+            raise ValidationError(f"{name}={getattr(cfg, name)} must be finite and > 0")
+    for name in ("asd_deg", "shadow_std_db", "class_spread", "ridge"):
+        if not 0.0 <= getattr(cfg, name) < np.inf:
+            raise ValidationError(f"{name}={getattr(cfg, name)} must be finite and >= 0")
     if cfg.n_devices % cfg.n_groups != 0:
         raise ValidationError(
             f"n_devices={cfg.n_devices} must be divisible by n_groups={cfg.n_groups}")
@@ -575,6 +582,22 @@ def emit_csv(rows, path, n_groups):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _over_seeds(cfg, threads, one_seed):
+    """Rows of ``one_seed(cfg, seed)`` for every seed, in sort-key order.
+
+    Seeds run on ``threads`` worker threads when there is more than one;
+    every seed draws from its own substreams, so the rows do not depend on
+    the thread count.
+    """
+    seeds = range(cfg.seeds)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(lambda s: one_seed(cfg, s), seeds))
+    else:
+        chunks = [one_seed(cfg, s) for s in seeds]
+    return sorted((row for chunk in chunks for row in chunk), key=ResultRow.sort_key)
+
+
 def _fronthaul_counts(cfg, arch):
     if arch.fronthaul is None:
         return (0, 0, 0)
@@ -614,14 +637,11 @@ def _initial_model(cfg, seed, group):
     return model.init_params(rng)
 
 
-def _level1_round(stats, round_state, weights):
-    """Level-1 solution (local combiners at full power) and its per-group MSEs."""
-    problem = level1_problem(stats, round_state, weights)
-    sol = aggregation.level1_solution(problem)
-    proj = aggregation.channel_projections(sol.combiners, round_state.ap.h)
-    mses = tuple(aggregation.mse_level1(problem, sol.b, sol.combiners, proj, g)
+def _level1_mses(problem, sol, channels):
+    """Per-group MSEs of a level-1 solution on the round's true channels."""
+    proj = aggregation.channel_projections(sol.combiners, channels)
+    return tuple(aggregation.mse_level1(problem, sol.b, sol.combiners, proj, g)
                  for g in range(problem.n_groups))
-    return sol, mses
 
 
 def _channel_problem(kind, stats, round_state, weights):
@@ -641,13 +661,13 @@ def _sweep_one_seed(cfg, seed):
     kinds = {arch.solver for arch in archs}
     powers = np.stack([np.full(cfg.n_devices, dbm_to_watt(p)) for p in cfg.sweep_dbm])
     # traces[kind][i]: per-group MSEs at grid point i, first at full power
-    # (tco=0), last after the solve (tco=1).  Each alternating kind solves
-    # the whole grid in one lockstep batch; level 2 takes the level-3 trace.
+    # (tco=0), last after the solve (tco=1).  Each kind solves the whole grid
+    # in one batch; level 2 takes the level-3 trace.
     traces = {None: np.zeros((len(powers), 1, cfg.n_groups))}
     if "level1" in kinds:
-        traces["level1"] = [
-            [_level1_round(replace(stats, power_limit=p), round_state, weights)[1]]
-            for p in powers]
+        problem = level1_problem(stats, round_state, weights)
+        traces["level1"] = [[_level1_mses(problem, sol, round_state.ap.h)]
+                            for sol in aggregation.level1_batch(problem, powers)]
     for kind in ("level3", "cellular"):
         if kind in kinds:
             solutions = aggregation.optimize_batch(
@@ -673,15 +693,7 @@ def run_mse_sweep(cfg, threads=1):
     round-one parameter statistics of each group's initial model, and both
     the full-power and the optimized transmit coefficients where TCO applies.
     """
-    seeds = range(cfg.seeds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda s: _sweep_one_seed(cfg, s), seeds))
-    else:
-        chunks = [_sweep_one_seed(cfg, s) for s in seeds]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=ResultRow.sort_key)
-    return rows
+    return _over_seeds(cfg, threads, _sweep_one_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +780,9 @@ def _round_link(cfg, arch, stats, round_state, weights):
     if arch.solver is None:
         return fl_engine.RoundLink(level=arch.name), (0.0,) * cfg.n_groups
     if arch.solver == "level1":
-        sol, mses = _level1_round(stats, round_state, weights)
+        problem = level1_problem(stats, round_state, weights)
+        sol = aggregation.level1_solution(problem)
+        mses = _level1_mses(problem, sol, round_state.ap.h)
     else:
         # The one-problem entry points, which bench/spans.py counts as solves.
         optimize = (aggregation.alternating_optimize if arch.solver == "level3"
@@ -837,12 +851,4 @@ def run_fl_training(cfg, threads=1):
     Initial models, data, geometry, and channel draws are shared across
     architectures within a seed so their trajectories are comparable.
     """
-    seeds = range(cfg.seeds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda s: _train_one_seed(cfg, s), seeds))
-    else:
-        chunks = [_train_one_seed(cfg, s) for s in seeds]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=ResultRow.sort_key)
-    return rows
+    return _over_seeds(cfg, threads, _train_one_seed)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from cfota import aggregation as agg
 from cfota.rng import substream
@@ -543,25 +543,110 @@ def test_lockstep_batch_compacts_mixed_termination():
             np.testing.assert_array_equal(sol.combiners, one.combiners)
 
 
+SOLVERS = (("level1", agg.level1_solution, agg.level1_batch),
+           ("level3", agg.alternating_optimize, agg.optimize_batch),
+           ("cellular", agg.cellular_optimize, agg.optimize_batch))
+
+
 def test_infinite_power_limit_raises_named_error():
     inst = draw_instance(22)
-    for kind, solve in (("level3", agg.alternating_optimize),
-                        ("cellular", agg.cellular_optimize)):
+    for kind, solve, batch in SOLVERS:
         problem = inst[kind]
         power = problem.power_limit.copy()
         power[1] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(agg.NonFiniteSolve):
             solve(replace(problem, power_limit=power))
         with np.errstate(invalid="ignore"), pytest.raises(agg.NonFiniteSolve):
-            agg.optimize_batch(problem, np.stack([problem.power_limit, power]))
+            batch(problem, np.stack([problem.power_limit, power]))
 
 
 def test_nan_estimate_raises_named_error():
     inst = draw_instance(23)
-    for kind, solve in (("level3", agg.alternating_optimize),
-                        ("cellular", agg.cellular_optimize)):
+    for kind, solve, _ in SOLVERS:
         problem = inst[kind]
         h_hat = problem.h_hat.copy()
         h_hat[..., 0, 0] = np.nan
         with pytest.raises(agg.NonFiniteSolve):
             solve(replace(problem, h_hat=h_hat))
+
+
+# ---------------------------------------------------------------------------
+# Level 1: per-AP views of the combiner core
+# ---------------------------------------------------------------------------
+
+def random_level1_problem(seed, n_dev, n_aps, n_ant, n_groups):
+    """Random per-AP estimates, PSD error covariances and weights."""
+    rng = np.random.default_rng(seed)
+
+    def cn(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+    root = cn(n_dev, n_aps, n_ant, n_ant) * rng.uniform(0.05, 0.5)
+    weights = agg.AggregationWeights(
+        gamma=rng.uniform(0.2, 1.0, n_dev), omega=rng.uniform(0.5, 2.0, n_groups),
+        nu=rng.uniform(0.5, 1.5, n_dev), theta_bar=np.zeros(n_dev))
+    return agg.Level1Problem(
+        h_hat=cn(n_dev, n_aps, n_ant),
+        error_cov=root @ root.conj().swapaxes(-1, -2),
+        group_of_device=np.arange(n_dev) % n_groups, weights=weights,
+        noise_power=10.0 ** rng.uniform(-2.0, 0.0), power_limit=np.ones(n_dev))
+
+
+def per_ap_combiners(problem, b):
+    """Each AP's Hermitian MMSE system, factored and solved on its own."""
+    n_dev, n_aps, n_ant = problem.h_hat.shape
+    w = problem.weights
+    p = np.abs(b) ** 2
+    out = np.empty((problem.n_groups, n_aps, n_ant), dtype=complex)
+    for ap in range(n_aps):
+        h = problem.h_hat[:, ap]
+        mat = problem.noise_power * np.eye(n_ant, dtype=complex)
+        for k in range(n_dev):
+            mat += p[k] * (np.outer(h[k], h[k].conj()) + problem.error_cov[k, ap])
+        factor = cho_factor(0.5 * (mat + mat.conj().T))
+        for g in range(problem.n_groups):
+            coef = np.where(problem.group_of_device == g, w.gamma * b * w.nu, 0.0)
+            out[g, ap] = cho_solve(factor, h.T @ coef)
+    return out
+
+
+level1_shapes = dict(
+    seed=st.integers(0, 2**32 - 1), n_dev=st.integers(1, 5),
+    n_aps=st.integers(1, 4), n_ant=st.integers(1, 3), n_groups=st.integers(1, 3),
+    power_db=st.lists(st.lists(st.floats(-30.0, 20.0), min_size=5, max_size=5),
+                      min_size=1, max_size=4))
+
+
+def power_rows(power_db, n_dev):
+    """(B, K) power limits, each device with its own power in every row."""
+    return 10.0 ** (np.asarray(power_db)[:, :n_dev] / 10.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**level1_shapes)
+def test_level1_combiners_match_per_ap_reference(seed, n_dev, n_aps, n_ant,
+                                                 n_groups, power_db):
+    problem = random_level1_problem(seed, n_dev, n_aps, n_ant, n_groups)
+    phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
+    for power in power_rows(power_db, n_dev):
+        b = np.sqrt(power) * phase
+        got = agg.combiners_level1(problem, b)
+        want = per_ap_combiners(problem, b)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**level1_shapes)
+def test_level1_batch_equals_single_solutions(seed, n_dev, n_aps, n_ant,
+                                              n_groups, power_db):
+    problem = random_level1_problem(seed, n_dev, n_aps, n_ant, n_groups)
+    powers = power_rows(power_db, n_dev)
+    batch = agg.level1_batch(problem, powers)
+    assert len(batch) == len(powers)
+    for power, sol in zip(powers, batch):
+        one = agg.level1_solution(replace(problem, power_limit=power))
+        assert np.array_equal(sol.b, one.b)
+        assert np.array_equal(sol.combiners, one.combiners)
+        assert np.array_equal(sol.mu, one.mu)
+        assert sol.history.iterations == 0

@@ -80,6 +80,15 @@ def test_fair_comparison_validation():
     ("n_features", "0"),
     # a second line of the file sets the task the bound depends on
     pytest.param("n_features", "1\ntask = ridge", id="n_features-1-ridge"),
+    ("asd_deg", "-1"),
+    ("asd_deg", "nan"),
+    ("alpha", "0"),
+    ("shadow_std_db", "-1"),
+    ("decorr_m", "0"),
+    ("d0_m", "0"),
+    ("beta0_db", "nan"),
+    ("class_spread", "nan"),
+    pytest.param("ridge", "nan\ntask = ridge", id="ridge-nan-ridge"),
 ])
 def test_out_of_range_value_names_its_key(tmp_path, key, value):
     path = tmp_path / "scenario.cfg"
@@ -263,6 +272,23 @@ def test_sweep_level3_non_increasing_in_power_per_seed():
         vals = [r.wsum_mse for r in rows
                 if r.seed == seed and r.tco == 1]
         assert vals == sorted(vals, reverse=True)
+
+
+def test_sweep_solves_level1_grid_in_one_batch_per_seed(monkeypatch):
+    cfg = desk_config(seeds=2, architectures=("level1",),
+                      sweep_dbm=(-10.0, 10.0, 30.0))
+    rows = runner.run_mse_sweep(cfg)
+    batches = []
+    level1_batch = runner.aggregation.level1_batch
+
+    def counting(problem, power_limits):
+        batches.append(len(power_limits))
+        return level1_batch(problem, power_limits)
+
+    monkeypatch.setattr(runner.aggregation, "level1_batch", counting)
+    monkeypatch.setattr(runner.aggregation, "level1_solution", None)
+    assert runner.run_mse_sweep(cfg) == rows
+    assert batches == [len(cfg.sweep_dbm)] * cfg.seeds
 
 
 def test_sweep_threads_do_not_change_results():
