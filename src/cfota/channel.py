@@ -38,22 +38,23 @@ class LargeScaleParams:
 
 @dataclass(frozen=True)
 class SpatialCorrelation:
-    """Hermitian per-antenna correlation matrix with its large-scale gain.
+    """Hermitian per-antenna correlation matrices with their large-scale gains.
 
-    ``beta`` equals ``trace(matrix)/N`` in linear power units.
+    ``matrix`` has shape (..., N, N) and ``beta`` the leading shape (a float
+    for one link); ``beta`` equals ``trace(matrix)/N`` in linear power units.
     """
 
     matrix: np.ndarray
-    beta: float
+    beta: float | np.ndarray
 
 
 def pathloss_db(d, params=LargeScaleParams()):
-    """Distance-dependent path gain in dB, excluding shadowing.
+    """Distance-dependent path gain in dB, excluding shadowing, elementwise.
 
     Distances below the reference distance are clamped to it, so the gain
     never exceeds the reference-point value.
     """
-    d = max(float(d), params.d0_m)
+    d = np.maximum(np.asarray(d, dtype=float), params.d0_m)
     return params.beta0_db - 10.0 * params.alpha * np.log10(d / params.d0_m)
 
 
@@ -62,7 +63,7 @@ def shadow_covariance(device_positions, area, params=LargeScaleParams()):
 
     Entry (k, i) is ``sigma^2 * 2^(-x_ki/decorr)`` with x_ki the wrap
     distance between devices k and i.  Shadowing for different receivers is
-    modeled as independent; sample this matrix once per receiver.
+    modeled as independent: one draw from this covariance per receiver.
     """
     x = wrap_distances(device_positions, device_positions, area)
     cov = params.shadow_std_db**2 * np.exp2(-x / params.decorr_m)
@@ -72,14 +73,17 @@ def shadow_covariance(device_positions, area, params=LargeScaleParams()):
     return cov
 
 
+def _shadow_root(cov):
+    w, v = np.linalg.eigh(cov)
+    return v * np.sqrt(np.clip(w, 0.0, None))
+
+
 def sample_shadowing(cov, rng):
     """Zero-mean jointly Gaussian shadow terms (dB) with the given covariance.
 
-    Uses the symmetric square root with negative eigenvalues clamped to 0.
+    Uses the root ``V sqrt(max(w, 0))`` of ``cov = V diag(w) V^T``.
     """
-    w, v = np.linalg.eigh(cov)
-    root = v * np.sqrt(np.clip(w, 0.0, None))
-    return root @ rng.standard_normal(cov.shape[0])
+    return _shadow_root(cov) @ rng.standard_normal(cov.shape[0])
 
 
 def local_scattering_R(n_antennas, nominal_angle, asd, beta):
@@ -90,17 +94,22 @@ def local_scattering_R(n_antennas, nominal_angle, asd, beta):
     where phi is the nominal angle and asd the angular standard deviation,
     both in radians.  asd = 0 degenerates to the rank-1 steering outer
     product.  The result is Hermitian PSD with trace/N equal to beta.
+    ``nominal_angle`` and ``beta`` broadcast together to the leading shape
+    of the (..., N, N) result.
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
     if asd < 0:
         raise ValueError("angular spread must be non-negative")
+    angle = np.asarray(nominal_angle)[..., None, None]
+    beta = np.asarray(beta, dtype=float)
     diff = np.subtract.outer(np.arange(n_antennas), np.arange(n_antennas))
-    phase = np.exp(1j * np.pi * diff * np.sin(nominal_angle))
-    spread = np.exp(-0.5 * (asd * np.pi * diff * np.cos(nominal_angle)) ** 2)
-    mat = beta * phase * spread
-    mat = 0.5 * (mat + mat.conj().T)
-    return SpatialCorrelation(matrix=mat, beta=float(beta))
+    phase = np.exp(1j * np.pi * diff * np.sin(angle))
+    spread = np.exp(-0.5 * (asd * np.pi * diff * np.cos(angle)) ** 2)
+    mat = beta[..., None, None] * phase * spread
+    mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+    return SpatialCorrelation(matrix=mat,
+                              beta=float(beta) if beta.ndim == 0 else beta)
 
 
 def sqrt_psd(mat):
@@ -114,6 +123,12 @@ def sample_channels(correlations, rng):
 
     ``correlations`` has shape (..., N, N); the result has shape (..., N).
     Draws are independent across the leading axes and across calls.
+
+    The root is ``V sqrt(max(w, 0))`` from ``eigh``, which is not continuous
+    in R: where eigenvalues nearly coincide, a last-bit change to R can
+    rotate the eigenvectors and change the draw by O(1).  Any change to how
+    the correlations are computed must therefore keep them bit-identical,
+    or it changes every downstream number.
     """
     correlations = np.asarray(correlations)
     n = correlations.shape[-1]
@@ -133,20 +148,20 @@ def correlation_matrices(device_positions, rx_positions, n_antennas, area,
     Combines path loss, per-receiver correlated shadowing (independent
     across receivers), and local scattering with the nominal angle set to
     the wrap-around bearing from the receiver to the device.  Returns an
-    array of shape (K, n_rx, N, N).
+    array of shape (K, n_rx, N, N).  Every link is computed at once, with
+    the same floating-point operations (and so the same bits) as one link
+    at a time.
     """
     device_positions = np.asarray(device_positions)
     rx_positions = np.asarray(rx_positions)
     n_dev, n_rx = len(device_positions), len(rx_positions)
-    shadow_cov = shadow_covariance(device_positions, area, params)
-    out = np.empty((n_dev, n_rx, n_antennas, n_antennas), dtype=complex)
-    for r in range(n_rx):
-        shadows = sample_shadowing(shadow_cov, rng)
-        for k in range(n_dev):
-            d = wrap_distances(device_positions[k:k + 1], rx_positions[r:r + 1], area)[0, 0]
-            beta_db = pathloss_db(d, params) + shadows[k]
-            angle = wrap_bearing(rx_positions[r], device_positions[k], area)
-            out[k, r] = local_scattering_R(
-                n_antennas, angle, asd, 10.0 ** (beta_db / 10.0)
-            ).matrix
-    return out
+    root = _shadow_root(shadow_covariance(device_positions, area, params))
+    # One matvec per receiver on the stream of n_rx consecutive draws; a
+    # single (n_rx, K) @ (K, K) product would move the last bit.
+    shadows = (root @ rng.standard_normal((n_rx, n_dev))[..., None])[..., 0]
+    beta_db = (pathloss_db(wrap_distances(device_positions, rx_positions, area),
+                           params) + shadows.T) / 10.0
+    # Scalar powers: numpy's vectorized power differs in the last bit.
+    beta = np.array([10.0 ** x for x in beta_db.ravel()]).reshape(n_dev, n_rx)
+    angle = wrap_bearing(rx_positions[None, :], device_positions[:, None], area)
+    return local_scattering_R(n_antennas, angle, asd, beta).matrix

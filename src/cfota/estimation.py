@@ -6,16 +6,16 @@ share a pilot are contaminated.  Estimation works on the despread pilot
 observation and produces, per link, the estimate together with its
 covariance and the estimation-error covariance.
 
-The covariances and the factorized despread covariances depend only on the
-pilot plan, the spatial correlations and the noise power, so
-``mmse_statistics`` computes them once per deployment; ``estimate_all``
-then turns each coherence block's observation into estimates.
+The covariances and the despread covariances depend only on the pilot
+plan, the spatial correlations and the noise power, so ``mmse_statistics``
+computes them once per deployment; ``estimate_all`` then turns each
+coherence block's observation into estimates.  Both work on every link at
+once, with batched ``numpy.linalg.solve`` calls.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 class PilotShortage(ValueError):
@@ -63,15 +63,15 @@ class ChannelEstimateSet:
 class MmseStatistics:
     """What MMSE estimation of one receiver view needs besides the draw.
 
-    factors[rx][t] is the Cholesky factor of the despread covariance of
-    pilot t at receiver rx (None for an unused pilot).  The covariance
-    arrays are read-only.
+    despread_cov[r, t] is the covariance of the despread observation of
+    pilot t at receiver r (``noise I`` for an unused pilot).  The
+    covariance arrays are read-only.
     """
 
     plan: PilotPlan
     correlations: np.ndarray  # (K, R, N, N)
     noise_power: float
-    factors: tuple
+    despread_cov: np.ndarray  # (R, tau_p, N, N)
     estimate_cov: np.ndarray  # (K, R, N, N)
     error_cov: np.ndarray     # (K, R, N, N)
 
@@ -118,22 +118,36 @@ def pilot_observation(channels, plan, noise_power, rng):
     return y + np.sqrt(noise_power / 2.0) * noise
 
 
-def _despread_covariance(plan, correlations, rx, pilot, noise_power):
-    sharers = plan.devices_on_pilot(pilot)
-    n_ant = correlations.shape[-1]
-    xi = noise_power * np.eye(n_ant, dtype=complex)
-    for i in sharers:
-        xi = xi + plan.pilot_power[i] * plan.tau_p * correlations[i, rx]
+def _despread_covariances(plan, correlations, noise_power):
+    """Despread covariance of every (receiver, pilot), shape (R, tau_p, N, N).
+
+    Entry (r, t) is ``noise I + sum_{i on pilot t} p_i tau_p R_ir``, summed
+    in device order.  An unused pilot's entry is ``noise I``.
+    """
+    n_rx, n_ant = correlations.shape[1], correlations.shape[-1]
+    xi = np.tile(noise_power * np.eye(n_ant, dtype=complex),
+                 (n_rx, plan.tau_p, 1, 1))
+    contrib = (plan.pilot_power * plan.tau_p)[:, None, None, None] * correlations
+    # Unbuffered, in index order: each sum runs over its sharers one by one.
+    np.add.at(xi, (slice(None), plan.pilot_of_device), contrib.swapaxes(0, 1))
     return xi
 
 
-def _link_covariances(r_kl, factor, scale):
-    """Estimate and error covariances of one link, both Hermitian."""
-    est_cov = scale**2 * (r_kl @ cho_solve(factor, r_kl))
-    est_cov = 0.5 * (est_cov + est_cov.conj().T)
+def _link_covariances(r_kl, xi, scale_sq):
+    """Estimate and error covariances of links (..., N, N), both Hermitian.
+
+    ``xi`` is each link's despread covariance and ``scale_sq`` its squared
+    ``sqrt(p tau_p)``, shaped to broadcast against the matrices.
+    """
+    est_cov = scale_sq * (r_kl @ np.linalg.solve(xi, r_kl))
+    est_cov = 0.5 * (est_cov + est_cov.conj().swapaxes(-1, -2))
     err_cov = r_kl - est_cov
-    err_cov = 0.5 * (err_cov + err_cov.conj().T)
+    err_cov = 0.5 * (err_cov + err_cov.conj().swapaxes(-1, -2))
     return est_cov, err_cov
+
+
+def _pilot_scale(plan):
+    return np.sqrt(plan.pilot_power * plan.tau_p)
 
 
 def mmse_estimate(y_kl, plan, correlations, k, rx, noise_power):
@@ -145,63 +159,45 @@ def mmse_estimate(y_kl, plan, correlations, k, rx, noise_power):
     """
     correlations = np.asarray(correlations)
     r_kl = correlations[k, rx]
-    xi = _despread_covariance(plan, correlations, rx, plan.pilot_of_device[k], noise_power)
-    scale = np.sqrt(plan.pilot_power[k] * plan.tau_p)
-    factor = cho_factor(xi)
-    h_hat = scale * (r_kl @ cho_solve(factor, y_kl))
-    est_cov, err_cov = _link_covariances(r_kl, factor, scale)
+    xi = _despread_covariances(plan, correlations[:, rx:rx + 1],
+                               noise_power)[0, plan.pilot_of_device[k]]
+    scale = _pilot_scale(plan)[k]
+    h_hat = scale * (r_kl @ np.linalg.solve(xi, y_kl))
+    est_cov, err_cov = _link_covariances(r_kl, xi, np.square(scale))
     return ChannelEstimate(h_hat=h_hat, estimate_cov=est_cov, error_cov=err_cov)
 
 
 def mmse_statistics(plan, correlations, noise_power):
     """Draw-independent MMSE statistics of every (device, receiver) link.
 
-    Factorizes each despread covariance once per (receiver, pilot) and
-    derives every sharer's estimate and error covariances from it.  The
-    covariance arrays are read-only: every coherence block shares them.
+    Builds every (receiver, pilot) despread covariance once and derives all
+    links' estimate and error covariances from one batched solve.  The
+    arrays are read-only: every coherence block shares them.
     """
     correlations = np.asarray(correlations)
-    n_dev, n_rx, n_ant = correlations.shape[:3]
-    scale = np.sqrt(plan.pilot_power * plan.tau_p)
-    est_cov = np.zeros((n_dev, n_rx, n_ant, n_ant), dtype=complex)
-    err_cov = np.zeros_like(est_cov)
-    factors = []
-    for rx in range(n_rx):
-        row = []
-        for t in range(plan.tau_p):
-            sharers = plan.devices_on_pilot(t)
-            factor = None
-            if sharers.size:
-                factor = cho_factor(
-                    _despread_covariance(plan, correlations, rx, t, noise_power))
-                for k in sharers:
-                    est_cov[k, rx], err_cov[k, rx] = _link_covariances(
-                        correlations[k, rx], factor, scale[k])
-            row.append(factor)
-        factors.append(tuple(row))
-    est_cov.flags.writeable = False
-    err_cov.flags.writeable = False
+    despread = _despread_covariances(plan, correlations, noise_power)
+    est_cov, err_cov = _link_covariances(
+        correlations, despread[:, plan.pilot_of_device].swapaxes(0, 1),
+        np.square(_pilot_scale(plan))[:, None, None, None])
+    for arr in (despread, est_cov, err_cov):
+        arr.flags.writeable = False
     return MmseStatistics(plan=plan, correlations=correlations,
-                          noise_power=noise_power, factors=tuple(factors),
+                          noise_power=noise_power, despread_cov=despread,
                           estimate_cov=est_cov, error_cov=err_cov)
 
 
 def estimate_all(y_pilot, statistics):
     """MMSE estimates for every (device, receiver) pair of one block.
 
-    Solves each (receiver, pilot) observation once against the per-seed
-    factor and reuses it for all sharers of that pilot; the covariances
-    are the statistics' shared arrays.
+    Solves every (receiver, pilot) observation against its despread
+    covariance in one batch and applies each sharer's correlation in one
+    matmul; the covariances are the statistics' shared arrays.
     """
-    plan, correlations = statistics.plan, statistics.correlations
-    scale = np.sqrt(plan.pilot_power * plan.tau_p)
-    h_hat = np.zeros(correlations.shape[:3], dtype=complex)
-    for rx, factors in enumerate(statistics.factors):
-        for t, factor in enumerate(factors):
-            if factor is None:
-                continue
-            solved_y = cho_solve(factor, y_pilot[t, rx])
-            for k in plan.devices_on_pilot(t):
-                h_hat[k, rx] = scale[k] * (correlations[k, rx] @ solved_y)
+    plan = statistics.plan
+    solved = np.linalg.solve(statistics.despread_cov,
+                             np.swapaxes(y_pilot, 0, 1)[..., None])
+    h_hat = (statistics.correlations
+             @ solved[:, plan.pilot_of_device].swapaxes(0, 1))[..., 0]
+    h_hat *= _pilot_scale(plan)[:, None, None]
     return ChannelEstimateSet(h_hat=h_hat, estimate_cov=statistics.estimate_cov,
                               error_cov=statistics.error_cov)

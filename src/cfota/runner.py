@@ -8,6 +8,7 @@ purpose), so results are identical across runs and across thread counts.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 import csv
 import gzip
 import os
@@ -84,6 +85,18 @@ class IoError(OSError):
 
 def dbm_to_watt(dbm):
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+def _watt_in_range(dbm):
+    """Whether ``dbm_to_watt(dbm)`` is a finite power above 0 W.
+
+    The bounds are about -3200 and +3110 dBm; beyond them the float power
+    underflows to 0 or overflows.
+    """
+    try:
+        return 0.0 < dbm_to_watt(dbm) < np.inf
+    except OverflowError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +255,13 @@ def validate_config(cfg):
         raise ValidationError(f"omega={cfg.omega} must be finite and > 0")
     if not cfg.sweep_dbm:
         raise ValidationError("sweep_dbm must not be empty")
-    for name in ("p_max_dbm", "pilot_power_dbm", "noise_dbm", "sweep_dbm",
-                 "beta0_db"):
-        if not np.isfinite(getattr(cfg, name)).all():
-            raise ValidationError(f"{name} must be finite, got {getattr(cfg, name)}")
+    for name in ("p_max_dbm", "pilot_power_dbm", "noise_dbm", "sweep_dbm"):
+        value = getattr(cfg, name)
+        if not all(map(_watt_in_range, np.atleast_1d(value).tolist())):
+            raise ValidationError(
+                f"{name}={value} must convert to a finite power > 0 W")
+    if not np.isfinite(cfg.beta0_db):
+        raise ValidationError(f"beta0_db must be finite, got {cfg.beta0_db}")
     for name in ("alpha", "d0_m", "decorr_m"):
         if not 0.0 < getattr(cfg, name) < np.inf:
             raise ValidationError(f"{name}={getattr(cfg, name)} must be finite and > 0")
@@ -440,6 +456,18 @@ class RoundState:
     ap: ChannelState
     bs: ChannelState | None
 
+    @cached_property
+    def cpu_stack(self):
+        """The level-3 CPU's stacked estimates and error covariance.
+
+        Built on first use and shared, read-only, by every architecture
+        that solves at level 3 in this round.
+        """
+        stack = aggregation.stack_for_cpu(self.ap.h_hat, self.ap.error_cov)
+        for arr in stack:
+            arr.flags.writeable = False
+        return stack
+
 
 def build_geometry(cfg, rng):
     area = Area(cfg.side_m)
@@ -502,8 +530,7 @@ def draw_round(stats, seed_tags):
 
 
 def level3_problem(stats, round_state, weights):
-    h_stack, cov_stack = aggregation.stack_for_cpu(
-        round_state.ap.h_hat, round_state.ap.error_cov)
+    h_stack, cov_stack = round_state.cpu_stack
     return aggregation.Level3Problem(
         h_hat=h_stack, error_cov=cov_stack,
         group_of_device=stats.geometry.group_of_device, weights=weights,

@@ -144,9 +144,15 @@ _SHIFTS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=f
 
 
 def wrap_displacement(a, b, area):
-    """Shortest displacement vector from a to (a translated copy of) b."""
-    diffs = np.asarray(b) + _SHIFTS * area.side_m - np.asarray(a)
-    return diffs[np.argmin(np.einsum("ij,ij->i", diffs, diffs))]
+    """Shortest displacement vector from a to (a translated copy of) b.
+
+    ``a`` and ``b`` are points of shape (..., 2) that broadcast together;
+    the result has their broadcast shape.
+    """
+    diffs = (np.asarray(b)[..., None, :] + _SHIFTS * area.side_m
+             - np.asarray(a)[..., None, :])
+    nearest = np.argmin(np.einsum("...ij,...ij->...i", diffs, diffs), axis=-1)
+    return np.take_along_axis(diffs, nearest[..., None, None], axis=-2)[..., 0, :]
 
 
 def wrap_distance(a, b, area):
@@ -155,9 +161,12 @@ def wrap_distance(a, b, area):
 
 
 def wrap_bearing(a, b, area):
-    """Angle (radians, from the +x axis) of the shortest path from a to b."""
+    """Angle (radians, from the +x axis) of the shortest path from a to b.
+
+    Broadcasts like ``wrap_displacement``.
+    """
     d = wrap_displacement(a, b, area)
-    return float(np.arctan2(d[1], d[0]))
+    return np.arctan2(d[..., 1], d[..., 0])
 
 
 def wrap_distances(points_a, points_b, area):

@@ -7,10 +7,13 @@ paths they are checking.
 """
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from cfota import aggregation, runner
-from cfota.channel import sqrt_psd
+from cfota.channel import (local_scattering_R, pathloss_db, sample_shadowing,
+                           shadow_covariance, sqrt_psd)
 from cfota.rng import substream
+from cfota.topology import wrap_bearing, wrap_distances
 
 
 def cn_noise(shape, power, rng):
@@ -154,3 +157,44 @@ def brute_force_wrap_distance(a, b, side):
         for dy in (-side, 0.0, side):
             best = min(best, float(np.hypot(b[0] + dx - a[0], b[1] + dy - a[1])))
     return best
+
+
+def correlation_matrices_per_link(device_positions, rx_positions, n_antennas,
+                                  area, params, asd, rng):
+    """``channel.correlation_matrices`` one link at a time.
+
+    One shadowing draw per receiver, then path loss, bearing and local
+    scattering for each (device, receiver) pair in a Python loop.
+    """
+    n_dev, n_rx = len(device_positions), len(rx_positions)
+    shadow_cov = shadow_covariance(device_positions, area, params)
+    out = np.empty((n_dev, n_rx, n_antennas, n_antennas), dtype=complex)
+    for r in range(n_rx):
+        shadows = sample_shadowing(shadow_cov, rng)
+        for k in range(n_dev):
+            d = wrap_distances(device_positions[k:k + 1],
+                               rx_positions[r:r + 1], area)[0, 0]
+            beta_db = pathloss_db(d, params) + shadows[k]
+            angle = wrap_bearing(rx_positions[r], device_positions[k], area)
+            out[k, r] = local_scattering_R(
+                n_antennas, angle, asd, 10.0 ** (beta_db / 10.0)).matrix
+    return out
+
+
+def mmse_estimate_cholesky(y_kl, plan, correlations, k, rx, noise_power):
+    """Single-link MMSE estimate through a Cholesky factorization (scipy).
+
+    Returns ``(h_hat, estimate_cov, error_cov)`` of device k at receiver
+    rx; ``y_kl`` is the despread observation of device k's pilot there.
+    """
+    r_kl = correlations[k, rx]
+    xi = noise_power * np.eye(r_kl.shape[0], dtype=complex)
+    for i in plan.devices_on_pilot(plan.pilot_of_device[k]):
+        xi = xi + plan.pilot_power[i] * plan.tau_p * correlations[i, rx]
+    factor = cho_factor(xi)
+    scale = np.sqrt(plan.pilot_power[k] * plan.tau_p)
+    est_cov = scale**2 * (r_kl @ cho_solve(factor, r_kl))
+    est_cov = 0.5 * (est_cov + est_cov.conj().T)
+    err_cov = r_kl - est_cov
+    err_cov = 0.5 * (err_cov + err_cov.conj().T)
+    return scale * (r_kl @ cho_solve(factor, y_kl)), est_cov, err_cov

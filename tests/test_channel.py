@@ -1,3 +1,5 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,6 +9,8 @@ from cfota.channel import (LargeScaleParams, local_scattering_R, pathloss_db,
                            shadow_covariance, sqrt_psd, correlation_matrices)
 from cfota.rng import substream
 from cfota.topology import Area
+
+from oracles import correlation_matrices_per_link
 
 PARAMS = LargeScaleParams()
 AREA = Area(500.0)
@@ -182,3 +186,20 @@ def test_correlation_matrices_traces_match_pathloss_scale():
             from cfota.topology import wrap_distance
             base = pathloss_db(wrap_distance(devices[k], aps[r], AREA), PARAMS)
             assert abs(10 * np.log10(beta) - base) < 6 * PARAMS.shadow_std_db
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_dev=st.integers(1, 8),
+       n_rx=st.integers(1, 6), n_ant=st.integers(1, 4),
+       side=st.floats(20.0, 2000.0), asd_deg=st.floats(0.0, 40.0))
+def test_correlation_matrices_equal_per_link_reference(seed, n_dev, n_rx, n_ant,
+                                                       side, asd_deg):
+    # bit for bit: channel draws amplify any last-bit change (see
+    # sample_channels)
+    rng = substream(seed, "geom")
+    devices = rng.random((n_dev, 2)) * side
+    rxs = rng.random((n_rx, 2)) * side
+    args = (devices, rxs, n_ant, Area(side), PARAMS, np.deg2rad(asd_deg))
+    batched = correlation_matrices(*args, substream(seed, "shadow"))
+    looped = correlation_matrices_per_link(*args, substream(seed, "shadow"))
+    assert np.array_equal(batched, looped)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -7,7 +13,7 @@ from cfota.estimation import (PilotShortage, assign_pilots, estimate_all,
                               pilot_observation)
 from cfota.rng import substream
 
-from oracles import matrix_observation_oracle
+from oracles import matrix_observation_oracle, mmse_estimate_cholesky
 
 
 def test_assign_pilots_single_group_orthogonal():
@@ -195,3 +201,35 @@ def test_estimate_all_matches_single_link_op():
             np.testing.assert_array_equal(single.error_cov,
                                           batch.error_cov[k, r])
 
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tau_p=st.integers(1, 4),
+       n_groups=st.integers(1, 3), n_rx=st.integers(1, 4),
+       n_ant=st.integers(1, 4), noise=st.floats(1e-3, 10.0))
+def test_batched_estimates_match_cholesky_reference(seed, tau_p, n_groups,
+                                                    n_rx, n_ant, noise):
+    corr, plan, noise = _toy_setup(seed, n_dev=tau_p * n_groups, n_rx=n_rx,
+                                   n_ant=n_ant, tau_p=tau_p, noise=noise)
+    y = pilot_observation(sample_channels(corr, substream(seed, "h")), plan,
+                          noise, substream(seed, "n"))
+    batch = estimate_all(y, mmse_statistics(plan, corr, noise))
+    for k in range(corr.shape[0]):
+        for r in range(n_rx):
+            h_hat, est_cov, err_cov = mmse_estimate_cholesky(
+                y[plan.pilot_of_device[k], r], plan, corr, k, r, noise)
+            tol = 1e-12 * np.linalg.norm(corr[k, r])
+            assert np.linalg.norm(batch.estimate_cov[k, r] - est_cov) <= tol
+            assert np.linalg.norm(batch.error_cov[k, r] - err_cov) <= tol
+            assert np.linalg.norm(batch.h_hat[k, r] - h_hat) <= tol * max(
+                1.0, np.linalg.norm(y[plan.pilot_of_device[k], r]))
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only
+    import cfota
+    src = os.path.dirname(os.path.dirname(cfota.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cfota; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -89,6 +89,12 @@ def test_fair_comparison_validation():
     ("beta0_db", "nan"),
     ("class_spread", "nan"),
     pytest.param("ridge", "nan\ntask = ridge", id="ridge-nan-ridge"),
+    # finite dBm whose power in W overflows or underflows to 0
+    ("p_max_dbm", "4000"),
+    ("pilot_power_dbm", "4000"),
+    ("noise_dbm", "4000"),
+    ("sweep_dbm", "0, 4000"),
+    ("noise_dbm", "-4000"),
 ])
 def test_out_of_range_value_names_its_key(tmp_path, key, value):
     path = tmp_path / "scenario.cfg"
@@ -413,6 +419,25 @@ def test_training_computes_mmse_statistics_once_per_seed_and_view(monkeypatch):
     assert calls == [cfg.n_aps, cfg.n_groups] * cfg.seeds
 
 
+def test_training_stacks_the_cpu_view_once_per_round(monkeypatch):
+    # level 2 and level 3 solve on the same stacked view of a round
+    cfg = _train_cfg(architectures=("level2", "level3"), rounds=3, seeds=2)
+    calls = []
+    stack_for_cpu = runner.aggregation.stack_for_cpu
+
+    def counting(h_hat, error_cov):
+        calls.append(h_hat.shape)
+        return stack_for_cpu(h_hat, error_cov)
+
+    monkeypatch.setattr(runner.aggregation, "stack_for_cpu", counting)
+    rows = runner.run_fl_training(cfg, threads=1)
+    assert len(calls) == cfg.rounds * cfg.seeds
+    # sharing the stack leaves each architecture's rows as in a run alone
+    for arch in cfg.architectures:
+        alone = runner.run_fl_training(replace(cfg, architectures=(arch,)))
+        assert [r for r in rows if r.scenario == arch] == alone
+
+
 def test_training_idx_task_end_to_end(tmp_path, monkeypatch):
     rng = substream(7, "idxdata")
     cfg_lines = []
@@ -542,6 +567,24 @@ def test_cli_bad_grid_is_named_error(tmp_path, capsys, arch, grid, error):
                      "--grid", grid]) == 1
     err = capsys.readouterr().err
     assert err.startswith(error) and "sweep_dbm" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option,key", [
+    ("validate-config", "--set=p_max_dbm=4000", "p_max_dbm"),
+    ("mse-sweep", "--set=pilot_power_dbm=4000", "pilot_power_dbm"),
+    ("mse-sweep", "--grid=0,4000", "sweep_dbm"),
+    ("train", "--set=noise_dbm=4000", "noise_dbm"),
+])
+def test_cli_dbm_overflow_is_named_error(tmp_path, capsys, command, option,
+                                         key):
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text("architectures = level3\nseeds = 1\nrounds = 1\n")
+    out = tmp_path / "rows.csv"
+    assert cli_main([command, "-c", str(cfgfile), "--out", str(out),
+                     option]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError") and key in err
     assert not out.exists()
 
 
