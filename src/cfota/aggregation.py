@@ -14,10 +14,11 @@ baseline:
 * cellular: each group is served by a single co-located array.
 
 Every receiver shares one combiner core.  It sees the estimates through
-channel views: one per AP at level 1 and one stacked view at level 3, each
-serving every group, and one view per serving BS in the cellular system,
-serving its own group only.  Level 3 and cellular also share the
-alternating solver built on that core.
+channel views of per-receiver blocks: one single-block view per AP at level
+1 and one view of all L AP blocks at level 3, each serving every group, and
+one single-block view per serving BS in the cellular system, serving its
+own group only.  Level 3 and cellular also share the alternating solver
+built on that core.
 """
 
 from dataclasses import dataclass
@@ -61,20 +62,51 @@ class OptHistory:
     group_values: np.ndarray  # (iterations + 1, G)
 
 
+def _check_shapes(problem, views):
+    """Raise ValueError, naming the field and both shapes, unless the
+    estimates have the record's layout and the other fields agree with them.
+
+    ``views`` is 1 if the device axis follows a view axis, 0 if it leads.
+    """
+    name = type(problem).__name__
+    h = np.shape(problem.h_hat)
+    if len(h) != 3:
+        layout = "(G, K, M)" if views else "(K, L, N)"
+        raise ValueError(f"{name}.h_hat has shape {h}, expected {layout}")
+    cov = np.shape(problem.error_cov)
+    if cov != h + h[-1:]:
+        raise ValueError(f"{name}.error_cov has shape {cov}, expected {h + h[-1:]} "
+                         f"for h_hat of shape {h}")
+    n_dev = h[views]
+    for field in ("group_of_device", "power_limit"):
+        shape = np.shape(getattr(problem, field))
+        if shape != (n_dev,):
+            raise ValueError(f"{name}.{field} has shape {shape}, expected {(n_dev,)} "
+                             f"for h_hat of shape {h}")
+    if views and h[0] != problem.n_groups:
+        raise ValueError(f"{name}.h_hat has shape {h}, expected one view per group "
+                         f"({problem.n_groups})")
+
+
 @dataclass(frozen=True)
 class Level3Problem:
     """One coherence block seen by the central processor.
 
-    h_hat[k] is device k's stacked estimate over all AP antennas and
-    error_cov[k] the block-diagonal error covariance of the stack.
+    h_hat[k, l] is device k's estimate at AP l and error_cov[k, l] its error
+    covariance: the stacked error covariance is block diagonal, one N x N
+    block per AP, and is never formed.  The CPU's combiners stack the APs'
+    antennas, AP by AP, into L*N entries.
     """
 
-    h_hat: np.ndarray          # (K, LN)
-    error_cov: np.ndarray      # (K, LN, LN)
+    h_hat: np.ndarray          # (K, L, N)
+    error_cov: np.ndarray      # (K, L, N, N)
     group_of_device: np.ndarray
     weights: AggregationWeights
     noise_power: float
     power_limit: np.ndarray    # (K,)
+
+    def __post_init__(self):
+        _check_shapes(self, 0)
 
     @property
     def n_groups(self):
@@ -91,6 +123,9 @@ class Level1Problem:
     weights: AggregationWeights
     noise_power: float
     power_limit: np.ndarray
+
+    def __post_init__(self):
+        _check_shapes(self, 0)
 
     @property
     def n_groups(self):
@@ -116,6 +151,9 @@ class CellularProblem:
     noise_power: float
     power_limit: np.ndarray
 
+    def __post_init__(self):
+        _check_shapes(self, 1)
+
     @property
     def n_groups(self):
         return len(self.weights.omega)
@@ -126,24 +164,9 @@ class AggregationSolution:
     """Transmit coefficients, combiners, multipliers, and solver history."""
 
     b: np.ndarray          # (K,) complex
-    combiners: np.ndarray  # (G, dim) or (G, L, N)
+    combiners: np.ndarray  # (G, L*N), (G, M) or (G, L, N)
     mu: np.ndarray         # (K,) KKT multipliers (zeros when no TCO ran)
     history: OptHistory
-
-
-def stack_for_cpu(h_hat, error_cov):
-    """Stack per-AP estimates into the centralized view.
-
-    (K, L, N) estimates become (K, LN); per-AP error covariances become
-    block-diagonal (K, LN, LN).
-    """
-    n_dev, n_aps, n_ant = h_hat.shape
-    flat = h_hat.reshape(n_dev, n_aps * n_ant)
-    cov = np.zeros((n_dev, n_aps, n_ant, n_aps, n_ant), dtype=error_cov.dtype)
-    ap = np.arange(n_aps)
-    # The two index arrays move the AP axis first: (L, K, N, N).
-    cov[:, ap, :, ap, :] = np.swapaxes(error_cov, 0, 1)
-    return flat, cov.reshape(n_dev, n_aps * n_ant, n_aps * n_ant)
 
 
 def _target(problem, g):
@@ -158,18 +181,26 @@ def _target(problem, g):
 # ---------------------------------------------------------------------------
 
 def _views(problem):
-    """Estimates (Gv, K, D), error covariances (Gv, K, D, D), and whether
+    """Estimates (Gv, K, nb, N), error blocks (Gv, K, nb, N, N), and whether
     every view serves every group.
 
-    A level-1 problem has one view per AP (Gv = L) and a level-3 problem one
-    stacked view (Gv = 1), each serving every group; a cellular problem has
-    one view per group (Gv = G), serving that group only.
+    A view sees nb receivers of N antennas each, its combiners stack them
+    into D = nb*N entries, and its error covariance is block diagonal.  A
+    level-3 problem is one view of nb = L blocks and a level-1 problem L
+    views of one block, each serving every group; a cellular problem has
+    one single-block view per group (Gv = G), serving that group only.
     """
     if isinstance(problem, Level1Problem):
-        return problem.h_hat.swapaxes(0, 1), problem.error_cov.swapaxes(0, 1), True
+        return (problem.h_hat.swapaxes(0, 1)[:, :, None],
+                problem.error_cov.swapaxes(0, 1)[:, :, None], True)
     if isinstance(problem, Level3Problem):
         return problem.h_hat[None], problem.error_cov[None], True
-    return problem.h_hat, problem.error_cov, False
+    return problem.h_hat[:, :, None], problem.error_cov[:, :, None], False
+
+
+def _check_finite(mat):
+    if not np.isfinite(mat).all():
+        raise NonFiniteSolve("combiner system matrix is not finite")
 
 
 class _Stack:
@@ -183,20 +214,23 @@ class _Stack:
 
     def __init__(self, problem):
         h, cov, shared = _views(problem)
-        n_views, n_dev, dim = h.shape
+        n_views, n_dev, n_blocks, n_ant = h.shape
         w = problem.weights
         gdev = np.asarray(problem.group_of_device)
         self.n_groups = problem.n_groups
         self.n_views = n_views
         self.per_view = self.n_groups if shared else self.n_groups // n_views
-        self.h_conj = h.conj()
+        self.blocks = (n_blocks, n_ant)
+        h = h.reshape(n_views, n_dev, n_blocks * n_ant)
+        self.h_conj = h.conj()                                        # (Gv, K, D)
         self.h_t = h.swapaxes(-1, -2)                                 # (Gv, D, K)
-        self.cov = cov
-        # Device axis first, so the error term is one product per problem
-        # (a view, not a copy, of a level-3 or runner-built covariance).
-        self.cov_by_device = cov.swapaxes(0, 1).reshape(n_dev, -1)    # (K, Gv*D*D)
+        # Device axis first, so the error term of the combiner system is one
+        # product per problem (a view, not a copy, of the problem's blocks).
+        self.cov_by_device = cov.swapaxes(0, 1).reshape(n_dev, -1)    # (K, Gv*nb*N*N)
+        # Blocks as columns, so the quadratic forms are one product per view.
+        self.cov_cols = cov.reshape(n_views, n_dev, -1).swapaxes(-1, -2)  # (Gv, nb*N*N, K)
         self.noise_power = problem.noise_power
-        self.noise_eye = problem.noise_power * np.eye(dim)
+        self.noise_eye = problem.noise_power * np.eye(n_ant)
         self.own = gdev == np.arange(self.n_groups)[:, None]          # (G, K)
         self.target = np.where(self.own, w.gamma * w.nu, 0.0)         # (G, K)
         self.gamma, self.nu, self.omega = w.gamma, w.nu, w.omega
@@ -206,35 +240,58 @@ class _Stack:
     def combiners(self, b):
         """MMSE combiners of every group for coefficients b (B, K).
 
-        One Hermitian system per problem and view, solved for all of the
-        view's groups at once; a group's combiner joins its part of every
-        view: (B, G, D) at level 3 and cellular, (B, G, L*N) at level 1.
+        One Hermitian system A = D + H P H^H per problem and view, solved
+        for all of the view's groups at once; D = noise + sum_k p_k C_k is
+        block diagonal.  A single-block view solves A directly.  A view of
+        several blocks never forms A: by Woodbury, A^-1 H = D^-1 H (I + P
+        H^H D^-1 H)^-1, one solve per N x N block and one K x K solve.  A
+        group's combiner joins its part of every view: (B, G, D) at level 3
+        and cellular, (B, G, L*N) at level 1.
         """
         n_prob, n_dev = b.shape
+        n_blocks, n_ant = self.blocks
         p = np.abs(b) ** 2
-        mat = (self.h_t * p[:, None, None, :]) @ self.h_conj         # (B, Gv, D, D)
-        mat = mat + (p[:, None, :] @ self.cov_by_device).reshape(mat.shape)
-        mat = mat + self.noise_eye
-        mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
-        if not np.isfinite(mat).all():
-            raise NonFiniteSolve("combiner system matrix is not finite")
+        blocks = (p[:, None, :] @ self.cov_by_device).reshape(
+            n_prob, self.n_views, n_blocks, n_ant, n_ant)
         coef = np.where(self.own, (self.gamma * b * self.nu)[:, None, :], 0.0)
-        # (B, 1 or Gv, per_view, K): views that serve every group share one set.
-        coef = coef.reshape(n_prob, -1, self.per_view, n_dev)
-        rhs = self.h_t @ coef.swapaxes(-1, -2)                        # (B, Gv, D, per_view)
-        v = np.linalg.solve(mat, rhs)
+        # (B, 1 or Gv, K, per_view): views that serve every group share one set.
+        coef = coef.reshape(n_prob, -1, self.per_view, n_dev).swapaxes(-1, -2)
+        if n_blocks == 1:
+            mat = (self.h_t * p[:, None, None, :]) @ self.h_conj       # (B, Gv, D, D)
+            mat = mat + blocks[:, :, 0] + self.noise_eye
+            mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+            _check_finite(mat)
+            v = np.linalg.solve(mat, self.h_t @ coef)                 # (B, Gv, D, per_view)
+        else:
+            # A weighted sum of Hermitian blocks: LU needs no symmetrizing.
+            blocks = blocks + self.noise_eye
+            _check_finite(blocks)
+            h_blocks = self.h_t.reshape(self.n_views, n_blocks, n_ant, n_dev)
+            x = np.linalg.solve(blocks, h_blocks).reshape(
+                n_prob, self.n_views, -1, n_dev)                      # D^-1 H: (B, Gv, D, K)
+            small = self.h_conj @ x                                   # H^H D^-1 H: (B, Gv, K, K)
+            small = p[:, None, :, None] * small + np.eye(n_dev)
+            _check_finite(small)
+            v = x @ np.linalg.solve(small, coef)
         return v.transpose(0, 3, 1, 2).reshape(n_prob, self.n_groups, -1)
 
     def forms(self, v):
         """proj[b, p, k] = v_p^H h_k and quad[b, p, k] = v_p^H C_k v_p, each
-        in group p's view; shapes (B, G, K)."""
+        in group p's view; shapes (B, G, K).
+
+        quad sums the per-block forms: the flattened outer products of each
+        block of v_p times the flattened error blocks.
+        """
         n_prob, n_groups, dim = v.shape
-        v = v.reshape(n_prob, self.n_views, self.per_view, dim)
+        n_blocks, n_ant = self.blocks
+        lead = (n_prob, self.n_views, self.per_view)
+        v = v.reshape(*lead, dim)
         vh = v.conj()
         proj = (vh @ self.h_t).reshape(n_prob, n_groups, -1)
-        left = vh[:, :, None] @ self.cov                              # (B, Gv, K, G/Gv, D)
-        quad = (left * v[:, :, None]).sum(axis=-1).real
-        return proj, quad.swapaxes(-1, -2).reshape(n_prob, n_groups, -1)
+        outer = (vh.reshape(*lead, n_blocks, n_ant, 1)
+                 * v.reshape(*lead, n_blocks, 1, n_ant))             # (B, Gv, G/Gv, nb, N, N)
+        quad = (outer.reshape(*lead, -1) @ self.cov_cols).real
+        return proj, quad.reshape(n_prob, n_groups, -1)
 
     def tco(self, proj, quad, sqrt_power):
         """Closed-form coefficient update of every device and its KKT multiplier.
@@ -375,19 +432,19 @@ def tco_step(problem, combiners, k):
     Returns (b_k, mu_k) satisfying the stationarity and complementary
     slackness conditions of the power-constrained subproblem:
     |b_k|^2 <= P_k always holds, and mu_k > 0 only on the boundary.  A
-    one-device reference for ``tco_steps``.
+    one-device reference for the update in ``tco_steps``.  Device k's
+    projections and quadratic forms come from the combiner core: near the
+    boundary mu_k is the difference of two nearly equal terms, which a
+    one-ulp change in those forms moves by more than 1e-12.
     """
     w = problem.weights
     g = int(problem.group_of_device[k])
-    h, cov, _ = _views(problem)
-    per_view = len(combiners) // len(h)
-    h_k = np.repeat(h[:, k], per_view, axis=0)       # device k in each group's view
-    cov_k = np.repeat(cov[:, k], per_view, axis=0)
-    proj = np.einsum("pi,pi->p", combiners.conj(), h_k)
-    quad = np.einsum("pi,pij,pj->p", combiners.conj(), cov_k, combiners).real
-    denom = float(np.dot(w.omega, np.abs(proj) ** 2 + quad))
+    proj, quad = _Stack(problem).forms(np.asarray(combiners)[None])
+    proj, quad = proj[0, :, k], quad[0, :, k]
+    mag = np.abs(proj)
+    denom = float((w.omega * (mag ** 2 + quad)).sum())
     gain = w.omega[g] * w.gamma[k] * w.nu[k]
-    mu = max(0.0, gain * abs(proj[g]) / np.sqrt(problem.power_limit[k]) - denom)
+    mu = max(0.0, gain * mag[g] / np.sqrt(problem.power_limit[k]) - denom)
     if denom + mu == 0.0:
         return 0.0 + 0.0j, 0.0
     return gain * proj[g].conjugate() / (denom + mu), mu

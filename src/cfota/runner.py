@@ -8,7 +8,6 @@ purpose), so results are identical across runs and across thread counts.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 import csv
 import gzip
 import os
@@ -32,7 +31,7 @@ class Architecture:
     ``name`` is also the recovery level that ``RoundLink.level`` and
     ``aggregation.recover`` take.  ``solver`` is the kind of round solve:
     "level1" (local combiners at full power), "level3" (the alternating
-    solver on the stacked AP view), "cellular" (the same solver on the
+    solver on the view of all AP blocks), "cellular" (the same solver on the
     serving-BS views) or None (error-free, no channel).  ``fronthaul`` is
     the accounting level (None: no AP fronthaul), ``tco`` is 1 when the
     transmit coefficients are optimized, and ``needs_bs`` says whether the
@@ -456,18 +455,6 @@ class RoundState:
     ap: ChannelState
     bs: ChannelState | None
 
-    @cached_property
-    def cpu_stack(self):
-        """The level-3 CPU's stacked estimates and error covariance.
-
-        Built on first use and shared, read-only, by every architecture
-        that solves at level 3 in this round.
-        """
-        stack = aggregation.stack_for_cpu(self.ap.h_hat, self.ap.error_cov)
-        for arr in stack:
-            arr.flags.writeable = False
-        return stack
-
 
 def build_geometry(cfg, rng):
     area = Area(cfg.side_m)
@@ -530,9 +517,8 @@ def draw_round(stats, seed_tags):
 
 
 def level3_problem(stats, round_state, weights):
-    h_stack, cov_stack = round_state.cpu_stack
     return aggregation.Level3Problem(
-        h_hat=h_stack, error_cov=cov_stack,
+        h_hat=round_state.ap.h_hat, error_cov=round_state.ap.error_cov,
         group_of_device=stats.geometry.group_of_device, weights=weights,
         noise_power=stats.noise_power, power_limit=stats.power_limit)
 

@@ -7,7 +7,7 @@ paths they are checking.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from cfota import aggregation, runner
 from cfota.channel import (local_scattering_R, pathloss_db, sample_shadowing,
@@ -86,10 +86,18 @@ def mc_mse_conditional(h_hat, error_cov, b, v, target, noise_power, n_draws,
     return total / n_draws
 
 
+def dense_cpu_view(problem):
+    """A level-3 problem's stacked estimates (K, LN) and its dense
+    block-diagonal error covariances (K, LN, LN)."""
+    return (problem.h_hat.reshape(len(problem.h_hat), -1),
+            np.stack([block_diag(*blocks) for blocks in problem.error_cov]))
+
+
 def mc_mse_level3(problem, b, v, g, n_draws, rng):
     target = np.where(problem.group_of_device == g,
                       problem.weights.gamma * problem.weights.nu, 0.0)
-    return mc_mse_conditional(problem.h_hat, problem.error_cov, b, v, target,
+    h_hat, error_cov = dense_cpu_view(problem)
+    return mc_mse_conditional(h_hat, error_cov, b, v, target,
                               problem.noise_power, n_draws, rng)
 
 

@@ -13,8 +13,8 @@ from cfota import fl_engine as fl
 from cfota import runner
 from cfota.rng import substream
 
-from oracles import (desk_config, draw_instance, mc_mse_cellular,
-                     mc_mse_level1, mc_mse_level3)
+from oracles import (dense_cpu_view, desk_config, draw_instance,
+                     mc_mse_cellular, mc_mse_level1, mc_mse_level3)
 
 N_SOUNDNESS_INSTANCES = 50
 
@@ -138,9 +138,10 @@ def test_criterion_4_kkt_correctness(soundness_solutions):
                     continue
                 g = int(problem.group_of_device[k])
                 if key == "level3":
-                    proj = sol.combiners.conj() @ problem.h_hat[k]
+                    h_hat, error_cov = dense_cpu_view(problem)
+                    proj = sol.combiners.conj() @ h_hat[k]
                     quad = np.einsum("pi,ij,pj->p", sol.combiners.conj(),
-                                     problem.error_cov[k], sol.combiners).real
+                                     error_cov[k], sol.combiners).real
                 else:
                     proj = np.einsum("pm,pm->p", sol.combiners.conj(),
                                      problem.h_hat[:, k])
@@ -171,7 +172,7 @@ def test_criterion_5_power_sweep_shape():
 
     # perfect CSI, one device, no interference: noise-limited all the way
     inst = draw_instance(5000)
-    h = inst["state"].ap.h[0].reshape(1, -1)
+    h = inst["state"].ap.h[0].reshape(1, 1, -1)
     weights = agg.AggregationWeights(gamma=np.array([1.0]),
                                      omega=np.array([1.0]),
                                      nu=np.array([1.0]),
@@ -180,7 +181,7 @@ def test_criterion_5_power_sweep_shape():
     for p_dbm in (-10.0, 40.0):
         power = np.array([runner.dbm_to_watt(p_dbm)])
         problem = agg.Level3Problem(
-            h_hat=h, error_cov=np.zeros((1, h.shape[1], h.shape[1]),
+            h_hat=h, error_cov=np.zeros((1, 1, h.shape[2], h.shape[2]),
                                         dtype=complex),
             group_of_device=np.array([0]), weights=weights,
             noise_power=inst["level3"].noise_power, power_limit=power)

@@ -192,7 +192,7 @@ def test_ota_round_noiseless_perfect_csi_recovers_desired():
     theta = rng.standard_normal((1, 50)) * 0.4 + 0.2
     s, stats = fl.normalize(theta[0])
     problem = agg.Level3Problem(
-        h_hat=h.reshape(1, 2), error_cov=np.zeros((1, 2, 2), dtype=complex),
+        h_hat=h.reshape(1, 1, 2), error_cov=np.zeros((1, 1, 2, 2), dtype=complex),
         group_of_device=np.array([0]),
         weights=agg.AggregationWeights(np.array([1.0]), np.array([1.0]),
                                        np.array([stats.std]),

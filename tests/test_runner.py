@@ -1,6 +1,7 @@
 import gzip
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.epsilon == 1e-10
     assert cfg.max_iters == 500
     assert cfg.side_m == 500.0
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")),
+    ids=lambda path: path.name)
+def test_committed_config_loads(path):
+    cfg = runner.load_config(path)
+    assert cfg.architectures and cfg.out
 
 
 def test_unknown_key_is_parse_error(tmp_path):
@@ -419,20 +428,10 @@ def test_training_computes_mmse_statistics_once_per_seed_and_view(monkeypatch):
     assert calls == [cfg.n_aps, cfg.n_groups] * cfg.seeds
 
 
-def test_training_stacks_the_cpu_view_once_per_round(monkeypatch):
-    # level 2 and level 3 solve on the same stacked view of a round
+def test_training_level2_and_level3_rows_equal_runs_alone():
+    # level 2 and level 3 solve on the same round draws
     cfg = _train_cfg(architectures=("level2", "level3"), rounds=3, seeds=2)
-    calls = []
-    stack_for_cpu = runner.aggregation.stack_for_cpu
-
-    def counting(h_hat, error_cov):
-        calls.append(h_hat.shape)
-        return stack_for_cpu(h_hat, error_cov)
-
-    monkeypatch.setattr(runner.aggregation, "stack_for_cpu", counting)
     rows = runner.run_fl_training(cfg, threads=1)
-    assert len(calls) == cfg.rounds * cfg.seeds
-    # sharing the stack leaves each architecture's rows as in a run alone
     for arch in cfg.architectures:
         alone = runner.run_fl_training(replace(cfg, architectures=(arch,)))
         assert [r for r in rows if r.scenario == arch] == alone
