@@ -198,108 +198,139 @@ def _views(problem):
     return problem.h_hat[:, :, None], problem.error_cov[:, :, None], False
 
 
-def _check_finite(mat):
-    if not np.isfinite(mat).all():
+def _stack_like(arrays):
+    """Same-shape arrays stacked on a new leading axis, each laid out in
+    memory as the first one is: a transposed view stays transposed.  One
+    array is not copied.
+
+    BLAS picks its kernel by operand layout, so a problem's products see
+    the same layout alone and in any stack.
+    """
+    first = arrays[0]
+    if len(arrays) == 1:
+        return first[None]
+    order = sorted(range(first.ndim), key=lambda axis: -first.strides[axis])
+    dtype = np.result_type(*{array.dtype for array in arrays})
+    out = np.empty((len(arrays),) + tuple(first.shape[axis] for axis in order), dtype=dtype)
+    out = out.transpose(0, *(1 + order.index(axis) for axis in range(first.ndim)))
+    for i, array in enumerate(arrays):
+        out[i] = array
+    return out
+
+
+def _check_finite(mat, live):
+    """Raise NonFiniteSolve unless every recorded row of ``mat`` is finite;
+    ``live`` masks the (S, P) rows, None meaning all."""
+    finite = np.isfinite(mat)
+    if not finite.all() and (live is None or not finite[live].all()):
         raise NonFiniteSolve("combiner system matrix is not finite")
 
 
 class _Stack:
-    """B problems that share estimates and weights and differ in power only.
+    """S problems, each at the same P rows of power limits: a seeds x powers
+    rectangle.
 
-    Every method takes and returns arrays with a leading problem axis B.
-    Each problem's arithmetic is a separate matrix product or solve of the
-    same shape whatever B is, so a problem gets bit-identical results alone
-    and in any batch.  Level 1 uses ``combiners`` only.
+    Every method takes and returns arrays with leading axes (S, P).  A
+    problem's estimates, error blocks and weights are held once, with a
+    unit power axis that broadcasts over its rows.  Each row's arithmetic is
+    a separate matrix product or solve of the same shape and operand layout
+    whatever S and P are, so a row gets bit-identical results alone and in
+    any rectangle.  Level 1 uses ``combiners`` only.
     """
 
-    def __init__(self, problem):
-        h, cov, shared = _views(problem)
-        n_views, n_dev, n_blocks, n_ant = h.shape
-        w = problem.weights
-        gdev = np.asarray(problem.group_of_device)
-        self.n_groups = problem.n_groups
+    def __init__(self, problems):
+        first = problems[0]
+        views = [_views(problem) for problem in problems]
+        h, cov = (_stack_like([view[i] for view in views]) for i in (0, 1))
+        shared = views[0][2]
+        n_seeds, n_views, n_dev, n_blocks, n_ant = h.shape
+        gdev = np.asarray(first.group_of_device)
+        self.n_groups = first.n_groups
         self.n_views = n_views
         self.per_view = self.n_groups if shared else self.n_groups // n_views
         self.blocks = (n_blocks, n_ant)
-        h = h.reshape(n_views, n_dev, n_blocks * n_ant)
-        self.h_conj = h.conj()                                        # (Gv, K, D)
-        self.h_t = h.swapaxes(-1, -2)                                 # (Gv, D, K)
+        h = h.reshape(n_seeds, 1, n_views, n_dev, n_blocks * n_ant)
+        self.h_conj = h.conj()                                        # (S, 1, Gv, K, D)
+        self.h_t = h.swapaxes(-1, -2)                                 # (S, 1, Gv, D, K)
+        self.h_blocks = self.h_t.reshape(n_seeds, 1, n_views, n_blocks, n_ant, n_dev)
         # Device axis first, so the error term of the combiner system is one
-        # product per problem (a view, not a copy, of the problem's blocks).
-        self.cov_by_device = cov.swapaxes(0, 1).reshape(n_dev, -1)    # (K, Gv*nb*N*N)
+        # product per row (a view of the stacked blocks, not a copy per row).
+        self.cov_by_device = cov.swapaxes(1, 2).reshape(n_seeds, 1, n_dev, -1)
         # Blocks as columns, so the quadratic forms are one product per view.
-        self.cov_cols = cov.reshape(n_views, n_dev, -1).swapaxes(-1, -2)  # (Gv, nb*N*N, K)
-        self.noise_power = problem.noise_power
-        self.noise_eye = problem.noise_power * np.eye(n_ant)
+        self.cov_cols = cov.reshape(n_seeds, 1, n_views, n_dev, -1).swapaxes(-1, -2)
+        self.noise_power = first.noise_power
+        self.noise_eye = first.noise_power * np.eye(n_ant)
         self.own = gdev == np.arange(self.n_groups)[:, None]          # (G, K)
-        self.target = np.where(self.own, w.gamma * w.nu, 0.0)         # (G, K)
-        self.gamma, self.nu, self.omega = w.gamma, w.nu, w.omega
-        self.gain = w.omega[gdev] * w.gamma * w.nu                    # (K,)
+        gamma, nu = (np.stack([getattr(p.weights, name) for p in problems])[:, None]
+                     for name in ("gamma", "nu"))                     # (S, 1, K)
+        self.target = np.where(self.own, (gamma * nu)[..., None, :], 0.0)  # (S, 1, G, K)
+        self.gamma, self.nu, self.omega = gamma, nu, first.weights.omega
+        self.gain = self.omega[gdev] * gamma * nu                     # (S, 1, K)
         self.gdev, self.devices = gdev, np.arange(n_dev)
 
-    def combiners(self, b):
-        """MMSE combiners of every group for coefficients b (B, K).
+    def combiners(self, b, live=None):
+        """MMSE combiners of every group for coefficients b (S, P, K).
 
-        One Hermitian system A = D + H P H^H per problem and view, solved
-        for all of the view's groups at once; D = noise + sum_k p_k C_k is
+        One Hermitian system A = D + H P H^H per row and view, solved for
+        all of the view's groups at once; D = noise + sum_k p_k C_k is
         block diagonal.  A single-block view solves A directly.  A view of
         several blocks never forms A: by Woodbury, A^-1 H = D^-1 H (I + P
         H^H D^-1 H)^-1, one solve per N x N block and one K x K solve.  A
-        group's combiner joins its part of every view: (B, G, D) at level 3
-        and cellular, (B, G, L*N) at level 1.
+        group's combiner joins its part of every view: (S, P, G, D) at level
+        3 and cellular, (S, P, G, L*N) at level 1.  Only the rows that
+        ``live`` marks (None: all) are checked for finite systems.
         """
-        n_prob, n_dev = b.shape
+        rows, n_dev = b.shape[:2], b.shape[-1]
         n_blocks, n_ant = self.blocks
         p = np.abs(b) ** 2
-        blocks = (p[:, None, :] @ self.cov_by_device).reshape(
-            n_prob, self.n_views, n_blocks, n_ant, n_ant)
-        coef = np.where(self.own, (self.gamma * b * self.nu)[:, None, :], 0.0)
-        # (B, 1 or Gv, K, per_view): views that serve every group share one set.
-        coef = coef.reshape(n_prob, -1, self.per_view, n_dev).swapaxes(-1, -2)
+        blocks = (p[..., None, :] @ self.cov_by_device).reshape(
+            *rows, self.n_views, n_blocks, n_ant, n_ant)
+        coef = np.where(self.own, (self.gamma * b * self.nu)[..., None, :], 0.0)
+        # (S, P, 1 or Gv, K, per_view): views that serve every group share one set.
+        coef = coef.reshape(*rows, -1, self.per_view, n_dev).swapaxes(-1, -2)
         if n_blocks == 1:
-            mat = (self.h_t * p[:, None, None, :]) @ self.h_conj       # (B, Gv, D, D)
-            mat = mat + blocks[:, :, 0] + self.noise_eye
+            mat = (self.h_t * p[..., None, None, :]) @ self.h_conj    # (S, P, Gv, D, D)
+            mat = mat + blocks[..., 0, :, :] + self.noise_eye
             mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
-            _check_finite(mat)
-            v = np.linalg.solve(mat, self.h_t @ coef)                 # (B, Gv, D, per_view)
+            _check_finite(mat, live)
+            v = np.linalg.solve(mat, self.h_t @ coef)                 # (S, P, Gv, D, per_view)
         else:
             # A weighted sum of Hermitian blocks: LU needs no symmetrizing.
             blocks = blocks + self.noise_eye
-            _check_finite(blocks)
-            h_blocks = self.h_t.reshape(self.n_views, n_blocks, n_ant, n_dev)
-            x = np.linalg.solve(blocks, h_blocks).reshape(
-                n_prob, self.n_views, -1, n_dev)                      # D^-1 H: (B, Gv, D, K)
-            small = self.h_conj @ x                                   # H^H D^-1 H: (B, Gv, K, K)
-            small = p[:, None, :, None] * small + np.eye(n_dev)
-            _check_finite(small)
+            _check_finite(blocks, live)
+            x = np.linalg.solve(blocks, self.h_blocks).reshape(
+                *rows, self.n_views, -1, n_dev)                       # D^-1 H: (S, P, Gv, D, K)
+            small = self.h_conj @ x                                   # H^H D^-1 H: (S, P, Gv, K, K)
+            small = p[..., None, :, None] * small + np.eye(n_dev)
+            _check_finite(small, live)
             v = x @ np.linalg.solve(small, coef)
-        return v.transpose(0, 3, 1, 2).reshape(n_prob, self.n_groups, -1)
+        return v.transpose(0, 1, 4, 2, 3).reshape(*rows, self.n_groups, -1)
 
     def forms(self, v):
-        """proj[b, p, k] = v_p^H h_k and quad[b, p, k] = v_p^H C_k v_p, each
-        in group p's view; shapes (B, G, K).
+        """proj[s, r, p, k] = v_p^H h_k and quad[s, r, p, k] = v_p^H C_k v_p,
+        each in group p's view; shapes (S, P, G, K).
 
         quad sums the per-block forms: the flattened outer products of each
         block of v_p times the flattened error blocks.
         """
-        n_prob, n_groups, dim = v.shape
+        *rows, n_groups, dim = v.shape
         n_blocks, n_ant = self.blocks
-        lead = (n_prob, self.n_views, self.per_view)
+        lead = (*rows, self.n_views, self.per_view)
         v = v.reshape(*lead, dim)
         vh = v.conj()
-        proj = (vh @ self.h_t).reshape(n_prob, n_groups, -1)
+        proj = (vh @ self.h_t).reshape(*rows, n_groups, -1)
         outer = (vh.reshape(*lead, n_blocks, n_ant, 1)
-                 * v.reshape(*lead, n_blocks, 1, n_ant))             # (B, Gv, G/Gv, nb, N, N)
+                 * v.reshape(*lead, n_blocks, 1, n_ant))             # (S, P, Gv, G/Gv, nb, N, N)
         quad = (outer.reshape(*lead, -1) @ self.cov_cols).real
-        return proj, quad.reshape(n_prob, n_groups, -1)
+        return proj, quad.reshape(*rows, n_groups, -1)
 
     def tco(self, proj, quad, sqrt_power):
         """Closed-form coefficient update of every device and its KKT multiplier.
 
         |b_k|^2 <= P_k always holds, and mu_k > 0 only on the boundary.
         """
-        own = proj[:, self.gdev, self.devices]                        # (B, K)
-        denom = (self.omega[:, None] * (np.abs(proj) ** 2 + quad)).sum(axis=1)
+        own = proj[..., self.gdev, self.devices]                      # (S, P, K)
+        denom = (self.omega[:, None] * (np.abs(proj) ** 2 + quad)).sum(axis=-2)
         mu = np.maximum(0.0, self.gain * np.abs(own) / sqrt_power - denom)
         den = denom + mu
         moving = den != 0.0
@@ -308,92 +339,136 @@ class _Stack:
         return b, np.where(moving, mu, 0.0)
 
     def group_mses(self, b, v, proj, quad):
-        """Per-group conditional MSEs (B, G): signal mismatch, estimation-error
-        inflation and combined noise."""
-        bb = b[:, None, :]
+        """Per-group conditional MSEs (S, P, G): signal mismatch,
+        estimation-error inflation and combined noise."""
+        bb = b[..., None, :]
         signal = (np.abs(proj * bb - self.target) ** 2).sum(axis=-1)
         inflation = (np.abs(bb) ** 2 * quad).sum(axis=-1)
         return signal + inflation + self.noise_power * (v.conj() * v).real.sum(axis=-1)
 
-    def objective(self, mses):
+    def objective(self, mses, live=None):
         values = (mses * self.omega).sum(axis=-1)
-        if not np.isfinite(values).all():
+        finite = np.isfinite(values)
+        if not finite.all() and (live is None or not finite[live].all()):
             raise NonFiniteSolve("weighted sum-MSE is not finite")
         return values
 
 
-def _solve(stack, power_limits, eps, max_iters, b_init=None):
-    """Lockstep block-coordinate descent over a stack of problems.
+def _solve(problems, power_limits, eps, max_iters, b_init=None):
+    """Lockstep block-coordinate descent over a seeds x powers rectangle.
 
-    Each iteration refreshes all combiners, then all coefficients; both are
-    exact minimizations, so every problem's objective never increases.  A
-    problem stops once an iteration decreases its objective by less than
-    eps, and is dropped from the batch.
+    Row (s, i) is problem s at power_limits[i].  Each iteration refreshes
+    all combiners, then all coefficients; both are exact minimizations, so
+    every row's objective never increases.  A row stops once an iteration
+    decreases its objective by less than eps.  A problem leaves the
+    rectangle once all its rows have stopped, and a power column once it
+    has stopped in every remaining problem; a stopped row still inside the
+    rectangle keeps being computed, but it is neither recorded nor checked.
     """
     power = np.asarray(power_limits, dtype=float)
-    n_prob = len(power)
-    sqrt_power = np.sqrt(power)
+    shape = (len(problems), len(power))
+    sqrt_power = np.broadcast_to(np.sqrt(power), shape + power.shape[1:])
     if b_init is None:
         b = sqrt_power.astype(complex)
     else:
-        b = np.array(b_init, dtype=complex).reshape(power.shape)
+        b = np.array(b_init, dtype=complex).reshape(sqrt_power.shape)
+    stack = _Stack(problems)
     v = stack.combiners(b)
     proj, quad = stack.forms(v)
     mses = stack.group_mses(b, v, proj, quad)
     prev = stack.objective(mses)
 
-    values = np.empty((n_prob, max_iters + 1))
-    group_values = np.empty((n_prob, max_iters + 1, stack.n_groups))
-    values[:, 0], group_values[:, 0] = prev, mses
-    out_b, out_v, out_mu = b.copy(), v.copy(), np.zeros(power.shape)
-    iterations = np.zeros(n_prob, dtype=int)
-    ended = np.full(n_prob, "max_iters", dtype=object)
-    live = np.arange(n_prob)
+    values = np.empty(shape + (max_iters + 1,))
+    group_values = np.empty(shape + (max_iters + 1, stack.n_groups))
+    values[..., 0], group_values[..., 0, :] = prev, mses
+    mu = np.zeros(b.shape)
+    out_b, out_v, out_mu = (np.empty_like(a) for a in (b, v, mu))
+    iterations = np.zeros(shape, dtype=int)
+    ended = np.empty(shape, dtype=object)
+    seeds, cols = np.arange(shape[0]), np.arange(shape[1])    # the rectangle
+    at = (slice(None), slice(None))                           # its place in the grid
+    active = np.ones(shape, dtype=bool)                       # its unstopped rows
+    live = None                                               # active, or None if all are
+
+    def record(rows, it, how):
+        where = (seeds[rows[0]], cols[rows[1]])
+        iterations[where], ended[where] = it, how
+        out_b[where], out_v[where], out_mu[where] = b[rows], v[rows], mu[rows]
+
     for it in range(1, max_iters + 1):
         if it > 1:
-            v = stack.combiners(b)
+            v = stack.combiners(b, live)
             proj, quad = stack.forms(v)
         b, mu = stack.tco(proj, quad, sqrt_power)
         mses = stack.group_mses(b, v, proj, quad)
-        cur = stack.objective(mses)
-        values[live, it], group_values[live, it] = cur, mses
-        iterations[live] = it
-        out_b[live], out_v[live], out_mu[live] = b, v, mu
+        cur = stack.objective(mses, live)
+        values[at + (it,)], group_values[at + (it,)] = cur, mses
         done = prev - cur < eps
+        if live is not None:
+            done &= live
         if done.any():
-            ended[live[done]] = "threshold"
-            keep = ~done
-            live, b, sqrt_power, cur = live[keep], b[keep], sqrt_power[keep], cur[keep]
-            if not live.size:
+            record(np.nonzero(done), it, "threshold")
+            active &= ~done
+            keep_s, keep_c = active.any(axis=1), active.any(axis=0)
+            if not keep_s.any():
                 break
+            if not keep_s.all():
+                seeds = seeds[keep_s]
+                stack = _Stack([problems[s] for s in seeds])
+            kept = np.ix_(keep_s, keep_c)
+            cols = cols[keep_c]
+            at = np.ix_(seeds, cols)
+            active, b, v, mu, sqrt_power, cur = (
+                a[kept] for a in (active, b, v, mu, sqrt_power, cur))
+            live = None if active.all() else active
         prev = cur
+    else:
+        record(np.nonzero(active), max_iters, "max_iters")
 
-    solutions = []
-    for i in range(n_prob):
-        n = iterations[i] + 1
-        history = OptHistory(values[i, :n].copy(), int(iterations[i]), ended[i],
-                             group_values[i, :n].copy())
-        solutions.append(AggregationSolution(b=out_b[i], combiners=out_v[i],
-                                             mu=out_mu[i], history=history))
-    return solutions
+    return [[AggregationSolution(
+                b=out_b[s, i], combiners=out_v[s, i], mu=out_mu[s, i],
+                history=OptHistory(values[s, i, :iterations[s, i] + 1].copy(),
+                                   int(iterations[s, i]), ended[s, i],
+                                   group_values[s, i, :iterations[s, i] + 1].copy()))
+             for i in range(shape[1])] for s in range(shape[0])]
+
+
+def _check_batch(problems):
+    """Raise ValueError, naming the field, unless the problems can share one
+    rectangle: the same kind, shape, grouping, priorities and noise power."""
+    first = problems[0]
+    for i, problem in enumerate(problems[1:], start=1):
+        if type(problem) is not type(first):
+            raise ValueError(f"problem {i} is a {type(problem).__name__}, "
+                             f"problem 0 a {type(first).__name__}")
+        for field, mine, theirs in (
+                ("h_hat shape", np.shape(problem.h_hat), np.shape(first.h_hat)),
+                ("group_of_device", problem.group_of_device, first.group_of_device),
+                ("weights.omega", problem.weights.omega, first.weights.omega),
+                ("noise_power", problem.noise_power, first.noise_power)):
+            if not np.array_equal(mine, theirs):
+                raise ValueError(f"problem {i} differs from problem 0 in {field}: "
+                                 f"{mine} != {theirs}")
+
+
+def optimize_batch(problems, power_limits, eps=1e-10, max_iters=500):
+    """Solve every problem at every row of power limits, all in lockstep.
+
+    ``problems`` are level-3 or cellular problems of one kind that share
+    their shape, grouping, priorities and noise power, and differ in their
+    estimates, error blocks and weights: one channel draw each.  Row i of
+    ``power_limits`` (P, K) replaces each problem's power_limit.  Every
+    (problem, row) pair iterates from full power with its own stopping
+    test, and its result equals that of ``alternating_optimize``
+    (``cellular_optimize``) on the single problem.  Returns, per problem,
+    one AggregationSolution per row.
+    """
+    _check_batch(problems)
+    return _solve(problems, power_limits, eps, max_iters)
 
 
 def _solve_one(problem, eps, max_iters, b_init):
-    b0 = None if b_init is None else np.asarray(b_init)[None]
-    return _solve(_Stack(problem), problem.power_limit[None], eps, max_iters, b0)[0]
-
-
-def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500):
-    """Solve a stack of problems that differ only in their power limits.
-
-    ``problem`` (level 3 or cellular) supplies the estimates and weights;
-    row i of ``power_limits`` (B, K) replaces its power_limit in problem i.
-    All problems iterate in lockstep from full power, each with its own
-    stopping test, and each result equals that of ``alternating_optimize``
-    (``cellular_optimize``) on the single problem.  Returns one
-    AggregationSolution per row.
-    """
-    return _solve(_Stack(problem), power_limits, eps, max_iters)
+    return _solve([problem], problem.power_limit[None], eps, max_iters, b_init)[0][0]
 
 
 def alternating_optimize(problem, eps=1e-10, max_iters=500, b_init=None):
@@ -414,16 +489,16 @@ def combiners_level3(problem, b):
 
     Each is the global minimizer of its group's convex MSE.
     """
-    return _Stack(problem).combiners(np.asarray(b, dtype=complex)[None])[0]
+    return _Stack([problem]).combiners(np.asarray(b, dtype=complex)[None, None])[0, 0]
 
 
 def tco_steps(problem, combiners):
     """Optimal coefficients and KKT multipliers of all devices, (K,) each,
     for fixed combiners: the vectorized update the solver runs."""
-    stack = _Stack(problem)
-    proj, quad = stack.forms(np.asarray(combiners)[None])
-    b, mu = stack.tco(proj, quad, np.sqrt(problem.power_limit)[None])
-    return b[0], mu[0]
+    stack = _Stack([problem])
+    proj, quad = stack.forms(np.asarray(combiners)[None, None])
+    b, mu = stack.tco(proj, quad, np.sqrt(problem.power_limit)[None, None])
+    return b[0, 0], mu[0, 0]
 
 
 def tco_step(problem, combiners, k):
@@ -439,8 +514,8 @@ def tco_step(problem, combiners, k):
     """
     w = problem.weights
     g = int(problem.group_of_device[k])
-    proj, quad = _Stack(problem).forms(np.asarray(combiners)[None])
-    proj, quad = proj[0, :, k], quad[0, :, k]
+    proj, quad = _Stack([problem]).forms(np.asarray(combiners)[None, None])
+    proj, quad = proj[0, 0, :, k], quad[0, 0, :, k]
     mag = np.abs(proj)
     denom = float((w.omega * (mag ** 2 + quad)).sum())
     gain = w.omega[g] * w.gamma[k] * w.nu[k]
@@ -458,12 +533,12 @@ def mse_level3(problem, b, v, g):
     devices and 0 for interferers.  Takes a level-3 problem or a cellular
     one (the estimates at group g's serving BS).
     """
-    stack = _Stack(problem)
-    combiners = np.zeros((1, problem.n_groups, len(v)), dtype=complex)
-    combiners[0, g] = v
+    stack = _Stack([problem])
+    combiners = np.zeros((1, 1, problem.n_groups, len(v)), dtype=complex)
+    combiners[0, 0, g] = v
     proj, quad = stack.forms(combiners)
-    b = np.asarray(b, dtype=complex)[None]
-    return float(stack.group_mses(b, combiners, proj, quad)[0, g])
+    b = np.asarray(b, dtype=complex)[None, None]
+    return float(stack.group_mses(b, combiners, proj, quad)[0, 0, g])
 
 
 mse_cellular = mse_level3
@@ -472,12 +547,6 @@ mse_cellular = mse_level3
 # ---------------------------------------------------------------------------
 # Level 1: local combining, simple central averaging
 # ---------------------------------------------------------------------------
-
-def combiners_level1(problem, b):
-    """Local combiners (G, L, N) of every group at every AP for coefficients b."""
-    combiners = _Stack(problem).combiners(np.asarray(b, dtype=complex)[None])
-    return combiners.reshape(problem.n_groups, problem.n_aps, -1)
-
 
 def channel_projections(combiners, channels):
     """Per-AP combined true channels u[g, k, l] = v_gl^H h_kl."""
@@ -499,13 +568,6 @@ def mse_level1(problem, b, combiners, projections, g):
     return float(signal.sum() + noise)
 
 
-def weighted_sum_mse_level1(problem, b, combiners, projections):
-    return float(sum(
-        problem.weights.omega[g] * mse_level1(problem, b, combiners, projections, g)
-        for g in range(problem.n_groups)
-    ))
-
-
 def level1_batch(problem, power_limits):
     """Full-power coefficients and local combiners (no TCO at level 1) of a
     stack of problems that differ only in their power limits.
@@ -515,8 +577,8 @@ def level1_batch(problem, power_limits):
     Returns one AggregationSolution per row.
     """
     b = np.sqrt(np.asarray(power_limits, dtype=float)).astype(complex)
-    combiners = _Stack(problem).combiners(b).reshape(len(b), problem.n_groups,
-                                                     problem.n_aps, -1)
+    combiners = _Stack([problem]).combiners(b[None])[0].reshape(
+        len(b), problem.n_groups, problem.n_aps, -1)
     no_steps = np.empty((0, problem.n_groups))
     return [AggregationSolution(b=b_i, combiners=v_i, mu=np.zeros(len(b_i)),
                                 history=OptHistory(np.array([]), 0, "threshold", no_steps))

@@ -21,6 +21,9 @@ def _add_common(parser):
 def _load(args):
     if args.threads < 1:
         raise runner.ValidationError(f"--threads={args.threads} must be >= 1")
+    if getattr(args, "rounds_per_block", 1) < 1:
+        raise runner.ValidationError(
+            f"--rounds-per-block={args.rounds_per_block} must be >= 1")
     overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(f"master_seed = {args.seed}")

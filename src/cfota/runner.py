@@ -595,19 +595,21 @@ def emit_csv(rows, path, n_groups):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _over_seeds(cfg, threads, one_seed):
-    """Rows of ``one_seed(cfg, seed)`` for every seed, in sort-key order.
+def _over_seeds(cfg, threads, run_seeds):
+    """Rows of ``run_seeds(cfg, seeds)`` over every seed, in sort-key order.
 
-    Seeds run on ``threads`` worker threads when there is more than one;
-    every seed draws from its own substreams, so the rows do not depend on
-    the thread count.
+    The seeds split into min(threads, seeds) contiguous blocks, each run on
+    its own worker thread when there is more than one; every seed draws
+    from its own substreams, so the rows do not depend on the thread count.
     """
-    seeds = range(cfg.seeds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda s: one_seed(cfg, s), seeds))
+    n_blocks = min(threads, cfg.seeds)
+    blocks = [range(i * cfg.seeds // n_blocks, (i + 1) * cfg.seeds // n_blocks)
+              for i in range(n_blocks)]
+    if n_blocks > 1:
+        with ThreadPoolExecutor(max_workers=n_blocks) as pool:
+            chunks = list(pool.map(lambda seeds: run_seeds(cfg, seeds), blocks))
     else:
-        chunks = [one_seed(cfg, s) for s in seeds]
+        chunks = [run_seeds(cfg, blocks[0])]
     return sorted((row for chunk in chunks for row in chunk), key=ResultRow.sort_key)
 
 
@@ -663,39 +665,53 @@ def _channel_problem(kind, stats, round_state, weights):
     return build(stats, round_state, weights)
 
 
-def _sweep_one_seed(cfg, seed):
+def _sweep_seed(cfg, seed, kinds, powers):
+    """A seed's weights, level-1 traces and the problems of its other kinds.
+
+    Only these outlive the call: the seed's statistics and channel draw do
+    not, so a block of seeds holds little more than its estimates.
+    """
     geometry = build_geometry(cfg, substream(cfg.master_seed, seed, "geometry"))
     stats = build_statistics(cfg, geometry,
                              substream(cfg.master_seed, seed, "shadowing"))
     round_state = draw_round(stats, (cfg.master_seed, seed, "round", 0))
     nu, theta_bar = _initial_round_stats(cfg, seed)
     weights = make_weights(cfg, geometry.group_of_device, nu, theta_bar)
-    archs = [ARCHITECTURES[name] for name in cfg.architectures]
-    kinds = {arch.solver for arch in archs}
-    powers = np.stack([np.full(cfg.n_devices, dbm_to_watt(p)) for p in cfg.sweep_dbm])
-    # traces[kind][i]: per-group MSEs at grid point i, first at full power
-    # (tco=0), last after the solve (tco=1).  Each kind solves the whole grid
-    # in one batch; level 2 takes the level-3 trace.
     traces = {None: np.zeros((len(powers), 1, cfg.n_groups))}
     if "level1" in kinds:
         problem = level1_problem(stats, round_state, weights)
         traces["level1"] = [[_level1_mses(problem, sol, round_state.ap.h)]
                             for sol in aggregation.level1_batch(problem, powers)]
+    problems = {kind: _channel_problem(kind, stats, round_state, weights)
+                for kind in ("level3", "cellular") if kind in kinds}
+    return weights, traces, problems
+
+
+def _sweep_seeds(cfg, seeds):
+    archs = [ARCHITECTURES[name] for name in cfg.architectures]
+    kinds = {arch.solver for arch in archs}
+    powers = np.stack([np.full(cfg.n_devices, dbm_to_watt(p)) for p in cfg.sweep_dbm])
+    prepared = [_sweep_seed(cfg, seed, kinds, powers) for seed in seeds]
+    # traces[kind][i]: per-group MSEs at grid point i, first at full power
+    # (tco=0), last after the solve (tco=1).  Each kind solves every seed's
+    # whole grid in one batch; level 2 takes the level-3 trace.
     for kind in ("level3", "cellular"):
         if kind in kinds:
-            solutions = aggregation.optimize_batch(
-                _channel_problem(kind, stats, round_state, weights), powers,
+            solved = aggregation.optimize_batch(
+                [problems[kind] for _, _, problems in prepared], powers,
                 eps=cfg.epsilon, max_iters=cfg.max_iters)
-            traces[kind] = [sol.history.group_values for sol in solutions]
+            for (_, traces, _), solutions in zip(prepared, solved):
+                traces[kind] = [sol.history.group_values for sol in solutions]
     rows = []
-    for arch in archs:
-        fh = _fronthaul_counts(cfg, arch)
-        for p_dbm, trace in zip(cfg.sweep_dbm, traces[arch.solver]):
-            for tco in range(1 + arch.tco):
-                mses = tuple(float(m) for m in trace[-1 if tco else 0])
-                rows.append(ResultRow(arch.name, tco, seed, float(p_dbm),
-                                      float(np.dot(weights.omega, mses)), mses,
-                                      (), fh))
+    for seed, (weights, traces, _) in zip(seeds, prepared):
+        for arch in archs:
+            fh = _fronthaul_counts(cfg, arch)
+            for p_dbm, trace in zip(cfg.sweep_dbm, traces[arch.solver]):
+                for tco in range(1 + arch.tco):
+                    mses = tuple(float(m) for m in trace[-1 if tco else 0])
+                    rows.append(ResultRow(arch.name, tco, seed, float(p_dbm),
+                                          float(np.dot(weights.omega, mses)), mses,
+                                          (), fh))
     return rows
 
 
@@ -706,7 +722,7 @@ def run_mse_sweep(cfg, threads=1):
     round-one parameter statistics of each group's initial model, and both
     the full-power and the optimized transmit coefficients where TCO applies.
     """
-    return _over_seeds(cfg, threads, _sweep_one_seed)
+    return _over_seeds(cfg, threads, _sweep_seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -858,10 +874,14 @@ def _train_one_seed(cfg, seed):
     return rows
 
 
+def _train_seeds(cfg, seeds):
+    return [row for seed in seeds for row in _train_one_seed(cfg, seed)]
+
+
 def run_fl_training(cfg, threads=1):
     """Federated training of every configured architecture, row per round.
 
     Initial models, data, geometry, and channel draws are shared across
     architectures within a seed so their trajectories are comparable.
     """
-    return _over_seeds(cfg, threads, _train_one_seed)
+    return _over_seeds(cfg, threads, _train_seeds)

@@ -93,6 +93,21 @@ def dense_cpu_view(problem):
             np.stack([block_diag(*blocks) for blocks in problem.error_cov]))
 
 
+def combiners_level1(problem, b):
+    """Local combiners (G, L, N) of every group at every AP for coefficients b."""
+    combiners = aggregation._Stack([problem]).combiners(
+        np.asarray(b, dtype=complex)[None, None])
+    return combiners.reshape(problem.n_groups, problem.n_aps, -1)
+
+
+def weighted_sum_mse_level1(problem, b, combiners, projections):
+    return float(sum(
+        problem.weights.omega[g]
+        * aggregation.mse_level1(problem, b, combiners, projections, g)
+        for g in range(problem.n_groups)
+    ))
+
+
 def mc_mse_level3(problem, b, v, g, n_draws, rng):
     target = np.where(problem.group_of_device == g,
                       problem.weights.gamma * problem.weights.nu, 0.0)

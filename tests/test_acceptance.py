@@ -14,7 +14,8 @@ from cfota import runner
 from cfota.rng import substream
 
 from oracles import (dense_cpu_view, desk_config, draw_instance,
-                     mc_mse_cellular, mc_mse_level1, mc_mse_level3)
+                     mc_mse_cellular, mc_mse_level1, mc_mse_level3,
+                     weighted_sum_mse_level1)
 
 N_SOUNDNESS_INSTANCES = 50
 
@@ -115,7 +116,7 @@ def test_criterion_3_level_equivalences_and_ordering(soundness_solutions):
         p1 = inst["level1"]
         sol1 = agg.level1_solution(p1)
         proj = agg.channel_projections(sol1.combiners, inst["state"].ap.h)
-        wsm1 = agg.weighted_sum_mse_level1(p1, sol1.b, sol1.combiners, proj)
+        wsm1 = weighted_sum_mse_level1(p1, sol1.b, sol1.combiners, proj)
         assert sol3.history.values[-1] <= wsm1
     _report(3, "level equivalences and ordering")
 

@@ -11,8 +11,9 @@ from scipy.linalg import cho_factor, cho_solve
 from cfota import aggregation as agg
 from cfota.rng import substream
 
-from oracles import (cn_noise, dense_cpu_view, desk_config, draw_instance,
-                     mc_mse_cellular, mc_mse_level1, mc_mse_level3)
+from oracles import (cn_noise, combiners_level1, dense_cpu_view, desk_config,
+                     draw_instance, mc_mse_cellular, mc_mse_level1, mc_mse_level3,
+                     weighted_sum_mse_level1)
 
 
 def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0,
@@ -211,15 +212,15 @@ def test_combiner_level1_single_ap_equals_level3():
     b = np.sqrt(problem1.power_limit).astype(complex)
     for g in range(problem1.n_groups):
         v3 = agg.combiners_level3(problem3, b)[g]
-        v1 = agg.combiners_level1(problem1, b)[g, 0]
+        v1 = combiners_level1(problem1, b)[g, 0]
         np.testing.assert_allclose(v1, v3, rtol=1e-10)
 
 
 def test_combiner_level1_zero_coefficients_and_scalar_value():
     inst = draw_instance(6)
     problem = inst["level1"]
-    v = agg.combiners_level1(problem,
-                             np.zeros(len(problem.h_hat), complex))[0, 0]
+    v = combiners_level1(problem,
+                         np.zeros(len(problem.h_hat), complex))[0, 0]
     np.testing.assert_allclose(v, 0.0)
 
     weights = agg.AggregationWeights(gamma=np.array([1.0]),
@@ -231,7 +232,7 @@ def test_combiner_level1_zero_coefficients_and_scalar_value():
         error_cov=np.zeros((1, 1, 1, 1), dtype=complex),
         group_of_device=np.array([0]), weights=weights, noise_power=1.0,
         power_limit=np.array([100.0]))
-    v = agg.combiners_level1(scalar, np.array([1.0 + 0j]))[0, 0]
+    v = combiners_level1(scalar, np.array([1.0 + 0j]))[0, 0]
     assert v[0] == pytest.approx(0.5)
 
 
@@ -410,8 +411,8 @@ def test_level3_beats_level1_weighted_sum():
         problem1 = inst["level1"]
         sol1 = agg.level1_solution(problem1)
         proj = agg.channel_projections(sol1.combiners, inst["state"].ap.h)
-        wsm1 = agg.weighted_sum_mse_level1(problem1, sol1.b, sol1.combiners,
-                                           proj)
+        wsm1 = weighted_sum_mse_level1(problem1, sol1.b, sol1.combiners,
+                                       proj)
         assert sol3.history.values[-1] <= wsm1
 
 
@@ -461,7 +462,7 @@ def test_lockstep_batch_properties(seed, cellular, n_groups, per_group, dim,
     problem = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
     n_dev = len(problem.group_of_device)
     powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
-    batch = agg.optimize_batch(problem, powers, max_iters=40)
+    batch = agg.optimize_batch([problem], powers, max_iters=40)[0]
     assert len(batch) == len(powers)
     for power, sol in zip(powers, batch):
         one = single_solve(problem, power, max_iters=40)
@@ -506,7 +507,7 @@ def test_lockstep_batch_compacts_mixed_termination():
     for kind in ("level3", "cellular"):
         problem = inst[kind]
         powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(problem.power_limit)))
-        batch = agg.optimize_batch(problem, powers, max_iters=60)
+        batch = agg.optimize_batch([problem], powers, max_iters=60)[0]
         ended = {sol.history.terminated_by for sol in batch}
         assert ended == {"threshold", "max_iters"}
         assert len({sol.history.iterations for sol in batch}) > 2
@@ -518,9 +519,89 @@ def test_lockstep_batch_compacts_mixed_termination():
             np.testing.assert_array_equal(sol.combiners, one.combiners)
 
 
+def varied_problems(seed, cellular, n_groups, per_group, dim, n_aps, n_problems):
+    """Problems of one kind, shape, grouping, priorities and noise power, each
+    with its own estimates, error blocks, nu and gamma."""
+    first = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
+    problems = [first]
+    for i in range(1, n_problems):
+        other = random_problem((seed + i) % 2**32, cellular, n_groups, per_group,
+                               dim, n_aps)
+        gamma = np.random.default_rng([seed, i]).uniform(0.2, 1.0, len(other.weights.gamma))
+        problems.append(replace(other, noise_power=first.noise_power,
+                                weights=replace(other.weights, gamma=gamma,
+                                                omega=first.weights.omega)))
+    return problems
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cellular=st.booleans(),
+       n_groups=st.integers(1, 3), per_group=st.integers(1, 3),
+       dim=st.integers(1, 4), n_aps=st.integers(1, 4), n_problems=st.integers(1, 3),
+       power_db=st.lists(st.floats(-30.0, 20.0), min_size=1, max_size=5))
+def test_seed_batch_rows_equal_single_solves(seed, cellular, n_groups, per_group,
+                                             dim, n_aps, n_problems, power_db):
+    # Every (problem, power) row of the rectangle, whether it stops early,
+    # hits the cap, or keeps being computed after it stopped, equals its own
+    # single solve bit for bit.
+    problems = varied_problems(seed, cellular, n_groups, per_group, dim, n_aps,
+                               n_problems)
+    n_dev = len(problems[0].group_of_device)
+    powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
+    batch = agg.optimize_batch(problems, powers, max_iters=40)
+    assert len(batch) == len(problems)
+    for problem, solutions in zip(problems, batch):
+        assert len(solutions) == len(powers)
+        for power, sol in zip(powers, solutions):
+            one = single_solve(problem, power, max_iters=40)
+            assert np.array_equal(sol.b, one.b)
+            assert np.array_equal(sol.combiners, one.combiners)
+            assert np.array_equal(sol.mu, one.mu)
+            assert np.array_equal(sol.history.values, one.history.values)
+            assert np.array_equal(sol.history.group_values, one.history.group_values)
+            assert sol.history.iterations == one.history.iterations
+            assert sol.history.terminated_by == one.history.terminated_by
+
+
+MISMATCHES = {
+    "group_of_device": lambda p: replace(p, group_of_device=p.group_of_device[::-1].copy()),
+    "omega": lambda p: replace(p, weights=replace(p.weights, omega=2.0 * p.weights.omega)),
+    "noise_power": lambda p: replace(p, noise_power=2.0 * p.noise_power),
+    "shape": lambda p: random_problem(7, isinstance(p, agg.CellularProblem), 2, 2, 3),
+}
+
+
+@pytest.mark.parametrize("cellular", [False, True])
+@pytest.mark.parametrize("field", sorted(MISMATCHES))
+def test_seed_batch_names_the_field_problems_disagree_in(cellular, field):
+    problems = varied_problems(5, cellular, 2, 2, 2, 3, 2)
+    problems[1] = MISMATCHES[field](problems[1])
+    with pytest.raises(ValueError, match=f"problem 1 differs from problem 0 in .*{field}"):
+        agg.optimize_batch(problems, np.ones((2, 4)), max_iters=3)
+
+
+def test_seed_batch_holds_error_blocks_once_per_problem():
+    # 2 seeds x 40 power rows of a cellular system with 8 BS antennas: one
+    # copy of each seed's error blocks per power row would take 80 copies
+    problems = varied_problems(0, True, 2, 6, 8, 1, 2)
+    powers = 10.0 ** np.linspace(-3.0, 1.0, 40)[:, None] * np.ones(12)
+    per_row_copies = 2 * 40 * problems[0].error_cov.nbytes
+    tracemalloc.start()
+    try:
+        agg.optimize_batch(problems, powers, max_iters=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < per_row_copies
+
+
+def solve_batch(problem, powers):
+    return agg.optimize_batch([problem], powers)[0]
+
+
 SOLVERS = (("level1", agg.level1_solution, agg.level1_batch),
-           ("level3", agg.alternating_optimize, agg.optimize_batch),
-           ("cellular", agg.cellular_optimize, agg.optimize_batch))
+           ("level3", agg.alternating_optimize, solve_batch),
+           ("cellular", agg.cellular_optimize, solve_batch))
 
 
 def test_infinite_power_limit_raises_named_error():
@@ -605,7 +686,7 @@ def test_level1_combiners_match_per_ap_reference(seed, n_dev, n_aps, n_ant,
     phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
     for power in power_rows(power_db, n_dev):
         b = np.sqrt(power) * phase
-        got = agg.combiners_level1(problem, b)
+        got = combiners_level1(problem, b)
         want = per_ap_combiners(problem, b)
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -668,9 +749,9 @@ def test_block_core_matches_dense_reference(seed, n_dev, n_aps, n_ant, n_groups,
     got = agg.combiners_level3(problem, b)
     assert got.shape == v.shape
     assert np.linalg.norm(got - v) <= 1e-10 * np.linalg.norm(v)
-    got_proj, got_quad = agg._Stack(problem).forms(v[None])
-    assert np.linalg.norm(got_proj[0] - proj) <= 1e-12 * np.linalg.norm(proj)
-    assert np.all(np.abs(got_quad[0] - quad) <= 1e-12 * np.abs(quad).max())
+    got_proj, got_quad = agg._Stack([problem]).forms(v[None, None])
+    assert np.linalg.norm(got_proj[0, 0] - proj) <= 1e-12 * np.linalg.norm(proj)
+    assert np.all(np.abs(got_quad[0, 0] - quad) <= 1e-12 * np.abs(quad).max())
     got_mses = [agg.mse_level3(problem, b, got[g], g) for g in range(n_groups)]
     np.testing.assert_allclose(got_mses, mses, rtol=1e-10, atol=0.0)
 
@@ -682,7 +763,7 @@ def test_level3_solve_forms_no_stacked_matrix():
     powers = np.ones((3, 4))
     tracemalloc.start()
     try:
-        agg.optimize_batch(problem, powers, max_iters=5)
+        agg.optimize_batch([problem], powers, max_iters=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -314,6 +314,38 @@ def test_sweep_threads_do_not_change_results():
     assert rows1 == rows2
 
 
+def test_sweep_solves_every_seed_in_one_batch_per_kind(monkeypatch):
+    # 5 seeds split into min(threads, 5) contiguous blocks, unequal at 2 and
+    # 3 threads and one seed each at 7; the rows never change, and serially
+    # each solver kind solves every seed's whole grid in one batch
+    cfg = desk_config(seeds=5, sweep_dbm=(-10.0, 10.0, 30.0))
+    batches = []
+    optimize_batch = runner.aggregation.optimize_batch
+
+    def counting(problems, power_limits, **kwargs):
+        batches.append((type(problems[0]).__name__, len(problems), len(power_limits)))
+        return optimize_batch(problems, power_limits, **kwargs)
+
+    monkeypatch.setattr(runner.aggregation, "optimize_batch", counting)
+    rows = runner.run_mse_sweep(cfg, threads=1)
+    assert sorted(batches) == [("CellularProblem", 5, 3), ("Level3Problem", 5, 3)]
+    monkeypatch.undo()
+    sweep_seeds = runner._sweep_seeds
+    for threads in (2, 3, 7):
+        blocks = []
+
+        def recording(cfg, seeds):
+            blocks.append(list(seeds))
+            return sweep_seeds(cfg, seeds)
+
+        monkeypatch.setattr(runner, "_sweep_seeds", recording)
+        assert runner.run_mse_sweep(cfg, threads=threads) == rows
+        monkeypatch.undo()
+        assert len(blocks) == min(threads, cfg.seeds)
+        assert sorted(blocks) == [list(range(b[0], b[-1] + 1)) for b in sorted(blocks)]
+        assert sorted(seed for block in blocks for seed in block) == list(range(cfg.seeds))
+
+
 # ---------------------------------------------------------------------------
 # Federated training
 # ---------------------------------------------------------------------------
@@ -599,6 +631,17 @@ def test_cli_threads_below_one_is_named_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("ValidationError") and "--threads" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_cli_rounds_per_block_below_one_is_named_error(tmp_path, capsys, rounds):
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text("tau_p = 10\n")
+    assert cli_main(["fronthaul", "-c", str(cfgfile),
+                     "--rounds-per-block", rounds]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ValidationError: --rounds-per-block={rounds} must be >= 1\n"
+    assert "cheaper" not in captured.out
 
 
 def test_cli_fronthaul(tmp_path, capsys):
