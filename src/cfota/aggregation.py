@@ -169,13 +169,6 @@ class AggregationSolution:
     history: OptHistory
 
 
-def _target(problem, g):
-    """gamma_k nu_k for devices of group g, zero elsewhere."""
-    w = problem.weights
-    own = problem.group_of_device == g
-    return np.where(own, w.gamma * w.nu, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # One combiner core; level 3 and cellular add the batched alternating solver
 # ---------------------------------------------------------------------------
@@ -549,45 +542,65 @@ mse_cellular = mse_level3
 # ---------------------------------------------------------------------------
 
 def channel_projections(combiners, channels):
-    """Per-AP combined true channels u[g, k, l] = v_gl^H h_kl."""
-    return np.einsum("gln,kln->gkl", combiners.conj(), channels)
+    """Per-AP combined true channels u[..., g, k, l] = v_gl^H h_kl of
+    combiners (..., G, L, N) and channels (..., K, L, N)."""
+    return np.einsum("...gln,...kln->...gkl", combiners.conj(), channels)
 
 
-def mse_level1(problem, b, combiners, projections, g):
-    """Aggregation MSE of group g's averaged recovery, given combined channels.
+def level1_mses(problems, b, combiners, projections):
+    """Aggregation MSEs (S, P, G) of every group's averaged recovery, given
+    combined channels: problem s at row p has coefficients b[s, p] (K,),
+    combiners[s, p] (G, L, N) and projections[s, p] (G, K, L).
 
     This conditions on the per-AP combined *true* channels (a simulation-side
     metric): with u fixed, only the symbols and noise are random, so there is
     no estimation-error inflation term.
     """
-    n_aps = problem.n_aps
-    mean_u = projections[g].mean(axis=1)            # (K,) averaged combined gains
-    target = _target(problem, g)
-    signal = np.abs(mean_u * b - target) ** 2
-    noise = problem.noise_power * (np.abs(combiners[g]) ** 2).sum() / n_aps**2
-    return float(signal.sum() + noise)
+    first = problems[0]
+    n_aps = combiners.shape[-2]
+    # Contiguous, so that each sum adds its terms in one order whatever the
+    # layout of the arrays passed in.
+    combiners, projections = map(np.ascontiguousarray, (combiners, projections))
+    gamma_nu = np.stack([p.weights.gamma * p.weights.nu for p in problems])
+    own = first.group_of_device == np.arange(first.n_groups)[:, None]
+    target = np.where(own, gamma_nu[:, None, None, :], 0.0)       # (S, 1, G, K)
+    mean_u = projections.mean(axis=-1)                             # averaged combined gains
+    signal = (np.abs(mean_u * b[..., None, :] - target) ** 2).sum(axis=-1)
+    power = np.abs(combiners) ** 2
+    power = power.reshape(*power.shape[:-2], -1).sum(axis=-1)
+    return signal + first.noise_power * power / n_aps**2
 
 
-def level1_batch(problem, power_limits):
-    """Full-power coefficients and local combiners (no TCO at level 1) of a
-    stack of problems that differ only in their power limits.
+def mse_level1(problem, b, combiners, projections, g):
+    """Level-1 MSE of group g (see ``level1_mses``) for one problem's
+    coefficients (K,), combiners (G, L, N) and projections (G, K, L)."""
+    return float(level1_mses([problem], *(np.asarray(a)[None, None] for a in
+                                          (b, combiners, projections)))[0, 0, g])
 
-    Row i of ``power_limits`` (B, K) replaces the power_limit of ``problem``
-    in problem i; each result equals ``level1_solution`` on that problem.
-    Returns one AggregationSolution per row.
+
+def level1_batch(problems, power_limits):
+    """Full-power coefficients and local combiners (no TCO at level 1) of
+    every problem at every row of power limits.
+
+    ``problems`` share their shape, grouping, priorities and noise power,
+    as for ``optimize_batch``.  Row i of ``power_limits`` (P, K) replaces
+    each problem's power_limit; each result equals ``level1_solution`` on
+    that problem.  Returns, per problem, one AggregationSolution per row.
     """
+    _check_batch(problems)
+    first = problems[0]
     b = np.sqrt(np.asarray(power_limits, dtype=float)).astype(complex)
-    combiners = _Stack([problem]).combiners(b[None])[0].reshape(
-        len(b), problem.n_groups, problem.n_aps, -1)
-    no_steps = np.empty((0, problem.n_groups))
-    return [AggregationSolution(b=b_i, combiners=v_i, mu=np.zeros(len(b_i)),
-                                history=OptHistory(np.array([]), 0, "threshold", no_steps))
-            for b_i, v_i in zip(b, combiners)]
+    combiners = _Stack(problems).combiners(np.broadcast_to(b, (len(problems),) + b.shape))
+    combiners = combiners.reshape(*combiners.shape[:3], first.n_aps, -1)
+    no_steps = np.empty((0, first.n_groups))
+    return [[AggregationSolution(b=b_i, combiners=v_i, mu=np.zeros(len(b_i)),
+                                 history=OptHistory(np.array([]), 0, "threshold", no_steps))
+             for b_i, v_i in zip(b, row)] for row in combiners]
 
 
 def level1_solution(problem):
     """Full-power coefficients and local combiners (no TCO at level 1)."""
-    return level1_batch(problem, problem.power_limit[None])[0]
+    return level1_batch([problem], problem.power_limit[None])[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -64,26 +64,21 @@ def shadow_covariance(device_positions, area, params=LargeScaleParams()):
     Entry (k, i) is ``sigma^2 * 2^(-x_ki/decorr)`` with x_ki the wrap
     distance between devices k and i.  Shadowing for different receivers is
     modeled as independent: one draw from this covariance per receiver.
+    Positions (..., K, 2) give covariances (..., K, K).
     """
     x = wrap_distances(device_positions, device_positions, area)
     cov = params.shadow_std_db**2 * np.exp2(-x / params.decorr_m)
-    min_eig = np.linalg.eigvalsh(cov).min()
-    if min_eig < -1e-8 * max(np.trace(cov), 1.0):
-        raise NotPSD(f"shadow covariance has eigenvalue {min_eig:.3e}")
+    min_eig = np.linalg.eigvalsh(cov).min(axis=-1)
+    bound = -1e-8 * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 1.0)
+    if np.any(min_eig < bound):
+        raise NotPSD(f"shadow covariance has eigenvalue {min_eig.min():.3e}")
     return cov
 
 
 def _shadow_root(cov):
+    """The root ``V sqrt(max(w, 0))`` of each ``cov = V diag(w) V^T``."""
     w, v = np.linalg.eigh(cov)
-    return v * np.sqrt(np.clip(w, 0.0, None))
-
-
-def sample_shadowing(cov, rng):
-    """Zero-mean jointly Gaussian shadow terms (dB) with the given covariance.
-
-    Uses the root ``V sqrt(max(w, 0))`` of ``cov = V diag(w) V^T``.
-    """
-    return _shadow_root(cov) @ rng.standard_normal(cov.shape[0])
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def local_scattering_R(n_antennas, nominal_angle, asd, beta):
@@ -112,17 +107,13 @@ def local_scattering_R(n_antennas, nominal_angle, asd, beta):
                               beta=float(beta) if beta.ndim == 0 else beta)
 
 
-def sqrt_psd(mat):
-    """Hermitian square root with negative eigenvalues clamped to zero."""
-    w, v = np.linalg.eigh(mat)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
 def sample_channels(correlations, rng):
     """Correlated Rayleigh draws h = R^(1/2) z, z circularly-symmetric CN(0, I).
 
     ``correlations`` has shape (..., N, N); the result has shape (..., N).
-    Draws are independent across the leading axes and across calls.
+    Draws are independent across the leading axes and across calls.  A
+    block of S seeds, (S, ..., N, N), draws through a ``rng.SeedStreams``,
+    each seed from its own stream as if alone.
 
     The root is ``V sqrt(max(w, 0))`` from ``eigh``, which is not continuous
     in R: where eigenvalues nearly coincide, a last-bit change to R can
@@ -151,17 +142,23 @@ def correlation_matrices(device_positions, rx_positions, n_antennas, area,
     array of shape (K, n_rx, N, N).  Every link is computed at once, with
     the same floating-point operations (and so the same bits) as one link
     at a time.
+
+    Device positions (S, K, 2) are a block of S seeds, drawn from
+    ``rng.standard_normal`` of shape (S, n_rx, K) (a ``rng.SeedStreams``
+    draws each seed's (n_rx, K) from its own stream); the result is then
+    (S, K, n_rx, N, N), each seed's bit-identical to its own call.
     """
     device_positions = np.asarray(device_positions)
     rx_positions = np.asarray(rx_positions)
-    n_dev, n_rx = len(device_positions), len(rx_positions)
+    *lead, n_dev, _ = device_positions.shape
     root = _shadow_root(shadow_covariance(device_positions, area, params))
     # One matvec per receiver on the stream of n_rx consecutive draws; a
     # single (n_rx, K) @ (K, K) product would move the last bit.
-    shadows = (root @ rng.standard_normal((n_rx, n_dev))[..., None])[..., 0]
+    normals = rng.standard_normal((*lead, len(rx_positions), n_dev))
+    shadows = (root[..., None, :, :] @ normals[..., None])[..., 0]
     beta_db = (pathloss_db(wrap_distances(device_positions, rx_positions, area),
-                           params) + shadows.T) / 10.0
+                           params) + shadows.swapaxes(-1, -2)) / 10.0
     # Scalar powers: numpy's vectorized power differs in the last bit.
-    beta = np.array([10.0 ** x for x in beta_db.ravel()]).reshape(n_dev, n_rx)
-    angle = wrap_bearing(rx_positions[None, :], device_positions[:, None], area)
+    beta = np.array([10.0 ** x for x in beta_db.ravel().tolist()]).reshape(beta_db.shape)
+    angle = wrap_bearing(rx_positions, device_positions[..., :, None, :], area)
     return local_scattering_R(n_antennas, angle, asd, beta).matrix

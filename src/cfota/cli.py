@@ -6,11 +6,16 @@ import sys
 from . import accounting, runner
 
 
-def _add_common(parser):
+def _add_config(parser):
     parser.add_argument("-c", "--config", required=True,
                         help="scenario config file (key = value lines)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config entry")
+
+
+def _add_run(parser):
+    """The config options plus those of the verbs that run seeds into a CSV."""
+    _add_config(parser)
     parser.add_argument("--seed", type=int, default=None,
                         help="override the master seed")
     parser.add_argument("--out", default=None, help="output CSV path")
@@ -19,15 +24,15 @@ def _add_common(parser):
 
 
 def _load(args):
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         raise runner.ValidationError(f"--threads={args.threads} must be >= 1")
     if getattr(args, "rounds_per_block", 1) < 1:
         raise runner.ValidationError(
             f"--rounds-per-block={args.rounds_per_block} must be >= 1")
     overrides = list(args.overrides)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides.append(f"master_seed = {args.seed}")
-    if args.out is not None:
+    if getattr(args, "out", None) is not None:
         overrides.append(f"out = {args.out}")
     if getattr(args, "grid", None) is not None:
         overrides.append(f"sweep_dbm = {args.grid}")
@@ -50,22 +55,22 @@ def main(argv=None):
 
     sweep = sub.add_parser("mse-sweep",
                            help="aggregation MSE versus transmit power budget")
-    _add_common(sweep)
+    _add_run(sweep)
     sweep.add_argument("--grid", default=None,
                        help="comma-separated P_max grid in dBm "
                             "(overrides sweep_dbm)")
 
     train = sub.add_parser("train", help="federated training over the channel")
-    _add_common(train)
+    _add_run(train)
 
     fronthaul = sub.add_parser("fronthaul",
                                help="fronthaul signaling counts per level")
-    _add_common(fronthaul)
+    _add_config(fronthaul)
     fronthaul.add_argument("--rounds-per-block", type=int, default=1,
                            help="training rounds per coherence block")
 
     validate = sub.add_parser("validate-config", help="check a config file")
-    _add_common(validate)
+    _add_config(validate)
 
     args = parser.parse_args(argv)
     try:

@@ -10,7 +10,9 @@ The covariances and the despread covariances depend only on the pilot
 plan, the spatial correlations and the noise power, so ``mmse_statistics``
 computes them once per deployment; ``estimate_all`` then turns each
 coherence block's observation into estimates.  Both work on every link at
-once, with batched ``numpy.linalg.solve`` calls.
+once, with batched ``numpy.linalg.solve`` calls.  They also take a block
+of seeds at once: arrays with a leading seed axis give results with that
+axis, each seed's bit-identical to its own call.
 """
 
 from dataclasses import dataclass
@@ -33,22 +35,6 @@ class PilotPlan:
     def devices_on_pilot(self, t):
         return np.flatnonzero(self.pilot_of_device == t)
 
-    def codevices(self, k):
-        """All devices sharing device k's pilot (including k itself)."""
-        return self.devices_on_pilot(self.pilot_of_device[k])
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """MMSE estimate of one device-receiver link.
-
-    ``estimate_cov + error_cov`` equals the link's correlation matrix.
-    """
-
-    h_hat: np.ndarray        # (N,)
-    estimate_cov: np.ndarray  # (N, N)
-    error_cov: np.ndarray     # (N, N)
-
 
 @dataclass(frozen=True)
 class ChannelEstimateSet:
@@ -65,7 +51,8 @@ class MmseStatistics:
 
     despread_cov[r, t] is the covariance of the despread observation of
     pilot t at receiver r (``noise I`` for an unused pilot).  The
-    covariance arrays are read-only.
+    covariance arrays are read-only.  For a block of seeds every array has
+    a leading seed axis.
     """
 
     plan: PilotPlan
@@ -104,32 +91,39 @@ def pilot_observation(channels, plan, noise_power, rng):
 
     Entry (t, r) is ``sum_{i on pilot t} sqrt(p_i tau_p) h_ir + n`` with
     n ~ CN(0, noise_power I).  Built directly in despread form; the full
-    tau_p-symbol matrix observation is statistically equivalent.
+    tau_p-symbol matrix observation is statistically equivalent.  Channels
+    (S, K, R, N) of a block give (S, tau_p, R, N), the noise drawn from
+    ``rng`` in that shape (see ``rng.SeedStreams``).
     """
     channels = np.asarray(channels)
-    _, n_rx, n_ant = channels.shape
+    *lead, _, n_rx, n_ant = channels.shape
+    flat = channels.reshape(*lead, -1, n_rx * n_ant)
     amp = np.sqrt(plan.pilot_power * plan.tau_p)
-    y = np.zeros((plan.tau_p, n_rx, n_ant), dtype=complex)
+    y = np.zeros((*lead, plan.tau_p, n_rx * n_ant), dtype=complex)
     for t in range(plan.tau_p):
         sharers = plan.devices_on_pilot(t)
         if sharers.size:
-            y[t] = np.tensordot(amp[sharers], channels[sharers], axes=(0, 0))
+            # One product per seed: a single product over the whole block
+            # would move the last bit.
+            y[..., t, :] = amp[sharers] @ flat[..., sharers, :]
+    y = y.reshape(*lead, plan.tau_p, n_rx, n_ant)
     noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
     return y + np.sqrt(noise_power / 2.0) * noise
 
 
 def _despread_covariances(plan, correlations, noise_power):
-    """Despread covariance of every (receiver, pilot), shape (R, tau_p, N, N).
+    """Despread covariance of every (receiver, pilot), shape (..., R, tau_p, N, N).
 
     Entry (r, t) is ``noise I + sum_{i on pilot t} p_i tau_p R_ir``, summed
     in device order.  An unused pilot's entry is ``noise I``.
     """
-    n_rx, n_ant = correlations.shape[1], correlations.shape[-1]
+    *lead, _, n_rx, n_ant, _ = correlations.shape
     xi = np.tile(noise_power * np.eye(n_ant, dtype=complex),
-                 (n_rx, plan.tau_p, 1, 1))
+                 (*lead, n_rx, plan.tau_p, 1, 1))
     contrib = (plan.pilot_power * plan.tau_p)[:, None, None, None] * correlations
     # Unbuffered, in index order: each sum runs over its sharers one by one.
-    np.add.at(xi, (slice(None), plan.pilot_of_device), contrib.swapaxes(0, 1))
+    np.add.at(xi, (..., plan.pilot_of_device, slice(None), slice(None)),
+              contrib.swapaxes(-4, -3))
     return xi
 
 
@@ -150,21 +144,10 @@ def _pilot_scale(plan):
     return np.sqrt(plan.pilot_power * plan.tau_p)
 
 
-def mmse_estimate(y_kl, plan, correlations, k, rx, noise_power):
-    """MMSE estimate of device k's channel at one receiver.
-
-    ``y_kl`` is the despread observation for device k's pilot at that
-    receiver.  Returns the estimate, its covariance, and the error
-    covariance; the linear system is solved, never inverted.
-    """
-    correlations = np.asarray(correlations)
-    r_kl = correlations[k, rx]
-    xi = _despread_covariances(plan, correlations[:, rx:rx + 1],
-                               noise_power)[0, plan.pilot_of_device[k]]
-    scale = _pilot_scale(plan)[k]
-    h_hat = scale * (r_kl @ np.linalg.solve(xi, y_kl))
-    est_cov, err_cov = _link_covariances(r_kl, xi, np.square(scale))
-    return ChannelEstimate(h_hat=h_hat, estimate_cov=est_cov, error_cov=err_cov)
+def _by_device(per_pilot, plan):
+    """(..., R, tau_p, a, b) entries of every pilot, gathered (..., K, R, a, b)
+    for every device's pilot."""
+    return per_pilot[..., plan.pilot_of_device, :, :].swapaxes(-4, -3)
 
 
 def mmse_statistics(plan, correlations, noise_power):
@@ -177,7 +160,7 @@ def mmse_statistics(plan, correlations, noise_power):
     correlations = np.asarray(correlations)
     despread = _despread_covariances(plan, correlations, noise_power)
     est_cov, err_cov = _link_covariances(
-        correlations, despread[:, plan.pilot_of_device].swapaxes(0, 1),
+        correlations, _by_device(despread, plan),
         np.square(_pilot_scale(plan))[:, None, None, None])
     for arr in (despread, est_cov, err_cov):
         arr.flags.writeable = False
@@ -187,7 +170,7 @@ def mmse_statistics(plan, correlations, noise_power):
 
 
 def estimate_all(y_pilot, statistics):
-    """MMSE estimates for every (device, receiver) pair of one block.
+    """MMSE estimates for every (device, receiver) pair of one coherence block.
 
     Solves every (receiver, pilot) observation against its despread
     covariance in one batch and applies each sharer's correlation in one
@@ -195,9 +178,8 @@ def estimate_all(y_pilot, statistics):
     """
     plan = statistics.plan
     solved = np.linalg.solve(statistics.despread_cov,
-                             np.swapaxes(y_pilot, 0, 1)[..., None])
-    h_hat = (statistics.correlations
-             @ solved[:, plan.pilot_of_device].swapaxes(0, 1))[..., 0]
+                             np.swapaxes(y_pilot, -3, -2)[..., None])
+    h_hat = (statistics.correlations @ _by_device(solved, plan))[..., 0]
     h_hat *= _pilot_scale(plan)[:, None, None]
     return ChannelEstimateSet(h_hat=h_hat, estimate_cov=statistics.estimate_cov,
                               error_cov=statistics.error_cov)

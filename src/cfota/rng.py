@@ -4,7 +4,9 @@ Every random draw in the package flows through a generator obtained from
 :func:`substream`, keyed by a master seed plus context tags (seed index,
 round number, purpose string, entity id).  Each tag tuple maps to an
 independent counter-based Philox stream, so work items can run in any
-order, or in parallel, without changing results.
+order, or in parallel, without changing results.  A block of seeds draws
+through :class:`SeedStreams`, one generator per seed, so each seed's
+stream sees the same draws as when the seed runs alone.
 """
 
 import hashlib
@@ -31,6 +33,29 @@ def substream(*tags):
             raise TypeError(f"stream tags must be ints or strings, got {tag!r}")
     key = np.frombuffer(h.digest()[:16], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class SeedStreams:
+    """The generators of a block of seeds, drawing as one.
+
+    A draw of shape (S, *shape) takes its entry s from generator s with
+    shape ``shape``, so every seed's stream yields the numbers, in the order
+    and shapes, that it yields when the seed is drawn alone.
+    """
+
+    def __init__(self, generators):
+        self.generators = tuple(generators)
+
+    def standard_normal(self, shape):
+        if shape[0] != len(self.generators):
+            raise ValueError(f"draw of shape {tuple(shape)} from a block of "
+                             f"{len(self.generators)} seeds")
+        return np.stack([g.standard_normal(shape[1:]) for g in self.generators])
+
+
+def substreams(seed_tags, *tags):
+    """SeedStreams of ``substream(*tags_s, *tags)`` for each seed's tags."""
+    return SeedStreams(substream(*tags_s, *tags) for tags_s in seed_tags)
 
 
 def _flatten(tags):

@@ -7,7 +7,8 @@ purpose), so results are identical across runs and across thread counts.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 import csv
 import gzip
 import os
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import accounting, aggregation, estimation, fl_engine
 from .channel import LargeScaleParams, correlation_matrices, sample_channels
-from .rng import substream
+from .rng import substream, substreams
 from .topology import (Area, DistributionMode, NetworkGeometry, grid_points,
                        place_aps_grid, place_devices)
 
@@ -426,6 +427,8 @@ class SystemStatistics:
 
     ``ap`` covers the (K, L) device-AP links; ``bs`` the (K, G) links to
     the serving BSs, present exactly when an architecture needs that view.
+    A block of seeds has a leading seed axis on the device positions and
+    on every array of the views.
     """
 
     geometry: NetworkGeometry
@@ -502,18 +505,28 @@ def _draw_view(mmse, rng_fading, rng_pilot):
                         estimate_cov=est.estimate_cov, error_cov=est.error_cov)
 
 
-def draw_round(stats, seed_tags):
-    """Sample one coherence block and estimate it, from purpose-keyed streams.
-
-    The serving-BS view is drawn exactly when the statistics include it.
-    """
-    ap = _draw_view(stats.ap, substream(*seed_tags, "fading"),
-                    substream(*seed_tags, "pilot-noise"))
+def _draw(stats, streams):
+    """Sample one coherence block and estimate it; ``streams(purpose)`` is
+    the generator of each purpose.  The serving-BS view is drawn exactly
+    when the statistics include it."""
+    ap = _draw_view(stats.ap, streams("fading"), streams("pilot-noise"))
     bs = None
     if stats.bs is not None:
-        bs = _draw_view(stats.bs, substream(*seed_tags, "fading-bs"),
-                        substream(*seed_tags, "pilot-noise-bs"))
+        bs = _draw_view(stats.bs, streams("fading-bs"), streams("pilot-noise-bs"))
     return RoundState(ap=ap, bs=bs)
+
+
+def draw_round(stats, seed_tags):
+    """Sample one seed's coherence block and estimate it, from streams keyed
+    on ``seed_tags`` and the purpose."""
+    return _draw(stats, partial(substream, *seed_tags))
+
+
+def _seed_state(state, i):
+    """Seed i of a seed block's round state, as views."""
+    return RoundState(*(None if view is None else ChannelState(
+        *(getattr(view, f.name)[i] for f in fields(ChannelState)))
+        for view in (state.ap, state.bs)))
 
 
 def level3_problem(stats, round_state, weights):
@@ -652,11 +665,13 @@ def _initial_model(cfg, seed, group):
     return model.init_params(rng)
 
 
-def _level1_mses(problem, sol, channels):
-    """Per-group MSEs of a level-1 solution on the round's true channels."""
-    proj = aggregation.channel_projections(sol.combiners, channels)
-    return tuple(aggregation.mse_level1(problem, sol.b, sol.combiners, proj, g)
-                 for g in range(problem.n_groups))
+def _level1_mses(problems, solved, channels):
+    """Per-group MSEs (S, P, G) of the level-1 solutions solved[s][p] on
+    each problem's true channels (S, K, L, N)."""
+    b, v = (np.array([[getattr(sol, name) for sol in row] for row in solved])
+            for name in ("b", "combiners"))
+    proj = aggregation.channel_projections(v, channels[:, None])
+    return aggregation.level1_mses(problems, b, v, proj)
 
 
 def _channel_problem(kind, stats, round_state, weights):
@@ -665,24 +680,32 @@ def _channel_problem(kind, stats, round_state, weights):
     return build(stats, round_state, weights)
 
 
-def _sweep_seed(cfg, seed, kinds, powers):
-    """A seed's weights, level-1 traces and the problems of its other kinds.
+def _sweep_block(cfg, seeds, kinds, powers):
+    """A seed block's weights, level-1 traces and the problems of its other
+    kinds.
 
-    Only these outlive the call: the seed's statistics and channel draw do
-    not, so a block of seeds holds little more than its estimates.
+    Each seed draws from its own streams, in the order and shapes it would
+    alone; the statistics, the channel draw, the estimates and the level-1
+    solve and scores run once over the block's seed axis.  Only the
+    estimates and error blocks outlive the call.
     """
-    geometry = build_geometry(cfg, substream(cfg.master_seed, seed, "geometry"))
-    stats = build_statistics(cfg, geometry,
-                             substream(cfg.master_seed, seed, "shadowing"))
-    round_state = draw_round(stats, (cfg.master_seed, seed, "round", 0))
-    nu, theta_bar = _initial_round_stats(cfg, seed)
-    weights = make_weights(cfg, geometry.group_of_device, nu, theta_bar)
-    traces = {None: np.zeros((len(powers), 1, cfg.n_groups))}
+    tags = [(cfg.master_seed, seed) for seed in seeds]
+    geometries = [build_geometry(cfg, substream(*t, "geometry")) for t in tags]
+    geometry = replace(geometries[0], device_positions=np.stack(
+        [g.device_positions for g in geometries]))
+    stats = build_statistics(cfg, geometry, substreams(tags, "shadowing"))
+    state = _draw(stats, partial(substreams, [t + ("round", 0) for t in tags]))
+    weights = [make_weights(cfg, geometry.group_of_device, *_initial_round_stats(cfg, seed))
+               for seed in seeds]
+    per_seed = [_seed_state(state, i) for i in range(len(seeds))]
+    # traces[kind][s][i]: per-group MSEs of seed s at grid point i, first at
+    # full power (tco=0), last after the solve (tco=1).
+    traces = {None: np.zeros((len(seeds), len(powers), 1, cfg.n_groups))}
     if "level1" in kinds:
-        problem = level1_problem(stats, round_state, weights)
-        traces["level1"] = [[_level1_mses(problem, sol, round_state.ap.h)]
-                            for sol in aggregation.level1_batch(problem, powers)]
-    problems = {kind: _channel_problem(kind, stats, round_state, weights)
+        level1 = [level1_problem(stats, st, w) for st, w in zip(per_seed, weights)]
+        traces["level1"] = _level1_mses(
+            level1, aggregation.level1_batch(level1, powers), state.ap.h)[:, :, None]
+    problems = {kind: [_channel_problem(kind, stats, st, w) for st, w in zip(per_seed, weights)]
                 for kind in ("level3", "cellular") if kind in kinds}
     return weights, traces, problems
 
@@ -691,26 +714,22 @@ def _sweep_seeds(cfg, seeds):
     archs = [ARCHITECTURES[name] for name in cfg.architectures]
     kinds = {arch.solver for arch in archs}
     powers = np.stack([np.full(cfg.n_devices, dbm_to_watt(p)) for p in cfg.sweep_dbm])
-    prepared = [_sweep_seed(cfg, seed, kinds, powers) for seed in seeds]
-    # traces[kind][i]: per-group MSEs at grid point i, first at full power
-    # (tco=0), last after the solve (tco=1).  Each kind solves every seed's
-    # whole grid in one batch; level 2 takes the level-3 trace.
-    for kind in ("level3", "cellular"):
-        if kind in kinds:
-            solved = aggregation.optimize_batch(
-                [problems[kind] for _, _, problems in prepared], powers,
-                eps=cfg.epsilon, max_iters=cfg.max_iters)
-            for (_, traces, _), solutions in zip(prepared, solved):
-                traces[kind] = [sol.history.group_values for sol in solutions]
+    weights, traces, problems = _sweep_block(cfg, seeds, kinds, powers)
+    # Each kind solves every seed's whole grid in one batch; level 2 takes
+    # the level-3 trace.
+    for kind, batch in problems.items():
+        solved = aggregation.optimize_batch(batch, powers, eps=cfg.epsilon,
+                                            max_iters=cfg.max_iters)
+        traces[kind] = [[sol.history.group_values for sol in row] for row in solved]
     rows = []
-    for seed, (weights, traces, _) in zip(seeds, prepared):
+    for i, (seed, w) in enumerate(zip(seeds, weights)):
         for arch in archs:
             fh = _fronthaul_counts(cfg, arch)
-            for p_dbm, trace in zip(cfg.sweep_dbm, traces[arch.solver]):
+            for p_dbm, trace in zip(cfg.sweep_dbm, traces[arch.solver][i]):
                 for tco in range(1 + arch.tco):
                     mses = tuple(float(m) for m in trace[-1 if tco else 0])
                     rows.append(ResultRow(arch.name, tco, seed, float(p_dbm),
-                                          float(np.dot(weights.omega, mses)), mses,
+                                          float(np.dot(w.omega, mses)), mses,
                                           (), fh))
     return rows
 
@@ -811,7 +830,8 @@ def _round_link(cfg, arch, stats, round_state, weights):
     if arch.solver == "level1":
         problem = level1_problem(stats, round_state, weights)
         sol = aggregation.level1_solution(problem)
-        mses = _level1_mses(problem, sol, round_state.ap.h)
+        mses = tuple(float(m) for m in
+                     _level1_mses([problem], [[sol]], round_state.ap.h[None])[0, 0])
     else:
         # The one-problem entry points, which bench/spans.py counts as solves.
         optimize = (aggregation.alternating_optimize if arch.solver == "level3"

@@ -53,7 +53,7 @@ class NetworkGeometry:
     area: Area
     ap_positions: np.ndarray      # (L, 2)
     bs_positions: np.ndarray      # (cells, 2)
-    device_positions: np.ndarray  # (K, 2)
+    device_positions: np.ndarray  # (K, 2), or (S, K, 2) for a block of S seeds
     group_of_device: np.ndarray   # (K,) int
     cells: int
 
@@ -70,7 +70,7 @@ class NetworkGeometry:
 
     @property
     def n_devices(self):
-        return len(self.device_positions)
+        return len(self.group_of_device)
 
     @property
     def n_groups(self):
@@ -155,11 +155,6 @@ def wrap_displacement(a, b, area):
     return np.take_along_axis(diffs, nearest[..., None, None], axis=-2)[..., 0, :]
 
 
-def wrap_distance(a, b, area):
-    """Minimum distance between a and b over the 9 translated copies of b."""
-    return float(np.linalg.norm(wrap_displacement(a, b, area)))
-
-
 def wrap_bearing(a, b, area):
     """Angle (radians, from the +x axis) of the shortest path from a to b.
 
@@ -170,7 +165,8 @@ def wrap_bearing(a, b, area):
 
 
 def wrap_distances(points_a, points_b, area):
-    """Pairwise wrap distances, shape (len(points_a), len(points_b))."""
-    pa = np.asarray(points_a)[:, None, None, :]
-    pb = np.asarray(points_b)[None, :, None, :] + (_SHIFTS * area.side_m)[None, None, :, :]
+    """Pairwise wrap distances of (..., A, 2) and (..., B, 2) points, whose
+    leading axes broadcast together; shape (..., A, B)."""
+    pa = np.asarray(points_a)[..., :, None, None, :]
+    pb = np.asarray(points_b)[..., None, :, None, :] + _SHIFTS * area.side_m
     return np.sqrt(((pb - pa) ** 2).sum(-1)).min(-1)

@@ -6,14 +6,15 @@ uncertainty around the estimates) and never reuse the closed-form code
 paths they are checking.
 """
 
+from collections import namedtuple
+
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
-from cfota import aggregation, runner
-from cfota.channel import (local_scattering_R, pathloss_db, sample_shadowing,
-                           shadow_covariance, sqrt_psd)
+from cfota import aggregation, estimation, runner
+from cfota.channel import local_scattering_R, pathloss_db, shadow_covariance
 from cfota.rng import substream
-from cfota.topology import wrap_bearing, wrap_distances
+from cfota.topology import wrap_bearing, wrap_displacement, wrap_distances
 
 
 def cn_noise(shape, power, rng):
@@ -174,12 +175,32 @@ def matrix_observation_oracle(channels, plan, noise_power, rng):
     return out
 
 
+def wrap_distance(a, b, area):
+    """Minimum distance between a and b over the 9 translated copies of b."""
+    return float(np.linalg.norm(wrap_displacement(a, b, area)))
+
+
 def brute_force_wrap_distance(a, b, side):
     best = np.inf
     for dx in (-side, 0.0, side):
         for dy in (-side, 0.0, side):
             best = min(best, float(np.hypot(b[0] + dx - a[0], b[1] + dy - a[1])))
     return best
+
+
+def sqrt_psd(mat):
+    """Hermitian square root with negative eigenvalues clamped to zero."""
+    w, v = np.linalg.eigh(mat)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def sample_shadowing(cov, rng):
+    """Zero-mean jointly Gaussian shadow terms (dB) with the given covariance.
+
+    Uses the root ``V sqrt(max(w, 0))`` of ``cov = V diag(w) V^T``.
+    """
+    w, v = np.linalg.eigh(cov)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ rng.standard_normal(cov.shape[0])
 
 
 def correlation_matrices_per_link(device_positions, rx_positions, n_antennas,
@@ -202,6 +223,32 @@ def correlation_matrices_per_link(device_positions, rx_positions, n_antennas,
             out[k, r] = local_scattering_R(
                 n_antennas, angle, asd, 10.0 ** (beta_db / 10.0)).matrix
     return out
+
+
+def codevices(plan, k):
+    """All devices sharing device k's pilot (including k itself)."""
+    return plan.devices_on_pilot(plan.pilot_of_device[k])
+
+
+LinkEstimate = namedtuple("LinkEstimate", "h_hat estimate_cov error_cov")
+
+
+def mmse_estimate(y_kl, plan, correlations, k, rx, noise_power):
+    """MMSE estimate of device k's channel at one receiver, from the
+    package's own despread covariance and link covariances.
+
+    ``y_kl`` is the despread observation for device k's pilot at that
+    receiver.  Returns the estimate, its covariance, and the error
+    covariance; the linear system is solved, never inverted.
+    """
+    correlations = np.asarray(correlations)
+    r_kl = correlations[k, rx]
+    xi = estimation._despread_covariances(plan, correlations[:, rx:rx + 1],
+                                          noise_power)[0, plan.pilot_of_device[k]]
+    scale = estimation._pilot_scale(plan)[k]
+    h_hat = scale * (r_kl @ np.linalg.solve(xi, y_kl))
+    est_cov, err_cov = estimation._link_covariances(r_kl, xi, np.square(scale))
+    return LinkEstimate(h_hat, est_cov, err_cov)
 
 
 def mmse_estimate_cholesky(y_kl, plan, correlations, k, rx, noise_power):

@@ -15,7 +15,7 @@ from cfota.rng import substream
 
 from oracles import (dense_cpu_view, desk_config, draw_instance,
                      mc_mse_cellular, mc_mse_level1, mc_mse_level3,
-                     weighted_sum_mse_level1)
+                     mmse_estimate, weighted_sum_mse_level1)
 
 N_SOUNDNESS_INSTANCES = 50
 
@@ -315,7 +315,6 @@ def test_criterion_10_estimation_and_gradient_statistics():
 
     # empirical covariance of the estimate over 1e5 pipeline-law draws
     from cfota.channel import sample_channels
-    from cfota.estimation import mmse_estimate
     cfg = inst["cfg"]
     plan = inst["stats"].ap.plan
     corr = state.correlations

@@ -599,7 +599,11 @@ def solve_batch(problem, powers):
     return agg.optimize_batch([problem], powers)[0]
 
 
-SOLVERS = (("level1", agg.level1_solution, agg.level1_batch),
+def level1_batch(problem, powers):
+    return agg.level1_batch([problem], powers)[0]
+
+
+SOLVERS = (("level1", agg.level1_solution, level1_batch),
            ("level3", agg.alternating_optimize, solve_batch),
            ("cellular", agg.cellular_optimize, solve_batch))
 
@@ -698,7 +702,7 @@ def test_level1_batch_equals_single_solutions(seed, n_dev, n_aps, n_ant,
                                               n_groups, power_db):
     problem = random_level1_problem(seed, n_dev, n_aps, n_ant, n_groups)
     powers = power_rows(power_db, n_dev)
-    batch = agg.level1_batch(problem, powers)
+    batch = agg.level1_batch([problem], powers)[0]
     assert len(batch) == len(powers)
     for power, sol in zip(powers, batch):
         one = agg.level1_solution(replace(problem, power_limit=power))
@@ -706,6 +710,40 @@ def test_level1_batch_equals_single_solutions(seed, n_dev, n_aps, n_ant,
         assert np.array_equal(sol.combiners, one.combiners)
         assert np.array_equal(sol.mu, one.mu)
         assert sol.history.iterations == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_problems=st.integers(1, 4), **level1_shapes)
+def test_level1_seed_batch_equals_single_solutions(n_problems, seed, n_dev, n_aps,
+                                                   n_ant, n_groups, power_db):
+    # problems that differ in estimates, error blocks, gamma and nu: every
+    # (problem, power) row's solution and level-1 MSEs on true channels
+    # equal those of its own one-problem solve, bit for bit
+    def draw(i):
+        return random_level1_problem((seed + i) % 2**32, n_dev, n_aps, n_ant, n_groups)
+
+    first = draw(0)
+    problems = [first] + [
+        replace(other, noise_power=first.noise_power,
+                weights=replace(other.weights, omega=first.weights.omega))
+        for other in map(draw, range(1, n_problems))]
+    channels = np.stack([draw(-1 - i).h_hat for i in range(n_problems)])
+    powers = power_rows(power_db, n_dev)
+    batch = agg.level1_batch(problems, powers)
+    b = np.array([[sol.b for sol in row] for row in batch])
+    v = np.array([[sol.combiners for sol in row] for row in batch])
+    mses = agg.level1_mses(problems, b, v,
+                           agg.channel_projections(v, channels[:, None]))
+    assert mses.shape == (n_problems, len(powers), n_groups)
+    for s, (problem, row) in enumerate(zip(problems, batch)):
+        for i, (power, sol) in enumerate(zip(powers, row)):
+            one = agg.level1_solution(replace(problem, power_limit=power))
+            assert np.array_equal(sol.b, one.b)
+            assert np.array_equal(sol.combiners, one.combiners)
+            proj = agg.channel_projections(one.combiners, channels[s])
+            for g in range(n_groups):
+                assert mses[s, i, g] == agg.mse_level1(problem, one.b, one.combiners,
+                                                       proj, g)
 
 
 # ---------------------------------------------------------------------------

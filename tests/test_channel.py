@@ -5,12 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from cfota.channel import (LargeScaleParams, local_scattering_R, pathloss_db,
-                           sample_channels, sample_shadowing,
-                           shadow_covariance, sqrt_psd, correlation_matrices)
+                           sample_channels, shadow_covariance,
+                           correlation_matrices)
 from cfota.rng import substream
 from cfota.topology import Area
 
-from oracles import correlation_matrices_per_link
+from oracles import (correlation_matrices_per_link, sample_shadowing,
+                     sqrt_psd)
 
 PARAMS = LargeScaleParams()
 AREA = Area(500.0)
@@ -183,7 +184,7 @@ def test_correlation_matrices_traces_match_pathloss_scale():
             beta = np.trace(mat).real / 2
             assert beta > 0
             # plausibly within shadowing range of the pure path loss
-            from cfota.topology import wrap_distance
+            from oracles import wrap_distance
             base = pathloss_db(wrap_distance(devices[k], aps[r], AREA), PARAMS)
             assert abs(10 * np.log10(beta) - base) < 6 * PARAMS.shadow_std_db
 

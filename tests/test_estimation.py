@@ -7,28 +7,30 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from cfota.channel import local_scattering_R, sample_channels
+from cfota.channel import (LargeScaleParams, correlation_matrices,
+                           local_scattering_R, sample_channels)
 from cfota.estimation import (PilotShortage, assign_pilots, estimate_all,
-                              mmse_estimate, mmse_statistics,
-                              pilot_observation)
-from cfota.rng import substream
+                              mmse_statistics, pilot_observation)
+from cfota.rng import substream, substreams
+from cfota.topology import Area
 
-from oracles import matrix_observation_oracle, mmse_estimate_cholesky
+from oracles import (codevices, matrix_observation_oracle, mmse_estimate,
+                     mmse_estimate_cholesky)
 
 
 def test_assign_pilots_single_group_orthogonal():
     plan = assign_pilots([0, 0, 0, 0], tau_p=4, pilot_power=0.1)
     np.testing.assert_array_equal(plan.pilot_of_device, [0, 1, 2, 3])
     for k in range(4):
-        np.testing.assert_array_equal(plan.codevices(k), [k])
+        np.testing.assert_array_equal(codevices(plan, k), [k])
 
 
 def test_assign_pilots_two_groups_share_pilots():
     plan = assign_pilots([0, 0, 0, 1, 1, 1], tau_p=3, pilot_power=0.1)
     np.testing.assert_array_equal(plan.pilot_of_device, [0, 1, 2, 0, 1, 2])
-    np.testing.assert_array_equal(plan.codevices(0), [0, 3])
-    np.testing.assert_array_equal(plan.codevices(4), [1, 4])
-    np.testing.assert_array_equal(plan.codevices(5), [2, 5])
+    np.testing.assert_array_equal(codevices(plan, 0), [0, 3])
+    np.testing.assert_array_equal(codevices(plan, 4), [1, 4])
+    np.testing.assert_array_equal(codevices(plan, 5), [2, 5])
 
 
 def test_assign_pilots_shortage():
@@ -139,7 +141,7 @@ def test_estimate_statistics_match_covariances():
     n = 100_000
     k, r = 0, 0
     amp = np.sqrt(plan.pilot_power * plan.tau_p)
-    sharers = plan.codevices(k)
+    sharers = codevices(plan, k)
     h = sample_channels(np.broadcast_to(corr[:, r], (n, 2, 2, 2)),
                         substream(1, "h"))        # (n, K, N)
     rng_n = substream(1, "n")
@@ -222,6 +224,42 @@ def test_batched_estimates_match_cholesky_reference(seed, tau_p, n_groups,
             assert np.linalg.norm(batch.error_cov[k, r] - err_cov) <= tol
             assert np.linalg.norm(batch.h_hat[k, r] - h_hat) <= tol * max(
                 1.0, np.linalg.norm(y[plan.pilot_of_device[k], r]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_seeds=st.integers(1, 4),
+       tau_p=st.integers(1, 4), n_groups=st.integers(1, 3),
+       n_rx=st.integers(1, 6), n_ant=st.integers(1, 4))
+def test_seed_block_equals_each_seed_alone(seed, n_seeds, tau_p, n_groups,
+                                           n_rx, n_ant):
+    # correlations, statistics, channels, observations and estimates of a
+    # block of seeds, each seed drawing from its own streams, equal what
+    # each seed's own calls give, bit for bit
+    area, params, asd, noise = Area(500.0), LargeScaleParams(), 0.2, 1e-3
+    n_dev = tau_p * n_groups
+    plan = assign_pilots(np.repeat(np.arange(n_groups), tau_p), tau_p, 0.8)
+    devices = np.stack([substream(seed, s, "geom").random((n_dev, 2)) * 500.0
+                        for s in range(n_seeds)])
+    rxs = substream(seed, "rx").random((n_rx, 2)) * 500.0
+    tags = [(seed, s) for s in range(n_seeds)]
+    corr = correlation_matrices(devices, rxs, n_ant, area, params, asd,
+                                substreams(tags, "shadow"))
+    stats = mmse_statistics(plan, corr, noise)
+    h = sample_channels(corr, substreams(tags, "h"))
+    y = pilot_observation(h, plan, noise, substreams(tags, "n"))
+    est = estimate_all(y, stats)
+    for s in range(n_seeds):
+        corr_s = correlation_matrices(devices[s], rxs, n_ant, area, params, asd,
+                                      substream(seed, s, "shadow"))
+        stats_s = mmse_statistics(plan, corr_s, noise)
+        h_s = sample_channels(corr_s, substream(seed, s, "h"))
+        y_s = pilot_observation(h_s, plan, noise, substream(seed, s, "n"))
+        est_s = estimate_all(y_s, stats_s)
+        for block, alone in ((corr, corr_s), (stats.despread_cov, stats_s.despread_cov),
+                             (h, h_s), (y, y_s), (est.h_hat, est_s.h_hat),
+                             (est.estimate_cov, est_s.estimate_cov),
+                             (est.error_cov, est_s.error_cov)):
+            assert np.array_equal(block[s], alone)
 
 
 def test_import_loads_no_scipy():

@@ -5,7 +5,7 @@ from cfota import aggregation as agg
 from cfota import fl_engine as fl
 from cfota.rng import substream
 
-from oracles import draw_instance
+from oracles import draw_instance, sqrt_psd
 
 
 def test_normalize_hand_example():
@@ -231,7 +231,6 @@ def test_ota_round_realized_error_matches_closed_form():
     theta_bar = problem.weights.theta_bar
     sol = agg.alternating_optimize(problem, max_iters=50)
 
-    from cfota.channel import sqrt_psd
     roots = np.stack([sqrt_psd(inst["state"].ap.error_cov[k, l])
                       for k in range(cfg.n_devices)
                       for l in range(cfg.n_aps)]).reshape(

@@ -289,21 +289,67 @@ def test_sweep_level3_non_increasing_in_power_per_seed():
         assert vals == sorted(vals, reverse=True)
 
 
-def test_sweep_solves_level1_grid_in_one_batch_per_seed(monkeypatch):
+def test_sweep_solves_level1_grid_in_one_batch_per_block(monkeypatch):
     cfg = desk_config(seeds=2, architectures=("level1",),
                       sweep_dbm=(-10.0, 10.0, 30.0))
     rows = runner.run_mse_sweep(cfg)
     batches = []
     level1_batch = runner.aggregation.level1_batch
 
-    def counting(problem, power_limits):
-        batches.append(len(power_limits))
-        return level1_batch(problem, power_limits)
+    def counting(problems, power_limits):
+        batches.append((len(problems), len(power_limits)))
+        return level1_batch(problems, power_limits)
 
     monkeypatch.setattr(runner.aggregation, "level1_batch", counting)
     monkeypatch.setattr(runner.aggregation, "level1_solution", None)
     assert runner.run_mse_sweep(cfg) == rows
-    assert batches == [len(cfg.sweep_dbm)] * cfg.seeds
+    assert batches == [(cfg.seeds, len(cfg.sweep_dbm))]
+
+
+def assert_problems_equal(got, want):
+    assert type(got) is type(want)
+    for name in ("h_hat", "error_cov", "group_of_device", "power_limit"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.noise_power == want.noise_power
+    for name in ("gamma", "omega", "nu", "theta_bar"):
+        assert np.array_equal(getattr(got.weights, name), getattr(want.weights, name))
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2, 5])
+@pytest.mark.parametrize("mode", [1, 2])
+@pytest.mark.parametrize("archs", [("level1", "level3"),
+                                   ("level1", "level2", "level3", "cellular")])
+def test_sweep_block_equals_seeds_built_one_by_one(n_seeds, mode, archs):
+    # the block pass draws each seed from its own streams and runs the rest
+    # over the seed axis; its estimates, error blocks, weights and level-1
+    # traces equal, bit for bit, what the one-seed functions build
+    cfg = desk_config(seeds=n_seeds + 1, distribution_mode=mode,
+                      architectures=archs, master_seed=3)
+    kinds = {runner.ARCHITECTURES[arch].solver for arch in archs}
+    powers = np.stack([np.full(cfg.n_devices, runner.dbm_to_watt(p))
+                       for p in cfg.sweep_dbm])
+    seeds = range(1, n_seeds + 1)
+    weights, traces, problems = runner._sweep_block(cfg, seeds, kinds, powers)
+    assert sorted(problems) == sorted(kinds - {"level1"})
+    for i, seed in enumerate(seeds):
+        geometry = runner.build_geometry(cfg, substream(3, seed, "geometry"))
+        stats = runner.build_statistics(cfg, geometry, substream(3, seed, "shadowing"))
+        state = runner.draw_round(stats, (3, seed, "round", 0))
+        w = runner.make_weights(cfg, geometry.group_of_device,
+                                *runner._initial_round_stats(cfg, seed))
+        for name in ("gamma", "omega", "nu", "theta_bar"):
+            assert np.array_equal(getattr(weights[i], name), getattr(w, name))
+        for kind, build in (("level3", runner.level3_problem),
+                            ("cellular", runner.cellular_problem)):
+            if kind in kinds:
+                assert_problems_equal(problems[kind][i], build(stats, state, w))
+        problem = runner.level1_problem(stats, state, w)
+        solutions = runner.aggregation.level1_batch([problem], powers)[0]
+        for j, sol in enumerate(solutions):
+            proj = runner.aggregation.channel_projections(sol.combiners, state.ap.h)
+            alone = [runner.aggregation.mse_level1(problem, sol.b, sol.combiners, proj, g)
+                     for g in range(cfg.n_groups)]
+            assert np.array_equal(traces["level1"][i][j][-1], alone)
 
 
 def test_sweep_threads_do_not_change_results():
@@ -612,8 +658,9 @@ def test_cli_dbm_overflow_is_named_error(tmp_path, capsys, command, option,
     cfgfile = tmp_path / "scenario.cfg"
     cfgfile.write_text("architectures = level3\nseeds = 1\nrounds = 1\n")
     out = tmp_path / "rows.csv"
-    assert cli_main([command, "-c", str(cfgfile), "--out", str(out),
-                     option]) == 1
+    # validate-config writes no CSV and takes no --out
+    writes = [] if command == "validate-config" else ["--out", str(out)]
+    assert cli_main([command, "-c", str(cfgfile), *writes, option]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ValidationError") and key in err
     assert not out.exists()
@@ -642,6 +689,24 @@ def test_cli_rounds_per_block_below_one_is_named_error(tmp_path, capsys, rounds)
     captured = capsys.readouterr()
     assert captured.err == f"ValidationError: --rounds-per-block={rounds} must be >= 1\n"
     assert "cheaper" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["fronthaul", "validate-config"])
+@pytest.mark.parametrize("option", [("--seed", "4"), ("--out", "fh.csv"),
+                                    ("--threads", "9")])
+def test_cli_run_options_are_usage_errors_elsewhere(tmp_path, capsys, command,
+                                                    option):
+    # only mse-sweep and train run seeds into a CSV
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text("tau_p = 10\n")
+    flag, value = option
+    if flag == "--out":
+        value = str(tmp_path / value)
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "-c", str(cfgfile), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "fh.csv").exists()
 
 
 def test_cli_fronthaul(tmp_path, capsys):

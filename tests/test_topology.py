@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from cfota.rng import substream
 from cfota.topology import (Area, DistributionMode, NotPerfectSquare,
                             TooManyGroups, place_aps_grid, place_devices,
-                            wrap_distance, wrap_distances, wrap_displacement)
+                            wrap_distances, wrap_displacement)
 
-from oracles import brute_force_wrap_distance
+from oracles import brute_force_wrap_distance, wrap_distance
 
 AREA = Area(500.0)
 
