@@ -452,29 +452,20 @@ def optimize_batch(problems, power_limits, eps=1e-10, max_iters=500):
     estimates, error blocks and weights: one channel draw each.  Row i of
     ``power_limits`` (P, K) replaces each problem's power_limit.  Every
     (problem, row) pair iterates from full power with its own stopping
-    test, and its result equals that of ``alternating_optimize``
-    (``cellular_optimize``) on the single problem.  Returns, per problem,
-    one AggregationSolution per row.
+    test, and its result equals that of ``alternating_optimize`` on the
+    single problem.  Returns, per problem, one AggregationSolution per row.
     """
     _check_batch(problems)
     return _solve(problems, power_limits, eps, max_iters)
 
 
-def _solve_one(problem, eps, max_iters, b_init):
-    return _solve([problem], problem.power_limit[None], eps, max_iters, b_init)[0][0]
-
-
 def alternating_optimize(problem, eps=1e-10, max_iters=500, b_init=None):
-    """Jointly tune level-3 combiners and transmit coefficients.
+    """Jointly tune the combiners and transmit coefficients of one level-3
+    or cellular problem.
 
     Coefficients start at full power ``sqrt(P_k)`` unless b_init is given.
     """
-    return _solve_one(problem, eps, max_iters, b_init)
-
-
-def cellular_optimize(problem, eps=1e-10, max_iters=500, b_init=None):
-    """Alternating combiner/coefficient optimization for the cellular system."""
-    return _solve_one(problem, eps, max_iters, b_init)
+    return _solve([problem], problem.power_limit[None], eps, max_iters, b_init)[0][0]
 
 
 def combiners_level3(problem, b):
@@ -532,9 +523,6 @@ def mse_level3(problem, b, v, g):
     proj, quad = stack.forms(combiners)
     b = np.asarray(b, dtype=complex)[None, None]
     return float(stack.group_mses(b, combiners, proj, quad)[0, 0, g])
-
-
-mse_cellular = mse_level3
 
 
 # ---------------------------------------------------------------------------

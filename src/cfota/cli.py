@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from . import accounting, runner
+from . import accounting, fl_engine, runner
 
 
 def _add_config(parser):
@@ -100,8 +100,8 @@ def main(argv=None):
               f"{pick.name}")
         return 0
     except (runner.ParseError, runner.ValidationError, runner.BadMagic,
-            runner.TruncatedFile, runner.LabelOutOfRange, runner.IoError,
-            FileNotFoundError) as exc:
+            runner.TruncatedFile, runner.LabelOutOfRange, runner.CountMismatch,
+            fl_engine.ShapeMismatch, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -79,6 +79,10 @@ class LabelOutOfRange(ValueError):
     """A dataset label falls outside the declared class range."""
 
 
+class CountMismatch(ValueError):
+    """An IDX image file and its label file hold different sample counts."""
+
+
 class IoError(OSError):
     """Failed to write result output."""
 
@@ -376,7 +380,8 @@ def load_idx_dataset(images_path, labels_path, label_filter=None, n_classes=None
         raw = _read_exact(fh, n_labels, labels_path)
     labels = np.frombuffer(raw, dtype=np.uint8).astype(int)
     if n_labels != n_images:
-        raise ValueError(f"{n_images} images but {n_labels} labels")
+        raise CountMismatch(f"{images_path}: {n_images} images but "
+                            f"{labels_path}: {n_labels} labels")
 
     if label_filter is not None:
         wanted = sorted(set(int(v) for v in label_filter))
@@ -522,6 +527,13 @@ def draw_round(stats, seed_tags):
     return _draw(stats, partial(substream, *seed_tags))
 
 
+def draw_block(stats, round_tags):
+    """Sample and estimate one coherence block of every seed of a block's
+    statistics, seed s from streams keyed on ``round_tags[s]`` and the
+    purpose; each seed's draw equals its ``draw_round``."""
+    return _draw(stats, partial(substreams, round_tags))
+
+
 def _seed_state(state, i):
     """Seed i of a seed block's round state, as views."""
     return RoundState(*(None if view is None else ChannelState(
@@ -637,6 +649,52 @@ def _fronthaul_counts(cfg, arch):
 
 
 # ---------------------------------------------------------------------------
+# Seed blocks: the preparation, draw and solve that both verbs share
+# ---------------------------------------------------------------------------
+
+def _prepare_block(cfg, seeds):
+    """Seed tags and channel statistics of a block of seeds.
+
+    Each seed draws its geometry and shadowing from its own streams, in the
+    order and shapes it would alone; the statistics run once over the
+    block's seed axis.
+    """
+    tags = [(cfg.master_seed, seed) for seed in seeds]
+    geometries = [build_geometry(cfg, substream(*t, "geometry")) for t in tags]
+    geometry = replace(geometries[0], device_positions=np.stack(
+        [g.device_positions for g in geometries]))
+    return tags, build_statistics(cfg, geometry, substreams(tags, "shadowing"))
+
+
+_PROBLEMS = {"level1": level1_problem, "level3": level3_problem,
+             "cellular": cellular_problem}
+
+
+def _solve_block(cfg, kind, stats, state, weights, powers):
+    """Every seed of a block solved by solver ``kind`` at every row of
+    ``powers`` (P, K), in one batch.
+
+    ``state`` is the block's round state and weights[s] seed s's weights.
+    Returns solutions[s][p] (None without a solver) and traces[s][p], the
+    per-group MSEs first at full power (tco=0) and last after the solve
+    (tco=1).  Level 1 is scored on the true channels.
+    """
+    if kind is None:
+        return None, np.zeros((len(weights), len(powers), 1, cfg.n_groups))
+    problems = [_PROBLEMS[kind](stats, _seed_state(state, s), w)
+                for s, w in enumerate(weights)]
+    if kind == "level1":
+        solved = aggregation.level1_batch(problems, powers)
+        b, v = (np.array([[getattr(sol, name) for sol in row] for row in solved])
+                for name in ("b", "combiners"))
+        proj = aggregation.channel_projections(v, state.ap.h[:, None])
+        return solved, aggregation.level1_mses(problems, b, v, proj)[:, :, None]
+    solved = aggregation.optimize_batch(problems, powers, eps=cfg.epsilon,
+                                        max_iters=cfg.max_iters)
+    return solved, [[sol.history.group_values for sol in row] for row in solved]
+
+
+# ---------------------------------------------------------------------------
 # MSE sweep
 # ---------------------------------------------------------------------------
 
@@ -665,62 +723,17 @@ def _initial_model(cfg, seed, group):
     return model.init_params(rng)
 
 
-def _level1_mses(problems, solved, channels):
-    """Per-group MSEs (S, P, G) of the level-1 solutions solved[s][p] on
-    each problem's true channels (S, K, L, N)."""
-    b, v = (np.array([[getattr(sol, name) for sol in row] for row in solved])
-            for name in ("b", "combiners"))
-    proj = aggregation.channel_projections(v, channels[:, None])
-    return aggregation.level1_mses(problems, b, v, proj)
-
-
-def _channel_problem(kind, stats, round_state, weights):
-    """The problem the alternating solver of ``kind`` (level3, cellular) solves."""
-    build = level3_problem if kind == "level3" else cellular_problem
-    return build(stats, round_state, weights)
-
-
-def _sweep_block(cfg, seeds, kinds, powers):
-    """A seed block's weights, level-1 traces and the problems of its other
-    kinds.
-
-    Each seed draws from its own streams, in the order and shapes it would
-    alone; the statistics, the channel draw, the estimates and the level-1
-    solve and scores run once over the block's seed axis.  Only the
-    estimates and error blocks outlive the call.
-    """
-    tags = [(cfg.master_seed, seed) for seed in seeds]
-    geometries = [build_geometry(cfg, substream(*t, "geometry")) for t in tags]
-    geometry = replace(geometries[0], device_positions=np.stack(
-        [g.device_positions for g in geometries]))
-    stats = build_statistics(cfg, geometry, substreams(tags, "shadowing"))
-    state = _draw(stats, partial(substreams, [t + ("round", 0) for t in tags]))
-    weights = [make_weights(cfg, geometry.group_of_device, *_initial_round_stats(cfg, seed))
-               for seed in seeds]
-    per_seed = [_seed_state(state, i) for i in range(len(seeds))]
-    # traces[kind][s][i]: per-group MSEs of seed s at grid point i, first at
-    # full power (tco=0), last after the solve (tco=1).
-    traces = {None: np.zeros((len(seeds), len(powers), 1, cfg.n_groups))}
-    if "level1" in kinds:
-        level1 = [level1_problem(stats, st, w) for st, w in zip(per_seed, weights)]
-        traces["level1"] = _level1_mses(
-            level1, aggregation.level1_batch(level1, powers), state.ap.h)[:, :, None]
-    problems = {kind: [_channel_problem(kind, stats, st, w) for st, w in zip(per_seed, weights)]
-                for kind in ("level3", "cellular") if kind in kinds}
-    return weights, traces, problems
-
-
 def _sweep_seeds(cfg, seeds):
     archs = [ARCHITECTURES[name] for name in cfg.architectures]
-    kinds = {arch.solver for arch in archs}
     powers = np.stack([np.full(cfg.n_devices, dbm_to_watt(p)) for p in cfg.sweep_dbm])
-    weights, traces, problems = _sweep_block(cfg, seeds, kinds, powers)
-    # Each kind solves every seed's whole grid in one batch; level 2 takes
-    # the level-3 trace.
-    for kind, batch in problems.items():
-        solved = aggregation.optimize_batch(batch, powers, eps=cfg.epsilon,
-                                            max_iters=cfg.max_iters)
-        traces[kind] = [[sol.history.group_values for sol in row] for row in solved]
+    tags, stats = _prepare_block(cfg, seeds)
+    state = draw_block(stats, [t + ("round", 0) for t in tags])
+    weights = [make_weights(cfg, stats.geometry.group_of_device,
+                            *_initial_round_stats(cfg, seed)) for seed in seeds]
+    # traces[kind][s][i]: seed s at grid point i, every seed's whole grid
+    # solved in one batch per kind; level 2 takes the level-3 trace.
+    traces = {kind: _solve_block(cfg, kind, stats, state, weights, powers)[1]
+              for kind in dict.fromkeys(arch.solver for arch in archs)}
     rows = []
     for i, (seed, w) in enumerate(zip(seeds, weights)):
         for arch in archs:
@@ -823,79 +836,61 @@ def _load_idx_task(cfg, group, rng, group_size):
     return x_train[pick], y_train[pick], x_test[test_pick], y_test[test_pick]
 
 
-def _round_link(cfg, arch, stats, round_state, weights):
-    """One architecture's uplink for a round and its closed-form per-group MSEs."""
-    if arch.solver is None:
-        return fl_engine.RoundLink(level=arch.name), (0.0,) * cfg.n_groups
-    if arch.solver == "level1":
-        problem = level1_problem(stats, round_state, weights)
-        sol = aggregation.level1_solution(problem)
-        mses = tuple(float(m) for m in
-                     _level1_mses([problem], [[sol]], round_state.ap.h[None])[0, 0])
-    else:
-        # The one-problem entry points, which bench/spans.py counts as solves.
-        optimize = (aggregation.alternating_optimize if arch.solver == "level3"
-                    else aggregation.cellular_optimize)
-        sol = optimize(_channel_problem(arch.solver, stats, round_state, weights),
-                       eps=cfg.epsilon, max_iters=cfg.max_iters)
-        mses = tuple(float(m) for m in sol.history.group_values[-1])
-    return fl_engine.RoundLink(
-        level=arch.name, noise_power=stats.noise_power, b=sol.b,
-        combiners=sol.combiners, channels=round_state.ap.h,
-        bs_channels=round_state.bs.h if arch.needs_bs else None), mses
+def _train_seeds(cfg, seeds):
+    """Training rows of a block of seeds.
 
-
-def _train_one_seed(cfg, seed):
-    geometry = build_geometry(cfg, substream(cfg.master_seed, seed, "geometry"))
+    Rounds run in the outer loop and architectures in the inner one: every
+    architecture shares a seed's one channel draw per round, and each
+    solves all the block's seeds in one batch.
+    """
     archs = [ARCHITECTURES[name] for name in cfg.architectures]
-    stats = None
-    if any(arch.solver for arch in archs):
-        stats = build_statistics(cfg, geometry,
-                                 substream(cfg.master_seed, seed, "shadowing"))
-    tasks = [_GroupTask(cfg, seed, g) for g in range(cfg.n_groups)]
-    init = [_initial_model(cfg, seed, g) for g in range(cfg.n_groups)]
-    if len({len(v) for v in init}) != 1:
+    tags, stats = _prepare_block(cfg, seeds)
+    gdev = stats.geometry.group_of_device
+    tasks = [[_GroupTask(cfg, seed, g) for g in range(cfg.n_groups)] for seed in seeds]
+    init = [[_initial_model(cfg, seed, g) for g in range(cfg.n_groups)] for seed in seeds]
+    if len({len(v) for models in init for v in models}) != 1:
         raise fl_engine.ShapeMismatch(
             "all groups must train models of the same parameter count")
-    gdev = geometry.group_of_device
 
-    def metrics(models):
-        return tuple(tasks[g].metric(models[g]) for g in range(cfg.n_groups))
+    def metrics(s, models):
+        return tuple(tasks[s][g].metric(models[g]) for g in range(cfg.n_groups))
 
     fronthaul = [_fronthaul_counts(cfg, arch) for arch in archs]
-    models = [init] * len(archs)
-    rows = [ResultRow(arch.name, arch.tco, seed, 0.0, None, (), metrics(init), fh)
-            for arch, fh in zip(archs, fronthaul)]
-    # Rounds outer, architectures inner: every architecture of a seed shares
-    # the round's one channel draw.
+    # models[s][i]: seed s's group models under architecture i.
+    models = [[init_s] * len(archs) for init_s in init]
+    rows = [ResultRow(arch.name, arch.tco, seed, 0.0, None, (), metrics(s, init[s]), fh)
+            for s, seed in enumerate(seeds) for arch, fh in zip(archs, fronthaul)]
+    channel = any(arch.solver for arch in archs)
     for t in range(1, cfg.rounds + 1):
-        round_state = None
-        if stats is not None:
-            round_state = draw_round(stats, (cfg.master_seed, seed, "round", t))
+        state = draw_block(stats, [tg + ("round", t) for tg in tags]) if channel else None
         for i, arch in enumerate(archs):
-            local_params = np.stack([
+            local = [np.stack([
                 fl_engine.local_update(
-                    models[i][gdev[k]],
-                    tasks[gdev[k]].device_gradient_fn(k % cfg.group_size),
-                    tasks[gdev[k]].learning_rate(cfg))
-                for k in range(cfg.n_devices)
-            ])
-            nu, theta_bar = zip(*[(st.std, st.mean) for st in
-                                  (fl_engine.normalize(p)[1] for p in local_params)])
-            weights = make_weights(cfg, gdev, nu, theta_bar)
-            link, mses = _round_link(cfg, arch, stats, round_state, weights)
-            result = fl_engine.ota_round(
-                local_params, link, weights.gamma, weights.omega, gdev,
-                substream(cfg.master_seed, seed, "slots", t))
-            models[i] = list(result.recovered)
-            rows.append(ResultRow(arch.name, arch.tco, seed, float(t),
-                                  float(np.dot(weights.omega, mses)), mses,
-                                  metrics(models[i]), fronthaul[i]))
+                    models[s][i][gdev[k]],
+                    tasks[s][gdev[k]].device_gradient_fn(k % cfg.group_size),
+                    tasks[s][gdev[k]].learning_rate(cfg))
+                for k in range(cfg.n_devices)]) for s in range(len(seeds))]
+            weights = [make_weights(cfg, gdev, *zip(*[
+                (st.std, st.mean) for st in (fl_engine.normalize(p)[1] for p in params)]))
+                for params in local]
+            solved, traces = _solve_block(cfg, arch.solver, stats, state, weights,
+                                          stats.power_limit[None])
+            for s, (seed, w) in enumerate(zip(seeds, weights)):
+                link = fl_engine.RoundLink(level=arch.name)
+                if solved is not None:
+                    sol = solved[s][0]
+                    link = fl_engine.RoundLink(
+                        level=arch.name, noise_power=stats.noise_power, b=sol.b,
+                        combiners=sol.combiners, channels=state.ap.h[s],
+                        bs_channels=state.bs.h[s] if arch.needs_bs else None)
+                result = fl_engine.ota_round(local[s], link, w.gamma, w.omega, gdev,
+                                             substream(cfg.master_seed, seed, "slots", t))
+                models[s][i] = list(result.recovered)
+                mses = tuple(float(m) for m in traces[s][0][-1])
+                rows.append(ResultRow(arch.name, arch.tco, seed, float(t),
+                                      float(np.dot(w.omega, mses)), mses,
+                                      metrics(s, models[s][i]), fronthaul[i]))
     return rows
-
-
-def _train_seeds(cfg, seeds):
-    return [row for seed in seeds for row in _train_one_seed(cfg, seed)]
 
 
 def run_fl_training(cfg, threads=1):

@@ -39,7 +39,7 @@ def soundness_solutions():
         out.append({
             "inst": inst,
             "level3": agg.alternating_optimize(inst["level3"]),
-            "cellular": agg.cellular_optimize(inst["cellular"]),
+            "cellular": agg.alternating_optimize(inst["cellular"]),
         })
     return out
 
@@ -69,9 +69,9 @@ def test_criterion_1_mse_oracle_equivalence():
             assert abs(mc - closed) <= 0.02 * closed
 
         pc = inst["cellular"]
-        solc = agg.cellular_optimize(pc, max_iters=60)
+        solc = agg.alternating_optimize(pc, max_iters=60)
         for g in range(pc.n_groups):
-            closed = agg.mse_cellular(pc, solc.b, solc.combiners[g], g)
+            closed = agg.mse_level3(pc, solc.b, solc.combiners[g], g)
             mc = mc_mse_cellular(pc, solc.b, solc.combiners[g], g, n_draws,
                                  substream(seed, "acc1-cell", g))
             assert abs(mc - closed) <= 0.02 * closed

@@ -376,7 +376,7 @@ def test_cellular_single_group_colocated_equals_level3():
         group_of_device=merged.group_of_device, weights=weights,
         noise_power=problem3.noise_power, power_limit=problem3.power_limit)
     sol3 = agg.alternating_optimize(merged)
-    solc = agg.cellular_optimize(cellular)
+    solc = agg.alternating_optimize(cellular)
     np.testing.assert_allclose(solc.b, sol3.b, rtol=1e-9)
     np.testing.assert_allclose(solc.combiners[0], sol3.combiners[0], rtol=1e-9)
     np.testing.assert_allclose(solc.history.values, sol3.history.values,
@@ -387,7 +387,7 @@ def test_cellular_histories_non_increasing_and_terminate():
     cfg = fast_family_config()
     for seed in range(5):
         inst = draw_instance(40 + seed, cfg=cfg)
-        sol = agg.cellular_optimize(inst["cellular"])
+        sol = agg.alternating_optimize(inst["cellular"])
         assert np.all(np.diff(sol.history.values) <= 1e-12)
         assert sol.history.terminated_by == "threshold"
         assert sol.history.iterations <= 500
@@ -396,9 +396,9 @@ def test_cellular_histories_non_increasing_and_terminate():
 def test_cellular_mse_matches_monte_carlo():
     inst = draw_instance(15)
     problem = inst["cellular"]
-    sol = agg.cellular_optimize(problem)
+    sol = agg.alternating_optimize(problem)
     for g in range(problem.n_groups):
-        closed = agg.mse_cellular(problem, sol.b, sol.combiners[g], g)
+        closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g)
         mc = mc_mse_cellular(problem, sol.b, sol.combiners[g], g, 100_000,
                              substream(15, "mcc", g))
         assert mc == pytest.approx(closed, rel=0.02)
@@ -445,9 +445,7 @@ def random_problem(seed, cellular, n_groups, per_group, dim, n_aps=1):
 
 
 def single_solve(problem, power, **kwargs):
-    solve = (agg.cellular_optimize if isinstance(problem, agg.CellularProblem)
-             else agg.alternating_optimize)
-    return solve(replace(problem, power_limit=power), **kwargs)
+    return agg.alternating_optimize(replace(problem, power_limit=power), **kwargs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -605,7 +603,7 @@ def level1_batch(problem, powers):
 
 SOLVERS = (("level1", agg.level1_solution, level1_batch),
            ("level3", agg.alternating_optimize, solve_batch),
-           ("cellular", agg.cellular_optimize, solve_batch))
+           ("cellular", agg.alternating_optimize, solve_batch))
 
 
 def test_infinite_power_limit_raises_named_error():

@@ -319,37 +319,49 @@ def assert_problems_equal(got, want):
 @pytest.mark.parametrize("mode", [1, 2])
 @pytest.mark.parametrize("archs", [("level1", "level3"),
                                    ("level1", "level2", "level3", "cellular")])
-def test_sweep_block_equals_seeds_built_one_by_one(n_seeds, mode, archs):
-    # the block pass draws each seed from its own streams and runs the rest
-    # over the seed axis; its estimates, error blocks, weights and level-1
-    # traces equal, bit for bit, what the one-seed functions build
+def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
+                                                   archs):
+    # the block path draws each seed from its own streams and runs the rest
+    # over the seed axis; the problems it solves (estimates, error blocks,
+    # weights, grouping, power limits) and its level-1 rows equal, bit for
+    # bit, what the one-seed functions build
     cfg = desk_config(seeds=n_seeds + 1, distribution_mode=mode,
                       architectures=archs, master_seed=3)
+    builds = {runner.aggregation.Level1Problem: runner.level1_problem,
+              runner.aggregation.Level3Problem: runner.level3_problem,
+              runner.aggregation.CellularProblem: runner.cellular_problem}
+    batches = {}
+    for name in ("level1_batch", "optimize_batch"):
+        def recording(problems, power_limits, batch=getattr(runner.aggregation, name),
+                      **kwargs):
+            batches[type(problems[0])] = problems
+            return batch(problems, power_limits, **kwargs)
+
+        monkeypatch.setattr(runner.aggregation, name, recording)
+    seeds = range(1, n_seeds + 1)
+    rows = runner._sweep_seeds(cfg, seeds)
+    monkeypatch.undo()
     kinds = {runner.ARCHITECTURES[arch].solver for arch in archs}
+    assert sorted(builds[kind].__name__ for kind in batches) == sorted(
+        f"{kind}_problem" for kind in kinds)
     powers = np.stack([np.full(cfg.n_devices, runner.dbm_to_watt(p))
                        for p in cfg.sweep_dbm])
-    seeds = range(1, n_seeds + 1)
-    weights, traces, problems = runner._sweep_block(cfg, seeds, kinds, powers)
-    assert sorted(problems) == sorted(kinds - {"level1"})
     for i, seed in enumerate(seeds):
         geometry = runner.build_geometry(cfg, substream(3, seed, "geometry"))
         stats = runner.build_statistics(cfg, geometry, substream(3, seed, "shadowing"))
         state = runner.draw_round(stats, (3, seed, "round", 0))
         w = runner.make_weights(cfg, geometry.group_of_device,
                                 *runner._initial_round_stats(cfg, seed))
-        for name in ("gamma", "omega", "nu", "theta_bar"):
-            assert np.array_equal(getattr(weights[i], name), getattr(w, name))
-        for kind, build in (("level3", runner.level3_problem),
-                            ("cellular", runner.cellular_problem)):
-            if kind in kinds:
-                assert_problems_equal(problems[kind][i], build(stats, state, w))
+        for kind, problems in batches.items():
+            assert_problems_equal(problems[i], builds[kind](stats, state, w))
         problem = runner.level1_problem(stats, state, w)
         solutions = runner.aggregation.level1_batch([problem], powers)[0]
-        for j, sol in enumerate(solutions):
+        for p_dbm, sol in zip(cfg.sweep_dbm, solutions):
             proj = runner.aggregation.channel_projections(sol.combiners, state.ap.h)
-            alone = [runner.aggregation.mse_level1(problem, sol.b, sol.combiners, proj, g)
-                     for g in range(cfg.n_groups)]
-            assert np.array_equal(traces["level1"][i][j][-1], alone)
+            alone = tuple(runner.aggregation.mse_level1(problem, sol.b, sol.combiners, proj, g)
+                          for g in range(cfg.n_groups))
+            [row] = [r for r in rows if (r.scenario, r.seed, r.point) == ("level1", seed, p_dbm)]
+            assert row.mse_per_group == alone
 
 
 def test_sweep_threads_do_not_change_results():
@@ -448,19 +460,19 @@ def test_training_rows_and_determinism():
 
 
 def test_training_shares_each_round_draw_across_architectures(monkeypatch):
-    # one draw_round per (seed, round) whatever the number of channel
+    # one draw per (seed, round) whatever the number of channel
     # architectures; each architecture's rows equal a run configured with
     # that architecture alone, at any thread count
     archs = ("errorfree", "level1", "level2", "level3", "cellular")
     cfg = _train_cfg(architectures=archs, rounds=2, seeds=2)
     draws = []
-    draw_round = runner.draw_round
+    draw_block = runner.draw_block
 
-    def counting_draw(stats, seed_tags):
-        draws.append(seed_tags)
-        return draw_round(stats, seed_tags)
+    def counting_draw(stats, round_tags):
+        draws.extend(round_tags)
+        return draw_block(stats, round_tags)
 
-    monkeypatch.setattr(runner, "draw_round", counting_draw)
+    monkeypatch.setattr(runner, "draw_block", counting_draw)
     rows = runner.run_fl_training(cfg, threads=1)
     assert sorted(draws) == [(cfg.master_seed, seed, "round", t)
                              for seed in range(cfg.seeds)
@@ -497,13 +509,38 @@ def test_training_computes_mmse_statistics_once_per_seed_and_view(monkeypatch):
     mmse_statistics = runner.estimation.mmse_statistics
 
     def counting(plan, correlations, noise_power):
-        calls.append(correlations.shape[1])
+        calls.append((correlations.shape[0], correlations.shape[-3]))
         return mmse_statistics(plan, correlations, noise_power)
 
     monkeypatch.setattr(runner.estimation, "mmse_statistics", counting)
     runner.run_fl_training(cfg, threads=1)
-    # the AP view (n_aps receivers) and the serving-BS view (n_groups)
-    assert calls == [cfg.n_aps, cfg.n_groups] * cfg.seeds
+    # one call per view covers the block's seeds: the AP view (n_aps
+    # receivers) and the serving-BS view (n_groups)
+    assert calls == [(cfg.seeds, cfg.n_aps), (cfg.seeds, cfg.n_groups)]
+
+
+def test_training_solves_every_seed_in_one_batch_per_round(monkeypatch):
+    # serially, each round solves every seed of an architecture with a
+    # solver in one batch at the configured power; the rows do not depend
+    # on how the seeds split into blocks (at desk-train's iteration cap)
+    archs = ("errorfree", "level1", "level2", "level3", "cellular")
+    cfg = _train_cfg(architectures=archs, rounds=2, seeds=5, max_iters=80)
+    batches = []
+    for name in ("level1_batch", "optimize_batch"):
+        def counting(problems, power_limits, batch=getattr(runner.aggregation, name),
+                     **kwargs):
+            batches.append((type(problems[0]).__name__, len(problems), len(power_limits)))
+            return batch(problems, power_limits, **kwargs)
+
+        monkeypatch.setattr(runner.aggregation, name, counting)
+    for name in ("level1_solution", "alternating_optimize"):
+        monkeypatch.setattr(runner.aggregation, name, None)
+    rows = runner.run_fl_training(cfg, threads=1)
+    per_round = ["Level1Problem", "Level3Problem", "Level3Problem", "CellularProblem"]
+    assert sorted(batches) == sorted((kind, cfg.seeds, 1)
+                                     for kind in per_round * cfg.rounds)
+    for threads in (2, 3, 7):
+        assert runner.run_fl_training(cfg, threads=threads) == rows
 
 
 def test_training_level2_and_level3_rows_equal_runs_alone():
@@ -571,7 +608,7 @@ def test_training_ridge_gap_below_bound():
     # (closed-form per-slot MSE times the parameter count)
     cfg = _train_cfg(task="ridge", architectures=("level3",), rounds=8,
                      seeds=30, n_features=5)
-    rows = runner.run_fl_training(cfg, threads=4)
+    rows = runner.run_fl_training(cfg)
     gaps = np.zeros((cfg.n_groups, cfg.seeds, cfg.rounds + 1))
     mses = np.zeros((cfg.n_groups, cfg.seeds, cfg.rounds + 1))
     for row in rows:
@@ -629,6 +666,41 @@ def test_cli_reports_named_errors(tmp_path, capsys):
     assert cli_main(["validate-config", "-c", str(cfgfile)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ValidationError")
+
+
+def test_cli_config_directory_is_named_error(tmp_path, capsys):
+    assert cli_main(["validate-config", "-c", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IsADirectoryError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sizes,error", [
+    # g0's train labels one short of its images
+    ({("g0", "train"): ((20, 3, 3), 19)}, "CountMismatch"),
+    # g1's images 2x2, g0's 3x3: models of different parameter counts
+    ({("g1", "train"): ((20, 2, 2), 20), ("g1", "test"): ((20, 2, 2), 20)},
+     "ShapeMismatch"),
+])
+def test_cli_bad_idx_task_is_named_error(tmp_path, capsys, sizes, error):
+    lines = ["architectures = errorfree", "task = idx", "rounds = 1",
+             "samples_per_device = 2", "test_samples = 4", "n_classes = 4",
+             "hidden_units = 3"]
+    for g in ("g0", "g1"):
+        for split in ("train", "test"):
+            shape, n_labels = sizes.get((g, split), ((20, 3, 3), 20))
+            sub = tmp_path / f"{g}{split}"
+            sub.mkdir()
+            img, lab = _write_idx_pair(sub, np.zeros(shape),
+                                       np.resize(np.arange(4), n_labels))
+            lines += [f"idx_{split}_images_{g} = {img}",
+                      f"idx_{split}_labels_{g} = {lab}"]
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "rows.csv"
+    assert cli_main(["train", "-c", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("arch,grid,error", [
