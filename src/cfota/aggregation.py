@@ -589,54 +589,3 @@ def level1_batch(problems, power_limits):
 def level1_solution(problem):
     """Full-power coefficients and local combiners (no TCO at level 1)."""
     return level1_batch([problem], problem.power_limit[None])[0][0]
-
-
-# ---------------------------------------------------------------------------
-# Recovery of one aggregated parameter from received signals
-# ---------------------------------------------------------------------------
-
-def combine_signals(level, signals, combiner):
-    """Complex combiner output for one group, before the mean offset.
-
-    ``signals`` is the per-AP receive tensor of shape (L, N) for a single
-    slot or (L, N, D) for D slots (for the cellular level, the serving BS
-    signal of shape (M,) or (M, D)).  ``level`` names the architecture,
-    "level1" | "level2" | "level3" | "cellular", and the combiner matches
-    it: stacked (LN,) for levels 3 and 2, per-AP (L, N) for level 1, (M,)
-    for cellular.  Level 2 forms per-AP partial combines and sums them,
-    which reproduces the level-3 value up to floating-point reassociation;
-    level 1 averages the per-AP combines.
-    """
-    signals = np.asarray(signals)
-    if level == "level3":
-        flat = signals.reshape(-1, *signals.shape[2:])
-        return np.tensordot(combiner.conj(), flat, axes=(0, 0))
-    if level == "level2":
-        per_ap = combiner.reshape(signals.shape[:2])
-        partial = [np.tensordot(per_ap[ap].conj(), signals[ap], axes=(0, 0))
-                   for ap in range(signals.shape[0])]
-        return sum(partial)
-    if level == "level1":
-        per_ap = [np.tensordot(combiner[ap].conj(), signals[ap], axes=(0, 0))
-                  for ap in range(signals.shape[0])]
-        return sum(per_ap) / signals.shape[0]
-    if level == "cellular":
-        return np.tensordot(combiner.conj(), signals, axes=(0, 0))
-    raise ValueError(f"unknown recovery level {level!r}")
-
-
-def group_offset(weights, group_of_device, g):
-    """Mean offset carried over the side channel for group g."""
-    own = group_of_device == g
-    return float(np.dot(weights.gamma[own], weights.theta_bar[own]))
-
-
-def recover(level, signals, combiner, weights, group_of_device, g):
-    """Recover group g's aggregated parameter(s) from received signals.
-
-    The real part of the combined signal plus the group's mean offset; a
-    scalar for single-slot signals, a length-D vector for (.., D) signals.
-    See ``combine_signals`` for the accepted shapes per level.
-    """
-    combined = combine_signals(level, signals, combiner)
-    return np.real(combined) + group_offset(weights, group_of_device, g)

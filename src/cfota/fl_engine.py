@@ -1,18 +1,16 @@
 """Federated training over the simulated uplink.
 
-Covers parameter normalization, local gradient steps, the desired weighted
-aggregate, slot-by-slot over-the-air transmission, and a convergence
+Covers parameter normalization, the over-the-air round of a block of
+seeds (every device of every seed sends at once, and each group's weighted
+aggregate is recovered from the superposed slots), and a convergence
 harness that bounds the optimality gap of strongly convex tasks in terms
 of the per-round aggregation errors.  A small feedforward classifier with
 a tanh hidden layer, softmax output, and analytic gradients is included
-for end-to-end runs.
+for end-to-end runs.  Both gradients take a stack of devices, each with
+its own shard, as well as a single one.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from . import aggregation
 
 
 class DegenerateVariance(ValueError):
@@ -27,143 +25,69 @@ class ShapeMismatch(ValueError):
     """Raised when an input does not match the model's expected dimensions."""
 
 
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Mean and population standard deviation of one parameter vector."""
-
-    mean: float
-    std: float
-
-
 def normalize(theta):
-    """Zero-mean, unit-power scaling of a parameter vector.
+    """Zero-mean, unit-power scaling of each parameter vector (last axis).
 
-    Uses the population convention (divisor D), so the scaled vector has
-    sample mean 0 and sample second moment 1.
+    Returns the scaled vectors and each vector's mean and population
+    standard deviation (divisor D), so every scaled vector has sample mean
+    0 and sample second moment 1.  Leading axes index devices (and seeds),
+    each row scaled exactly as it would be alone.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size < 2:
-        raise ValueError("expected a parameter vector with at least 2 entries")
-    mean = theta.mean()
-    std = np.sqrt(np.mean((theta - mean) ** 2))
-    if std == 0.0:
+    if theta.ndim < 1 or theta.shape[-1] < 2:
+        raise ValueError("expected parameter vectors with at least 2 entries")
+    mean = theta.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.mean((theta - mean) ** 2, axis=-1, keepdims=True))
+    if np.any(std == 0.0):
         raise DegenerateVariance("constant parameter vector cannot be normalized")
-    return (theta - mean) / std, NormalizationStats(mean=float(mean), std=float(std))
-
-
-def denormalize(s, stats):
-    """Invert ``normalize``."""
-    return np.asarray(s) * stats.std + stats.mean
-
-
-def local_update(theta, gradient_fn, eta):
-    """One full-batch gradient step on the local loss."""
-    return np.asarray(theta) - eta * gradient_fn(np.asarray(theta))
-
-
-def desired_global(local_params, gamma):
-    """Weighted sum of local parameter vectors; weights must sum to 1."""
-    gamma = np.asarray(gamma, dtype=float)
-    if abs(gamma.sum() - 1.0) > 1e-9:
-        raise ValueError("aggregation weights must sum to 1")
-    return np.tensordot(gamma, np.asarray(local_params), axes=(0, 0))
+    return (theta - mean) / std, mean[..., 0], std[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # Over-the-air round
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RoundLink:
-    """Channel state and solver outputs driving one round's uplink.
+def _group_sums(gamma, x):
+    """Weighted sums (S, G, ...) of each group's rows of x (S, K, ...), whose
+    devices are in group order; gamma[g] (G, K/G) weights group g's rows."""
+    n_groups, size = gamma.shape
+    return (gamma[:, None] @ x.reshape(len(x), n_groups, size, -1))[..., 0, :]
 
-    ``level`` selects the architecture: "level1" | "level2" | "level3" use
-    the AP channels with the matching combiner shape, "cellular" uses
-    ``bs_channels`` (device k's channel to the BS serving group g at index
-    [k, g]), and "errorfree" bypasses the channel entirely.
+
+def ota_block(local, symbols, theta_bar, gamma, b=None, channels=None,
+              noise=None, combiners=None, average=False):
+    """One uplink round of a block of seeds: every device sends at once, and
+    each group's aggregate is recovered from the superposed slots.
+
+    ``local`` (S, K, D) holds seed s's device parameters in group order,
+    ``symbols`` their normalized form and ``theta_bar`` (S, K) their means;
+    gamma[g] (G, K/G) is the share of each of group g's devices in its
+    target.  Device k sends b[s, k] * symbols[s, k], one entry per slot,
+    through ``channels`` (S, K, Gs, V, R), and the receivers add ``noise``
+    (S, Gs, V, R, D).  Gs is 1 when every group hears the same receivers and
+    G when group g hears its own.  Group g combines each of its V receiver
+    views with combiners[s, g] (V, R) and sums the V outputs in order, or
+    averages them.  Without ``b`` the round is error-free.
+
+    Returns the recovered parameters (S, G, D), the real combiner output
+    plus the group's mean offset, and the realized squared error (S, G) of
+    the complex output against the desired aggregate: the quantity the
+    closed-form MSE predicts, which the recovered parameters' error never
+    exceeds.
     """
-
-    level: str
-    noise_power: float = 0.0
-    b: np.ndarray | None = None            # (K,) complex
-    combiners: np.ndarray | None = None    # (G, LN), (G, L, N) or (G, M)
-    channels: np.ndarray | None = None     # (K, L, N) true AP channels
-    bs_channels: np.ndarray | None = None  # (K, G, M) true BS channels
-
-
-@dataclass(frozen=True)
-class OtaRoundResult:
-    """Outcome of one uplink round.
-
-    ``error_sq`` is the realized squared aggregation error of the complex
-    combiner output (the quantity the closed-form MSE predicts); the
-    returned parameters are its real projection, whose error never
-    exceeds it.
-    """
-
-    recovered: np.ndarray   # (G, D)
-    desired: np.ndarray     # (G, D)
-    error_sq: np.ndarray    # (G,)
-    stats: tuple            # per-device NormalizationStats
-
-
-def ota_round(local_params, link, gamma, omega, group_of_device, rng):
-    """Transmit all devices' parameters simultaneously and recover per group.
-
-    Every device normalizes its parameter vector, scales it by its transmit
-    coefficient, and sends one entry per slot; receiver noise is fresh per
-    slot and per AP (or BS).  Recovery follows the link's cooperation
-    level.
-    """
-    local_params = np.asarray(local_params, dtype=float)
-    n_dev, n_dims = local_params.shape
-    group_of_device = np.asarray(group_of_device)
-    n_groups = int(group_of_device.max()) + 1
-
-    desired = np.stack([
-        desired_global(local_params[group_of_device == g],
-                       np.asarray(gamma)[group_of_device == g])
-        for g in range(n_groups)
-    ])
-
-    pairs = [normalize(local_params[k]) for k in range(n_dev)]
-    symbols = np.stack([p[0] for p in pairs])          # (K, D)
-    stats = tuple(p[1] for p in pairs)
-
-    if link.level == "errorfree":
-        recovered = desired.copy()
-        return OtaRoundResult(recovered=recovered, desired=desired,
-                              error_sq=np.zeros(n_groups), stats=stats)
-
-    weights = aggregation.AggregationWeights(
-        gamma=np.asarray(gamma, dtype=float),
-        omega=np.asarray(omega, dtype=float),
-        nu=np.array([s.std for s in stats]),
-        theta_bar=np.array([s.mean for s in stats]),
-    )
-    sent = link.b[:, None] * symbols                   # (K, D)
-
-    recovered = np.empty((n_groups, n_dims))
-    error_sq = np.empty(n_groups)
-    for g in range(n_groups):
-        if link.level == "cellular":
-            y = np.einsum("km,kd->md", link.bs_channels[:, g], sent)
-            y = y + _cn_noise(y.shape, link.noise_power, rng)
-        elif g == 0:
-            y = np.einsum("kln,kd->lnd", link.channels, sent)
-            y = y + _cn_noise(y.shape, link.noise_power, rng)
-        combined = aggregation.combine_signals(link.level, y, link.combiners[g])
-        offset = aggregation.group_offset(weights, group_of_device, g)
-        recovered[g] = np.real(combined) + offset
-        error_sq[g] = float(np.abs(desired[g] - (combined + offset)) ** 2
-                            @ np.ones(n_dims))
-    return OtaRoundResult(recovered=recovered, desired=desired,
-                          error_sq=error_sq, stats=stats)
-
-
-def _cn_noise(shape, power, rng):
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return np.sqrt(power / 2.0) * z
+    desired = _group_sums(gamma, local)
+    if b is None:
+        return desired, np.zeros(desired.shape[:2])
+    # Seed by seed, so that each seed's received signals stay in cache.
+    combined = np.stack([
+        (v.conj()[..., None, :]
+         @ (np.einsum("k...,kd->...d", h, b_s[:, None] * x) + z)).sum(axis=1)[..., 0, :]
+        for b_s, x, h, z, v in zip(b, symbols, channels, noise, combiners)])
+    if average:
+        combined = combined / combiners.shape[2]
+    offset = _group_sums(gamma, theta_bar[..., None])
+    return (np.real(combined) + offset,
+            (np.abs(desired - (combined + offset)) ** 2).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +121,17 @@ class RidgeTask:
     def n_devices(self):
         return len(self.shards)
 
-    def shard_fractions(self):
-        sizes = np.array([len(s) for s in self.shards], dtype=float)
-        return sizes / sizes.sum()
-
     def loss(self, theta):
         resid = self.features @ theta - self.targets
         return float(0.5 * np.mean(resid**2) + 0.5 * self.ridge * theta @ theta)
 
     def gradient(self, theta):
-        resid = self.features @ theta - self.targets
-        return self.features.T @ resid / len(self.features) + self.ridge * theta
+        return ridge_gradient(theta, self.features, self.targets, self.ridge)
 
     def device_gradient(self, theta, device):
         rows = self.shards[device]
-        resid = self.features[rows] @ theta - self.targets[rows]
-        return self.features[rows].T @ resid / len(rows) + self.ridge * theta
+        return ridge_gradient(theta, self.features[rows], self.targets[rows],
+                              self.ridge)
 
     def optimum(self):
         rhs = self.features.T @ self.targets / len(self.features)
@@ -220,6 +139,17 @@ class RidgeTask:
 
     def optimal_value(self):
         return self.loss(self.optimum())
+
+
+def ridge_gradient(theta, features, targets, ridge):
+    """Gradient of ||X theta - y||^2 / (2n) + ridge/2 ||theta||^2.
+
+    Leading axes of theta (..., F), features (..., n, F) and targets
+    (..., n) index devices, each with its own shard of n rows.
+    """
+    resid = (features @ theta[..., None])[..., 0] - targets
+    return ((features.swapaxes(-1, -2) @ resid[..., None])[..., 0]
+            / features.shape[-2] + ridge * theta)
 
 
 def optimality_gap_bound(chi, xi, initial_gap, error_sq):
@@ -251,7 +181,8 @@ class Fnn:
     """One-hidden-layer classifier: tanh hidden, softmax output, cross-entropy.
 
     Parameters live in one flat vector (weights then biases per layer) so
-    the network plugs directly into the transmission pipeline.
+    the network plugs directly into the transmission pipeline.  Leading
+    axes of the parameters and the batch index a stack of devices.
     """
 
     def __init__(self, n_inputs, n_hidden, n_outputs):
@@ -269,24 +200,28 @@ class Fnn:
         return self.pack(w1, np.zeros(self.n_hidden), w2, np.zeros(self.n_outputs))
 
     def pack(self, w1, b1, w2, b2):
-        return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
+        lead = b1.shape[:-1]
+        return np.concatenate([w1.reshape(*lead, -1), b1, w2.reshape(*lead, -1), b2],
+                              axis=-1)
 
     def unpack(self, theta):
-        if len(theta) != self.n_params:
+        """Weights (..., F, H), (..., H, C) and biases (..., H), (..., C)."""
+        if theta.shape[-1] != self.n_params:
             raise ShapeMismatch(
-                f"expected {self.n_params} parameters, got {len(theta)}")
+                f"expected {self.n_params} parameters, got {theta.shape[-1]}")
+        lead = theta.shape[:-1]
         i = self.n_inputs * self.n_hidden
-        w1 = theta[:i].reshape(self.n_inputs, self.n_hidden)
-        b1 = theta[i:i + self.n_hidden]
+        w1 = theta[..., :i].reshape(*lead, self.n_inputs, self.n_hidden)
+        b1 = theta[..., i:i + self.n_hidden]
         j = i + self.n_hidden
-        w2 = theta[j:j + self.n_hidden * self.n_outputs].reshape(
-            self.n_hidden, self.n_outputs)
-        b2 = theta[j + self.n_hidden * self.n_outputs:]
+        w2 = theta[..., j:j + self.n_hidden * self.n_outputs].reshape(
+            *lead, self.n_hidden, self.n_outputs)
+        b2 = theta[..., j + self.n_hidden * self.n_outputs:]
         return w1, b1, w2, b2
 
     def _check_batch(self, batch):
         batch = np.asarray(batch, dtype=float)
-        if batch.ndim != 2 or batch.shape[1] != self.n_inputs:
+        if batch.ndim < 2 or batch.shape[-1] != self.n_inputs:
             raise ShapeMismatch(
                 f"expected inputs of width {self.n_inputs}, got {batch.shape}")
         return batch
@@ -295,11 +230,11 @@ class Fnn:
         """Class probabilities per sample (rows sum to 1)."""
         batch = self._check_batch(batch)
         w1, b1, w2, b2 = self.unpack(theta)
-        hidden = np.tanh(batch @ w1 + b1)
-        logits = hidden @ w2 + b2
-        logits = logits - logits.max(axis=1, keepdims=True)
+        hidden = np.tanh(batch @ w1 + b1[..., None, :])
+        logits = hidden @ w2 + b2[..., None, :]
+        logits = logits - logits.max(axis=-1, keepdims=True)
         expl = np.exp(logits)
-        return expl / expl.sum(axis=1, keepdims=True)
+        return expl / expl.sum(axis=-1, keepdims=True)
 
     def loss(self, theta, batch, onehot):
         """Cross-entropy averaged over the batch; labels are one-hot rows."""
@@ -316,28 +251,33 @@ class Fnn:
         return float(-np.mean(((logits - logz) * onehot).sum(axis=1)))
 
     def gradient(self, theta, batch, onehot):
-        """Exact backpropagation of the mean cross-entropy."""
+        """Exact backpropagation of the mean cross-entropy.
+
+        Takes one device, or a stack of devices each with its own shard:
+        theta (..., P), batch (..., n, F) and onehot (..., n, C).
+        """
         batch = self._check_batch(batch)
         w1, b1, w2, b2 = self.unpack(theta)
         onehot = np.asarray(onehot, dtype=float)
-        n = len(batch)
-        hidden = np.tanh(batch @ w1 + b1)
-        logits = hidden @ w2 + b2
-        logits = logits - logits.max(axis=1, keepdims=True)
+        n = batch.shape[-2]
+        hidden = np.tanh(batch @ w1 + b1[..., None, :])
+        logits = hidden @ w2 + b2[..., None, :]
+        logits = logits - logits.max(axis=-1, keepdims=True)
         expl = np.exp(logits)
-        probs = expl / expl.sum(axis=1, keepdims=True)
+        probs = expl / expl.sum(axis=-1, keepdims=True)
 
         dlogits = (probs - onehot) / n
-        dw2 = hidden.T @ dlogits
-        db2 = dlogits.sum(axis=0)
-        dhidden = (dlogits @ w2.T) * (1.0 - hidden**2)
-        dw1 = batch.T @ dhidden
-        db1 = dhidden.sum(axis=0)
+        dw2 = hidden.swapaxes(-1, -2) @ dlogits
+        db2 = dlogits.sum(axis=-2)
+        dhidden = (dlogits @ w2.swapaxes(-1, -2)) * (1.0 - hidden**2)
+        dw1 = batch.swapaxes(-1, -2) @ dhidden
+        db1 = dhidden.sum(axis=-2)
         return self.pack(dw1, db1, dw2, db2)
 
     def accuracy(self, theta, batch, labels):
+        """Share of correctly labelled samples, per device of a stack."""
         probs = self.forward(theta, batch)
-        return float(np.mean(probs.argmax(axis=1) == np.asarray(labels)))
+        return np.mean(probs.argmax(axis=-1) == np.asarray(labels), axis=-1)
 
 
 def onehot(labels, n_classes):

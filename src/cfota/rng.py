@@ -50,7 +50,10 @@ class SeedStreams:
         if shape[0] != len(self.generators):
             raise ValueError(f"draw of shape {tuple(shape)} from a block of "
                              f"{len(self.generators)} seeds")
-        return np.stack([g.standard_normal(shape[1:]) for g in self.generators])
+        out = np.empty(shape)
+        for g, row in zip(self.generators, out.reshape(len(out), -1)):
+            g.standard_normal(out=row)
+        return out
 
 
 def substreams(seed_tags, *tags):

@@ -29,29 +29,31 @@ DATA_DIR_ENV = "CFOTA_DATA_DIR"
 class Architecture:
     """How the runner solves, scores, recovers and accounts one architecture.
 
-    ``name`` is also the recovery level that ``RoundLink.level`` and
-    ``aggregation.recover`` take.  ``solver`` is the kind of round solve:
-    "level1" (local combiners at full power), "level3" (the alternating
-    solver on the view of all AP blocks), "cellular" (the same solver on the
-    serving-BS views) or None (error-free, no channel).  ``fronthaul`` is
-    the accounting level (None: no AP fronthaul), ``tco`` is 1 when the
-    transmit coefficients are optimized, and ``needs_bs`` says whether the
-    serving-BS view is drawn.
+    ``solver`` is the kind of round solve: "level1" (local combiners at full
+    power), "level3" (the alternating solver on the view of all AP blocks),
+    "cellular" (the same solver on the serving-BS views) or None (error-free,
+    no channel).  ``fronthaul`` is the accounting level (None: no AP
+    fronthaul), ``tco`` is 1 when the transmit coefficients are optimized,
+    and ``needs_bs`` says whether the serving-BS view is drawn.
+    ``recovery`` is how a group's combiner output is formed: "joint" (one
+    combine over all the receive antennas), "sum" (per-AP combines summed
+    at the CPU), "mean" (per-AP combines averaged) or None (error-free).
     """
 
     name: str
     solver: str | None
     fronthaul: int | None
     tco: int
+    recovery: str | None
     needs_bs: bool = False
 
 
 ARCHITECTURES = {arch.name: arch for arch in (
-    Architecture("errorfree", None, None, 0),
-    Architecture("level1", "level1", 1, 0),
-    Architecture("level2", "level3", 2, 1),
-    Architecture("level3", "level3", 3, 1),
-    Architecture("cellular", "cellular", None, 1, needs_bs=True),
+    Architecture("errorfree", None, None, 0, None),
+    Architecture("level1", "level1", 1, 0, "mean"),
+    Architecture("level2", "level3", 2, 1, "sum"),
+    Architecture("level3", "level3", 3, 1, "joint"),
+    Architecture("cellular", "cellular", None, 1, "joint", needs_bs=True),
 )}
 
 
@@ -703,11 +705,10 @@ def _initial_round_stats(cfg, seed):
     nu = np.empty(cfg.n_devices)
     theta_bar = np.empty(cfg.n_devices)
     for g in range(cfg.n_groups):
-        theta = _initial_model(cfg, seed, g)
-        _, st = fl_engine.normalize(theta)
+        _, mean, std = fl_engine.normalize(_initial_model(cfg, seed, g))
         members = slice(g * cfg.group_size, (g + 1) * cfg.group_size)
-        nu[members] = st.std
-        theta_bar[members] = st.mean
+        nu[members] = std
+        theta_bar[members] = mean
     return nu, theta_bar
 
 
@@ -762,7 +763,13 @@ def run_mse_sweep(cfg, threads=1):
 # ---------------------------------------------------------------------------
 
 class _GroupTask:
-    """One group's learning task: model, device shards, and a test metric."""
+    """One group's learning task: model, device shards, and test data.
+
+    ``shards`` holds each device's training rows, (size, n, F) features and
+    (size, n, C) one-hot labels or (size, n) regression targets.  A ridge
+    task is scored by its optimality gap, a classifier by its accuracy on
+    ``x_test`` and ``y_test``.
+    """
 
     def __init__(self, cfg, seed, group):
         rng = substream(cfg.master_seed, seed, "data", group)
@@ -773,6 +780,8 @@ class _GroupTask:
                 cfg.n_features, size * cfg.samples_per_device, size, rng,
                 ridge=cfg.ridge)
             self.optimal_value = self.ridge.optimal_value()
+            rows = np.stack(self.ridge.shards)
+            self.shards = (self.ridge.features[rows], self.ridge.targets[rows])
             return
         if cfg.task == "synthetic":
             x_train, y_train, x_test, y_test = make_synthetic_classification(
@@ -783,29 +792,14 @@ class _GroupTask:
                                                               size)
         self.model = fl_engine.Fnn(x_train.shape[1], cfg.hidden_units,
                                    cfg.n_classes)
-        order = rng.permutation(len(x_train))
-        self.shards = np.array_split(order, size)
-        self.x_train, self.y_train = x_train, fl_engine.onehot(y_train,
-                                                               cfg.n_classes)
+        rows = np.stack(np.array_split(rng.permutation(len(x_train)), size))
+        self.shards = (x_train[rows], fl_engine.onehot(y_train, cfg.n_classes)[rows])
         self.x_test, self.y_test = x_test, y_test
-
-    def device_gradient_fn(self, device):
-        if self.kind == "ridge":
-            return lambda theta: self.ridge.device_gradient(theta, device)
-        rows = self.shards[device]
-        return lambda theta: self.model.gradient(theta, self.x_train[rows],
-                                                 self.y_train[rows])
 
     def learning_rate(self, cfg):
         if self.kind == "ridge":
             return 1.0 / self.ridge.chi
         return cfg.learning_rate
-
-    def metric(self, theta):
-        """Test accuracy for classifiers, optimality gap for ridge."""
-        if self.kind == "ridge":
-            return self.ridge.loss(theta) - self.optimal_value
-        return self.model.accuracy(theta, self.x_test, self.y_test)
 
 
 def _idx_path(cfg, group, key):
@@ -818,30 +812,78 @@ def _idx_path(cfg, group, key):
 
 
 def _load_idx_task(cfg, group, rng, group_size):
+    """Group's (train features, labels, test features, labels), drawn at
+    random from its IDX files: exactly ``group_size * samples_per_device``
+    training and ``test_samples`` test images."""
     filt = None
     raw_filter = cfg.idx_paths.get(f"idx_label_filter_g{group}")
     if raw_filter:
         filt = [int(v) for v in raw_filter.split(",")]
-    x_train, y_train = load_idx_dataset(_idx_path(cfg, group, "idx_train_images"),
-                                        _idx_path(cfg, group, "idx_train_labels"),
-                                        label_filter=filt,
-                                        n_classes=cfg.n_classes)
-    x_test, y_test = load_idx_dataset(_idx_path(cfg, group, "idx_test_images"),
-                                      _idx_path(cfg, group, "idx_test_labels"),
-                                      label_filter=filt,
-                                      n_classes=cfg.n_classes)
-    need = group_size * cfg.samples_per_device
-    pick = rng.permutation(len(x_train))[:need]
-    test_pick = rng.permutation(len(x_test))[:cfg.test_samples]
-    return x_train[pick], y_train[pick], x_test[test_pick], y_test[test_pick]
+    picked = []
+    for split, need in (("train", group_size * cfg.samples_per_device),
+                        ("test", cfg.test_samples)):
+        x, y = load_idx_dataset(_idx_path(cfg, group, f"idx_{split}_images"),
+                                _idx_path(cfg, group, f"idx_{split}_labels"),
+                                label_filter=filt, n_classes=cfg.n_classes)
+        if len(x) < need:
+            raise ValidationError(f"group {group}: the {split} split holds "
+                                  f"{len(x)} images, needs {need}")
+        pick = rng.permutation(len(x))[:need]
+        picked += [x[pick], y[pick]]
+    return picked
+
+
+def _slot_noise(cfg, tags, t, bs, n_slots):
+    """Receiver noise of round t over ``n_slots`` slots for a block of seeds,
+    each seed from its own "slots" stream: (S, 1, L, N, n_slots) at the APs,
+    or (S, G, M, n_slots) at the serving BSs, drawn group by group.
+
+    Each block is sqrt(p/2) (x + 1j y) for standard normals x then y, built
+    part by part with no complex temporaries.
+    """
+    rng = substreams(tags, "slots", t)
+    rx = (cfg.n_bs_antennas,) if bs else (cfg.n_aps, cfg.n_ap_antennas)
+    noise = np.empty((len(tags), cfg.n_groups if bs else 1, *rx, n_slots), complex)
+    scale = np.sqrt(cfg.noise_power / 2.0)
+    for block in noise.swapaxes(0, 1):
+        block.real = scale * rng.standard_normal(block.shape)
+        block.imag = scale * rng.standard_normal(block.shape)
+    return noise
+
+
+def _ota_round(cfg, arch, local, symbols, theta_bar, gamma, solved, state, noise):
+    """Recovered parameters (S, G, D) of one round of ``arch`` for a block of
+    seeds, and the realized squared errors (S, G).
+
+    gamma (K,) holds the devices' shares, ``solved[s][0]`` seed s's solution,
+    and noise[arch.needs_bs] the round's slot noise at the architecture's
+    receivers.
+    """
+    gamma = gamma.reshape(cfg.n_groups, -1)
+    if arch.recovery is None:
+        return fl_engine.ota_block(local, symbols, theta_bar, gamma)
+    n_seeds, n_dev, n_slots = symbols.shape
+    # Group views Gs and receiver views V of the channels, noise and combiners.
+    views = (cfg.n_groups if arch.needs_bs else 1,
+             1 if arch.recovery == "joint" else cfg.n_aps)
+    b, combiners = (np.array([row[0].b for row in solved]),
+                    np.array([row[0].combiners for row in solved]))
+    channels = (state.bs if arch.needs_bs else state.ap).h
+    return fl_engine.ota_block(
+        local, symbols, theta_bar, gamma, b,
+        channels.reshape(n_seeds, n_dev, *views, -1),
+        noise[arch.needs_bs].reshape(n_seeds, *views, -1, n_slots),
+        combiners.reshape(n_seeds, cfg.n_groups, views[1], -1),
+        average=arch.recovery == "mean")
 
 
 def _train_seeds(cfg, seeds):
     """Training rows of a block of seeds.
 
     Rounds run in the outer loop and architectures in the inner one: every
-    architecture shares a seed's one channel draw per round, and each
-    solves all the block's seeds in one batch.
+    architecture shares a seed's one channel draw and slot noise per round.
+    Each round runs over the block's (S, K) device stack: one local step,
+    one normalization, one solve batch and one OTA round per architecture.
     """
     archs = [ARCHITECTURES[name] for name in cfg.architectures]
     tags, stats = _prepare_block(cfg, seeds)
@@ -851,46 +893,55 @@ def _train_seeds(cfg, seeds):
     if len({len(v) for models in init for v in models}) != 1:
         raise fl_engine.ShapeMismatch(
             "all groups must train models of the same parameter count")
+    # Device k of seed s: its shard and step size, stacked (S, K, ...).
+    data = [np.array(x).reshape(len(seeds), cfg.n_devices, *x[0].shape[1:])
+            for x in zip(*(task.shards for row in tasks for task in row))]
+    step = np.array([[task.learning_rate(cfg) for task in row] for row in tasks])[:, gdev, None]
+    # The stacked local gradient, and metrics(models) scoring an architecture's
+    # (S, G) models: optimality gap for ridge, test accuracy for classifiers.
+    if cfg.task == "ridge":
+        gradient = partial(fl_engine.ridge_gradient, ridge=cfg.ridge)
 
-    def metrics(s, models):
-        return tuple(tasks[s][g].metric(models[g]) for g in range(cfg.n_groups))
+        def metrics(models):
+            return [[task.ridge.loss(m) - task.optimal_value for task, m in zip(row, ms)]
+                    for row, ms in zip(tasks, models)]
+    else:
+        gradient = tasks[0][0].model.gradient
+        x_test, y_test = (np.array([[getattr(task, name) for task in row] for row in tasks])
+                          for name in ("x_test", "y_test"))
+        metrics = partial(tasks[0][0].model.accuracy, batch=x_test, labels=y_test)
 
     fronthaul = [_fronthaul_counts(cfg, arch) for arch in archs]
-    # models[s][i]: seed s's group models under architecture i.
-    models = [[init_s] * len(archs) for init_s in init]
-    rows = [ResultRow(arch.name, arch.tco, seed, 0.0, None, (), metrics(s, init[s]), fh)
+    models = [np.array(init)] * len(archs)  # (S, G, D) per architecture
+    scores = metrics(models[0])
+    rows = [ResultRow(arch.name, arch.tco, seed, 0.0, None, (), _floats(scores[s]), fh)
             for s, seed in enumerate(seeds) for arch, fh in zip(archs, fronthaul)]
     channel = any(arch.solver for arch in archs)
     for t in range(1, cfg.rounds + 1):
         state = draw_block(stats, [tg + ("round", t) for tg in tags]) if channel else None
+        noise = {bs: _slot_noise(cfg, tags, t, bs, models[0].shape[-1])
+                 for bs in {arch.needs_bs for arch in archs if arch.recovery}}
         for i, arch in enumerate(archs):
-            local = [np.stack([
-                fl_engine.local_update(
-                    models[s][i][gdev[k]],
-                    tasks[s][gdev[k]].device_gradient_fn(k % cfg.group_size),
-                    tasks[s][gdev[k]].learning_rate(cfg))
-                for k in range(cfg.n_devices)]) for s in range(len(seeds))]
-            weights = [make_weights(cfg, gdev, *zip(*[
-                (st.std, st.mean) for st in (fl_engine.normalize(p)[1] for p in params)]))
-                for params in local]
+            theta = models[i][:, gdev]
+            # One seed's (K, ...) device stack at a time stays in cache.
+            local = theta - step * np.stack([gradient(*one) for one in zip(theta, *data)])
+            symbols, mean, std = fl_engine.normalize(local)
+            weights = [make_weights(cfg, gdev, *ms) for ms in zip(std, mean)]
             solved, traces = _solve_block(cfg, arch.solver, stats, state, weights,
                                           stats.power_limit[None])
+            models[i] = _ota_round(cfg, arch, local, symbols, mean, weights[0].gamma,
+                                   solved, state, noise)[0]
+            scores = metrics(models[i])
             for s, (seed, w) in enumerate(zip(seeds, weights)):
-                link = fl_engine.RoundLink(level=arch.name)
-                if solved is not None:
-                    sol = solved[s][0]
-                    link = fl_engine.RoundLink(
-                        level=arch.name, noise_power=stats.noise_power, b=sol.b,
-                        combiners=sol.combiners, channels=state.ap.h[s],
-                        bs_channels=state.bs.h[s] if arch.needs_bs else None)
-                result = fl_engine.ota_round(local[s], link, w.gamma, w.omega, gdev,
-                                             substream(cfg.master_seed, seed, "slots", t))
-                models[s][i] = list(result.recovered)
-                mses = tuple(float(m) for m in traces[s][0][-1])
+                mses = _floats(traces[s][0][-1])
                 rows.append(ResultRow(arch.name, arch.tco, seed, float(t),
                                       float(np.dot(w.omega, mses)), mses,
-                                      metrics(s, models[s][i]), fronthaul[i]))
+                                      _floats(scores[s]), fronthaul[i]))
     return rows
+
+
+def _floats(values):
+    return tuple(float(v) for v in values)
 
 
 def run_fl_training(cfg, threads=1):

@@ -268,3 +268,169 @@ def mmse_estimate_cholesky(y_kl, plan, correlations, k, rx, noise_power):
     err_cov = r_kl - est_cov
     err_cov = 0.5 * (err_cov + err_cov.conj().T)
     return scale * (r_kl @ cho_solve(factor, y_kl)), est_cov, err_cov
+
+
+# ---------------------------------------------------------------------------
+# Training, one device, one seed and one architecture at a time
+# ---------------------------------------------------------------------------
+
+def normalize_vector(theta):
+    """Zero-mean, unit-power scaling of one parameter vector: (scaled, mean,
+    population std), with Python float statistics."""
+    theta = np.asarray(theta, dtype=float)
+    mean = theta.mean()
+    std = np.sqrt(np.mean((theta - mean) ** 2))
+    return (theta - mean) / std, float(mean), float(std)
+
+
+def denormalize(s, mean, std):
+    """Invert ``normalize_vector``."""
+    return np.asarray(s) * std + mean
+
+
+def local_update(theta, gradient_fn, eta):
+    """One full-batch gradient step on the local loss."""
+    return np.asarray(theta) - eta * gradient_fn(np.asarray(theta))
+
+
+def desired_global(local_params, gamma):
+    """Weighted sum of local parameter vectors; weights must sum to 1."""
+    gamma = np.asarray(gamma, dtype=float)
+    if abs(gamma.sum() - 1.0) > 1e-9:
+        raise ValueError("aggregation weights must sum to 1")
+    return np.tensordot(gamma, np.asarray(local_params), axes=(0, 0))
+
+
+def shard_fractions(task):
+    """Each device's share of a ridge task's rows."""
+    sizes = np.array([len(s) for s in task.shards], dtype=float)
+    return sizes / sizes.sum()
+
+
+def combine_signals(level, signals, combiner):
+    """Complex combiner output for one group, before the mean offset.
+
+    ``signals`` is the per-AP receive tensor (L, N) or (L, N, D) (for
+    "cellular", the serving BS's (M,) or (M, D)); the combiner is stacked
+    (LN,) for "level3" and "level2", per-AP (L, N) for "level1", (M,) for
+    "cellular".  Level 2 sums per-AP partial combines, level 1 averages
+    them.
+    """
+    signals = np.asarray(signals)
+    if level == "level3":
+        flat = signals.reshape(-1, *signals.shape[2:])
+        return np.tensordot(combiner.conj(), flat, axes=(0, 0))
+    if level == "level2":
+        per_ap = combiner.reshape(signals.shape[:2])
+        return sum(np.tensordot(per_ap[ap].conj(), signals[ap], axes=(0, 0))
+                   for ap in range(signals.shape[0]))
+    if level == "level1":
+        return sum(np.tensordot(combiner[ap].conj(), signals[ap], axes=(0, 0))
+                   for ap in range(signals.shape[0])) / signals.shape[0]
+    if level == "cellular":
+        return np.tensordot(combiner.conj(), signals, axes=(0, 0))
+    raise ValueError(f"unknown recovery level {level!r}")
+
+
+def group_offset(weights, group_of_device, g):
+    """Mean offset carried over the side channel for group g."""
+    own = group_of_device == g
+    return float(np.dot(weights.gamma[own], weights.theta_bar[own]))
+
+
+def recover(level, signals, combiner, weights, group_of_device, g):
+    """Group g's aggregated parameter(s): the real combiner output plus the
+    group's mean offset."""
+    combined = combine_signals(level, signals, combiner)
+    return np.real(combined) + group_offset(weights, group_of_device, g)
+
+
+def ota_round(local_params, level, solution, state, weights, group_of_device,
+              noise_power, rng):
+    """One seed's uplink round, group by group: recovered (G, D) parameters
+    and realized squared errors (G,).  ``state`` is the seed's round state;
+    the AP noise is drawn once, the serving BSs' per group."""
+    n_groups = weights.omega.shape[0]
+    desired = np.stack([
+        desired_global(local_params[group_of_device == g],
+                       weights.gamma[group_of_device == g])
+        for g in range(n_groups)])
+    if level == "errorfree":
+        return desired.copy(), np.zeros(n_groups)
+    symbols = np.stack([normalize_vector(p)[0] for p in local_params])
+    sent = solution.b[:, None] * symbols
+    recovered = np.empty(desired.shape)
+    error_sq = np.empty(n_groups)
+    for g in range(n_groups):
+        if level == "cellular":
+            y = np.einsum("km,kd->md", state.bs.h[:, g], sent)
+            y = y + cn_noise(y.shape, noise_power, rng)
+        elif g == 0:
+            y = np.einsum("kln,kd->lnd", state.ap.h, sent)
+            y = y + cn_noise(y.shape, noise_power, rng)
+        combined = combine_signals(level, y, solution.combiners[g])
+        offset = group_offset(weights, group_of_device, g)
+        recovered[g] = np.real(combined) + offset
+        error_sq[g] = float(np.abs(desired[g] - (combined + offset)) ** 2
+                            @ np.ones(desired.shape[1]))
+    return recovered, error_sq
+
+
+def device_gradient_fn(cfg, task, device):
+    """Gradient of one device's local loss, from its own shard."""
+    if cfg.task == "ridge":
+        return lambda theta: task.ridge.device_gradient(theta, device)
+    features, onehot = (shard[device] for shard in task.shards)
+    return lambda theta: task.model.gradient(theta, features, onehot)
+
+
+def group_metric(cfg, task, theta):
+    """Test accuracy for classifiers, optimality gap for ridge."""
+    if cfg.task == "ridge":
+        return task.ridge.loss(theta) - task.optimal_value
+    return float(task.model.accuracy(theta, task.x_test, task.y_test))
+
+
+def train_rows(cfg, seed):
+    """``runner.run_fl_training`` rows of one seed, computed one device, one
+    architecture and one recovery level at a time, each architecture
+    opening its own "slots" stream every round."""
+    archs = [runner.ARCHITECTURES[name] for name in cfg.architectures]
+    tags, stats = runner._prepare_block(cfg, [seed])
+    gdev = stats.geometry.group_of_device
+    tasks = [runner._GroupTask(cfg, seed, g) for g in range(cfg.n_groups)]
+    init = [runner._initial_model(cfg, seed, g) for g in range(cfg.n_groups)]
+
+    def metrics(models):
+        return tuple(group_metric(cfg, tasks[g], models[g])
+                     for g in range(cfg.n_groups))
+
+    fronthaul = [runner._fronthaul_counts(cfg, arch) for arch in archs]
+    models = [list(init) for _ in archs]
+    rows = [runner.ResultRow(arch.name, arch.tco, seed, 0.0, None, (),
+                             metrics(init), fh)
+            for arch, fh in zip(archs, fronthaul)]
+    for t in range(1, cfg.rounds + 1):
+        state = runner.draw_block(stats, [tags[0] + ("round", t)])
+        for i, arch in enumerate(archs):
+            local = np.stack([
+                local_update(models[i][gdev[k]],
+                             device_gradient_fn(cfg, tasks[gdev[k]], k % cfg.group_size),
+                             tasks[gdev[k]].learning_rate(cfg))
+                for k in range(cfg.n_devices)])
+            stats_k = [normalize_vector(p) for p in local]
+            weights = runner.make_weights(cfg, gdev, [st[2] for st in stats_k],
+                                          [st[1] for st in stats_k])
+            solved, traces = runner._solve_block(cfg, arch.solver, stats, state,
+                                                 [weights], stats.power_limit[None])
+            recovered, _ = ota_round(
+                local, arch.name, None if solved is None else solved[0][0],
+                runner._seed_state(state, 0),
+                weights, gdev, cfg.noise_power,
+                substream(cfg.master_seed, seed, "slots", t))
+            models[i] = list(recovered)
+            mses = tuple(float(m) for m in traces[0][0][-1])
+            rows.append(runner.ResultRow(arch.name, arch.tco, seed, float(t),
+                                         float(np.dot(weights.omega, mses)), mses,
+                                         metrics(models[i]), fronthaul[i]))
+    return rows

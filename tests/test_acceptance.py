@@ -13,9 +13,10 @@ from cfota import fl_engine as fl
 from cfota import runner
 from cfota.rng import substream
 
-from oracles import (dense_cpu_view, desk_config, draw_instance,
+from oracles import (dense_cpu_view, desired_global, desk_config, draw_instance,
                      mc_mse_cellular, mc_mse_level1, mc_mse_level3,
-                     mmse_estimate, weighted_sum_mse_level1)
+                     mmse_estimate, recover, shard_fractions,
+                     weighted_sum_mse_level1)
 
 N_SOUNDNESS_INSTANCES = 50
 
@@ -106,10 +107,10 @@ def test_criterion_3_level_equivalences_and_ordering(soundness_solutions):
                  + 1j * rng.standard_normal(y.shape))
         y = y + np.sqrt(p3.noise_power / 2.0) * noise
         for g in range(p3.n_groups):
-            r3 = agg.recover("level3", y, sol3.combiners[g], p3.weights,
-                             p3.group_of_device, g)
-            r2 = agg.recover("level2", y, sol3.combiners[g], p3.weights,
-                             p3.group_of_device, g)
+            r3 = recover("level3", y, sol3.combiners[g], p3.weights,
+                         p3.group_of_device, g)
+            r2 = recover("level2", y, sol3.combiners[g], p3.weights,
+                         p3.group_of_device, g)
             scale = np.maximum(np.abs(r3), 1e-300)
             assert np.max(np.abs(r2 - r3) / scale) <= 1e-10
 
@@ -227,8 +228,8 @@ def test_criterion_7_convergence_bound_harness():
             for t in range(n_rounds):
                 grads = [task.device_gradient(theta, d) for d in range(3)]
                 locals_ = [theta - (1.0 / task.chi) * gr for gr in grads]
-                desired = fl.desired_global(np.stack(locals_),
-                                            task.shard_fractions())
+                desired = desired_global(np.stack(locals_),
+                                         shard_fractions(task))
                 e = rng.standard_normal(n_feat)
                 e *= np.sqrt(err_norm2) / np.linalg.norm(e)
                 theta = desired - e
@@ -243,8 +244,8 @@ def test_criterion_7_convergence_bound_harness():
         for _ in range(n_rounds):
             grads = [task.device_gradient(theta, d) for d in range(3)]
             locals_ = [theta - (1.0 / task.chi) * gr for gr in grads]
-            theta = fl.desired_global(np.stack(locals_),
-                                      task.shard_fractions())
+            theta = desired_global(np.stack(locals_),
+                                   shard_fractions(task))
             new_gap = task.loss(theta) - opt
             assert new_gap <= lam * gap * (1.0 + 1e-12) + 1e-15
             gap = new_gap

@@ -13,7 +13,7 @@ from cfota.rng import substream
 
 from oracles import (cn_noise, combiners_level1, dense_cpu_view, desk_config,
                      draw_instance, mc_mse_cellular, mc_mse_level1, mc_mse_level3,
-                     weighted_sum_mse_level1)
+                     recover, weighted_sum_mse_level1)
 
 
 def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0,
@@ -297,10 +297,10 @@ def test_recover_level2_equals_level3():
         + np.einsum("kln,kd->lnd", inst["state"].ap.h,
                     (sol.b[:, None] * rng.standard_normal((cfg.n_devices, 16))))
     for g in range(problem.n_groups):
-        r3 = agg.recover("level3", signals, sol.combiners[g], problem.weights,
-                         problem.group_of_device, g)
-        r2 = agg.recover("level2", signals, sol.combiners[g], problem.weights,
-                         problem.group_of_device, g)
+        r3 = recover("level3", signals, sol.combiners[g], problem.weights,
+                     problem.group_of_device, g)
+        r2 = recover("level2", signals, sol.combiners[g], problem.weights,
+                     problem.group_of_device, g)
         np.testing.assert_allclose(r2, r3, rtol=1e-10, atol=1e-18)
 
 
@@ -314,8 +314,8 @@ def test_recover_level1_averages_local_combines():
                + 1j * rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8)))
     w = problem.weights
     for g in range(problem.n_groups):
-        got = agg.recover("level1", signals, sol.combiners[g], w,
-                          problem.group_of_device, g)
+        got = recover("level1", signals, sol.combiners[g], w,
+                      problem.group_of_device, g)
         per_ap = np.stack([
             np.einsum("n,nd->d", sol.combiners[g, ap].conj(), signals[ap])
             for ap in range(cfg.n_aps)])
@@ -335,7 +335,7 @@ def test_recover_zero_signals_returns_offset():
     for g in range(problem.n_groups):
         own = problem.group_of_device == g
         offset = float(np.dot(w.gamma[own], w.theta_bar[own]))
-        got = agg.recover("level3", signals, v, w, problem.group_of_device, g)
+        got = recover("level3", signals, v, w, problem.group_of_device, g)
         assert got == pytest.approx(offset)
 
 
@@ -355,7 +355,7 @@ def test_recover_noiseless_single_device_inverts():
     v = agg.combiners_level3(problem, b)[0]
     s = 1.3
     signals = (h[0] * b[0] * s).reshape(1, 2)
-    got = agg.recover("level3", signals, v, weights, np.array([0]), 0)
+    got = recover("level3", signals, v, weights, np.array([0]), 0)
     assert got == pytest.approx(0.7 * s + 0.2, abs=1e-8)
 
 

@@ -5,13 +5,14 @@ from cfota import aggregation as agg
 from cfota import fl_engine as fl
 from cfota.rng import substream
 
-from oracles import draw_instance, sqrt_psd
+from oracles import (cn_noise, denormalize, desired_global, draw_instance,
+                     local_update, normalize_vector, sqrt_psd)
 
 
 def test_normalize_hand_example():
-    s, stats = fl.normalize([1.0, 2.0, 3.0])
-    assert stats.mean == pytest.approx(2.0)
-    assert stats.std == pytest.approx(np.sqrt(2.0 / 3.0))
+    s, mean, std = fl.normalize([1.0, 2.0, 3.0])
+    assert mean == pytest.approx(2.0)
+    assert std == pytest.approx(np.sqrt(2.0 / 3.0))
     np.testing.assert_allclose(s, [-1.22474487, 0.0, 1.22474487])
     assert s.mean() == pytest.approx(0.0, abs=1e-9)
     assert np.mean(s**2) == pytest.approx(1.0, rel=1e-9)
@@ -22,32 +23,64 @@ def test_normalize_constant_vector_rejected():
         fl.normalize(np.full(5, 3.3))
 
 
+def test_normalize_rows_equal_per_vector_scaling():
+    # each row of a (S, K, D) stack scales bit for bit as it would alone,
+    # and one constant row anywhere in the stack is rejected
+    theta = substream(0, "stack").standard_normal((3, 6, 550)) * 0.3 + 0.1
+    s, mean, std = fl.normalize(theta)
+    for idx in np.ndindex(theta.shape[:2]):
+        one, one_mean, one_std = normalize_vector(theta[idx])
+        np.testing.assert_array_equal(s[idx], one)
+        assert (mean[idx], std[idx]) == (one_mean, one_std)
+    theta[2, 4] = 0.5
+    with pytest.raises(fl.DegenerateVariance):
+        fl.normalize(theta)
+
+
+def test_stacked_gradients_equal_per_device_calls():
+    # a (S, K) stack of devices, each with its own shard, gives every
+    # device's gradient bit for bit
+    rng = substream(0, "grads")
+    model = fl.Fnn(16, 20, 10)
+    theta = rng.standard_normal((2, 6, model.n_params)) * 0.3
+    x = rng.random((2, 6, 150, 16))
+    y = fl.onehot(rng.integers(0, 10, 2 * 6 * 150), 10).reshape(2, 6, 150, 10)
+    feats, targets = rng.standard_normal((2, 6, 40, 5)), rng.standard_normal((2, 6, 40))
+    w = rng.standard_normal((2, 6, 5))
+    stacked = model.gradient(theta, x, y)
+    ridge = fl.ridge_gradient(w, feats, targets, 0.1)
+    for idx in np.ndindex(2, 6):
+        np.testing.assert_array_equal(stacked[idx], model.gradient(theta[idx], x[idx], y[idx]))
+        task = fl.RidgeTask(feats[idx], targets[idx], 0.1, [np.arange(40)])
+        np.testing.assert_array_equal(ridge[idx], task.device_gradient(w[idx], 0))
+
+
 def test_normalize_round_trip():
     rng = substream(0, "theta")
     theta = rng.standard_normal(400) * 0.3 + 0.1
-    s, stats = fl.normalize(theta)
-    np.testing.assert_allclose(fl.denormalize(s, stats), theta, rtol=1e-12)
+    s, mean, std = fl.normalize(theta)
+    np.testing.assert_allclose(denormalize(s, mean, std), theta, rtol=1e-12)
 
 
 def test_local_update_zero_gradient():
     theta = np.array([1.0, -2.0])
-    out = fl.local_update(theta, lambda t: np.zeros_like(t), 0.005)
+    out = local_update(theta, lambda t: np.zeros_like(t), 0.005)
     np.testing.assert_array_equal(out, theta)
 
 
 def test_local_update_quadratic_exact_step():
     # F = (theta - 1)^2 / 2, gradient theta - 1, eta = 1 lands on the optimum
-    out = fl.local_update(np.array([0.0]), lambda t: t - 1.0, 1.0)
+    out = local_update(np.array([0.0]), lambda t: t - 1.0, 1.0)
     np.testing.assert_allclose(out, [1.0])
 
 
 def test_desired_global_examples():
     same = np.tile(np.arange(4.0), (3, 1))
     np.testing.assert_allclose(
-        fl.desired_global(same, np.full(3, 1 / 3)), np.arange(4.0))
+        desired_global(same, np.full(3, 1 / 3)), np.arange(4.0))
     two = np.stack([np.zeros(5), np.full(5, 2.0)])
     np.testing.assert_allclose(
-        fl.desired_global(two, [0.5, 0.5]), np.ones(5))
+        desired_global(two, [0.5, 0.5]), np.ones(5))
     # equal dataset sizes give uniform weights
     sizes = np.array([500.0, 500.0, 500.0])
     np.testing.assert_allclose(sizes / sizes.sum(), np.full(3, 1 / 3))
@@ -130,7 +163,7 @@ def test_error_free_contraction_on_ridge():
     theta = rng.standard_normal(6)
     gap = task.loss(theta) - opt
     for _ in range(25):
-        theta = fl.local_update(theta, task.gradient, 1.0 / task.chi)
+        theta = local_update(theta, task.gradient, 1.0 / task.chi)
         new_gap = task.loss(theta) - opt
         assert new_gap <= lam * gap + 1e-12
         gap = new_gap
@@ -152,7 +185,7 @@ def test_gap_bound_holds_with_injected_noise():
         noise_rng = substream(5, "noise", s)
         theta = theta0.copy()
         for t in range(n_rounds):
-            theta = fl.local_update(theta, task.gradient, 1.0 / task.chi)
+            theta = local_update(theta, task.gradient, 1.0 / task.chi)
             direction = noise_rng.standard_normal(5)
             direction /= np.linalg.norm(direction)
             theta = theta - np.sqrt(err_norm2) * direction
@@ -173,50 +206,61 @@ def test_one_dimensional_quadratic_bound_is_tight():
     theta = np.array([0.3])
     gap0 = task.loss(theta) - task.optimal_value()
     err = 0.01
-    theta = fl.local_update(theta, task.gradient, 1.0 / task.chi) - np.sqrt(err)
+    theta = local_update(theta, task.gradient, 1.0 / task.chi) - np.sqrt(err)
     gap1 = task.loss(theta) - task.optimal_value()
     bound = fl.optimality_gap_bound(task.chi, task.xi, gap0, [err])[1]
     assert gap1 == pytest.approx(bound, rel=1e-9)
 
 
-def _single_device_link():
-    h = np.array([[[0.8 - 0.3j, 0.1 + 0.5j]]])   # (K=1, L=1, N=2)
-    b = np.array([2.0 + 0j])
-    weights_nu = None
-    return h, b
+def _block_round(theta, gamma, solution=None, channels=None, noise_power=0.0,
+                 rng=None, views=1):
+    """``ota_block`` at S = 1 on AP channels (K, L, N): recovered (G, D)
+    parameters and realized squared errors (G,) for device shares gamma
+    (G, K/G).  ``views`` is 1 for the level-3 recovery and L for level 2;
+    the slot noise is drawn as (L, N, D)."""
+    symbols, mean, _ = fl.normalize(theta)
+    if solution is None:
+        out = fl.ota_block(theta[None], symbols[None], mean[None], gamma)
+    else:
+        n_dev, n_aps, n_ant = channels.shape
+        noise = cn_noise((n_aps, n_ant, theta.shape[1]), noise_power, rng)
+        out = fl.ota_block(theta[None], symbols[None], mean[None], gamma,
+                           solution.b[None], channels.reshape(1, n_dev, 1, views, -1),
+                           noise.reshape(1, 1, views, -1, theta.shape[1]),
+                           solution.combiners.reshape(1, len(gamma), views, -1))
+    return tuple(a[0] for a in out)
 
 
 def test_ota_round_noiseless_perfect_csi_recovers_desired():
-    h, b = _single_device_link()
+    h = np.array([[[0.8 - 0.3j, 0.1 + 0.5j]]])   # (K=1, L=1, N=2)
+    b = np.array([2.0 + 0j])
     rng = substream(6, "theta")
     theta = rng.standard_normal((1, 50)) * 0.4 + 0.2
-    s, stats = fl.normalize(theta[0])
+    _, mean, std = fl.normalize(theta[0])
     problem = agg.Level3Problem(
         h_hat=h.reshape(1, 1, 2), error_cov=np.zeros((1, 1, 2, 2), dtype=complex),
         group_of_device=np.array([0]),
         weights=agg.AggregationWeights(np.array([1.0]), np.array([1.0]),
-                                       np.array([stats.std]),
-                                       np.array([stats.mean])),
+                                       np.array([std]), np.array([mean])),
         noise_power=1e-12, power_limit=np.array([4.0]))
-    v = agg.combiners_level3(problem, b)[0]
-    link = fl.RoundLink(level="level3", noise_power=0.0, b=b,
-                        combiners=v[None, :], channels=h)
-    res = fl.ota_round(theta, link, gamma=[1.0], omega=[1.0],
-                       group_of_device=[0], rng=substream(6, "slots"))
-    np.testing.assert_allclose(res.recovered, res.desired, atol=1e-8)
-    assert res.error_sq[0] < 1e-14
+    v = agg.combiners_level3(problem, b)
+    sol = agg.AggregationSolution(b=b, combiners=v, mu=np.zeros(1), history=None)
+    recovered, error_sq = _block_round(theta, np.ones((1, 1)), sol, h, 0.0,
+                                       substream(6, "slots"))
+    np.testing.assert_allclose(recovered, theta, atol=1e-8)
+    assert error_sq[0] < 1e-14
 
 
 def test_ota_round_errorfree_equals_desired_exactly():
     inst = draw_instance(20)
+    gdev = inst["level3"].group_of_device
     rng = substream(20, "theta")
     theta = rng.standard_normal((6, 40)) * 0.2
-    link = fl.RoundLink(level="errorfree")
-    res = fl.ota_round(theta, link, gamma=np.full(6, 1 / 3),
-                       omega=np.ones(2), group_of_device=inst["level3"].group_of_device,
-                       rng=substream(20, "slots"))
-    np.testing.assert_array_equal(res.recovered, res.desired)
-    np.testing.assert_array_equal(res.error_sq, 0.0)
+    recovered, error_sq = _block_round(theta, np.full((2, 3), 1 / 3))
+    desired = np.stack([desired_global(theta[gdev == g], np.full(3, 1 / 3))
+                        for g in range(2)])
+    np.testing.assert_array_equal(recovered, desired)
+    np.testing.assert_array_equal(error_sq, 0.0)
 
 
 def test_ota_round_realized_error_matches_closed_form():
@@ -225,10 +269,10 @@ def test_ota_round_realized_error_matches_closed_form():
     inst = draw_instance(21)
     problem = inst["level3"]
     cfg = inst["cfg"]
-    gdev = problem.group_of_device
     n_dims = 50
     nu = problem.weights.nu
     theta_bar = problem.weights.theta_bar
+    gamma = problem.weights.gamma.reshape(cfg.n_groups, -1)
     sol = agg.alternating_optimize(problem, max_iters=50)
 
     roots = np.stack([sqrt_psd(inst["state"].ap.error_cov[k, l])
@@ -251,12 +295,9 @@ def test_ota_round_realized_error_matches_closed_form():
         raw = raw - raw.mean(axis=1, keepdims=True)
         raw = raw / np.sqrt(np.mean(raw**2, axis=1, keepdims=True))
         theta = theta_bar[:, None] + nu[:, None] * raw
-        link = fl.RoundLink(level="level3", noise_power=problem.noise_power,
-                            b=sol.b, combiners=sol.combiners, channels=h_true)
-        res = fl.ota_round(theta, link, gamma=problem.weights.gamma,
-                           omega=problem.weights.omega, group_of_device=gdev,
-                           rng=substream(21, "slots", i))
-        total_sq += res.error_sq
+        _, error_sq = _block_round(theta, gamma, sol, h_true, problem.noise_power,
+                                   substream(21, "slots", i))
+        total_sq += error_sq
     per_slot = total_sq / (n_redraws * n_dims)
     for g in range(cfg.n_groups):
         closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g)
@@ -270,14 +311,9 @@ def test_ota_round_level2_equals_level3_recovery():
     sol = agg.alternating_optimize(problem, max_iters=50)
     rng = substream(22, "theta")
     theta = rng.standard_normal((cfg.n_devices, 60)) * 0.2 + 0.05
-    out = {}
-    for level in ("level2", "level3"):
-        link = fl.RoundLink(level=level, noise_power=problem.noise_power,
-                            b=sol.b, combiners=sol.combiners,
-                            channels=inst["state"].ap.h)
-        out[level] = fl.ota_round(theta, link, gamma=problem.weights.gamma,
-                                  omega=problem.weights.omega,
-                                  group_of_device=problem.group_of_device,
-                                  rng=substream(22, "slots")).recovered
-    np.testing.assert_allclose(out["level2"], out["level3"], rtol=1e-10,
-                               atol=1e-12)
+    gamma = problem.weights.gamma.reshape(cfg.n_groups, -1)
+    out = {views: _block_round(theta, gamma, sol, inst["state"].ap.h,
+                               problem.noise_power, substream(22, "slots"),
+                               views=views)[0]
+           for views in (1, cfg.n_aps)}
+    np.testing.assert_allclose(out[cfg.n_aps], out[1], rtol=1e-10, atol=1e-12)

@@ -11,7 +11,8 @@ from cfota import runner
 from cfota.cli import main as cli_main
 from cfota.rng import substream
 
-from oracles import desk_config
+from oracles import (desired_global, desk_config, device_gradient_fn, group_metric,
+                     local_update, train_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +432,17 @@ def test_training_errorfree_matches_plain_fedsgd_bitwise():
     tasks = [runner._GroupTask(cfg, 0, g) for g in range(cfg.n_groups)]
     models = [runner._initial_model(cfg, 0, g) for g in range(cfg.n_groups)]
     gamma = np.full(cfg.group_size, 1.0 / cfg.group_size)
-    metrics = [tuple(tasks[g].metric(models[g]) for g in range(cfg.n_groups))]
+    metrics = [tuple(group_metric(cfg, tasks[g], models[g]) for g in range(cfg.n_groups))]
     for _ in range(cfg.rounds):
         new_models = []
         for g in range(cfg.n_groups):
             locals_g = np.stack([
-                fl.local_update(models[g], tasks[g].device_gradient_fn(i),
-                                tasks[g].learning_rate(cfg))
+                local_update(models[g], device_gradient_fn(cfg, tasks[g], i),
+                             tasks[g].learning_rate(cfg))
                 for i in range(cfg.group_size)])
-            new_models.append(fl.desired_global(locals_g, gamma))
+            new_models.append(desired_global(locals_g, gamma))
         models = new_models
-        metrics.append(tuple(tasks[g].metric(models[g])
+        metrics.append(tuple(group_metric(cfg, tasks[g], models[g])
                              for g in range(cfg.n_groups)))
     got = [row.metric_per_group for row in rows]
     assert got == metrics
@@ -460,23 +461,32 @@ def test_training_rows_and_determinism():
 
 
 def test_training_shares_each_round_draw_across_architectures(monkeypatch):
-    # one draw per (seed, round) whatever the number of channel
-    # architectures; each architecture's rows equal a run configured with
-    # that architecture alone, at any thread count
+    # one channel draw and one AP slot-noise draw per (seed, round) whatever
+    # the number of channel architectures (cellular opens the slot stream
+    # once more for its per-BS noise); each architecture's rows equal a run
+    # configured with that architecture alone, at any thread count
     archs = ("errorfree", "level1", "level2", "level3", "cellular")
     cfg = _train_cfg(architectures=archs, rounds=2, seeds=2)
-    draws = []
-    draw_block = runner.draw_block
+    draws, slots = [], []
+    draw_block, substreams = runner.draw_block, runner.substreams
 
     def counting_draw(stats, round_tags):
         draws.extend(round_tags)
         return draw_block(stats, round_tags)
 
+    def counting_streams(seed_tags, *tags):
+        slots.extend(tuple(s) + tags for s in seed_tags if "slots" in tags)
+        return substreams(seed_tags, *tags)
+
     monkeypatch.setattr(runner, "draw_block", counting_draw)
+    monkeypatch.setattr(runner, "substreams", counting_streams)
     rows = runner.run_fl_training(cfg, threads=1)
     assert sorted(draws) == [(cfg.master_seed, seed, "round", t)
                              for seed in range(cfg.seeds)
                              for t in range(1, cfg.rounds + 1)]
+    assert sorted(slots) == [(cfg.master_seed, seed, "slots", t)
+                             for seed in range(cfg.seeds)
+                             for t in range(1, cfg.rounds + 1) for _ in range(2)]
     monkeypatch.undo()
     assert runner.run_fl_training(cfg, threads=2) == rows
     for arch in archs:
@@ -543,6 +553,20 @@ def test_training_solves_every_seed_in_one_batch_per_round(monkeypatch):
         assert runner.run_fl_training(cfg, threads=threads) == rows
 
 
+@pytest.mark.parametrize("task", ["synthetic", "ridge"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_training_rows_equal_per_device_oracle(task, threads):
+    # the block round (stacked local steps, one normalization, shared slot
+    # noise, stacked recovery) gives the rows of the per-device,
+    # per-architecture, per-level round, bit for bit
+    archs = ("errorfree", "level1", "level2", "level3", "cellular")
+    cfg = _train_cfg(architectures=archs, rounds=3, seeds=3, max_iters=80, task=task,
+                     n_features=5 if task == "ridge" else 6)
+    rows = runner.run_fl_training(cfg, threads=threads)
+    assert rows == sorted((row for seed in range(cfg.seeds) for row in train_rows(cfg, seed)),
+                          key=runner.ResultRow.sort_key)
+
+
 def test_training_level2_and_level3_rows_equal_runs_alone():
     # level 2 and level 3 solve on the same round draws
     cfg = _train_cfg(architectures=("level2", "level3"), rounds=3, seeds=2)
@@ -593,11 +617,11 @@ def test_sweep_idx_task_uses_dataset_input_width(tmp_path):
     nu, theta_bar = runner._initial_round_stats(cfg, 0)
     for g in range(cfg.n_groups):
         task = runner._GroupTask(cfg, 0, g)
-        assert task.x_train.shape[1] == 15
-        _, st = fl.normalize(runner._initial_model(cfg, 0, g))
+        assert task.model.n_inputs == 15
+        _, mean, std = fl.normalize(runner._initial_model(cfg, 0, g))
         members = slice(g * cfg.group_size, (g + 1) * cfg.group_size)
-        np.testing.assert_array_equal(nu[members], st.std)
-        np.testing.assert_array_equal(theta_bar[members], st.mean)
+        np.testing.assert_array_equal(nu[members], std)
+        np.testing.assert_array_equal(theta_bar[members], mean)
     rows = runner.run_mse_sweep(replace(cfg, sweep_dbm=(10.0,)))
     assert all(np.isfinite(r.wsum_mse) for r in rows)
 
@@ -680,6 +704,12 @@ def test_cli_config_directory_is_named_error(tmp_path, capsys):
     # g1's images 2x2, g0's 3x3: models of different parameter counts
     ({("g1", "train"): ((20, 2, 2), 20), ("g1", "test"): ((20, 2, 2), 20)},
      "ShapeMismatch"),
+    # g1 holds fewer images than its 3 devices x 2 samples, or its 4 test
+    # samples, need
+    ({("g1", "train"): ((5, 3, 3), 5)},
+     "ValidationError: group 1: the train split holds 5 images, needs 6"),
+    ({("g1", "test"): ((3, 3, 3), 3)},
+     "ValidationError: group 1: the test split holds 3 images, needs 4"),
 ])
 def test_cli_bad_idx_task_is_named_error(tmp_path, capsys, sizes, error):
     lines = ["architectures = errorfree", "task = idx", "rounds = 1",
