@@ -33,10 +33,6 @@ class FronthaulReport:
     def statistics_display(self):
         return math.ceil(self.statistics_scalars)
 
-    def total_per_block(self, rounds_per_block=1):
-        """Recurring scalars per coherence block holding the given rounds."""
-        return self.pilot_data_scalars + rounds_per_block * self.combiner_scalars
-
 
 def fronthaul_scalars(level, tau_p, tau_u, n_ant, n_aps, n_groups, n_devices):
     """Fronthaul complex-scalar counts for one cooperation level.

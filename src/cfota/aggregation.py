@@ -14,11 +14,11 @@ baseline:
 * cellular: each group is served by a single co-located array.
 
 Every receiver shares one combiner core.  It sees the estimates through
-channel views of per-receiver blocks: one single-block view per AP at level
-1 and one view of all L AP blocks at level 3, each serving every group, and
-one single-block view per serving BS in the cellular system, serving its
-own group only.  Level 3 and cellular also share the alternating solver
-built on that core.
+channel views of per-receiver blocks.  Levels 1 and 3 read the same AP-side
+record: level 1 as one single-block view per AP and level 3 as one view of
+all L AP blocks, each serving every group.  The cellular system has one
+single-block view per serving BS, serving its own group only.  Level 3 and
+cellular also share the alternating solver built on that core.
 """
 
 from dataclasses import dataclass
@@ -63,8 +63,9 @@ class OptHistory:
 
 
 def _check_shapes(problem, views):
-    """Raise ValueError, naming the field and both shapes, unless the
-    estimates have the record's layout and the other fields agree with them.
+    """Raise ValueError, naming the field, unless the estimates have the
+    record's layout and the other fields agree with them: per-device arrays
+    of K entries and group ids in 0..G-1, G being the number of priorities.
 
     ``views`` is 1 if the device axis follows a view axis, 0 if it leads.
     """
@@ -78,11 +79,19 @@ def _check_shapes(problem, views):
         raise ValueError(f"{name}.error_cov has shape {cov}, expected {h + h[-1:]} "
                          f"for h_hat of shape {h}")
     n_dev = h[views]
-    for field in ("group_of_device", "power_limit"):
-        shape = np.shape(getattr(problem, field))
+    w = problem.weights
+    for field, value in (("group_of_device", problem.group_of_device),
+                         ("power_limit", problem.power_limit), ("weights.gamma", w.gamma),
+                         ("weights.nu", w.nu), ("weights.theta_bar", w.theta_bar)):
+        shape = np.shape(value)
         if shape != (n_dev,):
             raise ValueError(f"{name}.{field} has shape {shape}, expected {(n_dev,)} "
                              f"for h_hat of shape {h}")
+    gdev = np.asarray(problem.group_of_device)
+    stray = gdev[(gdev < 0) | (gdev >= problem.n_groups)]
+    if stray.size:
+        raise ValueError(f"{name}.group_of_device holds {np.unique(stray).tolist()}, "
+                         f"expected group ids in 0..{problem.n_groups - 1}")
     if views and h[0] != problem.n_groups:
         raise ValueError(f"{name}.h_hat has shape {h}, expected one view per group "
                          f"({problem.n_groups})")
@@ -90,7 +99,8 @@ def _check_shapes(problem, views):
 
 @dataclass(frozen=True)
 class Level3Problem:
-    """One coherence block seen by the central processor.
+    """One coherence block seen by the APs, read per AP at level 1 and
+    jointly by the central processor at levels 2 and 3.
 
     h_hat[k, l] is device k's estimate at AP l and error_cov[k, l] its error
     covariance: the stacked error covariance is block diagonal, one N x N
@@ -111,29 +121,6 @@ class Level3Problem:
     @property
     def n_groups(self):
         return len(self.weights.omega)
-
-
-@dataclass(frozen=True)
-class Level1Problem:
-    """One coherence block seen per AP (local estimates only)."""
-
-    h_hat: np.ndarray          # (K, L, N)
-    error_cov: np.ndarray      # (K, L, N, N)
-    group_of_device: np.ndarray
-    weights: AggregationWeights
-    noise_power: float
-    power_limit: np.ndarray
-
-    def __post_init__(self):
-        _check_shapes(self, 0)
-
-    @property
-    def n_groups(self):
-        return len(self.weights.omega)
-
-    @property
-    def n_aps(self):
-        return self.h_hat.shape[1]
 
 
 @dataclass(frozen=True)
@@ -173,22 +160,22 @@ class AggregationSolution:
 # One combiner core; level 3 and cellular add the batched alternating solver
 # ---------------------------------------------------------------------------
 
-def _views(problem):
+def _views(problem, per_ap):
     """Estimates (Gv, K, nb, N), error blocks (Gv, K, nb, N, N), and whether
     every view serves every group.
 
     A view sees nb receivers of N antennas each, its combiners stack them
-    into D = nb*N entries, and its error covariance is block diagonal.  A
-    level-3 problem is one view of nb = L blocks and a level-1 problem L
-    views of one block, each serving every group; a cellular problem has
+    into D = nb*N entries, and its error covariance is block diagonal.  An
+    AP-side record is one view of nb = L blocks, or L views of one block
+    when read ``per_ap``, each serving every group; a cellular problem has
     one single-block view per group (Gv = G), serving that group only.
     """
-    if isinstance(problem, Level1Problem):
+    if isinstance(problem, CellularProblem):
+        return problem.h_hat[:, :, None], problem.error_cov[:, :, None], False
+    if per_ap:
         return (problem.h_hat.swapaxes(0, 1)[:, :, None],
                 problem.error_cov.swapaxes(0, 1)[:, :, None], True)
-    if isinstance(problem, Level3Problem):
-        return problem.h_hat[None], problem.error_cov[None], True
-    return problem.h_hat[:, :, None], problem.error_cov[:, :, None], False
+    return problem.h_hat[None], problem.error_cov[None], True
 
 
 def _stack_like(arrays):
@@ -228,12 +215,13 @@ class _Stack:
     unit power axis that broadcasts over its rows.  Each row's arithmetic is
     a separate matrix product or solve of the same shape and operand layout
     whatever S and P are, so a row gets bit-identical results alone and in
-    any rectangle.  Level 1 uses ``combiners`` only.
+    any rectangle.  Level 1 reads the AP-side records ``per_ap`` and uses
+    ``combiners`` only.
     """
 
-    def __init__(self, problems):
+    def __init__(self, problems, per_ap=False):
         first = problems[0]
-        views = [_views(problem) for problem in problems]
+        views = [_views(problem, per_ap) for problem in problems]
         h, cov = (_stack_like([view[i] for view in views]) for i in (0, 1))
         shared = views[0][2]
         n_seeds, n_views, n_dev, n_blocks, n_ant = h.shape
@@ -447,7 +435,7 @@ def _check_batch(problems):
 def optimize_batch(problems, power_limits, eps=1e-10, max_iters=500):
     """Solve every problem at every row of power limits, all in lockstep.
 
-    ``problems`` are level-3 or cellular problems of one kind that share
+    ``problems`` are AP-side or cellular problems of one kind that share
     their shape, grouping, priorities and noise power, and differ in their
     estimates, error blocks and weights: one channel draw each.  Row i of
     ``power_limits`` (P, K) replaces each problem's power_limit.  Every
@@ -460,29 +448,12 @@ def optimize_batch(problems, power_limits, eps=1e-10, max_iters=500):
 
 
 def alternating_optimize(problem, eps=1e-10, max_iters=500, b_init=None):
-    """Jointly tune the combiners and transmit coefficients of one level-3
-    or cellular problem.
+    """Jointly tune the combiners and transmit coefficients of one AP-side
+    problem, viewed jointly at the CPU, or one cellular problem.
 
     Coefficients start at full power ``sqrt(P_k)`` unless b_init is given.
     """
     return _solve([problem], problem.power_limit[None], eps, max_iters, b_init)[0][0]
-
-
-def combiners_level3(problem, b):
-    """All group combiners (G, D) for fixed coefficients, level 3 or cellular.
-
-    Each is the global minimizer of its group's convex MSE.
-    """
-    return _Stack([problem]).combiners(np.asarray(b, dtype=complex)[None, None])[0, 0]
-
-
-def tco_steps(problem, combiners):
-    """Optimal coefficients and KKT multipliers of all devices, (K,) each,
-    for fixed combiners: the vectorized update the solver runs."""
-    stack = _Stack([problem])
-    proj, quad = stack.forms(np.asarray(combiners)[None, None])
-    b, mu = stack.tco(proj, quad, np.sqrt(problem.power_limit)[None, None])
-    return b[0, 0], mu[0, 0]
 
 
 def tco_step(problem, combiners, k):
@@ -491,7 +462,7 @@ def tco_step(problem, combiners, k):
     Returns (b_k, mu_k) satisfying the stationarity and complementary
     slackness conditions of the power-constrained subproblem:
     |b_k|^2 <= P_k always holds, and mu_k > 0 only on the boundary.  A
-    one-device reference for the update in ``tco_steps``.  Device k's
+    one-device reference for the solver's vectorized update.  Device k's
     projections and quadratic forms come from the combiner core: near the
     boundary mu_k is the difference of two nearly equal terms, which a
     one-ulp change in those forms moves by more than 1e-12.
@@ -514,8 +485,8 @@ def mse_level3(problem, b, v, g):
 
     ``sum_k |v^H h_hat_k b_k - target_k|^2 + |b_k|^2 v^H C_k v`` plus the
     combined noise power, where target_k is gamma*nu for the group's own
-    devices and 0 for interferers.  Takes a level-3 problem or a cellular
-    one (the estimates at group g's serving BS).
+    devices and 0 for interferers.  Takes an AP-side problem, viewed jointly,
+    or a cellular one (the estimates at group g's serving BS).
     """
     stack = _Stack([problem])
     combiners = np.zeros((1, 1, problem.n_groups, len(v)), dtype=complex)
@@ -559,27 +530,25 @@ def level1_mses(problems, b, combiners, projections):
     return signal + first.noise_power * power / n_aps**2
 
 
-def mse_level1(problem, b, combiners, projections, g):
-    """Level-1 MSE of group g (see ``level1_mses``) for one problem's
-    coefficients (K,), combiners (G, L, N) and projections (G, K, L)."""
-    return float(level1_mses([problem], *(np.asarray(a)[None, None] for a in
-                                          (b, combiners, projections)))[0, 0, g])
-
-
 def level1_batch(problems, power_limits):
     """Full-power coefficients and local combiners (no TCO at level 1) of
     every problem at every row of power limits.
 
-    ``problems`` share their shape, grouping, priorities and noise power,
-    as for ``optimize_batch``.  Row i of ``power_limits`` (P, K) replaces
-    each problem's power_limit; each result equals ``level1_solution`` on
-    that problem.  Returns, per problem, one AggregationSolution per row.
+    ``problems`` are AP-side records, each viewed per AP, that share their
+    shape, grouping, priorities and noise power, as for ``optimize_batch``.
+    Row i of ``power_limits`` (P, K) replaces each problem's power_limit;
+    each result equals ``level1_solution`` on that problem.  Returns, per
+    problem, one AggregationSolution per row.
     """
     _check_batch(problems)
     first = problems[0]
+    if isinstance(first, CellularProblem):
+        raise ValueError("level 1 combines per AP and takes Level3Problem records, "
+                         "not a CellularProblem")
     b = np.sqrt(np.asarray(power_limits, dtype=float)).astype(complex)
-    combiners = _Stack(problems).combiners(np.broadcast_to(b, (len(problems),) + b.shape))
-    combiners = combiners.reshape(*combiners.shape[:3], first.n_aps, -1)
+    combiners = _Stack(problems, per_ap=True).combiners(
+        np.broadcast_to(b, (len(problems),) + b.shape))
+    combiners = combiners.reshape(*combiners.shape[:3], first.h_hat.shape[1], -1)
     no_steps = np.empty((0, first.n_groups))
     return [[AggregationSolution(b=b_i, combiners=v_i, mu=np.zeros(len(b_i)),
                                  history=OptHistory(np.array([]), 0, "threshold", no_steps))
@@ -587,5 +556,6 @@ def level1_batch(problems, power_limits):
 
 
 def level1_solution(problem):
-    """Full-power coefficients and local combiners (no TCO at level 1)."""
+    """Full-power coefficients and local combiners (no TCO at level 1) of
+    one AP-side problem, viewed per AP."""
     return level1_batch([problem], problem.power_limit[None])[0][0]

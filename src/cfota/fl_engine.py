@@ -226,26 +226,26 @@ class Fnn:
                 f"expected inputs of width {self.n_inputs}, got {batch.shape}")
         return batch
 
-    def forward(self, theta, batch):
-        """Class probabilities per sample (rows sum to 1)."""
+    def _logits(self, theta, batch):
+        """Output logits per sample, before the softmax."""
         batch = self._check_batch(batch)
         w1, b1, w2, b2 = self.unpack(theta)
-        hidden = np.tanh(batch @ w1 + b1[..., None, :])
-        logits = hidden @ w2 + b2[..., None, :]
+        return np.tanh(batch @ w1 + b1[..., None, :]) @ w2 + b2[..., None, :]
+
+    def forward(self, theta, batch):
+        """Class probabilities per sample (rows sum to 1)."""
+        logits = self._logits(theta, batch)
         logits = logits - logits.max(axis=-1, keepdims=True)
         expl = np.exp(logits)
         return expl / expl.sum(axis=-1, keepdims=True)
 
     def loss(self, theta, batch, onehot):
         """Cross-entropy averaged over the batch; labels are one-hot rows."""
-        batch = self._check_batch(batch)
-        w1, b1, w2, b2 = self.unpack(theta)
+        logits = self._logits(theta, batch)
         onehot = np.asarray(onehot, dtype=float)
-        if onehot.shape != (len(batch), self.n_outputs):
+        if onehot.shape != (len(logits), self.n_outputs):
             raise ShapeMismatch(f"labels must be one-hot of shape "
-                                f"({len(batch)}, {self.n_outputs})")
-        hidden = np.tanh(batch @ w1 + b1)
-        logits = hidden @ w2 + b2
+                                f"({len(logits)}, {self.n_outputs})")
         logz = np.log(np.exp(logits - logits.max(axis=1, keepdims=True))
                       .sum(axis=1, keepdims=True)) + logits.max(axis=1, keepdims=True)
         return float(-np.mean(((logits - logz) * onehot).sum(axis=1)))
@@ -275,9 +275,10 @@ class Fnn:
         return self.pack(dw1, db1, dw2, db2)
 
     def accuracy(self, theta, batch, labels):
-        """Share of correctly labelled samples, per device of a stack."""
-        probs = self.forward(theta, batch)
-        return np.mean(probs.argmax(axis=-1) == np.asarray(labels), axis=-1)
+        """Share of correctly labelled samples, per device of a stack: the
+        predicted class is the largest logit, as the softmax keeps order."""
+        predicted = self._logits(theta, batch).argmax(axis=-1)
+        return np.mean(predicted == np.asarray(labels), axis=-1)
 
 
 def onehot(labels, n_classes):

@@ -111,7 +111,7 @@ def _watt_in_range(dbm):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    architectures: tuple = ("level3",)
+    architectures: tuple[str, ...] = ("level3",)
     side_m: float = 500.0
     cells: int = 4
     n_aps: int = 4
@@ -125,7 +125,7 @@ class ScenarioConfig:
     p_max_dbm: float = 20.0
     pilot_power_dbm: float = 20.0
     noise_dbm: float = -96.0
-    omega: tuple = ()
+    omega: tuple[float, ...] = ()
     epsilon: float = 1e-10
     max_iters: int = 500
     learning_rate: float = 0.005
@@ -147,7 +147,7 @@ class ScenarioConfig:
     shadow_std_db: float = 4.0
     decorr_m: float = 9.0
     fair_comparison: bool = False
-    sweep_dbm: tuple = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
+    sweep_dbm: tuple[float, ...] = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
     out: str = ""
     data_dir: str = ""
     idx_paths: dict = field(default_factory=dict)
@@ -188,21 +188,11 @@ def _parse_float_tuple(raw):
     return tuple(float(part) for part in raw.split(",") if part.strip())
 
 
-_CASTERS = {
-    "architectures": _parse_str_tuple,
-    "side_m": float, "cells": int, "n_aps": int, "n_ap_antennas": int,
-    "n_bs_antennas": int, "n_devices": int, "n_groups": int,
-    "tau_p": int, "tau_u": int, "distribution_mode": int,
-    "p_max_dbm": float, "pilot_power_dbm": float, "noise_dbm": float,
-    "omega": _parse_float_tuple, "epsilon": float, "max_iters": int,
-    "learning_rate": float, "rounds": int, "seeds": int, "master_seed": int,
-    "task": str, "hidden_units": int, "n_features": int, "n_classes": int,
-    "samples_per_device": int, "test_samples": int, "class_spread": float,
-    "ridge": float, "asd_deg": float, "beta0_db": float, "alpha": float,
-    "d0_m": float, "shadow_std_db": float, "decorr_m": float,
-    "fair_comparison": _parse_bool, "sweep_dbm": _parse_float_tuple,
-    "out": str, "data_dir": str,
-}
+# Each key's caster follows from its field's type; idx_* keys fill idx_paths.
+_PARSERS = {bool: _parse_bool, tuple[str, ...]: _parse_str_tuple,
+            tuple[float, ...]: _parse_float_tuple}
+_CASTERS = {f.name: _PARSERS.get(f.type, f.type)
+            for f in fields(ScenarioConfig) if f.name != "idx_paths"}
 
 
 def parse_config_lines(lines, base=None):
@@ -550,13 +540,6 @@ def level3_problem(stats, round_state, weights):
         noise_power=stats.noise_power, power_limit=stats.power_limit)
 
 
-def level1_problem(stats, round_state, weights):
-    return aggregation.Level1Problem(
-        h_hat=round_state.ap.h_hat, error_cov=round_state.ap.error_cov,
-        group_of_device=stats.geometry.group_of_device, weights=weights,
-        noise_power=stats.noise_power, power_limit=stats.power_limit)
-
-
 def cellular_problem(stats, round_state, weights):
     return aggregation.CellularProblem(
         h_hat=round_state.bs.h_hat.transpose(1, 0, 2),
@@ -668,10 +651,6 @@ def _prepare_block(cfg, seeds):
     return tags, build_statistics(cfg, geometry, substreams(tags, "shadowing"))
 
 
-_PROBLEMS = {"level1": level1_problem, "level3": level3_problem,
-             "cellular": cellular_problem}
-
-
 def _solve_block(cfg, kind, stats, state, weights, powers):
     """Every seed of a block solved by solver ``kind`` at every row of
     ``powers`` (P, K), in one batch.
@@ -679,12 +658,13 @@ def _solve_block(cfg, kind, stats, state, weights, powers):
     ``state`` is the block's round state and weights[s] seed s's weights.
     Returns solutions[s][p] (None without a solver) and traces[s][p], the
     per-group MSEs first at full power (tco=0) and last after the solve
-    (tco=1).  Level 1 is scored on the true channels.
+    (tco=1).  Levels 1 and 3 solve the same AP-side problems, level 1 per
+    AP, and level 1 is scored on the true channels.
     """
     if kind is None:
         return None, np.zeros((len(weights), len(powers), 1, cfg.n_groups))
-    problems = [_PROBLEMS[kind](stats, _seed_state(state, s), w)
-                for s, w in enumerate(weights)]
+    build = cellular_problem if kind == "cellular" else level3_problem
+    problems = [build(stats, _seed_state(state, s), w) for s, w in enumerate(weights)]
     if kind == "level1":
         solved = aggregation.level1_batch(problems, powers)
         b, v = (np.array([[getattr(sol, name) for sol in row] for row in solved])

@@ -36,8 +36,9 @@ def draw_instance(seed, cfg=None, nu_scale=1.0):
 
     Geometry, correlations, channels, and MMSE estimates come from the
     package; the per-round parameter statistics (nu, theta_bar) are random
-    O(1) stand-ins.  Returns a dict with the per-level problems, the true
-    channels, and the weights.
+    O(1) stand-ins.  Returns a dict with the AP-side problem ("level3",
+    which level 1 reads per AP), the cellular problem, the true channels,
+    and the weights.
     """
     cfg = cfg or desk_config()
     geometry = runner.build_geometry(cfg, substream(seed, "geometry"))
@@ -54,7 +55,6 @@ def draw_instance(seed, cfg=None, nu_scale=1.0):
         "state": state,
         "weights": weights,
         "level3": runner.level3_problem(stats, state, weights),
-        "level1": runner.level1_problem(stats, state, weights),
         "cellular": runner.cellular_problem(stats, state, weights),
     }
 
@@ -96,17 +96,48 @@ def dense_cpu_view(problem):
 
 def combiners_level1(problem, b):
     """Local combiners (G, L, N) of every group at every AP for coefficients b."""
-    combiners = aggregation._Stack([problem]).combiners(
+    combiners = aggregation._Stack([problem], per_ap=True).combiners(
         np.asarray(b, dtype=complex)[None, None])
-    return combiners.reshape(problem.n_groups, problem.n_aps, -1)
+    return combiners.reshape(problem.n_groups, problem.h_hat.shape[1], -1)
+
+
+def combiners_level3(problem, b):
+    """All group combiners (G, D) of an AP-side problem viewed jointly, or
+    of a cellular one, for fixed coefficients b: each is the global
+    minimizer of its group's convex MSE."""
+    return aggregation._Stack([problem]).combiners(
+        np.asarray(b, dtype=complex)[None, None])[0, 0]
+
+
+def tco_steps(problem, combiners):
+    """Optimal coefficients and KKT multipliers of all devices, (K,) each,
+    for fixed combiners: the vectorized update the solver runs."""
+    stack = aggregation._Stack([problem])
+    proj, quad = stack.forms(np.asarray(combiners)[None, None])
+    b, mu = stack.tco(proj, quad, np.sqrt(problem.power_limit)[None, None])
+    return b[0, 0], mu[0, 0]
+
+
+def mse_level1(problem, b, combiners, projections, g):
+    """Level-1 MSE of group g (see ``aggregation.level1_mses``) for one
+    problem's coefficients (K,), combiners (G, L, N) and projections
+    (G, K, L)."""
+    return float(aggregation.level1_mses([problem], *(np.asarray(a)[None, None] for a in
+                                                      (b, combiners, projections)))[0, 0, g])
 
 
 def weighted_sum_mse_level1(problem, b, combiners, projections):
     return float(sum(
-        problem.weights.omega[g]
-        * aggregation.mse_level1(problem, b, combiners, projections, g)
+        problem.weights.omega[g] * mse_level1(problem, b, combiners, projections, g)
         for g in range(problem.n_groups)
     ))
+
+
+def total_per_block(report, rounds_per_block=1):
+    """Recurring fronthaul scalars per coherence block holding the given
+    training rounds: the pilot and data signals plus one combiner exchange
+    per round."""
+    return report.pilot_data_scalars + rounds_per_block * report.combiner_scalars
 
 
 def mc_mse_level3(problem, b, v, g, n_draws, rng):
@@ -131,7 +162,7 @@ def mc_mse_level1(problem, b, combiners, channels, g, n_draws, rng,
     Only the symbols and the per-AP noise are random: the recovery is the
     plain average over APs of the locally combined signals.
     """
-    n_aps = problem.n_aps
+    n_aps = problem.h_hat.shape[1]
     u = np.einsum("ln,kln->kl", combiners[g].conj(), channels)
     mean_u = u.mean(axis=1)
     target = np.where(problem.group_of_device == g,

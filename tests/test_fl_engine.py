@@ -1,3 +1,5 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from cfota import aggregation as agg
 from cfota import fl_engine as fl
 from cfota.rng import substream
 
-from oracles import (cn_noise, denormalize, desired_global, draw_instance,
-                     local_update, normalize_vector, sqrt_psd)
+from oracles import (cn_noise, combiners_level3, denormalize, desired_global,
+                     draw_instance, local_update, normalize_vector, sqrt_psd)
 
 
 def test_normalize_hand_example():
@@ -243,7 +245,7 @@ def test_ota_round_noiseless_perfect_csi_recovers_desired():
         weights=agg.AggregationWeights(np.array([1.0]), np.array([1.0]),
                                        np.array([std]), np.array([mean])),
         noise_power=1e-12, power_limit=np.array([4.0]))
-    v = agg.combiners_level3(problem, b)
+    v = combiners_level3(problem, b)
     sol = agg.AggregationSolution(b=b, combiners=v, mu=np.zeros(1), history=None)
     recovered, error_sq = _block_round(theta, np.ones((1, 1)), sol, h, 0.0,
                                        substream(6, "slots"))
@@ -317,3 +319,34 @@ def test_ota_round_level2_equals_level3_recovery():
                                views=views)[0]
            for views in (1, cfg.n_aps)}
     np.testing.assert_allclose(out[cfg.n_aps], out[1], rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_seeds=st.integers(1, 3),
+       n_groups=st.integers(1, 3), per_group=st.integers(1, 3),
+       n_aps=st.integers(1, 5), n_ant=st.integers(1, 4), n_dims=st.integers(2, 12))
+def test_ota_block_per_ap_sum_equals_joint_view(seed, n_seeds, n_groups, per_group,
+                                                n_aps, n_ant, n_dims):
+    # level 2 combines each AP's slots with its block of the combiner and sums
+    # the L outputs; level 3 combines the stacked L*N antennas at once
+    rng = np.random.default_rng(seed)
+
+    def cn(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+    n_dev = n_groups * per_group
+    local = rng.standard_normal((n_seeds, n_dev, n_dims)) * rng.uniform(0.1, 2.0) + 0.3
+    symbols, mean, _ = fl.normalize(local)
+    gamma = rng.uniform(0.2, 1.0, (n_groups, per_group))
+    b = cn(n_seeds, n_dev)
+    channels = cn(n_seeds, n_dev, n_aps, n_ant)
+    noise = cn(n_seeds, n_aps, n_ant, n_dims) * 0.1
+    combiners = cn(n_seeds, n_groups, n_aps, n_ant)
+    out = {views: fl.ota_block(local, symbols, mean, gamma, b,
+                               channels.reshape(n_seeds, n_dev, 1, views, -1),
+                               noise.reshape(n_seeds, 1, views, -1, n_dims),
+                               combiners.reshape(n_seeds, n_groups, views, -1))
+           for views in (1, n_aps)}
+    (joint, joint_sq), (summed, summed_sq) = out[1], out[n_aps]
+    assert np.linalg.norm(summed - joint) <= 1e-12 * np.linalg.norm(joint)
+    np.testing.assert_allclose(summed_sq, joint_sq, rtol=1e-12, atol=0.0)

@@ -1,6 +1,6 @@
 import gzip
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ from cfota.cli import main as cli_main
 from cfota.rng import substream
 
 from oracles import (desired_global, desk_config, device_gradient_fn, group_metric,
-                     local_update, train_rows)
+                     local_update, mse_level1, train_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +38,23 @@ def test_minimal_config_gets_defaults(tmp_path):
 def test_committed_config_loads(path):
     cfg = runner.load_config(path)
     assert cfg.architectures and cfg.out
+
+
+# A config line and the value it must set, per field type.
+CONFIG_SAMPLES = {bool: ("yes", True), int: ("7", 7), float: ("2.5", 2.5), str: ("abc", "abc"),
+                  tuple[str, ...]: ("level1, level3", ("level1", "level3")),
+                  tuple[float, ...]: ("1.5, -2", (1.5, -2.0))}
+
+
+@pytest.mark.parametrize("field", [f for f in fields(runner.ScenarioConfig)
+                                   if f.name != "idx_paths"], ids=lambda f: f.name)
+def test_every_config_field_can_be_set_from_a_line(field):
+    raw, want = CONFIG_SAMPLES[field.type]
+    assert getattr(runner.ScenarioConfig(), field.name) != want
+    got = getattr(runner.parse_config_lines([f"{field.name} = {raw}"]), field.name)
+    assert got == want and type(got) is type(want)
+    if isinstance(want, tuple):
+        assert [type(item) for item in got] == [type(item) for item in want]
 
 
 def test_unknown_key_is_parse_error(tmp_path):
@@ -328,14 +345,15 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
     # bit, what the one-seed functions build
     cfg = desk_config(seeds=n_seeds + 1, distribution_mode=mode,
                       architectures=archs, master_seed=3)
-    builds = {runner.aggregation.Level1Problem: runner.level1_problem,
-              runner.aggregation.Level3Problem: runner.level3_problem,
-              runner.aggregation.CellularProblem: runner.cellular_problem}
+    # (batch entry point, problem class): solver kind and one-seed builder
+    builds = {("level1_batch", "Level3Problem"): ("level1", runner.level3_problem),
+              ("optimize_batch", "Level3Problem"): ("level3", runner.level3_problem),
+              ("optimize_batch", "CellularProblem"): ("cellular", runner.cellular_problem)}
     batches = {}
     for name in ("level1_batch", "optimize_batch"):
-        def recording(problems, power_limits, batch=getattr(runner.aggregation, name),
-                      **kwargs):
-            batches[type(problems[0])] = problems
+        def recording(problems, power_limits, name=name,
+                      batch=getattr(runner.aggregation, name), **kwargs):
+            batches[(name, type(problems[0]).__name__)] = problems
             return batch(problems, power_limits, **kwargs)
 
         monkeypatch.setattr(runner.aggregation, name, recording)
@@ -343,8 +361,7 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
     rows = runner._sweep_seeds(cfg, seeds)
     monkeypatch.undo()
     kinds = {runner.ARCHITECTURES[arch].solver for arch in archs}
-    assert sorted(builds[kind].__name__ for kind in batches) == sorted(
-        f"{kind}_problem" for kind in kinds)
+    assert sorted(builds[key][0] for key in batches) == sorted(kinds)
     powers = np.stack([np.full(cfg.n_devices, runner.dbm_to_watt(p))
                        for p in cfg.sweep_dbm])
     for i, seed in enumerate(seeds):
@@ -353,13 +370,13 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
         state = runner.draw_round(stats, (3, seed, "round", 0))
         w = runner.make_weights(cfg, geometry.group_of_device,
                                 *runner._initial_round_stats(cfg, seed))
-        for kind, problems in batches.items():
-            assert_problems_equal(problems[i], builds[kind](stats, state, w))
-        problem = runner.level1_problem(stats, state, w)
+        for key, problems in batches.items():
+            assert_problems_equal(problems[i], builds[key][1](stats, state, w))
+        problem = runner.level3_problem(stats, state, w)
         solutions = runner.aggregation.level1_batch([problem], powers)[0]
         for p_dbm, sol in zip(cfg.sweep_dbm, solutions):
             proj = runner.aggregation.channel_projections(sol.combiners, state.ap.h)
-            alone = tuple(runner.aggregation.mse_level1(problem, sol.b, sol.combiners, proj, g)
+            alone = tuple(mse_level1(problem, sol.b, sol.combiners, proj, g)
                           for g in range(cfg.n_groups))
             [row] = [r for r in rows if (r.scenario, r.seed, r.point) == ("level1", seed, p_dbm)]
             assert row.mse_per_group == alone
@@ -537,16 +554,18 @@ def test_training_solves_every_seed_in_one_batch_per_round(monkeypatch):
     cfg = _train_cfg(architectures=archs, rounds=2, seeds=5, max_iters=80)
     batches = []
     for name in ("level1_batch", "optimize_batch"):
-        def counting(problems, power_limits, batch=getattr(runner.aggregation, name),
-                     **kwargs):
-            batches.append((type(problems[0]).__name__, len(problems), len(power_limits)))
+        def counting(problems, power_limits, name=name,
+                     batch=getattr(runner.aggregation, name), **kwargs):
+            batches.append(((name, type(problems[0]).__name__), len(problems),
+                            len(power_limits)))
             return batch(problems, power_limits, **kwargs)
 
         monkeypatch.setattr(runner.aggregation, name, counting)
     for name in ("level1_solution", "alternating_optimize"):
         monkeypatch.setattr(runner.aggregation, name, None)
     rows = runner.run_fl_training(cfg, threads=1)
-    per_round = ["Level1Problem", "Level3Problem", "Level3Problem", "CellularProblem"]
+    per_round = [("level1_batch", "Level3Problem"), ("optimize_batch", "Level3Problem"),
+                 ("optimize_batch", "Level3Problem"), ("optimize_batch", "CellularProblem")]
     assert sorted(batches) == sorted((kind, cfg.seeds, 1)
                                      for kind in per_round * cfg.rounds)
     for threads in (2, 3, 7):
