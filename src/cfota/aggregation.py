@@ -19,9 +19,14 @@ record: level 1 as one single-block view per AP and level 3 as one view of
 all L AP blocks, each serving every group.  The cellular system has one
 single-block view per serving BS, serving its own group only.  Level 3 and
 cellular also share the alternating solver built on that core.
+
+A record holds one coherence block or, with a leading seed axis on its
+estimates, error blocks and per-device weights, one block of each seed of
+a seed block; the batch entry points solve every seed of such a record at
+once.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,35 +69,39 @@ class OptHistory:
 
 def _check_shapes(problem, views):
     """Raise ValueError, naming the field, unless the estimates have the
-    record's layout and the other fields agree with them: per-device arrays
-    of K entries and group ids in 0..G-1, G being the number of priorities.
+    record's layout, with or without a leading seed axis, and the other
+    fields agree with them: K entries per device, per seed for the weights,
+    and group ids in 0..G-1, G being the number of priorities.
 
     ``views`` is 1 if the device axis follows a view axis, 0 if it leads.
     """
     name = type(problem).__name__
     h = np.shape(problem.h_hat)
-    if len(h) != 3:
+    if len(h) not in (3, 4):
         layout = "(G, K, M)" if views else "(K, L, N)"
-        raise ValueError(f"{name}.h_hat has shape {h}, expected {layout}")
+        raise ValueError(f"{name}.h_hat has shape {h}, expected {layout} "
+                         f"or (S, {layout[1:]}")
     cov = np.shape(problem.error_cov)
     if cov != h + h[-1:]:
         raise ValueError(f"{name}.error_cov has shape {cov}, expected {h + h[-1:]} "
                          f"for h_hat of shape {h}")
-    n_dev = h[views]
+    seeds = h[:-3]
+    n_dev = h[len(seeds) + views]
     w = problem.weights
-    for field, value in (("group_of_device", problem.group_of_device),
-                         ("power_limit", problem.power_limit), ("weights.gamma", w.gamma),
-                         ("weights.nu", w.nu), ("weights.theta_bar", w.theta_bar)):
+    for field, value, lead in (
+            ("group_of_device", problem.group_of_device, ()),
+            ("power_limit", problem.power_limit, ()), ("weights.gamma", w.gamma, seeds),
+            ("weights.nu", w.nu, seeds), ("weights.theta_bar", w.theta_bar, seeds)):
         shape = np.shape(value)
-        if shape != (n_dev,):
-            raise ValueError(f"{name}.{field} has shape {shape}, expected {(n_dev,)} "
-                             f"for h_hat of shape {h}")
+        if shape != lead + (n_dev,):
+            raise ValueError(f"{name}.{field} has shape {shape}, expected "
+                             f"{lead + (n_dev,)} for h_hat of shape {h}")
     gdev = np.asarray(problem.group_of_device)
     stray = gdev[(gdev < 0) | (gdev >= problem.n_groups)]
     if stray.size:
         raise ValueError(f"{name}.group_of_device holds {np.unique(stray).tolist()}, "
                          f"expected group ids in 0..{problem.n_groups - 1}")
-    if views and h[0] != problem.n_groups:
+    if views and h[len(seeds)] != problem.n_groups:
         raise ValueError(f"{name}.h_hat has shape {h}, expected one view per group "
                          f"({problem.n_groups})")
 
@@ -106,10 +115,14 @@ class Level3Problem:
     covariance: the stacked error covariance is block diagonal, one N x N
     block per AP, and is never formed.  The CPU's combiners stack the APs'
     antennas, AP by AP, into L*N entries.
+
+    A seed block's record has a leading seed axis on h_hat (S, K, L, N),
+    error_cov (S, K, L, N, N) and weights.gamma, nu and theta_bar (S, K);
+    the grouping, priorities, noise power and power limits are held once.
     """
 
-    h_hat: np.ndarray          # (K, L, N)
-    error_cov: np.ndarray      # (K, L, N, N)
+    h_hat: np.ndarray          # ([S,] K, L, N)
+    error_cov: np.ndarray      # ([S,] K, L, N, N)
     group_of_device: np.ndarray
     weights: AggregationWeights
     noise_power: float
@@ -128,11 +141,12 @@ class CellularProblem:
     """One coherence block seen by the serving base stations.
 
     h_hat[g, k] is device k's estimate at the BS serving group g; every
-    group has its own view of every device.
+    group has its own view of every device.  A seed block's record has a
+    leading seed axis, as a ``Level3Problem`` has.
     """
 
-    h_hat: np.ndarray          # (G, K, M)
-    error_cov: np.ndarray      # (G, K, M, M)
+    h_hat: np.ndarray          # ([S,] G, K, M)
+    error_cov: np.ndarray      # ([S,] G, K, M, M)
     group_of_device: np.ndarray
     weights: AggregationWeights
     noise_power: float
@@ -161,41 +175,37 @@ class AggregationSolution:
 # ---------------------------------------------------------------------------
 
 def _views(problem, per_ap):
-    """Estimates (Gv, K, nb, N), error blocks (Gv, K, nb, N, N), and whether
-    every view serves every group.
+    """Estimates (S, Gv, K, nb, N), error blocks (S, Gv, K, nb, N, N), and
+    whether every view serves every group.
 
     A view sees nb receivers of N antennas each, its combiners stack them
     into D = nb*N entries, and its error covariance is block diagonal.  An
     AP-side record is one view of nb = L blocks, or L views of one block
     when read ``per_ap``, each serving every group; a cellular problem has
-    one single-block view per group (Gv = G), serving that group only.
+    one single-block view per group (Gv = G), serving that group only.  A
+    record without a seed axis is a block of one seed.
     """
+    h, cov = problem.h_hat, problem.error_cov
+    if h.ndim == 3:
+        h, cov = h[None], cov[None]
     if isinstance(problem, CellularProblem):
-        return problem.h_hat[:, :, None], problem.error_cov[:, :, None], False
+        return h[:, :, :, None], cov[:, :, :, None], False
     if per_ap:
-        return (problem.h_hat.swapaxes(0, 1)[:, :, None],
-                problem.error_cov.swapaxes(0, 1)[:, :, None], True)
-    return problem.h_hat[None], problem.error_cov[None], True
+        return h.swapaxes(1, 2)[:, :, :, None], cov.swapaxes(1, 2)[:, :, :, None], True
+    return h[:, None], cov[:, None], True
 
 
-def _stack_like(arrays):
-    """Same-shape arrays stacked on a new leading axis, each laid out in
-    memory as the first one is: a transposed view stays transposed.  One
-    array is not copied.
+def _take_seeds(problem, seeds):
+    """The record of the given seeds of a seed block's record.
 
-    BLAS picks its kernel by operand layout, so a problem's products see
-    the same layout alone and in any stack.
+    Indexing the seed axis keeps each seed's memory layout (a transposed
+    view stays transposed), and BLAS picks its kernel by operand layout, so
+    a seed's products see the same layout in any rectangle.
     """
-    first = arrays[0]
-    if len(arrays) == 1:
-        return first[None]
-    order = sorted(range(first.ndim), key=lambda axis: -first.strides[axis])
-    dtype = np.result_type(*{array.dtype for array in arrays})
-    out = np.empty((len(arrays),) + tuple(first.shape[axis] for axis in order), dtype=dtype)
-    out = out.transpose(0, *(1 + order.index(axis) for axis in range(first.ndim)))
-    for i, array in enumerate(arrays):
-        out[i] = array
-    return out
+    w = problem.weights
+    return replace(problem, h_hat=problem.h_hat[seeds], error_cov=problem.error_cov[seeds],
+                   weights=replace(w, gamma=w.gamma[seeds], nu=w.nu[seeds],
+                                   theta_bar=w.theta_bar[seeds]))
 
 
 def _check_finite(mat, live):
@@ -207,26 +217,24 @@ def _check_finite(mat, live):
 
 
 class _Stack:
-    """S problems, each at the same P rows of power limits: a seeds x powers
-    rectangle.
+    """The S seeds of a record, each at the same P rows of power limits: a
+    seeds x powers rectangle.
 
     Every method takes and returns arrays with leading axes (S, P).  A
-    problem's estimates, error blocks and weights are held once, with a
-    unit power axis that broadcasts over its rows.  Each row's arithmetic is
-    a separate matrix product or solve of the same shape and operand layout
+    seed's estimates, error blocks and weights are held once, with a unit
+    power axis that broadcasts over its rows.  Each row's arithmetic is a
+    separate matrix product or solve of the same shape and operand layout
     whatever S and P are, so a row gets bit-identical results alone and in
-    any rectangle.  Level 1 reads the AP-side records ``per_ap`` and uses
+    any rectangle.  Level 1 reads the AP-side record ``per_ap`` and uses
     ``combiners`` only.
     """
 
-    def __init__(self, problems, per_ap=False):
-        first = problems[0]
-        views = [_views(problem, per_ap) for problem in problems]
-        h, cov = (_stack_like([view[i] for view in views]) for i in (0, 1))
-        shared = views[0][2]
+    def __init__(self, problem, per_ap=False):
+        h, cov, shared = _views(problem, per_ap)
         n_seeds, n_views, n_dev, n_blocks, n_ant = h.shape
-        gdev = np.asarray(first.group_of_device)
-        self.n_groups = first.n_groups
+        gdev = np.asarray(problem.group_of_device)
+        self.n_seeds = n_seeds
+        self.n_groups = problem.n_groups
         self.n_views = n_views
         self.per_view = self.n_groups if shared else self.n_groups // n_views
         self.blocks = (n_blocks, n_ant)
@@ -239,13 +247,13 @@ class _Stack:
         self.cov_by_device = cov.swapaxes(1, 2).reshape(n_seeds, 1, n_dev, -1)
         # Blocks as columns, so the quadratic forms are one product per view.
         self.cov_cols = cov.reshape(n_seeds, 1, n_views, n_dev, -1).swapaxes(-1, -2)
-        self.noise_power = first.noise_power
-        self.noise_eye = first.noise_power * np.eye(n_ant)
+        self.noise_power = problem.noise_power
+        self.noise_eye = problem.noise_power * np.eye(n_ant)
         self.own = gdev == np.arange(self.n_groups)[:, None]          # (G, K)
-        gamma, nu = (np.stack([getattr(p.weights, name) for p in problems])[:, None]
-                     for name in ("gamma", "nu"))                     # (S, 1, K)
+        w = problem.weights
+        gamma, nu = (np.reshape(x, (n_seeds, 1, n_dev)) for x in (w.gamma, w.nu))
         self.target = np.where(self.own, (gamma * nu)[..., None, :], 0.0)  # (S, 1, G, K)
-        self.gamma, self.nu, self.omega = gamma, nu, first.weights.omega
+        self.gamma, self.nu, self.omega = gamma, nu, w.omega
         self.gain = self.omega[gdev] * gamma * nu                     # (S, 1, K)
         self.gdev, self.devices = gdev, np.arange(n_dev)
 
@@ -335,25 +343,25 @@ class _Stack:
         return values
 
 
-def _solve(problems, power_limits, eps, max_iters, b_init=None):
+def _solve(problem, power_limits, eps, max_iters, b_init=None):
     """Lockstep block-coordinate descent over a seeds x powers rectangle.
 
-    Row (s, i) is problem s at power_limits[i].  Each iteration refreshes
-    all combiners, then all coefficients; both are exact minimizations, so
+    Row (s, i) is seed s at power_limits[i].  Each iteration refreshes all
+    combiners, then all coefficients; both are exact minimizations, so
     every row's objective never increases.  A row stops once an iteration
-    decreases its objective by less than eps.  A problem leaves the
-    rectangle once all its rows have stopped, and a power column once it
-    has stopped in every remaining problem; a stopped row still inside the
-    rectangle keeps being computed, but it is neither recorded nor checked.
+    decreases its objective by less than eps.  A seed leaves the rectangle
+    once all its rows have stopped, and a power column once it has stopped
+    in every remaining seed; a stopped row still inside the rectangle keeps
+    being computed, but it is neither recorded nor checked.
     """
+    stack = _Stack(problem)
     power = np.asarray(power_limits, dtype=float)
-    shape = (len(problems), len(power))
+    shape = (stack.n_seeds, len(power))
     sqrt_power = np.broadcast_to(np.sqrt(power), shape + power.shape[1:])
     if b_init is None:
         b = sqrt_power.astype(complex)
     else:
         b = np.array(b_init, dtype=complex).reshape(sqrt_power.shape)
-    stack = _Stack(problems)
     v = stack.combiners(b)
     proj, quad = stack.forms(v)
     mses = stack.group_mses(b, v, proj, quad)
@@ -395,7 +403,7 @@ def _solve(problems, power_limits, eps, max_iters, b_init=None):
                 break
             if not keep_s.all():
                 seeds = seeds[keep_s]
-                stack = _Stack([problems[s] for s in seeds])
+                stack = _Stack(_take_seeds(problem, seeds))
             kept = np.ix_(keep_s, keep_c)
             cols = cols[keep_c]
             at = np.ix_(seeds, cols)
@@ -414,37 +422,17 @@ def _solve(problems, power_limits, eps, max_iters, b_init=None):
              for i in range(shape[1])] for s in range(shape[0])]
 
 
-def _check_batch(problems):
-    """Raise ValueError, naming the field, unless the problems can share one
-    rectangle: the same kind, shape, grouping, priorities and noise power."""
-    first = problems[0]
-    for i, problem in enumerate(problems[1:], start=1):
-        if type(problem) is not type(first):
-            raise ValueError(f"problem {i} is a {type(problem).__name__}, "
-                             f"problem 0 a {type(first).__name__}")
-        for field, mine, theirs in (
-                ("h_hat shape", np.shape(problem.h_hat), np.shape(first.h_hat)),
-                ("group_of_device", problem.group_of_device, first.group_of_device),
-                ("weights.omega", problem.weights.omega, first.weights.omega),
-                ("noise_power", problem.noise_power, first.noise_power)):
-            if not np.array_equal(mine, theirs):
-                raise ValueError(f"problem {i} differs from problem 0 in {field}: "
-                                 f"{mine} != {theirs}")
+def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500):
+    """Solve every seed of an AP-side record, viewed jointly, or of a
+    cellular record at every row of power limits, all in lockstep.
 
-
-def optimize_batch(problems, power_limits, eps=1e-10, max_iters=500):
-    """Solve every problem at every row of power limits, all in lockstep.
-
-    ``problems`` are AP-side or cellular problems of one kind that share
-    their shape, grouping, priorities and noise power, and differ in their
-    estimates, error blocks and weights: one channel draw each.  Row i of
-    ``power_limits`` (P, K) replaces each problem's power_limit.  Every
-    (problem, row) pair iterates from full power with its own stopping
+    Row i of ``power_limits`` (P, K) replaces the record's power_limit.
+    Every (seed, row) pair iterates from full power with its own stopping
     test, and its result equals that of ``alternating_optimize`` on the
-    single problem.  Returns, per problem, one AggregationSolution per row.
+    seed's slice of the record; a record without a seed axis is one seed.
+    Returns, per seed, one AggregationSolution per row.
     """
-    _check_batch(problems)
-    return _solve(problems, power_limits, eps, max_iters)
+    return _solve(problem, power_limits, eps, max_iters)
 
 
 def alternating_optimize(problem, eps=1e-10, max_iters=500, b_init=None):
@@ -453,7 +441,7 @@ def alternating_optimize(problem, eps=1e-10, max_iters=500, b_init=None):
 
     Coefficients start at full power ``sqrt(P_k)`` unless b_init is given.
     """
-    return _solve([problem], problem.power_limit[None], eps, max_iters, b_init)[0][0]
+    return _solve(problem, problem.power_limit[None], eps, max_iters, b_init)[0][0]
 
 
 def tco_step(problem, combiners, k):
@@ -469,7 +457,7 @@ def tco_step(problem, combiners, k):
     """
     w = problem.weights
     g = int(problem.group_of_device[k])
-    proj, quad = _Stack([problem]).forms(np.asarray(combiners)[None, None])
+    proj, quad = _Stack(problem).forms(np.asarray(combiners)[None, None])
     proj, quad = proj[0, 0, :, k], quad[0, 0, :, k]
     mag = np.abs(proj)
     denom = float((w.omega * (mag ** 2 + quad)).sum())
@@ -488,7 +476,7 @@ def mse_level3(problem, b, v, g):
     devices and 0 for interferers.  Takes an AP-side problem, viewed jointly,
     or a cellular one (the estimates at group g's serving BS).
     """
-    stack = _Stack([problem])
+    stack = _Stack(problem)
     combiners = np.zeros((1, 1, problem.n_groups, len(v)), dtype=complex)
     combiners[0, 0, g] = v
     proj, quad = stack.forms(combiners)
@@ -506,50 +494,47 @@ def channel_projections(combiners, channels):
     return np.einsum("...gln,...kln->...gkl", combiners.conj(), channels)
 
 
-def level1_mses(problems, b, combiners, projections):
+def level1_mses(problem, b, combiners, projections):
     """Aggregation MSEs (S, P, G) of every group's averaged recovery, given
-    combined channels: problem s at row p has coefficients b[s, p] (K,),
-    combiners[s, p] (G, L, N) and projections[s, p] (G, K, L).
+    combined channels: seed s of the AP-side record at row p has
+    coefficients b[s, p] (K,), combiners[s, p] (G, L, N) and projections[s,
+    p] (G, K, L).
 
     This conditions on the per-AP combined *true* channels (a simulation-side
     metric): with u fixed, only the symbols and noise are random, so there is
     no estimation-error inflation term.
     """
-    first = problems[0]
     n_aps = combiners.shape[-2]
     # Contiguous, so that each sum adds its terms in one order whatever the
     # layout of the arrays passed in.
     combiners, projections = map(np.ascontiguousarray, (combiners, projections))
-    gamma_nu = np.stack([p.weights.gamma * p.weights.nu for p in problems])
-    own = first.group_of_device == np.arange(first.n_groups)[:, None]
-    target = np.where(own, gamma_nu[:, None, None, :], 0.0)       # (S, 1, G, K)
+    gamma_nu = problem.weights.gamma * problem.weights.nu
+    own = problem.group_of_device == np.arange(problem.n_groups)[:, None]
+    target = np.where(own, gamma_nu[..., None, None, :], 0.0)     # (S, 1, G, K)
     mean_u = projections.mean(axis=-1)                             # averaged combined gains
     signal = (np.abs(mean_u * b[..., None, :] - target) ** 2).sum(axis=-1)
     power = np.abs(combiners) ** 2
     power = power.reshape(*power.shape[:-2], -1).sum(axis=-1)
-    return signal + first.noise_power * power / n_aps**2
+    return signal + problem.noise_power * power / n_aps**2
 
 
-def level1_batch(problems, power_limits):
+def level1_batch(problem, power_limits):
     """Full-power coefficients and local combiners (no TCO at level 1) of
-    every problem at every row of power limits.
+    every seed of an AP-side record, viewed per AP, at every row of power
+    limits.
 
-    ``problems`` are AP-side records, each viewed per AP, that share their
-    shape, grouping, priorities and noise power, as for ``optimize_batch``.
-    Row i of ``power_limits`` (P, K) replaces each problem's power_limit;
-    each result equals ``level1_solution`` on that problem.  Returns, per
-    problem, one AggregationSolution per row.
+    Row i of ``power_limits`` (P, K) replaces the record's power_limit; each
+    result equals ``level1_solution`` on the seed's slice of the record.
+    Returns, per seed, one AggregationSolution per row.
     """
-    _check_batch(problems)
-    first = problems[0]
-    if isinstance(first, CellularProblem):
+    if isinstance(problem, CellularProblem):
         raise ValueError("level 1 combines per AP and takes Level3Problem records, "
                          "not a CellularProblem")
     b = np.sqrt(np.asarray(power_limits, dtype=float)).astype(complex)
-    combiners = _Stack(problems, per_ap=True).combiners(
-        np.broadcast_to(b, (len(problems),) + b.shape))
-    combiners = combiners.reshape(*combiners.shape[:3], first.h_hat.shape[1], -1)
-    no_steps = np.empty((0, first.n_groups))
+    stack = _Stack(problem, per_ap=True)
+    combiners = stack.combiners(np.broadcast_to(b, (stack.n_seeds,) + b.shape))
+    combiners = combiners.reshape(*combiners.shape[:3], problem.h_hat.shape[-2], -1)
+    no_steps = np.empty((0, problem.n_groups))
     return [[AggregationSolution(b=b_i, combiners=v_i, mu=np.zeros(len(b_i)),
                                  history=OptHistory(np.array([]), 0, "threshold", no_steps))
              for b_i, v_i in zip(b, row)] for row in combiners]
@@ -558,4 +543,4 @@ def level1_batch(problems, power_limits):
 def level1_solution(problem):
     """Full-power coefficients and local combiners (no TCO at level 1) of
     one AP-side problem, viewed per AP."""
-    return level1_batch([problem], problem.power_limit[None])[0][0]
+    return level1_batch(problem, problem.power_limit[None])[0][0]

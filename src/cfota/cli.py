@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from . import accounting, fl_engine, runner
+from . import accounting, aggregation, fl_engine, runner
 
 
 def _add_config(parser):
@@ -101,7 +101,7 @@ def main(argv=None):
         return 0
     except (runner.ParseError, runner.ValidationError, runner.BadMagic,
             runner.TruncatedFile, runner.LabelOutOfRange, runner.CountMismatch,
-            fl_engine.ShapeMismatch, OSError) as exc:
+            fl_engine.ShapeMismatch, aggregation.NonFiniteSolve, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -245,8 +245,8 @@ def validate_config(cfg):
         raise ValidationError(f"side_m={cfg.side_m} must be > 0")
     if not cfg.epsilon >= 0.0:
         raise ValidationError(f"epsilon={cfg.epsilon} must be >= 0")
-    if not cfg.learning_rate > 0.0:
-        raise ValidationError(f"learning_rate={cfg.learning_rate} must be > 0")
+    if not 0.0 < cfg.learning_rate < np.inf:
+        raise ValidationError(f"learning_rate={cfg.learning_rate} must be finite and > 0")
     if not all(0.0 < w < np.inf for w in cfg.omega):
         raise ValidationError(f"omega={cfg.omega} must be finite and > 0")
     if not cfg.sweep_dbm:
@@ -439,15 +439,11 @@ class SystemStatistics:
 class ChannelState:
     """One coherence block: true channels and their MMSE estimates.
 
-    ``correlations`` and the covariances are the per-seed arrays of the
-    view's statistics, shared by every block.
+    The covariances are the view's statistics, which every block shares.
     """
 
-    correlations: np.ndarray
     h: np.ndarray
     h_hat: np.ndarray
-    estimate_cov: np.ndarray
-    error_cov: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -497,9 +493,7 @@ def build_statistics(cfg, geometry, rng):
 def _draw_view(mmse, rng_fading, rng_pilot):
     h = sample_channels(mmse.correlations, rng_fading)
     y = estimation.pilot_observation(h, mmse.plan, mmse.noise_power, rng_pilot)
-    est = estimation.estimate_all(y, mmse)
-    return ChannelState(correlations=mmse.correlations, h=h, h_hat=est.h_hat,
-                        estimate_cov=est.estimate_cov, error_cov=est.error_cov)
+    return ChannelState(h=h, h_hat=estimation.estimate_all(y, mmse).h_hat)
 
 
 def _draw(stats, streams):
@@ -526,34 +520,31 @@ def draw_block(stats, round_tags):
     return _draw(stats, partial(substreams, round_tags))
 
 
-def _seed_state(state, i):
-    """Seed i of a seed block's round state, as views."""
-    return RoundState(*(None if view is None else ChannelState(
-        *(getattr(view, f.name)[i] for f in fields(ChannelState)))
-        for view in (state.ap, state.bs)))
-
-
 def level3_problem(stats, round_state, weights):
+    """The AP-side record of a round: one seed's, or, from a seed block's
+    statistics and draw, the block's with its seed axis."""
     return aggregation.Level3Problem(
-        h_hat=round_state.ap.h_hat, error_cov=round_state.ap.error_cov,
+        h_hat=round_state.ap.h_hat, error_cov=stats.ap.error_cov,
         group_of_device=stats.geometry.group_of_device, weights=weights,
         noise_power=stats.noise_power, power_limit=stats.power_limit)
 
 
 def cellular_problem(stats, round_state, weights):
+    """The serving-BS record of a round, each group's view first: a
+    transposed view of the (device, BS) arrays."""
     return aggregation.CellularProblem(
-        h_hat=round_state.bs.h_hat.transpose(1, 0, 2),
-        error_cov=round_state.bs.error_cov.transpose(1, 0, 2, 3),
+        h_hat=np.swapaxes(round_state.bs.h_hat, -3, -2),
+        error_cov=np.swapaxes(stats.bs.error_cov, -4, -3),
         group_of_device=stats.geometry.group_of_device, weights=weights,
         noise_power=stats.noise_power, power_limit=stats.power_limit)
 
 
-def make_weights(cfg, group_of_device, nu, theta_bar):
-    gamma = np.full(len(group_of_device), 1.0 / (len(group_of_device) //
-                                                 cfg.n_groups))
+def make_weights(cfg, nu, theta_bar):
+    """Weights of per-device statistics (K,), or (S, K) for a seed block."""
+    nu = np.asarray(nu, dtype=float)
     return aggregation.AggregationWeights(
-        gamma=gamma, omega=cfg.omega_or_default,
-        nu=np.asarray(nu, dtype=float), theta_bar=np.asarray(theta_bar, dtype=float))
+        gamma=np.full(nu.shape, 1.0 / cfg.group_size), omega=cfg.omega_or_default,
+        nu=nu, theta_bar=np.asarray(theta_bar, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -655,23 +646,23 @@ def _solve_block(cfg, kind, stats, state, weights, powers):
     """Every seed of a block solved by solver ``kind`` at every row of
     ``powers`` (P, K), in one batch.
 
-    ``state`` is the block's round state and weights[s] seed s's weights.
+    ``state`` is the block's round state and ``weights`` its (S, K) weights.
     Returns solutions[s][p] (None without a solver) and traces[s][p], the
     per-group MSEs first at full power (tco=0) and last after the solve
-    (tco=1).  Levels 1 and 3 solve the same AP-side problems, level 1 per
-    AP, and level 1 is scored on the true channels.
+    (tco=1).  Levels 1 and 3 solve the same AP-side record, level 1 per AP,
+    and level 1 is scored on the true channels.
     """
     if kind is None:
-        return None, np.zeros((len(weights), len(powers), 1, cfg.n_groups))
+        return None, np.zeros((len(weights.nu), len(powers), 1, cfg.n_groups))
     build = cellular_problem if kind == "cellular" else level3_problem
-    problems = [build(stats, _seed_state(state, s), w) for s, w in enumerate(weights)]
+    problem = build(stats, state, weights)
     if kind == "level1":
-        solved = aggregation.level1_batch(problems, powers)
+        solved = aggregation.level1_batch(problem, powers)
         b, v = (np.array([[getattr(sol, name) for sol in row] for row in solved])
                 for name in ("b", "combiners"))
         proj = aggregation.channel_projections(v, state.ap.h[:, None])
-        return solved, aggregation.level1_mses(problems, b, v, proj)[:, :, None]
-    solved = aggregation.optimize_batch(problems, powers, eps=cfg.epsilon,
+        return solved, aggregation.level1_mses(problem, b, v, proj)[:, :, None]
+    solved = aggregation.optimize_batch(problem, powers, eps=cfg.epsilon,
                                         max_iters=cfg.max_iters)
     return solved, [[sol.history.group_values for sol in row] for row in solved]
 
@@ -709,21 +700,21 @@ def _sweep_seeds(cfg, seeds):
     powers = np.stack([np.full(cfg.n_devices, dbm_to_watt(p)) for p in cfg.sweep_dbm])
     tags, stats = _prepare_block(cfg, seeds)
     state = draw_block(stats, [t + ("round", 0) for t in tags])
-    weights = [make_weights(cfg, stats.geometry.group_of_device,
-                            *_initial_round_stats(cfg, seed)) for seed in seeds]
+    nu, theta_bar = zip(*(_initial_round_stats(cfg, seed) for seed in seeds))
+    weights = make_weights(cfg, nu, theta_bar)
     # traces[kind][s][i]: seed s at grid point i, every seed's whole grid
     # solved in one batch per kind; level 2 takes the level-3 trace.
     traces = {kind: _solve_block(cfg, kind, stats, state, weights, powers)[1]
               for kind in dict.fromkeys(arch.solver for arch in archs)}
     rows = []
-    for i, (seed, w) in enumerate(zip(seeds, weights)):
+    for i, seed in enumerate(seeds):
         for arch in archs:
             fh = _fronthaul_counts(cfg, arch)
             for p_dbm, trace in zip(cfg.sweep_dbm, traces[arch.solver][i]):
                 for tco in range(1 + arch.tco):
                     mses = tuple(float(m) for m in trace[-1 if tco else 0])
                     rows.append(ResultRow(arch.name, tco, seed, float(p_dbm),
-                                          float(np.dot(w.omega, mses)), mses,
+                                          float(np.dot(weights.omega, mses)), mses,
                                           (), fh))
     return rows
 
@@ -906,16 +897,16 @@ def _train_seeds(cfg, seeds):
             # One seed's (K, ...) device stack at a time stays in cache.
             local = theta - step * np.stack([gradient(*one) for one in zip(theta, *data)])
             symbols, mean, std = fl_engine.normalize(local)
-            weights = [make_weights(cfg, gdev, *ms) for ms in zip(std, mean)]
+            weights = make_weights(cfg, std, mean)
             solved, traces = _solve_block(cfg, arch.solver, stats, state, weights,
                                           stats.power_limit[None])
-            models[i] = _ota_round(cfg, arch, local, symbols, mean, weights[0].gamma,
+            models[i] = _ota_round(cfg, arch, local, symbols, mean, weights.gamma[0],
                                    solved, state, noise)[0]
             scores = metrics(models[i])
-            for s, (seed, w) in enumerate(zip(seeds, weights)):
+            for s, seed in enumerate(seeds):
                 mses = _floats(traces[s][0][-1])
                 rows.append(ResultRow(arch.name, arch.tco, seed, float(t),
-                                      float(np.dot(w.omega, mses)), mses,
+                                      float(np.dot(weights.omega, mses)), mses,
                                       _floats(scores[s]), fronthaul[i]))
     return rows
 

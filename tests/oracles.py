@@ -7,6 +7,7 @@ paths they are checking.
 """
 
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve
@@ -47,7 +48,7 @@ def draw_instance(seed, cfg=None, nu_scale=1.0):
     rng = substream(seed, "weights")
     nu = nu_scale * rng.uniform(0.5, 1.5, cfg.n_devices)
     theta_bar = rng.uniform(-1.0, 1.0, cfg.n_devices)
-    weights = runner.make_weights(cfg, geometry.group_of_device, nu, theta_bar)
+    weights = runner.make_weights(cfg, nu, theta_bar)
     return {
         "cfg": cfg,
         "geometry": geometry,
@@ -94,9 +95,32 @@ def dense_cpu_view(problem):
             np.stack([block_diag(*blocks) for blocks in problem.error_cov]))
 
 
+def seed_problem(problem, s):
+    """Seed s's record, without a seed axis, of a seed block's record."""
+    w = problem.weights
+    return replace(problem, h_hat=problem.h_hat[s], error_cov=problem.error_cov[s],
+                   weights=replace(w, gamma=w.gamma[s], nu=w.nu[s],
+                                   theta_bar=w.theta_bar[s]))
+
+
+def block_problem(problems):
+    """One seed block's record of same-kind records that share their
+    grouping, priorities, noise power and power limits."""
+    first = problems[0]
+
+    def stack(get):
+        return np.stack([get(p) for p in problems])
+
+    return replace(first, h_hat=stack(lambda p: p.h_hat),
+                   error_cov=stack(lambda p: p.error_cov),
+                   weights=replace(first.weights, **{
+                       name: stack(lambda p: getattr(p.weights, name))
+                       for name in ("gamma", "nu", "theta_bar")}))
+
+
 def combiners_level1(problem, b):
     """Local combiners (G, L, N) of every group at every AP for coefficients b."""
-    combiners = aggregation._Stack([problem], per_ap=True).combiners(
+    combiners = aggregation._Stack(problem, per_ap=True).combiners(
         np.asarray(b, dtype=complex)[None, None])
     return combiners.reshape(problem.n_groups, problem.h_hat.shape[1], -1)
 
@@ -105,14 +129,14 @@ def combiners_level3(problem, b):
     """All group combiners (G, D) of an AP-side problem viewed jointly, or
     of a cellular one, for fixed coefficients b: each is the global
     minimizer of its group's convex MSE."""
-    return aggregation._Stack([problem]).combiners(
+    return aggregation._Stack(problem).combiners(
         np.asarray(b, dtype=complex)[None, None])[0, 0]
 
 
 def tco_steps(problem, combiners):
     """Optimal coefficients and KKT multipliers of all devices, (K,) each,
     for fixed combiners: the vectorized update the solver runs."""
-    stack = aggregation._Stack([problem])
+    stack = aggregation._Stack(problem)
     proj, quad = stack.forms(np.asarray(combiners)[None, None])
     b, mu = stack.tco(proj, quad, np.sqrt(problem.power_limit)[None, None])
     return b[0, 0], mu[0, 0]
@@ -122,8 +146,8 @@ def mse_level1(problem, b, combiners, projections, g):
     """Level-1 MSE of group g (see ``aggregation.level1_mses``) for one
     problem's coefficients (K,), combiners (G, L, N) and projections
     (G, K, L)."""
-    return float(aggregation.level1_mses([problem], *(np.asarray(a)[None, None] for a in
-                                                      (b, combiners, projections)))[0, 0, g])
+    return float(aggregation.level1_mses(problem, *(np.asarray(a)[None, None] for a in
+                                                    (b, combiners, projections)))[0, 0, g])
 
 
 def weighted_sum_mse_level1(problem, b, combiners, projections):
@@ -376,11 +400,12 @@ def recover(level, signals, combiner, weights, group_of_device, g):
     return np.real(combined) + group_offset(weights, group_of_device, g)
 
 
-def ota_round(local_params, level, solution, state, weights, group_of_device,
+def ota_round(local_params, level, solution, h_ap, h_bs, weights, group_of_device,
               noise_power, rng):
     """One seed's uplink round, group by group: recovered (G, D) parameters
-    and realized squared errors (G,).  ``state`` is the seed's round state;
-    the AP noise is drawn once, the serving BSs' per group."""
+    and realized squared errors (G,).  ``h_ap`` (K, L, N) and ``h_bs`` (K,
+    G, M) are the seed's true channels; the AP noise is drawn once, the
+    serving BSs' per group."""
     n_groups = weights.omega.shape[0]
     desired = np.stack([
         desired_global(local_params[group_of_device == g],
@@ -394,10 +419,10 @@ def ota_round(local_params, level, solution, state, weights, group_of_device,
     error_sq = np.empty(n_groups)
     for g in range(n_groups):
         if level == "cellular":
-            y = np.einsum("km,kd->md", state.bs.h[:, g], sent)
+            y = np.einsum("km,kd->md", h_bs[:, g], sent)
             y = y + cn_noise(y.shape, noise_power, rng)
         elif g == 0:
-            y = np.einsum("kln,kd->lnd", state.ap.h, sent)
+            y = np.einsum("kln,kd->lnd", h_ap, sent)
             y = y + cn_noise(y.shape, noise_power, rng)
         combined = combine_signals(level, y, solution.combiners[g])
         offset = group_offset(weights, group_of_device, g)
@@ -450,13 +475,14 @@ def train_rows(cfg, seed):
                              tasks[gdev[k]].learning_rate(cfg))
                 for k in range(cfg.n_devices)])
             stats_k = [normalize_vector(p) for p in local]
-            weights = runner.make_weights(cfg, gdev, [st[2] for st in stats_k],
-                                          [st[1] for st in stats_k])
-            solved, traces = runner._solve_block(cfg, arch.solver, stats, state,
-                                                 [weights], stats.power_limit[None])
+            nu, theta_bar = [st[2] for st in stats_k], [st[1] for st in stats_k]
+            weights = runner.make_weights(cfg, nu, theta_bar)
+            solved, traces = runner._solve_block(
+                cfg, arch.solver, stats, state,
+                runner.make_weights(cfg, [nu], [theta_bar]), stats.power_limit[None])
             recovered, _ = ota_round(
                 local, arch.name, None if solved is None else solved[0][0],
-                runner._seed_state(state, 0),
+                state.ap.h[0], None if state.bs is None else state.bs.h[0],
                 weights, gdev, cfg.noise_power,
                 substream(cfg.master_seed, seed, "slots", t))
             models[i] = list(recovered)

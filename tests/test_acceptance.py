@@ -307,7 +307,7 @@ def test_criterion_10_estimation_and_gradient_statistics():
     over 1e5 draws; the classifier gradient matches finite differences to
     1e-5 on sampled coordinates."""
     inst = draw_instance(7000)
-    state = inst["state"].ap
+    state = inst["stats"].ap
     scale = np.max(np.abs(state.correlations))
     total = state.estimate_cov + state.error_cov
     assert np.max(np.abs(total - state.correlations)) <= 1e-8 * scale

@@ -11,10 +11,10 @@ from scipy.linalg import cho_factor, cho_solve
 from cfota import aggregation as agg
 from cfota.rng import substream
 
-from oracles import (cn_noise, combiners_level1, combiners_level3, dense_cpu_view,
-                     desk_config, draw_instance, mc_mse_cellular, mc_mse_level1,
-                     mc_mse_level3, mse_level1, recover, tco_steps,
-                     weighted_sum_mse_level1)
+from oracles import (block_problem, cn_noise, combiners_level1, combiners_level3,
+                     dense_cpu_view, desk_config, draw_instance, mc_mse_cellular,
+                     mc_mse_level1, mc_mse_level3, mse_level1, recover, seed_problem,
+                     tco_steps, weighted_sum_mse_level1)
 
 
 def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0,
@@ -460,7 +460,7 @@ def test_lockstep_batch_properties(seed, cellular, n_groups, per_group, dim,
     problem = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
     n_dev = len(problem.group_of_device)
     powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
-    batch = agg.optimize_batch([problem], powers, max_iters=40)[0]
+    batch = agg.optimize_batch(problem, powers, max_iters=40)[0]
     assert len(batch) == len(powers)
     for power, sol in zip(powers, batch):
         one = single_solve(problem, power, max_iters=40)
@@ -529,7 +529,7 @@ def test_lockstep_batch_compacts_mixed_termination():
     for kind in ("level3", "cellular"):
         problem = inst[kind]
         powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(problem.power_limit)))
-        batch = agg.optimize_batch([problem], powers, max_iters=60)[0]
+        batch = agg.optimize_batch(problem, powers, max_iters=60)[0]
         ended = {sol.history.terminated_by for sol in batch}
         assert ended == {"threshold", "max_iters"}
         assert len({sol.history.iterations for sol in batch}) > 2
@@ -542,8 +542,9 @@ def test_lockstep_batch_compacts_mixed_termination():
 
 
 def varied_problems(seed, cellular, n_groups, per_group, dim, n_aps, n_problems):
-    """Problems of one kind, shape, grouping, priorities and noise power, each
-    with its own estimates, error blocks, nu and gamma."""
+    """One seed block's record: seeds of one kind, shape, grouping,
+    priorities and noise power, each with its own estimates, error blocks,
+    nu and gamma."""
     first = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
     problems = [first]
     for i in range(1, n_problems):
@@ -553,7 +554,7 @@ def varied_problems(seed, cellular, n_groups, per_group, dim, n_aps, n_problems)
         problems.append(replace(other, noise_power=first.noise_power,
                                 weights=replace(other.weights, gamma=gamma,
                                                 omega=first.weights.omega)))
-    return problems
+    return block_problem(problems)
 
 
 @settings(max_examples=40, deadline=None)
@@ -563,19 +564,19 @@ def varied_problems(seed, cellular, n_groups, per_group, dim, n_aps, n_problems)
        power_db=st.lists(st.floats(-30.0, 20.0), min_size=1, max_size=5))
 def test_seed_batch_rows_equal_single_solves(seed, cellular, n_groups, per_group,
                                              dim, n_aps, n_problems, power_db):
-    # Every (problem, power) row of the rectangle, whether it stops early,
-    # hits the cap, or keeps being computed after it stopped, equals its own
-    # single solve bit for bit.
-    problems = varied_problems(seed, cellular, n_groups, per_group, dim, n_aps,
-                               n_problems)
-    n_dev = len(problems[0].group_of_device)
+    # Every (seed, power) row of the rectangle, whether it stops early, hits
+    # the cap, or keeps being computed after it stopped, equals the single
+    # solve of the seed's slice of the record bit for bit.
+    block = varied_problems(seed, cellular, n_groups, per_group, dim, n_aps,
+                            n_problems)
+    n_dev = len(block.group_of_device)
     powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
-    batch = agg.optimize_batch(problems, powers, max_iters=40)
-    assert len(batch) == len(problems)
-    for problem, solutions in zip(problems, batch):
+    batch = agg.optimize_batch(block, powers, max_iters=40)
+    assert len(batch) == n_problems
+    for s, solutions in enumerate(batch):
         assert len(solutions) == len(powers)
         for power, sol in zip(powers, solutions):
-            one = single_solve(problem, power, max_iters=40)
+            one = single_solve(seed_problem(block, s), power, max_iters=40)
             assert np.array_equal(sol.b, one.b)
             assert np.array_equal(sol.combiners, one.combiners)
             assert np.array_equal(sol.mu, one.mu)
@@ -585,32 +586,15 @@ def test_seed_batch_rows_equal_single_solves(seed, cellular, n_groups, per_group
             assert sol.history.terminated_by == one.history.terminated_by
 
 
-MISMATCHES = {
-    "group_of_device": lambda p: replace(p, group_of_device=p.group_of_device[::-1].copy()),
-    "omega": lambda p: replace(p, weights=replace(p.weights, omega=2.0 * p.weights.omega)),
-    "noise_power": lambda p: replace(p, noise_power=2.0 * p.noise_power),
-    "shape": lambda p: random_problem(7, isinstance(p, agg.CellularProblem), 2, 2, 3),
-}
-
-
-@pytest.mark.parametrize("cellular", [False, True])
-@pytest.mark.parametrize("field", sorted(MISMATCHES))
-def test_seed_batch_names_the_field_problems_disagree_in(cellular, field):
-    problems = varied_problems(5, cellular, 2, 2, 2, 3, 2)
-    problems[1] = MISMATCHES[field](problems[1])
-    with pytest.raises(ValueError, match=f"problem 1 differs from problem 0 in .*{field}"):
-        agg.optimize_batch(problems, np.ones((2, 4)), max_iters=3)
-
-
 def test_seed_batch_holds_error_blocks_once_per_problem():
     # 2 seeds x 40 power rows of a cellular system with 8 BS antennas: one
     # copy of each seed's error blocks per power row would take 80 copies
-    problems = varied_problems(0, True, 2, 6, 8, 1, 2)
+    block = varied_problems(0, True, 2, 6, 8, 1, 2)
     powers = 10.0 ** np.linspace(-3.0, 1.0, 40)[:, None] * np.ones(12)
-    per_row_copies = 2 * 40 * problems[0].error_cov.nbytes
+    per_row_copies = 2 * 40 * block.error_cov[0].nbytes
     tracemalloc.start()
     try:
-        agg.optimize_batch(problems, powers, max_iters=5)
+        agg.optimize_batch(block, powers, max_iters=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -618,11 +602,11 @@ def test_seed_batch_holds_error_blocks_once_per_problem():
 
 
 def solve_batch(problem, powers):
-    return agg.optimize_batch([problem], powers)[0]
+    return agg.optimize_batch(problem, powers)[0]
 
 
 def level1_batch(problem, powers):
-    return agg.level1_batch([problem], powers)[0]
+    return agg.level1_batch(problem, powers)[0]
 
 
 # Level 1 reads the AP-side record per AP, level 3 reads it jointly.
@@ -725,7 +709,7 @@ def test_level1_batch_equals_single_solutions(seed, n_dev, n_aps, n_ant,
                                               n_groups, power_db):
     problem = random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups)
     powers = power_rows(power_db, n_dev)
-    batch = agg.level1_batch([problem], powers)[0]
+    batch = agg.level1_batch(problem, powers)[0]
     assert len(batch) == len(powers)
     for power, sol in zip(powers, batch):
         one = agg.level1_solution(replace(problem, power_limit=power))
@@ -739,26 +723,27 @@ def test_level1_batch_equals_single_solutions(seed, n_dev, n_aps, n_ant,
 @given(n_problems=st.integers(1, 4), **level1_shapes)
 def test_level1_seed_batch_equals_single_solutions(n_problems, seed, n_dev, n_aps,
                                                    n_ant, n_groups, power_db):
-    # problems that differ in estimates, error blocks, gamma and nu: every
-    # (problem, power) row's solution and level-1 MSEs on true channels
-    # equal those of its own one-problem solve, bit for bit
+    # seeds that differ in estimates, error blocks, gamma and nu: every
+    # (seed, power) row's solution and level-1 MSEs on true channels equal
+    # those of the one-problem solve of the seed's slice, bit for bit
     def draw(i):
         return random_ap_problem((seed + i) % 2**32, n_dev, n_aps, n_ant, n_groups)
 
     first = draw(0)
-    problems = [first] + [
+    block = block_problem([first] + [
         replace(other, noise_power=first.noise_power,
                 weights=replace(other.weights, omega=first.weights.omega))
-        for other in map(draw, range(1, n_problems))]
+        for other in map(draw, range(1, n_problems))])
     channels = np.stack([draw(-1 - i).h_hat for i in range(n_problems)])
     powers = power_rows(power_db, n_dev)
-    batch = agg.level1_batch(problems, powers)
+    batch = agg.level1_batch(block, powers)
     b = np.array([[sol.b for sol in row] for row in batch])
     v = np.array([[sol.combiners for sol in row] for row in batch])
-    mses = agg.level1_mses(problems, b, v,
+    mses = agg.level1_mses(block, b, v,
                            agg.channel_projections(v, channels[:, None]))
     assert mses.shape == (n_problems, len(powers), n_groups)
-    for s, (problem, row) in enumerate(zip(problems, batch)):
+    for s, row in enumerate(batch):
+        problem = seed_problem(block, s)
         for i, (power, sol) in enumerate(zip(powers, row)):
             one = agg.level1_solution(replace(problem, power_limit=power))
             assert np.array_equal(sol.b, one.b)
@@ -809,7 +794,7 @@ def test_block_core_matches_dense_reference(seed, n_dev, n_aps, n_ant, n_groups,
     got = combiners_level3(problem, b)
     assert got.shape == v.shape
     assert np.linalg.norm(got - v) <= 1e-10 * np.linalg.norm(v)
-    got_proj, got_quad = agg._Stack([problem]).forms(v[None, None])
+    got_proj, got_quad = agg._Stack(problem).forms(v[None, None])
     assert np.linalg.norm(got_proj[0, 0] - proj) <= 1e-12 * np.linalg.norm(proj)
     assert np.all(np.abs(got_quad[0, 0] - quad) <= 1e-12 * np.abs(quad).max())
     got_mses = [agg.mse_level3(problem, b, got[g], g) for g in range(n_groups)]
@@ -823,7 +808,7 @@ def test_level3_solve_forms_no_stacked_matrix():
     powers = np.ones((3, 4))
     tracemalloc.start()
     try:
-        agg.optimize_batch([problem], powers, max_iters=5)
+        agg.optimize_batch(problem, powers, max_iters=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -857,11 +842,20 @@ def test_level3_problem_names_inconsistent_shapes():
         with pytest.raises(ValueError, match=re.escape(
                 f"Level3Problem.weights.{name} has shape (5,), expected (6,)")):
             replace(problem, weights=replace(w, **{name: getattr(w, name)[:5]}))
+    # a seed block's per-seed weights carry the estimates' seed axis
+    block = block_problem([problem, problem])
+    w = block.weights
+    for name, value in (("gamma", w.gamma[:1]), ("nu", np.ones((3, 6))),
+                        ("theta_bar", w.theta_bar[0])):
+        with pytest.raises(ValueError, match=re.escape(
+                f"Level3Problem.weights.{name} has shape {value.shape}, expected (2, 6) "
+                f"for h_hat of shape (2, 6, 4, 2)")):
+            replace(block, weights=replace(w, **{name: value}))
 
 
 def test_level1_rejects_a_cellular_problem():
     problem = draw_instance(27)["cellular"]
-    for solve in (agg.level1_solution, lambda p: agg.level1_batch([p], p.power_limit[None])):
+    for solve in (agg.level1_solution, lambda p: agg.level1_batch(p, p.power_limit[None])):
         with pytest.raises(ValueError, match="not a CellularProblem"):
             solve(problem)
 
@@ -883,3 +877,7 @@ def test_cellular_problem_names_inconsistent_shapes():
     with pytest.raises(ValueError, match=re.escape(
             "CellularProblem.group_of_device has shape (7,), expected (6,)")):
         replace(problem, group_of_device=np.arange(7) % 2)
+    block = block_problem([problem] * 3)
+    with pytest.raises(ValueError, match=re.escape(
+            "CellularProblem.weights.nu has shape (2, 6), expected (3, 6)")):
+        replace(block, weights=replace(block.weights, nu=block.weights.nu[1:]))

@@ -277,7 +277,7 @@ def test_ota_round_realized_error_matches_closed_form():
     gamma = problem.weights.gamma.reshape(cfg.n_groups, -1)
     sol = agg.alternating_optimize(problem, max_iters=50)
 
-    roots = np.stack([sqrt_psd(inst["state"].ap.error_cov[k, l])
+    roots = np.stack([sqrt_psd(inst["stats"].ap.error_cov[k, l])
                       for k in range(cfg.n_devices)
                       for l in range(cfg.n_aps)]).reshape(
         cfg.n_devices, cfg.n_aps, cfg.n_ap_antennas, cfg.n_ap_antennas)

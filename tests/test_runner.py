@@ -12,7 +12,7 @@ from cfota.cli import main as cli_main
 from cfota.rng import substream
 
 from oracles import (desired_global, desk_config, device_gradient_fn, group_metric,
-                     local_update, mse_level1, train_rows)
+                     local_update, mse_level1, seed_problem, train_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,7 @@ def test_fair_comparison_validation():
     ("max_iters", "0"),
     ("epsilon", "-1e-12"),
     ("learning_rate", "0"),
+    ("learning_rate", "inf"),
     ("hidden_units", "0"),
     ("samples_per_device", "0"),
     ("sweep_dbm", ""),
@@ -314,9 +315,9 @@ def test_sweep_solves_level1_grid_in_one_batch_per_block(monkeypatch):
     batches = []
     level1_batch = runner.aggregation.level1_batch
 
-    def counting(problems, power_limits):
-        batches.append((len(problems), len(power_limits)))
-        return level1_batch(problems, power_limits)
+    def counting(problem, power_limits):
+        batches.append((len(problem.h_hat), len(power_limits)))
+        return level1_batch(problem, power_limits)
 
     monkeypatch.setattr(runner.aggregation, "level1_batch", counting)
     monkeypatch.setattr(runner.aggregation, "level1_solution", None)
@@ -340,9 +341,9 @@ def assert_problems_equal(got, want):
 def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
                                                    archs):
     # the block path draws each seed from its own streams and runs the rest
-    # over the seed axis; the problems it solves (estimates, error blocks,
-    # weights, grouping, power limits) and its level-1 rows equal, bit for
-    # bit, what the one-seed functions build
+    # over the seed axis; each seed's slice of the records it solves
+    # (estimates, error blocks, weights, grouping, power limits) and its
+    # level-1 rows equal, bit for bit, what the one-seed functions build
     cfg = desk_config(seeds=n_seeds + 1, distribution_mode=mode,
                       architectures=archs, master_seed=3)
     # (batch entry point, problem class): solver kind and one-seed builder
@@ -351,10 +352,10 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
               ("optimize_batch", "CellularProblem"): ("cellular", runner.cellular_problem)}
     batches = {}
     for name in ("level1_batch", "optimize_batch"):
-        def recording(problems, power_limits, name=name,
+        def recording(problem, power_limits, name=name,
                       batch=getattr(runner.aggregation, name), **kwargs):
-            batches[(name, type(problems[0]).__name__)] = problems
-            return batch(problems, power_limits, **kwargs)
+            batches[(name, type(problem).__name__)] = problem
+            return batch(problem, power_limits, **kwargs)
 
         monkeypatch.setattr(runner.aggregation, name, recording)
     seeds = range(1, n_seeds + 1)
@@ -368,12 +369,11 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
         geometry = runner.build_geometry(cfg, substream(3, seed, "geometry"))
         stats = runner.build_statistics(cfg, geometry, substream(3, seed, "shadowing"))
         state = runner.draw_round(stats, (3, seed, "round", 0))
-        w = runner.make_weights(cfg, geometry.group_of_device,
-                                *runner._initial_round_stats(cfg, seed))
-        for key, problems in batches.items():
-            assert_problems_equal(problems[i], builds[key][1](stats, state, w))
+        w = runner.make_weights(cfg, *runner._initial_round_stats(cfg, seed))
+        for key, block in batches.items():
+            assert_problems_equal(seed_problem(block, i), builds[key][1](stats, state, w))
         problem = runner.level3_problem(stats, state, w)
-        solutions = runner.aggregation.level1_batch([problem], powers)[0]
+        solutions = runner.aggregation.level1_batch(problem, powers)[0]
         for p_dbm, sol in zip(cfg.sweep_dbm, solutions):
             proj = runner.aggregation.channel_projections(sol.combiners, state.ap.h)
             alone = tuple(mse_level1(problem, sol.b, sol.combiners, proj, g)
@@ -398,9 +398,9 @@ def test_sweep_solves_every_seed_in_one_batch_per_kind(monkeypatch):
     batches = []
     optimize_batch = runner.aggregation.optimize_batch
 
-    def counting(problems, power_limits, **kwargs):
-        batches.append((type(problems[0]).__name__, len(problems), len(power_limits)))
-        return optimize_batch(problems, power_limits, **kwargs)
+    def counting(problem, power_limits, **kwargs):
+        batches.append((type(problem).__name__, len(problem.h_hat), len(power_limits)))
+        return optimize_batch(problem, power_limits, **kwargs)
 
     monkeypatch.setattr(runner.aggregation, "optimize_batch", counting)
     rows = runner.run_mse_sweep(cfg, threads=1)
@@ -513,18 +513,22 @@ def test_training_shares_each_round_draw_across_architectures(monkeypatch):
 
 
 def test_round_draws_share_read_only_seed_statistics():
-    # every block of a seed shares its views' covariance arrays, which
-    # cannot be written; the estimates are the block's own
+    # a draw holds only the block's channels and estimates; the problems of
+    # every block of a seed read its views' covariance arrays, which cannot
+    # be written, from the statistics
     cfg = desk_config()
     geometry = runner.build_geometry(cfg, substream(4, "geometry"))
     stats = runner.build_statistics(cfg, geometry, substream(4, "shadowing"))
     first, second = (runner.draw_round(stats, (4, "round", t)) for t in (1, 2))
-    for view, a, b in (("ap", first.ap, second.ap), ("bs", first.bs, second.bs)):
+    assert [f.name for f in fields(runner.ChannelState)] == ["h", "h_hat"]
+    w = runner.make_weights(cfg, np.ones(cfg.n_devices), np.zeros(cfg.n_devices))
+    for view, build in (("ap", runner.level3_problem), ("bs", runner.cellular_problem)):
         shared = getattr(stats, view)
-        assert a.estimate_cov is b.estimate_cov is shared.estimate_cov
-        assert a.error_cov is b.error_cov is shared.error_cov
-        assert not np.array_equal(a.h_hat, b.h_hat)
-        for cov in (a.estimate_cov, a.error_cov):
+        a, b = (build(stats, state, w) for state in (first, second))
+        assert np.shares_memory(a.error_cov, shared.error_cov)
+        assert np.shares_memory(b.error_cov, shared.error_cov)
+        assert not np.array_equal(getattr(first, view).h_hat, getattr(second, view).h_hat)
+        for cov in (shared.estimate_cov, shared.error_cov):
             with pytest.raises(ValueError):
                 cov[0, 0, 0, 0] = 0.0
 
@@ -554,11 +558,11 @@ def test_training_solves_every_seed_in_one_batch_per_round(monkeypatch):
     cfg = _train_cfg(architectures=archs, rounds=2, seeds=5, max_iters=80)
     batches = []
     for name in ("level1_batch", "optimize_batch"):
-        def counting(problems, power_limits, name=name,
+        def counting(problem, power_limits, name=name,
                      batch=getattr(runner.aggregation, name), **kwargs):
-            batches.append(((name, type(problems[0]).__name__), len(problems),
+            batches.append(((name, type(problem).__name__), len(problem.h_hat),
                             len(power_limits)))
-            return batch(problems, power_limits, **kwargs)
+            return batch(problem, power_limits, **kwargs)
 
         monkeypatch.setattr(runner.aggregation, name, counting)
     for name in ("level1_solution", "alternating_optimize"):
@@ -784,6 +788,21 @@ def test_cli_dbm_overflow_is_named_error(tmp_path, capsys, command, option,
     assert cli_main([command, "-c", str(cfgfile), *writes, option]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ValidationError") and key in err
+    assert not out.exists()
+
+
+def test_cli_diverging_training_is_named_error(tmp_path, capsys):
+    # a finite learning rate so large that the local step overflows: the
+    # solver meets non-finite weights and the run ends in one error line
+    cfgfile = Path(__file__).resolve().parents[1] / "configs" / "desk-train.cfg"
+    out = tmp_path / "rows.csv"
+    with np.errstate(all="ignore"):
+        code = cli_main(["train", "-c", str(cfgfile), "--out", str(out),
+                         "--set", "seeds=1", "--set", "rounds=2",
+                         "--set", "learning_rate=1e300"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NonFiniteSolve: ") and err.count("\n") == 1
     assert not out.exists()
 
 
