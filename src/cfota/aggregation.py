@@ -13,12 +13,14 @@ baseline:
   recovery is a plain average of the per-AP estimates, full power
 * cellular: each group is served by a single co-located array.
 
-Every receiver shares one combiner core.  It sees the estimates through
-channel views of per-receiver blocks.  Levels 1 and 3 read the same AP-side
-record: level 1 as one single-block view per AP and level 3 as one view of
-all L AP blocks, each serving every group.  The cellular system has one
-single-block view per serving BS, serving its own group only.  Level 3 and
-cellular also share the alternating solver built on that core.
+Every architecture reads one record, a ``Level3Problem`` of K devices
+seen by L receivers, through channel views of its per-receiver blocks,
+and shares one combiner core.  Level 3 reads the AP-side record as one
+view of all L AP blocks and level 1 as one single-block view per AP, each
+view serving every group.  The cellular baseline reads the serving-BS
+record as one single-block view per BS, serving its own group only; the
+batch entry points take it with ``cellular=True``.  Level 3 and cellular
+also share the alternating solver built on that core.
 
 A record holds one coherence block or, with a leading seed axis on its
 estimates, error blocks and per-device weights, one block of each seed of
@@ -67,26 +69,22 @@ class OptHistory:
     group_values: np.ndarray  # (iterations + 1, G)
 
 
-def _check_shapes(problem, views):
+def _check_shapes(problem):
     """Raise ValueError, naming the field, unless the estimates have the
     record's layout, with or without a leading seed axis, and the other
     fields agree with them: K entries per device, per seed for the weights,
     and group ids in 0..G-1, G being the number of priorities.
-
-    ``views`` is 1 if the device axis follows a view axis, 0 if it leads.
     """
     name = type(problem).__name__
     h = np.shape(problem.h_hat)
     if len(h) not in (3, 4):
-        layout = "(G, K, M)" if views else "(K, L, N)"
-        raise ValueError(f"{name}.h_hat has shape {h}, expected {layout} "
-                         f"or (S, {layout[1:]}")
+        raise ValueError(f"{name}.h_hat has shape {h}, expected (K, L, N) or (S, K, L, N)")
     cov = np.shape(problem.error_cov)
     if cov != h + h[-1:]:
         raise ValueError(f"{name}.error_cov has shape {cov}, expected {h + h[-1:]} "
                          f"for h_hat of shape {h}")
     seeds = h[:-3]
-    n_dev = h[len(seeds) + views]
+    n_dev = h[len(seeds)]
     w = problem.weights
     for field, value, lead in (
             ("group_of_device", problem.group_of_device, ()),
@@ -101,20 +99,19 @@ def _check_shapes(problem, views):
     if stray.size:
         raise ValueError(f"{name}.group_of_device holds {np.unique(stray).tolist()}, "
                          f"expected group ids in 0..{problem.n_groups - 1}")
-    if views and h[len(seeds)] != problem.n_groups:
-        raise ValueError(f"{name}.h_hat has shape {h}, expected one view per group "
-                         f"({problem.n_groups})")
 
 
 @dataclass(frozen=True)
 class Level3Problem:
-    """One coherence block seen by the APs, read per AP at level 1 and
-    jointly by the central processor at levels 2 and 3.
+    """One coherence block seen by L receivers of N antennas each: the APs,
+    read per AP at level 1 and jointly by the central processor at levels 2
+    and 3, or the serving BSs, one per group, read per BS by the cellular
+    baseline.
 
-    h_hat[k, l] is device k's estimate at AP l and error_cov[k, l] its error
-    covariance: the stacked error covariance is block diagonal, one N x N
-    block per AP, and is never formed.  The CPU's combiners stack the APs'
-    antennas, AP by AP, into L*N entries.
+    h_hat[k, l] is device k's estimate at receiver l and error_cov[k, l] its
+    error covariance: the stacked error covariance is block diagonal, one
+    N x N block per receiver, and is never formed.  The CPU's combiners
+    stack the APs' antennas, AP by AP, into L*N entries.
 
     A seed block's record has a leading seed axis on h_hat (S, K, L, N),
     error_cov (S, K, L, N, N) and weights.gamma, nu and theta_bar (S, K);
@@ -129,31 +126,7 @@ class Level3Problem:
     power_limit: np.ndarray    # (K,)
 
     def __post_init__(self):
-        _check_shapes(self, 0)
-
-    @property
-    def n_groups(self):
-        return len(self.weights.omega)
-
-
-@dataclass(frozen=True)
-class CellularProblem:
-    """One coherence block seen by the serving base stations.
-
-    h_hat[g, k] is device k's estimate at the BS serving group g; every
-    group has its own view of every device.  A seed block's record has a
-    leading seed axis, as a ``Level3Problem`` has.
-    """
-
-    h_hat: np.ndarray          # ([S,] G, K, M)
-    error_cov: np.ndarray      # ([S,] G, K, M, M)
-    group_of_device: np.ndarray
-    weights: AggregationWeights
-    noise_power: float
-    power_limit: np.ndarray
-
-    def __post_init__(self):
-        _check_shapes(self, 1)
+        _check_shapes(self)
 
     @property
     def n_groups(self):
@@ -174,25 +147,22 @@ class AggregationSolution:
 # One combiner core; level 3 and cellular add the batched alternating solver
 # ---------------------------------------------------------------------------
 
-def _views(problem, per_ap):
-    """Estimates (S, Gv, K, nb, N), error blocks (S, Gv, K, nb, N, N), and
-    whether every view serves every group.
+def _views(problem, per_receiver):
+    """Estimates (S, Gv, K, nb, N) and error blocks (S, Gv, K, nb, N, N) of
+    a record's Gv views.
 
     A view sees nb receivers of N antennas each, its combiners stack them
-    into D = nb*N entries, and its error covariance is block diagonal.  An
-    AP-side record is one view of nb = L blocks, or L views of one block
-    when read ``per_ap``, each serving every group; a cellular problem has
-    one single-block view per group (Gv = G), serving that group only.  A
-    record without a seed axis is a block of one seed.
+    into D = nb*N entries, and its error covariance is block diagonal.  A
+    record is one view of all nb = L receivers or, ``per_receiver``, L views
+    of one receiver each.  A record without a seed axis is a block of one
+    seed.
     """
     h, cov = problem.h_hat, problem.error_cov
     if h.ndim == 3:
         h, cov = h[None], cov[None]
-    if isinstance(problem, CellularProblem):
-        return h[:, :, :, None], cov[:, :, :, None], False
-    if per_ap:
-        return h.swapaxes(1, 2)[:, :, :, None], cov.swapaxes(1, 2)[:, :, :, None], True
-    return h[:, None], cov[:, None], True
+    if per_receiver:
+        return h.swapaxes(1, 2)[:, :, :, None], cov.swapaxes(1, 2)[:, :, :, None]
+    return h[:, None], cov[:, None]
 
 
 def _take_seeds(problem, seeds):
@@ -225,18 +195,26 @@ class _Stack:
     power axis that broadcasts over its rows.  Each row's arithmetic is a
     separate matrix product or solve of the same shape and operand layout
     whatever S and P are, so a row gets bit-identical results alone and in
-    any rectangle.  Level 1 reads the AP-side record ``per_ap`` and uses
-    ``combiners`` only.
+    any rectangle.
+
+    Level 3 reads the record as one view serving every group.  Level 1
+    reads it ``per_ap``, one view per AP serving every group, and uses
+    ``combiners`` only.  The ``cellular`` baseline reads it as one view per
+    serving BS, view g serving group g only.
     """
 
-    def __init__(self, problem, per_ap=False):
-        h, cov, shared = _views(problem, per_ap)
+    def __init__(self, problem, per_ap=False, cellular=False):
+        h, cov = _views(problem, per_ap or cellular)
         n_seeds, n_views, n_dev, n_blocks, n_ant = h.shape
         gdev = np.asarray(problem.group_of_device)
         self.n_seeds = n_seeds
         self.n_groups = problem.n_groups
+        if cellular and n_views != self.n_groups:
+            raise ValueError(f"{type(problem).__name__}.h_hat has shape "
+                             f"{np.shape(problem.h_hat)}, expected one serving BS per "
+                             f"group ({self.n_groups}) in the cellular view")
         self.n_views = n_views
-        self.per_view = self.n_groups if shared else self.n_groups // n_views
+        self.per_view = 1 if cellular else self.n_groups
         self.blocks = (n_blocks, n_ant)
         h = h.reshape(n_seeds, 1, n_views, n_dev, n_blocks * n_ant)
         self.h_conj = h.conj()                                        # (S, 1, Gv, K, D)
@@ -343,7 +321,7 @@ class _Stack:
         return values
 
 
-def _solve(problem, power_limits, eps, max_iters, b_init=None):
+def _solve(problem, power_limits, eps, max_iters, b_init=None, cellular=False):
     """Lockstep block-coordinate descent over a seeds x powers rectangle.
 
     Row (s, i) is seed s at power_limits[i].  Each iteration refreshes all
@@ -354,7 +332,7 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None):
     in every remaining seed; a stopped row still inside the rectangle keeps
     being computed, but it is neither recorded nor checked.
     """
-    stack = _Stack(problem)
+    stack = _Stack(problem, cellular=cellular)
     power = np.asarray(power_limits, dtype=float)
     shape = (stack.n_seeds, len(power))
     sqrt_power = np.broadcast_to(np.sqrt(power), shape + power.shape[1:])
@@ -403,7 +381,7 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None):
                 break
             if not keep_s.all():
                 seeds = seeds[keep_s]
-                stack = _Stack(_take_seeds(problem, seeds))
+                stack = _Stack(_take_seeds(problem, seeds), cellular=cellular)
             kept = np.ix_(keep_s, keep_c)
             cols = cols[keep_c]
             at = np.ix_(seeds, cols)
@@ -422,9 +400,9 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None):
              for i in range(shape[1])] for s in range(shape[0])]
 
 
-def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500):
-    """Solve every seed of an AP-side record, viewed jointly, or of a
-    cellular record at every row of power limits, all in lockstep.
+def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, cellular=False):
+    """Solve every seed of a record, viewed jointly (levels 2 and 3) or
+    ``cellular``, at every row of power limits, all in lockstep.
 
     Row i of ``power_limits`` (P, K) replaces the record's power_limit.
     Every (seed, row) pair iterates from full power with its own stopping
@@ -432,19 +410,20 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500):
     seed's slice of the record; a record without a seed axis is one seed.
     Returns, per seed, one AggregationSolution per row.
     """
-    return _solve(problem, power_limits, eps, max_iters)
+    return _solve(problem, power_limits, eps, max_iters, cellular=cellular)
 
 
-def alternating_optimize(problem, eps=1e-10, max_iters=500, b_init=None):
-    """Jointly tune the combiners and transmit coefficients of one AP-side
-    problem, viewed jointly at the CPU, or one cellular problem.
+def alternating_optimize(problem, eps=1e-10, max_iters=500, b_init=None, cellular=False):
+    """Jointly tune the combiners and transmit coefficients of one record,
+    viewed jointly at the CPU or ``cellular``.
 
     Coefficients start at full power ``sqrt(P_k)`` unless b_init is given.
     """
-    return _solve(problem, problem.power_limit[None], eps, max_iters, b_init)[0][0]
+    return _solve(problem, problem.power_limit[None], eps, max_iters, b_init,
+                  cellular)[0][0]
 
 
-def tco_step(problem, combiners, k):
+def tco_step(problem, combiners, k, cellular=False):
     """Optimal transmit coefficient of device k for fixed combiners.
 
     Returns (b_k, mu_k) satisfying the stationarity and complementary
@@ -453,11 +432,12 @@ def tco_step(problem, combiners, k):
     one-device reference for the solver's vectorized update.  Device k's
     projections and quadratic forms come from the combiner core: near the
     boundary mu_k is the difference of two nearly equal terms, which a
-    one-ulp change in those forms moves by more than 1e-12.
+    one-ulp change in those forms moves by more than 1e-12.  The record is
+    viewed jointly or ``cellular``.
     """
     w = problem.weights
     g = int(problem.group_of_device[k])
-    proj, quad = _Stack(problem).forms(np.asarray(combiners)[None, None])
+    proj, quad = _Stack(problem, cellular=cellular).forms(np.asarray(combiners)[None, None])
     proj, quad = proj[0, 0, :, k], quad[0, 0, :, k]
     mag = np.abs(proj)
     denom = float((w.omega * (mag ** 2 + quad)).sum())
@@ -468,15 +448,15 @@ def tco_step(problem, combiners, k):
     return gain * proj[g].conjugate() / (denom + mu), mu
 
 
-def mse_level3(problem, b, v, g):
+def mse_level3(problem, b, v, g, cellular=False):
     """Conditional aggregation MSE of group g with combiner v.
 
     ``sum_k |v^H h_hat_k b_k - target_k|^2 + |b_k|^2 v^H C_k v`` plus the
     combined noise power, where target_k is gamma*nu for the group's own
-    devices and 0 for interferers.  Takes an AP-side problem, viewed jointly,
-    or a cellular one (the estimates at group g's serving BS).
+    devices and 0 for interferers.  The record is viewed jointly or
+    ``cellular`` (the estimates at group g's serving BS).
     """
-    stack = _Stack(problem)
+    stack = _Stack(problem, cellular=cellular)
     combiners = np.zeros((1, 1, problem.n_groups, len(v)), dtype=complex)
     combiners[0, 0, g] = v
     proj, quad = stack.forms(combiners)
@@ -527,9 +507,6 @@ def level1_batch(problem, power_limits):
     result equals ``level1_solution`` on the seed's slice of the record.
     Returns, per seed, one AggregationSolution per row.
     """
-    if isinstance(problem, CellularProblem):
-        raise ValueError("level 1 combines per AP and takes Level3Problem records, "
-                         "not a CellularProblem")
     b = np.sqrt(np.asarray(power_limits, dtype=float)).astype(complex)
     stack = _Stack(problem, per_ap=True)
     combiners = stack.combiners(np.broadcast_to(b, (stack.n_seeds,) + b.shape))

@@ -101,7 +101,8 @@ def main(argv=None):
         return 0
     except (runner.ParseError, runner.ValidationError, runner.BadMagic,
             runner.TruncatedFile, runner.LabelOutOfRange, runner.CountMismatch,
-            fl_engine.ShapeMismatch, aggregation.NonFiniteSolve, OSError) as exc:
+            fl_engine.ShapeMismatch, fl_engine.DegenerateVariance,
+            aggregation.NonFiniteSolve, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,11 @@ class DegenerateVariance(ValueError):
     """Raised when a parameter vector has zero variance and cannot be scaled."""
 
 
+class NonFiniteParameters(DegenerateVariance):
+    """Raised when a parameter vector's mean or spread is not finite, as
+    after a diverging local update."""
+
+
 class InvalidConstants(ValueError):
     """Raised when curvature constants are inconsistent (xi > chi)."""
 
@@ -31,13 +36,19 @@ def normalize(theta):
     Returns the scaled vectors and each vector's mean and population
     standard deviation (divisor D), so every scaled vector has sample mean
     0 and sample second moment 1.  Leading axes index devices (and seeds),
-    each row scaled exactly as it would be alone.
+    each row scaled exactly as it would be alone.  A vector whose mean or
+    spread is not finite raises NonFiniteParameters, a constant one
+    DegenerateVariance.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim < 1 or theta.shape[-1] < 2:
         raise ValueError("expected parameter vectors with at least 2 entries")
-    mean = theta.mean(axis=-1, keepdims=True)
-    std = np.sqrt(np.mean((theta - mean) ** 2, axis=-1, keepdims=True))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = theta.mean(axis=-1, keepdims=True)
+        std = np.sqrt(np.mean((theta - mean) ** 2, axis=-1, keepdims=True))
+    if not np.isfinite(std).all():  # a non-finite mean makes std NaN or inf
+        raise NonFiniteParameters("parameter vector with a non-finite mean or spread "
+                                  "cannot be normalized")
     if np.any(std == 0.0):
         raise DegenerateVariance("constant parameter vector cannot be normalized")
     return (theta - mean) / std, mean[..., 0], std[..., 0]

@@ -520,21 +520,13 @@ def draw_block(stats, round_tags):
     return _draw(stats, partial(substreams, round_tags))
 
 
-def level3_problem(stats, round_state, weights):
-    """The AP-side record of a round: one seed's, or, from a seed block's
-    statistics and draw, the block's with its seed axis."""
+def level3_problem(stats, round_state, weights, cellular=False):
+    """The record of a round over the AP links or, ``cellular``, over the
+    serving-BS links: one seed's, or, from a seed block's statistics and
+    draw, the block's with its seed axis."""
+    mmse, state = (stats.bs, round_state.bs) if cellular else (stats.ap, round_state.ap)
     return aggregation.Level3Problem(
-        h_hat=round_state.ap.h_hat, error_cov=stats.ap.error_cov,
-        group_of_device=stats.geometry.group_of_device, weights=weights,
-        noise_power=stats.noise_power, power_limit=stats.power_limit)
-
-
-def cellular_problem(stats, round_state, weights):
-    """The serving-BS record of a round, each group's view first: a
-    transposed view of the (device, BS) arrays."""
-    return aggregation.CellularProblem(
-        h_hat=np.swapaxes(round_state.bs.h_hat, -3, -2),
-        error_cov=np.swapaxes(stats.bs.error_cov, -4, -3),
+        h_hat=state.h_hat, error_cov=mmse.error_cov,
         group_of_device=stats.geometry.group_of_device, weights=weights,
         noise_power=stats.noise_power, power_limit=stats.power_limit)
 
@@ -650,12 +642,13 @@ def _solve_block(cfg, kind, stats, state, weights, powers):
     Returns solutions[s][p] (None without a solver) and traces[s][p], the
     per-group MSEs first at full power (tco=0) and last after the solve
     (tco=1).  Levels 1 and 3 solve the same AP-side record, level 1 per AP,
-    and level 1 is scored on the true channels.
+    and level 1 is scored on the true channels; the cellular baseline
+    solves the serving-BS record, one view per BS.
     """
     if kind is None:
         return None, np.zeros((len(weights.nu), len(powers), 1, cfg.n_groups))
-    build = cellular_problem if kind == "cellular" else level3_problem
-    problem = build(stats, state, weights)
+    cellular = kind == "cellular"
+    problem = level3_problem(stats, state, weights, cellular)
     if kind == "level1":
         solved = aggregation.level1_batch(problem, powers)
         b, v = (np.array([[getattr(sol, name) for sol in row] for row in solved])
@@ -663,7 +656,7 @@ def _solve_block(cfg, kind, stats, state, weights, powers):
         proj = aggregation.channel_projections(v, state.ap.h[:, None])
         return solved, aggregation.level1_mses(problem, b, v, proj)[:, :, None]
     solved = aggregation.optimize_batch(problem, powers, eps=cfg.epsilon,
-                                        max_iters=cfg.max_iters)
+                                        max_iters=cfg.max_iters, cellular=cellular)
     return solved, [[sol.history.group_values for sol in row] for row in solved]
 
 

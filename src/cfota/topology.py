@@ -46,8 +46,8 @@ class DistributionMode(Enum):
 class NetworkGeometry:
     """Positions of APs, BSs, and devices plus the device-to-group map.
 
-    Device positions are ordered by group: group g occupies the contiguous
-    index block given by ``devices_in_group(g)``.
+    Device positions are ordered by group: each group occupies a contiguous
+    index block.
     """
 
     area: Area
@@ -63,21 +63,6 @@ class NetworkGeometry:
             pts = getattr(self, name)
             if pts.size and (np.any(pts < 0) or np.any(pts >= side)):
                 raise ValueError(f"{name} contains points outside the area")
-
-    @property
-    def n_aps(self):
-        return len(self.ap_positions)
-
-    @property
-    def n_devices(self):
-        return len(self.group_of_device)
-
-    @property
-    def n_groups(self):
-        return int(self.group_of_device.max()) + 1 if self.n_devices else 0
-
-    def devices_in_group(self, g):
-        return np.flatnonzero(self.group_of_device == g)
 
 
 def _isqrt_exact(count):

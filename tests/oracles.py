@@ -37,9 +37,9 @@ def draw_instance(seed, cfg=None, nu_scale=1.0):
 
     Geometry, correlations, channels, and MMSE estimates come from the
     package; the per-round parameter statistics (nu, theta_bar) are random
-    O(1) stand-ins.  Returns a dict with the AP-side problem ("level3",
-    which level 1 reads per AP), the cellular problem, the true channels,
-    and the weights.
+    O(1) stand-ins.  Returns a dict with the AP-side record ("level3",
+    which level 1 reads per AP), the serving-BS record ("cellular", solved
+    with ``cellular=True``), the true channels, and the weights.
     """
     cfg = cfg or desk_config()
     geometry = runner.build_geometry(cfg, substream(seed, "geometry"))
@@ -56,7 +56,7 @@ def draw_instance(seed, cfg=None, nu_scale=1.0):
         "state": state,
         "weights": weights,
         "level3": runner.level3_problem(stats, state, weights),
-        "cellular": runner.cellular_problem(stats, state, weights),
+        "cellular": runner.level3_problem(stats, state, weights, cellular=True),
     }
 
 
@@ -125,18 +125,18 @@ def combiners_level1(problem, b):
     return combiners.reshape(problem.n_groups, problem.h_hat.shape[1], -1)
 
 
-def combiners_level3(problem, b):
-    """All group combiners (G, D) of an AP-side problem viewed jointly, or
-    of a cellular one, for fixed coefficients b: each is the global
-    minimizer of its group's convex MSE."""
-    return aggregation._Stack(problem).combiners(
+def combiners_level3(problem, b, cellular=False):
+    """All group combiners (G, D) of a record viewed jointly or
+    ``cellular``, for fixed coefficients b: each is the global minimizer of
+    its group's convex MSE."""
+    return aggregation._Stack(problem, cellular=cellular).combiners(
         np.asarray(b, dtype=complex)[None, None])[0, 0]
 
 
-def tco_steps(problem, combiners):
+def tco_steps(problem, combiners, cellular=False):
     """Optimal coefficients and KKT multipliers of all devices, (K,) each,
     for fixed combiners: the vectorized update the solver runs."""
-    stack = aggregation._Stack(problem)
+    stack = aggregation._Stack(problem, cellular=cellular)
     proj, quad = stack.forms(np.asarray(combiners)[None, None])
     b, mu = stack.tco(proj, quad, np.sqrt(problem.power_limit)[None, None])
     return b[0, 0], mu[0, 0]
@@ -175,7 +175,7 @@ def mc_mse_level3(problem, b, v, g, n_draws, rng):
 def mc_mse_cellular(problem, b, w, g, n_draws, rng):
     target = np.where(problem.group_of_device == g,
                       problem.weights.gamma * problem.weights.nu, 0.0)
-    return mc_mse_conditional(problem.h_hat[g], problem.error_cov[g], b, w,
+    return mc_mse_conditional(problem.h_hat[:, g], problem.error_cov[:, g], b, w,
                               target, problem.noise_power, n_draws, rng)
 
 

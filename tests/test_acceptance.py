@@ -40,7 +40,7 @@ def soundness_solutions():
         out.append({
             "inst": inst,
             "level3": agg.alternating_optimize(inst["level3"]),
-            "cellular": agg.alternating_optimize(inst["cellular"]),
+            "cellular": agg.alternating_optimize(inst["cellular"], cellular=True),
         })
     return out
 
@@ -69,9 +69,9 @@ def test_criterion_1_mse_oracle_equivalence():
             assert abs(mc - closed) <= 0.02 * closed
 
         pc = inst["cellular"]
-        solc = agg.alternating_optimize(pc, max_iters=60)
+        solc = agg.alternating_optimize(pc, max_iters=60, cellular=True)
         for g in range(pc.n_groups):
-            closed = agg.mse_level3(pc, solc.b, solc.combiners[g], g)
+            closed = agg.mse_level3(pc, solc.b, solc.combiners[g], g, cellular=True)
             mc = mc_mse_cellular(pc, solc.b, solc.combiners[g], g, n_draws,
                                  substream(seed, "acc1-cell", g))
             assert abs(mc - closed) <= 0.02 * closed
@@ -144,9 +144,9 @@ def test_criterion_4_kkt_correctness(soundness_solutions):
                                      error_cov[k], sol.combiners).real
                 else:
                     proj = np.einsum("pm,pm->p", sol.combiners.conj(),
-                                     problem.h_hat[:, k])
+                                     problem.h_hat[k])
                     quad = np.einsum("pi,pij,pj->p", sol.combiners.conj(),
-                                     problem.error_cov[:, k],
+                                     problem.error_cov[k],
                                      sol.combiners).real
                 denom = float(np.dot(w.omega, np.abs(proj) ** 2 + quad))
                 expected = (w.omega[g] * w.gamma[k] * w.nu[k]

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 import re
 import tracemalloc
 
@@ -372,12 +373,9 @@ def test_cellular_single_group_colocated_equals_level3():
         weights=weights, noise_power=problem3.noise_power,
         power_limit=problem3.power_limit)
     h_hat, error_cov = dense_cpu_view(problem3)
-    cellular = agg.CellularProblem(
-        h_hat=h_hat[None, :, :], error_cov=error_cov[None],
-        group_of_device=merged.group_of_device, weights=weights,
-        noise_power=problem3.noise_power, power_limit=problem3.power_limit)
+    colocated = replace(merged, h_hat=h_hat[:, None], error_cov=error_cov[:, None])
     sol3 = agg.alternating_optimize(merged)
-    solc = agg.alternating_optimize(cellular)
+    solc = agg.alternating_optimize(colocated, cellular=True)
     np.testing.assert_allclose(solc.b, sol3.b, rtol=1e-9)
     np.testing.assert_allclose(solc.combiners[0], sol3.combiners[0], rtol=1e-9)
     np.testing.assert_allclose(solc.history.values, sol3.history.values,
@@ -388,7 +386,7 @@ def test_cellular_histories_non_increasing_and_terminate():
     cfg = fast_family_config()
     for seed in range(5):
         inst = draw_instance(40 + seed, cfg=cfg)
-        sol = agg.alternating_optimize(inst["cellular"])
+        sol = agg.alternating_optimize(inst["cellular"], cellular=True)
         assert np.all(np.diff(sol.history.values) <= 1e-12)
         assert sol.history.terminated_by == "threshold"
         assert sol.history.iterations <= 500
@@ -397,9 +395,9 @@ def test_cellular_histories_non_increasing_and_terminate():
 def test_cellular_mse_matches_monte_carlo():
     inst = draw_instance(15)
     problem = inst["cellular"]
-    sol = agg.alternating_optimize(problem)
+    sol = agg.alternating_optimize(problem, cellular=True)
     for g in range(problem.n_groups):
-        closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g)
+        closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g, cellular=True)
         mc = mc_mse_cellular(problem, sol.b, sol.combiners[g], g, 100_000,
                              substream(15, "mcc", g))
         assert mc == pytest.approx(closed, rel=0.02)
@@ -421,11 +419,11 @@ def test_level3_beats_level1_weighted_sum():
 # ---------------------------------------------------------------------------
 
 def random_problem(seed, cellular, n_groups, per_group, dim, n_aps=1):
-    """Random estimates, PSD error covariances and weights; views per group
-    for the cellular kind, n_aps blocks of dim antennas at level 3."""
+    """Random estimates, PSD error covariances and weights: n_aps blocks of
+    dim antennas, or one serving BS per group for the cellular view."""
     rng = np.random.default_rng(seed)
     n_dev = n_groups * per_group
-    lead = (n_groups, n_dev) if cellular else (n_dev, n_aps)
+    lead = (n_dev, n_groups if cellular else n_aps)
 
     def cn(*shape):
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
@@ -436,12 +434,11 @@ def random_problem(seed, cellular, n_groups, per_group, dim, n_aps=1):
         omega=rng.uniform(0.5, 2.0, n_groups),
         nu=rng.uniform(0.5, 1.5, n_dev),
         theta_bar=np.zeros(n_dev))
-    kind = agg.CellularProblem if cellular else agg.Level3Problem
-    return kind(h_hat=cn(*lead, dim),
-                error_cov=root @ root.conj().swapaxes(-1, -2),
-                group_of_device=np.arange(n_dev) % n_groups, weights=weights,
-                noise_power=10.0 ** rng.uniform(-2.0, 0.0),
-                power_limit=np.ones(n_dev))
+    return agg.Level3Problem(h_hat=cn(*lead, dim),
+                             error_cov=root @ root.conj().swapaxes(-1, -2),
+                             group_of_device=np.arange(n_dev) % n_groups, weights=weights,
+                             noise_power=10.0 ** rng.uniform(-2.0, 0.0),
+                             power_limit=np.ones(n_dev))
 
 
 def single_solve(problem, power, **kwargs):
@@ -460,10 +457,10 @@ def test_lockstep_batch_properties(seed, cellular, n_groups, per_group, dim,
     problem = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
     n_dev = len(problem.group_of_device)
     powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
-    batch = agg.optimize_batch(problem, powers, max_iters=40)[0]
+    batch = agg.optimize_batch(problem, powers, max_iters=40, cellular=cellular)[0]
     assert len(batch) == len(powers)
     for power, sol in zip(powers, batch):
-        one = single_solve(problem, power, max_iters=40)
+        one = single_solve(problem, power, max_iters=40, cellular=cellular)
         assert sol.history.iterations == one.history.iterations
         assert sol.history.terminated_by == one.history.terminated_by
         np.testing.assert_allclose(sol.history.values, one.history.values,
@@ -490,10 +487,10 @@ def test_tco_step_matches_vectorized_step(seed, cellular, n_groups, per_group,
     problem = replace(problem,
                       power_limit=problem.power_limit * 10.0 ** (power_db / 10.0))
     b0 = np.sqrt(problem.power_limit).astype(complex)
-    combiners = combiners_level3(problem, b0)
-    b, mu = tco_steps(problem, combiners)
+    combiners = combiners_level3(problem, b0, cellular)
+    b, mu = tco_steps(problem, combiners, cellular)
     for k in range(len(b)):
-        b_k, mu_k = agg.tco_step(problem, combiners, k)
+        b_k, mu_k = agg.tco_step(problem, combiners, k, cellular=cellular)
         assert b[k] == pytest.approx(b_k, rel=1e-12, abs=1e-300)
         assert mu[k] == pytest.approx(mu_k, rel=1e-12, abs=1e-300)
 
@@ -510,15 +507,13 @@ def test_cellular_group_equals_one_bs_level3_view(seed, n_groups, per_group, dim
     n_dev = len(problem.group_of_device)
     phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
     b = 10.0 ** (np.asarray(power_db[:n_dev]) / 20.0) * phase
-    cellular = combiners_level3(problem, b)
+    cellular = combiners_level3(problem, b, cellular=True)
     for g in range(n_groups):
-        one_bs = agg.Level3Problem(
-            h_hat=problem.h_hat[g][:, None], error_cov=problem.error_cov[g][:, None],
-            group_of_device=problem.group_of_device, weights=problem.weights,
-            noise_power=problem.noise_power, power_limit=problem.power_limit)
+        one_bs = replace(problem, h_hat=problem.h_hat[:, g:g + 1],
+                         error_cov=problem.error_cov[:, g:g + 1])
         v = combiners_level3(one_bs, b)[g]
         assert np.linalg.norm(cellular[g] - v) <= 1e-12 * np.linalg.norm(v)
-        assert agg.mse_level3(problem, b, cellular[g], g) == pytest.approx(
+        assert agg.mse_level3(problem, b, cellular[g], g, cellular=True) == pytest.approx(
             agg.mse_level3(one_bs, b, v, g), rel=1e-12, abs=0.0)
 
 
@@ -527,14 +522,14 @@ def test_lockstep_batch_compacts_mixed_termination():
     # solves that hit the cap; the batch must reproduce each one exactly
     inst = draw_instance(21)
     for kind in ("level3", "cellular"):
-        problem = inst[kind]
+        problem, cellular = inst[kind], kind == "cellular"
         powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(problem.power_limit)))
-        batch = agg.optimize_batch(problem, powers, max_iters=60)[0]
+        batch = agg.optimize_batch(problem, powers, max_iters=60, cellular=cellular)[0]
         ended = {sol.history.terminated_by for sol in batch}
         assert ended == {"threshold", "max_iters"}
         assert len({sol.history.iterations for sol in batch}) > 2
         for power, sol in zip(powers, batch):
-            one = single_solve(problem, power, max_iters=60)
+            one = single_solve(problem, power, max_iters=60, cellular=cellular)
             assert sol.history.iterations == one.history.iterations
             np.testing.assert_array_equal(sol.history.values, one.history.values)
             np.testing.assert_array_equal(sol.b, one.b)
@@ -571,12 +566,13 @@ def test_seed_batch_rows_equal_single_solves(seed, cellular, n_groups, per_group
                             n_problems)
     n_dev = len(block.group_of_device)
     powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
-    batch = agg.optimize_batch(block, powers, max_iters=40)
+    batch = agg.optimize_batch(block, powers, max_iters=40, cellular=cellular)
     assert len(batch) == n_problems
     for s, solutions in enumerate(batch):
         assert len(solutions) == len(powers)
         for power, sol in zip(powers, solutions):
-            one = single_solve(seed_problem(block, s), power, max_iters=40)
+            one = single_solve(seed_problem(block, s), power, max_iters=40,
+                               cellular=cellular)
             assert np.array_equal(sol.b, one.b)
             assert np.array_equal(sol.combiners, one.combiners)
             assert np.array_equal(sol.mu, one.mu)
@@ -594,25 +590,27 @@ def test_seed_batch_holds_error_blocks_once_per_problem():
     per_row_copies = 2 * 40 * block.error_cov[0].nbytes
     tracemalloc.start()
     try:
-        agg.optimize_batch(block, powers, max_iters=5)
+        agg.optimize_batch(block, powers, max_iters=5, cellular=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < per_row_copies
 
 
-def solve_batch(problem, powers):
-    return agg.optimize_batch(problem, powers)[0]
+def solve_batch(problem, powers, cellular=False):
+    return agg.optimize_batch(problem, powers, cellular=cellular)[0]
 
 
 def level1_batch(problem, powers):
     return agg.level1_batch(problem, powers)[0]
 
 
-# Level 1 reads the AP-side record per AP, level 3 reads it jointly.
+# Level 1 reads the AP-side record per AP, level 3 reads it jointly, and
+# the cellular baseline reads the serving-BS record per BS.
 SOLVERS = (("level3", agg.level1_solution, level1_batch),
            ("level3", agg.alternating_optimize, solve_batch),
-           ("cellular", agg.alternating_optimize, solve_batch))
+           ("cellular", partial(agg.alternating_optimize, cellular=True),
+            partial(solve_batch, cellular=True)))
 
 
 def test_infinite_power_limit_raises_named_error():
@@ -827,7 +825,8 @@ def test_level3_problem_names_the_stacked_layout():
 
 
 def test_level3_problem_names_inconsistent_shapes():
-    problem = draw_instance(25)["level3"]
+    inst = draw_instance(25)
+    problem = inst["level3"]
     with pytest.raises(ValueError, match=re.escape(
             "Level3Problem.error_cov has shape (4, 6, 2, 2), expected (6, 4, 2, 2)")):
         replace(problem, error_cov=problem.error_cov.swapaxes(0, 1))
@@ -851,33 +850,33 @@ def test_level3_problem_names_inconsistent_shapes():
                 f"Level3Problem.weights.{name} has shape {value.shape}, expected (2, 6) "
                 f"for h_hat of shape (2, 6, 4, 2)")):
             replace(block, weights=replace(w, **{name: value}))
-
-
-def test_level1_rejects_a_cellular_problem():
-    problem = draw_instance(27)["cellular"]
-    for solve in (agg.level1_solution, lambda p: agg.level1_batch(p, p.power_limit[None])):
-        with pytest.raises(ValueError, match="not a CellularProblem"):
-            solve(problem)
-
-
-def test_cellular_problem_names_inconsistent_shapes():
-    problem = draw_instance(26)["cellular"]
+    # the serving-BS record of the same round: 2 BSs of 8 antennas
+    cellular = inst["cellular"]
     with pytest.raises(ValueError, match=re.escape(
-            "CellularProblem.group_of_device holds [2], expected group ids in 0..1")):
-        replace(problem, group_of_device=np.arange(6) % 3)
+            "Level3Problem.group_of_device holds [2], expected group ids in 0..1")):
+        replace(cellular, group_of_device=np.arange(6) % 3)
     with pytest.raises(ValueError, match=re.escape(
-            "CellularProblem.weights.nu has shape (7,), expected (6,)")):
-        replace(problem, weights=replace(problem.weights, nu=np.ones(7)))
+            "Level3Problem.weights.nu has shape (7,), expected (6,)")):
+        replace(cellular, weights=replace(cellular.weights, nu=np.ones(7)))
     with pytest.raises(ValueError, match=re.escape(
-            "CellularProblem.h_hat has shape (1, 6, 8), expected one view per group (2)")):
-        replace(problem, h_hat=problem.h_hat[:1], error_cov=problem.error_cov[:1])
+            "Level3Problem.error_cov has shape (2, 6, 8, 8), expected (6, 2, 8, 8)")):
+        replace(cellular, error_cov=cellular.error_cov.swapaxes(0, 1))
     with pytest.raises(ValueError, match=re.escape(
-            "CellularProblem.error_cov has shape (6, 2, 8, 8), expected (2, 6, 8, 8)")):
-        replace(problem, error_cov=problem.error_cov.swapaxes(0, 1))
+            "Level3Problem.group_of_device has shape (7,), expected (6,)")):
+        replace(cellular, group_of_device=np.arange(7) % 2)
+    block = block_problem([cellular] * 3)
     with pytest.raises(ValueError, match=re.escape(
-            "CellularProblem.group_of_device has shape (7,), expected (6,)")):
-        replace(problem, group_of_device=np.arange(7) % 2)
-    block = block_problem([problem] * 3)
-    with pytest.raises(ValueError, match=re.escape(
-            "CellularProblem.weights.nu has shape (2, 6), expected (3, 6)")):
+            "Level3Problem.weights.nu has shape (2, 6), expected (3, 6)")):
         replace(block, weights=replace(block.weights, nu=block.weights.nu[1:]))
+    # one BS for two groups is a valid record, but not a cellular view
+    one_bs = replace(cellular, h_hat=cellular.h_hat[:, :1],
+                     error_cov=cellular.error_cov[:, :1])
+    b, v = np.ones(6, dtype=complex), np.ones((2, 8), dtype=complex)
+    for solve in (lambda p: agg.optimize_batch(p, p.power_limit[None], cellular=True),
+                  lambda p: agg.alternating_optimize(p, cellular=True),
+                  lambda p: agg.tco_step(p, v, 0, cellular=True),
+                  lambda p: agg.mse_level3(p, b, v[0], 0, cellular=True)):
+        with pytest.raises(ValueError, match=re.escape(
+                "Level3Problem.h_hat has shape (6, 1, 8), expected one serving BS "
+                "per group (2) in the cellular view")):
+            solve(one_bs)

@@ -1,3 +1,5 @@
+import warnings
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
@@ -37,6 +39,20 @@ def test_normalize_rows_equal_per_vector_scaling():
     theta[2, 4] = 0.5
     with pytest.raises(fl.DegenerateVariance):
         fl.normalize(theta)
+
+
+def test_normalize_non_finite_vector_is_named_error():
+    # a row whose spread overflows, or that holds an inf or a NaN, raises
+    # NonFiniteParameters, a DegenerateVariance, and warns of nothing
+    theta = substream(0, "stack").standard_normal((2, 3, 50))
+    for scale in (1e300, np.inf, np.nan):
+        bad = theta.copy()
+        bad[1, 2] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fl.NonFiniteParameters):
+                fl.normalize(bad)
+    assert issubclass(fl.NonFiniteParameters, fl.DegenerateVariance)
 
 
 def test_stacked_gradients_equal_per_device_calls():

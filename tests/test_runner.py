@@ -1,6 +1,7 @@
 import gzip
 import struct
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -346,15 +347,16 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
     # level-1 rows equal, bit for bit, what the one-seed functions build
     cfg = desk_config(seeds=n_seeds + 1, distribution_mode=mode,
                       architectures=archs, master_seed=3)
-    # (batch entry point, problem class): solver kind and one-seed builder
-    builds = {("level1_batch", "Level3Problem"): ("level1", runner.level3_problem),
-              ("optimize_batch", "Level3Problem"): ("level3", runner.level3_problem),
-              ("optimize_batch", "CellularProblem"): ("cellular", runner.cellular_problem)}
+    # (batch entry point, cellular view): solver kind and one-seed builder
+    builds = {("level1_batch", False): ("level1", runner.level3_problem),
+              ("optimize_batch", False): ("level3", runner.level3_problem),
+              ("optimize_batch", True): ("cellular",
+                                         partial(runner.level3_problem, cellular=True))}
     batches = {}
     for name in ("level1_batch", "optimize_batch"):
         def recording(problem, power_limits, name=name,
                       batch=getattr(runner.aggregation, name), **kwargs):
-            batches[(name, type(problem).__name__)] = problem
+            batches[(name, kwargs.get("cellular", False))] = problem
             return batch(problem, power_limits, **kwargs)
 
         monkeypatch.setattr(runner.aggregation, name, recording)
@@ -399,12 +401,13 @@ def test_sweep_solves_every_seed_in_one_batch_per_kind(monkeypatch):
     optimize_batch = runner.aggregation.optimize_batch
 
     def counting(problem, power_limits, **kwargs):
-        batches.append((type(problem).__name__, len(problem.h_hat), len(power_limits)))
+        batches.append((kwargs.get("cellular", False), len(problem.h_hat),
+                        len(power_limits)))
         return optimize_batch(problem, power_limits, **kwargs)
 
     monkeypatch.setattr(runner.aggregation, "optimize_batch", counting)
     rows = runner.run_mse_sweep(cfg, threads=1)
-    assert sorted(batches) == [("CellularProblem", 5, 3), ("Level3Problem", 5, 3)]
+    assert sorted(batches) == [(False, 5, 3), (True, 5, 3)]
     monkeypatch.undo()
     sweep_seeds = runner._sweep_seeds
     for threads in (2, 3, 7):
@@ -522,7 +525,8 @@ def test_round_draws_share_read_only_seed_statistics():
     first, second = (runner.draw_round(stats, (4, "round", t)) for t in (1, 2))
     assert [f.name for f in fields(runner.ChannelState)] == ["h", "h_hat"]
     w = runner.make_weights(cfg, np.ones(cfg.n_devices), np.zeros(cfg.n_devices))
-    for view, build in (("ap", runner.level3_problem), ("bs", runner.cellular_problem)):
+    for view, build in (("ap", runner.level3_problem),
+                        ("bs", partial(runner.level3_problem, cellular=True))):
         shared = getattr(stats, view)
         a, b = (build(stats, state, w) for state in (first, second))
         assert np.shares_memory(a.error_cov, shared.error_cov)
@@ -560,7 +564,7 @@ def test_training_solves_every_seed_in_one_batch_per_round(monkeypatch):
     for name in ("level1_batch", "optimize_batch"):
         def counting(problem, power_limits, name=name,
                      batch=getattr(runner.aggregation, name), **kwargs):
-            batches.append(((name, type(problem).__name__), len(problem.h_hat),
+            batches.append(((name, kwargs.get("cellular", False)), len(problem.h_hat),
                             len(power_limits)))
             return batch(problem, power_limits, **kwargs)
 
@@ -568,8 +572,8 @@ def test_training_solves_every_seed_in_one_batch_per_round(monkeypatch):
     for name in ("level1_solution", "alternating_optimize"):
         monkeypatch.setattr(runner.aggregation, name, None)
     rows = runner.run_fl_training(cfg, threads=1)
-    per_round = [("level1_batch", "Level3Problem"), ("optimize_batch", "Level3Problem"),
-                 ("optimize_batch", "Level3Problem"), ("optimize_batch", "CellularProblem")]
+    per_round = [("level1_batch", False), ("optimize_batch", False),
+                 ("optimize_batch", False), ("optimize_batch", True)]
     assert sorted(batches) == sorted((kind, cfg.seeds, 1)
                                      for kind in per_round * cfg.rounds)
     for threads in (2, 3, 7):
@@ -793,13 +797,36 @@ def test_cli_dbm_overflow_is_named_error(tmp_path, capsys, command, option,
 
 def test_cli_diverging_training_is_named_error(tmp_path, capsys):
     # a finite learning rate so large that the local step overflows: the
-    # solver meets non-finite weights and the run ends in one error line
+    # normalization meets non-finite parameters, with or without a solver,
+    # and the run ends in one error line and writes no rows
     cfgfile = Path(__file__).resolve().parents[1] / "configs" / "desk-train.cfg"
     out = tmp_path / "rows.csv"
+    for archs in ("errorfree", "errorfree,level1,level3"):
+        code = cli_main(["train", "-c", str(cfgfile), "--out", str(out),
+                         "--set", "seeds=1", "--set", "rounds=2",
+                         "--set", "learning_rate=1e300", "--set", f"architectures={archs}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("NonFiniteParameters: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_cli_non_finite_solve_is_named_error(tmp_path, capsys, monkeypatch):
+    # weights with an infinite spread reach the solver, whose objective is
+    # then not finite: the run ends in one error line and writes no rows
+    cfgfile = Path(__file__).resolve().parents[1] / "configs" / "desk-train.cfg"
+    out = tmp_path / "rows.csv"
+    normalize = runner.fl_engine.normalize
+
+    def infinite_spread(theta):
+        symbols, mean, std = normalize(theta)
+        return symbols, mean, np.full_like(std, np.inf)
+
+    monkeypatch.setattr(runner.fl_engine, "normalize", infinite_spread)
     with np.errstate(all="ignore"):
         code = cli_main(["train", "-c", str(cfgfile), "--out", str(out),
                          "--set", "seeds=1", "--set", "rounds=2",
-                         "--set", "learning_rate=1e300"])
+                         "--set", "architectures=level3"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("NonFiniteSolve: ") and err.count("\n") == 1
