@@ -825,8 +825,7 @@ def test_level3_problem_names_the_stacked_layout():
 
 
 def test_level3_problem_names_inconsistent_shapes():
-    inst = draw_instance(25)
-    problem = inst["level3"]
+    problem = draw_instance(25)["level3"]
     with pytest.raises(ValueError, match=re.escape(
             "Level3Problem.error_cov has shape (4, 6, 2, 2), expected (6, 4, 2, 2)")):
         replace(problem, error_cov=problem.error_cov.swapaxes(0, 1))
@@ -850,8 +849,11 @@ def test_level3_problem_names_inconsistent_shapes():
                 f"Level3Problem.weights.{name} has shape {value.shape}, expected (2, 6) "
                 f"for h_hat of shape (2, 6, 4, 2)")):
             replace(block, weights=replace(w, **{name: value}))
-    # the serving-BS record of the same round: 2 BSs of 8 antennas
-    cellular = inst["cellular"]
+
+
+def test_cellular_problem_names_inconsistent_shapes():
+    # the serving-BS record of a round: 2 BSs of 8 antennas
+    cellular = draw_instance(26)["cellular"]
     with pytest.raises(ValueError, match=re.escape(
             "Level3Problem.group_of_device holds [2], expected group ids in 0..1")):
         replace(cellular, group_of_device=np.arange(6) % 3)
