@@ -36,18 +36,6 @@ class LargeScaleParams:
             raise ValueError("shadowing std must be non-negative")
 
 
-@dataclass(frozen=True)
-class SpatialCorrelation:
-    """Hermitian per-antenna correlation matrices with their large-scale gains.
-
-    ``matrix`` has shape (..., N, N) and ``beta`` the leading shape (a float
-    for one link); ``beta`` equals ``trace(matrix)/N`` in linear power units.
-    """
-
-    matrix: np.ndarray
-    beta: float | np.ndarray
-
-
 def pathloss_db(d, params=LargeScaleParams()):
     """Distance-dependent path gain in dB, excluding shadowing, elementwise.
 
@@ -75,8 +63,8 @@ def shadow_covariance(device_positions, area, params=LargeScaleParams()):
     return cov
 
 
-def _shadow_root(cov):
-    """The root ``V sqrt(max(w, 0))`` of each ``cov = V diag(w) V^T``."""
+def _psd_root(cov):
+    """The root ``V sqrt(max(w, 0))`` of each ``cov = V diag(w) V^H``."""
     w, v = np.linalg.eigh(cov)
     return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
@@ -102,9 +90,7 @@ def local_scattering_R(n_antennas, nominal_angle, asd, beta):
     phase = np.exp(1j * np.pi * diff * np.sin(angle))
     spread = np.exp(-0.5 * (asd * np.pi * diff * np.cos(angle)) ** 2)
     mat = beta[..., None, None] * phase * spread
-    mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
-    return SpatialCorrelation(matrix=mat,
-                              beta=float(beta) if beta.ndim == 0 else beta)
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def sample_channels(correlations, rng):
@@ -122,9 +108,7 @@ def sample_channels(correlations, rng):
     or it changes every downstream number.
     """
     correlations = np.asarray(correlations)
-    n = correlations.shape[-1]
-    w, v = np.linalg.eigh(correlations)
-    root = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    root = _psd_root(correlations)
     z = rng.standard_normal(correlations.shape[:-1]) + 1j * rng.standard_normal(
         correlations.shape[:-1]
     )
@@ -151,7 +135,7 @@ def correlation_matrices(device_positions, rx_positions, n_antennas, area,
     device_positions = np.asarray(device_positions)
     rx_positions = np.asarray(rx_positions)
     *lead, n_dev, _ = device_positions.shape
-    root = _shadow_root(shadow_covariance(device_positions, area, params))
+    root = _psd_root(shadow_covariance(device_positions, area, params))
     # One matvec per receiver on the stream of n_rx consecutive draws; a
     # single (n_rx, K) @ (K, K) product would move the last bit.
     normals = rng.standard_normal((*lead, len(rx_positions), n_dev))
@@ -161,4 +145,4 @@ def correlation_matrices(device_positions, rx_positions, n_antennas, area,
     # Scalar powers: numpy's vectorized power differs in the last bit.
     beta = np.array([10.0 ** x for x in beta_db.ravel().tolist()]).reshape(beta_db.shape)
     angle = wrap_bearing(rx_positions, device_positions[..., :, None, :], area)
-    return local_scattering_R(n_antennas, angle, asd, beta).matrix
+    return local_scattering_R(n_antennas, angle, asd, beta)

@@ -3,8 +3,7 @@
 Devices in the same group get mutually orthogonal pilots; the pilot set is
 reused across groups, so estimates of devices in different groups that
 share a pilot are contaminated.  Estimation works on the despread pilot
-observation and produces, per link, the estimate together with its
-covariance and the estimation-error covariance.
+observation.
 
 The covariances and the despread covariances depend only on the pilot
 plan, the spatial correlations and the noise power, so ``mmse_statistics``
@@ -34,15 +33,6 @@ class PilotPlan:
 
     def devices_on_pilot(self, t):
         return np.flatnonzero(self.pilot_of_device == t)
-
-
-@dataclass(frozen=True)
-class ChannelEstimateSet:
-    """Estimates for every (device, receiver) pair, stacked into arrays."""
-
-    h_hat: np.ndarray         # (K, R, N)
-    estimate_cov: np.ndarray  # (K, R, N, N)
-    error_cov: np.ndarray     # (K, R, N, N)
 
 
 @dataclass(frozen=True)
@@ -170,16 +160,16 @@ def mmse_statistics(plan, correlations, noise_power):
 
 
 def estimate_all(y_pilot, statistics):
-    """MMSE estimates for every (device, receiver) pair of one coherence block.
+    """MMSE estimates h_hat (K, R, N) of every (device, receiver) pair of one
+    coherence block.
 
     Solves every (receiver, pilot) observation against its despread
     covariance in one batch and applies each sharer's correlation in one
-    matmul; the covariances are the statistics' shared arrays.
+    matmul.  The estimates' covariances are the statistics' shared arrays.
     """
     plan = statistics.plan
     solved = np.linalg.solve(statistics.despread_cov,
                              np.swapaxes(y_pilot, -3, -2)[..., None])
     h_hat = (statistics.correlations @ _by_device(solved, plan))[..., 0]
     h_hat *= _pilot_scale(plan)[:, None, None]
-    return ChannelEstimateSet(h_hat=h_hat, estimate_cov=statistics.estimate_cov,
-                              error_cov=statistics.error_cov)
+    return h_hat

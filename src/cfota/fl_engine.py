@@ -128,10 +128,6 @@ class RidgeTask:
         self.xi = float(eigs[0])
         self._hessian = hess
 
-    @property
-    def n_devices(self):
-        return len(self.shards)
-
     def loss(self, theta):
         resid = self.features @ theta - self.targets
         return float(0.5 * np.mean(resid**2) + 0.5 * self.ridge * theta @ theta)

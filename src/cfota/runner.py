@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 import csv
 import gzip
+import math
 import os
 import struct
 
@@ -20,7 +21,7 @@ from . import accounting, aggregation, estimation, fl_engine
 from .channel import LargeScaleParams, correlation_matrices, sample_channels
 from .rng import substream, substreams
 from .topology import (Area, DistributionMode, NetworkGeometry, grid_points,
-                       place_aps_grid, place_devices)
+                       place_devices)
 
 DATA_DIR_ENV = "CFOTA_DATA_DIR"
 
@@ -220,11 +221,6 @@ def parse_config_lines(lines, base=None):
     return replace(cfg, idx_paths=idx_paths, **updates)
 
 
-def _is_perfect_square(n):
-    root = int(np.sqrt(n))
-    return root * root == n or (root + 1) ** 2 == n
-
-
 def validate_config(cfg):
     """Raise ValidationError naming the first violated invariant."""
     if not cfg.architectures:
@@ -256,6 +252,9 @@ def validate_config(cfg):
         if not all(map(_watt_in_range, np.atleast_1d(value).tolist())):
             raise ValidationError(
                 f"{name}={value} must convert to a finite power > 0 W")
+    for i, point in enumerate(cfg.sweep_dbm):
+        if point in cfg.sweep_dbm[:i]:
+            raise ValidationError(f"sweep_dbm lists {point} twice")
     if not np.isfinite(cfg.beta0_db):
         raise ValidationError(f"beta0_db must be finite, got {cfg.beta0_db}")
     for name in ("alpha", "d0_m", "decorr_m"):
@@ -267,10 +266,10 @@ def validate_config(cfg):
     if cfg.n_devices % cfg.n_groups != 0:
         raise ValidationError(
             f"n_devices={cfg.n_devices} must be divisible by n_groups={cfg.n_groups}")
-    if not _is_perfect_square(cfg.n_aps):
-        raise ValidationError(f"n_aps={cfg.n_aps} must be a perfect square")
-    if not _is_perfect_square(cfg.cells):
-        raise ValidationError(f"cells={cfg.cells} must be a perfect square")
+    for name in ("n_aps", "cells"):
+        n = getattr(cfg, name)
+        if math.isqrt(n) ** 2 != n:
+            raise ValidationError(f"{name}={n} must be a perfect square")
     if cfg.distribution_mode not in (1, 2):
         raise ValidationError("distribution_mode must be 1 or 2")
     if cfg.distribution_mode == 1 and cfg.n_groups > cfg.cells:
@@ -295,6 +294,9 @@ def validate_config(cfg):
         raise ValidationError("seeds must be >= 1 and rounds >= 0")
     if cfg.task not in ("synthetic", "ridge", "idx"):
         raise ValidationError(f"unknown task {cfg.task!r}")
+    if cfg.task == "idx":
+        for group in range(cfg.n_groups):
+            _label_filter(cfg, group)
     # A ridge model is its feature vector, and normalizing needs 2 entries.
     if cfg.task == "ridge" and cfg.n_features < 2:
         raise ValidationError(
@@ -459,11 +461,10 @@ def build_geometry(cfg, rng):
         [cfg.group_size] * cfg.n_groups, area, cfg.cells, rng)
     return NetworkGeometry(
         area=area,
-        ap_positions=place_aps_grid(cfg.n_aps, area),
+        ap_positions=grid_points(cfg.n_aps, area),
         bs_positions=grid_points(cfg.cells, area),
         device_positions=device_positions,
         group_of_device=group_of_device,
-        cells=cfg.cells,
     )
 
 
@@ -493,7 +494,7 @@ def build_statistics(cfg, geometry, rng):
 def _draw_view(mmse, rng_fading, rng_pilot):
     h = sample_channels(mmse.correlations, rng_fading)
     y = estimation.pilot_observation(h, mmse.plan, mmse.noise_power, rng_pilot)
-    return ChannelState(h=h, h_hat=estimation.estimate_all(y, mmse).h_hat)
+    return ChannelState(h=h, h_hat=estimation.estimate_all(y, mmse))
 
 
 def _draw(stats, streams):
@@ -775,14 +776,23 @@ def _idx_path(cfg, group, key):
     return raw if os.path.isabs(raw) or not base else os.path.join(base, raw)
 
 
+def _label_filter(cfg, group):
+    """Group's ``idx_label_filter_g<group>`` labels, or None if it has none."""
+    key = f"idx_label_filter_g{group}"
+    raw = cfg.idx_paths.get(key)
+    if not raw:
+        return None
+    try:
+        return [int(v) for v in raw.split(",")]
+    except ValueError:
+        raise ValidationError(f"{key}={raw!r} must list integer labels") from None
+
+
 def _load_idx_task(cfg, group, rng, group_size):
     """Group's (train features, labels, test features, labels), drawn at
     random from its IDX files: exactly ``group_size * samples_per_device``
     training and ``test_samples`` test images."""
-    filt = None
-    raw_filter = cfg.idx_paths.get(f"idx_label_filter_g{group}")
-    if raw_filter:
-        filt = [int(v) for v in raw_filter.split(",")]
+    filt = _label_filter(cfg, group)
     picked = []
     for split, need in (("train", group_size * cfg.samples_per_device),
                         ("test", cfg.test_samples)):

@@ -55,7 +55,6 @@ class NetworkGeometry:
     bs_positions: np.ndarray      # (cells, 2)
     device_positions: np.ndarray  # (K, 2), or (S, K, 2) for a block of S seeds
     group_of_device: np.ndarray   # (K,) int
-    cells: int
 
     def __post_init__(self):
         side = self.area.side_m
@@ -86,11 +85,6 @@ def grid_points(count, area):
     centers = (np.arange(m) + 0.5) * step
     ix, iy = np.arange(count) % m, np.arange(count) // m
     return np.column_stack((centers[ix], centers[iy]))
-
-
-def place_aps_grid(count, area):
-    """Deterministic AP placement on a cell-centered square grid."""
-    return grid_points(count, area)
 
 
 def cell_origin(cell, cells, area):

@@ -276,7 +276,7 @@ def correlation_matrices_per_link(device_positions, rx_positions, n_antennas,
             beta_db = pathloss_db(d, params) + shadows[k]
             angle = wrap_bearing(rx_positions[r], device_positions[k], area)
             out[k, r] = local_scattering_R(
-                n_antennas, angle, asd, 10.0 ** (beta_db / 10.0)).matrix
+                n_antennas, angle, asd, 10.0 ** (beta_db / 10.0))
     return out
 
 

@@ -75,8 +75,8 @@ def test_sample_shadowing_rank1_perfectly_correlated():
 
 def test_local_scattering_scalar_case():
     corr = local_scattering_R(1, 0.3, 0.1, 2.5)
-    np.testing.assert_allclose(corr.matrix, [[2.5]])
-    assert corr.beta == 2.5
+    np.testing.assert_allclose(corr, [[2.5]])
+    assert np.trace(corr).real == 2.5  # trace/N with N = 1
 
 
 def test_local_scattering_zero_spread_is_rank1_steering():
@@ -84,8 +84,8 @@ def test_local_scattering_zero_spread_is_rank1_steering():
     corr = local_scattering_R(4, phi, 0.0, 2.0)
     steer = np.exp(1j * np.pi * np.arange(4) * np.sin(phi))
     expected = 2.0 * np.outer(steer, steer.conj())
-    np.testing.assert_allclose(corr.matrix, expected, atol=1e-12)
-    eigs = np.linalg.eigvalsh(corr.matrix)
+    np.testing.assert_allclose(corr, expected, atol=1e-12)
+    eigs = np.linalg.eigvalsh(corr)
     assert eigs[-1] == pytest.approx(8.0)
     assert np.all(eigs[:-1] < 1e-9)
 
@@ -110,7 +110,7 @@ def test_local_scattering_against_exact_integral():
 
     # small-spread closed form: |entry| = exp(-(asd*pi*cos(phi))^2 / 2)
     corr = local_scattering_R(2, phi, asd, 1.0)
-    approx = corr.matrix[1, 0]
+    approx = corr[1, 0]
     assert abs(approx) == pytest.approx(np.exp(-0.5 * (asd * np.pi) ** 2),
                                         rel=1e-12)
     assert abs(approx) == pytest.approx(0.7130, abs=1e-3)
@@ -122,11 +122,11 @@ def test_local_scattering_invariants():
     rng = substream(6, "angles")
     for _ in range(25):
         n = int(rng.integers(1, 6))
-        corr = local_scattering_R(n, rng.uniform(-np.pi, np.pi),
-                                  rng.uniform(0, 0.5), rng.uniform(0.1, 3.0))
-        mat = corr.matrix
+        beta = rng.uniform(0.1, 3.0)
+        mat = local_scattering_R(n, rng.uniform(-np.pi, np.pi),
+                                 rng.uniform(0, 0.5), beta)
         np.testing.assert_allclose(mat, mat.conj().T, atol=1e-14)
-        assert np.trace(mat).real / n == pytest.approx(corr.beta, rel=1e-9)
+        assert np.trace(mat).real / n == pytest.approx(beta, rel=1e-9)
         eigs = np.linalg.eigvalsh(mat)
         assert eigs[0] >= -1e-9 * np.trace(mat).real
 
@@ -157,7 +157,7 @@ def test_sample_channels_rank1_proportional_to_steering():
 
 
 def test_empirical_covariance_matches_R():
-    corr = local_scattering_R(2, 0.9, np.deg2rad(15.0), 1.7).matrix
+    corr = local_scattering_R(2, 0.9, np.deg2rad(15.0), 1.7)
     n = 100_000
     draws = sample_channels(np.broadcast_to(corr, (n, 2, 2)), substream(3, "h"))
     emp = np.einsum("mi,mj->ij", draws, draws.conj()) / n
@@ -165,7 +165,7 @@ def test_empirical_covariance_matches_R():
 
 
 def test_sqrt_psd_squares_back():
-    corr = local_scattering_R(3, 0.2, 0.2, 2.0).matrix
+    corr = local_scattering_R(3, 0.2, 0.2, 2.0)
     root = sqrt_psd(corr)
     np.testing.assert_allclose(root @ root.conj().T, corr, atol=1e-12)
 

@@ -91,7 +91,7 @@ def test_mmse_no_information_limit():
 
 
 def test_mmse_perfect_estimation_limit():
-    corr = local_scattering_R(2, 0.3, 0.2, 1.0).matrix.reshape(1, 1, 2, 2)
+    corr = local_scattering_R(2, 0.3, 0.2, 1.0).reshape(1, 1, 2, 2)
     plan = assign_pilots([0], tau_p=1, pilot_power=1.0)
     est = mmse_estimate(np.array([0.3 + 0.1j, -0.2j]), plan, corr, 0, 0,
                         noise_power=1e-12)
@@ -106,7 +106,7 @@ def _toy_setup(seed, n_dev=4, n_rx=2, n_ant=2, tau_p=2, noise=0.5):
         for r in range(n_rx):
             corr[k, r] = local_scattering_R(
                 n_ant, rng.uniform(-np.pi, np.pi), rng.uniform(0.05, 0.3),
-                rng.uniform(0.5, 2.0)).matrix
+                rng.uniform(0.5, 2.0))
     groups = np.repeat(np.arange(n_dev // tau_p), tau_p)
     plan = assign_pilots(groups, tau_p, pilot_power=0.8)
     return corr, plan, noise
@@ -114,10 +114,8 @@ def _toy_setup(seed, n_dev=4, n_rx=2, n_ant=2, tau_p=2, noise=0.5):
 
 def test_covariance_split_adds_to_R():
     corr, plan, noise = _toy_setup(0)
-    h = sample_channels(corr, substream(0, "h"))
-    y = pilot_observation(h, plan, noise, substream(0, "n"))
-    est = estimate_all(y, mmse_statistics(plan, corr, noise))
-    total = est.estimate_cov + est.error_cov
+    stats = mmse_statistics(plan, corr, noise)
+    total = stats.estimate_cov + stats.error_cov
     assert np.max(np.abs(total - corr)) / np.max(np.abs(corr)) < 1e-8
 
 
@@ -151,10 +149,7 @@ def test_estimate_statistics_match_covariances():
     a_mat = _probe_estimator_matrix(plan, corr, k, r, noise)
     hats = y @ a_mat.T
     errs = h[:, k] - hats
-    est = estimate_all(pilot_observation(
-        sample_channels(corr, substream(9, "h")), plan, noise,
-        substream(9, "n")), mmse_statistics(plan, corr, noise))
-    expected_b = est.estimate_cov[k, r]
+    expected_b = mmse_statistics(plan, corr, noise).estimate_cov[k, r]
     emp_b = np.einsum("mi,mj->ij", hats, hats.conj()) / n
     scale = np.linalg.norm(corr[k, r])
     assert np.linalg.norm(emp_b - expected_b) / scale < 0.02
@@ -192,16 +187,17 @@ def test_estimate_all_matches_single_link_op():
     corr, plan, noise = _toy_setup(3)
     h = sample_channels(corr, substream(3, "h"))
     y = pilot_observation(h, plan, noise, substream(3, "n"))
-    batch = estimate_all(y, mmse_statistics(plan, corr, noise))
+    stats = mmse_statistics(plan, corr, noise)
+    h_hat = estimate_all(y, stats)
     for k in range(corr.shape[0]):
         for r in range(corr.shape[1]):
             single = mmse_estimate(y[plan.pilot_of_device[k], r], plan, corr,
                                    k, r, noise)
-            np.testing.assert_array_equal(single.h_hat, batch.h_hat[k, r])
+            np.testing.assert_array_equal(single.h_hat, h_hat[k, r])
             np.testing.assert_array_equal(single.estimate_cov,
-                                          batch.estimate_cov[k, r])
+                                          stats.estimate_cov[k, r])
             np.testing.assert_array_equal(single.error_cov,
-                                          batch.error_cov[k, r])
+                                          stats.error_cov[k, r])
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,15 +210,16 @@ def test_batched_estimates_match_cholesky_reference(seed, tau_p, n_groups,
                                    n_ant=n_ant, tau_p=tau_p, noise=noise)
     y = pilot_observation(sample_channels(corr, substream(seed, "h")), plan,
                           noise, substream(seed, "n"))
-    batch = estimate_all(y, mmse_statistics(plan, corr, noise))
+    stats = mmse_statistics(plan, corr, noise)
+    batch = estimate_all(y, stats)
     for k in range(corr.shape[0]):
         for r in range(n_rx):
             h_hat, est_cov, err_cov = mmse_estimate_cholesky(
                 y[plan.pilot_of_device[k], r], plan, corr, k, r, noise)
             tol = 1e-12 * np.linalg.norm(corr[k, r])
-            assert np.linalg.norm(batch.estimate_cov[k, r] - est_cov) <= tol
-            assert np.linalg.norm(batch.error_cov[k, r] - err_cov) <= tol
-            assert np.linalg.norm(batch.h_hat[k, r] - h_hat) <= tol * max(
+            assert np.linalg.norm(stats.estimate_cov[k, r] - est_cov) <= tol
+            assert np.linalg.norm(stats.error_cov[k, r] - err_cov) <= tol
+            assert np.linalg.norm(batch[k, r] - h_hat) <= tol * max(
                 1.0, np.linalg.norm(y[plan.pilot_of_device[k], r]))
 
 
@@ -247,18 +244,17 @@ def test_seed_block_equals_each_seed_alone(seed, n_seeds, tau_p, n_groups,
     stats = mmse_statistics(plan, corr, noise)
     h = sample_channels(corr, substreams(tags, "h"))
     y = pilot_observation(h, plan, noise, substreams(tags, "n"))
-    est = estimate_all(y, stats)
+    h_hat = estimate_all(y, stats)
     for s in range(n_seeds):
         corr_s = correlation_matrices(devices[s], rxs, n_ant, area, params, asd,
                                       substream(seed, s, "shadow"))
         stats_s = mmse_statistics(plan, corr_s, noise)
         h_s = sample_channels(corr_s, substream(seed, s, "h"))
         y_s = pilot_observation(h_s, plan, noise, substream(seed, s, "n"))
-        est_s = estimate_all(y_s, stats_s)
         for block, alone in ((corr, corr_s), (stats.despread_cov, stats_s.despread_cov),
-                             (h, h_s), (y, y_s), (est.h_hat, est_s.h_hat),
-                             (est.estimate_cov, est_s.estimate_cov),
-                             (est.error_cov, est_s.error_cov)):
+                             (h, h_s), (y, y_s), (h_hat, estimate_all(y_s, stats_s)),
+                             (stats.estimate_cov, stats_s.estimate_cov),
+                             (stats.error_cov, stats_s.error_cov)):
             assert np.array_equal(block[s], alone)
 
 

@@ -124,6 +124,13 @@ def test_fair_comparison_validation():
     ("noise_dbm", "4000"),
     ("sweep_dbm", "0, 4000"),
     ("noise_dbm", "-4000"),
+    # a sweep point listed twice; -0 and 0 are one point
+    ("sweep_dbm", "0, 10, 0"),
+    ("sweep_dbm", "-0, 0"),
+    # grid counts that are not perfect squares, one beyond float precision
+    ("n_aps", "3"),
+    ("cells", "8"),
+    ("n_aps", str(10**20 + 1)),
 ])
 def test_out_of_range_value_names_its_key(tmp_path, key, value):
     path = tmp_path / "scenario.cfg"
@@ -764,6 +771,7 @@ def test_cli_bad_idx_task_is_named_error(tmp_path, capsys, sizes, error):
     ("level3", "nan,0", "ValidationError"),
     ("level3", "0,x", "ParseError"),
     ("level1", "nan", "ValidationError"),
+    ("level3", "0,0", "ValidationError"),
 ])
 def test_cli_bad_grid_is_named_error(tmp_path, capsys, arch, grid, error):
     cfgfile = tmp_path / "scenario.cfg"
@@ -792,6 +800,19 @@ def test_cli_dbm_overflow_is_named_error(tmp_path, capsys, command, option,
     assert cli_main([command, "-c", str(cfgfile), *writes, option]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ValidationError") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate-config", "train"])
+def test_cli_malformed_label_filter_is_named_error(tmp_path, capsys, command):
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text("task = idx\nidx_label_filter_g0 = 1, x\n")
+    out = tmp_path / "rows.csv"
+    writes = [] if command == "validate-config" else ["--out", str(out)]
+    assert cli_main([command, "-c", str(cfgfile), *writes]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError") and err.count("\n") == 1
+    assert "idx_label_filter_g0" in err
     assert not out.exists()
 
 

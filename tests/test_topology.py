@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cfota.rng import substream
 from cfota.topology import (Area, DistributionMode, NotPerfectSquare,
-                            TooManyGroups, place_aps_grid, place_devices,
+                            TooManyGroups, grid_points, place_devices,
                             wrap_distances, wrap_displacement)
 
 from oracles import brute_force_wrap_distance, wrap_distance
@@ -14,25 +14,25 @@ AREA = Area(500.0)
 
 
 def test_single_ap_centered():
-    pts = place_aps_grid(1, AREA)
+    pts = grid_points(1, AREA)
     assert pts.shape == (1, 2)
     np.testing.assert_allclose(pts[0], [250.0, 250.0])
 
 
 def test_four_aps_cell_centers():
-    pts = place_aps_grid(4, AREA)
+    pts = grid_points(4, AREA)
     got = {tuple(p) for p in pts}
     assert got == {(125.0, 125.0), (125.0, 375.0), (375.0, 125.0), (375.0, 375.0)}
 
 
 def test_non_square_count_rejected():
     with pytest.raises(NotPerfectSquare):
-        place_aps_grid(3, AREA)
+        grid_points(3, AREA)
 
 
 def test_grid_is_deterministic():
-    a = place_aps_grid(16, AREA)
-    b = place_aps_grid(16, AREA)
+    a = grid_points(16, AREA)
+    b = grid_points(16, AREA)
     np.testing.assert_array_equal(a, b)
 
 
