@@ -8,9 +8,9 @@ baseline:
 
 * level 3: all AP signals are processed jointly (stacked combiners)
 * level 2: identical combiners applied per AP, partial sums forwarded
-  (same recovery as level 3, different fronthaul)
+  (same estimate as level 3, different fronthaul)
 * level 1: per-AP combiners built from local estimates only, the
-  recovery is a plain average of the per-AP estimates, full power
+  group's estimate is a plain average of the per-AP ones, full power
 * cellular: each group is served by a single co-located array.
 
 Every architecture reads one record, a ``Level3Problem`` of K devices
@@ -475,7 +475,7 @@ def channel_projections(combiners, channels):
 
 
 def level1_mses(problem, b, combiners, projections):
-    """Aggregation MSEs (S, P, G) of every group's averaged recovery, given
+    """Aggregation MSEs (S, P, G) of every group's averaged estimate, given
     combined channels: seed s of the AP-side record at row p has
     coefficients b[s, p] (K,), combiners[s, p] (G, L, N) and projections[s,
     p] (G, K, L).

@@ -78,22 +78,15 @@ def main(argv=None):
         if args.command == "validate-config":
             print("config OK")
             return 0
-        if args.command == "mse-sweep":
-            rows = runner.run_mse_sweep(cfg, threads=args.threads)
-            _emit(rows, cfg)
-            return 0
-        if args.command == "train":
-            rows = runner.run_fl_training(cfg, threads=args.threads)
-            _emit(rows, cfg)
+        if args.command in ("mse-sweep", "train"):
+            run = runner.run_mse_sweep if args.command == "mse-sweep" else runner.run_fl_training
+            _emit(run(cfg, threads=args.threads), cfg)
             return 0
         # fronthaul
         for level in (1, 2, 3):
-            rep = accounting.fronthaul_scalars(
-                level, cfg.tau_p, cfg.tau_u, cfg.n_ap_antennas, cfg.n_aps,
-                cfg.n_groups, cfg.n_devices)
-            print(f"level {level}: pilot/data {rep.pilot_data_scalars}, "
-                  f"combiners {rep.combiner_scalars}, "
-                  f"statistics {rep.statistics_display()}")
+            pilot_data, combiners, statistics = runner.fronthaul_counts(cfg, level)
+            print(f"level {level}: pilot/data {pilot_data}, combiners {combiners}, "
+                  f"statistics {statistics}")
         pick = accounting.cheaper_level(cfg.tau_u, cfg.n_ap_antennas,
                                         cfg.n_groups, args.rounds_per_block)
         print(f"cheaper recurring fronthaul at C={args.rounds_per_block}: "

@@ -28,33 +28,34 @@ DATA_DIR_ENV = "CFOTA_DATA_DIR"
 
 @dataclass(frozen=True)
 class Architecture:
-    """How the runner solves, scores, recovers and accounts one architecture.
+    """How the runner solves, scores and accounts one architecture.
 
-    ``solver`` is the kind of round solve: "level1" (local combiners at full
-    power), "level3" (the alternating solver on the view of all AP blocks),
-    "cellular" (the same solver on the serving-BS views) or None (error-free,
-    no channel).  ``fronthaul`` is the accounting level (None: no AP
-    fronthaul), ``tco`` is 1 when the transmit coefficients are optimized,
-    and ``needs_bs`` says whether the serving-BS view is drawn.
-    ``recovery`` is how a group's combiner output is formed: "joint" (one
-    combine over all the receive antennas), "sum" (per-AP combines summed
-    at the CPU), "mean" (per-AP combines averaged) or None (error-free).
+    ``solver`` is the kind of round solve: "level1" (per-AP combiners at full
+    power), "level3" (the alternating solver on all AP blocks), "cellular"
+    (the same solver per serving BS) or None (error-free).  Level 2 is the
+    "level3" kind, summing its per-AP combines at the CPU, with its own
+    ``fronthaul`` accounting level (None: no AP fronthaul).
     """
 
     name: str
     solver: str | None
     fronthaul: int | None
-    tco: int
-    recovery: str | None
-    needs_bs: bool = False
+
+    @property
+    def tco(self):  # 1 when the transmit coefficients are optimized
+        return int(self.solver not in (None, "level1"))
+
+    @property
+    def needs_bs(self):  # whether the serving-BS view is drawn
+        return self.solver == "cellular"
 
 
 ARCHITECTURES = {arch.name: arch for arch in (
-    Architecture("errorfree", None, None, 0, None),
-    Architecture("level1", "level1", 1, 0, "mean"),
-    Architecture("level2", "level3", 2, 1, "sum"),
-    Architecture("level3", "level3", 3, 1, "joint"),
-    Architecture("cellular", "cellular", None, 1, "joint", needs_bs=True),
+    Architecture("errorfree", None, None),
+    Architecture("level1", "level1", 1),
+    Architecture("level2", "level3", 2),
+    Architecture("level3", "level3", 3),
+    Architecture("cellular", "cellular", None),
 )}
 
 
@@ -292,11 +293,15 @@ def validate_config(cfg):
                 f"({total_cf} != {total_cell})")
     if cfg.seeds < 1 or cfg.rounds < 0:
         raise ValidationError("seeds must be >= 1 and rounds >= 0")
+    if not -2**127 <= cfg.master_seed < 2**127:  # a 16-byte signed stream tag
+        raise ValidationError(f"master_seed={cfg.master_seed} must lie in [-2**127, 2**127)")
     if cfg.task not in ("synthetic", "ridge", "idx"):
         raise ValidationError(f"unknown task {cfg.task!r}")
     if cfg.task == "idx":
         for group in range(cfg.n_groups):
             _label_filter(cfg, group)
+            for key in ("train_images", "train_labels", "test_images", "test_labels"):
+                _idx_path(cfg, group, f"idx_{key}")
     # A ridge model is its feature vector, and normalizing needs 2 entries.
     if cfg.task == "ridge" and cfg.n_features < 2:
         raise ValidationError(
@@ -578,9 +583,8 @@ def emit_csv(rows, path, n_groups):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for row in sorted(rows, key=ResultRow.sort_key):
-                mses = list(row.mse_per_group) + [None] * (n_groups - len(row.mse_per_group))
-                metrics = (list(row.metric_per_group)
-                           + [None] * (n_groups - len(row.metric_per_group)))
+                mses, metrics = (list(v) + [None] * (n_groups - len(v))
+                                 for v in (row.mse_per_group, row.metric_per_group))
                 writer.writerow([_fmt(v) for v in
                                  [row.scenario, row.tco, row.seed, row.point,
                                   row.wsum_mse] + mses + metrics
@@ -607,11 +611,12 @@ def _over_seeds(cfg, threads, run_seeds):
     return sorted((row for chunk in chunks for row in chunk), key=ResultRow.sort_key)
 
 
-def _fronthaul_counts(cfg, arch):
-    if arch.fronthaul is None:
+def fronthaul_counts(cfg, level):
+    """The (pilot/data, combiner, statistics) scalars of accounting level ``level``."""
+    if level is None:
         return (0, 0, 0)
     rep = accounting.fronthaul_scalars(
-        arch.fronthaul, cfg.tau_p, cfg.tau_u, cfg.n_ap_antennas, cfg.n_aps,
+        level, cfg.tau_p, cfg.tau_u, cfg.n_ap_antennas, cfg.n_aps,
         cfg.n_groups, cfg.n_devices)
     return (rep.pilot_data_scalars, rep.combiner_scalars,
             rep.statistics_display())
@@ -703,7 +708,7 @@ def _sweep_seeds(cfg, seeds):
     rows = []
     for i, seed in enumerate(seeds):
         for arch in archs:
-            fh = _fronthaul_counts(cfg, arch)
+            fh = fronthaul_counts(cfg, arch.fronthaul)
             for p_dbm, trace in zip(cfg.sweep_dbm, traces[arch.solver][i]):
                 for tco in range(1 + arch.tco):
                     mses = tuple(float(m) for m in trace[-1 if tco else 0])
@@ -825,39 +830,39 @@ def _slot_noise(cfg, tags, t, bs, n_slots):
     return noise
 
 
-def _ota_round(cfg, arch, local, symbols, theta_bar, gamma, solved, state, noise):
-    """Recovered parameters (S, G, D) of one round of ``arch`` for a block of
-    seeds, and the realized squared errors (S, G).
+def _ota_round(cfg, kind, local, symbols, theta_bar, gamma, solved, state, noise):
+    """Recovered parameters (S, G, D) of one round of solver ``kind`` for a
+    block of seeds, and the realized squared errors (S, G).
 
     gamma (K,) holds the devices' shares, ``solved[s][0]`` seed s's solution,
-    and noise[arch.needs_bs] the round's slot noise at the architecture's
-    receivers.
+    and noise[bs] the round's slot noise at the serving BSs (bs) or the APs.
     """
     gamma = gamma.reshape(cfg.n_groups, -1)
-    if arch.recovery is None:
+    if kind is None:
         return fl_engine.ota_block(local, symbols, theta_bar, gamma)
     n_seeds, n_dev, n_slots = symbols.shape
-    # Group views Gs and receiver views V of the channels, noise and combiners.
-    views = (cfg.n_groups if arch.needs_bs else 1,
-             1 if arch.recovery == "joint" else cfg.n_aps)
+    bs = kind == "cellular"
+    # Group views Gs and receiver views V of the channels, noise and combiners:
+    # level 1 averages one view per AP, every other kind combines one view.
+    views = (cfg.n_groups if bs else 1, cfg.n_aps if kind == "level1" else 1)
     b, combiners = (np.array([row[0].b for row in solved]),
                     np.array([row[0].combiners for row in solved]))
-    channels = (state.bs if arch.needs_bs else state.ap).h
+    channels = (state.bs if bs else state.ap).h
     return fl_engine.ota_block(
         local, symbols, theta_bar, gamma, b,
         channels.reshape(n_seeds, n_dev, *views, -1),
-        noise[arch.needs_bs].reshape(n_seeds, *views, -1, n_slots),
+        noise[bs].reshape(n_seeds, *views, -1, n_slots),
         combiners.reshape(n_seeds, cfg.n_groups, views[1], -1),
-        average=arch.recovery == "mean")
+        average=kind == "level1")
 
 
 def _train_seeds(cfg, seeds):
     """Training rows of a block of seeds.
 
-    Rounds run in the outer loop and architectures in the inner one: every
-    architecture shares a seed's one channel draw and slot noise per round.
-    Each round runs over the block's (S, K) device stack: one local step,
-    one normalization, one solve batch and one OTA round per architecture.
+    Rounds run in the outer loop and solver kinds, sharing each round's
+    draws, in the inner one.  A kind trains one trajectory over the (S, K)
+    device stack (per round one local step, normalization, solve batch and
+    OTA round), and its architectures' rows differ only in fronthaul.
     """
     archs = [ARCHITECTURES[name] for name in cfg.architectures]
     tags, stats = _prepare_block(cfg, seeds)
@@ -871,7 +876,7 @@ def _train_seeds(cfg, seeds):
     data = [np.array(x).reshape(len(seeds), cfg.n_devices, *x[0].shape[1:])
             for x in zip(*(task.shards for row in tasks for task in row))]
     step = np.array([[task.learning_rate(cfg) for task in row] for row in tasks])[:, gdev, None]
-    # The stacked local gradient, and metrics(models) scoring an architecture's
+    # The stacked local gradient, and metrics(models) scoring a kind's
     # (S, G) models: optimality gap for ridge, test accuracy for classifiers.
     if cfg.task == "ridge":
         gradient = partial(fl_engine.ridge_gradient, ridge=cfg.ridge)
@@ -885,32 +890,34 @@ def _train_seeds(cfg, seeds):
                           for name in ("x_test", "y_test"))
         metrics = partial(tasks[0][0].model.accuracy, batch=x_test, labels=y_test)
 
-    fronthaul = [_fronthaul_counts(cfg, arch) for arch in archs]
-    models = [np.array(init)] * len(archs)  # (S, G, D) per architecture
-    scores = metrics(models[0])
+    fronthaul = [fronthaul_counts(cfg, arch.fronthaul) for arch in archs]
+    models = {arch.solver: np.array(init) for arch in archs}  # (S, G, D) per kind
+    scores = metrics(np.array(init))
     rows = [ResultRow(arch.name, arch.tco, seed, 0.0, None, (), _floats(scores[s]), fh)
             for s, seed in enumerate(seeds) for arch, fh in zip(archs, fronthaul)]
-    channel = any(arch.solver for arch in archs)
     for t in range(1, cfg.rounds + 1):
-        state = draw_block(stats, [tg + ("round", t) for tg in tags]) if channel else None
-        noise = {bs: _slot_noise(cfg, tags, t, bs, models[0].shape[-1])
-                 for bs in {arch.needs_bs for arch in archs if arch.recovery}}
-        for i, arch in enumerate(archs):
-            theta = models[i][:, gdev]
+        state = draw_block(stats, [tg + ("round", t) for tg in tags]) if any(models) else None
+        noise = {bs: _slot_noise(cfg, tags, t, bs, np.shape(init)[-1])
+                 for bs in {kind == "cellular" for kind in models if kind}}
+        results = {}  # kind: (MSE traces, scores)
+        for kind in models:
+            theta = models[kind][:, gdev]
             # One seed's (K, ...) device stack at a time stays in cache.
             local = theta - step * np.stack([gradient(*one) for one in zip(theta, *data)])
             symbols, mean, std = fl_engine.normalize(local)
             weights = make_weights(cfg, std, mean)
-            solved, traces = _solve_block(cfg, arch.solver, stats, state, weights,
+            solved, traces = _solve_block(cfg, kind, stats, state, weights,
                                           stats.power_limit[None])
-            models[i] = _ota_round(cfg, arch, local, symbols, mean, weights.gamma[0],
-                                   solved, state, noise)[0]
-            scores = metrics(models[i])
+            models[kind] = _ota_round(cfg, kind, local, symbols, mean, weights.gamma[0],
+                                      solved, state, noise)[0]
+            results[kind] = traces, metrics(models[kind])
+        for arch, fh in zip(archs, fronthaul):
+            traces, scores = results[arch.solver]
             for s, seed in enumerate(seeds):
                 mses = _floats(traces[s][0][-1])
                 rows.append(ResultRow(arch.name, arch.tco, seed, float(t),
-                                      float(np.dot(weights.omega, mses)), mses,
-                                      _floats(scores[s]), fronthaul[i]))
+                                      float(np.dot(cfg.omega_or_default, mses)), mses,
+                                      _floats(scores[s]), fh))
     return rows
 
 

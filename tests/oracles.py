@@ -448,9 +448,10 @@ def group_metric(cfg, task, theta):
 
 
 def train_rows(cfg, seed):
-    """``runner.run_fl_training`` rows of one seed, computed one device, one
-    architecture and one recovery level at a time, each architecture
-    opening its own "slots" stream every round."""
+    """``runner.run_fl_training`` rows of one seed, computed one device and
+    one architecture at a time, each architecture opening its own "slots"
+    stream every round.  Level 2 runs the level-3 round: its per-AP sum
+    equals the joint combine (criterion 3), so its rows are level 3's."""
     archs = [runner.ARCHITECTURES[name] for name in cfg.architectures]
     tags, stats = runner._prepare_block(cfg, [seed])
     gdev = stats.geometry.group_of_device
@@ -461,7 +462,7 @@ def train_rows(cfg, seed):
         return tuple(group_metric(cfg, tasks[g], models[g])
                      for g in range(cfg.n_groups))
 
-    fronthaul = [runner._fronthaul_counts(cfg, arch) for arch in archs]
+    fronthaul = [runner.fronthaul_counts(cfg, arch.fronthaul) for arch in archs]
     models = [list(init) for _ in archs]
     rows = [runner.ResultRow(arch.name, arch.tco, seed, 0.0, None, (),
                              metrics(init), fh)
@@ -480,8 +481,9 @@ def train_rows(cfg, seed):
             solved, traces = runner._solve_block(
                 cfg, arch.solver, stats, state,
                 runner.make_weights(cfg, [nu], [theta_bar]), stats.power_limit[None])
+            level = "level3" if arch.name == "level2" else arch.name
             recovered, _ = ota_round(
-                local, arch.name, None if solved is None else solved[0][0],
+                local, level, None if solved is None else solved[0][0],
                 state.ap.h[0], None if state.bs is None else state.bs.h[0],
                 weights, gdev, cfg.noise_power,
                 substream(cfg.master_seed, seed, "slots", t))

@@ -148,6 +148,38 @@ def test_repeated_architecture_is_named_error(tmp_path):
     assert "architectures" in str(err.value) and "'level3'" in str(err.value)
 
 
+def test_master_seed_must_fit_a_stream_tag(tmp_path):
+    # stream tags encode ints in 16 signed bytes, [-2**127, 2**127): a seed
+    # at either end loads and keys a stream, one beyond fails validation
+    path = tmp_path / "scenario.cfg"
+    for seed in (-2**127, 2**127 - 1):
+        path.write_text(f"master_seed = {seed}\n")
+        assert runner.load_config(path).master_seed == seed
+        substream(seed, 0, "geometry")
+    for seed in (-2**127 - 1, 2**127):
+        path.write_text(f"master_seed = {seed}\n")
+        with pytest.raises(runner.ValidationError, match="master_seed"):
+            runner.load_config(path)
+        with pytest.raises(OverflowError):
+            substream(seed, 0, "geometry")
+
+
+IDX_KEYS = [f"idx_{split}_{part}_g{g}" for g in range(2)
+            for split in ("train", "test") for part in ("images", "labels")]
+
+
+@pytest.mark.parametrize("missing", [IDX_KEYS[:1], IDX_KEYS[3:4], IDX_KEYS[5:], IDX_KEYS])
+def test_idx_task_without_a_file_key_is_named_error(tmp_path, missing):
+    # validation names the first missing key, in the order groups then
+    # train/test then images/labels, before any file is opened
+    path = tmp_path / "scenario.cfg"
+    path.write_text("task = idx\n" + "".join(f"{key} = absent.idx\n" for key in IDX_KEYS
+                                             if key not in missing))
+    with pytest.raises(runner.ValidationError) as err:
+        runner.load_config(path)
+    assert str(err.value) == f"task=idx requires key {missing[0]}"
+
+
 def test_overrides_apply_after_file(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text("rounds = 7\n")
@@ -562,9 +594,10 @@ def test_training_computes_mmse_statistics_once_per_seed_and_view(monkeypatch):
 
 
 def test_training_solves_every_seed_in_one_batch_per_round(monkeypatch):
-    # serially, each round solves every seed of an architecture with a
-    # solver in one batch at the configured power; the rows do not depend
-    # on how the seeds split into blocks (at desk-train's iteration cap)
+    # serially, each round solves every seed of a solver kind in one batch
+    # at the configured power, level 2 reading level 3's solve; the rows do
+    # not depend on how the seeds split into blocks (at desk-train's
+    # iteration cap)
     archs = ("errorfree", "level1", "level2", "level3", "cellular")
     cfg = _train_cfg(architectures=archs, rounds=2, seeds=5, max_iters=80)
     batches = []
@@ -580,7 +613,7 @@ def test_training_solves_every_seed_in_one_batch_per_round(monkeypatch):
         monkeypatch.setattr(runner.aggregation, name, None)
     rows = runner.run_fl_training(cfg, threads=1)
     per_round = [("level1_batch", False), ("optimize_batch", False),
-                 ("optimize_batch", False), ("optimize_batch", True)]
+                 ("optimize_batch", True)]
     assert sorted(batches) == sorted((kind, cfg.seeds, 1)
                                      for kind in per_round * cfg.rounds)
     for threads in (2, 3, 7):
@@ -610,6 +643,22 @@ def test_training_level2_and_level3_rows_equal_runs_alone():
         assert [r for r in rows if r.scenario == arch] == alone
 
 
+@pytest.mark.parametrize("task", ["synthetic", "ridge"])
+def test_training_level2_rows_are_level3_rows(task):
+    # level 2 applies level 3's combiners per AP and sums them at the CPU:
+    # configured alone, it trains level 3's trajectory, and its rows differ
+    # from level 3's only in the scenario name and the fronthaul columns
+    cfg = _train_cfg(task=task, rounds=3, seeds=2, max_iters=80,
+                     n_features=5 if task == "ridge" else 6)
+    level2, level3 = (runner.run_fl_training(replace(cfg, architectures=(arch,)))
+                      for arch in ("level2", "level3"))
+    assert len(level2) == len(level3) == cfg.seeds * (cfg.rounds + 1)
+    for row2, row3 in zip(level2, level3):
+        assert (row2.scenario, row3.scenario) == ("level2", "level3")
+        assert row2.fronthaul == runner.fronthaul_counts(cfg, 2) != row3.fronthaul
+        assert replace(row2, scenario="level3", fronthaul=row3.fronthaul) == row3
+
+
 def test_training_idx_task_end_to_end(tmp_path, monkeypatch):
     rng = substream(7, "idxdata")
     cfg_lines = []
@@ -625,9 +674,9 @@ def test_training_idx_task_end_to_end(tmp_path, monkeypatch):
             cfg_lines.append(
                 f"idx_{split}_labels_g{g} = {lab.relative_to(tmp_path)}")
     monkeypatch.setenv(runner.DATA_DIR_ENV, str(tmp_path))
-    cfg = _train_cfg(task="idx", rounds=1, samples_per_device=20,
-                     test_samples=20, n_features=9)
-    cfg = runner.parse_config_lines(cfg_lines, base=cfg)
+    cfg = _train_cfg(rounds=1, samples_per_device=20, test_samples=20, n_features=9)
+    cfg = runner.validate_config(runner.parse_config_lines(["task = idx"] + cfg_lines,
+                                                           base=cfg))
     rows = runner.run_fl_training(cfg)
     assert len(rows) == 2
     assert all(0.0 <= m <= 1.0 for row in rows for m in row.metric_per_group)
@@ -646,8 +695,9 @@ def test_sweep_idx_task_uses_dataset_input_width(tmp_path):
                                        np.resize(np.arange(4), 12))
             cfg_lines += [f"idx_{split}_images_g{g} = {img}",
                           f"idx_{split}_labels_g{g} = {lab}"]
-    cfg = _train_cfg(task="idx", samples_per_device=2, test_samples=6)
-    cfg = runner.parse_config_lines(cfg_lines, base=cfg)
+    cfg = _train_cfg(samples_per_device=2, test_samples=6)
+    cfg = runner.validate_config(runner.parse_config_lines(["task = idx"] + cfg_lines,
+                                                           base=cfg))
     nu, theta_bar = runner._initial_round_stats(cfg, 0)
     for g in range(cfg.n_groups):
         task = runner._GroupTask(cfg, 0, g)
@@ -801,6 +851,22 @@ def test_cli_dbm_overflow_is_named_error(tmp_path, capsys, command, option,
     err = capsys.readouterr().err
     assert err.startswith("ValidationError") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,key", [
+    ("task = idx\n", "idx_train_images_g0"),
+    ("task = idx\narchitectures = level1\n", "idx_train_images_g0"),
+    (f"master_seed = {2**127}\n", "master_seed"),
+    (f"master_seed = {-2**127 - 1}\n", "master_seed"),
+])
+def test_cli_validate_config_rejects_unusable_keys(tmp_path, capsys, text, key):
+    # an IDX task without its files, or a master seed no stream tag holds,
+    # fails validation in one named line rather than later in the run
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text(text)
+    assert cli_main(["validate-config", "-c", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError") and err.count("\n") == 1 and key in err
 
 
 @pytest.mark.parametrize("command", ["validate-config", "train"])
