@@ -31,10 +31,12 @@ once.
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 
 class NonFiniteSolve(ValueError):
-    """A solver system matrix or objective value is not finite."""
+    """A solver system matrix or objective value is not finite, or a
+    combiner system is singular."""
 
 
 @dataclass(frozen=True)
@@ -178,12 +180,44 @@ def _take_seeds(problem, seeds):
                                    theta_bar=w.theta_bar[seeds]))
 
 
-def _check_finite(mat, live):
-    """Raise NonFiniteSolve unless every recorded row of ``mat`` is finite;
-    ``live`` masks the (S, P) rows, None meaning all."""
-    finite = np.isfinite(mat)
-    if not finite.all() and (live is None or not finite[live].all()):
-        raise NonFiniteSolve("combiner system matrix is not finite")
+# The fill of the combiner coefficients: a complex zero spares np.where a cast.
+_ZERO = np.zeros((), dtype=complex)
+
+
+def _check_finite(arr, live, what):
+    """Raise NonFiniteSolve, naming ``what``, unless every recorded row of
+    ``arr`` is finite; ``live`` masks the (S, P) rows, None meaning all.
+
+    Here and in the solver loop, ``count_nonzero`` tests all and any: at
+    the solver's sizes it costs half a ufunc reduction.
+    """
+    finite = np.isfinite(arr)
+    if np.count_nonzero(finite) < finite.size and (
+            live is None or not finite[live].all()):
+        raise NonFiniteSolve(f"{what} is not finite")
+
+
+def _raise_not_finite(err, flag):
+    raise NonFiniteSolve("a combiner system is singular or an iterate is not finite")
+
+
+def _invalid_raises():
+    """The floating-point handling that every combiner solve runs under: an
+    invalid value, such as the NaN rows that LAPACK leaves for a singular
+    system, raises NonFiniteSolve at once instead of a RuntimeWarning.  The
+    entry points hold it for a whole solve."""
+    return np.errstate(call=_raise_not_finite, invalid="call")
+
+
+def _lu_solve(a, b):
+    """x = a^-1 b of stacked complex systems a (..., M, M), b (..., M, R).
+
+    This is the LAPACK gufunc behind ``numpy.linalg.solve``, so the same
+    call and the same bits, without that function's per-call type checks
+    and errstate, which cost more than the solve at the solver's sizes.
+    Call it under ``_invalid_raises()``.
+    """
+    return _umath_linalg.solve(a, b, signature="DD->D")
 
 
 class _Stack:
@@ -225,18 +259,26 @@ class _Stack:
         self.cov_by_device = cov.swapaxes(1, 2).reshape(n_seeds, 1, n_dev, -1)
         # Blocks as columns, so the quadratic forms are one product per view.
         self.cov_cols = cov.reshape(n_seeds, 1, n_views, n_dev, -1).swapaxes(-1, -2)
+        # The real constants that meet complex operands are held as complex:
+        # numpy would cast them, to the same values, in every such operation.
         self.noise_power = problem.noise_power
-        self.noise_eye = problem.noise_power * np.eye(n_ant)
+        self.noise_eye = (problem.noise_power * np.eye(n_ant)).astype(complex)
+        self.eye = np.eye(n_dev, dtype=complex)
         self.own = gdev == np.arange(self.n_groups)[:, None]          # (G, K)
         w = problem.weights
         gamma, nu = (np.reshape(x, (n_seeds, 1, n_dev)) for x in (w.gamma, w.nu))
-        self.target = np.where(self.own, (gamma * nu)[..., None, :], 0.0)  # (S, 1, G, K)
-        self.gamma, self.nu, self.omega = gamma, nu, w.omega
+        self.target = np.where(self.own, (gamma * nu)[..., None, :], 0.0).astype(
+            complex)                                                  # (S, 1, G, K)
+        self.gamma, self.nu = gamma.astype(complex), nu.astype(complex)
+        self.omega = w.omega
+        self.omega_col = self.omega[:, None]
         self.gain = self.omega[gdev] * gamma * nu                     # (S, 1, K)
+        self.gain_c = self.gain.astype(complex)
         self.gdev, self.devices = gdev, np.arange(n_dev)
 
-    def combiners(self, b, live=None):
-        """MMSE combiners of every group for coefficients b (S, P, K).
+    def combiners(self, b, p, live=None):
+        """MMSE combiners of every group for coefficients b (S, P, K) of
+        powers p = |b|^2.
 
         One Hermitian system A = D + H P H^H per row and view, solved for
         all of the view's groups at once; D = noise + sum_k p_k C_k is
@@ -245,37 +287,38 @@ class _Stack:
         H^H D^-1 H)^-1, one solve per N x N block and one K x K solve.  A
         group's combiner joins its part of every view: (S, P, G, D) at level
         3 and cellular, (S, P, G, L*N) at level 1.  Only the rows that
-        ``live`` marks (None: all) are checked for finite systems.
+        ``live`` marks (None: all) are checked for finite systems.  Call it
+        under ``_invalid_raises()``.
         """
         rows, n_dev = b.shape[:2], b.shape[-1]
         n_blocks, n_ant = self.blocks
-        p = np.abs(b) ** 2
         blocks = (p[..., None, :] @ self.cov_by_device).reshape(
             *rows, self.n_views, n_blocks, n_ant, n_ant)
-        coef = np.where(self.own, (self.gamma * b * self.nu)[..., None, :], 0.0)
+        coef = np.where(self.own, (self.gamma * b * self.nu)[..., None, :], _ZERO)
         # (S, P, 1 or Gv, K, per_view): views that serve every group share one set.
         coef = coef.reshape(*rows, -1, self.per_view, n_dev).swapaxes(-1, -2)
         if n_blocks == 1:
             mat = (self.h_t * p[..., None, None, :]) @ self.h_conj    # (S, P, Gv, D, D)
             mat = mat + blocks[..., 0, :, :] + self.noise_eye
             mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
-            _check_finite(mat, live)
-            v = np.linalg.solve(mat, self.h_t @ coef)                 # (S, P, Gv, D, per_view)
+            _check_finite(mat, live, "combiner system matrix")
+            v = _lu_solve(mat, self.h_t @ coef)                       # (S, P, Gv, D, per_view)
         else:
             # A weighted sum of Hermitian blocks: LU needs no symmetrizing.
             blocks = blocks + self.noise_eye
-            _check_finite(blocks, live)
-            x = np.linalg.solve(blocks, self.h_blocks).reshape(
+            _check_finite(blocks, live, "combiner system matrix")
+            x = _lu_solve(blocks, self.h_blocks).reshape(
                 *rows, self.n_views, -1, n_dev)                       # D^-1 H: (S, P, Gv, D, K)
             small = self.h_conj @ x                                   # H^H D^-1 H: (S, P, Gv, K, K)
-            small = p[..., None, :, None] * small + np.eye(n_dev)
-            _check_finite(small, live)
-            v = x @ np.linalg.solve(small, coef)
+            small = p[..., None, :, None] * small + self.eye
+            _check_finite(small, live, "combiner system matrix")
+            v = x @ _lu_solve(small, coef)
         return v.transpose(0, 1, 4, 2, 3).reshape(*rows, self.n_groups, -1)
 
     def forms(self, v):
         """proj[s, r, p, k] = v_p^H h_k and quad[s, r, p, k] = v_p^H C_k v_p,
-        each in group p's view; shapes (S, P, G, K).
+        each in group p's view, shapes (S, P, G, K), and the combiners'
+        energies |v_p|^2 (S, P, G).
 
         quad sums the per-block forms: the flattened outer products of each
         block of v_p times the flattened error blocks.
@@ -289,7 +332,8 @@ class _Stack:
         outer = (vh.reshape(*lead, n_blocks, n_ant, 1)
                  * v.reshape(*lead, n_blocks, 1, n_ant))             # (S, P, Gv, G/Gv, nb, N, N)
         quad = (outer.reshape(*lead, -1) @ self.cov_cols).real
-        return proj, quad.reshape(*rows, n_groups, -1)
+        energy = np.add.reduce((vh * v).real, axis=-1)
+        return proj, quad.reshape(*rows, n_groups, -1), energy.reshape(*rows, n_groups)
 
     def tco(self, proj, quad, sqrt_power):
         """Closed-form coefficient update of every device and its KKT multiplier.
@@ -297,27 +341,27 @@ class _Stack:
         |b_k|^2 <= P_k always holds, and mu_k > 0 only on the boundary.
         """
         own = proj[..., self.gdev, self.devices]                      # (S, P, K)
-        denom = (self.omega[:, None] * (np.abs(proj) ** 2 + quad)).sum(axis=-2)
+        denom = np.add.reduce(self.omega_col * (np.abs(proj) ** 2 + quad), axis=-2)
         mu = np.maximum(0.0, self.gain * np.abs(own) / sqrt_power - denom)
         den = denom + mu
+        if np.count_nonzero(den) == den.size:                        # no zero denominator
+            return self.gain_c * own.conj() / den, mu
         moving = den != 0.0
         b = np.zeros(den.shape, dtype=complex)
-        np.divide(self.gain * own.conj(), den, out=b, where=moving)
+        np.divide(self.gain_c * own.conj(), den, out=b, where=moving)
         return b, np.where(moving, mu, 0.0)
 
-    def group_mses(self, b, v, proj, quad):
-        """Per-group conditional MSEs (S, P, G): signal mismatch,
+    def group_mses(self, b, p, proj, quad, energy):
+        """Per-group conditional MSEs (S, P, G) of coefficients b of powers
+        p = |b|^2, from the forms of the combiners: signal mismatch,
         estimation-error inflation and combined noise."""
-        bb = b[..., None, :]
-        signal = (np.abs(proj * bb - self.target) ** 2).sum(axis=-1)
-        inflation = (np.abs(bb) ** 2 * quad).sum(axis=-1)
-        return signal + inflation + self.noise_power * (v.conj() * v).real.sum(axis=-1)
+        signal = np.add.reduce(np.abs(proj * b[..., None, :] - self.target) ** 2, axis=-1)
+        inflation = np.add.reduce(p[..., None, :] * quad, axis=-1)
+        return signal + inflation + self.noise_power * energy
 
     def objective(self, mses, live=None):
-        values = (mses * self.omega).sum(axis=-1)
-        finite = np.isfinite(values)
-        if not finite.all() and (live is None or not finite[live].all()):
-            raise NonFiniteSolve("weighted sum-MSE is not finite")
+        values = np.add.reduce(mses * self.omega, axis=-1)
+        _check_finite(values, live, "weighted sum-MSE")
         return values
 
 
@@ -340,16 +384,9 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None, cellular=False):
         b = sqrt_power.astype(complex)
     else:
         b = np.array(b_init, dtype=complex).reshape(sqrt_power.shape)
-    v = stack.combiners(b)
-    proj, quad = stack.forms(v)
-    mses = stack.group_mses(b, v, proj, quad)
-    prev = stack.objective(mses)
-
     values = np.empty(shape + (max_iters + 1,))
     group_values = np.empty(shape + (max_iters + 1, stack.n_groups))
-    values[..., 0], group_values[..., 0, :] = prev, mses
     mu = np.zeros(b.shape)
-    out_b, out_v, out_mu = (np.empty_like(a) for a in (b, v, mu))
     iterations = np.zeros(shape, dtype=int)
     ended = np.empty(shape, dtype=object)
     seeds, cols = np.arange(shape[0]), np.arange(shape[1])    # the rectangle
@@ -362,35 +399,46 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None, cellular=False):
         iterations[where], ended[where] = it, how
         out_b[where], out_v[where], out_mu[where] = b[rows], v[rows], mu[rows]
 
-    for it in range(1, max_iters + 1):
-        if it > 1:
-            v = stack.combiners(b, live)
-            proj, quad = stack.forms(v)
-        b, mu = stack.tco(proj, quad, sqrt_power)
-        mses = stack.group_mses(b, v, proj, quad)
-        cur = stack.objective(mses, live)
-        values[at + (it,)], group_values[at + (it,)] = cur, mses
-        done = prev - cur < eps
-        if live is not None:
-            done &= live
-        if done.any():
-            record(np.nonzero(done), it, "threshold")
-            active &= ~done
-            keep_s, keep_c = active.any(axis=1), active.any(axis=0)
-            if not keep_s.any():
-                break
-            if not keep_s.all():
-                seeds = seeds[keep_s]
-                stack = _Stack(_take_seeds(problem, seeds), cellular=cellular)
-            kept = np.ix_(keep_s, keep_c)
-            cols = cols[keep_c]
-            at = np.ix_(seeds, cols)
-            active, b, v, mu, sqrt_power, cur = (
-                a[kept] for a in (active, b, v, mu, sqrt_power, cur))
-            live = None if active.all() else active
-        prev = cur
-    else:
-        record(np.nonzero(active), max_iters, "max_iters")
+    with _invalid_raises():
+        # |b|^2 and the combiners' forms each serve an MSE step and the
+        # refresh or update that follows it.
+        p = np.abs(b) ** 2
+        v = stack.combiners(b, p)
+        proj, quad, energy = stack.forms(v)
+        mses = stack.group_mses(b, p, proj, quad, energy)
+        prev = stack.objective(mses)
+        values[..., 0], group_values[..., 0, :] = prev, mses
+        out_b, out_v, out_mu = (np.empty_like(a) for a in (b, v, mu))
+        for it in range(1, max_iters + 1):
+            if it > 1:
+                v = stack.combiners(b, p, live)
+                proj, quad, energy = stack.forms(v)
+            b, mu = stack.tco(proj, quad, sqrt_power)
+            p = np.abs(b) ** 2
+            mses = stack.group_mses(b, p, proj, quad, energy)
+            cur = stack.objective(mses, live)
+            values[at + (it,)], group_values[at + (it,)] = cur, mses
+            done = prev - cur < eps
+            if live is not None:
+                done &= live
+            if np.count_nonzero(done):
+                record(np.nonzero(done), it, "threshold")
+                active &= ~done
+                keep_s, keep_c = active.any(axis=1), active.any(axis=0)
+                if not keep_s.any():
+                    break
+                if not keep_s.all():
+                    seeds = seeds[keep_s]
+                    stack = _Stack(_take_seeds(problem, seeds), cellular=cellular)
+                kept = np.ix_(keep_s, keep_c)
+                cols = cols[keep_c]
+                at = np.ix_(seeds, cols)
+                active, b, p, v, mu, sqrt_power, cur = (
+                    a[kept] for a in (active, b, p, v, mu, sqrt_power, cur))
+                live = None if active.all() else active
+            prev = cur
+        else:
+            record(np.nonzero(active), max_iters, "max_iters")
 
     return [[AggregationSolution(
                 b=out_b[s, i], combiners=out_v[s, i], mu=out_mu[s, i],
@@ -437,7 +485,7 @@ def tco_step(problem, combiners, k, cellular=False):
     """
     w = problem.weights
     g = int(problem.group_of_device[k])
-    proj, quad = _Stack(problem, cellular=cellular).forms(np.asarray(combiners)[None, None])
+    proj, quad, _ = _Stack(problem, cellular=cellular).forms(np.asarray(combiners)[None, None])
     proj, quad = proj[0, 0, :, k], quad[0, 0, :, k]
     mag = np.abs(proj)
     denom = float((w.omega * (mag ** 2 + quad)).sum())
@@ -459,9 +507,8 @@ def mse_level3(problem, b, v, g, cellular=False):
     stack = _Stack(problem, cellular=cellular)
     combiners = np.zeros((1, 1, problem.n_groups, len(v)), dtype=complex)
     combiners[0, 0, g] = v
-    proj, quad = stack.forms(combiners)
     b = np.asarray(b, dtype=complex)[None, None]
-    return float(stack.group_mses(b, combiners, proj, quad)[0, 0, g])
+    return float(stack.group_mses(b, np.abs(b) ** 2, *stack.forms(combiners))[0, 0, g])
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +556,9 @@ def level1_batch(problem, power_limits):
     """
     b = np.sqrt(np.asarray(power_limits, dtype=float)).astype(complex)
     stack = _Stack(problem, per_ap=True)
-    combiners = stack.combiners(np.broadcast_to(b, (stack.n_seeds,) + b.shape))
+    b_block = np.broadcast_to(b, (stack.n_seeds,) + b.shape)
+    with _invalid_raises():
+        combiners = stack.combiners(b_block, np.abs(b_block) ** 2)
     combiners = combiners.reshape(*combiners.shape[:3], problem.h_hat.shape[-2], -1)
     no_steps = np.empty((0, problem.n_groups))
     return [[AggregationSolution(b=b_i, combiners=v_i, mu=np.zeros(len(b_i)),

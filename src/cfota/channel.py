@@ -63,8 +63,15 @@ def shadow_covariance(device_positions, area, params=LargeScaleParams()):
     return cov
 
 
-def _psd_root(cov):
-    """The root ``V sqrt(max(w, 0))`` of each ``cov = V diag(w) V^H``."""
+def psd_root(cov):
+    """The root ``V sqrt(max(w, 0))`` of each ``cov = V diag(w) V^H``.
+
+    It comes from ``eigh`` and is not continuous in cov: where eigenvalues
+    nearly coincide, a last-bit change to cov can rotate the eigenvectors
+    and change a draw coloured by the root by O(1).  Any change to how the
+    correlations and shadow covariances are computed must therefore keep
+    them bit-identical, or it changes every downstream number.
+    """
     w, v = np.linalg.eigh(cov)
     return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
@@ -93,25 +100,17 @@ def local_scattering_R(n_antennas, nominal_angle, asd, beta):
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
-def sample_channels(correlations, rng):
+def sample_channels(root, rng):
     """Correlated Rayleigh draws h = R^(1/2) z, z circularly-symmetric CN(0, I).
 
-    ``correlations`` has shape (..., N, N); the result has shape (..., N).
+    ``root`` (..., N, N) is ``psd_root(R)`` of the correlations R, which a
+    caller computes once for all its draws; the result has shape (..., N).
     Draws are independent across the leading axes and across calls.  A
     block of S seeds, (S, ..., N, N), draws through a ``rng.SeedStreams``,
     each seed from its own stream as if alone.
-
-    The root is ``V sqrt(max(w, 0))`` from ``eigh``, which is not continuous
-    in R: where eigenvalues nearly coincide, a last-bit change to R can
-    rotate the eigenvectors and change the draw by O(1).  Any change to how
-    the correlations are computed must therefore keep them bit-identical,
-    or it changes every downstream number.
     """
-    correlations = np.asarray(correlations)
-    root = _psd_root(correlations)
-    z = rng.standard_normal(correlations.shape[:-1]) + 1j * rng.standard_normal(
-        correlations.shape[:-1]
-    )
+    root = np.asarray(root)
+    z = rng.standard_normal(root.shape[:-1]) + 1j * rng.standard_normal(root.shape[:-1])
     z /= np.sqrt(2.0)
     return np.einsum("...ij,...j->...i", root, z)
 
@@ -135,7 +134,7 @@ def correlation_matrices(device_positions, rx_positions, n_antennas, area,
     device_positions = np.asarray(device_positions)
     rx_positions = np.asarray(rx_positions)
     *lead, n_dev, _ = device_positions.shape
-    root = _psd_root(shadow_covariance(device_positions, area, params))
+    root = psd_root(shadow_covariance(device_positions, area, params))
     # One matvec per receiver on the stream of n_rx consecutive draws; a
     # single (n_rx, K) @ (K, K) product would move the last bit.
     normals = rng.standard_normal((*lead, len(rx_positions), n_dev))

@@ -7,16 +7,19 @@ observation.
 
 The covariances and the despread covariances depend only on the pilot
 plan, the spatial correlations and the noise power, so ``mmse_statistics``
-computes them once per deployment; ``estimate_all`` then turns each
-coherence block's observation into estimates.  Both work on every link at
-once, with batched ``numpy.linalg.solve`` calls.  They also take a block
-of seeds at once: arrays with a leading seed axis give results with that
-axis, each seed's bit-identical to its own call.
+computes them once per deployment, along with the roots that colour the
+channel draws; ``estimate_all`` then turns each coherence block's
+observation into estimates.  Both work on every link at once, with batched
+``numpy.linalg.solve`` calls.  They also take a block of seeds at once:
+arrays with a leading seed axis give results with that axis, each seed's
+bit-identical to its own call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import psd_root
 
 
 class PilotShortage(ValueError):
@@ -37,16 +40,20 @@ class PilotPlan:
 
 @dataclass(frozen=True)
 class MmseStatistics:
-    """What MMSE estimation of one receiver view needs besides the draw.
+    """What drawing and MMSE-estimating one receiver view needs, computed
+    once per seed.
 
-    despread_cov[r, t] is the covariance of the despread observation of
-    pilot t at receiver r (``noise I`` for an unused pilot).  The
-    covariance arrays are read-only.  For a block of seeds every array has
-    a leading seed axis.
+    draw_root[k, r] is ``channel.psd_root`` of correlations[k, r], which
+    colours every channel draw of the link.  despread_cov[r, t] is the
+    covariance of the despread observation of pilot t at receiver r
+    (``noise I`` for an unused pilot).  The root and the covariance arrays
+    are read-only.  For a block of seeds every array has a leading seed
+    axis.
     """
 
     plan: PilotPlan
     correlations: np.ndarray  # (K, R, N, N)
+    draw_root: np.ndarray     # (K, R, N, N)
     noise_power: float
     despread_cov: np.ndarray  # (R, tau_p, N, N)
     estimate_cov: np.ndarray  # (K, R, N, N)
@@ -141,20 +148,22 @@ def _by_device(per_pilot, plan):
 
 
 def mmse_statistics(plan, correlations, noise_power):
-    """Draw-independent MMSE statistics of every (device, receiver) link.
+    """Draw-independent statistics of every (device, receiver) link: the
+    draw roots and the MMSE statistics.
 
     Builds every (receiver, pilot) despread covariance once and derives all
     links' estimate and error covariances from one batched solve.  The
     arrays are read-only: every coherence block shares them.
     """
     correlations = np.asarray(correlations)
+    root = psd_root(correlations)
     despread = _despread_covariances(plan, correlations, noise_power)
     est_cov, err_cov = _link_covariances(
         correlations, _by_device(despread, plan),
         np.square(_pilot_scale(plan))[:, None, None, None])
-    for arr in (despread, est_cov, err_cov):
+    for arr in (root, despread, est_cov, err_cov):
         arr.flags.writeable = False
-    return MmseStatistics(plan=plan, correlations=correlations,
+    return MmseStatistics(plan=plan, correlations=correlations, draw_root=root,
                           noise_power=noise_power, despread_cov=despread,
                           estimate_cov=est_cov, error_cov=err_cov)
 

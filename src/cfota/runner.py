@@ -474,8 +474,8 @@ def build_geometry(cfg, rng):
 
 
 def build_statistics(cfg, geometry, rng):
-    """Spatial correlations and MMSE statistics of the AP (and, if needed,
-    serving-BS) links."""
+    """Spatial correlations, draw roots and MMSE statistics of the AP (and,
+    if needed, serving-BS) links."""
     params = cfg.large_scale_params()
     asd = np.deg2rad(cfg.asd_deg)
     plan = estimation.assign_pilots(
@@ -497,7 +497,7 @@ def build_statistics(cfg, geometry, rng):
 
 
 def _draw_view(mmse, rng_fading, rng_pilot):
-    h = sample_channels(mmse.correlations, rng_fading)
+    h = sample_channels(mmse.draw_root, rng_fading)
     y = estimation.pilot_observation(h, mmse.plan, mmse.noise_power, rng_pilot)
     return ChannelState(h=h, h_hat=estimation.estimate_all(y, mmse))
 

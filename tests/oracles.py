@@ -120,8 +120,8 @@ def block_problem(problems):
 
 def combiners_level1(problem, b):
     """Local combiners (G, L, N) of every group at every AP for coefficients b."""
-    combiners = aggregation._Stack(problem, per_ap=True).combiners(
-        np.asarray(b, dtype=complex)[None, None])
+    b = np.asarray(b, dtype=complex)[None, None]
+    combiners = aggregation._Stack(problem, per_ap=True).combiners(b, np.abs(b) ** 2)
     return combiners.reshape(problem.n_groups, problem.h_hat.shape[1], -1)
 
 
@@ -129,17 +129,140 @@ def combiners_level3(problem, b, cellular=False):
     """All group combiners (G, D) of a record viewed jointly or
     ``cellular``, for fixed coefficients b: each is the global minimizer of
     its group's convex MSE."""
-    return aggregation._Stack(problem, cellular=cellular).combiners(
-        np.asarray(b, dtype=complex)[None, None])[0, 0]
+    b = np.asarray(b, dtype=complex)[None, None]
+    return aggregation._Stack(problem, cellular=cellular).combiners(b, np.abs(b) ** 2)[0, 0]
 
 
 def tco_steps(problem, combiners, cellular=False):
     """Optimal coefficients and KKT multipliers of all devices, (K,) each,
     for fixed combiners: the vectorized update the solver runs."""
     stack = aggregation._Stack(problem, cellular=cellular)
-    proj, quad = stack.forms(np.asarray(combiners)[None, None])
+    proj, quad, _ = stack.forms(np.asarray(combiners)[None, None])
     b, mu = stack.tco(proj, quad, np.sqrt(problem.power_limit)[None, None])
     return b[0, 0], mu[0, 0]
+
+
+class ReferenceStack:
+    """The solver's combiner core as a plain method sequence: each step
+    recomputes what it needs (|b|^2, v^H, the K x K identity) and solves
+    through ``numpy.linalg.solve``.  Arrays have leading (S, P) axes, as in
+    ``aggregation._Stack``, whose streamlined steps must reproduce these
+    bit for bit.
+    """
+
+    def __init__(self, problem, per_ap=False, cellular=False):
+        h, cov = problem.h_hat, problem.error_cov
+        if h.ndim == 3:
+            h, cov = h[None], cov[None]
+        if per_ap or cellular:
+            h, cov = h.swapaxes(1, 2)[:, :, :, None], cov.swapaxes(1, 2)[:, :, :, None]
+        else:
+            h, cov = h[:, None], cov[:, None]
+        n_seeds, n_views, n_dev, n_blocks, n_ant = h.shape
+        gdev = np.asarray(problem.group_of_device)
+        self.n_groups, self.n_views = problem.n_groups, n_views
+        self.per_view = 1 if cellular else self.n_groups
+        self.blocks = (n_blocks, n_ant)
+        h = h.reshape(n_seeds, 1, n_views, n_dev, n_blocks * n_ant)
+        self.h_conj = h.conj()
+        self.h_t = h.swapaxes(-1, -2)
+        self.h_blocks = self.h_t.reshape(n_seeds, 1, n_views, n_blocks, n_ant, n_dev)
+        self.cov_by_device = cov.swapaxes(1, 2).reshape(n_seeds, 1, n_dev, -1)
+        self.cov_cols = cov.reshape(n_seeds, 1, n_views, n_dev, -1).swapaxes(-1, -2)
+        self.noise_power = problem.noise_power
+        self.noise_eye = problem.noise_power * np.eye(n_ant)
+        self.own = gdev == np.arange(self.n_groups)[:, None]
+        w = problem.weights
+        gamma, nu = (np.reshape(x, (n_seeds, 1, n_dev)) for x in (w.gamma, w.nu))
+        self.target = np.where(self.own, (gamma * nu)[..., None, :], 0.0)
+        self.gamma, self.nu, self.omega = gamma, nu, w.omega
+        self.gain = self.omega[gdev] * gamma * nu
+        self.gdev, self.devices = gdev, np.arange(n_dev)
+
+    def combiners(self, b):
+        rows, n_dev = b.shape[:2], b.shape[-1]
+        n_blocks, n_ant = self.blocks
+        p = np.abs(b) ** 2
+        blocks = (p[..., None, :] @ self.cov_by_device).reshape(
+            *rows, self.n_views, n_blocks, n_ant, n_ant)
+        coef = np.where(self.own, (self.gamma * b * self.nu)[..., None, :], 0.0)
+        coef = coef.reshape(*rows, -1, self.per_view, n_dev).swapaxes(-1, -2)
+        if n_blocks == 1:
+            mat = (self.h_t * p[..., None, None, :]) @ self.h_conj
+            mat = mat + blocks[..., 0, :, :] + self.noise_eye
+            mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+            v = np.linalg.solve(mat, self.h_t @ coef)
+        else:
+            blocks = blocks + self.noise_eye
+            x = np.linalg.solve(blocks, self.h_blocks).reshape(*rows, self.n_views, -1, n_dev)
+            small = p[..., None, :, None] * (self.h_conj @ x) + np.eye(n_dev)
+            v = x @ np.linalg.solve(small, coef)
+        return v.transpose(0, 1, 4, 2, 3).reshape(*rows, self.n_groups, -1)
+
+    def forms(self, v):
+        *rows, n_groups, dim = v.shape
+        n_blocks, n_ant = self.blocks
+        lead = (*rows, self.n_views, self.per_view)
+        v = v.reshape(*lead, dim)
+        vh = v.conj()
+        proj = (vh @ self.h_t).reshape(*rows, n_groups, -1)
+        outer = vh.reshape(*lead, n_blocks, n_ant, 1) * v.reshape(*lead, n_blocks, 1, n_ant)
+        quad = (outer.reshape(*lead, -1) @ self.cov_cols).real
+        return proj, quad.reshape(*rows, n_groups, -1)
+
+    def tco(self, proj, quad, sqrt_power):
+        own = proj[..., self.gdev, self.devices]
+        denom = (self.omega[:, None] * (np.abs(proj) ** 2 + quad)).sum(axis=-2)
+        mu = np.maximum(0.0, self.gain * np.abs(own) / sqrt_power - denom)
+        den = denom + mu
+        moving = den != 0.0
+        b = np.zeros(den.shape, dtype=complex)
+        np.divide(self.gain * own.conj(), den, out=b, where=moving)
+        return b, np.where(moving, mu, 0.0)
+
+    def group_mses(self, b, v, proj, quad):
+        bb = b[..., None, :]
+        signal = (np.abs(proj * bb - self.target) ** 2).sum(axis=-1)
+        inflation = (np.abs(bb) ** 2 * quad).sum(axis=-1)
+        return signal + inflation + self.noise_power * (v.conj() * v).real.sum(axis=-1)
+
+
+def reference_solve(problem, power, eps, max_iters, cellular=False):
+    """Plain alternation of one record without a seed axis at power limits
+    (K,): a combiner refresh, then a coefficient step, until an iteration
+    decreases the weighted sum-MSE by less than eps or max_iters have run.
+    Returns an ``aggregation.AggregationSolution``."""
+    stack = ReferenceStack(problem, cellular=cellular)
+    sqrt_power = np.sqrt(np.asarray(power, dtype=float))[None, None]
+    b = sqrt_power.astype(complex)
+    mu = np.zeros(b.shape)
+    v = stack.combiners(b)
+    proj, quad = stack.forms(v)
+    group_values = [stack.group_mses(b, v, proj, quad)]
+    values = [(group_values[0] * stack.omega).sum(axis=-1)]
+    ended = "max_iters"
+    for it in range(1, max_iters + 1):
+        if it > 1:
+            v = stack.combiners(b)
+            proj, quad = stack.forms(v)
+        b, mu = stack.tco(proj, quad, sqrt_power)
+        group_values.append(stack.group_mses(b, v, proj, quad))
+        values.append((group_values[-1] * stack.omega).sum(axis=-1))
+        if values[-2] - values[-1] < eps:
+            ended = "threshold"
+            break
+    history = aggregation.OptHistory(np.concatenate(values)[:, 0],
+                                     len(values) - 1, ended,
+                                     np.concatenate(group_values)[:, 0])
+    return aggregation.AggregationSolution(b[0, 0], v[0, 0], mu[0, 0], history)
+
+
+def reference_level1_combiners(problem, power):
+    """Level-1 combiners (G, L, N) of one AP-side record without a seed
+    axis at full power ``power`` (K,), from the plain method sequence."""
+    b = np.sqrt(np.asarray(power, dtype=float)).astype(complex)[None, None]
+    v = ReferenceStack(problem, per_ap=True).combiners(b)[0, 0]
+    return v.reshape(problem.n_groups, problem.h_hat.shape[1], -1)
 
 
 def mse_level1(problem, b, combiners, projections, g):

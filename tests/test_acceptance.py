@@ -313,7 +313,7 @@ def test_criterion_10_estimation_and_gradient_statistics():
     assert np.max(np.abs(total - state.correlations)) <= 1e-8 * scale
 
     # empirical covariance of the estimate over 1e5 pipeline-law draws
-    from cfota.channel import sample_channels
+    from cfota.channel import psd_root, sample_channels
     cfg = inst["cfg"]
     plan = inst["stats"].ap.plan
     corr = state.correlations
@@ -328,7 +328,7 @@ def test_criterion_10_estimation_and_gradient_statistics():
             for j in range(n_ant)]
     a_mat = np.column_stack(cols)
     rng = substream(7000, "draws")
-    h = sample_channels(np.broadcast_to(corr[sharers, ap],
+    h = sample_channels(np.broadcast_to(psd_root(corr[sharers, ap]),
                                         (n, len(sharers), n_ant, n_ant)), rng)
     w = rng.standard_normal((n, n_ant)) + 1j * rng.standard_normal((n, n_ant))
     y = np.tensordot(h, amp[sharers], axes=(1, 0)) \

@@ -2,6 +2,7 @@ from dataclasses import replace
 from functools import partial
 import re
 import tracemalloc
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,8 @@ from cfota.rng import substream
 
 from oracles import (block_problem, cn_noise, combiners_level1, combiners_level3,
                      dense_cpu_view, desk_config, draw_instance, mc_mse_cellular,
-                     mc_mse_level1, mc_mse_level3, mse_level1, recover, seed_problem,
+                     mc_mse_level1, mc_mse_level3, mse_level1, recover,
+                     reference_level1_combiners, reference_solve, seed_problem,
                      tco_steps, weighted_sum_mse_level1)
 
 
@@ -597,6 +599,101 @@ def test_seed_batch_holds_error_blocks_once_per_problem():
     assert peak < per_row_copies
 
 
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_batch_matches_reference(block, powers, max_iters, cellular=False):
+    """Every (seed, power) row of the lockstep batch equals the plain
+    reference iteration of the seed's record at that power, bit for bit."""
+    batch = agg.optimize_batch(block, powers, eps=1e-10, max_iters=max_iters,
+                               cellular=cellular)
+    assert len(batch) == len(block.h_hat)
+    for s, row in enumerate(batch):
+        assert len(row) == len(powers)
+        for power, sol in zip(powers, row):
+            ref = reference_solve(seed_problem(block, s), power, 1e-10, max_iters,
+                                  cellular)
+            for name in ("b", "combiners", "mu"):
+                assert_same_bits(getattr(sol, name), getattr(ref, name))
+            for name in ("values", "group_values"):
+                assert_same_bits(getattr(sol.history, name), getattr(ref.history, name))
+            assert sol.history.iterations == ref.history.iterations
+            assert sol.history.terminated_by == ref.history.terminated_by
+    return batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), view=st.sampled_from(["joint", "cellular", "level1"]),
+       n_groups=st.integers(1, 3), per_group=st.integers(1, 3),
+       dim=st.integers(1, 4), n_aps=st.integers(2, 4), n_problems=st.integers(1, 3),
+       power_db=st.lists(st.floats(-30.0, 20.0), min_size=1, max_size=5),
+       silent=st.booleans())
+def test_streamlined_solve_equals_reference_iteration(seed, view, n_groups, per_group,
+                                                       dim, n_aps, n_problems, power_db,
+                                                       silent):
+    # The solver shares |b|^2, v^H and the solves' set-up between its steps
+    # and skips numpy.linalg.solve's wrapper; none of that may move a bit.
+    # The joint view has several blocks (Woodbury), the cellular view one
+    # block per BS, and level 1 one block per AP.  A silent device (zero
+    # estimate and error) has a zero denominator in every coefficient step.
+    cellular = view == "cellular"
+    block = varied_problems(seed, cellular, n_groups, per_group, dim, n_aps, n_problems)
+    if silent:
+        h_hat, error_cov = block.h_hat.copy(), block.error_cov.copy()
+        h_hat[:, 0], error_cov[:, 0] = 0.0, 0.0
+        block = replace(block, h_hat=h_hat, error_cov=error_cov)
+    n_dev = len(block.group_of_device)
+    powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
+    if view != "level1":
+        assert_batch_matches_reference(block, powers, 40, cellular)
+        return
+    for s, row in enumerate(agg.level1_batch(block, powers)):
+        for power, sol in zip(powers, row):
+            assert_same_bits(sol.b, np.sqrt(power).astype(complex))
+            assert_same_bits(sol.combiners,
+                             reference_level1_combiners(seed_problem(block, s), power))
+
+
+def test_streamlined_solve_equals_reference_with_compaction():
+    # two desk seeds on a power grid whose rows stop at many different
+    # iterations, some by the threshold and some at the cap: the rectangle
+    # shrinks while the rest keep iterating
+    for kind in ("level3", "cellular"):
+        block = block_problem([draw_instance(seed)[kind] for seed in (21, 24)])
+        powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(block.power_limit)))
+        batch = assert_batch_matches_reference(block, powers, 60, kind == "cellular")
+        ended = [(sol.history.terminated_by, sol.history.iterations)
+                 for row in batch for sol in row]
+        assert {how for how, _ in ended} == {"threshold", "max_iters"}
+        assert len({it for _, it in ended}) > 2
+
+
+def singular_record(problem):
+    """The record with every estimate 1, no estimation error and no noise:
+    its combiner systems are finite and exactly singular."""
+    return replace(problem, h_hat=np.ones_like(problem.h_hat),
+                   error_cov=np.zeros_like(problem.error_cov), noise_power=0.0)
+
+
+@pytest.mark.parametrize("view", ["joint", "cellular", "level1"])
+def test_singular_combiner_system_raises_named_error(view):
+    # LAPACK leaves NaN rows for a singular system: the solve must stop with
+    # a named error instead of returning them, and warn about nothing
+    cellular = view == "cellular"
+    problem = singular_record(random_problem(3, cellular, 2, 2, 2, n_aps=3))
+    powers = np.ones((2, len(problem.group_of_device)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((agg.NonFiniteSolve, np.linalg.LinAlgError)):
+            if view == "level1":
+                agg.level1_batch(problem, powers)
+            else:
+                agg.optimize_batch(problem, powers, cellular=cellular)
+
+
 def solve_batch(problem, powers, cellular=False):
     return agg.optimize_batch(problem, powers, cellular=cellular)[0]
 
@@ -792,9 +889,11 @@ def test_block_core_matches_dense_reference(seed, n_dev, n_aps, n_ant, n_groups,
     got = combiners_level3(problem, b)
     assert got.shape == v.shape
     assert np.linalg.norm(got - v) <= 1e-10 * np.linalg.norm(v)
-    got_proj, got_quad = agg._Stack(problem).forms(v[None, None])
+    got_proj, got_quad, got_energy = agg._Stack(problem).forms(v[None, None])
     assert np.linalg.norm(got_proj[0, 0] - proj) <= 1e-12 * np.linalg.norm(proj)
     assert np.all(np.abs(got_quad[0, 0] - quad) <= 1e-12 * np.abs(quad).max())
+    np.testing.assert_allclose(got_energy[0, 0], np.linalg.norm(v, axis=1) ** 2,
+                               rtol=1e-12, atol=0.0)
     got_mses = [agg.mse_level3(problem, b, got[g], g) for g in range(n_groups)]
     np.testing.assert_allclose(got_mses, mses, rtol=1e-10, atol=0.0)
 

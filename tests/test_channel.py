@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from cfota.channel import (LargeScaleParams, local_scattering_R, pathloss_db,
-                           sample_channels, shadow_covariance,
+                           psd_root, sample_channels, shadow_covariance,
                            correlation_matrices)
 from cfota.rng import substream
 from cfota.topology import Area
@@ -132,14 +132,14 @@ def test_local_scattering_invariants():
 
 
 def test_sample_channels_zero_correlation():
-    h = sample_channels(np.zeros((3, 2, 2)), substream(0, "h"))
+    h = sample_channels(psd_root(np.zeros((3, 2, 2))), substream(0, "h"))
     np.testing.assert_allclose(h, 0.0)
 
 
 def test_sample_channels_identity_covariance():
     n = 100_000
     rng = substream(1, "h")
-    draws = sample_channels(np.broadcast_to(np.eye(2), (n, 2, 2)), rng)
+    draws = sample_channels(np.broadcast_to(psd_root(np.eye(2)), (n, 2, 2)), rng)
     emp = np.einsum("mi,mj->ij", draws, draws.conj()) / n
     assert np.linalg.norm(emp - np.eye(2)) / np.linalg.norm(np.eye(2)) < 0.02
 
@@ -148,8 +148,9 @@ def test_sample_channels_rank1_proportional_to_steering():
     steer = np.exp(1j * np.pi * np.arange(3) * np.sin(0.4))
     corr = np.outer(steer, steer.conj())
     rng = substream(2, "h")
+    root = psd_root(corr)
     for _ in range(20):
-        h = sample_channels(corr, rng)
+        h = sample_channels(root, rng)
         # h must be a complex multiple of the steering vector, up to the
         # eigendecomposition's ~sqrt(eps) noise floor
         ratio = h / steer
@@ -159,7 +160,7 @@ def test_sample_channels_rank1_proportional_to_steering():
 def test_empirical_covariance_matches_R():
     corr = local_scattering_R(2, 0.9, np.deg2rad(15.0), 1.7)
     n = 100_000
-    draws = sample_channels(np.broadcast_to(corr, (n, 2, 2)), substream(3, "h"))
+    draws = sample_channels(np.broadcast_to(psd_root(corr), (n, 2, 2)), substream(3, "h"))
     emp = np.einsum("mi,mj->ij", draws, draws.conj()) / n
     assert (np.linalg.norm(emp - corr) / np.linalg.norm(corr)) < 0.02
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cfota.channel import (LargeScaleParams, correlation_matrices,
-                           local_scattering_R, sample_channels)
+                           local_scattering_R, psd_root, sample_channels)
 from cfota.estimation import (PilotShortage, assign_pilots, estimate_all,
                               mmse_statistics, pilot_observation)
 from cfota.rng import substream, substreams
@@ -140,7 +140,7 @@ def test_estimate_statistics_match_covariances():
     k, r = 0, 0
     amp = np.sqrt(plan.pilot_power * plan.tau_p)
     sharers = codevices(plan, k)
-    h = sample_channels(np.broadcast_to(corr[:, r], (n, 2, 2, 2)),
+    h = sample_channels(np.broadcast_to(psd_root(corr[:, r]), (n, 2, 2, 2)),
                         substream(1, "h"))        # (n, K, N)
     rng_n = substream(1, "n")
     w = rng_n.standard_normal((n, 2)) + 1j * rng_n.standard_normal((n, 2))
@@ -171,8 +171,9 @@ def test_despread_equals_matrix_form_in_distribution():
     direct = np.empty((n, 2), dtype=complex)
     oracle = np.empty((n, 2), dtype=complex)
     t = plan.pilot_of_device[k]
+    root = psd_root(corr)
     for i in range(n):
-        h = sample_channels(corr, rng_h)
+        h = sample_channels(root, rng_h)
         direct[i] = a_mat @ pilot_observation(h, plan, noise, rng_a)[t, r]
         oracle[i] = a_mat @ matrix_observation_oracle(h, plan, noise, rng_b)[t, r]
     cov_direct = np.einsum("mi,mj->ij", direct, direct.conj()) / n
@@ -185,9 +186,9 @@ def test_estimate_all_matches_single_link_op():
     # the per-seed statistics plus the per-block estimates reproduce the
     # single-link operation bit for bit on every link
     corr, plan, noise = _toy_setup(3)
-    h = sample_channels(corr, substream(3, "h"))
-    y = pilot_observation(h, plan, noise, substream(3, "n"))
     stats = mmse_statistics(plan, corr, noise)
+    h = sample_channels(stats.draw_root, substream(3, "h"))
+    y = pilot_observation(h, plan, noise, substream(3, "n"))
     h_hat = estimate_all(y, stats)
     for k in range(corr.shape[0]):
         for r in range(corr.shape[1]):
@@ -208,9 +209,9 @@ def test_batched_estimates_match_cholesky_reference(seed, tau_p, n_groups,
                                                     n_rx, n_ant, noise):
     corr, plan, noise = _toy_setup(seed, n_dev=tau_p * n_groups, n_rx=n_rx,
                                    n_ant=n_ant, tau_p=tau_p, noise=noise)
-    y = pilot_observation(sample_channels(corr, substream(seed, "h")), plan,
-                          noise, substream(seed, "n"))
     stats = mmse_statistics(plan, corr, noise)
+    y = pilot_observation(sample_channels(stats.draw_root, substream(seed, "h")), plan,
+                          noise, substream(seed, "n"))
     batch = estimate_all(y, stats)
     for k in range(corr.shape[0]):
         for r in range(n_rx):
@@ -242,16 +243,17 @@ def test_seed_block_equals_each_seed_alone(seed, n_seeds, tau_p, n_groups,
     corr = correlation_matrices(devices, rxs, n_ant, area, params, asd,
                                 substreams(tags, "shadow"))
     stats = mmse_statistics(plan, corr, noise)
-    h = sample_channels(corr, substreams(tags, "h"))
+    h = sample_channels(stats.draw_root, substreams(tags, "h"))
     y = pilot_observation(h, plan, noise, substreams(tags, "n"))
     h_hat = estimate_all(y, stats)
     for s in range(n_seeds):
         corr_s = correlation_matrices(devices[s], rxs, n_ant, area, params, asd,
                                       substream(seed, s, "shadow"))
         stats_s = mmse_statistics(plan, corr_s, noise)
-        h_s = sample_channels(corr_s, substream(seed, s, "h"))
+        h_s = sample_channels(stats_s.draw_root, substream(seed, s, "h"))
         y_s = pilot_observation(h_s, plan, noise, substream(seed, s, "n"))
-        for block, alone in ((corr, corr_s), (stats.despread_cov, stats_s.despread_cov),
+        for block, alone in ((corr, corr_s), (stats.draw_root, stats_s.draw_root),
+                             (stats.despread_cov, stats_s.despread_cov),
                              (h, h_s), (y, y_s), (h_hat, estimate_all(y_s, stats_s)),
                              (stats.estimate_cov, stats_s.estimate_cov),
                              (stats.error_cov, stats_s.error_cov)):

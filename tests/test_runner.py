@@ -554,14 +554,17 @@ def test_training_shares_each_round_draw_across_architectures(monkeypatch):
         assert alone == [row for row in rows if row.scenario == arch]
 
 
-def test_round_draws_share_read_only_seed_statistics():
+def test_round_draws_share_read_only_seed_statistics(monkeypatch):
     # a draw holds only the block's channels and estimates; the problems of
     # every block of a seed read its views' covariance arrays, which cannot
-    # be written, from the statistics
+    # be written, from the statistics, and the draws colour with its views'
+    # read-only roots, with no eigendecomposition per round
     cfg = desk_config()
     geometry = runner.build_geometry(cfg, substream(4, "geometry"))
     stats = runner.build_statistics(cfg, geometry, substream(4, "shadowing"))
-    first, second = (runner.draw_round(stats, (4, "round", t)) for t in (1, 2))
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", None)
+        first, second = (runner.draw_round(stats, (4, "round", t)) for t in (1, 2))
     assert [f.name for f in fields(runner.ChannelState)] == ["h", "h_hat"]
     w = runner.make_weights(cfg, np.ones(cfg.n_devices), np.zeros(cfg.n_devices))
     for view, build in (("ap", runner.level3_problem),
@@ -571,7 +574,7 @@ def test_round_draws_share_read_only_seed_statistics():
         assert np.shares_memory(a.error_cov, shared.error_cov)
         assert np.shares_memory(b.error_cov, shared.error_cov)
         assert not np.array_equal(getattr(first, view).h_hat, getattr(second, view).h_hat)
-        for cov in (shared.estimate_cov, shared.error_cov):
+        for cov in (shared.draw_root, shared.estimate_cov, shared.error_cov):
             with pytest.raises(ValueError):
                 cov[0, 0, 0, 0] = 0.0
 
