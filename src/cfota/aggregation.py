@@ -55,22 +55,6 @@ class AggregationWeights:
     theta_bar: np.ndarray  # (K,)
 
 
-@dataclass(frozen=True)
-class OptHistory:
-    """Objective trace of one alternating-optimization run.
-
-    values[0] is the weighted sum-MSE at the full-power initialization with
-    matched combiners; values[i] the value after full iteration i.  The
-    sequence is non-increasing (each half-step is an exact minimization).
-    group_values[i] holds the per-group MSEs that values[i] weights.
-    """
-
-    values: np.ndarray
-    iterations: int
-    terminated_by: str  # "threshold" or "max_iters"
-    group_values: np.ndarray  # (iterations + 1, G)
-
-
 def _check_shapes(problem):
     """Raise ValueError, naming the field, unless the estimates have the
     record's layout, with or without a leading seed axis, and the other
@@ -137,12 +121,28 @@ class Level3Problem:
 
 @dataclass(frozen=True)
 class AggregationSolution:
-    """Transmit coefficients, combiners, multipliers, and solver history."""
+    """Alternating solves: coefficients, combiners, KKT multipliers, how
+    each solve ended, and its traces.  values[i] is the weighted sum-MSE
+    after iteration i (values[0]: the full-power start) and never
+    increases; group_values[i] holds the per-group MSEs it weights.  A
+    batch has leading (S, P) axes, each row's traces NaN after its own
+    iterations; a single row's traces end at its stop.
+    """
 
-    b: np.ndarray          # (K,) complex
-    combiners: np.ndarray  # (G, L*N), (G, M) or (G, L, N)
-    mu: np.ndarray         # (K,) KKT multipliers (zeros when no TCO ran)
-    history: OptHistory
+    b: np.ndarray             # ([S, P,] K) complex
+    combiners: np.ndarray     # ([S, P,] G, L*N) or ([S, P,] G, M)
+    mu: np.ndarray            # ([S, P,] K) KKT multipliers
+    iterations: np.ndarray    # ([S, P]) int
+    terminated_by: np.ndarray  # ([S, P]) "threshold" or "max_iters"
+    values: np.ndarray        # ([S, P,] max_iters + 1) or (iterations + 1,)
+    group_values: np.ndarray  # values' axes, then (G,)
+
+    def row(self, s, i):
+        """Row (s, i) of a batch record, its traces cut at its stop."""
+        stop = int(self.iterations[s, i]) + 1
+        return AggregationSolution(
+            self.b[s, i], self.combiners[s, i], self.mu[s, i], stop - 1,
+            self.terminated_by[s, i], self.values[s, i, :stop], self.group_values[s, i, :stop])
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,8 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None, cellular=False):
         mses = stack.group_mses(b, p, proj, quad, energy)
         prev = stack.objective(mses)
         values[..., 0], group_values[..., 0, :] = prev, mses
-        out_b, out_v, out_mu = (np.empty_like(a) for a in (b, v, mu))
+        # C order: the last bits of the caller's products depend on the layout.
+        out_b, out_v, out_mu = (np.empty_like(a, order="C") for a in (b, v, mu))
         for it in range(1, max_iters + 1):
             if it > 1:
                 v = stack.combiners(b, p, live)
@@ -440,12 +441,9 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None, cellular=False):
         else:
             record(np.nonzero(active), max_iters, "max_iters")
 
-    return [[AggregationSolution(
-                b=out_b[s, i], combiners=out_v[s, i], mu=out_mu[s, i],
-                history=OptHistory(values[s, i, :iterations[s, i] + 1].copy(),
-                                   int(iterations[s, i]), ended[s, i],
-                                   group_values[s, i, :iterations[s, i] + 1].copy()))
-             for i in range(shape[1])] for s in range(shape[0])]
+    after = np.arange(max_iters + 1) > iterations[..., None]
+    values[after], group_values[after] = np.nan, np.nan
+    return AggregationSolution(out_b, out_v, out_mu, iterations, ended, values, group_values)
 
 
 def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, cellular=False):
@@ -456,7 +454,7 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, cellular=Fal
     Every (seed, row) pair iterates from full power with its own stopping
     test, and its result equals that of ``alternating_optimize`` on the
     seed's slice of the record; a record without a seed axis is one seed.
-    Returns, per seed, one AggregationSolution per row.
+    Returns one AggregationSolution whose fields lead with (S, P) axes.
     """
     return _solve(problem, power_limits, eps, max_iters, cellular=cellular)
 
@@ -466,9 +464,10 @@ def alternating_optimize(problem, eps=1e-10, max_iters=500, b_init=None, cellula
     viewed jointly at the CPU or ``cellular``.
 
     Coefficients start at full power ``sqrt(P_k)`` unless b_init is given.
+    Returns the AggregationSolution of one row, its traces cut at its stop.
     """
     return _solve(problem, problem.power_limit[None], eps, max_iters, b_init,
-                  cellular)[0][0]
+                  cellular).row(0, 0)
 
 
 def tco_step(problem, combiners, k, cellular=False):
@@ -546,27 +545,24 @@ def level1_mses(problem, b, combiners, projections):
 
 
 def level1_batch(problem, power_limits):
-    """Full-power coefficients and local combiners (no TCO at level 1) of
-    every seed of an AP-side record, viewed per AP, at every row of power
-    limits.
+    """Local combiners (S, P, G, L, N) at the full-power coefficients
+    sqrt(power_limits) (no TCO at level 1) of every seed of an AP-side
+    record, viewed per AP, at every row of power limits.
 
     Row i of ``power_limits`` (P, K) replaces the record's power_limit; each
-    result equals ``level1_solution`` on the seed's slice of the record.
-    Returns, per seed, one AggregationSolution per row.
+    row equals ``level1_solution`` on the seed's slice of the record.
     """
     b = np.sqrt(np.asarray(power_limits, dtype=float)).astype(complex)
     stack = _Stack(problem, per_ap=True)
     b_block = np.broadcast_to(b, (stack.n_seeds,) + b.shape)
     with _invalid_raises():
         combiners = stack.combiners(b_block, np.abs(b_block) ** 2)
-    combiners = combiners.reshape(*combiners.shape[:3], problem.h_hat.shape[-2], -1)
-    no_steps = np.empty((0, problem.n_groups))
-    return [[AggregationSolution(b=b_i, combiners=v_i, mu=np.zeros(len(b_i)),
-                                 history=OptHistory(np.array([]), 0, "threshold", no_steps))
-             for b_i, v_i in zip(b, row)] for row in combiners]
+    # C order: the last bits of the caller's products depend on the layout.
+    return np.ascontiguousarray(
+        combiners.reshape(*combiners.shape[:3], problem.h_hat.shape[-2], -1))
 
 
 def level1_solution(problem):
-    """Full-power coefficients and local combiners (no TCO at level 1) of
-    one AP-side problem, viewed per AP."""
-    return level1_batch(problem, problem.power_limit[None])[0][0]
+    """Local combiners (G, L, N) of one AP-side problem, viewed per AP, at
+    the full-power coefficients sqrt(power_limit) (no TCO at level 1)."""
+    return level1_batch(problem, problem.power_limit[None])[0, 0]

@@ -95,14 +95,14 @@ def dbm_to_watt(dbm):
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def _watt_in_range(dbm):
-    """Whether ``dbm_to_watt(dbm)`` is a finite power above 0 W.
+def _gain_in_range(db):
+    """Whether the gain ``10 ** (db / 10)`` is a finite float above 0.
 
-    The bounds are about -3200 and +3110 dBm; beyond them the float power
+    The bounds are about -3230 and +3080 dB; beyond them the float gain
     underflows to 0 or overflows.
     """
     try:
-        return 0.0 < dbm_to_watt(dbm) < np.inf
+        return 0.0 < 10.0 ** (db / 10.0) < np.inf
     except OverflowError:
         return False
 
@@ -238,8 +238,6 @@ def validate_config(cfg):
         if getattr(cfg, name) < 1:
             raise ValidationError(f"{name} must be positive")
     # Written so that NaN fails too.
-    if not cfg.side_m > 0.0:
-        raise ValidationError(f"side_m={cfg.side_m} must be > 0")
     if not cfg.epsilon >= 0.0:
         raise ValidationError(f"epsilon={cfg.epsilon} must be >= 0")
     if not 0.0 < cfg.learning_rate < np.inf:
@@ -250,15 +248,16 @@ def validate_config(cfg):
         raise ValidationError("sweep_dbm must not be empty")
     for name in ("p_max_dbm", "pilot_power_dbm", "noise_dbm", "sweep_dbm"):
         value = getattr(cfg, name)
-        if not all(map(_watt_in_range, np.atleast_1d(value).tolist())):
+        if not all(_gain_in_range(dbm - 30.0) for dbm in np.atleast_1d(value).tolist()):
             raise ValidationError(
                 f"{name}={value} must convert to a finite power > 0 W")
     for i, point in enumerate(cfg.sweep_dbm):
         if point in cfg.sweep_dbm[:i]:
             raise ValidationError(f"sweep_dbm lists {point} twice")
-    if not np.isfinite(cfg.beta0_db):
-        raise ValidationError(f"beta0_db must be finite, got {cfg.beta0_db}")
-    for name in ("alpha", "d0_m", "decorr_m"):
+    if not _gain_in_range(cfg.beta0_db):
+        raise ValidationError(
+            f"beta0_db={cfg.beta0_db} must give a finite reference gain > 0")
+    for name in ("side_m", "alpha", "d0_m", "decorr_m"):
         if not 0.0 < getattr(cfg, name) < np.inf:
             raise ValidationError(f"{name}={getattr(cfg, name)} must be finite and > 0")
     for name in ("asd_deg", "shadow_std_db", "class_spread", "ridge"):
@@ -645,25 +644,27 @@ def _solve_block(cfg, kind, stats, state, weights, powers):
     ``powers`` (P, K), in one batch.
 
     ``state`` is the block's round state and ``weights`` its (S, K) weights.
-    Returns solutions[s][p] (None without a solver) and traces[s][p], the
-    per-group MSEs first at full power (tco=0) and last after the solve
-    (tco=1).  Levels 1 and 3 solve the same AP-side record, level 1 per AP,
-    and level 1 is scored on the true channels; the cellular baseline
-    solves the serving-BS record, one view per BS.
+    Returns b (S, P, K), the combiners (S, P, G, ...) and the per-group
+    MSEs (S, P, 2, G) at full power (tco=0) and after the solve (tco=1);
+    None, None and zeros without a solver.  Levels 1 and 3 solve the same
+    AP-side record, level 1 per AP, and level 1 is scored on the true
+    channels; the cellular baseline solves the serving-BS record, one view
+    per BS.
     """
     if kind is None:
-        return None, np.zeros((len(weights.nu), len(powers), 1, cfg.n_groups))
+        return None, None, np.zeros((len(weights.nu), len(powers), 2, cfg.n_groups))
     cellular = kind == "cellular"
     problem = level3_problem(stats, state, weights, cellular)
     if kind == "level1":
-        solved = aggregation.level1_batch(problem, powers)
-        b, v = (np.array([[getattr(sol, name) for sol in row] for row in solved])
-                for name in ("b", "combiners"))
+        v = aggregation.level1_batch(problem, powers)
+        b = np.broadcast_to(np.sqrt(powers).astype(complex), (len(v),) + powers.shape)
         proj = aggregation.channel_projections(v, state.ap.h[:, None])
-        return solved, aggregation.level1_mses(problem, b, v, proj)[:, :, None]
-    solved = aggregation.optimize_batch(problem, powers, eps=cfg.epsilon,
-                                        max_iters=cfg.max_iters, cellular=cellular)
-    return solved, [[sol.history.group_values for sol in row] for row in solved]
+        mses = aggregation.level1_mses(problem, b, v, proj)
+        return b, v, np.stack([mses, mses], axis=2)
+    sol = aggregation.optimize_batch(problem, powers, eps=cfg.epsilon,
+                                     max_iters=cfg.max_iters, cellular=cellular)
+    solved = np.take_along_axis(sol.group_values, sol.iterations[..., None, None], axis=2)
+    return sol.b, sol.combiners, np.concatenate([sol.group_values[:, :, :1], solved], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -701,19 +702,19 @@ def _sweep_seeds(cfg, seeds):
     state = draw_block(stats, [t + ("round", 0) for t in tags])
     nu, theta_bar = zip(*(_initial_round_stats(cfg, seed) for seed in seeds))
     weights = make_weights(cfg, nu, theta_bar)
-    # traces[kind][s][i]: seed s at grid point i, every seed's whole grid
-    # solved in one batch per kind; level 2 takes the level-3 trace.
-    traces = {kind: _solve_block(cfg, kind, stats, state, weights, powers)[1]
-              for kind in dict.fromkeys(arch.solver for arch in archs)}
+    # mses[kind][s, j, tco]: seed s at grid point j, every seed's whole grid
+    # solved in one batch per kind; level 2 takes the level-3 MSEs.
+    mses = {kind: _solve_block(cfg, kind, stats, state, weights, powers)[2]
+            for kind in dict.fromkeys(arch.solver for arch in archs)}
     rows = []
     for i, seed in enumerate(seeds):
         for arch in archs:
             fh = fronthaul_counts(cfg, arch.fronthaul)
-            for p_dbm, trace in zip(cfg.sweep_dbm, traces[arch.solver][i]):
+            for j, p_dbm in enumerate(cfg.sweep_dbm):
                 for tco in range(1 + arch.tco):
-                    mses = tuple(float(m) for m in trace[-1 if tco else 0])
+                    group = _floats(mses[arch.solver][i, j, tco])
                     rows.append(ResultRow(arch.name, tco, seed, float(p_dbm),
-                                          float(np.dot(weights.omega, mses)), mses,
+                                          float(np.dot(weights.omega, group)), group,
                                           (), fh))
     return rows
 
@@ -830,12 +831,13 @@ def _slot_noise(cfg, tags, t, bs, n_slots):
     return noise
 
 
-def _ota_round(cfg, kind, local, symbols, theta_bar, gamma, solved, state, noise):
+def _ota_round(cfg, kind, local, symbols, theta_bar, gamma, b, combiners, state, noise):
     """Recovered parameters (S, G, D) of one round of solver ``kind`` for a
     block of seeds, and the realized squared errors (S, G).
 
-    gamma (K,) holds the devices' shares, ``solved[s][0]`` seed s's solution,
-    and noise[bs] the round's slot noise at the serving BSs (bs) or the APs.
+    gamma (K,) holds the devices' shares, b[s, 0] (K,) and combiners[s, 0]
+    seed s's solution at its one power row, and noise[bs] the round's slot
+    noise at the serving BSs (bs) or the APs.
     """
     gamma = gamma.reshape(cfg.n_groups, -1)
     if kind is None:
@@ -845,14 +847,12 @@ def _ota_round(cfg, kind, local, symbols, theta_bar, gamma, solved, state, noise
     # Group views Gs and receiver views V of the channels, noise and combiners:
     # level 1 averages one view per AP, every other kind combines one view.
     views = (cfg.n_groups if bs else 1, cfg.n_aps if kind == "level1" else 1)
-    b, combiners = (np.array([row[0].b for row in solved]),
-                    np.array([row[0].combiners for row in solved]))
     channels = (state.bs if bs else state.ap).h
     return fl_engine.ota_block(
-        local, symbols, theta_bar, gamma, b,
+        local, symbols, theta_bar, gamma, b[:, 0],
         channels.reshape(n_seeds, n_dev, *views, -1),
         noise[bs].reshape(n_seeds, *views, -1, n_slots),
-        combiners.reshape(n_seeds, cfg.n_groups, views[1], -1),
+        combiners[:, 0].reshape(n_seeds, cfg.n_groups, views[1], -1),
         average=kind == "level1")
 
 
@@ -899,22 +899,22 @@ def _train_seeds(cfg, seeds):
         state = draw_block(stats, [tg + ("round", t) for tg in tags]) if any(models) else None
         noise = {bs: _slot_noise(cfg, tags, t, bs, np.shape(init)[-1])
                  for bs in {kind == "cellular" for kind in models if kind}}
-        results = {}  # kind: (MSE traces, scores)
+        results = {}  # kind: (per-group MSEs, scores)
         for kind in models:
             theta = models[kind][:, gdev]
             # One seed's (K, ...) device stack at a time stays in cache.
             local = theta - step * np.stack([gradient(*one) for one in zip(theta, *data)])
             symbols, mean, std = fl_engine.normalize(local)
             weights = make_weights(cfg, std, mean)
-            solved, traces = _solve_block(cfg, kind, stats, state, weights,
-                                          stats.power_limit[None])
+            b, combiners, mses = _solve_block(cfg, kind, stats, state, weights,
+                                              stats.power_limit[None])
             models[kind] = _ota_round(cfg, kind, local, symbols, mean, weights.gamma[0],
-                                      solved, state, noise)[0]
-            results[kind] = traces, metrics(models[kind])
+                                      b, combiners, state, noise)[0]
+            results[kind] = mses, metrics(models[kind])
         for arch, fh in zip(archs, fronthaul):
-            traces, scores = results[arch.solver]
+            group_mses, scores = results[arch.solver]
             for s, seed in enumerate(seeds):
-                mses = _floats(traces[s][0][-1])
+                mses = _floats(group_mses[s, 0, 1])
                 rows.append(ResultRow(arch.name, arch.tco, seed, float(t),
                                       float(np.dot(cfg.omega_or_default, mses)), mses,
                                       _floats(scores[s]), fh))

@@ -251,10 +251,9 @@ def reference_solve(problem, power, eps, max_iters, cellular=False):
         if values[-2] - values[-1] < eps:
             ended = "threshold"
             break
-    history = aggregation.OptHistory(np.concatenate(values)[:, 0],
-                                     len(values) - 1, ended,
-                                     np.concatenate(group_values)[:, 0])
-    return aggregation.AggregationSolution(b[0, 0], v[0, 0], mu[0, 0], history)
+    return aggregation.AggregationSolution(
+        b[0, 0], v[0, 0], mu[0, 0], len(values) - 1, ended,
+        np.concatenate(values)[:, 0], np.concatenate(group_values)[:, 0])
 
 
 def reference_level1_combiners(problem, power):
@@ -523,12 +522,12 @@ def recover(level, signals, combiner, weights, group_of_device, g):
     return np.real(combined) + group_offset(weights, group_of_device, g)
 
 
-def ota_round(local_params, level, solution, h_ap, h_bs, weights, group_of_device,
+def ota_round(local_params, level, b, combiners, h_ap, h_bs, weights, group_of_device,
               noise_power, rng):
     """One seed's uplink round, group by group: recovered (G, D) parameters
-    and realized squared errors (G,).  ``h_ap`` (K, L, N) and ``h_bs`` (K,
-    G, M) are the seed's true channels; the AP noise is drawn once, the
-    serving BSs' per group."""
+    and realized squared errors (G,) of coefficients b (K,) and combiners
+    (G, ...).  ``h_ap`` (K, L, N) and ``h_bs`` (K, G, M) are the seed's true
+    channels; the AP noise is drawn once, the serving BSs' per group."""
     n_groups = weights.omega.shape[0]
     desired = np.stack([
         desired_global(local_params[group_of_device == g],
@@ -537,7 +536,7 @@ def ota_round(local_params, level, solution, h_ap, h_bs, weights, group_of_devic
     if level == "errorfree":
         return desired.copy(), np.zeros(n_groups)
     symbols = np.stack([normalize_vector(p)[0] for p in local_params])
-    sent = solution.b[:, None] * symbols
+    sent = b[:, None] * symbols
     recovered = np.empty(desired.shape)
     error_sq = np.empty(n_groups)
     for g in range(n_groups):
@@ -547,7 +546,7 @@ def ota_round(local_params, level, solution, h_ap, h_bs, weights, group_of_devic
         elif g == 0:
             y = np.einsum("kln,kd->lnd", h_ap, sent)
             y = y + cn_noise(y.shape, noise_power, rng)
-        combined = combine_signals(level, y, solution.combiners[g])
+        combined = combine_signals(level, y, combiners[g])
         offset = group_offset(weights, group_of_device, g)
         recovered[g] = np.real(combined) + offset
         error_sq[g] = float(np.abs(desired[g] - (combined + offset)) ** 2
@@ -601,17 +600,18 @@ def train_rows(cfg, seed):
             stats_k = [normalize_vector(p) for p in local]
             nu, theta_bar = [st[2] for st in stats_k], [st[1] for st in stats_k]
             weights = runner.make_weights(cfg, nu, theta_bar)
-            solved, traces = runner._solve_block(
+            b, combiners, group_mses = runner._solve_block(
                 cfg, arch.solver, stats, state,
                 runner.make_weights(cfg, [nu], [theta_bar]), stats.power_limit[None])
             level = "level3" if arch.name == "level2" else arch.name
             recovered, _ = ota_round(
-                local, level, None if solved is None else solved[0][0],
+                local, level, None if b is None else b[0, 0],
+                None if combiners is None else combiners[0, 0],
                 state.ap.h[0], None if state.bs is None else state.bs.h[0],
                 weights, gdev, cfg.noise_power,
                 substream(cfg.master_seed, seed, "slots", t))
             models[i] = list(recovered)
-            mses = tuple(float(m) for m in traces[0][0][-1])
+            mses = tuple(float(m) for m in group_mses[0, 0, 1])
             rows.append(runner.ResultRow(arch.name, arch.tco, seed, float(t),
                                          float(np.dot(weights.omega, mses)), mses,
                                          metrics(models[i]), fronthaul[i]))

@@ -59,12 +59,12 @@ def test_criterion_1_mse_oracle_equivalence():
                                substream(seed, "acc1-l3", g))
             assert abs(mc - closed) <= 0.02 * closed
 
-        sol1 = agg.level1_solution(p3)
+        v1, b1 = agg.level1_solution(p3), np.sqrt(p3.power_limit)
         h_true = inst["state"].ap.h
-        proj = agg.channel_projections(sol1.combiners, h_true)
+        proj = agg.channel_projections(v1, h_true)
         for g in range(p3.n_groups):
-            closed = mse_level1(p3, sol1.b, sol1.combiners, proj, g)
-            mc = mc_mse_level1(p3, sol1.b, sol1.combiners, h_true, g, n_draws,
+            closed = mse_level1(p3, b1, v1, proj, g)
+            mc = mc_mse_level1(p3, b1, v1, h_true, g, n_draws,
                                substream(seed, "acc1-l1", g))
             assert abs(mc - closed) <= 0.02 * closed
 
@@ -83,10 +83,10 @@ def test_criterion_2_alternating_soundness(soundness_solutions):
     1e-10 threshold within 500 iterations on all 50 instances."""
     for entry in soundness_solutions:
         for key in ("level3", "cellular"):
-            hist = entry[key].history
-            assert np.all(np.diff(hist.values) <= 1e-12)
-            assert hist.terminated_by == "threshold"
-            assert hist.iterations <= 500
+            sol = entry[key]
+            assert np.all(np.diff(sol.values) <= 1e-12)
+            assert sol.terminated_by == "threshold"
+            assert sol.iterations <= 500
     _report(2, "alternating-optimization soundness")
 
 
@@ -113,10 +113,10 @@ def test_criterion_3_level_equivalences_and_ordering(soundness_solutions):
             scale = np.maximum(np.abs(r3), 1e-300)
             assert np.max(np.abs(r2 - r3) / scale) <= 1e-10
 
-        sol1 = agg.level1_solution(p3)
-        proj = agg.channel_projections(sol1.combiners, inst["state"].ap.h)
-        wsm1 = weighted_sum_mse_level1(p3, sol1.b, sol1.combiners, proj)
-        assert sol3.history.values[-1] <= wsm1
+        v1 = agg.level1_solution(p3)
+        proj = agg.channel_projections(v1, inst["state"].ap.h)
+        wsm1 = weighted_sum_mse_level1(p3, np.sqrt(p3.power_limit), v1, proj)
+        assert sol3.values[-1] <= wsm1
     _report(3, "level equivalences and ordering")
 
 
@@ -196,8 +196,8 @@ def test_criterion_6_tco_gain(soundness_solutions):
     """Optimized coefficients never lose to full power (G = 2) on any
     instance."""
     for entry in soundness_solutions:
-        hist = entry["level3"].history
-        assert hist.values[-1] <= hist.values[0] * (1.0 + 1e-15)
+        values = entry["level3"].values
+        assert values[-1] <= values[0] * (1.0 + 1e-15)
     _report(6, "transmit-coefficient optimization gain")
 
 

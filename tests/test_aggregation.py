@@ -144,7 +144,7 @@ def test_zero_spread_device_gets_zero_coefficient():
         noise_power=problem.noise_power, power_limit=problem.power_limit)
     sol = agg.alternating_optimize(problem, max_iters=50)
     assert sol.b[2] == 0.0
-    assert np.all(np.diff(sol.history.values) <= 1e-12)
+    assert np.all(np.diff(sol.values) <= 1e-12)
 
 
 def test_kkt_conditions_on_random_instances():
@@ -182,10 +182,10 @@ def test_alternating_histories_non_increasing_and_terminate():
     for seed in range(10):
         inst = draw_instance(30 + seed, cfg=cfg)
         sol = agg.alternating_optimize(inst["level3"])
-        values = sol.history.values
+        values = sol.values
         assert np.all(np.diff(values) <= 1e-12)
-        assert sol.history.terminated_by == "threshold"
-        assert sol.history.iterations <= 500
+        assert sol.terminated_by == "threshold"
+        assert sol.iterations <= 500
         # optimized coefficients never lose to the full-power start
         assert values[-1] <= values[0] + 1e-15
 
@@ -196,7 +196,7 @@ def test_histories_monotone_at_default_power():
     for seed in range(5):
         inst = draw_instance(300 + seed)
         sol = agg.alternating_optimize(inst["level3"], max_iters=100)
-        assert np.all(np.diff(sol.history.values) <= 1e-12)
+        assert np.all(np.diff(sol.values) <= 1e-12)
 
 
 def test_alternating_fixed_point_single_iteration():
@@ -204,9 +204,9 @@ def test_alternating_fixed_point_single_iteration():
     problem = inst["level3"]
     warm = agg.alternating_optimize(problem, eps=1e-16, max_iters=5000)
     again = agg.alternating_optimize(problem, b_init=warm.b)
-    assert again.history.iterations == 1
-    assert again.history.terminated_by == "threshold"
-    assert again.history.values[0] - again.history.values[-1] < 1e-10
+    assert again.iterations == 1
+    assert again.terminated_by == "threshold"
+    assert again.values[0] - again.values[-1] < 1e-10
 
 
 def test_combiner_level1_single_ap_equals_level3():
@@ -243,17 +243,16 @@ def test_combiner_level1_zero_coefficients_and_scalar_value():
 def test_mse_level1_zero_coefficients():
     inst = draw_instance(7)
     problem = inst["level3"]
-    sol = agg.level1_solution(problem)
+    v = agg.level1_solution(problem)
     b0 = np.zeros(len(problem.h_hat), dtype=complex)
-    proj = agg.channel_projections(sol.combiners, inst["state"].ap.h)
+    proj = agg.channel_projections(v, inst["state"].ap.h)
     n_aps = problem.h_hat.shape[1]
     for g in range(problem.n_groups):
         own = problem.group_of_device == g
         target = float((problem.weights.gamma[own] ** 2
                         * problem.weights.nu[own] ** 2).sum())
-        z_term = problem.noise_power * (np.abs(sol.combiners[g]) ** 2).sum() \
-            / n_aps**2
-        got = mse_level1(problem, b0, sol.combiners, proj, g)
+        z_term = problem.noise_power * (np.abs(v[g]) ** 2).sum() / n_aps**2
+        got = mse_level1(problem, b0, v, proj, g)
         assert got == pytest.approx(target + z_term)
 
 
@@ -263,29 +262,28 @@ def test_mse_level1_single_ap_conditional_form():
     cfg = desk_config(n_aps=1, tau_p=3)
     inst = draw_instance(8, cfg=cfg)
     problem = inst["level3"]
-    sol = agg.level1_solution(problem)
+    v, b = agg.level1_solution(problem), np.sqrt(problem.power_limit)
     h_true = inst["state"].ap.h
-    proj = agg.channel_projections(sol.combiners, h_true)
+    proj = agg.channel_projections(v, h_true)
     for g in range(problem.n_groups):
         own = problem.group_of_device == g
         target = np.where(own, problem.weights.gamma * problem.weights.nu, 0.0)
         gains = proj[g, :, 0]
-        expected = float((np.abs(gains * sol.b - target) ** 2).sum()
-                         + problem.noise_power
-                         * np.linalg.norm(sol.combiners[g, 0]) ** 2)
-        got = mse_level1(problem, sol.b, sol.combiners, proj, g)
+        expected = float((np.abs(gains * b - target) ** 2).sum()
+                         + problem.noise_power * np.linalg.norm(v[g, 0]) ** 2)
+        got = mse_level1(problem, b, v, proj, g)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_mse_level1_matches_monte_carlo():
     inst = draw_instance(9)
     problem = inst["level3"]
-    sol = agg.level1_solution(problem)
+    v, b = agg.level1_solution(problem), np.sqrt(problem.power_limit)
     h_true = inst["state"].ap.h
-    proj = agg.channel_projections(sol.combiners, h_true)
+    proj = agg.channel_projections(v, h_true)
     for g in range(problem.n_groups):
-        closed = mse_level1(problem, sol.b, sol.combiners, proj, g)
-        mc = mc_mse_level1(problem, sol.b, sol.combiners, h_true, g, 100_000,
+        closed = mse_level1(problem, b, v, proj, g)
+        mc = mc_mse_level1(problem, b, v, h_true, g, 100_000,
                            substream(9, "mc1", g))
         assert mc == pytest.approx(closed, rel=0.02)
 
@@ -312,16 +310,15 @@ def test_recover_level1_averages_local_combines():
     inst = draw_instance(17)
     problem = inst["level3"]
     cfg = inst["cfg"]
-    sol = agg.level1_solution(problem)
+    v = agg.level1_solution(problem)
     rng = substream(17, "slots")
     signals = (rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8))
                + 1j * rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8)))
     w = problem.weights
     for g in range(problem.n_groups):
-        got = recover("level1", signals, sol.combiners[g], w,
-                      problem.group_of_device, g)
+        got = recover("level1", signals, v[g], w, problem.group_of_device, g)
         per_ap = np.stack([
-            np.einsum("n,nd->d", sol.combiners[g, ap].conj(), signals[ap])
+            np.einsum("n,nd->d", v[g, ap].conj(), signals[ap])
             for ap in range(cfg.n_aps)])
         own = problem.group_of_device == g
         expected = per_ap.mean(axis=0).real + float(
@@ -380,7 +377,7 @@ def test_cellular_single_group_colocated_equals_level3():
     solc = agg.alternating_optimize(colocated, cellular=True)
     np.testing.assert_allclose(solc.b, sol3.b, rtol=1e-9)
     np.testing.assert_allclose(solc.combiners[0], sol3.combiners[0], rtol=1e-9)
-    np.testing.assert_allclose(solc.history.values, sol3.history.values,
+    np.testing.assert_allclose(solc.values, sol3.values,
                                rtol=1e-9)
 
 
@@ -389,9 +386,9 @@ def test_cellular_histories_non_increasing_and_terminate():
     for seed in range(5):
         inst = draw_instance(40 + seed, cfg=cfg)
         sol = agg.alternating_optimize(inst["cellular"], cellular=True)
-        assert np.all(np.diff(sol.history.values) <= 1e-12)
-        assert sol.history.terminated_by == "threshold"
-        assert sol.history.iterations <= 500
+        assert np.all(np.diff(sol.values) <= 1e-12)
+        assert sol.terminated_by == "threshold"
+        assert sol.iterations <= 500
 
 
 def test_cellular_mse_matches_monte_carlo():
@@ -409,11 +406,11 @@ def test_level3_beats_level1_weighted_sum():
     for seed in range(10):
         inst = draw_instance(60 + seed)
         sol3 = agg.alternating_optimize(inst["level3"])
-        sol1 = agg.level1_solution(inst["level3"])
-        proj = agg.channel_projections(sol1.combiners, inst["state"].ap.h)
-        wsm1 = weighted_sum_mse_level1(inst["level3"], sol1.b, sol1.combiners,
-                                       proj)
-        assert sol3.history.values[-1] <= wsm1
+        v1 = agg.level1_solution(inst["level3"])
+        proj = agg.channel_projections(v1, inst["state"].ap.h)
+        wsm1 = weighted_sum_mse_level1(inst["level3"], np.sqrt(inst["level3"].power_limit),
+                                       v1, proj)
+        assert sol3.values[-1] <= wsm1
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +456,18 @@ def test_lockstep_batch_properties(seed, cellular, n_groups, per_group, dim,
     problem = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
     n_dev = len(problem.group_of_device)
     powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
-    batch = agg.optimize_batch(problem, powers, max_iters=40, cellular=cellular)[0]
-    assert len(batch) == len(powers)
-    for power, sol in zip(powers, batch):
+    batch = agg.optimize_batch(problem, powers, max_iters=40, cellular=cellular)
+    assert batch.b.shape == (1, len(powers), n_dev)
+    for i, power in enumerate(powers):
+        sol = batch.row(0, i)
         one = single_solve(problem, power, max_iters=40, cellular=cellular)
-        assert sol.history.iterations == one.history.iterations
-        assert sol.history.terminated_by == one.history.terminated_by
-        np.testing.assert_allclose(sol.history.values, one.history.values,
+        assert sol.iterations == one.iterations
+        assert sol.terminated_by == one.terminated_by
+        np.testing.assert_allclose(sol.values, one.values,
                                    rtol=1e-12, atol=0.0)
-        values = sol.history.values
+        values = sol.values
         assert np.all(np.diff(values) <= 1e-12 * values[0])
-        np.testing.assert_allclose(sol.history.group_values @ problem.weights.omega,
+        np.testing.assert_allclose(sol.group_values @ problem.weights.omega,
                                    values, rtol=1e-12)
         assert np.all(np.isfinite(sol.b)) and np.all(np.isfinite(sol.combiners))
         assert np.all(np.abs(sol.b) ** 2 <= power * (1.0 + 1e-12))
@@ -526,14 +524,14 @@ def test_lockstep_batch_compacts_mixed_termination():
     for kind in ("level3", "cellular"):
         problem, cellular = inst[kind], kind == "cellular"
         powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(problem.power_limit)))
-        batch = agg.optimize_batch(problem, powers, max_iters=60, cellular=cellular)[0]
-        ended = {sol.history.terminated_by for sol in batch}
-        assert ended == {"threshold", "max_iters"}
-        assert len({sol.history.iterations for sol in batch}) > 2
-        for power, sol in zip(powers, batch):
+        batch = agg.optimize_batch(problem, powers, max_iters=60, cellular=cellular)
+        assert set(batch.terminated_by[0]) == {"threshold", "max_iters"}
+        assert len(set(batch.iterations[0])) > 2
+        for i, power in enumerate(powers):
+            sol = batch.row(0, i)
             one = single_solve(problem, power, max_iters=60, cellular=cellular)
-            assert sol.history.iterations == one.history.iterations
-            np.testing.assert_array_equal(sol.history.values, one.history.values)
+            assert sol.iterations == one.iterations
+            np.testing.assert_array_equal(sol.values, one.values)
             np.testing.assert_array_equal(sol.b, one.b)
             np.testing.assert_array_equal(sol.combiners, one.combiners)
 
@@ -569,19 +567,22 @@ def test_seed_batch_rows_equal_single_solves(seed, cellular, n_groups, per_group
     n_dev = len(block.group_of_device)
     powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
     batch = agg.optimize_batch(block, powers, max_iters=40, cellular=cellular)
-    assert len(batch) == n_problems
-    for s, solutions in enumerate(batch):
-        assert len(solutions) == len(powers)
-        for power, sol in zip(powers, solutions):
+    assert batch.values.shape == (n_problems, len(powers), 41)
+    for s in range(n_problems):
+        for i, power in enumerate(powers):
             one = single_solve(seed_problem(block, s), power, max_iters=40,
                                cellular=cellular)
-            assert np.array_equal(sol.b, one.b)
-            assert np.array_equal(sol.combiners, one.combiners)
-            assert np.array_equal(sol.mu, one.mu)
-            assert np.array_equal(sol.history.values, one.history.values)
-            assert np.array_equal(sol.history.group_values, one.history.group_values)
-            assert sol.history.iterations == one.history.iterations
-            assert sol.history.terminated_by == one.history.terminated_by
+            assert batch.iterations[s, i] == one.iterations
+            assert batch.terminated_by[s, i] == one.terminated_by
+            for name in ("b", "combiners", "mu"):
+                assert np.array_equal(getattr(batch, name)[s, i], getattr(one, name))
+            # each trace equals the one-row solve up to the row's own stop
+            # and is NaN after it
+            stop = one.iterations + 1
+            for name in ("values", "group_values"):
+                trace = getattr(batch, name)[s, i]
+                assert np.array_equal(trace[:stop], getattr(one, name))
+                assert np.isnan(trace[stop:]).all()
 
 
 def test_seed_batch_holds_error_blocks_once_per_problem():
@@ -610,18 +611,16 @@ def assert_batch_matches_reference(block, powers, max_iters, cellular=False):
     reference iteration of the seed's record at that power, bit for bit."""
     batch = agg.optimize_batch(block, powers, eps=1e-10, max_iters=max_iters,
                                cellular=cellular)
-    assert len(batch) == len(block.h_hat)
-    for s, row in enumerate(batch):
-        assert len(row) == len(powers)
-        for power, sol in zip(powers, row):
+    assert batch.b.shape == (len(block.h_hat), len(powers), len(block.group_of_device))
+    for s in range(len(block.h_hat)):
+        for i, power in enumerate(powers):
+            sol = batch.row(s, i)
             ref = reference_solve(seed_problem(block, s), power, 1e-10, max_iters,
                                   cellular)
-            for name in ("b", "combiners", "mu"):
+            for name in ("b", "combiners", "mu", "values", "group_values"):
                 assert_same_bits(getattr(sol, name), getattr(ref, name))
-            for name in ("values", "group_values"):
-                assert_same_bits(getattr(sol.history, name), getattr(ref.history, name))
-            assert sol.history.iterations == ref.history.iterations
-            assert sol.history.terminated_by == ref.history.terminated_by
+            assert sol.iterations == ref.iterations
+            assert sol.terminated_by == ref.terminated_by
     return batch
 
 
@@ -651,9 +650,8 @@ def test_streamlined_solve_equals_reference_iteration(seed, view, n_groups, per_
         assert_batch_matches_reference(block, powers, 40, cellular)
         return
     for s, row in enumerate(agg.level1_batch(block, powers)):
-        for power, sol in zip(powers, row):
-            assert_same_bits(sol.b, np.sqrt(power).astype(complex))
-            assert_same_bits(sol.combiners,
+        for power, combiners in zip(powers, row):
+            assert_same_bits(combiners,
                              reference_level1_combiners(seed_problem(block, s), power))
 
 
@@ -665,10 +663,8 @@ def test_streamlined_solve_equals_reference_with_compaction():
         block = block_problem([draw_instance(seed)[kind] for seed in (21, 24)])
         powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(block.power_limit)))
         batch = assert_batch_matches_reference(block, powers, 60, kind == "cellular")
-        ended = [(sol.history.terminated_by, sol.history.iterations)
-                 for row in batch for sol in row]
-        assert {how for how, _ in ended} == {"threshold", "max_iters"}
-        assert len({it for _, it in ended}) > 2
+        assert set(batch.terminated_by.ravel()) == {"threshold", "max_iters"}
+        assert len(set(batch.iterations.ravel())) > 2
 
 
 def singular_record(problem):
@@ -694,20 +690,12 @@ def test_singular_combiner_system_raises_named_error(view):
                 agg.optimize_batch(problem, powers, cellular=cellular)
 
 
-def solve_batch(problem, powers, cellular=False):
-    return agg.optimize_batch(problem, powers, cellular=cellular)[0]
-
-
-def level1_batch(problem, powers):
-    return agg.level1_batch(problem, powers)[0]
-
-
 # Level 1 reads the AP-side record per AP, level 3 reads it jointly, and
 # the cellular baseline reads the serving-BS record per BS.
-SOLVERS = (("level3", agg.level1_solution, level1_batch),
-           ("level3", agg.alternating_optimize, solve_batch),
+SOLVERS = (("level3", agg.level1_solution, agg.level1_batch),
+           ("level3", agg.alternating_optimize, agg.optimize_batch),
            ("cellular", partial(agg.alternating_optimize, cellular=True),
-            partial(solve_batch, cellular=True)))
+            partial(agg.optimize_batch, cellular=True)))
 
 
 def test_infinite_power_limit_raises_named_error():
@@ -806,12 +794,9 @@ def test_level1_batch_equals_single_solutions(seed, n_dev, n_aps, n_ant,
     powers = power_rows(power_db, n_dev)
     batch = agg.level1_batch(problem, powers)[0]
     assert len(batch) == len(powers)
-    for power, sol in zip(powers, batch):
+    for power, combiners in zip(powers, batch):
         one = agg.level1_solution(replace(problem, power_limit=power))
-        assert np.array_equal(sol.b, one.b)
-        assert np.array_equal(sol.combiners, one.combiners)
-        assert np.array_equal(sol.mu, one.mu)
-        assert sol.history.iterations == 0
+        assert np.array_equal(combiners, one)
 
 
 @settings(max_examples=40, deadline=None)
@@ -831,22 +816,19 @@ def test_level1_seed_batch_equals_single_solutions(n_problems, seed, n_dev, n_ap
         for other in map(draw, range(1, n_problems))])
     channels = np.stack([draw(-1 - i).h_hat for i in range(n_problems)])
     powers = power_rows(power_db, n_dev)
-    batch = agg.level1_batch(block, powers)
-    b = np.array([[sol.b for sol in row] for row in batch])
-    v = np.array([[sol.combiners for sol in row] for row in batch])
+    v = agg.level1_batch(block, powers)
+    b = np.sqrt(powers).astype(complex)
     mses = agg.level1_mses(block, b, v,
                            agg.channel_projections(v, channels[:, None]))
     assert mses.shape == (n_problems, len(powers), n_groups)
-    for s, row in enumerate(batch):
+    for s, row in enumerate(v):
         problem = seed_problem(block, s)
-        for i, (power, sol) in enumerate(zip(powers, row)):
+        for i, (power, combiners) in enumerate(zip(powers, row)):
             one = agg.level1_solution(replace(problem, power_limit=power))
-            assert np.array_equal(sol.b, one.b)
-            assert np.array_equal(sol.combiners, one.combiners)
-            proj = agg.channel_projections(one.combiners, channels[s])
+            assert np.array_equal(combiners, one)
+            proj = agg.channel_projections(one, channels[s])
             for g in range(n_groups):
-                assert mses[s, i, g] == mse_level1(problem, one.b, one.combiners,
-                                                       proj, g)
+                assert mses[s, i, g] == mse_level1(problem, b[i], one, proj, g)
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,9 @@ def test_ota_round_noiseless_perfect_csi_recovers_desired():
                                        np.array([std]), np.array([mean])),
         noise_power=1e-12, power_limit=np.array([4.0]))
     v = combiners_level3(problem, b)
-    sol = agg.AggregationSolution(b=b, combiners=v, mu=np.zeros(1), history=None)
+    sol = agg.AggregationSolution(b=b, combiners=v, mu=np.zeros(1), iterations=0,
+                                  terminated_by="threshold", values=np.empty(0),
+                                  group_values=np.empty((0, 1)))
     recovered, error_sq = _block_round(theta, np.ones((1, 1)), sol, h, 0.0,
                                        substream(6, "slots"))
     np.testing.assert_allclose(recovered, theta, atol=1e-8)

@@ -106,6 +106,7 @@ def test_fair_comparison_validation():
     ("p_max_dbm", "inf"),
     ("pilot_power_dbm", "-inf"),
     ("side_m", "0"),
+    ("side_m", "inf"),
     ("n_features", "0"),
     # a second line of the file sets the task the bound depends on
     pytest.param("n_features", "1\ntask = ridge", id="n_features-1-ridge"),
@@ -116,6 +117,8 @@ def test_fair_comparison_validation():
     ("decorr_m", "0"),
     ("d0_m", "0"),
     ("beta0_db", "nan"),
+    ("beta0_db", "4000"),
+    ("beta0_db", "-4000"),
     ("class_spread", "nan"),
     pytest.param("ridge", "nan\ntask = ridge", id="ridge-nan-ridge"),
     # finite dBm whose power in W overflows or underflows to 0
@@ -414,11 +417,11 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
         for key, block in batches.items():
             assert_problems_equal(seed_problem(block, i), builds[key][1](stats, state, w))
         problem = runner.level3_problem(stats, state, w)
-        solutions = runner.aggregation.level1_batch(problem, powers)[0]
-        for p_dbm, sol in zip(cfg.sweep_dbm, solutions):
-            proj = runner.aggregation.channel_projections(sol.combiners, state.ap.h)
-            alone = tuple(mse_level1(problem, sol.b, sol.combiners, proj, g)
-                          for g in range(cfg.n_groups))
+        combiners = runner.aggregation.level1_batch(problem, powers)[0]
+        for p_dbm, power, v in zip(cfg.sweep_dbm, powers, combiners):
+            proj = runner.aggregation.channel_projections(v, state.ap.h)
+            b = np.sqrt(power).astype(complex)
+            alone = tuple(mse_level1(problem, b, v, proj, g) for g in range(cfg.n_groups))
             [row] = [r for r in rows if (r.scenario, r.seed, r.point) == ("level1", seed, p_dbm)]
             assert row.mse_per_group == alone
 
