@@ -44,15 +44,13 @@ class AggregationWeights:
     """Per-device and per-group quantities entering the MSE expressions.
 
     gamma[k] is device k's share of its own group's target (shares in a
-    group sum to 1), omega[g] the group priority, nu[k] and theta_bar[k]
-    the standard deviation and mean of the parameters device k transmits
-    this round (the mean rides on the side channel).
+    group sum to 1), omega[g] the group priority and nu[k] the standard
+    deviation of the parameters device k transmits this round.
     """
 
-    gamma: np.ndarray      # (K,)
-    omega: np.ndarray      # (G,)
-    nu: np.ndarray         # (K,)
-    theta_bar: np.ndarray  # (K,)
+    gamma: np.ndarray  # (K,)
+    omega: np.ndarray  # (G,)
+    nu: np.ndarray     # (K,)
 
 
 def _check_shapes(problem):
@@ -74,8 +72,7 @@ def _check_shapes(problem):
     w = problem.weights
     for field, value, lead in (
             ("group_of_device", problem.group_of_device, ()),
-            ("power_limit", problem.power_limit, ()), ("weights.gamma", w.gamma, seeds),
-            ("weights.nu", w.nu, seeds), ("weights.theta_bar", w.theta_bar, seeds)):
+            ("weights.gamma", w.gamma, seeds), ("weights.nu", w.nu, seeds)):
         shape = np.shape(value)
         if shape != lead + (n_dev,):
             raise ValueError(f"{name}.{field} has shape {shape}, expected "
@@ -100,8 +97,8 @@ class Level3Problem:
     stack the APs' antennas, AP by AP, into L*N entries.
 
     A seed block's record has a leading seed axis on h_hat (S, K, L, N),
-    error_cov (S, K, L, N, N) and weights.gamma, nu and theta_bar (S, K);
-    the grouping, priorities, noise power and power limits are held once.
+    error_cov (S, K, L, N, N) and weights.gamma and nu (S, K); the
+    grouping, priorities and noise power are held once.
     """
 
     h_hat: np.ndarray          # ([S,] K, L, N)
@@ -109,7 +106,6 @@ class Level3Problem:
     group_of_device: np.ndarray
     weights: AggregationWeights
     noise_power: float
-    power_limit: np.ndarray    # (K,)
 
     def __post_init__(self):
         _check_shapes(self)
@@ -134,7 +130,7 @@ class AggregationSolution:
     mu: np.ndarray            # ([S, P,] K) KKT multipliers
     iterations: np.ndarray    # ([S, P]) int
     terminated_by: np.ndarray  # ([S, P]) "threshold" or "max_iters"
-    values: np.ndarray        # ([S, P,] max_iters + 1) or (iterations + 1,)
+    values: np.ndarray        # ([S, P,] iterations.max() + 1) or (iterations + 1,)
     group_values: np.ndarray  # values' axes, then (G,)
 
     def row(self, s, i):
@@ -176,8 +172,7 @@ def _take_seeds(problem, seeds):
     """
     w = problem.weights
     return replace(problem, h_hat=problem.h_hat[seeds], error_cov=problem.error_cov[seeds],
-                   weights=replace(w, gamma=w.gamma[seeds], nu=w.nu[seeds],
-                                   theta_bar=w.theta_bar[seeds]))
+                   weights=replace(w, gamma=w.gamma[seeds], nu=w.nu[seeds]))
 
 
 # The fill of the combiner coefficients: a complex zero spares np.where a cast.
@@ -195,6 +190,15 @@ def _check_finite(arr, live, what):
     if np.count_nonzero(finite) < finite.size and (
             live is None or not finite[live].all()):
         raise NonFiniteSolve(f"{what} is not finite")
+
+
+def _power_rows(problem, power_limits):
+    """``power_limits`` as floats; ValueError unless they are (P, K) rows."""
+    power, h = np.asarray(power_limits, dtype=float), np.shape(problem.h_hat)
+    if power.ndim != 2 or power.shape[1] != h[-3]:
+        raise ValueError(f"power_limits has shape {power.shape}, expected (P, {h[-3]}) "
+                         f"for h_hat of shape {h}")
+    return power
 
 
 def _raise_not_finite(err, flag):
@@ -376,16 +380,16 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None, cellular=False):
     in every remaining seed; a stopped row still inside the rectangle keeps
     being computed, but it is neither recorded nor checked.
     """
+    power = _power_rows(problem, power_limits)
     stack = _Stack(problem, cellular=cellular)
-    power = np.asarray(power_limits, dtype=float)
     shape = (stack.n_seeds, len(power))
     sqrt_power = np.broadcast_to(np.sqrt(power), shape + power.shape[1:])
     if b_init is None:
         b = sqrt_power.astype(complex)
     else:
         b = np.array(b_init, dtype=complex).reshape(sqrt_power.shape)
-    values = np.empty(shape + (max_iters + 1,))
-    group_values = np.empty(shape + (max_iters + 1, stack.n_groups))
+    values = np.empty(shape + (min(max_iters, 64) + 1,))
+    group_values = np.empty(values.shape + (stack.n_groups,))
     mu = np.zeros(b.shape)
     iterations = np.zeros(shape, dtype=int)
     ended = np.empty(shape, dtype=object)
@@ -411,6 +415,9 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None, cellular=False):
         # C order: the last bits of the caller's products depend on the layout.
         out_b, out_v, out_mu = (np.empty_like(a, order="C") for a in (b, v, mu))
         for it in range(1, max_iters + 1):
+            if it == values.shape[2]:  # the traces grow with the iterations run
+                values, group_values = (np.concatenate([a, np.empty_like(a)], axis=2)
+                                        for a in (values, group_values))
             if it > 1:
                 v = stack.combiners(b, p, live)
                 proj, quad, energy = stack.forms(v)
@@ -441,7 +448,9 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None, cellular=False):
         else:
             record(np.nonzero(active), max_iters, "max_iters")
 
-    after = np.arange(max_iters + 1) > iterations[..., None]
+    stop = iterations.max() + 1
+    values, group_values = values[:, :, :stop], group_values[:, :, :stop]
+    after = np.arange(stop) > iterations[..., None]
     values[after], group_values[after] = np.nan, np.nan
     return AggregationSolution(out_b, out_v, out_mu, iterations, ended, values, group_values)
 
@@ -450,7 +459,7 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, cellular=Fal
     """Solve every seed of a record, viewed jointly (levels 2 and 3) or
     ``cellular``, at every row of power limits, all in lockstep.
 
-    Row i of ``power_limits`` (P, K) replaces the record's power_limit.
+    Row i of ``power_limits`` (P, K) holds every device's power limit.
     Every (seed, row) pair iterates from full power with its own stopping
     test, and its result equals that of ``alternating_optimize`` on the
     seed's slice of the record; a record without a seed axis is one seed.
@@ -459,28 +468,28 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, cellular=Fal
     return _solve(problem, power_limits, eps, max_iters, cellular=cellular)
 
 
-def alternating_optimize(problem, eps=1e-10, max_iters=500, b_init=None, cellular=False):
+def alternating_optimize(problem, power, eps=1e-10, max_iters=500, b_init=None,
+                         cellular=False):
     """Jointly tune the combiners and transmit coefficients of one record,
-    viewed jointly at the CPU or ``cellular``.
+    viewed jointly at the CPU or ``cellular``, at power limits ``power`` (K,).
 
     Coefficients start at full power ``sqrt(P_k)`` unless b_init is given.
     Returns the AggregationSolution of one row, its traces cut at its stop.
     """
-    return _solve(problem, problem.power_limit[None], eps, max_iters, b_init,
-                  cellular).row(0, 0)
+    return _solve(problem, [power], eps, max_iters, b_init, cellular).row(0, 0)
 
 
-def tco_step(problem, combiners, k, cellular=False):
+def tco_step(problem, power, combiners, k, cellular=False):
     """Optimal transmit coefficient of device k for fixed combiners.
 
     Returns (b_k, mu_k) satisfying the stationarity and complementary
     slackness conditions of the power-constrained subproblem:
-    |b_k|^2 <= P_k always holds, and mu_k > 0 only on the boundary.  A
-    one-device reference for the solver's vectorized update.  Device k's
-    projections and quadratic forms come from the combiner core: near the
-    boundary mu_k is the difference of two nearly equal terms, which a
-    one-ulp change in those forms moves by more than 1e-12.  The record is
-    viewed jointly or ``cellular``.
+    |b_k|^2 <= P_k = power[k] always holds, and mu_k > 0 only on the
+    boundary.  A one-device reference for the solver's vectorized update.
+    Device k's projections and quadratic forms come from the combiner core:
+    near the boundary mu_k is the difference of two nearly equal terms,
+    which a one-ulp change in those forms moves by more than 1e-12.  The
+    record is viewed jointly or ``cellular``.
     """
     w = problem.weights
     g = int(problem.group_of_device[k])
@@ -489,7 +498,7 @@ def tco_step(problem, combiners, k, cellular=False):
     mag = np.abs(proj)
     denom = float((w.omega * (mag ** 2 + quad)).sum())
     gain = w.omega[g] * w.gamma[k] * w.nu[k]
-    mu = max(0.0, gain * mag[g] / np.sqrt(problem.power_limit[k]) - denom)
+    mu = max(0.0, gain * mag[g] / np.sqrt(power[k]) - denom)
     if denom + mu == 0.0:
         return 0.0 + 0.0j, 0.0
     return gain * proj[g].conjugate() / (denom + mu), mu
@@ -549,10 +558,10 @@ def level1_batch(problem, power_limits):
     sqrt(power_limits) (no TCO at level 1) of every seed of an AP-side
     record, viewed per AP, at every row of power limits.
 
-    Row i of ``power_limits`` (P, K) replaces the record's power_limit; each
+    Row i of ``power_limits`` (P, K) holds every device's power limit; each
     row equals ``level1_solution`` on the seed's slice of the record.
     """
-    b = np.sqrt(np.asarray(power_limits, dtype=float)).astype(complex)
+    b = np.sqrt(_power_rows(problem, power_limits)).astype(complex)
     stack = _Stack(problem, per_ap=True)
     b_block = np.broadcast_to(b, (stack.n_seeds,) + b.shape)
     with _invalid_raises():
@@ -562,7 +571,7 @@ def level1_batch(problem, power_limits):
         combiners.reshape(*combiners.shape[:3], problem.h_hat.shape[-2], -1))
 
 
-def level1_solution(problem):
+def level1_solution(problem, power):
     """Local combiners (G, L, N) of one AP-side problem, viewed per AP, at
-    the full-power coefficients sqrt(power_limit) (no TCO at level 1)."""
-    return level1_batch(problem, problem.power_limit[None])[0, 0]
+    the full-power coefficients sqrt(power) (no TCO at level 1)."""
+    return level1_batch(problem, [power])[0, 0]

@@ -20,7 +20,7 @@ def _add_run(parser):
                         help="override the master seed")
     parser.add_argument("--out", default=None, help="output CSV path")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent seeds")
+                        help="worker threads for independent seeds; more than 1 is slower today")
 
 
 def _load(args):

@@ -437,8 +437,6 @@ class SystemStatistics:
     geometry: NetworkGeometry
     ap: estimation.MmseStatistics
     bs: estimation.MmseStatistics | None
-    noise_power: float
-    power_limit: np.ndarray  # (K,)
 
 
 @dataclass(frozen=True)
@@ -489,10 +487,7 @@ def build_statistics(cfg, geometry, rng):
     bs = None
     if any(ARCHITECTURES[a].needs_bs for a in cfg.architectures):
         bs = view(geometry.bs_positions[:cfg.n_groups], cfg.n_bs_antennas)
-    return SystemStatistics(
-        geometry=geometry, ap=ap, bs=bs, noise_power=cfg.noise_power,
-        power_limit=np.full(cfg.n_devices, dbm_to_watt(cfg.p_max_dbm)),
-    )
+    return SystemStatistics(geometry=geometry, ap=ap, bs=bs)
 
 
 def _draw_view(mmse, rng_fading, rng_pilot):
@@ -533,15 +528,14 @@ def level3_problem(stats, round_state, weights, cellular=False):
     return aggregation.Level3Problem(
         h_hat=state.h_hat, error_cov=mmse.error_cov,
         group_of_device=stats.geometry.group_of_device, weights=weights,
-        noise_power=stats.noise_power, power_limit=stats.power_limit)
+        noise_power=mmse.noise_power)
 
 
-def make_weights(cfg, nu, theta_bar):
-    """Weights of per-device statistics (K,), or (S, K) for a seed block."""
+def make_weights(cfg, nu):
+    """Weights of per-device standard deviations (K,), or (S, K) for a seed block."""
     nu = np.asarray(nu, dtype=float)
     return aggregation.AggregationWeights(
-        gamma=np.full(nu.shape, 1.0 / cfg.group_size), omega=cfg.omega_or_default,
-        nu=nu, theta_bar=np.asarray(theta_bar, dtype=float))
+        gamma=np.full(nu.shape, 1.0 / cfg.group_size), omega=cfg.omega_or_default, nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -672,15 +666,12 @@ def _solve_block(cfg, kind, stats, state, weights, powers):
 # ---------------------------------------------------------------------------
 
 def _initial_round_stats(cfg, seed):
-    """Per-device (nu, theta_bar) from each group's initial model parameters."""
+    """Per-device nu from each group's initial model parameters."""
     nu = np.empty(cfg.n_devices)
-    theta_bar = np.empty(cfg.n_devices)
     for g in range(cfg.n_groups):
-        _, mean, std = fl_engine.normalize(_initial_model(cfg, seed, g))
-        members = slice(g * cfg.group_size, (g + 1) * cfg.group_size)
-        nu[members] = std
-        theta_bar[members] = mean
-    return nu, theta_bar
+        nu[g * cfg.group_size:(g + 1) * cfg.group_size] = fl_engine.normalize(
+            _initial_model(cfg, seed, g))[2]
+    return nu
 
 
 def _initial_model(cfg, seed, group):
@@ -700,8 +691,7 @@ def _sweep_seeds(cfg, seeds):
     powers = np.stack([np.full(cfg.n_devices, dbm_to_watt(p)) for p in cfg.sweep_dbm])
     tags, stats = _prepare_block(cfg, seeds)
     state = draw_block(stats, [t + ("round", 0) for t in tags])
-    nu, theta_bar = zip(*(_initial_round_stats(cfg, seed) for seed in seeds))
-    weights = make_weights(cfg, nu, theta_bar)
+    weights = make_weights(cfg, [_initial_round_stats(cfg, seed) for seed in seeds])
     # mses[kind][s, j, tco]: seed s at grid point j, every seed's whole grid
     # solved in one batch per kind; level 2 takes the level-3 MSEs.
     mses = {kind: _solve_block(cfg, kind, stats, state, weights, powers)[2]
@@ -867,6 +857,7 @@ def _train_seeds(cfg, seeds):
     archs = [ARCHITECTURES[name] for name in cfg.architectures]
     tags, stats = _prepare_block(cfg, seeds)
     gdev = stats.geometry.group_of_device
+    power = np.full((1, cfg.n_devices), dbm_to_watt(cfg.p_max_dbm))
     tasks = [[_GroupTask(cfg, seed, g) for g in range(cfg.n_groups)] for seed in seeds]
     init = [[_initial_model(cfg, seed, g) for g in range(cfg.n_groups)] for seed in seeds]
     if len({len(v) for models in init for v in models}) != 1:
@@ -905,9 +896,8 @@ def _train_seeds(cfg, seeds):
             # One seed's (K, ...) device stack at a time stays in cache.
             local = theta - step * np.stack([gradient(*one) for one in zip(theta, *data)])
             symbols, mean, std = fl_engine.normalize(local)
-            weights = make_weights(cfg, std, mean)
-            b, combiners, mses = _solve_block(cfg, kind, stats, state, weights,
-                                              stats.power_limit[None])
+            weights = make_weights(cfg, std)
+            b, combiners, mses = _solve_block(cfg, kind, stats, state, weights, power)
             models[kind] = _ota_round(cfg, kind, local, symbols, mean, weights.gamma[0],
                                       b, combiners, state, noise)[0]
             results[kind] = mses, metrics(models[kind])

@@ -39,7 +39,9 @@ def draw_instance(seed, cfg=None, nu_scale=1.0):
     package; the per-round parameter statistics (nu, theta_bar) are random
     O(1) stand-ins.  Returns a dict with the AP-side record ("level3",
     which level 1 reads per AP), the serving-BS record ("cellular", solved
-    with ``cellular=True``), the true channels, and the weights.
+    with ``cellular=True``), the true channels, the weights, the means
+    ("theta_bar") and every device's power limit ("power", the config's
+    p_max).
     """
     cfg = cfg or desk_config()
     geometry = runner.build_geometry(cfg, substream(seed, "geometry"))
@@ -48,13 +50,15 @@ def draw_instance(seed, cfg=None, nu_scale=1.0):
     rng = substream(seed, "weights")
     nu = nu_scale * rng.uniform(0.5, 1.5, cfg.n_devices)
     theta_bar = rng.uniform(-1.0, 1.0, cfg.n_devices)
-    weights = runner.make_weights(cfg, nu, theta_bar)
+    weights = runner.make_weights(cfg, nu)
     return {
         "cfg": cfg,
         "geometry": geometry,
         "stats": stats,
         "state": state,
         "weights": weights,
+        "theta_bar": theta_bar,
+        "power": np.full(cfg.n_devices, runner.dbm_to_watt(cfg.p_max_dbm)),
         "level3": runner.level3_problem(stats, state, weights),
         "cellular": runner.level3_problem(stats, state, weights, cellular=True),
     }
@@ -99,13 +103,12 @@ def seed_problem(problem, s):
     """Seed s's record, without a seed axis, of a seed block's record."""
     w = problem.weights
     return replace(problem, h_hat=problem.h_hat[s], error_cov=problem.error_cov[s],
-                   weights=replace(w, gamma=w.gamma[s], nu=w.nu[s],
-                                   theta_bar=w.theta_bar[s]))
+                   weights=replace(w, gamma=w.gamma[s], nu=w.nu[s]))
 
 
 def block_problem(problems):
     """One seed block's record of same-kind records that share their
-    grouping, priorities, noise power and power limits."""
+    grouping, priorities and noise power."""
     first = problems[0]
 
     def stack(get):
@@ -115,7 +118,7 @@ def block_problem(problems):
                    error_cov=stack(lambda p: p.error_cov),
                    weights=replace(first.weights, **{
                        name: stack(lambda p: getattr(p.weights, name))
-                       for name in ("gamma", "nu", "theta_bar")}))
+                       for name in ("gamma", "nu")}))
 
 
 def combiners_level1(problem, b):
@@ -133,12 +136,13 @@ def combiners_level3(problem, b, cellular=False):
     return aggregation._Stack(problem, cellular=cellular).combiners(b, np.abs(b) ** 2)[0, 0]
 
 
-def tco_steps(problem, combiners, cellular=False):
+def tco_steps(problem, power, combiners, cellular=False):
     """Optimal coefficients and KKT multipliers of all devices, (K,) each,
-    for fixed combiners: the vectorized update the solver runs."""
+    at power limits ``power`` (K,) for fixed combiners: the vectorized
+    update the solver runs."""
     stack = aggregation._Stack(problem, cellular=cellular)
     proj, quad, _ = stack.forms(np.asarray(combiners)[None, None])
-    b, mu = stack.tco(proj, quad, np.sqrt(problem.power_limit)[None, None])
+    b, mu = stack.tco(proj, quad, np.sqrt(power)[None, None])
     return b[0, 0], mu[0, 0]
 
 
@@ -509,25 +513,27 @@ def combine_signals(level, signals, combiner):
     raise ValueError(f"unknown recovery level {level!r}")
 
 
-def group_offset(weights, group_of_device, g):
-    """Mean offset carried over the side channel for group g."""
+def group_offset(weights, theta_bar, group_of_device, g):
+    """Mean offset carried over the side channel for group g, the devices'
+    parameter means being theta_bar (K,)."""
     own = group_of_device == g
-    return float(np.dot(weights.gamma[own], weights.theta_bar[own]))
+    return float(np.dot(weights.gamma[own], theta_bar[own]))
 
 
-def recover(level, signals, combiner, weights, group_of_device, g):
+def recover(level, signals, combiner, weights, theta_bar, group_of_device, g):
     """Group g's aggregated parameter(s): the real combiner output plus the
     group's mean offset."""
     combined = combine_signals(level, signals, combiner)
-    return np.real(combined) + group_offset(weights, group_of_device, g)
+    return np.real(combined) + group_offset(weights, theta_bar, group_of_device, g)
 
 
-def ota_round(local_params, level, b, combiners, h_ap, h_bs, weights, group_of_device,
-              noise_power, rng):
+def ota_round(local_params, level, b, combiners, h_ap, h_bs, weights, theta_bar,
+              group_of_device, noise_power, rng):
     """One seed's uplink round, group by group: recovered (G, D) parameters
     and realized squared errors (G,) of coefficients b (K,) and combiners
-    (G, ...).  ``h_ap`` (K, L, N) and ``h_bs`` (K, G, M) are the seed's true
-    channels; the AP noise is drawn once, the serving BSs' per group."""
+    (G, ...), the devices' parameter means being theta_bar (K,).  ``h_ap``
+    (K, L, N) and ``h_bs`` (K, G, M) are the seed's true channels; the AP
+    noise is drawn once, the serving BSs' per group."""
     n_groups = weights.omega.shape[0]
     desired = np.stack([
         desired_global(local_params[group_of_device == g],
@@ -547,7 +553,7 @@ def ota_round(local_params, level, b, combiners, h_ap, h_bs, weights, group_of_d
             y = np.einsum("kln,kd->lnd", h_ap, sent)
             y = y + cn_noise(y.shape, noise_power, rng)
         combined = combine_signals(level, y, combiners[g])
-        offset = group_offset(weights, group_of_device, g)
+        offset = group_offset(weights, theta_bar, group_of_device, g)
         recovered[g] = np.real(combined) + offset
         error_sq[g] = float(np.abs(desired[g] - (combined + offset)) ** 2
                             @ np.ones(desired.shape[1]))
@@ -577,6 +583,7 @@ def train_rows(cfg, seed):
     archs = [runner.ARCHITECTURES[name] for name in cfg.architectures]
     tags, stats = runner._prepare_block(cfg, [seed])
     gdev = stats.geometry.group_of_device
+    power = np.full((1, cfg.n_devices), runner.dbm_to_watt(cfg.p_max_dbm))
     tasks = [runner._GroupTask(cfg, seed, g) for g in range(cfg.n_groups)]
     init = [runner._initial_model(cfg, seed, g) for g in range(cfg.n_groups)]
 
@@ -598,17 +605,16 @@ def train_rows(cfg, seed):
                              tasks[gdev[k]].learning_rate(cfg))
                 for k in range(cfg.n_devices)])
             stats_k = [normalize_vector(p) for p in local]
-            nu, theta_bar = [st[2] for st in stats_k], [st[1] for st in stats_k]
-            weights = runner.make_weights(cfg, nu, theta_bar)
+            nu, theta_bar = [st[2] for st in stats_k], np.array([st[1] for st in stats_k])
+            weights = runner.make_weights(cfg, nu)
             b, combiners, group_mses = runner._solve_block(
-                cfg, arch.solver, stats, state,
-                runner.make_weights(cfg, [nu], [theta_bar]), stats.power_limit[None])
+                cfg, arch.solver, stats, state, runner.make_weights(cfg, [nu]), power)
             level = "level3" if arch.name == "level2" else arch.name
             recovered, _ = ota_round(
                 local, level, None if b is None else b[0, 0],
                 None if combiners is None else combiners[0, 0],
                 state.ap.h[0], None if state.bs is None else state.bs.h[0],
-                weights, gdev, cfg.noise_power,
+                weights, theta_bar, gdev, cfg.noise_power,
                 substream(cfg.master_seed, seed, "slots", t))
             models[i] = list(recovered)
             mses = tuple(float(m) for m in group_mses[0, 0, 1])

@@ -39,8 +39,9 @@ def soundness_solutions():
         inst = draw_instance(1000 + seed, cfg=cfg)
         out.append({
             "inst": inst,
-            "level3": agg.alternating_optimize(inst["level3"]),
-            "cellular": agg.alternating_optimize(inst["cellular"], cellular=True),
+            "level3": agg.alternating_optimize(inst["level3"], inst["power"]),
+            "cellular": agg.alternating_optimize(inst["cellular"], inst["power"],
+                                                 cellular=True),
         })
     return out
 
@@ -51,15 +52,15 @@ def test_criterion_1_mse_oracle_equivalence():
     n_draws = 100_000
     for seed in range(100, 120):
         inst = draw_instance(seed)
-        p3 = inst["level3"]
-        sol3 = agg.alternating_optimize(p3, max_iters=60)
+        p3, power = inst["level3"], inst["power"]
+        sol3 = agg.alternating_optimize(p3, power, max_iters=60)
         for g in range(p3.n_groups):
             closed = agg.mse_level3(p3, sol3.b, sol3.combiners[g], g)
             mc = mc_mse_level3(p3, sol3.b, sol3.combiners[g], g, n_draws,
                                substream(seed, "acc1-l3", g))
             assert abs(mc - closed) <= 0.02 * closed
 
-        v1, b1 = agg.level1_solution(p3), np.sqrt(p3.power_limit)
+        v1, b1 = agg.level1_solution(p3, power), np.sqrt(power)
         h_true = inst["state"].ap.h
         proj = agg.channel_projections(v1, h_true)
         for g in range(p3.n_groups):
@@ -69,7 +70,7 @@ def test_criterion_1_mse_oracle_equivalence():
             assert abs(mc - closed) <= 0.02 * closed
 
         pc = inst["cellular"]
-        solc = agg.alternating_optimize(pc, max_iters=60, cellular=True)
+        solc = agg.alternating_optimize(pc, power, max_iters=60, cellular=True)
         for g in range(pc.n_groups):
             closed = agg.mse_level3(pc, solc.b, solc.combiners[g], g, cellular=True)
             mc = mc_mse_cellular(pc, solc.b, solc.combiners[g], g, n_draws,
@@ -107,15 +108,15 @@ def test_criterion_3_level_equivalences_and_ordering(soundness_solutions):
         y = y + np.sqrt(p3.noise_power / 2.0) * noise
         for g in range(p3.n_groups):
             r3 = recover("level3", y, sol3.combiners[g], p3.weights,
-                         p3.group_of_device, g)
+                         inst["theta_bar"], p3.group_of_device, g)
             r2 = recover("level2", y, sol3.combiners[g], p3.weights,
-                         p3.group_of_device, g)
+                         inst["theta_bar"], p3.group_of_device, g)
             scale = np.maximum(np.abs(r3), 1e-300)
             assert np.max(np.abs(r2 - r3) / scale) <= 1e-10
 
-        v1 = agg.level1_solution(p3)
+        v1 = agg.level1_solution(p3, inst["power"])
         proj = agg.channel_projections(v1, inst["state"].ap.h)
-        wsm1 = weighted_sum_mse_level1(p3, np.sqrt(p3.power_limit), v1, proj)
+        wsm1 = weighted_sum_mse_level1(p3, np.sqrt(inst["power"]), v1, proj)
         assert sol3.values[-1] <= wsm1
     _report(3, "level equivalences and ordering")
 
@@ -131,7 +132,7 @@ def test_criterion_4_kkt_correctness(soundness_solutions):
             w = problem.weights
             n_dev = len(sol.b)
             for k in range(n_dev):
-                p_k = problem.power_limit[k]
+                p_k = inst["power"][k]
                 assert abs(sol.b[k]) ** 2 <= p_k * (1.0 + 1e-12)
                 assert abs(sol.mu[k] * (abs(sol.b[k]) ** 2 - p_k)) <= 1e-8
                 if sol.mu[k] > 0.0:
@@ -175,8 +176,7 @@ def test_criterion_5_power_sweep_shape():
     h = inst["state"].ap.h[0].reshape(1, 1, -1)
     weights = agg.AggregationWeights(gamma=np.array([1.0]),
                                      omega=np.array([1.0]),
-                                     nu=np.array([1.0]),
-                                     theta_bar=np.array([0.0]))
+                                     nu=np.array([1.0]))
     mses = {}
     for p_dbm in (-10.0, 40.0):
         power = np.array([runner.dbm_to_watt(p_dbm)])
@@ -184,7 +184,7 @@ def test_criterion_5_power_sweep_shape():
             h_hat=h, error_cov=np.zeros((1, 1, h.shape[2], h.shape[2]),
                                         dtype=complex),
             group_of_device=np.array([0]), weights=weights,
-            noise_power=inst["level3"].noise_power, power_limit=power)
+            noise_power=inst["level3"].noise_power)
         b = np.sqrt(power).astype(complex)
         v = combiners_level3(problem, b)[0]
         mses[p_dbm] = agg.mse_level3(problem, b, v, 0)
@@ -324,7 +324,7 @@ def test_criterion_10_estimation_and_gradient_statistics():
     n = 100_000
     n_ant = cfg.n_ap_antennas
     cols = [mmse_estimate(np.eye(n_ant, dtype=complex)[j], plan, corr, k, ap,
-                          inst["stats"].noise_power).h_hat
+                          state.noise_power).h_hat
             for j in range(n_ant)]
     a_mat = np.column_stack(cols)
     rng = substream(7000, "draws")
@@ -332,7 +332,7 @@ def test_criterion_10_estimation_and_gradient_statistics():
                                         (n, len(sharers), n_ant, n_ant)), rng)
     w = rng.standard_normal((n, n_ant)) + 1j * rng.standard_normal((n, n_ant))
     y = np.tensordot(h, amp[sharers], axes=(1, 0)) \
-        + np.sqrt(inst["stats"].noise_power / 2.0) * w
+        + np.sqrt(state.noise_power / 2.0) * w
     hats = y @ a_mat.T
     emp = np.einsum("mi,mj->ij", hats, hats.conj()) / n
     expected = state.estimate_cov[k, ap]

@@ -20,17 +20,14 @@ from oracles import (block_problem, cn_noise, combiners_level1, combiners_level3
                      tco_steps, weighted_sum_mse_level1)
 
 
-def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0,
-                   power=100.0):
+def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0):
     """Single device, single group, one scalar antenna."""
     weights = agg.AggregationWeights(
-        gamma=np.array([1.0]), omega=np.array([1.0]),
-        nu=np.array([gamma_nu]), theta_bar=np.array([0.0]))
+        gamma=np.array([1.0]), omega=np.array([1.0]), nu=np.array([gamma_nu]))
     return agg.Level3Problem(
         h_hat=np.array([[[h_hat]]], dtype=complex),
         error_cov=np.array([[[[error_cov]]]], dtype=complex),
-        group_of_device=np.array([0]), weights=weights,
-        noise_power=noise, power_limit=np.array([power]))
+        group_of_device=np.array([0]), weights=weights, noise_power=noise)
 
 
 def test_mse_level3_zero_combiner_leaves_target():
@@ -56,7 +53,7 @@ def test_mse_level3_scalar_hand_value():
 def test_mse_level3_matches_monte_carlo():
     inst = draw_instance(1)
     problem = inst["level3"]
-    b = np.sqrt(problem.power_limit).astype(complex)
+    b = np.sqrt(inst["power"]).astype(complex)
     combiners = combiners_level3(problem, b)
     for g in range(problem.n_groups):
         closed = agg.mse_level3(problem, b, combiners[g], g)
@@ -83,7 +80,7 @@ def test_combiner_level3_is_minimizer():
     # random perturbations (relative scale) never decrease the group MSE
     inst = draw_instance(3)
     problem = inst["level3"]
-    b = np.sqrt(problem.power_limit).astype(complex)
+    b = np.sqrt(inst["power"]).astype(complex)
     rng = substream(3, "perturb")
     for g in range(problem.n_groups):
         v_opt = combiners_level3(problem, b)[g]
@@ -101,23 +98,23 @@ def test_combiner_level3_is_minimizer():
 
 def test_tco_step_interior_hand_values():
     # v = 1, h_hat = 1, C = 0: denominator 1, large P -> mu = 0, b = 1
-    problem = scalar_problem(power=100.0)
+    problem, power = scalar_problem(), np.array([100.0])
     v = np.array([[1.0 + 0j]])
-    b, mu = agg.tco_step(problem, v, 0)
+    b, mu = agg.tco_step(problem, power, v, 0)
     assert mu == 0.0
     assert b == pytest.approx(1.0)
     # adding v^H C v = 1 doubles the denominator
-    problem2 = scalar_problem(error_cov=1.0, power=100.0)
-    b2, mu2 = agg.tco_step(problem2, v, 0)
+    problem2 = scalar_problem(error_cov=1.0)
+    b2, mu2 = agg.tco_step(problem2, power, v, 0)
     assert mu2 == 0.0
     assert b2 == pytest.approx(0.5)
 
 
 def test_tco_step_boundary_clamps_to_power():
     # unconstrained solution 10 exceeds sqrt(P) = 1 -> mu > 0, |b| = sqrt(P)
-    problem = scalar_problem(gamma_nu=10.0, power=1.0)
+    problem = scalar_problem(gamma_nu=10.0)
     v = np.array([[1.0 + 0j]])
-    b, mu = agg.tco_step(problem, v, 0)
+    b, mu = agg.tco_step(problem, np.array([1.0]), v, 0)
     assert mu > 0
     assert abs(b) == pytest.approx(1.0, rel=1e-12)
     assert mu * (abs(b) ** 2 - 1.0) == pytest.approx(0.0, abs=1e-8)
@@ -125,7 +122,7 @@ def test_tco_step_boundary_clamps_to_power():
 
 def test_tco_step_zero_denominator():
     problem = scalar_problem(h_hat=0.0, error_cov=0.0)
-    b, mu = agg.tco_step(problem, np.array([[1.0 + 0j]]), 0)
+    b, mu = agg.tco_step(problem, np.array([100.0]), np.array([[1.0 + 0j]]), 0)
     assert b == 0.0 and mu == 0.0
 
 
@@ -140,9 +137,9 @@ def test_zero_spread_device_gets_zero_coefficient():
     problem = agg.Level3Problem(
         h_hat=problem.h_hat, error_cov=problem.error_cov,
         group_of_device=problem.group_of_device,
-        weights=agg.AggregationWeights(w.gamma, w.omega, nu, w.theta_bar),
-        noise_power=problem.noise_power, power_limit=problem.power_limit)
-    sol = agg.alternating_optimize(problem, max_iters=50)
+        weights=agg.AggregationWeights(w.gamma, w.omega, nu),
+        noise_power=problem.noise_power)
+    sol = agg.alternating_optimize(problem, inst["power"], max_iters=50)
     assert sol.b[2] == 0.0
     assert np.all(np.diff(sol.values) <= 1e-12)
 
@@ -151,11 +148,11 @@ def test_kkt_conditions_on_random_instances():
     for seed in range(5):
         inst = draw_instance(10 + seed)
         problem = inst["level3"]
-        sol = agg.alternating_optimize(problem)
+        sol = agg.alternating_optimize(problem, inst["power"])
         w = problem.weights
         h_hat, error_cov = dense_cpu_view(problem)
         for k in range(len(problem.h_hat)):
-            p_k = problem.power_limit[k]
+            p_k = inst["power"][k]
             assert abs(sol.b[k]) ** 2 <= p_k * (1.0 + 1e-12)
             assert abs(sol.mu[k] * (abs(sol.b[k]) ** 2 - p_k)) < 1e-8
             if sol.mu[k] == 0.0:
@@ -181,7 +178,7 @@ def test_alternating_histories_non_increasing_and_terminate():
     cfg = fast_family_config()
     for seed in range(10):
         inst = draw_instance(30 + seed, cfg=cfg)
-        sol = agg.alternating_optimize(inst["level3"])
+        sol = agg.alternating_optimize(inst["level3"], inst["power"])
         values = sol.values
         assert np.all(np.diff(values) <= 1e-12)
         assert sol.terminated_by == "threshold"
@@ -195,15 +192,15 @@ def test_histories_monotone_at_default_power():
     # must stay monotone
     for seed in range(5):
         inst = draw_instance(300 + seed)
-        sol = agg.alternating_optimize(inst["level3"], max_iters=100)
+        sol = agg.alternating_optimize(inst["level3"], inst["power"], max_iters=100)
         assert np.all(np.diff(sol.values) <= 1e-12)
 
 
 def test_alternating_fixed_point_single_iteration():
     inst = draw_instance(4, cfg=fast_family_config())
-    problem = inst["level3"]
-    warm = agg.alternating_optimize(problem, eps=1e-16, max_iters=5000)
-    again = agg.alternating_optimize(problem, b_init=warm.b)
+    problem, power = inst["level3"], inst["power"]
+    warm = agg.alternating_optimize(problem, power, eps=1e-16, max_iters=5000)
+    again = agg.alternating_optimize(problem, power, b_init=warm.b)
     assert again.iterations == 1
     assert again.terminated_by == "threshold"
     assert again.values[0] - again.values[-1] < 1e-10
@@ -213,7 +210,7 @@ def test_combiner_level1_single_ap_equals_level3():
     cfg = desk_config(n_aps=1, tau_p=3)
     inst = draw_instance(5, cfg=cfg)
     problem = inst["level3"]
-    b = np.sqrt(problem.power_limit).astype(complex)
+    b = np.sqrt(inst["power"]).astype(complex)
     for g in range(problem.n_groups):
         v3 = combiners_level3(problem, b)[g]
         v1 = combiners_level1(problem, b)[g, 0]
@@ -229,13 +226,11 @@ def test_combiner_level1_zero_coefficients_and_scalar_value():
 
     weights = agg.AggregationWeights(gamma=np.array([1.0]),
                                      omega=np.array([1.0]),
-                                     nu=np.array([1.0]),
-                                     theta_bar=np.array([0.0]))
+                                     nu=np.array([1.0]))
     scalar = agg.Level3Problem(
         h_hat=np.ones((1, 1, 1), dtype=complex),
         error_cov=np.zeros((1, 1, 1, 1), dtype=complex),
-        group_of_device=np.array([0]), weights=weights, noise_power=1.0,
-        power_limit=np.array([100.0]))
+        group_of_device=np.array([0]), weights=weights, noise_power=1.0)
     v = combiners_level1(scalar, np.array([1.0 + 0j]))[0, 0]
     assert v[0] == pytest.approx(0.5)
 
@@ -243,7 +238,7 @@ def test_combiner_level1_zero_coefficients_and_scalar_value():
 def test_mse_level1_zero_coefficients():
     inst = draw_instance(7)
     problem = inst["level3"]
-    v = agg.level1_solution(problem)
+    v = agg.level1_solution(problem, inst["power"])
     b0 = np.zeros(len(problem.h_hat), dtype=complex)
     proj = agg.channel_projections(v, inst["state"].ap.h)
     n_aps = problem.h_hat.shape[1]
@@ -262,7 +257,7 @@ def test_mse_level1_single_ap_conditional_form():
     cfg = desk_config(n_aps=1, tau_p=3)
     inst = draw_instance(8, cfg=cfg)
     problem = inst["level3"]
-    v, b = agg.level1_solution(problem), np.sqrt(problem.power_limit)
+    v, b = agg.level1_solution(problem, inst["power"]), np.sqrt(inst["power"])
     h_true = inst["state"].ap.h
     proj = agg.channel_projections(v, h_true)
     for g in range(problem.n_groups):
@@ -278,7 +273,7 @@ def test_mse_level1_single_ap_conditional_form():
 def test_mse_level1_matches_monte_carlo():
     inst = draw_instance(9)
     problem = inst["level3"]
-    v, b = agg.level1_solution(problem), np.sqrt(problem.power_limit)
+    v, b = agg.level1_solution(problem, inst["power"]), np.sqrt(inst["power"])
     h_true = inst["state"].ap.h
     proj = agg.channel_projections(v, h_true)
     for g in range(problem.n_groups):
@@ -292,7 +287,7 @@ def test_recover_level2_equals_level3():
     inst = draw_instance(12)
     problem = inst["level3"]
     cfg = inst["cfg"]
-    sol = agg.alternating_optimize(problem)
+    sol = agg.alternating_optimize(problem, inst["power"])
     rng = substream(12, "slots")
     n_aps, n_ant = cfg.n_aps, cfg.n_ap_antennas
     signals = cn_noise((n_aps, n_ant, 16), 1e-9, rng) \
@@ -300,9 +295,9 @@ def test_recover_level2_equals_level3():
                     (sol.b[:, None] * rng.standard_normal((cfg.n_devices, 16))))
     for g in range(problem.n_groups):
         r3 = recover("level3", signals, sol.combiners[g], problem.weights,
-                     problem.group_of_device, g)
+                     inst["theta_bar"], problem.group_of_device, g)
         r2 = recover("level2", signals, sol.combiners[g], problem.weights,
-                     problem.group_of_device, g)
+                     inst["theta_bar"], problem.group_of_device, g)
         np.testing.assert_allclose(r2, r3, rtol=1e-10, atol=1e-18)
 
 
@@ -310,19 +305,19 @@ def test_recover_level1_averages_local_combines():
     inst = draw_instance(17)
     problem = inst["level3"]
     cfg = inst["cfg"]
-    v = agg.level1_solution(problem)
+    v = agg.level1_solution(problem, inst["power"])
     rng = substream(17, "slots")
     signals = (rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8))
                + 1j * rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8)))
-    w = problem.weights
+    w, theta_bar = problem.weights, inst["theta_bar"]
     for g in range(problem.n_groups):
-        got = recover("level1", signals, v[g], w, problem.group_of_device, g)
+        got = recover("level1", signals, v[g], w, theta_bar, problem.group_of_device, g)
         per_ap = np.stack([
             np.einsum("n,nd->d", v[g, ap].conj(), signals[ap])
             for ap in range(cfg.n_aps)])
         own = problem.group_of_device == g
         expected = per_ap.mean(axis=0).real + float(
-            np.dot(w.gamma[own], w.theta_bar[own]))
+            np.dot(w.gamma[own], theta_bar[own]))
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -332,11 +327,11 @@ def test_recover_zero_signals_returns_offset():
     cfg = inst["cfg"]
     v = np.ones(cfg.n_aps * cfg.n_ap_antennas, dtype=complex)
     signals = np.zeros((cfg.n_aps, cfg.n_ap_antennas))
-    w = problem.weights
+    w, theta_bar = problem.weights, inst["theta_bar"]
     for g in range(problem.n_groups):
         own = problem.group_of_device == g
-        offset = float(np.dot(w.gamma[own], w.theta_bar[own]))
-        got = recover("level3", signals, v, w, problem.group_of_device, g)
+        offset = float(np.dot(w.gamma[own], theta_bar[own]))
+        got = recover("level3", signals, v, w, theta_bar, problem.group_of_device, g)
         assert got == pytest.approx(offset)
 
 
@@ -346,17 +341,15 @@ def test_recover_noiseless_single_device_inverts():
     h = np.array([[0.8 - 0.3j, 0.1 + 0.5j]])      # one device, 1 AP, 2 antennas
     weights = agg.AggregationWeights(gamma=np.array([1.0]),
                                      omega=np.array([1.0]),
-                                     nu=np.array([0.7]),
-                                     theta_bar=np.array([0.2]))
+                                     nu=np.array([0.7]))
     problem = agg.Level3Problem(
         h_hat=h.reshape(1, 1, 2), error_cov=np.zeros((1, 1, 2, 2), dtype=complex),
-        group_of_device=np.array([0]), weights=weights,
-        noise_power=1e-10, power_limit=np.array([4.0]))
+        group_of_device=np.array([0]), weights=weights, noise_power=1e-10)
     b = np.array([2.0 + 0j])
     v = combiners_level3(problem, b)[0]
     s = 1.3
     signals = (h[0] * b[0] * s).reshape(1, 2)
-    got = recover("level3", signals, v, weights, np.array([0]), 0)
+    got = recover("level3", signals, v, weights, np.array([0.2]), np.array([0]), 0)
     assert got == pytest.approx(0.7 * s + 0.2, abs=1e-8)
 
 
@@ -364,17 +357,15 @@ def test_cellular_single_group_colocated_equals_level3():
     inst = draw_instance(14)
     problem3 = inst["level3"]
     weights = agg.AggregationWeights(
-        gamma=problem3.weights.gamma, omega=np.array([1.0]),
-        nu=problem3.weights.nu, theta_bar=problem3.weights.theta_bar)
+        gamma=problem3.weights.gamma, omega=np.array([1.0]), nu=problem3.weights.nu)
     merged = agg.Level3Problem(
         h_hat=problem3.h_hat, error_cov=problem3.error_cov,
         group_of_device=np.zeros(len(problem3.h_hat), dtype=int),
-        weights=weights, noise_power=problem3.noise_power,
-        power_limit=problem3.power_limit)
+        weights=weights, noise_power=problem3.noise_power)
     h_hat, error_cov = dense_cpu_view(problem3)
     colocated = replace(merged, h_hat=h_hat[:, None], error_cov=error_cov[:, None])
-    sol3 = agg.alternating_optimize(merged)
-    solc = agg.alternating_optimize(colocated, cellular=True)
+    sol3 = agg.alternating_optimize(merged, inst["power"])
+    solc = agg.alternating_optimize(colocated, inst["power"], cellular=True)
     np.testing.assert_allclose(solc.b, sol3.b, rtol=1e-9)
     np.testing.assert_allclose(solc.combiners[0], sol3.combiners[0], rtol=1e-9)
     np.testing.assert_allclose(solc.values, sol3.values,
@@ -385,7 +376,7 @@ def test_cellular_histories_non_increasing_and_terminate():
     cfg = fast_family_config()
     for seed in range(5):
         inst = draw_instance(40 + seed, cfg=cfg)
-        sol = agg.alternating_optimize(inst["cellular"], cellular=True)
+        sol = agg.alternating_optimize(inst["cellular"], inst["power"], cellular=True)
         assert np.all(np.diff(sol.values) <= 1e-12)
         assert sol.terminated_by == "threshold"
         assert sol.iterations <= 500
@@ -394,7 +385,7 @@ def test_cellular_histories_non_increasing_and_terminate():
 def test_cellular_mse_matches_monte_carlo():
     inst = draw_instance(15)
     problem = inst["cellular"]
-    sol = agg.alternating_optimize(problem, cellular=True)
+    sol = agg.alternating_optimize(problem, inst["power"], cellular=True)
     for g in range(problem.n_groups):
         closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g, cellular=True)
         mc = mc_mse_cellular(problem, sol.b, sol.combiners[g], g, 100_000,
@@ -405,11 +396,10 @@ def test_cellular_mse_matches_monte_carlo():
 def test_level3_beats_level1_weighted_sum():
     for seed in range(10):
         inst = draw_instance(60 + seed)
-        sol3 = agg.alternating_optimize(inst["level3"])
-        v1 = agg.level1_solution(inst["level3"])
+        sol3 = agg.alternating_optimize(inst["level3"], inst["power"])
+        v1 = agg.level1_solution(inst["level3"], inst["power"])
         proj = agg.channel_projections(v1, inst["state"].ap.h)
-        wsm1 = weighted_sum_mse_level1(inst["level3"], np.sqrt(inst["level3"].power_limit),
-                                       v1, proj)
+        wsm1 = weighted_sum_mse_level1(inst["level3"], np.sqrt(inst["power"]), v1, proj)
         assert sol3.values[-1] <= wsm1
 
 
@@ -431,17 +421,11 @@ def random_problem(seed, cellular, n_groups, per_group, dim, n_aps=1):
     weights = agg.AggregationWeights(
         gamma=np.full(n_dev, 1.0 / per_group),
         omega=rng.uniform(0.5, 2.0, n_groups),
-        nu=rng.uniform(0.5, 1.5, n_dev),
-        theta_bar=np.zeros(n_dev))
+        nu=rng.uniform(0.5, 1.5, n_dev))
     return agg.Level3Problem(h_hat=cn(*lead, dim),
                              error_cov=root @ root.conj().swapaxes(-1, -2),
                              group_of_device=np.arange(n_dev) % n_groups, weights=weights,
-                             noise_power=10.0 ** rng.uniform(-2.0, 0.0),
-                             power_limit=np.ones(n_dev))
-
-
-def single_solve(problem, power, **kwargs):
-    return agg.alternating_optimize(replace(problem, power_limit=power), **kwargs)
+                             noise_power=10.0 ** rng.uniform(-2.0, 0.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -460,7 +444,7 @@ def test_lockstep_batch_properties(seed, cellular, n_groups, per_group, dim,
     assert batch.b.shape == (1, len(powers), n_dev)
     for i, power in enumerate(powers):
         sol = batch.row(0, i)
-        one = single_solve(problem, power, max_iters=40, cellular=cellular)
+        one = agg.alternating_optimize(problem, power, max_iters=40, cellular=cellular)
         assert sol.iterations == one.iterations
         assert sol.terminated_by == one.terminated_by
         np.testing.assert_allclose(sol.values, one.values,
@@ -484,13 +468,12 @@ def test_lockstep_batch_properties(seed, cellular, n_groups, per_group, dim,
 def test_tco_step_matches_vectorized_step(seed, cellular, n_groups, per_group,
                                           dim, n_aps, power_db):
     problem = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
-    problem = replace(problem,
-                      power_limit=problem.power_limit * 10.0 ** (power_db / 10.0))
-    b0 = np.sqrt(problem.power_limit).astype(complex)
+    power = np.ones(len(problem.group_of_device)) * 10.0 ** (power_db / 10.0)
+    b0 = np.sqrt(power).astype(complex)
     combiners = combiners_level3(problem, b0, cellular)
-    b, mu = tco_steps(problem, combiners, cellular)
+    b, mu = tco_steps(problem, power, combiners, cellular)
     for k in range(len(b)):
-        b_k, mu_k = agg.tco_step(problem, combiners, k, cellular=cellular)
+        b_k, mu_k = agg.tco_step(problem, power, combiners, k, cellular=cellular)
         assert b[k] == pytest.approx(b_k, rel=1e-12, abs=1e-300)
         assert mu[k] == pytest.approx(mu_k, rel=1e-12, abs=1e-300)
 
@@ -523,13 +506,13 @@ def test_lockstep_batch_compacts_mixed_termination():
     inst = draw_instance(21)
     for kind in ("level3", "cellular"):
         problem, cellular = inst[kind], kind == "cellular"
-        powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(problem.power_limit)))
+        powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(problem.group_of_device)))
         batch = agg.optimize_batch(problem, powers, max_iters=60, cellular=cellular)
         assert set(batch.terminated_by[0]) == {"threshold", "max_iters"}
         assert len(set(batch.iterations[0])) > 2
         for i, power in enumerate(powers):
             sol = batch.row(0, i)
-            one = single_solve(problem, power, max_iters=60, cellular=cellular)
+            one = agg.alternating_optimize(problem, power, max_iters=60, cellular=cellular)
             assert sol.iterations == one.iterations
             np.testing.assert_array_equal(sol.values, one.values)
             np.testing.assert_array_equal(sol.b, one.b)
@@ -567,10 +550,10 @@ def test_seed_batch_rows_equal_single_solves(seed, cellular, n_groups, per_group
     n_dev = len(block.group_of_device)
     powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
     batch = agg.optimize_batch(block, powers, max_iters=40, cellular=cellular)
-    assert batch.values.shape == (n_problems, len(powers), 41)
+    assert batch.values.shape == (n_problems, len(powers), batch.iterations.max() + 1)
     for s in range(n_problems):
         for i, power in enumerate(powers):
-            one = single_solve(seed_problem(block, s), power, max_iters=40,
+            one = agg.alternating_optimize(seed_problem(block, s), power, max_iters=40,
                                cellular=cellular)
             assert batch.iterations[s, i] == one.iterations
             assert batch.terminated_by[s, i] == one.terminated_by
@@ -661,7 +644,7 @@ def test_streamlined_solve_equals_reference_with_compaction():
     # shrinks while the rest keep iterating
     for kind in ("level3", "cellular"):
         block = block_problem([draw_instance(seed)[kind] for seed in (21, 24)])
-        powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(block.power_limit)))
+        powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(block.group_of_device)))
         batch = assert_batch_matches_reference(block, powers, 60, kind == "cellular")
         assert set(batch.terminated_by.ravel()) == {"threshold", "max_iters"}
         assert len(set(batch.iterations.ravel())) > 2
@@ -702,12 +685,12 @@ def test_infinite_power_limit_raises_named_error():
     inst = draw_instance(22)
     for kind, solve, batch in SOLVERS:
         problem = inst[kind]
-        power = problem.power_limit.copy()
+        power = inst["power"].copy()
         power[1] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(agg.NonFiniteSolve):
-            solve(replace(problem, power_limit=power))
+            solve(problem, power)
         with np.errstate(invalid="ignore"), pytest.raises(agg.NonFiniteSolve):
-            batch(problem, np.stack([problem.power_limit, power]))
+            batch(problem, np.stack([inst["power"], power]))
 
 
 def test_nan_estimate_raises_named_error():
@@ -717,7 +700,7 @@ def test_nan_estimate_raises_named_error():
         h_hat = problem.h_hat.copy()
         h_hat[..., 0, 0] = np.nan
         with pytest.raises(agg.NonFiniteSolve):
-            solve(replace(problem, h_hat=h_hat))
+            solve(replace(problem, h_hat=h_hat), inst["power"])
 
 
 # ---------------------------------------------------------------------------
@@ -734,12 +717,12 @@ def random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups):
     root = cn(n_dev, n_aps, n_ant, n_ant) * rng.uniform(0.05, 0.5)
     weights = agg.AggregationWeights(
         gamma=rng.uniform(0.2, 1.0, n_dev), omega=rng.uniform(0.5, 2.0, n_groups),
-        nu=rng.uniform(0.5, 1.5, n_dev), theta_bar=np.zeros(n_dev))
+        nu=rng.uniform(0.5, 1.5, n_dev))
     return agg.Level3Problem(
         h_hat=cn(n_dev, n_aps, n_ant),
         error_cov=root @ root.conj().swapaxes(-1, -2),
         group_of_device=np.arange(n_dev) % n_groups, weights=weights,
-        noise_power=10.0 ** rng.uniform(-2.0, 0.0), power_limit=np.ones(n_dev))
+        noise_power=10.0 ** rng.uniform(-2.0, 0.0))
 
 
 def per_ap_combiners(problem, b):
@@ -795,7 +778,7 @@ def test_level1_batch_equals_single_solutions(seed, n_dev, n_aps, n_ant,
     batch = agg.level1_batch(problem, powers)[0]
     assert len(batch) == len(powers)
     for power, combiners in zip(powers, batch):
-        one = agg.level1_solution(replace(problem, power_limit=power))
+        one = agg.level1_solution(problem, power)
         assert np.array_equal(combiners, one)
 
 
@@ -824,7 +807,7 @@ def test_level1_seed_batch_equals_single_solutions(n_problems, seed, n_dev, n_ap
     for s, row in enumerate(v):
         problem = seed_problem(block, s)
         for i, (power, combiners) in enumerate(zip(powers, row)):
-            one = agg.level1_solution(replace(problem, power_limit=power))
+            one = agg.level1_solution(problem, power)
             assert np.array_equal(combiners, one)
             proj = agg.channel_projections(one, channels[s])
             for g in range(n_groups):
@@ -911,13 +894,10 @@ def test_level3_problem_names_inconsistent_shapes():
             "Level3Problem.error_cov has shape (4, 6, 2, 2), expected (6, 4, 2, 2)")):
         replace(problem, error_cov=problem.error_cov.swapaxes(0, 1))
     with pytest.raises(ValueError, match=re.escape(
-            "Level3Problem.power_limit has shape (5,), expected (6,)")):
-        replace(problem, power_limit=problem.power_limit[:5])
-    with pytest.raises(ValueError, match=re.escape(
             "Level3Problem.group_of_device holds [-1, 2], expected group ids in 0..1")):
         replace(problem, group_of_device=np.array([0, 2, 1, -1, 2, 0]))
     w = problem.weights
-    for name in ("gamma", "nu", "theta_bar"):
+    for name in ("gamma", "nu"):
         with pytest.raises(ValueError, match=re.escape(
                 f"Level3Problem.weights.{name} has shape (5,), expected (6,)")):
             replace(problem, weights=replace(w, **{name: getattr(w, name)[:5]}))
@@ -925,11 +905,19 @@ def test_level3_problem_names_inconsistent_shapes():
     block = block_problem([problem, problem])
     w = block.weights
     for name, value in (("gamma", w.gamma[:1]), ("nu", np.ones((3, 6))),
-                        ("theta_bar", w.theta_bar[0])):
+                        ("nu", w.nu[0])):
         with pytest.raises(ValueError, match=re.escape(
                 f"Level3Problem.weights.{name} has shape {value.shape}, expected (2, 6) "
                 f"for h_hat of shape (2, 6, 4, 2)")):
             replace(block, weights=replace(w, **{name: value}))
+    # the power limits enter with the solve: one row of K per power point
+    for record, h in ((problem, "(6, 4, 2)"), (block, "(2, 6, 4, 2)")):
+        for shape in ((1, 5), (6,), (2, 1, 6)):
+            for solve in (agg.optimize_batch, agg.level1_batch):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"power_limits has shape {shape}, expected (P, 6) "
+                        f"for h_hat of shape {h}")):
+                    solve(record, np.ones(shape))
 
 
 def test_cellular_problem_names_inconsistent_shapes():
@@ -955,9 +943,9 @@ def test_cellular_problem_names_inconsistent_shapes():
     one_bs = replace(cellular, h_hat=cellular.h_hat[:, :1],
                      error_cov=cellular.error_cov[:, :1])
     b, v = np.ones(6, dtype=complex), np.ones((2, 8), dtype=complex)
-    for solve in (lambda p: agg.optimize_batch(p, p.power_limit[None], cellular=True),
-                  lambda p: agg.alternating_optimize(p, cellular=True),
-                  lambda p: agg.tco_step(p, v, 0, cellular=True),
+    for solve in (lambda p: agg.optimize_batch(p, np.ones((1, 6)), cellular=True),
+                  lambda p: agg.alternating_optimize(p, np.ones(6), cellular=True),
+                  lambda p: agg.tco_step(p, np.ones(6), v, 0, cellular=True),
                   lambda p: agg.mse_level3(p, b, v[0], 0, cellular=True)):
         with pytest.raises(ValueError, match=re.escape(
                 "Level3Problem.h_hat has shape (6, 1, 8), expected one serving BS "

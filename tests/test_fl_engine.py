@@ -254,13 +254,12 @@ def test_ota_round_noiseless_perfect_csi_recovers_desired():
     b = np.array([2.0 + 0j])
     rng = substream(6, "theta")
     theta = rng.standard_normal((1, 50)) * 0.4 + 0.2
-    _, mean, std = fl.normalize(theta[0])
+    std = fl.normalize(theta[0])[2]
     problem = agg.Level3Problem(
         h_hat=h.reshape(1, 1, 2), error_cov=np.zeros((1, 1, 2, 2), dtype=complex),
         group_of_device=np.array([0]),
-        weights=agg.AggregationWeights(np.array([1.0]), np.array([1.0]),
-                                       np.array([std]), np.array([mean])),
-        noise_power=1e-12, power_limit=np.array([4.0]))
+        weights=agg.AggregationWeights(np.array([1.0]), np.array([1.0]), np.array([std])),
+        noise_power=1e-12)
     v = combiners_level3(problem, b)
     sol = agg.AggregationSolution(b=b, combiners=v, mu=np.zeros(1), iterations=0,
                                   terminated_by="threshold", values=np.empty(0),
@@ -291,9 +290,9 @@ def test_ota_round_realized_error_matches_closed_form():
     cfg = inst["cfg"]
     n_dims = 50
     nu = problem.weights.nu
-    theta_bar = problem.weights.theta_bar
+    theta_bar = inst["theta_bar"]
     gamma = problem.weights.gamma.reshape(cfg.n_groups, -1)
-    sol = agg.alternating_optimize(problem, max_iters=50)
+    sol = agg.alternating_optimize(problem, inst["power"], max_iters=50)
 
     roots = np.stack([sqrt_psd(inst["stats"].ap.error_cov[k, l])
                       for k in range(cfg.n_devices)
@@ -328,7 +327,7 @@ def test_ota_round_level2_equals_level3_recovery():
     inst = draw_instance(22)
     problem = inst["level3"]
     cfg = inst["cfg"]
-    sol = agg.alternating_optimize(problem, max_iters=50)
+    sol = agg.alternating_optimize(problem, inst["power"], max_iters=50)
     rng = substream(22, "theta")
     theta = rng.standard_normal((cfg.n_devices, 60)) * 0.2 + 0.05
     gamma = problem.weights.gamma.reshape(cfg.n_groups, -1)

@@ -370,10 +370,10 @@ def test_sweep_solves_level1_grid_in_one_batch_per_block(monkeypatch):
 
 def assert_problems_equal(got, want):
     assert type(got) is type(want)
-    for name in ("h_hat", "error_cov", "group_of_device", "power_limit"):
+    for name in ("h_hat", "error_cov", "group_of_device"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert got.noise_power == want.noise_power
-    for name in ("gamma", "omega", "nu", "theta_bar"):
+    for name in ("gamma", "omega", "nu"):
         assert np.array_equal(getattr(got.weights, name), getattr(want.weights, name))
 
 
@@ -398,7 +398,7 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
     for name in ("level1_batch", "optimize_batch"):
         def recording(problem, power_limits, name=name,
                       batch=getattr(runner.aggregation, name), **kwargs):
-            batches[(name, kwargs.get("cellular", False))] = problem
+            batches[(name, kwargs.get("cellular", False))] = problem, power_limits
             return batch(problem, power_limits, **kwargs)
 
         monkeypatch.setattr(runner.aggregation, name, recording)
@@ -413,9 +413,10 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
         geometry = runner.build_geometry(cfg, substream(3, seed, "geometry"))
         stats = runner.build_statistics(cfg, geometry, substream(3, seed, "shadowing"))
         state = runner.draw_round(stats, (3, seed, "round", 0))
-        w = runner.make_weights(cfg, *runner._initial_round_stats(cfg, seed))
-        for key, block in batches.items():
+        w = runner.make_weights(cfg, runner._initial_round_stats(cfg, seed))
+        for key, (block, block_powers) in batches.items():
             assert_problems_equal(seed_problem(block, i), builds[key][1](stats, state, w))
+            assert np.array_equal(block_powers, powers)
         problem = runner.level3_problem(stats, state, w)
         combiners = runner.aggregation.level1_batch(problem, powers)[0]
         for p_dbm, power, v in zip(cfg.sweep_dbm, powers, combiners):
@@ -569,7 +570,7 @@ def test_round_draws_share_read_only_seed_statistics(monkeypatch):
         m.setattr(np.linalg, "eigh", None)
         first, second = (runner.draw_round(stats, (4, "round", t)) for t in (1, 2))
     assert [f.name for f in fields(runner.ChannelState)] == ["h", "h_hat"]
-    w = runner.make_weights(cfg, np.ones(cfg.n_devices), np.zeros(cfg.n_devices))
+    w = runner.make_weights(cfg, np.ones(cfg.n_devices))
     for view, build in (("ap", runner.level3_problem),
                         ("bs", partial(runner.level3_problem, cellular=True))):
         shared = getattr(stats, view)
@@ -704,14 +705,13 @@ def test_sweep_idx_task_uses_dataset_input_width(tmp_path):
     cfg = _train_cfg(samples_per_device=2, test_samples=6)
     cfg = runner.validate_config(runner.parse_config_lines(["task = idx"] + cfg_lines,
                                                            base=cfg))
-    nu, theta_bar = runner._initial_round_stats(cfg, 0)
+    nu = runner._initial_round_stats(cfg, 0)
     for g in range(cfg.n_groups):
         task = runner._GroupTask(cfg, 0, g)
         assert task.model.n_inputs == 15
-        _, mean, std = fl.normalize(runner._initial_model(cfg, 0, g))
+        std = fl.normalize(runner._initial_model(cfg, 0, g))[2]
         members = slice(g * cfg.group_size, (g + 1) * cfg.group_size)
         np.testing.assert_array_equal(nu[members], std)
-        np.testing.assert_array_equal(theta_bar[members], mean)
     rows = runner.run_mse_sweep(replace(cfg, sweep_dbm=(10.0,)))
     assert all(np.isfinite(r.wsum_mse) for r in rows)
 
@@ -758,6 +758,20 @@ def test_cli_validate_and_sweep(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2 * 2  # header + 2 grid points x (tco, no-tco)
+
+
+def test_cli_sweep_traces_grow_with_the_iterations_run(tmp_path, capsys):
+    # a cap of 1e10 iterations is a valid config; every solve of this sweep
+    # stops by the threshold, so the traces never approach the cap's length
+    cfgfile = str(Path(__file__).resolve().parents[1] / "configs" / "desk-sweep.cfg")
+    cap = ["--set", "max_iters=10000000000"]
+    assert cli_main(["validate-config", "-c", cfgfile, *cap]) == 0
+    out = tmp_path / "rows.csv"
+    assert cli_main(["mse-sweep", "-c", cfgfile, "--out", str(out), *cap,
+                     "--set", "seeds=2", "--set", "distribution_mode=1",
+                     "--set", "sweep_dbm=-20, -10"]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 32  # 2 seeds x 2 points x 8 (architecture, tco) pairs
 
 
 def test_cli_grid_with_negative_first_point(tmp_path, capsys):
