@@ -117,28 +117,21 @@ class Level3Problem:
 
 @dataclass(frozen=True)
 class AggregationSolution:
-    """Alternating solves: coefficients, combiners, KKT multipliers, how
-    each solve ended, and its traces.  values[i] is the weighted sum-MSE
-    after iteration i (values[0]: the full-power start) and never
-    increases; group_values[i] holds the per-group MSEs it weights.  A
-    batch has leading (S, P) axes, each row's traces NaN after its own
-    iterations; a single row's traces end at its stop.
+    """Alternating solves of (seed, row of power limits) pairs:
+    coefficients, combiners, KKT multipliers, how each solve ended, and its
+    traces.  Every field leads with (S, P) axes.  values[s, i, j] is row
+    (s, i)'s weighted sum-MSE after iteration j (j = 0: the start) and never
+    increases; group_values holds the per-group MSEs it weights.  A row's
+    traces are NaN after its own iterations.
     """
 
-    b: np.ndarray             # ([S, P,] K) complex
-    combiners: np.ndarray     # ([S, P,] G, L*N) or ([S, P,] G, M)
-    mu: np.ndarray            # ([S, P,] K) KKT multipliers
-    iterations: np.ndarray    # ([S, P]) int
-    terminated_by: np.ndarray  # ([S, P]) "threshold" or "max_iters"
-    values: np.ndarray        # ([S, P,] iterations.max() + 1) or (iterations + 1,)
+    b: np.ndarray             # (S, P, K) complex
+    combiners: np.ndarray     # (S, P, G, L*N) or (S, P, G, M)
+    mu: np.ndarray            # (S, P, K) KKT multipliers
+    iterations: np.ndarray    # (S, P) int
+    terminated_by: np.ndarray  # (S, P) "threshold" or "max_iters"
+    values: np.ndarray        # (S, P, iterations.max() + 1)
     group_values: np.ndarray  # values' axes, then (G,)
-
-    def row(self, s, i):
-        """Row (s, i) of a batch record, its traces cut at its stop."""
-        stop = int(self.iterations[s, i]) + 1
-        return AggregationSolution(
-            self.b[s, i], self.combiners[s, i], self.mu[s, i], stop - 1,
-            self.terminated_by[s, i], self.values[s, i, :stop], self.group_values[s, i, :stop])
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +186,10 @@ def _check_finite(arr, live, what):
 
 
 def _power_rows(problem, power_limits):
-    """``power_limits`` as floats; ValueError unless they are (P, K) rows."""
+    """``power_limits`` as floats; ValueError unless they are P >= 1 rows
+    of K."""
     power, h = np.asarray(power_limits, dtype=float), np.shape(problem.h_hat)
-    if power.ndim != 2 or power.shape[1] != h[-3]:
+    if power.ndim != 2 or power.shape[1] != h[-3] or not len(power):
         raise ValueError(f"power_limits has shape {power.shape}, expected (P, {h[-3]}) "
                          f"for h_hat of shape {h}")
     return power
@@ -369,16 +363,22 @@ class _Stack:
         return values
 
 
-def _solve(problem, power_limits, eps, max_iters, b_init=None, cellular=False):
-    """Lockstep block-coordinate descent over a seeds x powers rectangle.
+def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, cellular=False,
+                   b_init=None):
+    """Solve every seed of a record, viewed jointly (levels 2 and 3) or
+    ``cellular``, at every row of power limits, all in lockstep.
 
-    Row (s, i) is seed s at power_limits[i].  Each iteration refreshes all
-    combiners, then all coefficients; both are exact minimizations, so
-    every row's objective never increases.  A row stops once an iteration
-    decreases its objective by less than eps.  A seed leaves the rectangle
-    once all its rows have stopped, and a power column once it has stopped
-    in every remaining seed; a stopped row still inside the rectangle keeps
-    being computed, but it is neither recorded nor checked.
+    Row (s, i) is seed s at row i of ``power_limits`` (P, K), which holds
+    every device's power limit; a record without a seed axis is one seed.
+    Each row's coefficients start at full power sqrt(P_k), or at ``b_init``
+    (S, P, K) or broadcastable to it.  Lockstep block-coordinate descent:
+    each iteration refreshes all combiners, then all coefficients; both are
+    exact minimizations, so every row's objective never increases.  A row
+    stops once an iteration decreases its objective by less than eps.  A
+    seed leaves the rectangle once all its rows have stopped, and a power
+    column once it has stopped in every remaining seed; a stopped row still
+    inside the rectangle keeps being computed, but it is neither recorded
+    nor checked.  Returns one AggregationSolution.
     """
     power = _power_rows(problem, power_limits)
     stack = _Stack(problem, cellular=cellular)
@@ -387,7 +387,7 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None, cellular=False):
     if b_init is None:
         b = sqrt_power.astype(complex)
     else:
-        b = np.array(b_init, dtype=complex).reshape(sqrt_power.shape)
+        b = np.array(np.broadcast_to(b_init, sqrt_power.shape), dtype=complex)
     values = np.empty(shape + (min(max_iters, 64) + 1,))
     group_values = np.empty(values.shape + (stack.n_groups,))
     mu = np.zeros(b.shape)
@@ -453,30 +453,6 @@ def _solve(problem, power_limits, eps, max_iters, b_init=None, cellular=False):
     after = np.arange(stop) > iterations[..., None]
     values[after], group_values[after] = np.nan, np.nan
     return AggregationSolution(out_b, out_v, out_mu, iterations, ended, values, group_values)
-
-
-def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, cellular=False):
-    """Solve every seed of a record, viewed jointly (levels 2 and 3) or
-    ``cellular``, at every row of power limits, all in lockstep.
-
-    Row i of ``power_limits`` (P, K) holds every device's power limit.
-    Every (seed, row) pair iterates from full power with its own stopping
-    test, and its result equals that of ``alternating_optimize`` on the
-    seed's slice of the record; a record without a seed axis is one seed.
-    Returns one AggregationSolution whose fields lead with (S, P) axes.
-    """
-    return _solve(problem, power_limits, eps, max_iters, cellular=cellular)
-
-
-def alternating_optimize(problem, power, eps=1e-10, max_iters=500, b_init=None,
-                         cellular=False):
-    """Jointly tune the combiners and transmit coefficients of one record,
-    viewed jointly at the CPU or ``cellular``, at power limits ``power`` (K,).
-
-    Coefficients start at full power ``sqrt(P_k)`` unless b_init is given.
-    Returns the AggregationSolution of one row, its traces cut at its stop.
-    """
-    return _solve(problem, [power], eps, max_iters, b_init, cellular).row(0, 0)
 
 
 def tco_step(problem, power, combiners, k, cellular=False):
@@ -558,8 +534,7 @@ def level1_batch(problem, power_limits):
     sqrt(power_limits) (no TCO at level 1) of every seed of an AP-side
     record, viewed per AP, at every row of power limits.
 
-    Row i of ``power_limits`` (P, K) holds every device's power limit; each
-    row equals ``level1_solution`` on the seed's slice of the record.
+    Row i of ``power_limits`` (P, K) holds every device's power limit.
     """
     b = np.sqrt(_power_rows(problem, power_limits)).astype(complex)
     stack = _Stack(problem, per_ap=True)
@@ -569,9 +544,3 @@ def level1_batch(problem, power_limits):
     # C order: the last bits of the caller's products depend on the layout.
     return np.ascontiguousarray(
         combiners.reshape(*combiners.shape[:3], problem.h_hat.shape[-2], -1))
-
-
-def level1_solution(problem, power):
-    """Local combiners (G, L, N) of one AP-side problem, viewed per AP, at
-    the full-power coefficients sqrt(power) (no TCO at level 1)."""
-    return level1_batch(problem, [power])[0, 0]

@@ -19,6 +19,10 @@ class NotPSD(ValueError):
     """Raised when an assembled covariance is indefinite beyond tolerance."""
 
 
+class GainOverflow(ValueError):
+    """Raised when a drawn link gain exceeds the float range."""
+
+
 @dataclass(frozen=True)
 class LargeScaleParams:
     """Urban-microcell large-scale fading parameters (dB-domain)."""
@@ -95,7 +99,10 @@ def local_scattering_R(n_antennas, nominal_angle, asd, beta):
     beta = np.asarray(beta, dtype=float)
     diff = np.subtract.outer(np.arange(n_antennas), np.arange(n_antennas))
     phase = np.exp(1j * np.pi * diff * np.sin(angle))
-    spread = np.exp(-0.5 * (asd * np.pi * diff * np.cos(angle)) ** 2)
+    # A huge spread overflows the square to inf, and exp(-inf) = 0 is the
+    # exact limit, so the overflow is no error.
+    with np.errstate(over="ignore"):
+        spread = np.exp(-0.5 * (asd * np.pi * diff * np.cos(angle)) ** 2)
     mat = beta[..., None, None] * phase * spread
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
@@ -142,6 +149,10 @@ def correlation_matrices(device_positions, rx_positions, n_antennas, area,
     beta_db = (pathloss_db(wrap_distances(device_positions, rx_positions, area),
                            params) + shadows.swapaxes(-1, -2)) / 10.0
     # Scalar powers: numpy's vectorized power differs in the last bit.
-    beta = np.array([10.0 ** x for x in beta_db.ravel().tolist()]).reshape(beta_db.shape)
+    try:
+        beta = np.array([10.0 ** x for x in beta_db.ravel().tolist()]).reshape(beta_db.shape)
+    except OverflowError:
+        raise GainOverflow(f"a link gain of {10.0 * beta_db.max():.4g} dB exceeds the float "
+                           f"range; shadow_std_db = {params.shadow_std_db} is too large") from None
     angle = wrap_bearing(rx_positions, device_positions[..., :, None, :], area)
     return local_scattering_R(n_antennas, angle, asd, beta)

@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from . import accounting, aggregation, fl_engine, runner
+from . import accounting, aggregation, channel, fl_engine, runner
 
 
 def _add_config(parser):
@@ -95,7 +95,7 @@ def main(argv=None):
     except (runner.ParseError, runner.ValidationError, runner.BadMagic,
             runner.TruncatedFile, runner.LabelOutOfRange, runner.CountMismatch,
             fl_engine.ShapeMismatch, fl_engine.DegenerateVariance,
-            aggregation.NonFiniteSolve, OSError) as exc:
+            aggregation.NonFiniteSolve, channel.GainOverflow, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

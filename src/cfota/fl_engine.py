@@ -132,14 +132,6 @@ class RidgeTask:
         resid = self.features @ theta - self.targets
         return float(0.5 * np.mean(resid**2) + 0.5 * self.ridge * theta @ theta)
 
-    def gradient(self, theta):
-        return ridge_gradient(theta, self.features, self.targets, self.ridge)
-
-    def device_gradient(self, theta, device):
-        rows = self.shards[device]
-        return ridge_gradient(theta, self.features[rows], self.targets[rows],
-                              self.ridge)
-
     def optimum(self):
         rhs = self.features.T @ self.targets / len(self.features)
         return np.linalg.solve(self._hessian, rhs)
@@ -238,13 +230,6 @@ class Fnn:
         batch = self._check_batch(batch)
         w1, b1, w2, b2 = self.unpack(theta)
         return np.tanh(batch @ w1 + b1[..., None, :]) @ w2 + b2[..., None, :]
-
-    def forward(self, theta, batch):
-        """Class probabilities per sample (rows sum to 1)."""
-        logits = self._logits(theta, batch)
-        logits = logits - logits.max(axis=-1, keepdims=True)
-        expl = np.exp(logits)
-        return expl / expl.sum(axis=-1, keepdims=True)
 
     def loss(self, theta, batch, onehot):
         """Cross-entropy averaged over the batch; labels are one-hot rows."""

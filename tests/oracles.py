@@ -14,6 +14,7 @@ from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from cfota import aggregation, estimation, runner
 from cfota.channel import local_scattering_R, pathloss_db, shadow_covariance
+from cfota.fl_engine import ridge_gradient
 from cfota.rng import substream
 from cfota.topology import wrap_bearing, wrap_displacement, wrap_distances
 
@@ -231,11 +232,24 @@ class ReferenceStack:
         return signal + inflation + self.noise_power * (v.conj() * v).real.sum(axis=-1)
 
 
+SolvedRow = namedtuple("SolvedRow",
+                       "b combiners mu iterations terminated_by values group_values")
+
+
+def row(solution, s=0, i=0):
+    """Row (s, i) of an ``aggregation.AggregationSolution``, its traces cut
+    at the row's own stop."""
+    stop = int(solution.iterations[s, i]) + 1
+    return SolvedRow(solution.b[s, i], solution.combiners[s, i], solution.mu[s, i],
+                     stop - 1, solution.terminated_by[s, i], solution.values[s, i, :stop],
+                     solution.group_values[s, i, :stop])
+
+
 def reference_solve(problem, power, eps, max_iters, cellular=False):
     """Plain alternation of one record without a seed axis at power limits
     (K,): a combiner refresh, then a coefficient step, until an iteration
     decreases the weighted sum-MSE by less than eps or max_iters have run.
-    Returns an ``aggregation.AggregationSolution``."""
+    Returns a ``SolvedRow``."""
     stack = ReferenceStack(problem, cellular=cellular)
     sqrt_power = np.sqrt(np.asarray(power, dtype=float))[None, None]
     b = sqrt_power.astype(complex)
@@ -255,7 +269,7 @@ def reference_solve(problem, power, eps, max_iters, cellular=False):
         if values[-2] - values[-1] < eps:
             ended = "threshold"
             break
-    return aggregation.AggregationSolution(
+    return SolvedRow(
         b[0, 0], v[0, 0], mu[0, 0], len(values) - 1, ended,
         np.concatenate(values)[:, 0], np.concatenate(group_values)[:, 0])
 
@@ -562,10 +576,10 @@ def ota_round(local_params, level, b, combiners, h_ap, h_bs, weights, theta_bar,
 
 def device_gradient_fn(cfg, task, device):
     """Gradient of one device's local loss, from its own shard."""
+    features, labels = (shard[device] for shard in task.shards)
     if cfg.task == "ridge":
-        return lambda theta: task.ridge.device_gradient(theta, device)
-    features, onehot = (shard[device] for shard in task.shards)
-    return lambda theta: task.model.gradient(theta, features, onehot)
+        return lambda theta: ridge_gradient(theta, features, labels, cfg.ridge)
+    return lambda theta: task.model.gradient(theta, features, labels)
 
 
 def group_metric(cfg, task, theta):

@@ -16,7 +16,7 @@ from cfota.rng import substream
 from oracles import (combiners_level3, dense_cpu_view, desired_global, desk_config,
                      draw_instance, mc_mse_cellular, mc_mse_level1, mc_mse_level3,
                      mmse_estimate, mse_level1, recover, shard_fractions,
-                     total_per_block, weighted_sum_mse_level1)
+                     row, total_per_block, weighted_sum_mse_level1)
 
 N_SOUNDNESS_INSTANCES = 50
 
@@ -39,9 +39,9 @@ def soundness_solutions():
         inst = draw_instance(1000 + seed, cfg=cfg)
         out.append({
             "inst": inst,
-            "level3": agg.alternating_optimize(inst["level3"], inst["power"]),
-            "cellular": agg.alternating_optimize(inst["cellular"], inst["power"],
-                                                 cellular=True),
+            "level3": row(agg.optimize_batch(inst["level3"], inst["power"][None])),
+            "cellular": row(agg.optimize_batch(inst["cellular"], inst["power"][None],
+                                               cellular=True)),
         })
     return out
 
@@ -53,14 +53,14 @@ def test_criterion_1_mse_oracle_equivalence():
     for seed in range(100, 120):
         inst = draw_instance(seed)
         p3, power = inst["level3"], inst["power"]
-        sol3 = agg.alternating_optimize(p3, power, max_iters=60)
+        sol3 = row(agg.optimize_batch(p3, power[None], max_iters=60))
         for g in range(p3.n_groups):
             closed = agg.mse_level3(p3, sol3.b, sol3.combiners[g], g)
             mc = mc_mse_level3(p3, sol3.b, sol3.combiners[g], g, n_draws,
                                substream(seed, "acc1-l3", g))
             assert abs(mc - closed) <= 0.02 * closed
 
-        v1, b1 = agg.level1_solution(p3, power), np.sqrt(power)
+        v1, b1 = agg.level1_batch(p3, power[None])[0, 0], np.sqrt(power)
         h_true = inst["state"].ap.h
         proj = agg.channel_projections(v1, h_true)
         for g in range(p3.n_groups):
@@ -70,7 +70,7 @@ def test_criterion_1_mse_oracle_equivalence():
             assert abs(mc - closed) <= 0.02 * closed
 
         pc = inst["cellular"]
-        solc = agg.alternating_optimize(pc, power, max_iters=60, cellular=True)
+        solc = row(agg.optimize_batch(pc, power[None], max_iters=60, cellular=True))
         for g in range(pc.n_groups):
             closed = agg.mse_level3(pc, solc.b, solc.combiners[g], g, cellular=True)
             mc = mc_mse_cellular(pc, solc.b, solc.combiners[g], g, n_draws,
@@ -114,7 +114,7 @@ def test_criterion_3_level_equivalences_and_ordering(soundness_solutions):
             scale = np.maximum(np.abs(r3), 1e-300)
             assert np.max(np.abs(r2 - r3) / scale) <= 1e-10
 
-        v1 = agg.level1_solution(p3, inst["power"])
+        v1 = agg.level1_batch(p3, inst["power"][None])[0, 0]
         proj = agg.channel_projections(v1, inst["state"].ap.h)
         wsm1 = weighted_sum_mse_level1(p3, np.sqrt(inst["power"]), v1, proj)
         assert sol3.values[-1] <= wsm1
@@ -224,7 +224,8 @@ def test_criterion_7_convergence_bound_harness():
             rng = substream(6000, "noise", group, s)
             theta = theta0.copy()
             for t in range(n_rounds):
-                grads = [task.device_gradient(theta, d) for d in range(3)]
+                grads = [fl.ridge_gradient(theta, task.features[rows], task.targets[rows],
+                                           task.ridge) for rows in task.shards]
                 locals_ = [theta - (1.0 / task.chi) * gr for gr in grads]
                 desired = desired_global(np.stack(locals_),
                                          shard_fractions(task))
@@ -240,7 +241,8 @@ def test_criterion_7_convergence_bound_harness():
         theta = theta0.copy()
         gap = gap0
         for _ in range(n_rounds):
-            grads = [task.device_gradient(theta, d) for d in range(3)]
+            grads = [fl.ridge_gradient(theta, task.features[rows], task.targets[rows],
+                                       task.ridge) for rows in task.shards]
             locals_ = [theta - (1.0 / task.chi) * gr for gr in grads]
             theta = desired_global(np.stack(locals_),
                                    shard_fractions(task))

@@ -16,7 +16,7 @@ from cfota.rng import substream
 from oracles import (block_problem, cn_noise, combiners_level1, combiners_level3,
                      dense_cpu_view, desk_config, draw_instance, mc_mse_cellular,
                      mc_mse_level1, mc_mse_level3, mse_level1, recover,
-                     reference_level1_combiners, reference_solve, seed_problem,
+                     reference_level1_combiners, reference_solve, row, seed_problem,
                      tco_steps, weighted_sum_mse_level1)
 
 
@@ -139,7 +139,7 @@ def test_zero_spread_device_gets_zero_coefficient():
         group_of_device=problem.group_of_device,
         weights=agg.AggregationWeights(w.gamma, w.omega, nu),
         noise_power=problem.noise_power)
-    sol = agg.alternating_optimize(problem, inst["power"], max_iters=50)
+    sol = row(agg.optimize_batch(problem, inst["power"][None], max_iters=50))
     assert sol.b[2] == 0.0
     assert np.all(np.diff(sol.values) <= 1e-12)
 
@@ -148,7 +148,7 @@ def test_kkt_conditions_on_random_instances():
     for seed in range(5):
         inst = draw_instance(10 + seed)
         problem = inst["level3"]
-        sol = agg.alternating_optimize(problem, inst["power"])
+        sol = row(agg.optimize_batch(problem, inst["power"][None]))
         w = problem.weights
         h_hat, error_cov = dense_cpu_view(problem)
         for k in range(len(problem.h_hat)):
@@ -178,7 +178,7 @@ def test_alternating_histories_non_increasing_and_terminate():
     cfg = fast_family_config()
     for seed in range(10):
         inst = draw_instance(30 + seed, cfg=cfg)
-        sol = agg.alternating_optimize(inst["level3"], inst["power"])
+        sol = row(agg.optimize_batch(inst["level3"], inst["power"][None]))
         values = sol.values
         assert np.all(np.diff(values) <= 1e-12)
         assert sol.terminated_by == "threshold"
@@ -192,15 +192,15 @@ def test_histories_monotone_at_default_power():
     # must stay monotone
     for seed in range(5):
         inst = draw_instance(300 + seed)
-        sol = agg.alternating_optimize(inst["level3"], inst["power"], max_iters=100)
+        sol = row(agg.optimize_batch(inst["level3"], inst["power"][None], max_iters=100))
         assert np.all(np.diff(sol.values) <= 1e-12)
 
 
 def test_alternating_fixed_point_single_iteration():
     inst = draw_instance(4, cfg=fast_family_config())
     problem, power = inst["level3"], inst["power"]
-    warm = agg.alternating_optimize(problem, power, eps=1e-16, max_iters=5000)
-    again = agg.alternating_optimize(problem, power, b_init=warm.b)
+    warm = row(agg.optimize_batch(problem, power[None], eps=1e-16, max_iters=5000))
+    again = row(agg.optimize_batch(problem, power[None], b_init=warm.b))
     assert again.iterations == 1
     assert again.terminated_by == "threshold"
     assert again.values[0] - again.values[-1] < 1e-10
@@ -238,7 +238,7 @@ def test_combiner_level1_zero_coefficients_and_scalar_value():
 def test_mse_level1_zero_coefficients():
     inst = draw_instance(7)
     problem = inst["level3"]
-    v = agg.level1_solution(problem, inst["power"])
+    v = agg.level1_batch(problem, inst["power"][None])[0, 0]
     b0 = np.zeros(len(problem.h_hat), dtype=complex)
     proj = agg.channel_projections(v, inst["state"].ap.h)
     n_aps = problem.h_hat.shape[1]
@@ -257,7 +257,7 @@ def test_mse_level1_single_ap_conditional_form():
     cfg = desk_config(n_aps=1, tau_p=3)
     inst = draw_instance(8, cfg=cfg)
     problem = inst["level3"]
-    v, b = agg.level1_solution(problem, inst["power"]), np.sqrt(inst["power"])
+    v, b = agg.level1_batch(problem, inst["power"][None])[0, 0], np.sqrt(inst["power"])
     h_true = inst["state"].ap.h
     proj = agg.channel_projections(v, h_true)
     for g in range(problem.n_groups):
@@ -273,7 +273,7 @@ def test_mse_level1_single_ap_conditional_form():
 def test_mse_level1_matches_monte_carlo():
     inst = draw_instance(9)
     problem = inst["level3"]
-    v, b = agg.level1_solution(problem, inst["power"]), np.sqrt(inst["power"])
+    v, b = agg.level1_batch(problem, inst["power"][None])[0, 0], np.sqrt(inst["power"])
     h_true = inst["state"].ap.h
     proj = agg.channel_projections(v, h_true)
     for g in range(problem.n_groups):
@@ -287,7 +287,7 @@ def test_recover_level2_equals_level3():
     inst = draw_instance(12)
     problem = inst["level3"]
     cfg = inst["cfg"]
-    sol = agg.alternating_optimize(problem, inst["power"])
+    sol = row(agg.optimize_batch(problem, inst["power"][None]))
     rng = substream(12, "slots")
     n_aps, n_ant = cfg.n_aps, cfg.n_ap_antennas
     signals = cn_noise((n_aps, n_ant, 16), 1e-9, rng) \
@@ -305,7 +305,7 @@ def test_recover_level1_averages_local_combines():
     inst = draw_instance(17)
     problem = inst["level3"]
     cfg = inst["cfg"]
-    v = agg.level1_solution(problem, inst["power"])
+    v = agg.level1_batch(problem, inst["power"][None])[0, 0]
     rng = substream(17, "slots")
     signals = (rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8))
                + 1j * rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8)))
@@ -364,8 +364,8 @@ def test_cellular_single_group_colocated_equals_level3():
         weights=weights, noise_power=problem3.noise_power)
     h_hat, error_cov = dense_cpu_view(problem3)
     colocated = replace(merged, h_hat=h_hat[:, None], error_cov=error_cov[:, None])
-    sol3 = agg.alternating_optimize(merged, inst["power"])
-    solc = agg.alternating_optimize(colocated, inst["power"], cellular=True)
+    sol3 = row(agg.optimize_batch(merged, inst["power"][None]))
+    solc = row(agg.optimize_batch(colocated, inst["power"][None], cellular=True))
     np.testing.assert_allclose(solc.b, sol3.b, rtol=1e-9)
     np.testing.assert_allclose(solc.combiners[0], sol3.combiners[0], rtol=1e-9)
     np.testing.assert_allclose(solc.values, sol3.values,
@@ -376,7 +376,7 @@ def test_cellular_histories_non_increasing_and_terminate():
     cfg = fast_family_config()
     for seed in range(5):
         inst = draw_instance(40 + seed, cfg=cfg)
-        sol = agg.alternating_optimize(inst["cellular"], inst["power"], cellular=True)
+        sol = row(agg.optimize_batch(inst["cellular"], inst["power"][None], cellular=True))
         assert np.all(np.diff(sol.values) <= 1e-12)
         assert sol.terminated_by == "threshold"
         assert sol.iterations <= 500
@@ -385,7 +385,7 @@ def test_cellular_histories_non_increasing_and_terminate():
 def test_cellular_mse_matches_monte_carlo():
     inst = draw_instance(15)
     problem = inst["cellular"]
-    sol = agg.alternating_optimize(problem, inst["power"], cellular=True)
+    sol = row(agg.optimize_batch(problem, inst["power"][None], cellular=True))
     for g in range(problem.n_groups):
         closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g, cellular=True)
         mc = mc_mse_cellular(problem, sol.b, sol.combiners[g], g, 100_000,
@@ -396,8 +396,8 @@ def test_cellular_mse_matches_monte_carlo():
 def test_level3_beats_level1_weighted_sum():
     for seed in range(10):
         inst = draw_instance(60 + seed)
-        sol3 = agg.alternating_optimize(inst["level3"], inst["power"])
-        v1 = agg.level1_solution(inst["level3"], inst["power"])
+        sol3 = row(agg.optimize_batch(inst["level3"], inst["power"][None]))
+        v1 = agg.level1_batch(inst["level3"], inst["power"][None])[0, 0]
         proj = agg.channel_projections(v1, inst["state"].ap.h)
         wsm1 = weighted_sum_mse_level1(inst["level3"], np.sqrt(inst["power"]), v1, proj)
         assert sol3.values[-1] <= wsm1
@@ -443,8 +443,8 @@ def test_lockstep_batch_properties(seed, cellular, n_groups, per_group, dim,
     batch = agg.optimize_batch(problem, powers, max_iters=40, cellular=cellular)
     assert batch.b.shape == (1, len(powers), n_dev)
     for i, power in enumerate(powers):
-        sol = batch.row(0, i)
-        one = agg.alternating_optimize(problem, power, max_iters=40, cellular=cellular)
+        sol = row(batch, 0, i)
+        one = row(agg.optimize_batch(problem, power[None], max_iters=40, cellular=cellular))
         assert sol.iterations == one.iterations
         assert sol.terminated_by == one.terminated_by
         np.testing.assert_allclose(sol.values, one.values,
@@ -500,6 +500,62 @@ def test_cellular_group_equals_one_bs_level3_view(seed, n_groups, per_group, dim
             agg.mse_level3(one_bs, b, v, g), rel=1e-12, abs=0.0)
 
 
+symmetry_shapes = dict(
+    seed=st.integers(0, 2**32 - 1), n_groups=st.integers(1, 3), per_group=st.integers(1, 3),
+    dim=st.integers(1, 4), n_aps=st.integers(2, 4),
+    power_db=st.lists(st.floats(-30.0, 20.0), min_size=1, max_size=3))
+
+
+def assert_same_solve(got, want, order):
+    """Two full-length solves agree to 1e-12 relative: every objective trace
+    entry, and each row's coefficients, those of ``want`` taken in ``order``."""
+    np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+    err = np.linalg.norm(got.b - want.b[..., order], axis=-1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(want.b, axis=-1))
+
+
+def symmetry_case(seed, cellular, n_groups, per_group, dim, n_aps, power_db):
+    """A random record, its per-device power rows, a solver that runs every
+    row to the cap (eps = -inf stops no row early, so no stopping test can
+    break a tie), and the generator that draws the relabelling."""
+    problem = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
+    rng = np.random.default_rng(seed)
+    powers = (10.0 ** (np.asarray(power_db)[:, None] / 10.0)
+              * rng.uniform(0.5, 2.0, len(problem.group_of_device)))
+    solve = partial(agg.optimize_batch, eps=-np.inf, max_iters=40, cellular=cellular)
+    return problem, powers, solve, rng
+
+
+@settings(max_examples=50, deadline=None)
+@given(cellular=st.booleans(), **symmetry_shapes)
+def test_relabelling_devices_within_groups_relabels_the_solve(cellular, seed, n_groups,
+                                                              per_group, dim, n_aps, power_db):
+    # devices of one group are interchangeable: their coefficients follow
+    # them, and no objective changes
+    problem, powers, solve, rng = symmetry_case(seed, cellular, n_groups, per_group, dim,
+                                                n_aps, power_db)
+    perm = np.arange(len(powers[0]))
+    for g in range(n_groups):
+        own = perm[problem.group_of_device == g]
+        perm[own] = rng.permutation(own)
+    w = problem.weights
+    relabelled = replace(problem, h_hat=problem.h_hat[perm], error_cov=problem.error_cov[perm],
+                         weights=replace(w, gamma=w.gamma[perm], nu=w.nu[perm]))
+    assert_same_solve(solve(relabelled, powers[:, perm]), solve(problem, powers), perm)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**symmetry_shapes)
+def test_relabelling_aps_leaves_the_level3_solve(seed, n_groups, per_group, dim, n_aps,
+                                                power_db):
+    # the CPU combines every AP jointly, so the order of the APs is no input
+    problem, powers, solve, rng = symmetry_case(seed, False, n_groups, per_group, dim,
+                                                n_aps, power_db)
+    aps = rng.permutation(n_aps)
+    relabelled = replace(problem, h_hat=problem.h_hat[:, aps], error_cov=problem.error_cov[:, aps])
+    assert_same_solve(solve(relabelled, powers), solve(problem, powers), slice(None))
+
+
 def test_lockstep_batch_compacts_mixed_termination():
     # the desk instance's power grid mixes early threshold stops with
     # solves that hit the cap; the batch must reproduce each one exactly
@@ -511,8 +567,8 @@ def test_lockstep_batch_compacts_mixed_termination():
         assert set(batch.terminated_by[0]) == {"threshold", "max_iters"}
         assert len(set(batch.iterations[0])) > 2
         for i, power in enumerate(powers):
-            sol = batch.row(0, i)
-            one = agg.alternating_optimize(problem, power, max_iters=60, cellular=cellular)
+            sol = row(batch, 0, i)
+            one = row(agg.optimize_batch(problem, power[None], max_iters=60, cellular=cellular))
             assert sol.iterations == one.iterations
             np.testing.assert_array_equal(sol.values, one.values)
             np.testing.assert_array_equal(sol.b, one.b)
@@ -553,8 +609,8 @@ def test_seed_batch_rows_equal_single_solves(seed, cellular, n_groups, per_group
     assert batch.values.shape == (n_problems, len(powers), batch.iterations.max() + 1)
     for s in range(n_problems):
         for i, power in enumerate(powers):
-            one = agg.alternating_optimize(seed_problem(block, s), power, max_iters=40,
-                               cellular=cellular)
+            one = row(agg.optimize_batch(seed_problem(block, s), power[None], max_iters=40,
+                                         cellular=cellular))
             assert batch.iterations[s, i] == one.iterations
             assert batch.terminated_by[s, i] == one.terminated_by
             for name in ("b", "combiners", "mu"):
@@ -597,7 +653,7 @@ def assert_batch_matches_reference(block, powers, max_iters, cellular=False):
     assert batch.b.shape == (len(block.h_hat), len(powers), len(block.group_of_device))
     for s in range(len(block.h_hat)):
         for i, power in enumerate(powers):
-            sol = batch.row(s, i)
+            sol = row(batch, s, i)
             ref = reference_solve(seed_problem(block, s), power, 1e-10, max_iters,
                                   cellular)
             for name in ("b", "combiners", "mu", "values", "group_values"):
@@ -675,32 +731,30 @@ def test_singular_combiner_system_raises_named_error(view):
 
 # Level 1 reads the AP-side record per AP, level 3 reads it jointly, and
 # the cellular baseline reads the serving-BS record per BS.
-SOLVERS = (("level3", agg.level1_solution, agg.level1_batch),
-           ("level3", agg.alternating_optimize, agg.optimize_batch),
-           ("cellular", partial(agg.alternating_optimize, cellular=True),
-            partial(agg.optimize_batch, cellular=True)))
+SOLVERS = (("level3", agg.level1_batch), ("level3", agg.optimize_batch),
+           ("cellular", partial(agg.optimize_batch, cellular=True)))
 
 
 def test_infinite_power_limit_raises_named_error():
     inst = draw_instance(22)
-    for kind, solve, batch in SOLVERS:
+    for kind, solve in SOLVERS:
         problem = inst[kind]
         power = inst["power"].copy()
         power[1] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(agg.NonFiniteSolve):
-            solve(problem, power)
+            solve(problem, power[None])
         with np.errstate(invalid="ignore"), pytest.raises(agg.NonFiniteSolve):
-            batch(problem, np.stack([inst["power"], power]))
+            solve(problem, np.stack([inst["power"], power]))
 
 
 def test_nan_estimate_raises_named_error():
     inst = draw_instance(23)
-    for kind, solve, _ in SOLVERS:
+    for kind, solve in SOLVERS:
         problem = inst[kind]
         h_hat = problem.h_hat.copy()
         h_hat[..., 0, 0] = np.nan
         with pytest.raises(agg.NonFiniteSolve):
-            solve(replace(problem, h_hat=h_hat), inst["power"])
+            solve(replace(problem, h_hat=h_hat), inst["power"][None])
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +832,7 @@ def test_level1_batch_equals_single_solutions(seed, n_dev, n_aps, n_ant,
     batch = agg.level1_batch(problem, powers)[0]
     assert len(batch) == len(powers)
     for power, combiners in zip(powers, batch):
-        one = agg.level1_solution(problem, power)
+        one = agg.level1_batch(problem, power[None])[0, 0]
         assert np.array_equal(combiners, one)
 
 
@@ -807,7 +861,7 @@ def test_level1_seed_batch_equals_single_solutions(n_problems, seed, n_dev, n_ap
     for s, row in enumerate(v):
         problem = seed_problem(block, s)
         for i, (power, combiners) in enumerate(zip(powers, row)):
-            one = agg.level1_solution(problem, power)
+            one = agg.level1_batch(problem, power[None])[0, 0]
             assert np.array_equal(combiners, one)
             proj = agg.channel_projections(one, channels[s])
             for g in range(n_groups):
@@ -910,9 +964,9 @@ def test_level3_problem_names_inconsistent_shapes():
                 f"Level3Problem.weights.{name} has shape {value.shape}, expected (2, 6) "
                 f"for h_hat of shape (2, 6, 4, 2)")):
             replace(block, weights=replace(w, **{name: value}))
-    # the power limits enter with the solve: one row of K per power point
+    # the power limits enter with the solve: P >= 1 rows of K, one per power point
     for record, h in ((problem, "(6, 4, 2)"), (block, "(2, 6, 4, 2)")):
-        for shape in ((1, 5), (6,), (2, 1, 6)):
+        for shape in ((1, 5), (6,), (2, 1, 6), (0, 6)):
             for solve in (agg.optimize_batch, agg.level1_batch):
                 with pytest.raises(ValueError, match=re.escape(
                         f"power_limits has shape {shape}, expected (P, 6) "
@@ -944,7 +998,6 @@ def test_cellular_problem_names_inconsistent_shapes():
                      error_cov=cellular.error_cov[:, :1])
     b, v = np.ones(6, dtype=complex), np.ones((2, 8), dtype=complex)
     for solve in (lambda p: agg.optimize_batch(p, np.ones((1, 6)), cellular=True),
-                  lambda p: agg.alternating_optimize(p, np.ones(6), cellular=True),
                   lambda p: agg.tco_step(p, np.ones(6), v, 0, cellular=True),
                   lambda p: agg.mse_level3(p, b, v[0], 0, cellular=True)):
         with pytest.raises(ValueError, match=re.escape(

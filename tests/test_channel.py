@@ -1,3 +1,5 @@
+import warnings
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
@@ -88,6 +90,15 @@ def test_local_scattering_zero_spread_is_rank1_steering():
     eigs = np.linalg.eigvalsh(corr)
     assert eigs[-1] == pytest.approx(8.0)
     assert np.all(eigs[:-1] < 1e-9)
+
+
+def test_local_scattering_huge_spread_is_diagonal():
+    # the spread factor's square overflows to inf and exp(-inf) = 0 is its
+    # exact limit: no warning, and the off-diagonal entries vanish
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        corr = local_scattering_R(2, 0.3, 1e300, 1.0)
+    np.testing.assert_array_equal(corr, np.eye(2))
 
 
 def test_local_scattering_against_exact_integral():

@@ -1,3 +1,4 @@
+from functools import partial
 import warnings
 
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from cfota import fl_engine as fl
 from cfota.rng import substream
 
 from oracles import (cn_noise, combiners_level3, denormalize, desired_global,
-                     draw_instance, local_update, normalize_vector, sqrt_psd)
+                     draw_instance, local_update, normalize_vector, row, sqrt_psd)
 
 
 def test_normalize_hand_example():
@@ -69,8 +70,8 @@ def test_stacked_gradients_equal_per_device_calls():
     ridge = fl.ridge_gradient(w, feats, targets, 0.1)
     for idx in np.ndindex(2, 6):
         np.testing.assert_array_equal(stacked[idx], model.gradient(theta[idx], x[idx], y[idx]))
-        task = fl.RidgeTask(feats[idx], targets[idx], 0.1, [np.arange(40)])
-        np.testing.assert_array_equal(ridge[idx], task.device_gradient(w[idx], 0))
+        np.testing.assert_array_equal(ridge[idx],
+                                      fl.ridge_gradient(w[idx], feats[idx], targets[idx], 0.1))
 
 
 def test_normalize_round_trip():
@@ -104,21 +105,16 @@ def test_desired_global_examples():
     np.testing.assert_allclose(sizes / sizes.sum(), np.full(3, 1 / 3))
 
 
-def test_fnn_softmax_rows_sum_to_one():
-    model = fl.Fnn(8, 5, 10)
-    theta = model.init_params(substream(1, "init"))
-    probs = model.forward(theta, substream(1, "x").random((20, 8)))
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-
-
 def test_fnn_zero_params_uniform_output():
     model = fl.Fnn(8, 5, 10)
     theta = np.zeros(model.n_params)
     x = substream(2, "x").random((6, 8))
-    probs = model.forward(theta, x)
-    np.testing.assert_allclose(probs, 0.1, atol=1e-12)
     y = fl.onehot(np.arange(6) % 10, 10)
     assert model.loss(theta, x, y) == pytest.approx(np.log(10.0), rel=1e-12)
+    # uniform probabilities: the output bias gradient is 0.1 less each
+    # class's share of the labels
+    np.testing.assert_allclose(model.unpack(model.gradient(theta, x, y))[3],
+                               0.1 - y.mean(axis=0), atol=1e-12)
 
 
 def test_fnn_gradient_matches_finite_differences():
@@ -142,7 +138,9 @@ def test_fnn_shape_mismatch():
     model = fl.Fnn(8, 5, 10)
     theta = np.zeros(model.n_params)
     with pytest.raises(fl.ShapeMismatch):
-        model.forward(theta, np.zeros((4, 9)))
+        model.gradient(theta, np.zeros((4, 9)), np.zeros((4, 10)))
+    with pytest.raises(fl.ShapeMismatch):
+        model.accuracy(theta, np.zeros((4, 9)), np.zeros(4))
     with pytest.raises(fl.ShapeMismatch):
         model.unpack(np.zeros(model.n_params + 1))
 
@@ -176,12 +174,14 @@ def test_error_free_contraction_on_ridge():
     x = rng.standard_normal((60, 6))
     y = x @ rng.standard_normal(6) + 0.01 * rng.standard_normal(60)
     task = fl.RidgeTask(x, y, ridge=0.2, shards=[np.arange(60)])
+    gradient = partial(fl.ridge_gradient, features=task.features, targets=task.targets,
+                       ridge=task.ridge)
     lam = 1.0 - task.xi / task.chi
     opt = task.optimal_value()
     theta = rng.standard_normal(6)
     gap = task.loss(theta) - opt
     for _ in range(25):
-        theta = local_update(theta, task.gradient, 1.0 / task.chi)
+        theta = local_update(theta, gradient, 1.0 / task.chi)
         new_gap = task.loss(theta) - opt
         assert new_gap <= lam * gap + 1e-12
         gap = new_gap
@@ -194,6 +194,8 @@ def test_gap_bound_holds_with_injected_noise():
     x = rng.standard_normal((80, 5))
     y = x @ rng.standard_normal(5) + 0.05 * rng.standard_normal(80)
     task = fl.RidgeTask(x, y, ridge=0.1, shards=[np.arange(80)])
+    gradient = partial(fl.ridge_gradient, features=task.features, targets=task.targets,
+                       ridge=task.ridge)
     err_norm2 = 1e-3
     n_seeds, n_rounds = 100, 30
     theta0 = substream(5, "init").standard_normal(5)
@@ -203,7 +205,7 @@ def test_gap_bound_holds_with_injected_noise():
         noise_rng = substream(5, "noise", s)
         theta = theta0.copy()
         for t in range(n_rounds):
-            theta = local_update(theta, task.gradient, 1.0 / task.chi)
+            theta = local_update(theta, gradient, 1.0 / task.chi)
             direction = noise_rng.standard_normal(5)
             direction /= np.linalg.norm(direction)
             theta = theta - np.sqrt(err_norm2) * direction
@@ -224,7 +226,9 @@ def test_one_dimensional_quadratic_bound_is_tight():
     theta = np.array([0.3])
     gap0 = task.loss(theta) - task.optimal_value()
     err = 0.01
-    theta = local_update(theta, task.gradient, 1.0 / task.chi) - np.sqrt(err)
+    gradient = partial(fl.ridge_gradient, features=task.features, targets=task.targets,
+                       ridge=task.ridge)
+    theta = local_update(theta, gradient, 1.0 / task.chi) - np.sqrt(err)
     gap1 = task.loss(theta) - task.optimal_value()
     bound = fl.optimality_gap_bound(task.chi, task.xi, gap0, [err])[1]
     assert gap1 == pytest.approx(bound, rel=1e-9)
@@ -292,7 +296,7 @@ def test_ota_round_realized_error_matches_closed_form():
     nu = problem.weights.nu
     theta_bar = inst["theta_bar"]
     gamma = problem.weights.gamma.reshape(cfg.n_groups, -1)
-    sol = agg.alternating_optimize(problem, inst["power"], max_iters=50)
+    sol = row(agg.optimize_batch(problem, inst["power"][None], max_iters=50))
 
     roots = np.stack([sqrt_psd(inst["stats"].ap.error_cov[k, l])
                       for k in range(cfg.n_devices)
@@ -327,7 +331,7 @@ def test_ota_round_level2_equals_level3_recovery():
     inst = draw_instance(22)
     problem = inst["level3"]
     cfg = inst["cfg"]
-    sol = agg.alternating_optimize(problem, inst["power"], max_iters=50)
+    sol = row(agg.optimize_batch(problem, inst["power"][None], max_iters=50))
     rng = substream(22, "theta")
     theta = rng.standard_normal((cfg.n_devices, 60)) * 0.2 + 0.05
     gamma = problem.weights.gamma.reshape(cfg.n_groups, -1)

@@ -363,7 +363,6 @@ def test_sweep_solves_level1_grid_in_one_batch_per_block(monkeypatch):
         return level1_batch(problem, power_limits)
 
     monkeypatch.setattr(runner.aggregation, "level1_batch", counting)
-    monkeypatch.setattr(runner.aggregation, "level1_solution", None)
     assert runner.run_mse_sweep(cfg) == rows
     assert batches == [(cfg.seeds, len(cfg.sweep_dbm))]
 
@@ -616,8 +615,6 @@ def test_training_solves_every_seed_in_one_batch_per_round(monkeypatch):
             return batch(problem, power_limits, **kwargs)
 
         monkeypatch.setattr(runner.aggregation, name, counting)
-    for name in ("level1_solution", "alternating_optimize"):
-        monkeypatch.setattr(runner.aggregation, name, None)
     rows = runner.run_fl_training(cfg, threads=1)
     per_round = [("level1_batch", False), ("optimize_batch", False),
                  ("optimize_batch", True)]
@@ -772,6 +769,22 @@ def test_cli_sweep_traces_grow_with_the_iterations_run(tmp_path, capsys):
                      "--set", "sweep_dbm=-20, -10"]) == 0
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 32  # 2 seeds x 2 points x 8 (architecture, tco) pairs
+
+
+def test_cli_names_a_shadowing_spread_beyond_the_float_range(tmp_path, capsys):
+    # no finite bound on shadow_std_db excludes every overflowing draw, so
+    # the config validates and the run stops at the first overflowing gain
+    cfgfile = str(Path(__file__).resolve().parents[1] / "configs" / "desk-sweep.cfg")
+    spread = ["--set", "shadow_std_db=1e5"]
+    assert cli_main(["validate-config", "-c", cfgfile, *spread]) == 0
+    capsys.readouterr()
+    out = tmp_path / "rows.csv"
+    assert cli_main(["mse-sweep", "-c", cfgfile, "--out", str(out), *spread,
+                     "--set", "seeds=1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("GainOverflow: ") and "shadow_std_db = 100000.0" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_grid_with_negative_first_point(tmp_path, capsys):
