@@ -8,8 +8,14 @@ over-the-air rounds), ``accounting`` (fronthaul counts), ``runner``
 (scenario orchestration and CSV output).
 """
 
-from . import (accounting, aggregation, channel, estimation, fl_engine,
+
+class CfotaError(ValueError):
+    """A named error, which the CLI prints as one ``Name: message`` line; any
+    other exception is a bug.  Defined ahead of the submodules that import it."""
+
+
+from . import (accounting, aggregation, channel, estimation, fl_engine,  # noqa: E402
                rng, runner, topology)
 
-__all__ = ["accounting", "aggregation", "channel", "estimation", "fl_engine",
-           "rng", "runner", "topology"]
+__all__ = ["CfotaError", "accounting", "aggregation", "channel", "estimation",
+           "fl_engine", "rng", "runner", "topology"]

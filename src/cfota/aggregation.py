@@ -33,8 +33,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from . import CfotaError
 
-class NonFiniteSolve(ValueError):
+
+class NonFiniteSolve(CfotaError):
     """A solver system matrix or objective value is not finite, or a
     combiner system is singular."""
 

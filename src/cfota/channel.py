@@ -12,14 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CfotaError
 from .topology import wrap_bearing, wrap_distances
 
 
-class NotPSD(ValueError):
+class NotPSD(CfotaError):
     """Raised when an assembled covariance is indefinite beyond tolerance."""
 
 
-class GainOverflow(ValueError):
+class GainOverflow(CfotaError):
     """Raised when a drawn link gain exceeds the float range."""
 
 
@@ -63,7 +64,8 @@ def shadow_covariance(device_positions, area, params=LargeScaleParams()):
     min_eig = np.linalg.eigvalsh(cov).min(axis=-1)
     bound = -1e-8 * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 1.0)
     if np.any(min_eig < bound):
-        raise NotPSD(f"shadow covariance has eigenvalue {min_eig.min():.3e}")
+        raise NotPSD(f"shadow covariance has eigenvalue {min_eig.min():.3e}; decorr_m = "
+                     f"{params.decorr_m} is too large for side_m = {area.side_m}")
     return cov
 
 

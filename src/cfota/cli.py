@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from . import accounting, aggregation, channel, fl_engine, runner
+from . import CfotaError, accounting, runner
 
 
 def _add_config(parser):
@@ -39,13 +39,6 @@ def _load(args):
     return runner.load_config(args.config, overrides=overrides)
 
 
-def _emit(rows, cfg):
-    if not cfg.out:
-        raise runner.ValidationError("no output path: set 'out' or pass --out")
-    runner.emit_csv(rows, cfg.out, cfg.n_groups)
-    print(f"wrote {len(rows)} rows to {cfg.out}")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="cfota",
@@ -79,8 +72,12 @@ def main(argv=None):
             print("config OK")
             return 0
         if args.command in ("mse-sweep", "train"):
+            if not cfg.out:
+                raise runner.ValidationError("no output path: set 'out' or pass --out")
             run = runner.run_mse_sweep if args.command == "mse-sweep" else runner.run_fl_training
-            _emit(run(cfg, threads=args.threads), cfg)
+            rows = run(cfg, threads=args.threads)
+            runner.emit_csv(rows, cfg.out, cfg.n_groups)
+            print(f"wrote {len(rows)} rows to {cfg.out}")
             return 0
         # fronthaul
         for level in (1, 2, 3):
@@ -92,10 +89,7 @@ def main(argv=None):
         print(f"cheaper recurring fronthaul at C={args.rounds_per_block}: "
               f"{pick.name}")
         return 0
-    except (runner.ParseError, runner.ValidationError, runner.BadMagic,
-            runner.TruncatedFile, runner.LabelOutOfRange, runner.CountMismatch,
-            fl_engine.ShapeMismatch, fl_engine.DegenerateVariance,
-            aggregation.NonFiniteSolve, channel.GainOverflow, OSError) as exc:
+    except (CfotaError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

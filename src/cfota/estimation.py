@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CfotaError
 from .channel import psd_root
 
 
-class PilotShortage(ValueError):
+class PilotShortage(CfotaError):
     """Raised when a group has more devices than there are pilots."""
 
 

@@ -12,8 +12,10 @@ its own shard, as well as a single one.
 
 import numpy as np
 
+from . import CfotaError
 
-class DegenerateVariance(ValueError):
+
+class DegenerateVariance(CfotaError):
     """Raised when a parameter vector has zero variance and cannot be scaled."""
 
 
@@ -22,11 +24,11 @@ class NonFiniteParameters(DegenerateVariance):
     after a diverging local update."""
 
 
-class InvalidConstants(ValueError):
+class InvalidConstants(CfotaError):
     """Raised when curvature constants are inconsistent (xi > chi)."""
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(CfotaError):
     """Raised when an input does not match the model's expected dimensions."""
 
 

@@ -17,18 +17,16 @@ import numpy as np
 def substream(*tags):
     """Return a ``numpy.random.Generator`` that is a pure function of the tags.
 
-    Tags may be ints, strings, or (nested) sequences of those.  The encoding
-    is injective: distinct tag tuples can never produce the same stream key.
+    Tags may be ints or strings.  The encoding is injective: distinct tag
+    tuples can never produce the same stream key.
     """
     h = hashlib.sha256()
-    for tag in _flatten(tags):
-        if isinstance(tag, (bool, float)):
-            raise TypeError(f"stream tags must be ints or strings, got {tag!r}")
-        if isinstance(tag, (int, np.integer)):
-            h.update(b"i" + int(tag).to_bytes(16, "big", signed=True))
-        elif isinstance(tag, str):
+    for tag in tags:
+        if isinstance(tag, str):
             raw = tag.encode("utf-8")
             h.update(b"s" + len(raw).to_bytes(4, "big") + raw)
+        elif isinstance(tag, (int, np.integer)) and not isinstance(tag, bool):
+            h.update(b"i" + int(tag).to_bytes(16, "big", signed=True))
         else:
             raise TypeError(f"stream tags must be ints or strings, got {tag!r}")
     key = np.frombuffer(h.digest()[:16], dtype=np.uint64)
@@ -59,11 +57,3 @@ class SeedStreams:
 def substreams(seed_tags, *tags):
     """SeedStreams of ``substream(*tags_s, *tags)`` for each seed's tags."""
     return SeedStreams(substream(*tags_s, *tags) for tags_s in seed_tags)
-
-
-def _flatten(tags):
-    for tag in tags:
-        if isinstance(tag, (tuple, list)):
-            yield from _flatten(tag)
-        else:
-            yield tag

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from . import accounting, aggregation, estimation, fl_engine
+from . import CfotaError, accounting, aggregation, estimation, fl_engine
 from .channel import LargeScaleParams, correlation_matrices, sample_channels
 from .rng import substream, substreams
 from .topology import (Area, DistributionMode, NetworkGeometry, grid_points,
@@ -59,7 +59,7 @@ ARCHITECTURES = {arch.name: arch for arch in (
 )}
 
 
-class ParseError(ValueError):
+class ParseError(CfotaError):
     """Config file syntax error; carries the offending line number."""
 
     def __init__(self, lineno, message):
@@ -67,23 +67,23 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-class ValidationError(ValueError):
+class ValidationError(CfotaError):
     """A config invariant is violated; the message names it."""
 
 
-class BadMagic(ValueError):
+class BadMagic(CfotaError):
     """IDX file does not start with the expected magic number."""
 
 
-class TruncatedFile(ValueError):
+class TruncatedFile(CfotaError):
     """IDX file is shorter than its header promises."""
 
 
-class LabelOutOfRange(ValueError):
+class LabelOutOfRange(CfotaError):
     """A dataset label falls outside the declared class range."""
 
 
-class CountMismatch(ValueError):
+class CountMismatch(CfotaError):
     """An IDX image file and its label file hold different sample counts."""
 
 

@@ -11,12 +11,14 @@ import math
 
 import numpy as np
 
+from . import CfotaError
 
-class NotPerfectSquare(ValueError):
+
+class NotPerfectSquare(CfotaError):
     """Raised when a grid placement is requested with a non-square count."""
 
 
-class TooManyGroups(ValueError):
+class TooManyGroups(CfotaError):
     """Raised when the clustered drop has more groups than cells."""
 
 

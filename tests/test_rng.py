@@ -24,17 +24,13 @@ def test_int_and_string_tags_do_not_collide():
     assert not np.array_equal(a, b)
 
 
-def test_nested_sequences_flatten():
-    a = substream((1, ("x", 2))).standard_normal(4)
-    b = substream(1, "x", 2).standard_normal(4)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_unsupported_tags_rejected():
     with pytest.raises(TypeError):
         substream(1.5)
     with pytest.raises(TypeError):
         substream(True)
+    with pytest.raises(TypeError):
+        substream((1, "x"))
 
 
 def test_draw_order_independent_of_other_streams():

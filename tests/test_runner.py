@@ -1,4 +1,6 @@
 import gzip
+import importlib
+import pkgutil
 import struct
 from dataclasses import fields, replace
 from functools import partial
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cfota
 from cfota import fl_engine as fl
 from cfota import runner
 from cfota.cli import main as cli_main
@@ -426,6 +429,33 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
             assert row.mse_per_group == alone
 
 
+def test_relabelling_groups_relabels_the_desk_sweep(monkeypatch):
+    # the two groups swap labels and priorities while the devices, and so
+    # every draw, stay: each row keeps its weighted sum and swaps its
+    # per-group MSEs.  The cellular view is left out: its serving BSs would
+    # swap with the groups, and the BS draws follow the receiver order.
+    # eps = -inf runs every solve to the cap, so no stopping test can break
+    # a tie.
+    cfg = replace(runner.load_config(Path(__file__).resolve().parents[1] / "configs"
+                                     / "desk-sweep.cfg"),
+                  architectures=("errorfree", "level1", "level2", "level3"), seeds=2,
+                  omega=(1.0, 3.0), epsilon=-np.inf, max_iters=30)
+    want = runner.run_mse_sweep(cfg)
+    build_geometry = runner.build_geometry
+
+    def swapped(cfg, rng):
+        geometry = build_geometry(cfg, rng)
+        return replace(geometry, group_of_device=1 - geometry.group_of_device)
+
+    monkeypatch.setattr(runner, "build_geometry", swapped)
+    got = runner.run_mse_sweep(replace(cfg, omega=(3.0, 1.0)))
+    assert [row.sort_key() for row in got] == [row.sort_key() for row in want]
+    assert any(row.wsum_mse > 0.0 for row in want)
+    for new, old in zip(got, want):
+        assert new.wsum_mse == pytest.approx(old.wsum_mse, rel=1e-12, abs=0.0)
+        assert new.mse_per_group == pytest.approx(old.mse_per_group[::-1], rel=1e-12, abs=0.0)
+
+
 def test_sweep_threads_do_not_change_results():
     cfg = desk_config(seeds=3, architectures=("level3", "level1"),
                       sweep_dbm=(10.0,))
@@ -785,6 +815,52 @@ def test_cli_names_a_shadowing_spread_beyond_the_float_range(tmp_path, capsys):
     assert err.startswith("GainOverflow: ") and "shadow_std_db = 100000.0" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mse-sweep", "train"])
+def test_cli_names_an_indefinite_shadowing_kernel(tmp_path, capsys, command):
+    # a decorrelation distance of twice the side makes the wrap-around
+    # kernel indefinite on these drawn positions; no exact rule excludes it
+    # at validation, so the config validates and the run stops by name
+    cfgfile = str(Path(__file__).resolve().parents[1] / "configs" / "desk-sweep.cfg")
+    keys = [f"--set={entry}" for entry in
+            ("n_devices=20", "tau_p=10", "decorr_m=1000", "seeds=1", "max_iters=2")]
+    assert cli_main(["validate-config", "-c", cfgfile, *keys]) == 0
+    capsys.readouterr()
+    out = tmp_path / "rows.csv"
+    assert cli_main([command, "-c", cfgfile, "--out", str(out), *keys]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NotPSD: ") and err.count("\n") == 1
+    assert "decorr_m = 1000.0" in err and "side_m = 500.0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mse-sweep", "train"])
+def test_cli_without_an_output_path_runs_nothing(tmp_path, capsys, monkeypatch, command):
+    # the missing path is named before any seed runs
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text("architectures = level3\nseeds = 1\nrounds = 1\n")
+    for name in ("run_mse_sweep", "run_fl_training"):
+        monkeypatch.setattr(runner, name, None)
+    assert cli_main([command, "-c", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert err == "ValidationError: no output path: set 'out' or pass --out\n"
+
+
+def test_every_error_class_is_named():
+    # the CLI prints what subclasses CfotaError as one line, so an error
+    # class of the package cannot miss it; IoError is an OSError, which the
+    # CLI prints too
+    classes = set()
+    for info in pkgutil.iter_modules(cfota.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            module = importlib.import_module(f"cfota.{info.name}")
+            classes |= {cls for cls in vars(module).values() if isinstance(cls, type)
+                        and issubclass(cls, BaseException) and cls.__module__ == module.__name__}
+    assert {runner.IoError, runner.ValidationError, fl.NonFiniteParameters} <= classes
+    assert issubclass(cfota.CfotaError, ValueError)
+    assert [cls for cls in classes - {runner.IoError}
+            if not issubclass(cls, cfota.CfotaError)] == []
 
 
 def test_cli_grid_with_negative_first_point(tmp_path, capsys):
