@@ -18,9 +18,9 @@ seen by L receivers, through channel views of its per-receiver blocks,
 and shares one combiner core.  Level 3 reads the AP-side record as one
 view of all L AP blocks and level 1 as one single-block view per AP, each
 view serving every group.  The cellular baseline reads the serving-BS
-record as one single-block view per BS, serving its own group only; the
-batch entry points take it with ``cellular=True``.  Level 3 and cellular
-also share the alternating solver built on that core.
+record, which says so with ``cellular=True``, as one single-block view per
+BS, serving its own group only.  Level 3 and cellular also share the
+alternating solver built on that core.
 
 A record holds one coherence block or, with a leading seed axis on its
 estimates, error blocks and per-device weights, one block of each seed of
@@ -59,7 +59,8 @@ def _check_shapes(problem):
     """Raise ValueError, naming the field, unless the estimates have the
     record's layout, with or without a leading seed axis, and the other
     fields agree with them: K entries per device, per seed for the weights,
-    and group ids in 0..G-1, G being the number of priorities.
+    group ids in 0..G-1, G being the number of priorities, and, for a
+    serving-BS record, G receivers.
     """
     name = type(problem).__name__
     h = np.shape(problem.h_hat)
@@ -84,14 +85,17 @@ def _check_shapes(problem):
     if stray.size:
         raise ValueError(f"{name}.group_of_device holds {np.unique(stray).tolist()}, "
                          f"expected group ids in 0..{problem.n_groups - 1}")
+    if problem.cellular and h[-2] != problem.n_groups:
+        raise ValueError(f"{name}.h_hat has shape {h}, expected one serving BS per "
+                         f"group ({problem.n_groups}) in the cellular view")
 
 
 @dataclass(frozen=True)
 class Level3Problem:
     """One coherence block seen by L receivers of N antennas each: the APs,
     read per AP at level 1 and jointly by the central processor at levels 2
-    and 3, or the serving BSs, one per group, read per BS by the cellular
-    baseline.
+    and 3, or, ``cellular``, the serving BSs, one per group (L = G), read
+    per BS by the cellular baseline.
 
     h_hat[k, l] is device k's estimate at receiver l and error_cov[k, l] its
     error covariance: the stacked error covariance is block diagonal, one
@@ -108,6 +112,7 @@ class Level3Problem:
     group_of_device: np.ndarray
     weights: AggregationWeights
     noise_power: float
+    cellular: bool = False
 
     def __post_init__(self):
         _check_shapes(self)
@@ -231,24 +236,20 @@ class _Stack:
     whatever S and P are, so a row gets bit-identical results alone and in
     any rectangle.
 
-    Level 3 reads the record as one view serving every group.  Level 1
-    reads it ``per_ap``, one view per AP serving every group, and uses
-    ``combiners`` only.  The ``cellular`` baseline reads it as one view per
-    serving BS, view g serving group g only.
+    Level 3 reads the AP-side record as one view serving every group.
+    Level 1 reads it ``per_ap``, one view per AP serving every group, and
+    uses ``combiners`` only.  The cellular baseline's serving-BS record is
+    read as one view per BS, view g serving group g only.
     """
 
-    def __init__(self, problem, per_ap=False, cellular=False):
-        h, cov = _views(problem, per_ap or cellular)
+    def __init__(self, problem, per_ap=False):
+        h, cov = _views(problem, per_ap or problem.cellular)
         n_seeds, n_views, n_dev, n_blocks, n_ant = h.shape
         gdev = np.asarray(problem.group_of_device)
         self.n_seeds = n_seeds
         self.n_groups = problem.n_groups
-        if cellular and n_views != self.n_groups:
-            raise ValueError(f"{type(problem).__name__}.h_hat has shape "
-                             f"{np.shape(problem.h_hat)}, expected one serving BS per "
-                             f"group ({self.n_groups}) in the cellular view")
         self.n_views = n_views
-        self.per_view = 1 if cellular else self.n_groups
+        self.per_view = 1 if problem.cellular else self.n_groups
         self.blocks = (n_blocks, n_ant)
         h = h.reshape(n_seeds, 1, n_views, n_dev, n_blocks * n_ant)
         self.h_conj = h.conj()                                        # (S, 1, Gv, K, D)
@@ -365,10 +366,10 @@ class _Stack:
         return values
 
 
-def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, cellular=False,
-                   b_init=None):
-    """Solve every seed of a record, viewed jointly (levels 2 and 3) or
-    ``cellular``, at every row of power limits, all in lockstep.
+def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, b_init=None):
+    """Solve every seed of a record, viewed jointly (levels 2 and 3) or, if
+    it is a serving-BS record, per BS, at every row of power limits, all in
+    lockstep.
 
     Row (s, i) is seed s at row i of ``power_limits`` (P, K), which holds
     every device's power limit; a record without a seed axis is one seed.
@@ -383,7 +384,7 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, cellular=Fal
     nor checked.  Returns one AggregationSolution.
     """
     power = _power_rows(problem, power_limits)
-    stack = _Stack(problem, cellular=cellular)
+    stack = _Stack(problem)
     shape = (stack.n_seeds, len(power))
     sqrt_power = np.broadcast_to(np.sqrt(power), shape + power.shape[1:])
     if b_init is None:
@@ -439,7 +440,7 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, cellular=Fal
                     break
                 if not keep_s.all():
                     seeds = seeds[keep_s]
-                    stack = _Stack(_take_seeds(problem, seeds), cellular=cellular)
+                    stack = _Stack(_take_seeds(problem, seeds))
                 kept = np.ix_(keep_s, keep_c)
                 cols = cols[keep_c]
                 at = np.ix_(seeds, cols)
@@ -457,7 +458,15 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, cellular=Fal
     return AggregationSolution(out_b, out_v, out_mu, iterations, ended, values, group_values)
 
 
-def tco_step(problem, power, combiners, k, cellular=False):
+def _check_combiner_length(stack, v):
+    """Raise ValueError unless combiner v, or each combiner of v, has the
+    length of the record's view."""
+    length, dim = np.shape(v)[-1], stack.blocks[0] * stack.blocks[1]
+    if length != dim:
+        raise ValueError(f"combiner has length {length}, expected {dim} for the record's view")
+
+
+def tco_step(problem, power, combiners, k):
     """Optimal transmit coefficient of device k for fixed combiners.
 
     Returns (b_k, mu_k) satisfying the stationarity and complementary
@@ -467,11 +476,13 @@ def tco_step(problem, power, combiners, k, cellular=False):
     Device k's projections and quadratic forms come from the combiner core:
     near the boundary mu_k is the difference of two nearly equal terms,
     which a one-ulp change in those forms moves by more than 1e-12.  The
-    record is viewed jointly or ``cellular``.
+    combiners (G, D) are the record's view's: joint, or per serving BS.
     """
     w = problem.weights
     g = int(problem.group_of_device[k])
-    proj, quad, _ = _Stack(problem, cellular=cellular).forms(np.asarray(combiners)[None, None])
+    stack = _Stack(problem)
+    _check_combiner_length(stack, combiners)
+    proj, quad, _ = stack.forms(np.asarray(combiners)[None, None])
     proj, quad = proj[0, 0, :, k], quad[0, 0, :, k]
     mag = np.abs(proj)
     denom = float((w.omega * (mag ** 2 + quad)).sum())
@@ -482,15 +493,16 @@ def tco_step(problem, power, combiners, k, cellular=False):
     return gain * proj[g].conjugate() / (denom + mu), mu
 
 
-def mse_level3(problem, b, v, g, cellular=False):
+def mse_level3(problem, b, v, g):
     """Conditional aggregation MSE of group g with combiner v.
 
     ``sum_k |v^H h_hat_k b_k - target_k|^2 + |b_k|^2 v^H C_k v`` plus the
     combined noise power, where target_k is gamma*nu for the group's own
-    devices and 0 for interferers.  The record is viewed jointly or
-    ``cellular`` (the estimates at group g's serving BS).
+    devices and 0 for interferers.  v is the record's view's: of all APs
+    jointly, or of group g's serving BS.
     """
-    stack = _Stack(problem, cellular=cellular)
+    stack = _Stack(problem)
+    _check_combiner_length(stack, v)
     combiners = np.zeros((1, 1, problem.n_groups, len(v)), dtype=complex)
     combiners[0, 0, g] = v
     b = np.asarray(b, dtype=complex)[None, None]
@@ -500,6 +512,12 @@ def mse_level3(problem, b, v, g, cellular=False):
 # ---------------------------------------------------------------------------
 # Level 1: local combining, simple central averaging
 # ---------------------------------------------------------------------------
+
+def _check_ap_side(problem):
+    """Raise ValueError for a serving-BS record: level 1 reads the APs."""
+    if problem.cellular:
+        raise ValueError("level 1 reads an AP-side record, not a serving-BS one (cellular=True)")
+
 
 def channel_projections(combiners, channels):
     """Per-AP combined true channels u[..., g, k, l] = v_gl^H h_kl of
@@ -517,6 +535,7 @@ def level1_mses(problem, b, combiners, projections):
     metric): with u fixed, only the symbols and noise are random, so there is
     no estimation-error inflation term.
     """
+    _check_ap_side(problem)
     n_aps = combiners.shape[-2]
     # Contiguous, so that each sum adds its terms in one order whatever the
     # layout of the arrays passed in.
@@ -538,6 +557,7 @@ def level1_batch(problem, power_limits):
 
     Row i of ``power_limits`` (P, K) holds every device's power limit.
     """
+    _check_ap_side(problem)
     b = np.sqrt(_power_rows(problem, power_limits)).astype(complex)
     stack = _Stack(problem, per_ap=True)
     b_block = np.broadcast_to(b, (stack.n_seeds,) + b.shape)

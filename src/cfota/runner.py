@@ -522,13 +522,13 @@ def draw_block(stats, round_tags):
 
 def level3_problem(stats, round_state, weights, cellular=False):
     """The record of a round over the AP links or, ``cellular``, over the
-    serving-BS links: one seed's, or, from a seed block's statistics and
-    draw, the block's with its seed axis."""
+    serving-BS links, which the record then says: one seed's, or, from a
+    seed block's statistics and draw, the block's with its seed axis."""
     mmse, state = (stats.bs, round_state.bs) if cellular else (stats.ap, round_state.ap)
     return aggregation.Level3Problem(
         h_hat=state.h_hat, error_cov=mmse.error_cov,
         group_of_device=stats.geometry.group_of_device, weights=weights,
-        noise_power=mmse.noise_power)
+        noise_power=mmse.noise_power, cellular=cellular)
 
 
 def make_weights(cfg, nu):
@@ -647,8 +647,7 @@ def _solve_block(cfg, kind, stats, state, weights, powers):
     """
     if kind is None:
         return None, None, np.zeros((len(weights.nu), len(powers), 2, cfg.n_groups))
-    cellular = kind == "cellular"
-    problem = level3_problem(stats, state, weights, cellular)
+    problem = level3_problem(stats, state, weights, kind == "cellular")
     if kind == "level1":
         v = aggregation.level1_batch(problem, powers)
         b = np.broadcast_to(np.sqrt(powers).astype(complex), (len(v),) + powers.shape)
@@ -656,7 +655,7 @@ def _solve_block(cfg, kind, stats, state, weights, powers):
         mses = aggregation.level1_mses(problem, b, v, proj)
         return b, v, np.stack([mses, mses], axis=2)
     sol = aggregation.optimize_batch(problem, powers, eps=cfg.epsilon,
-                                     max_iters=cfg.max_iters, cellular=cellular)
+                                     max_iters=cfg.max_iters)
     solved = np.take_along_axis(sol.group_values, sol.iterations[..., None, None], axis=2)
     return sol.b, sol.combiners, np.concatenate([sol.group_values[:, :, :1], solved], axis=2)
 

@@ -39,8 +39,8 @@ def draw_instance(seed, cfg=None, nu_scale=1.0):
     Geometry, correlations, channels, and MMSE estimates come from the
     package; the per-round parameter statistics (nu, theta_bar) are random
     O(1) stand-ins.  Returns a dict with the AP-side record ("level3",
-    which level 1 reads per AP), the serving-BS record ("cellular", solved
-    with ``cellular=True``), the true channels, the weights, the means
+    which level 1 reads per AP), the serving-BS record ("cellular", whose
+    ``cellular`` field says so), the true channels, the weights, the means
     ("theta_bar") and every device's power limit ("power", the config's
     p_max).
     """
@@ -129,19 +129,19 @@ def combiners_level1(problem, b):
     return combiners.reshape(problem.n_groups, problem.h_hat.shape[1], -1)
 
 
-def combiners_level3(problem, b, cellular=False):
-    """All group combiners (G, D) of a record viewed jointly or
-    ``cellular``, for fixed coefficients b: each is the global minimizer of
-    its group's convex MSE."""
+def combiners_level3(problem, b):
+    """All group combiners (G, D) of a record, the AP-side one viewed
+    jointly or the serving-BS one per BS, for fixed coefficients b: each is
+    the global minimizer of its group's convex MSE."""
     b = np.asarray(b, dtype=complex)[None, None]
-    return aggregation._Stack(problem, cellular=cellular).combiners(b, np.abs(b) ** 2)[0, 0]
+    return aggregation._Stack(problem).combiners(b, np.abs(b) ** 2)[0, 0]
 
 
-def tco_steps(problem, power, combiners, cellular=False):
+def tco_steps(problem, power, combiners):
     """Optimal coefficients and KKT multipliers of all devices, (K,) each,
     at power limits ``power`` (K,) for fixed combiners: the vectorized
     update the solver runs."""
-    stack = aggregation._Stack(problem, cellular=cellular)
+    stack = aggregation._Stack(problem)
     proj, quad, _ = stack.forms(np.asarray(combiners)[None, None])
     b, mu = stack.tco(proj, quad, np.sqrt(power)[None, None])
     return b[0, 0], mu[0, 0]
@@ -155,18 +155,18 @@ class ReferenceStack:
     bit for bit.
     """
 
-    def __init__(self, problem, per_ap=False, cellular=False):
+    def __init__(self, problem, per_ap=False):
         h, cov = problem.h_hat, problem.error_cov
         if h.ndim == 3:
             h, cov = h[None], cov[None]
-        if per_ap or cellular:
+        if per_ap or problem.cellular:
             h, cov = h.swapaxes(1, 2)[:, :, :, None], cov.swapaxes(1, 2)[:, :, :, None]
         else:
             h, cov = h[:, None], cov[:, None]
         n_seeds, n_views, n_dev, n_blocks, n_ant = h.shape
         gdev = np.asarray(problem.group_of_device)
         self.n_groups, self.n_views = problem.n_groups, n_views
-        self.per_view = 1 if cellular else self.n_groups
+        self.per_view = 1 if problem.cellular else self.n_groups
         self.blocks = (n_blocks, n_ant)
         h = h.reshape(n_seeds, 1, n_views, n_dev, n_blocks * n_ant)
         self.h_conj = h.conj()
@@ -245,12 +245,12 @@ def row(solution, s=0, i=0):
                      solution.group_values[s, i, :stop])
 
 
-def reference_solve(problem, power, eps, max_iters, cellular=False):
+def reference_solve(problem, power, eps, max_iters):
     """Plain alternation of one record without a seed axis at power limits
     (K,): a combiner refresh, then a coefficient step, until an iteration
     decreases the weighted sum-MSE by less than eps or max_iters have run.
     Returns a ``SolvedRow``."""
-    stack = ReferenceStack(problem, cellular=cellular)
+    stack = ReferenceStack(problem)
     sqrt_power = np.sqrt(np.asarray(power, dtype=float))[None, None]
     b = sqrt_power.astype(complex)
     mu = np.zeros(b.shape)
@@ -305,18 +305,14 @@ def total_per_block(report, rounds_per_block=1):
 
 
 def mc_mse_level3(problem, b, v, g, n_draws, rng):
+    """Monte Carlo MSE of group g's combiner v over all APs jointly or, in a
+    serving-BS record, over the group's own BS."""
     target = np.where(problem.group_of_device == g,
                       problem.weights.gamma * problem.weights.nu, 0.0)
-    h_hat, error_cov = dense_cpu_view(problem)
+    h_hat, error_cov = ((problem.h_hat[:, g], problem.error_cov[:, g]) if problem.cellular
+                        else dense_cpu_view(problem))
     return mc_mse_conditional(h_hat, error_cov, b, v, target,
                               problem.noise_power, n_draws, rng)
-
-
-def mc_mse_cellular(problem, b, w, g, n_draws, rng):
-    target = np.where(problem.group_of_device == g,
-                      problem.weights.gamma * problem.weights.nu, 0.0)
-    return mc_mse_conditional(problem.h_hat[:, g], problem.error_cov[:, g], b, w,
-                              target, problem.noise_power, n_draws, rng)
 
 
 def mc_mse_level1(problem, b, combiners, channels, g, n_draws, rng,

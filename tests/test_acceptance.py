@@ -14,7 +14,7 @@ from cfota import runner
 from cfota.rng import substream
 
 from oracles import (combiners_level3, dense_cpu_view, desired_global, desk_config,
-                     draw_instance, mc_mse_cellular, mc_mse_level1, mc_mse_level3,
+                     draw_instance, mc_mse_level1, mc_mse_level3,
                      mmse_estimate, mse_level1, recover, shard_fractions,
                      row, total_per_block, weighted_sum_mse_level1)
 
@@ -40,8 +40,7 @@ def soundness_solutions():
         out.append({
             "inst": inst,
             "level3": row(agg.optimize_batch(inst["level3"], inst["power"][None])),
-            "cellular": row(agg.optimize_batch(inst["cellular"], inst["power"][None],
-                                               cellular=True)),
+            "cellular": row(agg.optimize_batch(inst["cellular"], inst["power"][None])),
         })
     return out
 
@@ -53,12 +52,14 @@ def test_criterion_1_mse_oracle_equivalence():
     for seed in range(100, 120):
         inst = draw_instance(seed)
         p3, power = inst["level3"], inst["power"]
-        sol3 = row(agg.optimize_batch(p3, power[None], max_iters=60))
-        for g in range(p3.n_groups):
-            closed = agg.mse_level3(p3, sol3.b, sol3.combiners[g], g)
-            mc = mc_mse_level3(p3, sol3.b, sol3.combiners[g], g, n_draws,
-                               substream(seed, "acc1-l3", g))
-            assert abs(mc - closed) <= 0.02 * closed
+        for kind, tag in (("level3", "acc1-l3"), ("cellular", "acc1-cell")):
+            problem = inst[kind]
+            sol = row(agg.optimize_batch(problem, power[None], max_iters=60))
+            for g in range(problem.n_groups):
+                closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g)
+                mc = mc_mse_level3(problem, sol.b, sol.combiners[g], g, n_draws,
+                                   substream(seed, tag, g))
+                assert abs(mc - closed) <= 0.02 * closed
 
         v1, b1 = agg.level1_batch(p3, power[None])[0, 0], np.sqrt(power)
         h_true = inst["state"].ap.h
@@ -67,14 +68,6 @@ def test_criterion_1_mse_oracle_equivalence():
             closed = mse_level1(p3, b1, v1, proj, g)
             mc = mc_mse_level1(p3, b1, v1, h_true, g, n_draws,
                                substream(seed, "acc1-l1", g))
-            assert abs(mc - closed) <= 0.02 * closed
-
-        pc = inst["cellular"]
-        solc = row(agg.optimize_batch(pc, power[None], max_iters=60, cellular=True))
-        for g in range(pc.n_groups):
-            closed = agg.mse_level3(pc, solc.b, solc.combiners[g], g, cellular=True)
-            mc = mc_mse_cellular(pc, solc.b, solc.combiners[g], g, n_draws,
-                                 substream(seed, "acc1-cell", g))
             assert abs(mc - closed) <= 0.02 * closed
     _report(1, "MSE oracle equivalence")
 
@@ -138,17 +131,12 @@ def test_criterion_4_kkt_correctness(soundness_solutions):
                 if sol.mu[k] > 0.0:
                     continue
                 g = int(problem.group_of_device[k])
-                if key == "level3":
-                    h_hat, error_cov = dense_cpu_view(problem)
-                    proj = sol.combiners.conj() @ h_hat[k]
-                    quad = np.einsum("pi,ij,pj->p", sol.combiners.conj(),
-                                     error_cov[k], sol.combiners).real
-                else:
-                    proj = np.einsum("pm,pm->p", sol.combiners.conj(),
-                                     problem.h_hat[k])
-                    quad = np.einsum("pi,pij,pj->p", sol.combiners.conj(),
-                                     problem.error_cov[k],
-                                     sol.combiners).real
+                # group p's combiner sees all APs, or its own serving BS
+                h_hat, error_cov = ((problem.h_hat, problem.error_cov) if problem.cellular
+                                    else dense_cpu_view(problem))
+                vh = sol.combiners.conj()[:, None]
+                proj = (vh @ h_hat[k][..., None])[:, 0, 0]
+                quad = (vh @ error_cov[k] @ sol.combiners[..., None])[:, 0, 0].real
                 denom = float(np.dot(w.omega, np.abs(proj) ** 2 + quad))
                 expected = (w.omega[g] * w.gamma[k] * w.nu[k]
                             * proj[g].conjugate() / denom)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from functools import partial
+import inspect
 import re
 import tracemalloc
 import warnings
@@ -14,10 +15,9 @@ from cfota import aggregation as agg
 from cfota.rng import substream
 
 from oracles import (block_problem, cn_noise, combiners_level1, combiners_level3,
-                     dense_cpu_view, desk_config, draw_instance, mc_mse_cellular,
-                     mc_mse_level1, mc_mse_level3, mse_level1, recover,
-                     reference_level1_combiners, reference_solve, row, seed_problem,
-                     tco_steps, weighted_sum_mse_level1)
+                     dense_cpu_view, desk_config, draw_instance, mc_mse_level1,
+                     mc_mse_level3, mse_level1, recover, reference_level1_combiners,
+                     reference_solve, row, seed_problem, tco_steps, weighted_sum_mse_level1)
 
 
 def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0):
@@ -363,9 +363,10 @@ def test_cellular_single_group_colocated_equals_level3():
         group_of_device=np.zeros(len(problem3.h_hat), dtype=int),
         weights=weights, noise_power=problem3.noise_power)
     h_hat, error_cov = dense_cpu_view(problem3)
-    colocated = replace(merged, h_hat=h_hat[:, None], error_cov=error_cov[:, None])
+    colocated = replace(merged, h_hat=h_hat[:, None], error_cov=error_cov[:, None],
+                        cellular=True)
     sol3 = row(agg.optimize_batch(merged, inst["power"][None]))
-    solc = row(agg.optimize_batch(colocated, inst["power"][None], cellular=True))
+    solc = row(agg.optimize_batch(colocated, inst["power"][None]))
     np.testing.assert_allclose(solc.b, sol3.b, rtol=1e-9)
     np.testing.assert_allclose(solc.combiners[0], sol3.combiners[0], rtol=1e-9)
     np.testing.assert_allclose(solc.values, sol3.values,
@@ -376,7 +377,7 @@ def test_cellular_histories_non_increasing_and_terminate():
     cfg = fast_family_config()
     for seed in range(5):
         inst = draw_instance(40 + seed, cfg=cfg)
-        sol = row(agg.optimize_batch(inst["cellular"], inst["power"][None], cellular=True))
+        sol = row(agg.optimize_batch(inst["cellular"], inst["power"][None]))
         assert np.all(np.diff(sol.values) <= 1e-12)
         assert sol.terminated_by == "threshold"
         assert sol.iterations <= 500
@@ -385,11 +386,11 @@ def test_cellular_histories_non_increasing_and_terminate():
 def test_cellular_mse_matches_monte_carlo():
     inst = draw_instance(15)
     problem = inst["cellular"]
-    sol = row(agg.optimize_batch(problem, inst["power"][None], cellular=True))
+    sol = row(agg.optimize_batch(problem, inst["power"][None]))
     for g in range(problem.n_groups):
-        closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g, cellular=True)
-        mc = mc_mse_cellular(problem, sol.b, sol.combiners[g], g, 100_000,
-                             substream(15, "mcc", g))
+        closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g)
+        mc = mc_mse_level3(problem, sol.b, sol.combiners[g], g, 100_000,
+                           substream(15, "mcc", g))
         assert mc == pytest.approx(closed, rel=0.02)
 
 
@@ -409,7 +410,7 @@ def test_level3_beats_level1_weighted_sum():
 
 def random_problem(seed, cellular, n_groups, per_group, dim, n_aps=1):
     """Random estimates, PSD error covariances and weights: n_aps blocks of
-    dim antennas, or one serving BS per group for the cellular view."""
+    dim antennas, or, ``cellular``, one serving BS per group."""
     rng = np.random.default_rng(seed)
     n_dev = n_groups * per_group
     lead = (n_dev, n_groups if cellular else n_aps)
@@ -425,7 +426,7 @@ def random_problem(seed, cellular, n_groups, per_group, dim, n_aps=1):
     return agg.Level3Problem(h_hat=cn(*lead, dim),
                              error_cov=root @ root.conj().swapaxes(-1, -2),
                              group_of_device=np.arange(n_dev) % n_groups, weights=weights,
-                             noise_power=10.0 ** rng.uniform(-2.0, 0.0))
+                             noise_power=10.0 ** rng.uniform(-2.0, 0.0), cellular=cellular)
 
 
 @settings(max_examples=40, deadline=None)
@@ -440,11 +441,11 @@ def test_lockstep_batch_properties(seed, cellular, n_groups, per_group, dim,
     problem = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
     n_dev = len(problem.group_of_device)
     powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
-    batch = agg.optimize_batch(problem, powers, max_iters=40, cellular=cellular)
+    batch = agg.optimize_batch(problem, powers, max_iters=40)
     assert batch.b.shape == (1, len(powers), n_dev)
     for i, power in enumerate(powers):
         sol = row(batch, 0, i)
-        one = row(agg.optimize_batch(problem, power[None], max_iters=40, cellular=cellular))
+        one = row(agg.optimize_batch(problem, power[None], max_iters=40))
         assert sol.iterations == one.iterations
         assert sol.terminated_by == one.terminated_by
         np.testing.assert_allclose(sol.values, one.values,
@@ -470,10 +471,10 @@ def test_tco_step_matches_vectorized_step(seed, cellular, n_groups, per_group,
     problem = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
     power = np.ones(len(problem.group_of_device)) * 10.0 ** (power_db / 10.0)
     b0 = np.sqrt(power).astype(complex)
-    combiners = combiners_level3(problem, b0, cellular)
-    b, mu = tco_steps(problem, power, combiners, cellular)
+    combiners = combiners_level3(problem, b0)
+    b, mu = tco_steps(problem, power, combiners)
     for k in range(len(b)):
-        b_k, mu_k = agg.tco_step(problem, power, combiners, k, cellular=cellular)
+        b_k, mu_k = agg.tco_step(problem, power, combiners, k)
         assert b[k] == pytest.approx(b_k, rel=1e-12, abs=1e-300)
         assert mu[k] == pytest.approx(mu_k, rel=1e-12, abs=1e-300)
 
@@ -490,13 +491,13 @@ def test_cellular_group_equals_one_bs_level3_view(seed, n_groups, per_group, dim
     n_dev = len(problem.group_of_device)
     phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
     b = 10.0 ** (np.asarray(power_db[:n_dev]) / 20.0) * phase
-    cellular = combiners_level3(problem, b, cellular=True)
+    cellular = combiners_level3(problem, b)
     for g in range(n_groups):
         one_bs = replace(problem, h_hat=problem.h_hat[:, g:g + 1],
-                         error_cov=problem.error_cov[:, g:g + 1])
+                         error_cov=problem.error_cov[:, g:g + 1], cellular=False)
         v = combiners_level3(one_bs, b)[g]
         assert np.linalg.norm(cellular[g] - v) <= 1e-12 * np.linalg.norm(v)
-        assert agg.mse_level3(problem, b, cellular[g], g, cellular=True) == pytest.approx(
+        assert agg.mse_level3(problem, b, cellular[g], g) == pytest.approx(
             agg.mse_level3(one_bs, b, v, g), rel=1e-12, abs=0.0)
 
 
@@ -534,28 +535,27 @@ def assert_same_group_mses(got, want, groups=slice(None)):
 # are relabelled.  They run a fixed set of examples, so no run fails on a
 # draw that the last one did not make.
 symmetric = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+# eps = -inf runs every row to the cap, so no stopping test can break a tie.
+capped = partial(agg.optimize_batch, eps=-np.inf, max_iters=40)
 
 
 def symmetry_case(seed, cellular, n_groups, per_group, dim, n_aps, power_db):
-    """A random record, its per-device power rows, a solver that runs every
-    row to the cap (eps = -inf stops no row early, so no stopping test can
-    break a tie), and the generator that draws the relabelling."""
+    """A random record, its per-device power rows and the generator that
+    draws the relabelling."""
     problem = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
     rng = np.random.default_rng(seed)
     powers = (10.0 ** (np.asarray(power_db)[:, None] / 10.0)
               * rng.uniform(0.5, 2.0, len(problem.group_of_device)))
-    solve = partial(agg.optimize_batch, eps=-np.inf, max_iters=40, cellular=cellular)
-    return problem, powers, solve, rng
+    return problem, powers, rng
 
 
-@settings(max_examples=50, deadline=None)
+@symmetric
 @given(cellular=st.booleans(), **symmetry_shapes)
 def test_relabelling_devices_within_groups_relabels_the_solve(cellular, seed, n_groups,
                                                               per_group, dim, n_aps, power_db):
     # devices of one group are interchangeable: their coefficients follow
     # them, and no objective changes
-    problem, powers, solve, rng = symmetry_case(seed, cellular, n_groups, per_group, dim,
-                                                n_aps, power_db)
+    problem, powers, rng = symmetry_case(seed, cellular, n_groups, per_group, dim, n_aps, power_db)
     perm = np.arange(len(powers[0]))
     for g in range(n_groups):
         own = perm[problem.group_of_device == g]
@@ -563,19 +563,18 @@ def test_relabelling_devices_within_groups_relabels_the_solve(cellular, seed, n_
     w = problem.weights
     relabelled = replace(problem, h_hat=problem.h_hat[perm], error_cov=problem.error_cov[perm],
                          weights=replace(w, gamma=w.gamma[perm], nu=w.nu[perm]))
-    assert_same_solve(solve(relabelled, powers[:, perm]), solve(problem, powers), perm)
+    assert_same_solve(capped(relabelled, powers[:, perm]), capped(problem, powers), perm)
 
 
-@settings(max_examples=50, deadline=None)
+@symmetric
 @given(**symmetry_shapes)
 def test_relabelling_aps_leaves_the_level3_solve(seed, n_groups, per_group, dim, n_aps,
                                                 power_db):
     # the CPU combines every AP jointly, so the order of the APs is no input
-    problem, powers, solve, rng = symmetry_case(seed, False, n_groups, per_group, dim,
-                                                n_aps, power_db)
+    problem, powers, rng = symmetry_case(seed, False, n_groups, per_group, dim, n_aps, power_db)
     aps = rng.permutation(n_aps)
     relabelled = replace(problem, h_hat=problem.h_hat[:, aps], error_cov=problem.error_cov[:, aps])
-    assert_same_solve(solve(relabelled, powers), solve(problem, powers), slice(None))
+    assert_same_solve(capped(relabelled, powers), capped(problem, powers), slice(None))
 
 
 @symmetric
@@ -584,8 +583,7 @@ def test_relabelling_aps_relabels_the_level1_combiners(seed, n_groups, per_group
                                                        power_db):
     # each AP combines its own signals, so its combiners follow it, and the
     # averaged estimate, scored here on the estimates as channels, stays
-    problem, powers, _, rng = symmetry_case(seed, False, n_groups, per_group, dim, n_aps,
-                                            power_db)
+    problem, powers, rng = symmetry_case(seed, False, n_groups, per_group, dim, n_aps, power_db)
     aps = rng.permutation(n_aps)
     relabelled = replace(problem, h_hat=problem.h_hat[:, aps], error_cov=problem.error_cov[:, aps])
     got, want = agg.level1_batch(relabelled, powers), agg.level1_batch(problem, powers)
@@ -605,12 +603,11 @@ def test_scaling_the_channel_gains_leaves_the_solve(cellular, log4_c, seed, n_gr
     # the coefficients and every MSE, and the combiners shrink by 1/c.  A
     # power of 4 scales every float exactly: at other c the rounding grows
     # over the iterations to 6e-13 on some records, near the tolerance.
-    problem, powers, solve, _ = symmetry_case(seed, cellular, n_groups, per_group, dim,
-                                              n_aps, power_db)
+    problem, powers, _ = symmetry_case(seed, cellular, n_groups, per_group, dim, n_aps, power_db)
     c = 4.0 ** log4_c
     scaled = replace(problem, h_hat=c * problem.h_hat, error_cov=c**2 * problem.error_cov,
                      noise_power=c**2 * problem.noise_power)
-    got, want = solve(scaled, powers), solve(problem, powers)
+    got, want = capped(scaled, powers), capped(problem, powers)
     assert_same_solve(got, want, slice(None))
     assert_same_group_mses(got, want)
     assert_rows_close(c * got.combiners, want.combiners)
@@ -623,11 +620,10 @@ def test_scaling_the_power_against_the_channels_scales_b(cellular, log4_c, seed,
     # powers by c and channels by 1/sqrt(c): every received power stays, so
     # do the combiners and every MSE, and the coefficients grow by sqrt(c);
     # c is a power of 4, as above
-    problem, powers, solve, _ = symmetry_case(seed, cellular, n_groups, per_group, dim,
-                                              n_aps, power_db)
+    problem, powers, _ = symmetry_case(seed, cellular, n_groups, per_group, dim, n_aps, power_db)
     c = 4.0 ** log4_c
     scaled = replace(problem, h_hat=problem.h_hat / np.sqrt(c), error_cov=problem.error_cov / c)
-    got, want = solve(scaled, c * powers), solve(problem, powers)
+    got, want = capped(scaled, c * powers), capped(problem, powers)
     assert_same_solve(got, want, slice(None), b_scale=np.sqrt(c))
     assert_same_group_mses(got, want)
     assert_rows_close(got.combiners, want.combiners)
@@ -640,8 +636,7 @@ def test_relabelling_groups_relabels_their_mses(cellular, seed, n_groups, per_gr
     # group g becomes group new[g], and its priority and, in the cellular
     # view, its serving BS go with it: the coefficients and the objective
     # stay, and the per-group MSEs follow the groups
-    problem, powers, solve, rng = symmetry_case(seed, cellular, n_groups, per_group, dim,
-                                                n_aps, power_db)
+    problem, powers, rng = symmetry_case(seed, cellular, n_groups, per_group, dim, n_aps, power_db)
     new = rng.permutation(n_groups)
     old = np.argsort(new)  # new group j is old group old[j]
     h_hat, error_cov = problem.h_hat, problem.error_cov
@@ -651,7 +646,7 @@ def test_relabelling_groups_relabels_their_mses(cellular, seed, n_groups, per_gr
     relabelled = replace(problem, h_hat=h_hat, error_cov=error_cov,
                          group_of_device=new[problem.group_of_device],
                          weights=replace(w, omega=w.omega[old]))
-    got, want = solve(relabelled, powers), solve(problem, powers)
+    got, want = capped(relabelled, powers), capped(problem, powers)
     assert_same_solve(got, want, slice(None))
     assert_same_group_mses(got, want, old)
 
@@ -661,14 +656,14 @@ def test_lockstep_batch_compacts_mixed_termination():
     # solves that hit the cap; the batch must reproduce each one exactly
     inst = draw_instance(21)
     for kind in ("level3", "cellular"):
-        problem, cellular = inst[kind], kind == "cellular"
+        problem = inst[kind]
         powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(problem.group_of_device)))
-        batch = agg.optimize_batch(problem, powers, max_iters=60, cellular=cellular)
+        batch = agg.optimize_batch(problem, powers, max_iters=60)
         assert set(batch.terminated_by[0]) == {"threshold", "max_iters"}
         assert len(set(batch.iterations[0])) > 2
         for i, power in enumerate(powers):
             sol = row(batch, 0, i)
-            one = row(agg.optimize_batch(problem, power[None], max_iters=60, cellular=cellular))
+            one = row(agg.optimize_batch(problem, power[None], max_iters=60))
             assert sol.iterations == one.iterations
             np.testing.assert_array_equal(sol.values, one.values)
             np.testing.assert_array_equal(sol.b, one.b)
@@ -705,12 +700,11 @@ def test_seed_batch_rows_equal_single_solves(seed, cellular, n_groups, per_group
                             n_problems)
     n_dev = len(block.group_of_device)
     powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
-    batch = agg.optimize_batch(block, powers, max_iters=40, cellular=cellular)
+    batch = agg.optimize_batch(block, powers, max_iters=40)
     assert batch.values.shape == (n_problems, len(powers), batch.iterations.max() + 1)
     for s in range(n_problems):
         for i, power in enumerate(powers):
-            one = row(agg.optimize_batch(seed_problem(block, s), power[None], max_iters=40,
-                                         cellular=cellular))
+            one = row(agg.optimize_batch(seed_problem(block, s), power[None], max_iters=40))
             assert batch.iterations[s, i] == one.iterations
             assert batch.terminated_by[s, i] == one.terminated_by
             for name in ("b", "combiners", "mu"):
@@ -732,7 +726,7 @@ def test_seed_batch_holds_error_blocks_once_per_problem():
     per_row_copies = 2 * 40 * block.error_cov[0].nbytes
     tracemalloc.start()
     try:
-        agg.optimize_batch(block, powers, max_iters=5, cellular=True)
+        agg.optimize_batch(block, powers, max_iters=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -745,17 +739,15 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_batch_matches_reference(block, powers, max_iters, cellular=False):
+def assert_batch_matches_reference(block, powers, max_iters):
     """Every (seed, power) row of the lockstep batch equals the plain
     reference iteration of the seed's record at that power, bit for bit."""
-    batch = agg.optimize_batch(block, powers, eps=1e-10, max_iters=max_iters,
-                               cellular=cellular)
+    batch = agg.optimize_batch(block, powers, eps=1e-10, max_iters=max_iters)
     assert batch.b.shape == (len(block.h_hat), len(powers), len(block.group_of_device))
     for s in range(len(block.h_hat)):
         for i, power in enumerate(powers):
             sol = row(batch, s, i)
-            ref = reference_solve(seed_problem(block, s), power, 1e-10, max_iters,
-                                  cellular)
+            ref = reference_solve(seed_problem(block, s), power, 1e-10, max_iters)
             for name in ("b", "combiners", "mu", "values", "group_values"):
                 assert_same_bits(getattr(sol, name), getattr(ref, name))
             assert sol.iterations == ref.iterations
@@ -777,8 +769,8 @@ def test_streamlined_solve_equals_reference_iteration(seed, view, n_groups, per_
     # The joint view has several blocks (Woodbury), the cellular view one
     # block per BS, and level 1 one block per AP.  A silent device (zero
     # estimate and error) has a zero denominator in every coefficient step.
-    cellular = view == "cellular"
-    block = varied_problems(seed, cellular, n_groups, per_group, dim, n_aps, n_problems)
+    block = varied_problems(seed, view == "cellular", n_groups, per_group, dim, n_aps,
+                            n_problems)
     if silent:
         h_hat, error_cov = block.h_hat.copy(), block.error_cov.copy()
         h_hat[:, 0], error_cov[:, 0] = 0.0, 0.0
@@ -786,7 +778,7 @@ def test_streamlined_solve_equals_reference_iteration(seed, view, n_groups, per_
     n_dev = len(block.group_of_device)
     powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
     if view != "level1":
-        assert_batch_matches_reference(block, powers, 40, cellular)
+        assert_batch_matches_reference(block, powers, 40)
         return
     for s, row in enumerate(agg.level1_batch(block, powers)):
         for power, combiners in zip(powers, row):
@@ -801,7 +793,7 @@ def test_streamlined_solve_equals_reference_with_compaction():
     for kind in ("level3", "cellular"):
         block = block_problem([draw_instance(seed)[kind] for seed in (21, 24)])
         powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(block.group_of_device)))
-        batch = assert_batch_matches_reference(block, powers, 60, kind == "cellular")
+        batch = assert_batch_matches_reference(block, powers, 60)
         assert set(batch.terminated_by.ravel()) == {"threshold", "max_iters"}
         assert len(set(batch.iterations.ravel())) > 2
 
@@ -817,8 +809,7 @@ def singular_record(problem):
 def test_singular_combiner_system_raises_named_error(view):
     # LAPACK leaves NaN rows for a singular system: the solve must stop with
     # a named error instead of returning them, and warn about nothing
-    cellular = view == "cellular"
-    problem = singular_record(random_problem(3, cellular, 2, 2, 2, n_aps=3))
+    problem = singular_record(random_problem(3, view == "cellular", 2, 2, 2, n_aps=3))
     powers = np.ones((2, len(problem.group_of_device)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -826,13 +817,13 @@ def test_singular_combiner_system_raises_named_error(view):
             if view == "level1":
                 agg.level1_batch(problem, powers)
             else:
-                agg.optimize_batch(problem, powers, cellular=cellular)
+                agg.optimize_batch(problem, powers)
 
 
 # Level 1 reads the AP-side record per AP, level 3 reads it jointly, and
 # the cellular baseline reads the serving-BS record per BS.
 SOLVERS = (("level3", agg.level1_batch), ("level3", agg.optimize_batch),
-           ("cellular", partial(agg.optimize_batch, cellular=True)))
+           ("cellular", agg.optimize_batch))
 
 
 def test_infinite_power_limit_raises_named_error():
@@ -1093,14 +1084,41 @@ def test_cellular_problem_names_inconsistent_shapes():
     with pytest.raises(ValueError, match=re.escape(
             "Level3Problem.weights.nu has shape (2, 6), expected (3, 6)")):
         replace(block, weights=replace(block.weights, nu=block.weights.nu[1:]))
-    # one BS for two groups is a valid record, but not a cellular view
-    one_bs = replace(cellular, h_hat=cellular.h_hat[:, :1],
-                     error_cov=cellular.error_cov[:, :1])
-    b, v = np.ones(6, dtype=complex), np.ones((2, 8), dtype=complex)
-    for solve in (lambda p: agg.optimize_batch(p, np.ones((1, 6)), cellular=True),
-                  lambda p: agg.tco_step(p, np.ones(6), v, 0, cellular=True),
-                  lambda p: agg.mse_level3(p, b, v[0], 0, cellular=True)):
-        with pytest.raises(ValueError, match=re.escape(
-                "Level3Problem.h_hat has shape (6, 1, 8), expected one serving BS "
-                "per group (2) in the cellular view")):
-            solve(one_bs)
+    # one BS for two groups is not a serving-BS record, and an AP-side one
+    # of one AP is
+    with pytest.raises(ValueError, match=re.escape(
+            "Level3Problem.h_hat has shape (6, 1, 8), expected one serving BS "
+            "per group (2) in the cellular view")):
+        replace(cellular, h_hat=cellular.h_hat[:, :1], error_cov=cellular.error_cov[:, :1])
+    replace(cellular, h_hat=cellular.h_hat[:, :1], error_cov=cellular.error_cov[:, :1],
+            cellular=False)
+
+
+def test_level1_rejects_a_serving_bs_record():
+    inst = draw_instance(0)
+    power = inst["power"][None]
+    v = agg.level1_batch(inst["level3"], power)
+    proj = agg.channel_projections(v, inst["state"].ap.h)
+    for solve in (lambda p: agg.level1_batch(p, power),
+                  lambda p: agg.level1_mses(p, np.sqrt(power)[None], v, proj)):
+        with pytest.raises(ValueError, match="level 1 reads an AP-side record, not a serving-BS"):
+            solve(inst["cellular"])
+
+
+def test_wrong_length_combiner_raises_named_error():
+    # the joint view stacks 4 APs of 2 antennas, and a serving BS has 8
+    inst = draw_instance(0)
+    match = "combiner has length 5, expected 8 for the record's view"
+    for problem in (inst["level3"], inst["cellular"]):
+        with pytest.raises(ValueError, match=match):
+            agg.mse_level3(problem, np.ones(6), np.ones(5), 0)
+        with pytest.raises(ValueError, match=match):
+            agg.tco_step(problem, inst["power"], np.ones((2, 5)), 0)
+
+
+def test_no_solver_entry_point_takes_a_view_flag():
+    # the record says which receivers it holds, so no call can contradict it
+    public = [f for name, f in vars(agg).items()
+              if inspect.isfunction(f) and name[0] != "_" and f.__module__ == agg.__name__]
+    assert {agg.optimize_batch, agg.tco_step, agg.mse_level3, agg.level1_batch} <= set(public)
+    assert [f.__name__ for f in public if "cellular" in inspect.signature(f).parameters] == []

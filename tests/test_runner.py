@@ -3,7 +3,6 @@ import importlib
 import pkgutil
 import struct
 from dataclasses import fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -374,7 +373,7 @@ def assert_problems_equal(got, want):
     assert type(got) is type(want)
     for name in ("h_hat", "error_cov", "group_of_device"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert got.noise_power == want.noise_power
+    assert (got.noise_power, got.cellular) == (want.noise_power, want.cellular)
     for name in ("gamma", "omega", "nu"):
         assert np.array_equal(getattr(got.weights, name), getattr(want.weights, name))
 
@@ -391,16 +390,14 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
     # level-1 rows equal, bit for bit, what the one-seed functions build
     cfg = desk_config(seeds=n_seeds + 1, distribution_mode=mode,
                       architectures=archs, master_seed=3)
-    # (batch entry point, cellular view): solver kind and one-seed builder
-    builds = {("level1_batch", False): ("level1", runner.level3_problem),
-              ("optimize_batch", False): ("level3", runner.level3_problem),
-              ("optimize_batch", True): ("cellular",
-                                         partial(runner.level3_problem, cellular=True))}
+    # (batch entry point, serving-BS record): solver kind
+    solvers = {("level1_batch", False): "level1", ("optimize_batch", False): "level3",
+               ("optimize_batch", True): "cellular"}
     batches = {}
     for name in ("level1_batch", "optimize_batch"):
         def recording(problem, power_limits, name=name,
                       batch=getattr(runner.aggregation, name), **kwargs):
-            batches[(name, kwargs.get("cellular", False))] = problem, power_limits
+            batches[(name, problem.cellular)] = problem, power_limits
             return batch(problem, power_limits, **kwargs)
 
         monkeypatch.setattr(runner.aggregation, name, recording)
@@ -408,7 +405,7 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
     rows = runner._sweep_seeds(cfg, seeds)
     monkeypatch.undo()
     kinds = {runner.ARCHITECTURES[arch].solver for arch in archs}
-    assert sorted(builds[key][0] for key in batches) == sorted(kinds)
+    assert sorted(solvers[key] for key in batches) == sorted(kinds)
     powers = np.stack([np.full(cfg.n_devices, runner.dbm_to_watt(p))
                        for p in cfg.sweep_dbm])
     for i, seed in enumerate(seeds):
@@ -416,8 +413,9 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
         stats = runner.build_statistics(cfg, geometry, substream(3, seed, "shadowing"))
         state = runner.draw_round(stats, (3, seed, "round", 0))
         w = runner.make_weights(cfg, runner._initial_round_stats(cfg, seed))
-        for key, (block, block_powers) in batches.items():
-            assert_problems_equal(seed_problem(block, i), builds[key][1](stats, state, w))
+        for block, block_powers in batches.values():
+            assert_problems_equal(seed_problem(block, i),
+                                  runner.level3_problem(stats, state, w, block.cellular))
             assert np.array_equal(block_powers, powers)
         problem = runner.level3_problem(stats, state, w)
         combiners = runner.aggregation.level1_batch(problem, powers)[0]
@@ -473,8 +471,7 @@ def test_sweep_solves_every_seed_in_one_batch_per_kind(monkeypatch):
     optimize_batch = runner.aggregation.optimize_batch
 
     def counting(problem, power_limits, **kwargs):
-        batches.append((kwargs.get("cellular", False), len(problem.h_hat),
-                        len(power_limits)))
+        batches.append((problem.cellular, len(problem.h_hat), len(power_limits)))
         return optimize_batch(problem, power_limits, **kwargs)
 
     monkeypatch.setattr(runner.aggregation, "optimize_batch", counting)
@@ -600,10 +597,9 @@ def test_round_draws_share_read_only_seed_statistics(monkeypatch):
         first, second = (runner.draw_round(stats, (4, "round", t)) for t in (1, 2))
     assert [f.name for f in fields(runner.ChannelState)] == ["h", "h_hat"]
     w = runner.make_weights(cfg, np.ones(cfg.n_devices))
-    for view, build in (("ap", runner.level3_problem),
-                        ("bs", partial(runner.level3_problem, cellular=True))):
+    for view, cellular in (("ap", False), ("bs", True)):
         shared = getattr(stats, view)
-        a, b = (build(stats, state, w) for state in (first, second))
+        a, b = (runner.level3_problem(stats, state, w, cellular) for state in (first, second))
         assert np.shares_memory(a.error_cov, shared.error_cov)
         assert np.shares_memory(b.error_cov, shared.error_cov)
         assert not np.array_equal(getattr(first, view).h_hat, getattr(second, view).h_hat)
@@ -640,7 +636,7 @@ def test_training_solves_every_seed_in_one_batch_per_round(monkeypatch):
     for name in ("level1_batch", "optimize_batch"):
         def counting(problem, power_limits, name=name,
                      batch=getattr(runner.aggregation, name), **kwargs):
-            batches.append(((name, kwargs.get("cellular", False)), len(problem.h_hat),
+            batches.append(((name, problem.cellular), len(problem.h_hat),
                             len(power_limits)))
             return batch(problem, power_limits, **kwargs)
 
