@@ -25,7 +25,9 @@ alternating solver built on that core.
 A record holds one coherence block or, with a leading seed axis on its
 estimates, error blocks and per-device weights, one block of each seed of
 a seed block; the batch entry points solve every seed of such a record at
-once.
+once.  The references ``mse_level3`` and ``tco_step`` read one solved
+row, a record without a seed axis with ``sol.b[s, i]`` or power limits
+(K,) and ``sol.combiners[s, i]`` (G, D), and return the whole row.
 """
 
 from dataclasses import dataclass, replace
@@ -390,7 +392,12 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, b_init=None)
     if b_init is None:
         b = sqrt_power.astype(complex)
     else:
-        b = np.array(np.broadcast_to(b_init, sqrt_power.shape), dtype=complex)
+        try:
+            b_init = np.broadcast_to(b_init, sqrt_power.shape)
+        except ValueError:
+            raise ValueError(f"b_init has shape {np.shape(b_init)}, expected (S, P, K) = "
+                             f"{sqrt_power.shape} or a shape that broadcasts to it") from None
+        b = np.array(b_init, dtype=complex)
     values = np.empty(shape + (min(max_iters, 64) + 1,))
     group_values = np.empty(values.shape + (stack.n_groups,))
     mu = np.zeros(b.shape)
@@ -458,55 +465,65 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, b_init=None)
     return AggregationSolution(out_b, out_v, out_mu, iterations, ended, values, group_values)
 
 
-def _check_combiner_length(stack, v):
-    """Raise ValueError unless combiner v, or each combiner of v, has the
-    length of the record's view."""
-    length, dim = np.shape(v)[-1], stack.blocks[0] * stack.blocks[1]
-    if length != dim:
-        raise ValueError(f"combiner has length {length}, expected {dim} for the record's view")
-
-
-def tco_step(problem, power, combiners, k):
-    """Optimal transmit coefficient of device k for fixed combiners.
-
-    Returns (b_k, mu_k) satisfying the stationarity and complementary
-    slackness conditions of the power-constrained subproblem:
-    |b_k|^2 <= P_k = power[k] always holds, and mu_k > 0 only on the
-    boundary.  A one-device reference for the solver's vectorized update.
-    Device k's projections and quadratic forms come from the combiner core:
-    near the boundary mu_k is the difference of two nearly equal terms,
-    which a one-ulp change in those forms moves by more than 1e-12.  The
-    combiners (G, D) are the record's view's: joint, or per serving BS.
-    """
-    w = problem.weights
-    g = int(problem.group_of_device[k])
+def _one_row(problem, name, row, combiners):
+    """The ``_Stack`` of a record without a seed axis; ValueError, naming
+    the argument, unless ``row``, called ``name``, has the shape (K,) and
+    ``combiners`` the view's (G, D): one solver row."""
+    h = np.shape(problem.h_hat)
+    if len(h) != 3:
+        raise ValueError(f"problem.h_hat has shape {h}, expected {h[1:]}: "
+                         "a reference reads one seed's record")
     stack = _Stack(problem)
-    _check_combiner_length(stack, combiners)
+    dim = stack.blocks[0] * stack.blocks[1]
+    for name, value, want in ((name, row, h[:1]),
+                              ("combiners", combiners, (stack.n_groups, dim))):
+        if np.shape(value) != want:
+            raise ValueError(f"{name} has shape {np.shape(value)}, expected {want} "
+                             "for the record's view")
+    return stack
+
+
+def tco_step(problem, power, combiners):
+    """Optimal transmit coefficients and KKT multipliers, (K,) each, of
+    every device for fixed combiners (G, D) of the record's view, joint or
+    per serving BS, at power limits ``power`` (K,): one solver row.
+
+    Device k's (b_k, mu_k) satisfy the stationarity and complementary
+    slackness conditions of its power-constrained subproblem: |b_k|^2 <=
+    P_k always holds, and mu_k > 0 only on the boundary.  Computed device
+    by device, as the scalar reference for the solver's vectorized update.
+    The projections and quadratic forms come from the combiner core: near
+    the boundary mu_k is the difference of two nearly equal terms, which a
+    one-ulp change in those forms moves by more than 1e-12.
+    """
+    stack = _one_row(problem, "power", power, combiners)
     proj, quad, _ = stack.forms(np.asarray(combiners)[None, None])
-    proj, quad = proj[0, 0, :, k], quad[0, 0, :, k]
-    mag = np.abs(proj)
-    denom = float((w.omega * (mag ** 2 + quad)).sum())
-    gain = w.omega[g] * w.gamma[k] * w.nu[k]
-    mu = max(0.0, gain * mag[g] / np.sqrt(power[k]) - denom)
-    if denom + mu == 0.0:
-        return 0.0 + 0.0j, 0.0
-    return gain * proj[g].conjugate() / (denom + mu), mu
+    w = problem.weights
+    b, mu = np.zeros(len(power), dtype=complex), np.zeros(len(power))
+    for k, (g, proj_k, quad_k) in enumerate(
+            zip(problem.group_of_device, proj[0, 0].T, quad[0, 0].T)):
+        mag = np.abs(proj_k)
+        denom = float((w.omega * (mag ** 2 + quad_k)).sum())
+        gain = w.omega[g] * w.gamma[k] * w.nu[k]
+        mu_k = max(0.0, gain * mag[g] / np.sqrt(power[k]) - denom)
+        if denom + mu_k != 0.0:
+            b[k], mu[k] = gain * proj_k[g].conjugate() / (denom + mu_k), mu_k
+    return b, mu
 
 
-def mse_level3(problem, b, v, g):
-    """Conditional aggregation MSE of group g with combiner v.
+def mse_level3(problem, b, combiners):
+    """Conditional aggregation MSE (G,) of every group for coefficients b
+    (K,) and combiners (G, D) of the record's view: one solver row.
 
-    ``sum_k |v^H h_hat_k b_k - target_k|^2 + |b_k|^2 v^H C_k v`` plus the
-    combined noise power, where target_k is gamma*nu for the group's own
-    devices and 0 for interferers.  v is the record's view's: of all APs
-    jointly, or of group g's serving BS.
+    Group g's is ``sum_k |v_g^H h_hat_k b_k - target_k|^2 + |b_k|^2 v_g^H
+    C_k v_g`` plus the combined noise power, where target_k is gamma*nu for
+    the group's own devices and 0 for interferers, and v_g is group g's
+    combiner over all APs jointly or over its serving BS.
     """
-    stack = _Stack(problem)
-    _check_combiner_length(stack, v)
-    combiners = np.zeros((1, 1, problem.n_groups, len(v)), dtype=complex)
-    combiners[0, 0, g] = v
+    stack = _one_row(problem, "b", b, combiners)
     b = np.asarray(b, dtype=complex)[None, None]
-    return float(stack.group_mses(b, np.abs(b) ** 2, *stack.forms(combiners))[0, 0, g])
+    forms = stack.forms(np.asarray(combiners)[None, None])
+    return stack.group_mses(b, np.abs(b) ** 2, *forms)[0, 0]
 
 
 # ---------------------------------------------------------------------------

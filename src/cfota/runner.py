@@ -593,6 +593,8 @@ def _over_seeds(cfg, threads, run_seeds):
     its own worker thread when there is more than one; every seed draws
     from its own substreams, so the rows do not depend on the thread count.
     """
+    if threads < 1:
+        raise ValidationError(f"threads={threads} must be >= 1")
     n_blocks = min(threads, cfg.seeds)
     blocks = [range(i * cfg.seeds // n_blocks, (i + 1) * cfg.seeds // n_blocks)
               for i in range(n_blocks)]

@@ -282,19 +282,12 @@ def reference_level1_combiners(problem, power):
     return v.reshape(problem.n_groups, problem.h_hat.shape[1], -1)
 
 
-def mse_level1(problem, b, combiners, projections, g):
-    """Level-1 MSE of group g (see ``aggregation.level1_mses``) for one
-    problem's coefficients (K,), combiners (G, L, N) and projections
-    (G, K, L)."""
-    return float(aggregation.level1_mses(problem, *(np.asarray(a)[None, None] for a in
-                                                    (b, combiners, projections)))[0, 0, g])
-
-
-def weighted_sum_mse_level1(problem, b, combiners, projections):
-    return float(sum(
-        problem.weights.omega[g] * mse_level1(problem, b, combiners, projections, g)
-        for g in range(problem.n_groups)
-    ))
+def mse_level1(problem, b, combiners, projections):
+    """Level-1 MSEs (G,) of every group (see ``aggregation.level1_mses``)
+    for one problem's coefficients (K,), combiners (G, L, N) and
+    projections (G, K, L)."""
+    return aggregation.level1_mses(problem, *(np.asarray(a)[None, None] for a in
+                                              (b, combiners, projections)))[0, 0]
 
 
 def total_per_block(report, rounds_per_block=1):

@@ -16,7 +16,7 @@ from cfota.rng import substream
 from oracles import (combiners_level3, dense_cpu_view, desired_global, desk_config,
                      draw_instance, mc_mse_level1, mc_mse_level3,
                      mmse_estimate, mse_level1, recover, shard_fractions,
-                     row, total_per_block, weighted_sum_mse_level1)
+                     row, total_per_block)
 
 N_SOUNDNESS_INSTANCES = 50
 
@@ -55,20 +55,20 @@ def test_criterion_1_mse_oracle_equivalence():
         for kind, tag in (("level3", "acc1-l3"), ("cellular", "acc1-cell")):
             problem = inst[kind]
             sol = row(agg.optimize_batch(problem, power[None], max_iters=60))
+            closed = agg.mse_level3(problem, sol.b, sol.combiners)
             for g in range(problem.n_groups):
-                closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g)
                 mc = mc_mse_level3(problem, sol.b, sol.combiners[g], g, n_draws,
                                    substream(seed, tag, g))
-                assert abs(mc - closed) <= 0.02 * closed
+                assert abs(mc - closed[g]) <= 0.02 * closed[g]
 
         v1, b1 = agg.level1_batch(p3, power[None])[0, 0], np.sqrt(power)
         h_true = inst["state"].ap.h
         proj = agg.channel_projections(v1, h_true)
+        closed = mse_level1(p3, b1, v1, proj)
         for g in range(p3.n_groups):
-            closed = mse_level1(p3, b1, v1, proj, g)
             mc = mc_mse_level1(p3, b1, v1, h_true, g, n_draws,
                                substream(seed, "acc1-l1", g))
-            assert abs(mc - closed) <= 0.02 * closed
+            assert abs(mc - closed[g]) <= 0.02 * closed[g]
     _report(1, "MSE oracle equivalence")
 
 
@@ -109,8 +109,8 @@ def test_criterion_3_level_equivalences_and_ordering(soundness_solutions):
 
         v1 = agg.level1_batch(p3, inst["power"][None])[0, 0]
         proj = agg.channel_projections(v1, inst["state"].ap.h)
-        wsm1 = weighted_sum_mse_level1(p3, np.sqrt(inst["power"]), v1, proj)
-        assert sol3.values[-1] <= wsm1
+        mses1 = mse_level1(p3, np.sqrt(inst["power"]), v1, proj)
+        assert sol3.values[-1] <= p3.weights.omega @ mses1
     _report(3, "level equivalences and ordering")
 
 
@@ -174,8 +174,7 @@ def test_criterion_5_power_sweep_shape():
             group_of_device=np.array([0]), weights=weights,
             noise_power=inst["level3"].noise_power)
         b = np.sqrt(power).astype(complex)
-        v = combiners_level3(problem, b)[0]
-        mses[p_dbm] = agg.mse_level3(problem, b, v, 0)
+        [mses[p_dbm]] = agg.mse_level3(problem, b, combiners_level3(problem, b))
     assert mses[40.0] < 1e-3 * mses[-10.0]
     _report(5, "power-sweep shape")
 

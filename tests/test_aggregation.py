@@ -17,7 +17,7 @@ from cfota.rng import substream
 from oracles import (block_problem, cn_noise, combiners_level1, combiners_level3,
                      dense_cpu_view, desk_config, draw_instance, mc_mse_level1,
                      mc_mse_level3, mse_level1, recover, reference_level1_combiners,
-                     reference_solve, row, seed_problem, tco_steps, weighted_sum_mse_level1)
+                     reference_solve, row, seed_problem, tco_steps)
 
 
 def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0):
@@ -33,20 +33,18 @@ def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0):
 def test_mse_level3_zero_combiner_leaves_target():
     inst = draw_instance(0)
     problem = inst["level3"]
-    v = np.zeros(problem.h_hat[0].size, dtype=complex)
+    v = np.zeros((problem.n_groups, problem.h_hat[0].size), dtype=complex)
     b = np.ones(len(problem.h_hat), dtype=complex)
-    for g in range(problem.n_groups):
-        own = problem.group_of_device == g
-        expected = float((problem.weights.gamma[own] ** 2
-                          * problem.weights.nu[own] ** 2).sum())
-        assert agg.mse_level3(problem, b, v, g) == pytest.approx(expected)
+    target = np.bincount(problem.group_of_device,
+                         (problem.weights.gamma * problem.weights.nu) ** 2)
+    assert agg.mse_level3(problem, b, v) == pytest.approx(target)
 
 
 def test_mse_level3_scalar_hand_value():
     # |0.5*1*1 - 1|^2 + 1 * |0.5|^2 = 0.25 + 0.25
     problem = scalar_problem()
-    mse = agg.mse_level3(problem, np.array([1.0 + 0j]),
-                         np.array([0.5 + 0j]), 0)
+    [mse] = agg.mse_level3(problem, np.array([1.0 + 0j]),
+                           np.array([[0.5 + 0j]]))
     assert mse == pytest.approx(0.5)
 
 
@@ -55,11 +53,11 @@ def test_mse_level3_matches_monte_carlo():
     problem = inst["level3"]
     b = np.sqrt(inst["power"]).astype(complex)
     combiners = combiners_level3(problem, b)
+    closed = agg.mse_level3(problem, b, combiners)
     for g in range(problem.n_groups):
-        closed = agg.mse_level3(problem, b, combiners[g], g)
         mc = mc_mse_level3(problem, b, combiners[g], g, 100_000,
                            substream(1, "mc", g))
-        assert mc == pytest.approx(closed, rel=0.02)
+        assert mc == pytest.approx(closed[g], rel=0.02)
 
 
 def test_combiner_level3_zero_coefficients():
@@ -82,30 +80,30 @@ def test_combiner_level3_is_minimizer():
     problem = inst["level3"]
     b = np.sqrt(inst["power"]).astype(complex)
     rng = substream(3, "perturb")
+    v_opt = combiners_level3(problem, b)
+    base = agg.mse_level3(problem, b, v_opt)
     for g in range(problem.n_groups):
-        v_opt = combiners_level3(problem, b)[g]
-        base = agg.mse_level3(problem, b, v_opt, g)
-        scale = np.linalg.norm(v_opt)
+        scale = np.linalg.norm(v_opt[g])
         for eps in (1e-3, 1e-2):
             for _ in range(100):
-                direction = rng.standard_normal(len(v_opt)) \
-                    + 1j * rng.standard_normal(len(v_opt))
+                direction = rng.standard_normal(v_opt.shape[1]) \
+                    + 1j * rng.standard_normal(v_opt.shape[1])
                 direction /= np.linalg.norm(direction)
-                perturbed = agg.mse_level3(problem, b,
-                                           v_opt + eps * scale * direction, g)
-                assert perturbed >= base * (1.0 - 1e-12)
+                perturbed = v_opt.copy()
+                perturbed[g] += eps * scale * direction
+                assert agg.mse_level3(problem, b, perturbed)[g] >= base[g] * (1.0 - 1e-12)
 
 
 def test_tco_step_interior_hand_values():
     # v = 1, h_hat = 1, C = 0: denominator 1, large P -> mu = 0, b = 1
     problem, power = scalar_problem(), np.array([100.0])
     v = np.array([[1.0 + 0j]])
-    b, mu = agg.tco_step(problem, power, v, 0)
+    [b], [mu] = agg.tco_step(problem, power, v)
     assert mu == 0.0
     assert b == pytest.approx(1.0)
     # adding v^H C v = 1 doubles the denominator
     problem2 = scalar_problem(error_cov=1.0)
-    b2, mu2 = agg.tco_step(problem2, power, v, 0)
+    [b2], [mu2] = agg.tco_step(problem2, power, v)
     assert mu2 == 0.0
     assert b2 == pytest.approx(0.5)
 
@@ -114,7 +112,7 @@ def test_tco_step_boundary_clamps_to_power():
     # unconstrained solution 10 exceeds sqrt(P) = 1 -> mu > 0, |b| = sqrt(P)
     problem = scalar_problem(gamma_nu=10.0)
     v = np.array([[1.0 + 0j]])
-    b, mu = agg.tco_step(problem, np.array([1.0]), v, 0)
+    [b], [mu] = agg.tco_step(problem, np.array([1.0]), v)
     assert mu > 0
     assert abs(b) == pytest.approx(1.0, rel=1e-12)
     assert mu * (abs(b) ** 2 - 1.0) == pytest.approx(0.0, abs=1e-8)
@@ -122,7 +120,7 @@ def test_tco_step_boundary_clamps_to_power():
 
 def test_tco_step_zero_denominator():
     problem = scalar_problem(h_hat=0.0, error_cov=0.0)
-    b, mu = agg.tco_step(problem, np.array([100.0]), np.array([[1.0 + 0j]]), 0)
+    [b], [mu] = agg.tco_step(problem, np.array([100.0]), np.array([[1.0 + 0j]]))
     assert b == 0.0 and mu == 0.0
 
 
@@ -242,13 +240,10 @@ def test_mse_level1_zero_coefficients():
     b0 = np.zeros(len(problem.h_hat), dtype=complex)
     proj = agg.channel_projections(v, inst["state"].ap.h)
     n_aps = problem.h_hat.shape[1]
-    for g in range(problem.n_groups):
-        own = problem.group_of_device == g
-        target = float((problem.weights.gamma[own] ** 2
-                        * problem.weights.nu[own] ** 2).sum())
-        z_term = problem.noise_power * (np.abs(v[g]) ** 2).sum() / n_aps**2
-        got = mse_level1(problem, b0, v, proj, g)
-        assert got == pytest.approx(target + z_term)
+    target = np.bincount(problem.group_of_device,
+                         (problem.weights.gamma * problem.weights.nu) ** 2)
+    z_term = problem.noise_power * (np.abs(v) ** 2).sum(axis=(1, 2)) / n_aps**2
+    assert mse_level1(problem, b0, v, proj) == pytest.approx(target + z_term)
 
 
 def test_mse_level1_single_ap_conditional_form():
@@ -260,14 +255,14 @@ def test_mse_level1_single_ap_conditional_form():
     v, b = agg.level1_batch(problem, inst["power"][None])[0, 0], np.sqrt(inst["power"])
     h_true = inst["state"].ap.h
     proj = agg.channel_projections(v, h_true)
+    got = mse_level1(problem, b, v, proj)
     for g in range(problem.n_groups):
         own = problem.group_of_device == g
         target = np.where(own, problem.weights.gamma * problem.weights.nu, 0.0)
         gains = proj[g, :, 0]
         expected = float((np.abs(gains * b - target) ** 2).sum()
                          + problem.noise_power * np.linalg.norm(v[g, 0]) ** 2)
-        got = mse_level1(problem, b, v, proj, g)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got[g] == pytest.approx(expected, rel=1e-12)
 
 
 def test_mse_level1_matches_monte_carlo():
@@ -276,11 +271,11 @@ def test_mse_level1_matches_monte_carlo():
     v, b = agg.level1_batch(problem, inst["power"][None])[0, 0], np.sqrt(inst["power"])
     h_true = inst["state"].ap.h
     proj = agg.channel_projections(v, h_true)
+    closed = mse_level1(problem, b, v, proj)
     for g in range(problem.n_groups):
-        closed = mse_level1(problem, b, v, proj, g)
         mc = mc_mse_level1(problem, b, v, h_true, g, 100_000,
                            substream(9, "mc1", g))
-        assert mc == pytest.approx(closed, rel=0.02)
+        assert mc == pytest.approx(closed[g], rel=0.02)
 
 
 def test_recover_level2_equals_level3():
@@ -387,11 +382,11 @@ def test_cellular_mse_matches_monte_carlo():
     inst = draw_instance(15)
     problem = inst["cellular"]
     sol = row(agg.optimize_batch(problem, inst["power"][None]))
+    closed = agg.mse_level3(problem, sol.b, sol.combiners)
     for g in range(problem.n_groups):
-        closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g)
         mc = mc_mse_level3(problem, sol.b, sol.combiners[g], g, 100_000,
                            substream(15, "mcc", g))
-        assert mc == pytest.approx(closed, rel=0.02)
+        assert mc == pytest.approx(closed[g], rel=0.02)
 
 
 def test_level3_beats_level1_weighted_sum():
@@ -400,8 +395,8 @@ def test_level3_beats_level1_weighted_sum():
         sol3 = row(agg.optimize_batch(inst["level3"], inst["power"][None]))
         v1 = agg.level1_batch(inst["level3"], inst["power"][None])[0, 0]
         proj = agg.channel_projections(v1, inst["state"].ap.h)
-        wsm1 = weighted_sum_mse_level1(inst["level3"], np.sqrt(inst["power"]), v1, proj)
-        assert sol3.values[-1] <= wsm1
+        mses1 = mse_level1(inst["level3"], np.sqrt(inst["power"]), v1, proj)
+        assert sol3.values[-1] <= inst["level3"].weights.omega @ mses1
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +468,9 @@ def test_tco_step_matches_vectorized_step(seed, cellular, n_groups, per_group,
     b0 = np.sqrt(power).astype(complex)
     combiners = combiners_level3(problem, b0)
     b, mu = tco_steps(problem, power, combiners)
-    for k in range(len(b)):
-        b_k, mu_k = agg.tco_step(problem, power, combiners, k)
-        assert b[k] == pytest.approx(b_k, rel=1e-12, abs=1e-300)
-        assert mu[k] == pytest.approx(mu_k, rel=1e-12, abs=1e-300)
+    b_ref, mu_ref = agg.tco_step(problem, power, combiners)
+    assert b == pytest.approx(b_ref, rel=1e-12, abs=1e-300)
+    assert mu == pytest.approx(mu_ref, rel=1e-12, abs=1e-300)
 
 
 @settings(max_examples=40, deadline=None)
@@ -492,13 +486,13 @@ def test_cellular_group_equals_one_bs_level3_view(seed, n_groups, per_group, dim
     phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
     b = 10.0 ** (np.asarray(power_db[:n_dev]) / 20.0) * phase
     cellular = combiners_level3(problem, b)
+    mses = agg.mse_level3(problem, b, cellular)
     for g in range(n_groups):
         one_bs = replace(problem, h_hat=problem.h_hat[:, g:g + 1],
                          error_cov=problem.error_cov[:, g:g + 1], cellular=False)
-        v = combiners_level3(one_bs, b)[g]
-        assert np.linalg.norm(cellular[g] - v) <= 1e-12 * np.linalg.norm(v)
-        assert agg.mse_level3(problem, b, cellular[g], g) == pytest.approx(
-            agg.mse_level3(one_bs, b, v, g), rel=1e-12, abs=0.0)
+        v = combiners_level3(one_bs, b)
+        assert np.linalg.norm(cellular[g] - v[g]) <= 1e-12 * np.linalg.norm(v[g])
+        assert mses[g] == pytest.approx(agg.mse_level3(one_bs, b, v)[g], rel=1e-12, abs=0.0)
 
 
 symmetry_shapes = dict(
@@ -955,8 +949,7 @@ def test_level1_seed_batch_equals_single_solutions(n_problems, seed, n_dev, n_ap
             one = agg.level1_batch(problem, power[None])[0, 0]
             assert np.array_equal(combiners, one)
             proj = agg.channel_projections(one, channels[s])
-            for g in range(n_groups):
-                assert mses[s, i, g] == mse_level1(problem, b[i], one, proj, g)
+            assert np.array_equal(mses[s, i], mse_level1(problem, b[i], one, proj))
 
 
 # ---------------------------------------------------------------------------
@@ -1004,8 +997,7 @@ def test_block_core_matches_dense_reference(seed, n_dev, n_aps, n_ant, n_groups,
     assert np.all(np.abs(got_quad[0, 0] - quad) <= 1e-12 * np.abs(quad).max())
     np.testing.assert_allclose(got_energy[0, 0], np.linalg.norm(v, axis=1) ** 2,
                                rtol=1e-12, atol=0.0)
-    got_mses = [agg.mse_level3(problem, b, got[g], g) for g in range(n_groups)]
-    np.testing.assert_allclose(got_mses, mses, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(agg.mse_level3(problem, b, got), mses, rtol=1e-10, atol=0.0)
 
 
 def test_level3_solve_forms_no_stacked_matrix():
@@ -1108,17 +1100,53 @@ def test_level1_rejects_a_serving_bs_record():
 def test_wrong_length_combiner_raises_named_error():
     # the joint view stacks 4 APs of 2 antennas, and a serving BS has 8
     inst = draw_instance(0)
-    match = "combiner has length 5, expected 8 for the record's view"
+    match = re.escape("combiners has shape (2, 5), expected (2, 8) for the record's view")
     for problem in (inst["level3"], inst["cellular"]):
         with pytest.raises(ValueError, match=match):
-            agg.mse_level3(problem, np.ones(6), np.ones(5), 0)
+            agg.mse_level3(problem, np.ones(6), np.ones((2, 5)))
         with pytest.raises(ValueError, match=match):
-            agg.tco_step(problem, inst["power"], np.ones((2, 5)), 0)
+            agg.tco_step(problem, inst["power"], np.ones((2, 5)))
+
+
+def test_references_read_one_solver_row():
+    # a seed block's record, a third group's combiner, a short b or power
+    # row, and a b_init that does not broadcast to the (S, P, K) rows
+    inst = draw_instance(0)
+    problem, power = inst["level3"], inst["power"]
+    block, b, v = block_problem([problem, problem]), np.ones(6), np.ones((2, 8))
+    seeds = "problem.h_hat has shape (2, 6, 4, 2), expected (6, 4, 2)"
+    groups = "combiners has shape (3, 8), expected (2, 8)"
+    for call, match in (
+            (lambda: agg.mse_level3(block, b, v), seeds),
+            (lambda: agg.tco_step(block, power, v), seeds),
+            (lambda: agg.mse_level3(problem, b, np.ones((3, 8))), groups),
+            (lambda: agg.tco_step(problem, power, np.ones((3, 8))), groups),
+            (lambda: agg.mse_level3(problem, np.ones(4), v), "b has shape (4,), expected (6,)"),
+            (lambda: agg.tco_step(problem, power[:5], v), "power has shape (5,), expected (6,)"),
+            (lambda: agg.optimize_batch(problem, power[None], b_init=np.ones(3)),
+             "b_init has shape (3,), expected (S, P, K) = (1, 1, 6)")):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            call()
+
+
+@pytest.mark.parametrize("kind", ["level3", "cellular"])
+def test_mse_level3_of_a_solved_row_is_its_stop_value(kind):
+    for seed in range(5):
+        inst = draw_instance(seed)
+        problem = inst[kind]
+        sol = agg.optimize_batch(problem, inst["power"][None], max_iters=50)
+        stop = sol.iterations[0, 0]
+        np.testing.assert_allclose(agg.mse_level3(problem, sol.b[0, 0], sol.combiners[0, 0]),
+                                   sol.group_values[0, 0, stop], rtol=1e-12, atol=0.0)
 
 
 def test_no_solver_entry_point_takes_a_view_flag():
-    # the record says which receivers it holds, so no call can contradict it
+    # the record says which receivers it holds, so no call can contradict
+    # it, and a reference reads a whole row, so no index can wrap
     public = [f for name, f in vars(agg).items()
               if inspect.isfunction(f) and name[0] != "_" and f.__module__ == agg.__name__]
     assert {agg.optimize_batch, agg.tco_step, agg.mse_level3, agg.level1_batch} <= set(public)
-    assert [f.__name__ for f in public if "cellular" in inspect.signature(f).parameters] == []
+    assert [f.__name__ for f in public
+            if {"cellular", "g", "k"} & set(inspect.signature(f).parameters)] == []
+    assert str(inspect.signature(agg.mse_level3)) == "(problem, b, combiners)"
+    assert str(inspect.signature(agg.tco_step)) == "(problem, power, combiners)"

@@ -322,9 +322,9 @@ def test_ota_round_realized_error_matches_closed_form():
                                    substream(21, "slots", i))
         total_sq += error_sq
     per_slot = total_sq / (n_redraws * n_dims)
+    closed = agg.mse_level3(problem, sol.b, sol.combiners)
     for g in range(cfg.n_groups):
-        closed = agg.mse_level3(problem, sol.b, sol.combiners[g], g)
-        assert per_slot[g] == pytest.approx(closed, rel=0.02)
+        assert per_slot[g] == pytest.approx(closed[g], rel=0.02)
 
 
 def test_ota_round_level2_equals_level3_recovery():

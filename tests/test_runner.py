@@ -422,7 +422,7 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
         for p_dbm, power, v in zip(cfg.sweep_dbm, powers, combiners):
             proj = runner.aggregation.channel_projections(v, state.ap.h)
             b = np.sqrt(power).astype(complex)
-            alone = tuple(mse_level1(problem, b, v, proj, g) for g in range(cfg.n_groups))
+            alone = tuple(mse_level1(problem, b, v, proj))
             [row] = [r for r in rows if (r.scenario, r.seed, r.point) == ("level1", seed, p_dbm)]
             assert row.mse_per_group == alone
 
@@ -1037,6 +1037,13 @@ def test_cli_threads_below_one_is_named_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("ValidationError") and "--threads" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("run", [runner.run_mse_sweep, runner.run_fl_training])
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_is_named_error(run, threads):
+    with pytest.raises(runner.ValidationError, match=f"threads={threads} must be >= 1"):
+        run(desk_config(seeds=2), threads=threads)
 
 
 @pytest.mark.parametrize("rounds", ["0", "-3"])
