@@ -25,9 +25,11 @@ alternating solver built on that core.
 A record holds one coherence block or, with a leading seed axis on its
 estimates, error blocks and per-device weights, one block of each seed of
 a seed block; the batch entry points solve every seed of such a record at
-once.  The references ``mse_level3`` and ``tco_step`` read one solved
-row, a record without a seed axis with ``sol.b[s, i]`` or power limits
-(K,) and ``sol.combiners[s, i]`` (G, D), and return the whole row.
+once.  ``optimize_batch`` returns one solution record, and ``level1_batch``
+the coefficients, combiners and per-group MSEs on the true channels.  The
+references ``mse_level3`` and ``tco_step`` read one solved row, a record
+without a seed axis with ``sol.b[s, i]`` or power limits (K,) and
+``sol.combiners[s, i]`` (G, D), and return the whole row.
 """
 
 from dataclasses import dataclass, replace
@@ -196,11 +198,15 @@ def _check_finite(arr, live, what):
 
 def _power_rows(problem, power_limits):
     """``power_limits`` as floats; ValueError unless they are P >= 1 rows
-    of K."""
+    of K finite limits > 0."""
     power, h = np.asarray(power_limits, dtype=float), np.shape(problem.h_hat)
     if power.ndim != 2 or power.shape[1] != h[-3] or not len(power):
         raise ValueError(f"power_limits has shape {power.shape}, expected (P, {h[-3]}) "
                          f"for h_hat of shape {h}")
+    bad = power[~(np.isfinite(power) & (power > 0.0))]
+    if bad.size:
+        raise ValueError(f"power_limits holds {np.unique(bad).tolist()}, "
+                         "expected finite limits > 0")
     return power
 
 
@@ -536,50 +542,39 @@ def _check_ap_side(problem):
         raise ValueError("level 1 reads an AP-side record, not a serving-BS one (cellular=True)")
 
 
-def channel_projections(combiners, channels):
-    """Per-AP combined true channels u[..., g, k, l] = v_gl^H h_kl of
-    combiners (..., G, L, N) and channels (..., K, L, N)."""
-    return np.einsum("...gln,...kln->...gkl", combiners.conj(), channels)
+def level1_batch(problem, power_limits, channels):
+    """Level 1 of every seed of an AP-side record, viewed per AP, at every
+    row of power limits: the full-power coefficients b = sqrt(power_limits)
+    (S, P, K) (no TCO at level 1), the local combiners (S, P, G, L, N) at
+    them, and every group's MSE (S, P, G) of its averaged estimate.
 
-
-def level1_mses(problem, b, combiners, projections):
-    """Aggregation MSEs (S, P, G) of every group's averaged estimate, given
-    combined channels: seed s of the AP-side record at row p has
-    coefficients b[s, p] (K,), combiners[s, p] (G, L, N) and projections[s,
-    p] (G, K, L).
-
-    This conditions on the per-AP combined *true* channels (a simulation-side
-    metric): with u fixed, only the symbols and noise are random, so there is
-    no estimation-error inflation term.
+    Row i of ``power_limits`` (P, K) holds every device's power limit, and
+    ``channels`` holds the true channels in the layout of ``h_hat``.  The
+    MSE conditions on the per-AP combined *true* channels u_gkl = v_gl^H
+    h_kl (a simulation-side metric): with u fixed, only the symbols and
+    noise are random, so there is no estimation-error inflation term.
     """
     _check_ap_side(problem)
-    n_aps = combiners.shape[-2]
-    # Contiguous, so that each sum adds its terms in one order whatever the
-    # layout of the arrays passed in.
-    combiners, projections = map(np.ascontiguousarray, (combiners, projections))
-    gamma_nu = problem.weights.gamma * problem.weights.nu
-    own = problem.group_of_device == np.arange(problem.n_groups)[:, None]
-    target = np.where(own, gamma_nu[..., None, None, :], 0.0)     # (S, 1, G, K)
-    mean_u = projections.mean(axis=-1)                             # averaged combined gains
-    signal = (np.abs(mean_u * b[..., None, :] - target) ** 2).sum(axis=-1)
-    power = np.abs(combiners) ** 2
-    power = power.reshape(*power.shape[:-2], -1).sum(axis=-1)
-    return signal + problem.noise_power * power / n_aps**2
-
-
-def level1_batch(problem, power_limits):
-    """Local combiners (S, P, G, L, N) at the full-power coefficients
-    sqrt(power_limits) (no TCO at level 1) of every seed of an AP-side
-    record, viewed per AP, at every row of power limits.
-
-    Row i of ``power_limits`` (P, K) holds every device's power limit.
-    """
-    _check_ap_side(problem)
-    b = np.sqrt(_power_rows(problem, power_limits)).astype(complex)
+    power, h = _power_rows(problem, power_limits), np.shape(problem.h_hat)
+    if np.shape(channels) != h:
+        raise ValueError(f"channels has shape {np.shape(channels)}, expected {h}, "
+                         "the shape of h_hat")
     stack = _Stack(problem, per_ap=True)
-    b_block = np.broadcast_to(b, (stack.n_seeds,) + b.shape)
+    b = np.broadcast_to(np.sqrt(power).astype(complex), (stack.n_seeds,) + power.shape)
     with _invalid_raises():
-        combiners = stack.combiners(b_block, np.abs(b_block) ** 2)
-    # C order: the last bits of the caller's products depend on the layout.
-    return np.ascontiguousarray(
-        combiners.reshape(*combiners.shape[:3], problem.h_hat.shape[-2], -1))
+        combiners = stack.combiners(b, np.abs(b) ** 2)
+    # C order, so that each sum adds its terms in one order, and the last
+    # bits of the caller's products, which depend on the layout, are fixed.
+    combiners = np.ascontiguousarray(combiners.reshape(*combiners.shape[:3], h[-2], -1))
+    channels = np.reshape(channels, (stack.n_seeds, 1) + h[-3:])
+    proj = np.ascontiguousarray(np.einsum("...gln,...kln->...gkl", combiners.conj(), channels))
+    w = problem.weights
+    own = problem.group_of_device == np.arange(problem.n_groups)[:, None]
+    target = np.where(own, (w.gamma * w.nu)[..., None, None, :], 0.0)  # (S, 1, G, K)
+    mean_u = proj.mean(axis=-1)                                    # averaged combined gains
+    signal = (np.abs(mean_u * b[..., None, :] - target) ** 2).sum(axis=-1)
+    energy = np.abs(combiners) ** 2
+    energy = energy.reshape(*energy.shape[:-2], -1).sum(axis=-1)
+    mses = signal + problem.noise_power * energy / h[-2] ** 2
+    _check_finite(mses, None, "level-1 MSE")
+    return b, combiners, mses

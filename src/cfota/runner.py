@@ -642,19 +642,16 @@ def _solve_block(cfg, kind, stats, state, weights, powers):
     ``state`` is the block's round state and ``weights`` its (S, K) weights.
     Returns b (S, P, K), the combiners (S, P, G, ...) and the per-group
     MSEs (S, P, 2, G) at full power (tco=0) and after the solve (tco=1);
-    None, None and zeros without a solver.  Levels 1 and 3 solve the same
-    AP-side record, level 1 per AP, and level 1 is scored on the true
-    channels; the cellular baseline solves the serving-BS record, one view
-    per BS.
+    None, None and zeros without a solver.  Every solver kind is one call.
+    Levels 1 and 3 solve the same AP-side record, level 1 per AP, and
+    ``level1_batch`` scores level 1 on the block's true channels; the
+    cellular baseline solves the serving-BS record, one view per BS.
     """
     if kind is None:
         return None, None, np.zeros((len(weights.nu), len(powers), 2, cfg.n_groups))
     problem = level3_problem(stats, state, weights, kind == "cellular")
     if kind == "level1":
-        v = aggregation.level1_batch(problem, powers)
-        b = np.broadcast_to(np.sqrt(powers).astype(complex), (len(v),) + powers.shape)
-        proj = aggregation.channel_projections(v, state.ap.h[:, None])
-        mses = aggregation.level1_mses(problem, b, v, proj)
+        b, v, mses = aggregation.level1_batch(problem, powers, state.ap.h)
         return b, v, np.stack([mses, mses], axis=2)
     sol = aggregation.optimize_batch(problem, powers, eps=cfg.epsilon,
                                      max_iters=cfg.max_iters)

@@ -282,12 +282,25 @@ def reference_level1_combiners(problem, power):
     return v.reshape(problem.n_groups, problem.h_hat.shape[1], -1)
 
 
-def mse_level1(problem, b, combiners, projections):
-    """Level-1 MSEs (G,) of every group (see ``aggregation.level1_mses``)
-    for one problem's coefficients (K,), combiners (G, L, N) and
-    projections (G, K, L)."""
-    return aggregation.level1_mses(problem, *(np.asarray(a)[None, None] for a in
-                                              (b, combiners, projections)))[0, 0]
+def mse_level1(problem, b, combiners, channels):
+    """Level-1 MSEs (G,) of one record without a seed axis, from the
+    formula, one group at a time: coefficients b (K,), combiners (G, L, N)
+    and true channels (K, L, N).
+
+    Group g's estimate averages its L local combines, so device k reaches
+    it with the gain mean_l v_gl^H h_kl, and the noise of AP l with the
+    weight v_gl / L: the MSE is sum_k |gain_k b_k - target_k|^2 plus
+    sigma^2 sum_l |v_gl|^2 / L^2.
+    """
+    n_aps = problem.h_hat.shape[1]
+    gamma_nu = problem.weights.gamma * problem.weights.nu
+    mses = np.empty(problem.n_groups)
+    for g, v in enumerate(combiners):
+        gains = np.einsum("ln,kln->k", v.conj(), channels) / n_aps
+        target = np.where(problem.group_of_device == g, gamma_nu, 0.0)
+        noise = problem.noise_power * np.sum(np.abs(v) ** 2) / n_aps**2
+        mses[g] = np.sum(np.abs(gains * b - target) ** 2) + noise
+    return mses
 
 
 def total_per_block(report, rounds_per_block=1):

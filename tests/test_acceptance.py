@@ -15,7 +15,7 @@ from cfota.rng import substream
 
 from oracles import (combiners_level3, dense_cpu_view, desired_global, desk_config,
                      draw_instance, mc_mse_level1, mc_mse_level3,
-                     mmse_estimate, mse_level1, recover, shard_fractions,
+                     mmse_estimate, recover, shard_fractions,
                      row, total_per_block)
 
 N_SOUNDNESS_INSTANCES = 50
@@ -61,10 +61,8 @@ def test_criterion_1_mse_oracle_equivalence():
                                    substream(seed, tag, g))
                 assert abs(mc - closed[g]) <= 0.02 * closed[g]
 
-        v1, b1 = agg.level1_batch(p3, power[None])[0, 0], np.sqrt(power)
         h_true = inst["state"].ap.h
-        proj = agg.channel_projections(v1, h_true)
-        closed = mse_level1(p3, b1, v1, proj)
+        b1, v1, closed = (a[0, 0] for a in agg.level1_batch(p3, power[None], h_true))
         for g in range(p3.n_groups):
             mc = mc_mse_level1(p3, b1, v1, h_true, g, n_draws,
                                substream(seed, "acc1-l1", g))
@@ -107,9 +105,7 @@ def test_criterion_3_level_equivalences_and_ordering(soundness_solutions):
             scale = np.maximum(np.abs(r3), 1e-300)
             assert np.max(np.abs(r2 - r3) / scale) <= 1e-10
 
-        v1 = agg.level1_batch(p3, inst["power"][None])[0, 0]
-        proj = agg.channel_projections(v1, inst["state"].ap.h)
-        mses1 = mse_level1(p3, np.sqrt(inst["power"]), v1, proj)
+        mses1 = agg.level1_batch(p3, inst["power"][None], inst["state"].ap.h)[2][0, 0]
         assert sol3.values[-1] <= p3.weights.omega @ mses1
     _report(3, "level equivalences and ordering")
 

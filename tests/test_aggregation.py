@@ -234,16 +234,30 @@ def test_combiner_level1_zero_coefficients_and_scalar_value():
 
 
 def test_mse_level1_zero_coefficients():
+    # level 1 always runs at full power, so the oracle alone scores b = 0
     inst = draw_instance(7)
     problem = inst["level3"]
-    v = agg.level1_batch(problem, inst["power"][None])[0, 0]
+    v = agg.level1_batch(problem, inst["power"][None], inst["state"].ap.h)[1][0, 0]
     b0 = np.zeros(len(problem.h_hat), dtype=complex)
-    proj = agg.channel_projections(v, inst["state"].ap.h)
     n_aps = problem.h_hat.shape[1]
     target = np.bincount(problem.group_of_device,
                          (problem.weights.gamma * problem.weights.nu) ** 2)
     z_term = problem.noise_power * (np.abs(v) ** 2).sum(axis=(1, 2)) / n_aps**2
-    assert mse_level1(problem, b0, v, proj) == pytest.approx(target + z_term)
+    assert mse_level1(problem, b0, v, inst["state"].ap.h) == pytest.approx(target + z_term)
+
+
+def test_mse_level1_matches_the_formula_oracle():
+    # the batch arithmetic against the per-group formula, on the true
+    # channels and on the estimates: both add the same few dozen terms in
+    # other orders, so they agree to rounding
+    for seed in range(5):
+        inst = draw_instance(40 + seed)
+        problem = inst["level3"]
+        for channels in (inst["state"].ap.h, problem.h_hat):
+            b, v, mses = (a[0, 0] for a in
+                          agg.level1_batch(problem, inst["power"][None], channels))
+            np.testing.assert_allclose(mses, mse_level1(problem, b, v, channels),
+                                       rtol=1e-12, atol=0.0)
 
 
 def test_mse_level1_single_ap_conditional_form():
@@ -252,14 +266,12 @@ def test_mse_level1_single_ap_conditional_form():
     cfg = desk_config(n_aps=1, tau_p=3)
     inst = draw_instance(8, cfg=cfg)
     problem = inst["level3"]
-    v, b = agg.level1_batch(problem, inst["power"][None])[0, 0], np.sqrt(inst["power"])
     h_true = inst["state"].ap.h
-    proj = agg.channel_projections(v, h_true)
-    got = mse_level1(problem, b, v, proj)
+    b, v, got = (a[0, 0] for a in agg.level1_batch(problem, inst["power"][None], h_true))
     for g in range(problem.n_groups):
         own = problem.group_of_device == g
         target = np.where(own, problem.weights.gamma * problem.weights.nu, 0.0)
-        gains = proj[g, :, 0]
+        gains = h_true[:, 0] @ v[g, 0].conj()
         expected = float((np.abs(gains * b - target) ** 2).sum()
                          + problem.noise_power * np.linalg.norm(v[g, 0]) ** 2)
         assert got[g] == pytest.approx(expected, rel=1e-12)
@@ -268,10 +280,8 @@ def test_mse_level1_single_ap_conditional_form():
 def test_mse_level1_matches_monte_carlo():
     inst = draw_instance(9)
     problem = inst["level3"]
-    v, b = agg.level1_batch(problem, inst["power"][None])[0, 0], np.sqrt(inst["power"])
     h_true = inst["state"].ap.h
-    proj = agg.channel_projections(v, h_true)
-    closed = mse_level1(problem, b, v, proj)
+    b, v, closed = (a[0, 0] for a in agg.level1_batch(problem, inst["power"][None], h_true))
     for g in range(problem.n_groups):
         mc = mc_mse_level1(problem, b, v, h_true, g, 100_000,
                            substream(9, "mc1", g))
@@ -300,7 +310,7 @@ def test_recover_level1_averages_local_combines():
     inst = draw_instance(17)
     problem = inst["level3"]
     cfg = inst["cfg"]
-    v = agg.level1_batch(problem, inst["power"][None])[0, 0]
+    v = agg.level1_batch(problem, inst["power"][None], problem.h_hat)[1][0, 0]
     rng = substream(17, "slots")
     signals = (rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8))
                + 1j * rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8)))
@@ -393,9 +403,8 @@ def test_level3_beats_level1_weighted_sum():
     for seed in range(10):
         inst = draw_instance(60 + seed)
         sol3 = row(agg.optimize_batch(inst["level3"], inst["power"][None]))
-        v1 = agg.level1_batch(inst["level3"], inst["power"][None])[0, 0]
-        proj = agg.channel_projections(v1, inst["state"].ap.h)
-        mses1 = mse_level1(inst["level3"], np.sqrt(inst["power"]), v1, proj)
+        mses1 = agg.level1_batch(inst["level3"], inst["power"][None],
+                                 inst["state"].ap.h)[2][0, 0]
         assert sol3.values[-1] <= inst["level3"].weights.omega @ mses1
 
 
@@ -580,13 +589,10 @@ def test_relabelling_aps_relabels_the_level1_combiners(seed, n_groups, per_group
     problem, powers, rng = symmetry_case(seed, False, n_groups, per_group, dim, n_aps, power_db)
     aps = rng.permutation(n_aps)
     relabelled = replace(problem, h_hat=problem.h_hat[:, aps], error_cov=problem.error_cov[:, aps])
-    got, want = agg.level1_batch(relabelled, powers), agg.level1_batch(problem, powers)
+    (_, got, got_mses), (_, want, want_mses) = (agg.level1_batch(p, powers, p.h_hat)
+                                                for p in (relabelled, problem))
     assert_rows_close(got, want[..., aps, :], axes=(-2, -1))
-    b = np.sqrt(powers).astype(complex)[None]
-    np.testing.assert_allclose(
-        agg.level1_mses(relabelled, b, got, agg.channel_projections(got, relabelled.h_hat)),
-        agg.level1_mses(problem, b, want, agg.channel_projections(want, problem.h_hat)),
-        rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got_mses, want_mses, rtol=1e-12, atol=0.0)
 
 
 @symmetric
@@ -774,7 +780,7 @@ def test_streamlined_solve_equals_reference_iteration(seed, view, n_groups, per_
     if view != "level1":
         assert_batch_matches_reference(block, powers, 40)
         return
-    for s, row in enumerate(agg.level1_batch(block, powers)):
+    for s, row in enumerate(agg.level1_batch(block, powers, block.h_hat)[1]):
         for power, combiners in zip(powers, row):
             assert_same_bits(combiners,
                              reference_level1_combiners(seed_problem(block, s), power))
@@ -809,27 +815,42 @@ def test_singular_combiner_system_raises_named_error(view):
         warnings.simplefilter("error")
         with pytest.raises((agg.NonFiniteSolve, np.linalg.LinAlgError)):
             if view == "level1":
-                agg.level1_batch(problem, powers)
+                agg.level1_batch(problem, powers, problem.h_hat)
             else:
                 agg.optimize_batch(problem, powers)
 
 
+def level1_on_estimates(problem, power_limits):
+    """``level1_batch`` scoring on the record's own estimates."""
+    return agg.level1_batch(problem, power_limits, problem.h_hat)
+
+
 # Level 1 reads the AP-side record per AP, level 3 reads it jointly, and
 # the cellular baseline reads the serving-BS record per BS.
-SOLVERS = (("level3", agg.level1_batch), ("level3", agg.optimize_batch),
+SOLVERS = (("level3", level1_on_estimates), ("level3", agg.optimize_batch),
            ("cellular", agg.optimize_batch))
 
 
-def test_infinite_power_limit_raises_named_error():
+def assert_power_limit_is_named(bad):
+    # a bad limit in any row is named at the entry point, before a solve
+    # could emit a sqrt warning or a NonFiniteSolve
     inst = draw_instance(22)
+    match = re.escape(f"power_limits holds [{bad}], expected finite limits > 0")
     for kind, solve in SOLVERS:
-        problem = inst[kind]
         power = inst["power"].copy()
-        power[1] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(agg.NonFiniteSolve):
-            solve(problem, power[None])
-        with np.errstate(invalid="ignore"), pytest.raises(agg.NonFiniteSolve):
-            solve(problem, np.stack([inst["power"], power]))
+        power[1] = bad
+        for rows in (power[None], np.stack([inst["power"], power])):
+            with pytest.raises(ValueError, match=match):
+                solve(inst[kind], rows)
+
+
+def test_infinite_power_limit_raises_named_error():
+    assert_power_limit_is_named(np.inf)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_zero_negative_or_nan_power_limit_raises_named_error(bad):
+    assert_power_limit_is_named(bad)
 
 
 def test_nan_estimate_raises_named_error():
@@ -840,6 +861,15 @@ def test_nan_estimate_raises_named_error():
         h_hat[..., 0, 0] = np.nan
         with pytest.raises(agg.NonFiniteSolve):
             solve(replace(problem, h_hat=h_hat), inst["power"][None])
+
+
+def test_nan_channel_raises_named_error():
+    # level 1 scores on the true channels, which the combiners never see
+    inst = draw_instance(23)
+    h = inst["state"].ap.h.copy()
+    h[0, 0, 0] = np.nan
+    with pytest.raises(agg.NonFiniteSolve, match="level-1 MSE is not finite"):
+        agg.level1_batch(inst["level3"], inst["power"][None], h)
 
 
 # ---------------------------------------------------------------------------
@@ -914,10 +944,10 @@ def test_level1_batch_equals_single_solutions(seed, n_dev, n_aps, n_ant,
                                               n_groups, power_db):
     problem = random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups)
     powers = power_rows(power_db, n_dev)
-    batch = agg.level1_batch(problem, powers)[0]
+    batch = level1_on_estimates(problem, powers)[1][0]
     assert len(batch) == len(powers)
     for power, combiners in zip(powers, batch):
-        one = agg.level1_batch(problem, power[None])[0, 0]
+        one = level1_on_estimates(problem, power[None])[1][0, 0]
         assert np.array_equal(combiners, one)
 
 
@@ -938,18 +968,13 @@ def test_level1_seed_batch_equals_single_solutions(n_problems, seed, n_dev, n_ap
         for other in map(draw, range(1, n_problems))])
     channels = np.stack([draw(-1 - i).h_hat for i in range(n_problems)])
     powers = power_rows(power_db, n_dev)
-    v = agg.level1_batch(block, powers)
-    b = np.sqrt(powers).astype(complex)
-    mses = agg.level1_mses(block, b, v,
-                           agg.channel_projections(v, channels[:, None]))
-    assert mses.shape == (n_problems, len(powers), n_groups)
-    for s, row in enumerate(v):
-        problem = seed_problem(block, s)
-        for i, (power, combiners) in enumerate(zip(powers, row)):
-            one = agg.level1_batch(problem, power[None])[0, 0]
-            assert np.array_equal(combiners, one)
-            proj = agg.channel_projections(one, channels[s])
-            assert np.array_equal(mses[s, i], mse_level1(problem, b[i], one, proj))
+    batch = agg.level1_batch(block, powers, channels)
+    assert batch[2].shape == (n_problems, len(powers), n_groups)
+    for s in range(n_problems):
+        for i, power in enumerate(powers):
+            one = agg.level1_batch(seed_problem(block, s), power[None], channels[s])
+            for got, want in zip(batch, one):
+                assert np.array_equal(got[s, i], want[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -1050,7 +1075,7 @@ def test_level3_problem_names_inconsistent_shapes():
     # the power limits enter with the solve: P >= 1 rows of K, one per power point
     for record, h in ((problem, "(6, 4, 2)"), (block, "(2, 6, 4, 2)")):
         for shape in ((1, 5), (6,), (2, 1, 6), (0, 6)):
-            for solve in (agg.optimize_batch, agg.level1_batch):
+            for solve in (agg.optimize_batch, level1_on_estimates):
                 with pytest.raises(ValueError, match=re.escape(
                         f"power_limits has shape {shape}, expected (P, 6) "
                         f"for h_hat of shape {h}")):
@@ -1088,13 +1113,24 @@ def test_cellular_problem_names_inconsistent_shapes():
 
 def test_level1_rejects_a_serving_bs_record():
     inst = draw_instance(0)
-    power = inst["power"][None]
-    v = agg.level1_batch(inst["level3"], power)
-    proj = agg.channel_projections(v, inst["state"].ap.h)
-    for solve in (lambda p: agg.level1_batch(p, power),
-                  lambda p: agg.level1_mses(p, np.sqrt(power)[None], v, proj)):
-        with pytest.raises(ValueError, match="level 1 reads an AP-side record, not a serving-BS"):
-            solve(inst["cellular"])
+    cellular = inst["cellular"]
+    with pytest.raises(ValueError, match="level 1 reads an AP-side record, not a serving-BS"):
+        agg.level1_batch(cellular, inst["power"][None], cellular.h_hat)
+
+
+def test_level1_batch_names_channels_of_another_shape():
+    # the AP count and the seed axis come from the record, not from the
+    # channels: 3 of the 4 APs, or a seed axis the record lacks or has,
+    # fail by name instead of scoring a short average
+    inst = draw_instance(0)
+    problem, power, h = inst["level3"], inst["power"][None], inst["state"].ap.h
+    block = block_problem([problem, problem])
+    for record, channels, want in ((problem, h[:, :3], "(6, 4, 2)"),
+                                   (problem, h[None], "(6, 4, 2)"),
+                                   (block, h, "(2, 6, 4, 2)")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"channels has shape {channels.shape}, expected {want}, the shape of h_hat")):
+            agg.level1_batch(record, power, channels)
 
 
 def test_wrong_length_combiner_raises_named_error():
@@ -1150,3 +1186,7 @@ def test_no_solver_entry_point_takes_a_view_flag():
             if {"cellular", "g", "k"} & set(inspect.signature(f).parameters)] == []
     assert str(inspect.signature(agg.mse_level3)) == "(problem, b, combiners)"
     assert str(inspect.signature(agg.tco_step)) == "(problem, power, combiners)"
+    # level 1 solves and scores in one call, from the record and the true
+    # channels, so no caller passes its own combiners or projections
+    assert str(inspect.signature(agg.level1_batch)) == "(problem, power_limits, channels)"
+    assert {"channel_projections", "level1_mses"}.isdisjoint(vars(agg))

@@ -15,7 +15,7 @@ from cfota.cli import main as cli_main
 from cfota.rng import substream
 
 from oracles import (desired_global, desk_config, device_gradient_fn, group_metric,
-                     local_update, mse_level1, seed_problem, train_rows)
+                     local_update, seed_problem, train_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +360,9 @@ def test_sweep_solves_level1_grid_in_one_batch_per_block(monkeypatch):
     batches = []
     level1_batch = runner.aggregation.level1_batch
 
-    def counting(problem, power_limits):
+    def counting(problem, power_limits, channels):
         batches.append((len(problem.h_hat), len(power_limits)))
-        return level1_batch(problem, power_limits)
+        return level1_batch(problem, power_limits, channels)
 
     monkeypatch.setattr(runner.aggregation, "level1_batch", counting)
     assert runner.run_mse_sweep(cfg) == rows
@@ -395,10 +395,10 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
                ("optimize_batch", True): "cellular"}
     batches = {}
     for name in ("level1_batch", "optimize_batch"):
-        def recording(problem, power_limits, name=name,
+        def recording(problem, power_limits, *channels, name=name,
                       batch=getattr(runner.aggregation, name), **kwargs):
             batches[(name, problem.cellular)] = problem, power_limits
-            return batch(problem, power_limits, **kwargs)
+            return batch(problem, power_limits, *channels, **kwargs)
 
         monkeypatch.setattr(runner.aggregation, name, recording)
     seeds = range(1, n_seeds + 1)
@@ -418,13 +418,10 @@ def test_sweep_block_equals_seeds_built_one_by_one(monkeypatch, n_seeds, mode,
                                   runner.level3_problem(stats, state, w, block.cellular))
             assert np.array_equal(block_powers, powers)
         problem = runner.level3_problem(stats, state, w)
-        combiners = runner.aggregation.level1_batch(problem, powers)[0]
-        for p_dbm, power, v in zip(cfg.sweep_dbm, powers, combiners):
-            proj = runner.aggregation.channel_projections(v, state.ap.h)
-            b = np.sqrt(power).astype(complex)
-            alone = tuple(mse_level1(problem, b, v, proj))
+        mses = runner.aggregation.level1_batch(problem, powers, state.ap.h)[2][0]
+        for p_dbm, alone in zip(cfg.sweep_dbm, mses):
             [row] = [r for r in rows if (r.scenario, r.seed, r.point) == ("level1", seed, p_dbm)]
-            assert row.mse_per_group == alone
+            assert row.mse_per_group == tuple(alone)
 
 
 def test_relabelling_groups_relabels_the_desk_sweep(monkeypatch):
@@ -634,11 +631,11 @@ def test_training_solves_every_seed_in_one_batch_per_round(monkeypatch):
     cfg = _train_cfg(architectures=archs, rounds=2, seeds=5, max_iters=80)
     batches = []
     for name in ("level1_batch", "optimize_batch"):
-        def counting(problem, power_limits, name=name,
+        def counting(problem, power_limits, *channels, name=name,
                      batch=getattr(runner.aggregation, name), **kwargs):
             batches.append(((name, problem.cellular), len(problem.h_hat),
                             len(power_limits)))
-            return batch(problem, power_limits, **kwargs)
+            return batch(problem, power_limits, *channels, **kwargs)
 
         monkeypatch.setattr(runner.aggregation, name, counting)
     rows = runner.run_fl_training(cfg, threads=1)
