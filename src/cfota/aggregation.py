@@ -23,7 +23,7 @@ BS, serving its own group only.  Level 3 and cellular also share the
 alternating solver built on that core.
 
 A record holds one coherence block or, with a leading seed axis on its
-estimates, error blocks and per-device weights, one block of each seed of
+estimates, error blocks and parameter spreads nu, one block of each seed of
 a seed block; the batch entry points solve every seed of such a record at
 once.  ``optimize_batch`` returns one solution record, and ``level1_batch``
 the coefficients, combiners and per-group MSEs on the true channels.  The
@@ -56,14 +56,14 @@ class AggregationWeights:
 
     gamma: np.ndarray  # (K,)
     omega: np.ndarray  # (G,)
-    nu: np.ndarray     # (K,)
+    nu: np.ndarray     # ([S,] K): per seed in a seed block's record
 
 
 def _check_shapes(problem):
     """Raise ValueError, naming the field, unless the estimates have the
     record's layout, with or without a leading seed axis, and the other
-    fields agree with them: K entries per device, per seed for the weights,
-    group ids in 0..G-1, G being the number of priorities, and, for a
+    fields agree with them: K entries per device, per seed for nu, group
+    ids in 0..G-1, G being the number of priorities, and, for a
     serving-BS record, G receivers.
     """
     name = type(problem).__name__
@@ -79,7 +79,7 @@ def _check_shapes(problem):
     w = problem.weights
     for field, value, lead in (
             ("group_of_device", problem.group_of_device, ()),
-            ("weights.gamma", w.gamma, seeds), ("weights.nu", w.nu, seeds)):
+            ("weights.gamma", w.gamma, ()), ("weights.nu", w.nu, seeds)):
         shape = np.shape(value)
         if shape != lead + (n_dev,):
             raise ValueError(f"{name}.{field} has shape {shape}, expected "
@@ -107,8 +107,8 @@ class Level3Problem:
     stack the APs' antennas, AP by AP, into L*N entries.
 
     A seed block's record has a leading seed axis on h_hat (S, K, L, N),
-    error_cov (S, K, L, N, N) and weights.gamma and nu (S, K); the
-    grouping, priorities and noise power are held once.
+    error_cov (S, K, L, N, N) and weights.nu (S, K); the grouping, shares,
+    priorities and noise power are held once.
     """
 
     h_hat: np.ndarray          # ([S,] K, L, N)
@@ -176,7 +176,7 @@ def _take_seeds(problem, seeds):
     """
     w = problem.weights
     return replace(problem, h_hat=problem.h_hat[seeds], error_cov=problem.error_cov[seeds],
-                   weights=replace(w, gamma=w.gamma[seeds], nu=w.nu[seeds]))
+                   weights=replace(w, nu=w.nu[seeds]))
 
 
 # The fill of the combiner coefficients: a complex zero spares np.where a cast.
@@ -184,8 +184,9 @@ _ZERO = np.zeros((), dtype=complex)
 
 
 def _check_finite(arr, live, what):
-    """Raise NonFiniteSolve, naming ``what``, unless every recorded row of
-    ``arr`` is finite; ``live`` masks the (S, P) rows, None meaning all.
+    """Raise NonFiniteSolve, naming ``what``, unless every row of ``arr``
+    that ``live`` marks is finite: the solver passes its (S, P) mask of the
+    rows it will record, level 1 None, meaning all rows.
 
     Here and in the solver loop, ``count_nonzero`` tests all and any: at
     the solver's sizes it costs half a ufunc reduction.
@@ -275,7 +276,7 @@ class _Stack:
         self.eye = np.eye(n_dev, dtype=complex)
         self.own = gdev == np.arange(self.n_groups)[:, None]          # (G, K)
         w = problem.weights
-        gamma, nu = (np.reshape(x, (n_seeds, 1, n_dev)) for x in (w.gamma, w.nu))
+        gamma, nu = np.reshape(w.gamma, (1, 1, n_dev)), np.reshape(w.nu, (n_seeds, 1, n_dev))
         self.target = np.where(self.own, (gamma * nu)[..., None, :], 0.0).astype(
             complex)                                                  # (S, 1, G, K)
         self.gamma, self.nu = gamma.astype(complex), nu.astype(complex)
@@ -368,7 +369,7 @@ class _Stack:
         inflation = np.add.reduce(p[..., None, :] * quad, axis=-1)
         return signal + inflation + self.noise_power * energy
 
-    def objective(self, mses, live=None):
+    def objective(self, mses, live):
         values = np.add.reduce(mses * self.omega, axis=-1)
         _check_finite(values, live, "weighted sum-MSE")
         return values
@@ -385,48 +386,49 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, b_init=None)
     (S, P, K) or broadcastable to it.  Lockstep block-coordinate descent:
     each iteration refreshes all combiners, then all coefficients; both are
     exact minimizations, so every row's objective never increases.  A row
-    stops once an iteration decreases its objective by less than eps.  A
-    seed leaves the rectangle once all its rows have stopped, and a power
-    column once it has stopped in every remaining seed; a stopped row still
-    inside the rectangle keeps being computed, but it is neither recorded
-    nor checked.  Returns one AggregationSolution.
+    stops once an iteration decreases its objective by less than eps, and
+    at the latest after ``max_iters`` (an int >= 0) iterations.  The
+    rectangle holds the seeds with a row still running, each with all P
+    rows: a seed leaves it once all its rows have stopped, and a stopped
+    row of a remaining seed keeps being computed, but it is neither
+    recorded nor checked.  Returns one AggregationSolution.
     """
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+        raise ValueError(f"max_iters is {max_iters!r}, expected an int >= 0")
+    if np.isnan(eps):
+        raise ValueError("eps is nan, expected a number")
     power = _power_rows(problem, power_limits)
     stack = _Stack(problem)
     shape = (stack.n_seeds, len(power))
-    sqrt_power = np.broadcast_to(np.sqrt(power), shape + power.shape[1:])
-    if b_init is None:
-        b = sqrt_power.astype(complex)
-    else:
-        try:
-            b_init = np.broadcast_to(b_init, sqrt_power.shape)
-        except ValueError:
-            raise ValueError(f"b_init has shape {np.shape(b_init)}, expected (S, P, K) = "
-                             f"{sqrt_power.shape} or a shape that broadcasts to it") from None
-        b = np.array(b_init, dtype=complex)
+    sqrt_power = np.sqrt(power)                               # (P, K), broadcast over seeds
+    try:
+        b = np.array(np.broadcast_to(sqrt_power if b_init is None else b_init,
+                                     shape + power.shape[1:]), dtype=complex)
+    except ValueError:
+        raise ValueError(f"b_init has shape {np.shape(b_init)}, expected (S, P, K) = "
+                         f"{shape + power.shape[1:]} or a shape that broadcasts to it") from None
     values = np.empty(shape + (min(max_iters, 64) + 1,))
     group_values = np.empty(values.shape + (stack.n_groups,))
     mu = np.zeros(b.shape)
     iterations = np.zeros(shape, dtype=int)
     ended = np.empty(shape, dtype=object)
-    seeds, cols = np.arange(shape[0]), np.arange(shape[1])    # the rectangle
-    at = (slice(None), slice(None))                           # its place in the grid
+    seeds = np.arange(shape[0])                               # the rectangle's seeds
     active = np.ones(shape, dtype=bool)                       # its unstopped rows
-    live = None                                               # active, or None if all are
 
-    def record(rows, it, how):
-        where = (seeds[rows[0]], cols[rows[1]])
+    def record(mask, it, how):
+        s, i = np.nonzero(mask)
+        where = (seeds[s], i)
         iterations[where], ended[where] = it, how
-        out_b[where], out_v[where], out_mu[where] = b[rows], v[rows], mu[rows]
+        out_b[where], out_v[where], out_mu[where] = b[s, i], v[s, i], mu[s, i]
 
     with _invalid_raises():
         # |b|^2 and the combiners' forms each serve an MSE step and the
         # refresh or update that follows it.
         p = np.abs(b) ** 2
-        v = stack.combiners(b, p)
+        v = stack.combiners(b, p, active)
         proj, quad, energy = stack.forms(v)
         mses = stack.group_mses(b, p, proj, quad, energy)
-        prev = stack.objective(mses)
+        prev = stack.objective(mses, active)
         values[..., 0], group_values[..., 0, :] = prev, mses
         # C order: the last bits of the caller's products depend on the layout.
         out_b, out_v, out_mu = (np.empty_like(a, order="C") for a in (b, v, mu))
@@ -435,34 +437,27 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, b_init=None)
                 values, group_values = (np.concatenate([a, np.empty_like(a)], axis=2)
                                         for a in (values, group_values))
             if it > 1:
-                v = stack.combiners(b, p, live)
+                v = stack.combiners(b, p, active)
                 proj, quad, energy = stack.forms(v)
             b, mu = stack.tco(proj, quad, sqrt_power)
             p = np.abs(b) ** 2
             mses = stack.group_mses(b, p, proj, quad, energy)
-            cur = stack.objective(mses, live)
-            values[at + (it,)], group_values[at + (it,)] = cur, mses
-            done = prev - cur < eps
-            if live is not None:
-                done &= live
+            cur = stack.objective(mses, active)
+            values[seeds, :, it], group_values[seeds, :, it] = cur, mses
+            done = (prev - cur < eps) & active
             if np.count_nonzero(done):
-                record(np.nonzero(done), it, "threshold")
+                record(done, it, "threshold")
                 active &= ~done
-                keep_s, keep_c = active.any(axis=1), active.any(axis=0)
-                if not keep_s.any():
+                keep = active.any(axis=1)
+                if not keep.any():
                     break
-                if not keep_s.all():
-                    seeds = seeds[keep_s]
+                if not keep.all():
+                    seeds = seeds[keep]
                     stack = _Stack(_take_seeds(problem, seeds))
-                kept = np.ix_(keep_s, keep_c)
-                cols = cols[keep_c]
-                at = np.ix_(seeds, cols)
-                active, b, p, v, mu, sqrt_power, cur = (
-                    a[kept] for a in (active, b, p, v, mu, sqrt_power, cur))
-                live = None if active.all() else active
+                    active, b, p, v, mu, cur = (a[keep] for a in (active, b, p, v, mu, cur))
             prev = cur
         else:
-            record(np.nonzero(active), max_iters, "max_iters")
+            record(active, max_iters, "max_iters")
 
     stop = iterations.max() + 1
     values, group_values = values[:, :, :stop], group_values[:, :, :stop]

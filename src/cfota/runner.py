@@ -535,7 +535,7 @@ def make_weights(cfg, nu):
     """Weights of per-device standard deviations (K,), or (S, K) for a seed block."""
     nu = np.asarray(nu, dtype=float)
     return aggregation.AggregationWeights(
-        gamma=np.full(nu.shape, 1.0 / cfg.group_size), omega=cfg.omega_or_default, nu=nu)
+        gamma=np.full(cfg.n_devices, 1.0 / cfg.group_size), omega=cfg.omega_or_default, nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +896,7 @@ def _train_seeds(cfg, seeds):
             symbols, mean, std = fl_engine.normalize(local)
             weights = make_weights(cfg, std)
             b, combiners, mses = _solve_block(cfg, kind, stats, state, weights, power)
-            models[kind] = _ota_round(cfg, kind, local, symbols, mean, weights.gamma[0],
+            models[kind] = _ota_round(cfg, kind, local, symbols, mean, weights.gamma,
                                       b, combiners, state, noise)[0]
             results[kind] = mses, metrics(models[kind])
         for arch, fh in zip(archs, fronthaul):

@@ -104,12 +104,12 @@ def seed_problem(problem, s):
     """Seed s's record, without a seed axis, of a seed block's record."""
     w = problem.weights
     return replace(problem, h_hat=problem.h_hat[s], error_cov=problem.error_cov[s],
-                   weights=replace(w, gamma=w.gamma[s], nu=w.nu[s]))
+                   weights=replace(w, nu=w.nu[s]))
 
 
 def block_problem(problems):
     """One seed block's record of same-kind records that share their
-    grouping, priorities and noise power."""
+    grouping, shares, priorities and noise power."""
     first = problems[0]
 
     def stack(get):
@@ -117,9 +117,7 @@ def block_problem(problems):
 
     return replace(first, h_hat=stack(lambda p: p.h_hat),
                    error_cov=stack(lambda p: p.error_cov),
-                   weights=replace(first.weights, **{
-                       name: stack(lambda p: getattr(p.weights, name))
-                       for name in ("gamma", "nu")}))
+                   weights=replace(first.weights, nu=stack(lambda p: p.weights.nu)))
 
 
 def combiners_level1(problem, b):
@@ -178,7 +176,7 @@ class ReferenceStack:
         self.noise_eye = problem.noise_power * np.eye(n_ant)
         self.own = gdev == np.arange(self.n_groups)[:, None]
         w = problem.weights
-        gamma, nu = (np.reshape(x, (n_seeds, 1, n_dev)) for x in (w.gamma, w.nu))
+        gamma, nu = np.reshape(w.gamma, (1, 1, n_dev)), np.reshape(w.nu, (n_seeds, 1, n_dev))
         self.target = np.where(self.own, (gamma * nu)[..., None, :], 0.0)
         self.gamma, self.nu, self.omega = gamma, nu, w.omega
         self.gain = self.omega[gdev] * gamma * nu

@@ -671,19 +671,15 @@ def test_lockstep_batch_compacts_mixed_termination():
 
 
 def varied_problems(seed, cellular, n_groups, per_group, dim, n_aps, n_problems):
-    """One seed block's record: seeds of one kind, shape, grouping,
-    priorities and noise power, each with its own estimates, error blocks,
-    nu and gamma."""
-    first = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
-    problems = [first]
-    for i in range(1, n_problems):
-        other = random_problem((seed + i) % 2**32, cellular, n_groups, per_group,
-                               dim, n_aps)
-        gamma = np.random.default_rng([seed, i]).uniform(0.2, 1.0, len(other.weights.gamma))
-        problems.append(replace(other, noise_power=first.noise_power,
-                                weights=replace(other.weights, gamma=gamma,
-                                                omega=first.weights.omega)))
-    return block_problem(problems)
+    """One seed block's record: seeds of one kind, shape, grouping, random
+    device shares gamma, priorities and noise power, each with its own
+    estimates, error blocks and nu."""
+    problems = [random_problem((seed + i) % 2**32, cellular, n_groups, per_group, dim, n_aps)
+                for i in range(n_problems)]
+    first = problems[0]
+    gamma = np.random.default_rng([seed, 0]).uniform(0.2, 1.0, len(first.group_of_device))
+    return block_problem([replace(p, noise_power=first.noise_power, weights=replace(
+        p.weights, gamma=gamma, omega=first.weights.omega)) for p in problems])
 
 
 @settings(max_examples=40, deadline=None)
@@ -788,12 +784,14 @@ def test_streamlined_solve_equals_reference_iteration(seed, view, n_groups, per_
 
 def test_streamlined_solve_equals_reference_with_compaction():
     # two desk seeds on a power grid whose rows stop at many different
-    # iterations, some by the threshold and some at the cap: the rectangle
-    # shrinks while the rest keep iterating
-    for kind in ("level3", "cellular"):
+    # iterations, some by the threshold and some at the cap: one seed
+    # leaves the rectangle, which is rebuilt, while the other runs on to
+    # the cap (level 3: seed 24 leaves, cellular: seed 21)
+    for kind, cap, last in (("level3", 200, [200, 159]), ("cellular", 500, [203, 500])):
         block = block_problem([draw_instance(seed)[kind] for seed in (21, 24)])
         powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(block.group_of_device)))
-        batch = assert_batch_matches_reference(block, powers, 60)
+        batch = assert_batch_matches_reference(block, powers, cap)
+        assert batch.iterations.max(axis=1).tolist() == last
         assert set(batch.terminated_by.ravel()) == {"threshold", "max_iters"}
         assert len(set(batch.iterations.ravel())) > 2
 
@@ -955,16 +953,17 @@ def test_level1_batch_equals_single_solutions(seed, n_dev, n_aps, n_ant,
 @given(n_problems=st.integers(1, 4), **level1_shapes)
 def test_level1_seed_batch_equals_single_solutions(n_problems, seed, n_dev, n_aps,
                                                    n_ant, n_groups, power_db):
-    # seeds that differ in estimates, error blocks, gamma and nu: every
-    # (seed, power) row's solution and level-1 MSEs on true channels equal
-    # those of the one-problem solve of the seed's slice, bit for bit
+    # seeds that share one random gamma and differ in estimates, error
+    # blocks and nu: every (seed, power) row's solution and level-1 MSEs on
+    # true channels equal those of the one-problem solve of the seed's
+    # slice, bit for bit
     def draw(i):
         return random_ap_problem((seed + i) % 2**32, n_dev, n_aps, n_ant, n_groups)
 
     first = draw(0)
     block = block_problem([first] + [
-        replace(other, noise_power=first.noise_power,
-                weights=replace(other.weights, omega=first.weights.omega))
+        replace(other, noise_power=first.noise_power, weights=replace(
+            other.weights, gamma=first.weights.gamma, omega=first.weights.omega))
         for other in map(draw, range(1, n_problems))])
     channels = np.stack([draw(-1 - i).h_hat for i in range(n_problems)])
     powers = power_rows(power_db, n_dev)
@@ -1063,13 +1062,14 @@ def test_level3_problem_names_inconsistent_shapes():
         with pytest.raises(ValueError, match=re.escape(
                 f"Level3Problem.weights.{name} has shape (5,), expected (6,)")):
             replace(problem, weights=replace(w, **{name: getattr(w, name)[:5]}))
-    # a seed block's per-seed weights carry the estimates' seed axis
+    # a seed block's nu carries the estimates' seed axis, and its shares
+    # are held once
     block = block_problem([problem, problem])
     w = block.weights
-    for name, value in (("gamma", w.gamma[:1]), ("nu", np.ones((3, 6))),
-                        ("nu", w.nu[0])):
+    for name, value, want in (("gamma", np.stack([w.gamma, w.gamma]), (6,)),
+                              ("nu", np.ones((3, 6)), (2, 6)), ("nu", w.nu[0], (2, 6))):
         with pytest.raises(ValueError, match=re.escape(
-                f"Level3Problem.weights.{name} has shape {value.shape}, expected (2, 6) "
+                f"Level3Problem.weights.{name} has shape {value.shape}, expected {want} "
                 f"for h_hat of shape (2, 6, 4, 2)")):
             replace(block, weights=replace(w, **{name: value}))
     # the power limits enter with the solve: P >= 1 rows of K, one per power point
@@ -1146,7 +1146,8 @@ def test_wrong_length_combiner_raises_named_error():
 
 def test_references_read_one_solver_row():
     # a seed block's record, a third group's combiner, a short b or power
-    # row, and a b_init that does not broadcast to the (S, P, K) rows
+    # row, a b_init that does not broadcast to the (S, P, K) rows, an
+    # iteration cap that is not an int >= 0, and a NaN threshold
     inst = draw_instance(0)
     problem, power = inst["level3"], inst["power"]
     block, b, v = block_problem([problem, problem]), np.ones(6), np.ones((2, 8))
@@ -1160,9 +1161,17 @@ def test_references_read_one_solver_row():
             (lambda: agg.mse_level3(problem, np.ones(4), v), "b has shape (4,), expected (6,)"),
             (lambda: agg.tco_step(problem, power[:5], v), "power has shape (5,), expected (6,)"),
             (lambda: agg.optimize_batch(problem, power[None], b_init=np.ones(3)),
-             "b_init has shape (3,), expected (S, P, K) = (1, 1, 6)")):
+             "b_init has shape (3,), expected (S, P, K) = (1, 1, 6)"),
+            *((partial(agg.optimize_batch, problem, power[None], max_iters=cap),
+               f"max_iters is {cap}, expected an int >= 0") for cap in (-1, -70, 2.5)),
+            (lambda: agg.optimize_batch(problem, power[None], eps=np.nan),
+             "eps is nan, expected a number")):
         with pytest.raises(ValueError, match=re.escape(match)):
             call()
+    # no iteration returns the start
+    start = agg.optimize_batch(problem, power[None], max_iters=0)
+    assert start.iterations.tolist() == [[0]] and start.values.shape == (1, 1, 1)
+    assert np.array_equal(start.b[0, 0], np.sqrt(power).astype(complex))
 
 
 @pytest.mark.parametrize("kind", ["level3", "cellular"])
