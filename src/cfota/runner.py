@@ -13,6 +13,7 @@ import csv
 import gzip
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -22,9 +23,6 @@ from .channel import LargeScaleParams, correlation_matrices, sample_channels
 from .rng import substream, substreams
 from .topology import (Area, DistributionMode, NetworkGeometry, grid_points,
                        place_devices)
-
-DATA_DIR_ENV = "CFOTA_DATA_DIR"
-
 
 @dataclass(frozen=True)
 class Architecture:
@@ -183,18 +181,24 @@ def _parse_bool(raw):
 
 
 def _parse_str_tuple(raw):
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
+    """Comma-separated parts: an empty value is (), an empty part an error."""
+    parts = tuple(part.strip() for part in raw.split(",")) if raw else ()
+    if "" in parts:
+        raise ValueError(f"empty element in {raw!r}")
+    return parts
 
 
 def _parse_float_tuple(raw):
-    return tuple(float(part) for part in raw.split(",") if part.strip())
+    return tuple(float(part) for part in _parse_str_tuple(raw))
 
 
-# Each key's caster follows from its field's type; idx_* keys fill idx_paths.
+# Each key's caster follows from its field's type; the IDX keys of a group
+# fill idx_paths.
 _PARSERS = {bool: _parse_bool, tuple[str, ...]: _parse_str_tuple,
             tuple[float, ...]: _parse_float_tuple}
 _CASTERS = {f.name: _PARSERS.get(f.type, f.type)
             for f in fields(ScenarioConfig) if f.name != "idx_paths"}
+_IDX_KEY = re.compile(r"idx_(?:(?:train|test)_(?:images|labels)|label_filter)_g(0|[1-9][0-9]*)")
 
 
 def parse_config_lines(lines, base=None):
@@ -210,7 +214,7 @@ def parse_config_lines(lines, base=None):
             raise ParseError(lineno, f"expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key.startswith("idx_"):
+        if _IDX_KEY.fullmatch(key):
             idx_paths[key] = value
             continue
         if key not in _CASTERS:
@@ -296,6 +300,11 @@ def validate_config(cfg):
         raise ValidationError(f"master_seed={cfg.master_seed} must lie in [-2**127, 2**127)")
     if cfg.task not in ("synthetic", "ridge", "idx"):
         raise ValidationError(f"unknown task {cfg.task!r}")
+    for key in cfg.idx_paths:
+        match = _IDX_KEY.fullmatch(key)
+        if match is None or int(match[1]) >= cfg.n_groups:
+            raise ValidationError(
+                f"{key} is not an IDX key of a group below n_groups={cfg.n_groups}")
     if cfg.task == "idx":
         for group in range(cfg.n_groups):
             _label_filter(cfg, group)
@@ -334,9 +343,14 @@ def _open_maybe_gzip(path):
 
 
 def _read_exact(fh, count, path):
-    data = fh.read(count)
-    if len(data) != count:
-        raise TruncatedFile(f"{path}: expected {count} more bytes, got {len(data)}")
+    """``count`` bytes of ``fh``, read in chunks of at most 4 MiB, so that a
+    corrupt header's count ends in TruncatedFile at the file's end."""
+    data = bytearray()
+    while len(data) < count:
+        chunk = fh.read(min(count - len(data), 1 << 22))
+        if not chunk:
+            raise TruncatedFile(f"{path}: expected {count} more bytes, got {len(data)}")
+        data += chunk
     return data
 
 
@@ -713,6 +727,8 @@ def run_mse_sweep(cfg, threads=1):
     Uses one channel/estimate draw per seed (shared across grid points), the
     round-one parameter statistics of each group's initial model, and both
     the full-power and the optimized transmit coefficients where TCO applies.
+    ``threads`` (see ``_over_seeds``) is for the benchmark's ``bench/jobs.py``
+    alone; the CLI runs serially, and the pool goes with ROADMAP item 7.
     """
     return _over_seeds(cfg, threads, _sweep_seeds)
 
@@ -762,12 +778,11 @@ class _GroupTask:
 
 
 def _idx_path(cfg, group, key):
-    """Group's IDX file for ``key``, resolved against data_dir or CFOTA_DATA_DIR."""
+    """Group's IDX file for ``key``; a relative path resolves against data_dir."""
     raw = cfg.idx_paths.get(f"{key}_g{group}")
     if raw is None:
         raise ValidationError(f"task=idx requires key {key}_g{group}")
-    base = cfg.data_dir or os.environ.get(DATA_DIR_ENV, "")
-    return raw if os.path.isabs(raw) or not base else os.path.join(base, raw)
+    return os.path.join(cfg.data_dir, raw)
 
 
 def _label_filter(cfg, group):
@@ -918,5 +933,7 @@ def run_fl_training(cfg, threads=1):
 
     Initial models, data, geometry, and channel draws are shared across
     architectures within a seed so their trajectories are comparable.
+    ``threads`` (see ``_over_seeds``) is for the benchmark's ``bench/jobs.py``
+    alone; the CLI runs serially, and the pool goes with ROADMAP item 7.
     """
     return _over_seeds(cfg, threads, _train_seeds)

@@ -68,6 +68,35 @@ def test_unknown_key_is_parse_error(tmp_path):
     assert err.value.lineno == 2
 
 
+@pytest.mark.parametrize("key", ["idx_label_filtr_g0", "idx_train_image_g0", "idx_train_images_g",
+                                 "idx_train_images_g01", "idx_train_images_gx", "idx_paths"])
+def test_misspelt_idx_key_is_parse_error(tmp_path, key):
+    # nothing reads a misspelt IDX key, so a misspelt label filter would
+    # train on every label
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"task = idx\n{key} = 1,2\n")
+    with pytest.raises(runner.ParseError, match=f"unknown key '{key}'") as err:
+        runner.load_config(path)
+    assert err.value.lineno == 2
+
+
+@pytest.mark.parametrize("key", ["idx_train_images_g2", "idx_label_filter_g7"])
+def test_idx_key_of_a_group_beyond_n_groups_is_named_error(tmp_path, key):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"n_groups = 2\nidx_train_images_g1 = y\n{key} = y\n")
+    with pytest.raises(runner.ValidationError, match=key):
+        runner.load_config(path)
+
+
+@pytest.mark.parametrize("line", ["sweep_dbm = 1,,2", "omega = ,",
+                                  "architectures = level1,,level3", "sweep_dbm = 0, 10,"])
+def test_list_with_an_empty_element_is_parse_error(line):
+    # a wholly empty value is the empty list (see "sweep_dbm", "" above)
+    key = line.split()[0]
+    with pytest.raises(runner.ParseError, match=f"line 2: bad value for '{key}'"):
+        runner.parse_config_lines(["seeds = 1", line])
+
+
 def test_malformed_line_is_parse_error(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text("just some words\n")
@@ -248,6 +277,26 @@ def test_idx_truncated(tmp_path):
     img.write_bytes(img.read_bytes()[:-5])
     with pytest.raises(runner.TruncatedFile):
         runner.load_idx_dataset(img, lab)
+
+
+def test_idx_header_beyond_any_read_is_truncated_file(tmp_path):
+    # a corrupt header whose byte count no single read could hold: the
+    # reader stops at the end of the 10 bytes the file holds
+    img, lab = _write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+    img.write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFF, 0xFFFF) + bytes(10))
+    with pytest.raises(runner.TruncatedFile, match="got 10$"):
+        runner.load_idx_dataset(img, lab)
+
+
+def test_read_exact_joins_its_chunks(tmp_path):
+    data = bytes(range(256)) * (5 * 2**12 + 1)  # more than one 4 MiB chunk
+    path = tmp_path / "data.gz"
+    with gzip.open(path, "wb") as fh:
+        fh.write(data)
+    with gzip.open(path, "rb") as fh:
+        assert runner._read_exact(fh, len(data) - 3, path) == data[:-3]
+    with gzip.open(path, "rb") as fh, pytest.raises(runner.TruncatedFile):
+        runner._read_exact(fh, len(data) + 1, path)
 
 
 def test_idx_label_filter_remaps_sorted(tmp_path):
@@ -686,7 +735,7 @@ def test_training_level2_rows_are_level3_rows(task):
         assert replace(row2, scenario="level3", fronthaul=row3.fronthaul) == row3
 
 
-def test_training_idx_task_end_to_end(tmp_path, monkeypatch):
+def test_training_idx_task_end_to_end(tmp_path):
     rng = substream(7, "idxdata")
     cfg_lines = []
     for g in range(2):
@@ -700,8 +749,9 @@ def test_training_idx_task_end_to_end(tmp_path, monkeypatch):
                 f"idx_{split}_images_g{g} = {img.relative_to(tmp_path)}")
             cfg_lines.append(
                 f"idx_{split}_labels_g{g} = {lab.relative_to(tmp_path)}")
-    monkeypatch.setenv(runner.DATA_DIR_ENV, str(tmp_path))
-    cfg = _train_cfg(rounds=1, samples_per_device=20, test_samples=20, n_features=9)
+    # the config's relative paths resolve against its data_dir
+    cfg = _train_cfg(rounds=1, samples_per_device=20, test_samples=20, n_features=9,
+                     data_dir=str(tmp_path))
     cfg = runner.validate_config(runner.parse_config_lines(["task = idx"] + cfg_lines,
                                                            base=cfg))
     rows = runner.run_fl_training(cfg)
@@ -773,8 +823,8 @@ def test_cli_validate_and_sweep(tmp_path, capsys):
         "tau_p = 3\nsweep_dbm = 0\n")
     assert cli_main(["validate-config", "-c", str(cfgfile)]) == 0
     out = tmp_path / "rows.csv"
-    code = cli_main(["mse-sweep", "-c", str(cfgfile), "--out", str(out),
-                     "--grid", "0,10"])
+    code = cli_main(["mse-sweep", "-c", str(cfgfile), "--set", f"out={out}",
+                     "--set", "sweep_dbm=0,10"])
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2 * 2  # header + 2 grid points x (tco, no-tco)
@@ -787,7 +837,7 @@ def test_cli_sweep_traces_grow_with_the_iterations_run(tmp_path, capsys):
     cap = ["--set", "max_iters=10000000000"]
     assert cli_main(["validate-config", "-c", cfgfile, *cap]) == 0
     out = tmp_path / "rows.csv"
-    assert cli_main(["mse-sweep", "-c", cfgfile, "--out", str(out), *cap,
+    assert cli_main(["mse-sweep", "-c", cfgfile, "--set", f"out={out}", *cap,
                      "--set", "seeds=2", "--set", "distribution_mode=1",
                      "--set", "sweep_dbm=-20, -10"]) == 0
     rows = out.read_text().splitlines()[1:]
@@ -802,7 +852,7 @@ def test_cli_names_a_shadowing_spread_beyond_the_float_range(tmp_path, capsys):
     assert cli_main(["validate-config", "-c", cfgfile, *spread]) == 0
     capsys.readouterr()
     out = tmp_path / "rows.csv"
-    assert cli_main(["mse-sweep", "-c", cfgfile, "--out", str(out), *spread,
+    assert cli_main(["mse-sweep", "-c", cfgfile, "--set", f"out={out}", *spread,
                      "--set", "seeds=1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("GainOverflow: ") and "shadow_std_db = 100000.0" in err
@@ -821,7 +871,7 @@ def test_cli_names_an_indefinite_shadowing_kernel(tmp_path, capsys, command):
     assert cli_main(["validate-config", "-c", cfgfile, *keys]) == 0
     capsys.readouterr()
     out = tmp_path / "rows.csv"
-    assert cli_main([command, "-c", cfgfile, "--out", str(out), *keys]) == 1
+    assert cli_main([command, "-c", cfgfile, "--set", f"out={out}", *keys]) == 1
     err = capsys.readouterr().err
     assert err.startswith("NotPSD: ") and err.count("\n") == 1
     assert "decorr_m = 1000.0" in err and "side_m = 500.0" in err
@@ -837,7 +887,8 @@ def test_cli_without_an_output_path_runs_nothing(tmp_path, capsys, monkeypatch, 
         monkeypatch.setattr(runner, name, None)
     assert cli_main([command, "-c", str(cfgfile)]) == 1
     err = capsys.readouterr().err
-    assert err == "ValidationError: no output path: set 'out' or pass --out\n"
+    assert err == ("ValidationError: no output path: "
+                   "set 'out' in the config or with --set out=PATH\n")
 
 
 def test_every_error_class_is_named():
@@ -857,17 +908,18 @@ def test_every_error_class_is_named():
 
 
 def test_cli_grid_with_negative_first_point(tmp_path, capsys):
-    # argparse reads a bare "-10,0" as an option; the "=" form passes it
+    # the value of --set starts with its key, never with a minus sign, so
+    # argparse passes a grid that starts with a negative point in either form
     cfgfile = tmp_path / "scenario.cfg"
     cfgfile.write_text(
         "architectures = level3\nseeds = 1\nn_devices = 6\nn_groups = 2\n"
         "tau_p = 3\nsweep_dbm = 20\n")
     out = tmp_path / "rows.csv"
-    assert cli_main(["mse-sweep", "-c", str(cfgfile), "--out", str(out),
-                     "--grid=-10,0"]) == 0
-    points = sorted({float(line.split(",")[3])
-                     for line in out.read_text().splitlines()[1:]})
-    assert points == [-10.0, 0.0]
+    for grid in (["--set=sweep_dbm=-10,0"], ["--set", "sweep_dbm=-10,0"]):
+        assert cli_main(["mse-sweep", "-c", str(cfgfile), f"--set=out={out}", *grid]) == 0
+        points = sorted({float(line.split(",")[3])
+                         for line in out.read_text().splitlines()[1:]})
+        assert points == [-10.0, 0.0]
 
 
 def test_cli_reports_named_errors(tmp_path, capsys):
@@ -913,7 +965,7 @@ def test_cli_bad_idx_task_is_named_error(tmp_path, capsys, sizes, error):
     cfgfile = tmp_path / "scenario.cfg"
     cfgfile.write_text("\n".join(lines) + "\n")
     out = tmp_path / "rows.csv"
-    assert cli_main(["train", "-c", str(cfgfile), "--out", str(out)]) == 1
+    assert cli_main(["train", "-c", str(cfgfile), "--set", f"out={out}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(error) and err.count("\n") == 1
     assert not out.exists()
@@ -929,8 +981,8 @@ def test_cli_bad_grid_is_named_error(tmp_path, capsys, arch, grid, error):
     cfgfile = tmp_path / "scenario.cfg"
     cfgfile.write_text(f"architectures = {arch}\nseeds = 1\n")
     out = tmp_path / "rows.csv"
-    assert cli_main(["mse-sweep", "-c", str(cfgfile), "--out", str(out),
-                     "--grid", grid]) == 1
+    assert cli_main(["mse-sweep", "-c", str(cfgfile), "--set", f"out={out}",
+                     "--set", f"sweep_dbm={grid}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(error) and "sweep_dbm" in err
     assert not out.exists()
@@ -939,7 +991,7 @@ def test_cli_bad_grid_is_named_error(tmp_path, capsys, arch, grid, error):
 @pytest.mark.parametrize("command,option,key", [
     ("validate-config", "--set=p_max_dbm=4000", "p_max_dbm"),
     ("mse-sweep", "--set=pilot_power_dbm=4000", "pilot_power_dbm"),
-    ("mse-sweep", "--grid=0,4000", "sweep_dbm"),
+    ("mse-sweep", "--set=sweep_dbm=0,4000", "sweep_dbm"),
     ("train", "--set=noise_dbm=4000", "noise_dbm"),
 ])
 def test_cli_dbm_overflow_is_named_error(tmp_path, capsys, command, option,
@@ -947,8 +999,8 @@ def test_cli_dbm_overflow_is_named_error(tmp_path, capsys, command, option,
     cfgfile = tmp_path / "scenario.cfg"
     cfgfile.write_text("architectures = level3\nseeds = 1\nrounds = 1\n")
     out = tmp_path / "rows.csv"
-    # validate-config writes no CSV and takes no --out
-    writes = [] if command == "validate-config" else ["--out", str(out)]
+    # validate-config writes no CSV
+    writes = [] if command == "validate-config" else ["--set", f"out={out}"]
     assert cli_main([command, "-c", str(cfgfile), *writes, option]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ValidationError") and key in err
@@ -976,7 +1028,7 @@ def test_cli_malformed_label_filter_is_named_error(tmp_path, capsys, command):
     cfgfile = tmp_path / "scenario.cfg"
     cfgfile.write_text("task = idx\nidx_label_filter_g0 = 1, x\n")
     out = tmp_path / "rows.csv"
-    writes = [] if command == "validate-config" else ["--out", str(out)]
+    writes = [] if command == "validate-config" else ["--set", f"out={out}"]
     assert cli_main([command, "-c", str(cfgfile), *writes]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ValidationError") and err.count("\n") == 1
@@ -991,7 +1043,7 @@ def test_cli_diverging_training_is_named_error(tmp_path, capsys):
     cfgfile = Path(__file__).resolve().parents[1] / "configs" / "desk-train.cfg"
     out = tmp_path / "rows.csv"
     for archs in ("errorfree", "errorfree,level1,level3"):
-        code = cli_main(["train", "-c", str(cfgfile), "--out", str(out),
+        code = cli_main(["train", "-c", str(cfgfile), "--set", f"out={out}",
                          "--set", "seeds=1", "--set", "rounds=2",
                          "--set", "learning_rate=1e300", "--set", f"architectures={archs}"])
         assert code == 1
@@ -1013,26 +1065,12 @@ def test_cli_non_finite_solve_is_named_error(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(runner.fl_engine, "normalize", infinite_spread)
     with np.errstate(all="ignore"):
-        code = cli_main(["train", "-c", str(cfgfile), "--out", str(out),
+        code = cli_main(["train", "-c", str(cfgfile), "--set", f"out={out}",
                          "--set", "seeds=1", "--set", "rounds=2",
                          "--set", "architectures=level3"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("NonFiniteSolve: ") and err.count("\n") == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["mse-sweep", "train"])
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_cli_threads_below_one_is_named_error(tmp_path, capsys, command,
-                                              threads):
-    cfgfile = tmp_path / "scenario.cfg"
-    cfgfile.write_text("architectures = level3\nseeds = 1\nrounds = 1\n")
-    out = tmp_path / "rows.csv"
-    assert cli_main([command, "-c", str(cfgfile), "--out", str(out),
-                     "--threads", threads]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ValidationError") and "--threads" in err
     assert not out.exists()
 
 
@@ -1054,22 +1092,25 @@ def test_cli_rounds_per_block_below_one_is_named_error(tmp_path, capsys, rounds)
     assert "cheaper" not in captured.out
 
 
-@pytest.mark.parametrize("command", ["fronthaul", "validate-config"])
+@pytest.mark.parametrize("command", ["fronthaul", "validate-config", "mse-sweep", "train"])
 @pytest.mark.parametrize("option", [("--seed", "4"), ("--out", "fh.csv"),
-                                    ("--threads", "9")])
-def test_cli_run_options_are_usage_errors_elsewhere(tmp_path, capsys, command,
-                                                    option):
-    # only mse-sweep and train run seeds into a CSV
+                                    ("--threads", "9"), ("--grid", "0,10")])
+def test_cli_run_options_are_usage_errors_elsewhere(tmp_path, capsys, monkeypatch,
+                                                    command, option):
+    # a run's values come from its config and --set alone: no verb takes a
+    # second way to set the master seed, the CSV path or the grid, or a
+    # thread count, and none runs or writes anything when given one
     cfgfile = tmp_path / "scenario.cfg"
-    cfgfile.write_text("tau_p = 10\n")
+    cfgfile.write_text("tau_p = 10\nseeds = 1\nrounds = 1\n")
+    monkeypatch.chdir(tmp_path)
+    for name in ("run_mse_sweep", "run_fl_training"):
+        monkeypatch.setattr(runner, name, None)
     flag, value = option
-    if flag == "--out":
-        value = str(tmp_path / value)
     with pytest.raises(SystemExit) as exc:
         cli_main([command, "-c", str(cfgfile), flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    assert not (tmp_path / "fh.csv").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["scenario.cfg"]
 
 
 def test_cli_fronthaul(tmp_path, capsys):
