@@ -25,11 +25,13 @@ alternating solver built on that core.
 A record holds one coherence block or, with a leading seed axis on its
 estimates, error blocks and parameter spreads nu, one block of each seed of
 a seed block; the batch entry points solve every seed of such a record at
-once.  ``optimize_batch`` returns one solution record, and ``level1_batch``
-the coefficients, combiners and per-group MSEs on the true channels.  The
-references ``mse_level3`` and ``tco_step`` read one solved row, a record
-without a seed axis with ``sol.b[s, i]`` or power limits (K,) and
-``sol.combiners[s, i]`` (G, D), and return the whole row.
+once.  ``optimize_batch`` returns one solution record, scored by
+``_Stack.group_mses``, the one level-3 and cellular scorer (the tests
+check it against the formula in ``tests/oracles.mse_level3``), and
+``level1_batch`` the coefficients, combiners and MSEs on the true
+channels.  ``tco_step`` reads one solved row, a record without a seed axis
+at power limits (K,) with ``sol.combiners[s, i]`` (G, D): the benchmark's
+tests pin it.
 """
 
 from dataclasses import dataclass, replace
@@ -64,7 +66,8 @@ def _check_shapes(problem):
     record's layout, with or without a leading seed axis, and the other
     fields agree with them: K entries per device, per seed for nu, group
     ids in 0..G-1, G being the number of priorities, and, for a
-    serving-BS record, G receivers.
+    serving-BS record, G receivers.  The noise power must be finite and
+    >= 0, and every priority finite and > 0.
     """
     name = type(problem).__name__
     h = np.shape(problem.h_hat)
@@ -89,6 +92,11 @@ def _check_shapes(problem):
     if stray.size:
         raise ValueError(f"{name}.group_of_device holds {np.unique(stray).tolist()}, "
                          f"expected group ids in 0..{problem.n_groups - 1}")
+    if not 0.0 <= problem.noise_power < np.inf:
+        raise ValueError(f"{name}.noise_power is {problem.noise_power}, expected finite >= 0")
+    if not all(0.0 < x < np.inf for x in w.omega):
+        raise ValueError(f"{name}.weights.omega is {np.asarray(w.omega).tolist()}, "
+                         "expected finite priorities > 0")
     if problem.cellular and h[-2] != problem.n_groups:
         raise ValueError(f"{name}.h_hat has shape {h}, expected one serving BS per "
                          f"group ({problem.n_groups}) in the cellular view")
@@ -466,24 +474,6 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, b_init=None)
     return AggregationSolution(out_b, out_v, out_mu, iterations, ended, values, group_values)
 
 
-def _one_row(problem, name, row, combiners):
-    """The ``_Stack`` of a record without a seed axis; ValueError, naming
-    the argument, unless ``row``, called ``name``, has the shape (K,) and
-    ``combiners`` the view's (G, D): one solver row."""
-    h = np.shape(problem.h_hat)
-    if len(h) != 3:
-        raise ValueError(f"problem.h_hat has shape {h}, expected {h[1:]}: "
-                         "a reference reads one seed's record")
-    stack = _Stack(problem)
-    dim = stack.blocks[0] * stack.blocks[1]
-    for name, value, want in ((name, row, h[:1]),
-                              ("combiners", combiners, (stack.n_groups, dim))):
-        if np.shape(value) != want:
-            raise ValueError(f"{name} has shape {np.shape(value)}, expected {want} "
-                             "for the record's view")
-    return stack
-
-
 def tco_step(problem, power, combiners):
     """Optimal transmit coefficients and KKT multipliers, (K,) each, of
     every device for fixed combiners (G, D) of the record's view, joint or
@@ -497,7 +487,17 @@ def tco_step(problem, power, combiners):
     the boundary mu_k is the difference of two nearly equal terms, which a
     one-ulp change in those forms moves by more than 1e-12.
     """
-    stack = _one_row(problem, "power", power, combiners)
+    h = np.shape(problem.h_hat)
+    if len(h) != 3:
+        raise ValueError(f"problem.h_hat has shape {h}, expected {h[1:]}: "
+                         "a reference reads one seed's record")
+    stack = _Stack(problem)
+    dim = stack.blocks[0] * stack.blocks[1]
+    for name, value, want in (("power", power, h[:1]),
+                              ("combiners", combiners, (stack.n_groups, dim))):
+        if np.shape(value) != want:
+            raise ValueError(f"{name} has shape {np.shape(value)}, expected {want} "
+                             "for the record's view")
     proj, quad, _ = stack.forms(np.asarray(combiners)[None, None])
     w = problem.weights
     b, mu = np.zeros(len(power), dtype=complex), np.zeros(len(power))
@@ -512,30 +512,9 @@ def tco_step(problem, power, combiners):
     return b, mu
 
 
-def mse_level3(problem, b, combiners):
-    """Conditional aggregation MSE (G,) of every group for coefficients b
-    (K,) and combiners (G, D) of the record's view: one solver row.
-
-    Group g's is ``sum_k |v_g^H h_hat_k b_k - target_k|^2 + |b_k|^2 v_g^H
-    C_k v_g`` plus the combined noise power, where target_k is gamma*nu for
-    the group's own devices and 0 for interferers, and v_g is group g's
-    combiner over all APs jointly or over its serving BS.
-    """
-    stack = _one_row(problem, "b", b, combiners)
-    b = np.asarray(b, dtype=complex)[None, None]
-    forms = stack.forms(np.asarray(combiners)[None, None])
-    return stack.group_mses(b, np.abs(b) ** 2, *forms)[0, 0]
-
-
 # ---------------------------------------------------------------------------
 # Level 1: local combining, simple central averaging
 # ---------------------------------------------------------------------------
-
-def _check_ap_side(problem):
-    """Raise ValueError for a serving-BS record: level 1 reads the APs."""
-    if problem.cellular:
-        raise ValueError("level 1 reads an AP-side record, not a serving-BS one (cellular=True)")
-
 
 def level1_batch(problem, power_limits, channels):
     """Level 1 of every seed of an AP-side record, viewed per AP, at every
@@ -549,7 +528,8 @@ def level1_batch(problem, power_limits, channels):
     h_kl (a simulation-side metric): with u fixed, only the symbols and
     noise are random, so there is no estimation-error inflation term.
     """
-    _check_ap_side(problem)
+    if problem.cellular:
+        raise ValueError("level 1 reads an AP-side record, not a serving-BS one (cellular=True)")
     power, h = _power_rows(problem, power_limits), np.shape(problem.h_hat)
     if np.shape(channels) != h:
         raise ValueError(f"channels has shape {np.shape(channels)}, expected {h}, "

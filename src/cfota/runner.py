@@ -15,6 +15,7 @@ import math
 import os
 import re
 import struct
+import zlib
 
 import numpy as np
 
@@ -75,6 +76,10 @@ class BadMagic(CfotaError):
 
 class TruncatedFile(CfotaError):
     """IDX file is shorter than its header promises."""
+
+
+class CorruptFile(CfotaError):
+    """A gzip-compressed IDX file's stream is damaged."""
 
 
 class LabelOutOfRange(CfotaError):
@@ -319,8 +324,12 @@ def validate_config(cfg):
 
 def load_config(path, overrides=()):
     """Read, override, and validate a scenario config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = parse_config_lines(fh.readlines())
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    for lineno, line in enumerate(lines, start=1):
+        if bad := re.search("[\udc80-\udcff]", line):
+            raise ParseError(lineno, f"byte {ord(bad[0]) - 0xdc00:#04x} is not UTF-8")
+    cfg = parse_config_lines(lines)
     if overrides:
         cfg = parse_config_lines(list(overrides), base=cfg)
     return validate_config(cfg)
@@ -344,10 +353,16 @@ def _open_maybe_gzip(path):
 
 def _read_exact(fh, count, path):
     """``count`` bytes of ``fh``, read in chunks of at most 4 MiB, so that a
-    corrupt header's count ends in TruncatedFile at the file's end."""
+    corrupt header's count ends in TruncatedFile at the file's end, as does
+    a gzip stream cut short; a damaged one raises CorruptFile."""
     data = bytearray()
     while len(data) < count:
-        chunk = fh.read(min(count - len(data), 1 << 22))
+        try:
+            chunk = fh.read(min(count - len(data), 1 << 22))
+        except EOFError:
+            chunk = b""
+        except (zlib.error, gzip.BadGzipFile) as exc:
+            raise CorruptFile(f"{path}: damaged gzip stream: {exc}") from None
         if not chunk:
             raise TruncatedFile(f"{path}: expected {count} more bytes, got {len(data)}")
         data += chunk

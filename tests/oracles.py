@@ -301,6 +301,29 @@ def mse_level1(problem, b, combiners, channels):
     return mses
 
 
+def mse_level3(problem, b, combiners):
+    """Conditional MSEs (G,) of one level-3 or cellular record without a
+    seed axis, from the formula, one group at a time: coefficients b (K,)
+    and combiners (G, D) of the record's view.
+
+    Group g's combiner v_g sees the stacked estimates h_k and dense error
+    covariances C_k of all APs, or of the group's own BS in a serving-BS
+    record: the MSE is sum_k |v_g^H h_k b_k - target_k|^2 + |b_k|^2 v_g^H
+    C_k v_g plus sigma^2 |v_g|^2, target_k being gamma_k nu_k for the
+    group's own devices and 0 for the others.
+    """
+    gamma_nu = problem.weights.gamma * problem.weights.nu
+    mses = np.empty(problem.n_groups)
+    for g, v in enumerate(combiners):
+        h, cov = ((problem.h_hat[:, g], problem.error_cov[:, g]) if problem.cellular
+                  else dense_cpu_view(problem))
+        target = np.where(problem.group_of_device == g, gamma_nu, 0.0)
+        signal = np.abs(h @ v.conj() * b - target) ** 2
+        inflation = np.abs(b) ** 2 * np.einsum("i,kij,j->k", v.conj(), cov, v).real
+        mses[g] = np.sum(signal + inflation) + problem.noise_power * np.sum(np.abs(v) ** 2)
+    return mses
+
+
 def total_per_block(report, rounds_per_block=1):
     """Recurring fronthaul scalars per coherence block holding the given
     training rounds: the pilot and data signals plus one combiner exchange

@@ -16,8 +16,9 @@ from cfota.rng import substream
 
 from oracles import (block_problem, cn_noise, combiners_level1, combiners_level3,
                      dense_cpu_view, desk_config, draw_instance, mc_mse_level1,
-                     mc_mse_level3, mse_level1, recover, reference_level1_combiners,
-                     reference_solve, row, seed_problem, tco_steps)
+                     mc_mse_level3, mse_level1, mse_level3, recover,
+                     reference_level1_combiners, reference_solve, row, seed_problem,
+                     tco_steps)
 
 
 def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0):
@@ -37,13 +38,13 @@ def test_mse_level3_zero_combiner_leaves_target():
     b = np.ones(len(problem.h_hat), dtype=complex)
     target = np.bincount(problem.group_of_device,
                          (problem.weights.gamma * problem.weights.nu) ** 2)
-    assert agg.mse_level3(problem, b, v) == pytest.approx(target)
+    assert mse_level3(problem, b, v) == pytest.approx(target)
 
 
 def test_mse_level3_scalar_hand_value():
     # |0.5*1*1 - 1|^2 + 1 * |0.5|^2 = 0.25 + 0.25
     problem = scalar_problem()
-    [mse] = agg.mse_level3(problem, np.array([1.0 + 0j]),
+    [mse] = mse_level3(problem, np.array([1.0 + 0j]),
                            np.array([[0.5 + 0j]]))
     assert mse == pytest.approx(0.5)
 
@@ -53,7 +54,7 @@ def test_mse_level3_matches_monte_carlo():
     problem = inst["level3"]
     b = np.sqrt(inst["power"]).astype(complex)
     combiners = combiners_level3(problem, b)
-    closed = agg.mse_level3(problem, b, combiners)
+    closed = mse_level3(problem, b, combiners)
     for g in range(problem.n_groups):
         mc = mc_mse_level3(problem, b, combiners[g], g, 100_000,
                            substream(1, "mc", g))
@@ -81,7 +82,7 @@ def test_combiner_level3_is_minimizer():
     b = np.sqrt(inst["power"]).astype(complex)
     rng = substream(3, "perturb")
     v_opt = combiners_level3(problem, b)
-    base = agg.mse_level3(problem, b, v_opt)
+    base = mse_level3(problem, b, v_opt)
     for g in range(problem.n_groups):
         scale = np.linalg.norm(v_opt[g])
         for eps in (1e-3, 1e-2):
@@ -91,7 +92,7 @@ def test_combiner_level3_is_minimizer():
                 direction /= np.linalg.norm(direction)
                 perturbed = v_opt.copy()
                 perturbed[g] += eps * scale * direction
-                assert agg.mse_level3(problem, b, perturbed)[g] >= base[g] * (1.0 - 1e-12)
+                assert mse_level3(problem, b, perturbed)[g] >= base[g] * (1.0 - 1e-12)
 
 
 def test_tco_step_interior_hand_values():
@@ -392,7 +393,7 @@ def test_cellular_mse_matches_monte_carlo():
     inst = draw_instance(15)
     problem = inst["cellular"]
     sol = row(agg.optimize_batch(problem, inst["power"][None]))
-    closed = agg.mse_level3(problem, sol.b, sol.combiners)
+    closed = mse_level3(problem, sol.b, sol.combiners)
     for g in range(problem.n_groups):
         mc = mc_mse_level3(problem, sol.b, sol.combiners[g], g, 100_000,
                            substream(15, "mcc", g))
@@ -495,13 +496,13 @@ def test_cellular_group_equals_one_bs_level3_view(seed, n_groups, per_group, dim
     phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
     b = 10.0 ** (np.asarray(power_db[:n_dev]) / 20.0) * phase
     cellular = combiners_level3(problem, b)
-    mses = agg.mse_level3(problem, b, cellular)
+    mses = mse_level3(problem, b, cellular)
     for g in range(n_groups):
         one_bs = replace(problem, h_hat=problem.h_hat[:, g:g + 1],
                          error_cov=problem.error_cov[:, g:g + 1], cellular=False)
         v = combiners_level3(one_bs, b)
         assert np.linalg.norm(cellular[g] - v[g]) <= 1e-12 * np.linalg.norm(v[g])
-        assert mses[g] == pytest.approx(agg.mse_level3(one_bs, b, v)[g], rel=1e-12, abs=0.0)
+        assert mses[g] == pytest.approx(mse_level3(one_bs, b, v)[g], rel=1e-12, abs=0.0)
 
 
 symmetry_shapes = dict(
@@ -1021,7 +1022,7 @@ def test_block_core_matches_dense_reference(seed, n_dev, n_aps, n_ant, n_groups,
     assert np.all(np.abs(got_quad[0, 0] - quad) <= 1e-12 * np.abs(quad).max())
     np.testing.assert_allclose(got_energy[0, 0], np.linalg.norm(v, axis=1) ** 2,
                                rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(agg.mse_level3(problem, b, got), mses, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(mse_level3(problem, b, got), mses, rtol=1e-10, atol=0.0)
 
 
 def test_level3_solve_forms_no_stacked_matrix():
@@ -1062,6 +1063,17 @@ def test_level3_problem_names_inconsistent_shapes():
         with pytest.raises(ValueError, match=re.escape(
                 f"Level3Problem.weights.{name} has shape (5,), expected (6,)")):
             replace(problem, weights=replace(w, **{name: getattr(w, name)[:5]}))
+    # a negative or non-finite noise power, and a priority that is not
+    # finite and > 0, would solve to a number; a noiseless record is legal
+    for noise in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"Level3Problem.noise_power is {noise}, expected finite >= 0")):
+            replace(problem, noise_power=noise)
+    replace(problem, noise_power=0.0)
+    for omega in ([1.0, -1.0], [0.0, 1.0], [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"Level3Problem.weights.omega is {omega}, expected finite priorities > 0")):
+            replace(problem, weights=replace(w, omega=np.array(omega)))
     # a seed block's nu carries the estimates' seed axis, and its shares
     # are held once
     block = block_problem([problem, problem])
@@ -1097,6 +1109,12 @@ def test_cellular_problem_names_inconsistent_shapes():
     with pytest.raises(ValueError, match=re.escape(
             "Level3Problem.group_of_device has shape (7,), expected (6,)")):
         replace(cellular, group_of_device=np.arange(7) % 2)
+    with pytest.raises(ValueError, match=re.escape(
+            "Level3Problem.noise_power is -1.0, expected finite >= 0")):
+        replace(cellular, noise_power=-1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "Level3Problem.weights.omega is [1.0, -1.0], expected finite priorities > 0")):
+        replace(cellular, weights=replace(cellular.weights, omega=np.array([1.0, -1.0])))
     block = block_problem([cellular] * 3)
     with pytest.raises(ValueError, match=re.escape(
             "Level3Problem.weights.nu has shape (2, 6), expected (3, 6)")):
@@ -1139,26 +1157,21 @@ def test_wrong_length_combiner_raises_named_error():
     match = re.escape("combiners has shape (2, 5), expected (2, 8) for the record's view")
     for problem in (inst["level3"], inst["cellular"]):
         with pytest.raises(ValueError, match=match):
-            agg.mse_level3(problem, np.ones(6), np.ones((2, 5)))
-        with pytest.raises(ValueError, match=match):
             agg.tco_step(problem, inst["power"], np.ones((2, 5)))
 
 
 def test_references_read_one_solver_row():
-    # a seed block's record, a third group's combiner, a short b or power
-    # row, a b_init that does not broadcast to the (S, P, K) rows, an
-    # iteration cap that is not an int >= 0, and a NaN threshold
+    # a seed block's record, a third group's combiner, a short power row, a
+    # b_init that does not broadcast to the (S, P, K) rows, an iteration
+    # cap that is not an int >= 0, and a NaN threshold
     inst = draw_instance(0)
     problem, power = inst["level3"], inst["power"]
-    block, b, v = block_problem([problem, problem]), np.ones(6), np.ones((2, 8))
-    seeds = "problem.h_hat has shape (2, 6, 4, 2), expected (6, 4, 2)"
-    groups = "combiners has shape (3, 8), expected (2, 8)"
+    block, v = block_problem([problem, problem]), np.ones((2, 8))
     for call, match in (
-            (lambda: agg.mse_level3(block, b, v), seeds),
-            (lambda: agg.tco_step(block, power, v), seeds),
-            (lambda: agg.mse_level3(problem, b, np.ones((3, 8))), groups),
-            (lambda: agg.tco_step(problem, power, np.ones((3, 8))), groups),
-            (lambda: agg.mse_level3(problem, np.ones(4), v), "b has shape (4,), expected (6,)"),
+            (lambda: agg.tco_step(block, power, v),
+             "problem.h_hat has shape (2, 6, 4, 2), expected (6, 4, 2)"),
+            (lambda: agg.tco_step(problem, power, np.ones((3, 8))),
+             "combiners has shape (3, 8), expected (2, 8)"),
             (lambda: agg.tco_step(problem, power[:5], v), "power has shape (5,), expected (6,)"),
             (lambda: agg.optimize_batch(problem, power[None], b_init=np.ones(3)),
              "b_init has shape (3,), expected (S, P, K) = (1, 1, 6)"),
@@ -1176,24 +1189,26 @@ def test_references_read_one_solver_row():
 
 @pytest.mark.parametrize("kind", ["level3", "cellular"])
 def test_mse_level3_of_a_solved_row_is_its_stop_value(kind):
+    # the per-group MSEs the solver reports, and the CSV prints, are the
+    # formula's at the row's own coefficients and combiners
     for seed in range(5):
         inst = draw_instance(seed)
         problem = inst[kind]
         sol = agg.optimize_batch(problem, inst["power"][None], max_iters=50)
         stop = sol.iterations[0, 0]
-        np.testing.assert_allclose(agg.mse_level3(problem, sol.b[0, 0], sol.combiners[0, 0]),
+        np.testing.assert_allclose(mse_level3(problem, sol.b[0, 0], sol.combiners[0, 0]),
                                    sol.group_values[0, 0, stop], rtol=1e-12, atol=0.0)
 
 
 def test_no_solver_entry_point_takes_a_view_flag():
     # the record says which receivers it holds, so no call can contradict
-    # it, and a reference reads a whole row, so no index can wrap
+    # it, and a reference reads a whole row, so no index can wrap; no
+    # test-only helper lives in src
     public = [f for name, f in vars(agg).items()
               if inspect.isfunction(f) and name[0] != "_" and f.__module__ == agg.__name__]
-    assert {agg.optimize_batch, agg.tco_step, agg.mse_level3, agg.level1_batch} <= set(public)
+    assert set(public) == {agg.optimize_batch, agg.tco_step, agg.level1_batch}
     assert [f.__name__ for f in public
             if {"cellular", "g", "k"} & set(inspect.signature(f).parameters)] == []
-    assert str(inspect.signature(agg.mse_level3)) == "(problem, b, combiners)"
     assert str(inspect.signature(agg.tco_step)) == "(problem, power, combiners)"
     # level 1 solves and scores in one call, from the record and the true
     # channels, so no caller passes its own combiners or projections

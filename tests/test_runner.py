@@ -923,11 +923,15 @@ def test_cli_grid_with_negative_first_point(tmp_path, capsys):
 
 
 def test_cli_reports_named_errors(tmp_path, capsys):
+    # a file that is not UTF-8 names its line and byte
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("n_devices = 7\nn_groups = 3\n")
-    assert cli_main(["validate-config", "-c", str(cfgfile)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ValidationError")
+    for text, error in ((b"n_devices = 7\nn_groups = 3\n", "ValidationError"),
+                        (b"seeds = 1\nout = x\xff.csv\n",
+                         "ParseError: line 2: byte 0xff is not UTF-8\n")):
+        cfgfile.write_bytes(text)
+        assert cli_main(["validate-config", "-c", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(error) and err.count("\n") == 1
 
 
 def test_cli_config_directory_is_named_error(tmp_path, capsys):
@@ -948,6 +952,13 @@ def test_cli_config_directory_is_named_error(tmp_path, capsys):
      "ValidationError: group 1: the train split holds 5 images, needs 6"),
     ({("g1", "test"): ((3, 3, 3), 3)},
      "ValidationError: group 1: the test split holds 3 images, needs 4"),
+    # g0's train images gzip-compressed, with bytes 10-30 of the stream
+    # flipped, or cut to half its length
+    ({("g0", "train"): ((20, 3, 3), 20, lambda raw: raw[:10] + bytes(
+        c ^ 0xFF for c in raw[10:30]) + raw[30:])},
+     "CorruptFile: {tmp}/g0train/images.idx.gz: damaged gzip stream: "),
+    ({("g0", "train"): ((20, 3, 3), 20, lambda raw: raw[:len(raw) // 2])},
+     "TruncatedFile: {tmp}/g0train/images.idx.gz: expected "),
 ])
 def test_cli_bad_idx_task_is_named_error(tmp_path, capsys, sizes, error):
     lines = ["architectures = errorfree", "task = idx", "rounds = 1",
@@ -955,11 +966,13 @@ def test_cli_bad_idx_task_is_named_error(tmp_path, capsys, sizes, error):
              "hidden_units = 3"]
     for g in ("g0", "g1"):
         for split in ("train", "test"):
-            shape, n_labels = sizes.get((g, split), ((20, 3, 3), 20))
+            shape, n_labels, *damage = sizes.get((g, split), ((20, 3, 3), 20))
             sub = tmp_path / f"{g}{split}"
             sub.mkdir()
-            img, lab = _write_idx_pair(sub, np.zeros(shape),
-                                       np.resize(np.arange(4), n_labels))
+            img, lab = _write_idx_pair(sub, np.zeros(shape), np.resize(np.arange(4), n_labels),
+                                       compress=bool(damage))
+            for harm in damage:
+                img.write_bytes(harm(img.read_bytes()))
             lines += [f"idx_{split}_images_{g} = {img}",
                       f"idx_{split}_labels_{g} = {lab}"]
     cfgfile = tmp_path / "scenario.cfg"
@@ -967,7 +980,7 @@ def test_cli_bad_idx_task_is_named_error(tmp_path, capsys, sizes, error):
     out = tmp_path / "rows.csv"
     assert cli_main(["train", "-c", str(cfgfile), "--set", f"out={out}"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(error) and err.count("\n") == 1
+    assert err.startswith(error.format(tmp=tmp_path)) and err.count("\n") == 1
     assert not out.exists()
 
 
