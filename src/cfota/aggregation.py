@@ -498,6 +498,9 @@ def tco_step(problem, power, combiners):
         if np.shape(value) != want:
             raise ValueError(f"{name} has shape {np.shape(value)}, expected {want} "
                              "for the record's view")
+    power = np.asarray(power, dtype=float)
+    if not all(0.0 < x < np.inf for x in power):
+        raise ValueError(f"power is {power.tolist()}, expected finite limits > 0")
     proj, quad, _ = stack.forms(np.asarray(combiners)[None, None])
     w = problem.weights
     b, mu = np.zeros(len(power), dtype=complex), np.zeros(len(power))

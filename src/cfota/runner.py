@@ -3,10 +3,9 @@
 A scenario is described by a flat key=value config file.  The runner
 assembles the geometry, channel statistics, and per-round draws from
 counter-based substreams keyed on (master seed, seed index, round,
-purpose), so results are identical across runs and across thread counts.
+purpose), so results are identical across runs and seed-block splits.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 import csv
@@ -618,21 +617,16 @@ def emit_csv(rows, path, n_groups):
 def _over_seeds(cfg, threads, run_seeds):
     """Rows of ``run_seeds(cfg, seeds)`` over every seed, in sort-key order.
 
-    The seeds split into min(threads, seeds) contiguous blocks, each run on
-    its own worker thread when there is more than one; every seed draws
-    from its own substreams, so the rows do not depend on the thread count.
+    The seeds split into min(threads, seeds) contiguous blocks, run in order
+    on the calling thread; every seed draws from its own substreams, so the
+    rows do not depend on the split.
     """
     if threads < 1:
         raise ValidationError(f"threads={threads} must be >= 1")
     n_blocks = min(threads, cfg.seeds)
-    blocks = [range(i * cfg.seeds // n_blocks, (i + 1) * cfg.seeds // n_blocks)
-              for i in range(n_blocks)]
-    if n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=n_blocks) as pool:
-            chunks = list(pool.map(lambda seeds: run_seeds(cfg, seeds), blocks))
-    else:
-        chunks = [run_seeds(cfg, blocks[0])]
-    return sorted((row for chunk in chunks for row in chunk), key=ResultRow.sort_key)
+    rows = [row for i in range(n_blocks) for row in run_seeds(
+        cfg, range(i * cfg.seeds // n_blocks, (i + 1) * cfg.seeds // n_blocks))]
+    return sorted(rows, key=ResultRow.sort_key)
 
 
 def fronthaul_counts(cfg, level):
@@ -723,10 +717,10 @@ def _sweep_seeds(cfg, seeds):
     # solved in one batch per kind; level 2 takes the level-3 MSEs.
     mses = {kind: _solve_block(cfg, kind, stats, state, weights, powers)[2]
             for kind in dict.fromkeys(arch.solver for arch in archs)}
+    fronthaul = [fronthaul_counts(cfg, arch.fronthaul) for arch in archs]
     rows = []
     for i, seed in enumerate(seeds):
-        for arch in archs:
-            fh = fronthaul_counts(cfg, arch.fronthaul)
+        for arch, fh in zip(archs, fronthaul):
             for j, p_dbm in enumerate(cfg.sweep_dbm):
                 for tco in range(1 + arch.tco):
                     group = _floats(mses[arch.solver][i, j, tco])
@@ -742,8 +736,8 @@ def run_mse_sweep(cfg, threads=1):
     Uses one channel/estimate draw per seed (shared across grid points), the
     round-one parameter statistics of each group's initial model, and both
     the full-power and the optimized transmit coefficients where TCO applies.
-    ``threads`` (see ``_over_seeds``) is for the benchmark's ``bench/jobs.py``
-    alone; the CLI runs serially, and the pool goes with ROADMAP item 7.
+    ``threads`` counts the seed blocks run in order (``_over_seeds``); only
+    the benchmark's ``bench/jobs.py`` passes it, until ROADMAP item 1.
     """
     return _over_seeds(cfg, threads, _sweep_seeds)
 
@@ -948,7 +942,7 @@ def run_fl_training(cfg, threads=1):
 
     Initial models, data, geometry, and channel draws are shared across
     architectures within a seed so their trajectories are comparable.
-    ``threads`` (see ``_over_seeds``) is for the benchmark's ``bench/jobs.py``
-    alone; the CLI runs serially, and the pool goes with ROADMAP item 7.
+    ``threads`` counts the seed blocks run in order (``_over_seeds``); only
+    the benchmark's ``bench/jobs.py`` passes it, until ROADMAP item 1.
     """
     return _over_seeds(cfg, threads, _train_seeds)

@@ -1162,8 +1162,9 @@ def test_wrong_length_combiner_raises_named_error():
 
 def test_references_read_one_solver_row():
     # a seed block's record, a third group's combiner, a short power row, a
-    # b_init that does not broadcast to the (S, P, K) rows, an iteration
-    # cap that is not an int >= 0, and a NaN threshold
+    # power limit that is not finite and > 0, a b_init that does not
+    # broadcast to the (S, P, K) rows, an iteration cap that is not an
+    # int >= 0, and a NaN threshold
     inst = draw_instance(0)
     problem, power = inst["level3"], inst["power"]
     block, v = block_problem([problem, problem]), np.ones((2, 8))
@@ -1173,6 +1174,9 @@ def test_references_read_one_solver_row():
             (lambda: agg.tco_step(problem, power, np.ones((3, 8))),
              "combiners has shape (3, 8), expected (2, 8)"),
             (lambda: agg.tco_step(problem, power[:5], v), "power has shape (5,), expected (6,)"),
+            *((partial(agg.tco_step, problem, np.r_[power[:5], bad], v),
+               f"power is {[*power[:5].tolist(), bad]}, expected finite limits > 0")
+              for bad in (-1.0, 0.0, np.nan, np.inf)),
             (lambda: agg.optimize_batch(problem, power[None], b_init=np.ones(3)),
              "b_init has shape (3,), expected (S, P, K) = (1, 1, 6)"),
             *((partial(agg.optimize_batch, problem, power[None], max_iters=cap),

@@ -2,6 +2,7 @@ import gzip
 import importlib
 import pkgutil
 import struct
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -500,14 +501,6 @@ def test_relabelling_groups_relabels_the_desk_sweep(monkeypatch):
         assert new.mse_per_group == pytest.approx(old.mse_per_group[::-1], rel=1e-12, abs=0.0)
 
 
-def test_sweep_threads_do_not_change_results():
-    cfg = desk_config(seeds=3, architectures=("level3", "level1"),
-                      sweep_dbm=(10.0,))
-    rows1 = runner.run_mse_sweep(cfg, threads=1)
-    rows2 = runner.run_mse_sweep(cfg, threads=3)
-    assert rows1 == rows2
-
-
 def test_sweep_solves_every_seed_in_one_batch_per_kind(monkeypatch):
     # 5 seeds split into min(threads, 5) contiguous blocks, unequal at 2 and
     # 3 threads and one seed each at 7; the rows never change, and serially
@@ -593,6 +586,21 @@ def test_training_rows_and_determinism():
         per_arch.setdefault(row.scenario, []).append(row)
     assert len(per_arch["errorfree"]) == 2 * 3  # seeds * (rounds + 1)
     assert len(per_arch["level3"]) == 2 * 3
+
+
+@pytest.mark.parametrize("run, overrides", [
+    (runner.run_mse_sweep, dict(architectures=("level3", "level1"), sweep_dbm=(10.0,))),
+    (runner.run_fl_training, dict(architectures=("level1", "level3"), rounds=2))],
+    ids=["sweep", "train"])
+def test_seed_blocks_run_in_order_on_the_calling_thread(monkeypatch, run, overrides):
+    # three seeds in three blocks give the rows of one block, and no run
+    # starts a thread
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = _train_cfg(seeds=3, **overrides)
+    assert run(cfg, threads=3) == run(cfg, threads=1)
 
 
 def test_training_shares_each_round_draw_across_architectures(monkeypatch):
