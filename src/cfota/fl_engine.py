@@ -25,7 +25,7 @@ class NonFiniteParameters(DegenerateVariance):
 
 
 class InvalidConstants(CfotaError):
-    """Raised when curvature constants are inconsistent (xi > chi)."""
+    """Raised when curvature constants are inconsistent (xi > chi) or singular."""
 
 
 class ShapeMismatch(CfotaError):
@@ -136,7 +136,11 @@ class RidgeTask:
 
     def optimum(self):
         rhs = self.features.T @ self.targets / len(self.features)
-        return np.linalg.solve(self._hessian, rhs)
+        try:
+            return np.linalg.solve(self._hessian, rhs)
+        except np.linalg.LinAlgError:
+            raise InvalidConstants("ridge={} with {} rows of {} features leaves the Hessian "
+                                   "singular".format(self.ridge, *self.features.shape)) from None
 
     def optimal_value(self):
         return self.loss(self.optimum())

@@ -8,6 +8,8 @@ purpose), so results are identical across runs and seed-block splits.
 
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from numbers import Integral, Real
+from typing import get_origin
 import csv
 import gzip
 import math
@@ -98,11 +100,7 @@ def dbm_to_watt(dbm):
 
 
 def _gain_in_range(db):
-    """Whether the gain ``10 ** (db / 10)`` is a finite float above 0.
-
-    The bounds are about -3230 and +3080 dB; beyond them the float gain
-    underflows to 0 or overflows.
-    """
+    """Whether the gain ``10 ** (db / 10)`` is finite and > 0: db in about (-3230, 3080)."""
     try:
         return 0.0 < 10.0 ** (db / 10.0) < np.inf
     except OverflowError:
@@ -113,45 +111,52 @@ def _gain_in_range(db):
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _key(default, *rules, choices=()):
+    """A config field that follows the single-key ``rules`` named in ``_RULES``."""
+    return field(default=default, metadata={"rules": rules, "choices": choices})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    architectures: tuple[str, ...] = ("level3",)
-    side_m: float = 500.0
-    cells: int = 4
-    n_aps: int = 4
-    n_ap_antennas: int = 2
-    n_bs_antennas: int = 8
-    n_devices: int = 6
-    n_groups: int = 2
-    tau_p: int = 3
-    tau_u: int = 50
-    distribution_mode: int = 2
-    p_max_dbm: float = 20.0
-    pilot_power_dbm: float = 20.0
-    noise_dbm: float = -96.0
-    omega: tuple[float, ...] = ()
-    epsilon: float = 1e-10
-    max_iters: int = 500
-    learning_rate: float = 0.005
-    rounds: int = 20
-    seeds: int = 1
-    master_seed: int = 0
-    task: str = "synthetic"
-    hidden_units: int = 20
-    n_features: int = 16
-    n_classes: int = 10
-    samples_per_device: int = 150
-    test_samples: int = 500
-    class_spread: float = 0.15
-    ridge: float = 0.1
-    asd_deg: float = 15.0
-    beta0_db: float = -30.5
-    alpha: float = 3.67
-    d0_m: float = 1.0
-    shadow_std_db: float = 4.0
-    decorr_m: float = 9.0
+    architectures: tuple[str, ...] = _key(("level3",), "nonempty", "choice", "unique",
+                                            choices=tuple(ARCHITECTURES))
+    side_m: float = _key(500.0, "finite_positive")
+    cells: int = _key(4, "count", "square")
+    n_aps: int = _key(4, "count", "square")
+    n_ap_antennas: int = _key(2, "count")
+    n_bs_antennas: int = _key(8, "count")
+    n_devices: int = _key(6, "count")
+    n_groups: int = _key(2, "count")
+    tau_p: int = _key(3, "count")
+    tau_u: int = _key(50, "count")
+    distribution_mode: int = _key(2, "choice", choices=(1, 2))
+    p_max_dbm: float = _key(20.0, "dbm")
+    pilot_power_dbm: float = _key(20.0, "dbm")
+    noise_dbm: float = _key(-96.0, "dbm")
+    omega: tuple[float, ...] = _key((), "finite_positive")
+    epsilon: float = _key(1e-10, "nonnegative")
+    max_iters: int = _key(500, "count")
+    learning_rate: float = _key(0.005, "finite_positive")
+    rounds: int = _key(20, "nonnegative")
+    seeds: int = _key(1, "count")
+    master_seed: int = _key(0, "stream_tag")
+    task: str = _key("synthetic", "choice", choices=("synthetic", "ridge", "idx"))
+    hidden_units: int = _key(20, "count")
+    n_features: int = _key(16, "count")
+    n_classes: int = _key(10, "count")
+    samples_per_device: int = _key(150, "count")
+    test_samples: int = _key(500, "count")
+    class_spread: float = _key(0.15, "finite_nonnegative")
+    ridge: float = _key(0.1, "finite_nonnegative")
+    asd_deg: float = _key(15.0, "finite_nonnegative")
+    beta0_db: float = _key(-30.5, "gain_db")
+    alpha: float = _key(3.67, "finite_positive")
+    d0_m: float = _key(1.0, "finite_positive")
+    shadow_std_db: float = _key(4.0, "finite_nonnegative")
+    decorr_m: float = _key(9.0, "finite_positive")
     fair_comparison: bool = False
-    sweep_dbm: tuple[float, ...] = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
+    sweep_dbm: tuple[float, ...] = _key((-10.0, 0.0, 10.0, 20.0, 30.0, 40.0),
+                                        "nonempty", "dbm", "unique")
     out: str = ""
     data_dir: str = ""
     idx_paths: dict = field(default_factory=dict)
@@ -230,80 +235,74 @@ def parse_config_lines(lines, base=None):
     return replace(cfg, idx_paths=idx_paths, **updates)
 
 
+def _each(ok):
+    """A rule on each entry: it finds the first entry that is not ``ok``."""
+    return lambda entries, choices: next((x for x in entries if not ok(x)), None)
+
+
+# Each single-key rule: a finder, given a key's entries and choices, of the
+# entry that breaks it (None if none does; a list rule may find the list),
+# and the message naming the key.  NaN breaks every rule it meets.
+_RULES = {
+    "count": (_each(lambda n: n >= 1), "{name} must be positive"),
+    "square": (_each(lambda n: math.isqrt(n) ** 2 == n),
+               "{name}={value} must be a perfect square"),
+    "nonnegative": (_each(lambda x: x >= 0), "{name}={value} must be >= 0"),
+    "finite_positive": (_each(lambda x: 0 < x < math.inf),
+                        "{name}={value} must be finite and > 0"),
+    "finite_nonnegative": (_each(lambda x: 0 <= x < math.inf),
+                           "{name}={value} must be finite and >= 0"),
+    "dbm": (_each(lambda dbm: _gain_in_range(dbm - 30.0)),
+            "{name}={value} must convert to a finite power > 0 W"),
+    "gain_db": (_each(_gain_in_range), "{name}={value} must give a finite reference gain > 0"),
+    "choice": (lambda xs, choices: next((x for x in xs if x not in choices), None),
+               "{name} allows {choices}, not {entry!r}"),
+    "stream_tag": (_each(lambda n: -2**127 <= n < 2**127),  # 16 signed bytes
+                   "{name}={value} must lie in [-2**127, 2**127)"),
+    "nonempty": (lambda xs, _: None if xs else xs, "{name} must not be empty"),
+    "unique": (lambda xs, _: next((x for i, x in enumerate(xs) if x in xs[:i]), None),
+               "{name} lists {entry!r} twice"),
+}
+
+
 def validate_config(cfg):
-    """Raise ValidationError naming the first violated invariant."""
-    if not cfg.architectures:
-        raise ValidationError("architectures must not be empty")
-    for i, arch in enumerate(cfg.architectures):
-        if arch not in ARCHITECTURES:
-            raise ValidationError(f"unknown architecture {arch!r}")
-        if arch in cfg.architectures[:i]:
-            raise ValidationError(f"architectures lists {arch!r} twice")
-    for name in ("n_aps", "n_ap_antennas", "n_bs_antennas", "n_devices",
-                 "n_groups", "tau_p", "tau_u", "cells", "max_iters",
-                 "hidden_units", "samples_per_device", "test_samples",
-                 "n_classes", "n_features"):
-        if getattr(cfg, name) < 1:
-            raise ValidationError(f"{name} must be positive")
-    # Written so that NaN fails too.
-    if not cfg.epsilon >= 0.0:
-        raise ValidationError(f"epsilon={cfg.epsilon} must be >= 0")
-    if not 0.0 < cfg.learning_rate < np.inf:
-        raise ValidationError(f"learning_rate={cfg.learning_rate} must be finite and > 0")
-    if not all(0.0 < w < np.inf for w in cfg.omega):
-        raise ValidationError(f"omega={cfg.omega} must be finite and > 0")
-    if not cfg.sweep_dbm:
-        raise ValidationError("sweep_dbm must not be empty")
-    for name in ("p_max_dbm", "pilot_power_dbm", "noise_dbm", "sweep_dbm"):
-        value = getattr(cfg, name)
-        if not all(_gain_in_range(dbm - 30.0) for dbm in np.atleast_1d(value).tolist()):
-            raise ValidationError(
-                f"{name}={value} must convert to a finite power > 0 W")
-    for i, point in enumerate(cfg.sweep_dbm):
-        if point in cfg.sweep_dbm[:i]:
-            raise ValidationError(f"sweep_dbm lists {point} twice")
-    if not _gain_in_range(cfg.beta0_db):
-        raise ValidationError(
-            f"beta0_db={cfg.beta0_db} must give a finite reference gain > 0")
-    for name in ("side_m", "alpha", "d0_m", "decorr_m"):
-        if not 0.0 < getattr(cfg, name) < np.inf:
-            raise ValidationError(f"{name}={getattr(cfg, name)} must be finite and > 0")
-    for name in ("asd_deg", "shadow_std_db", "class_spread", "ridge"):
-        if not 0.0 <= getattr(cfg, name) < np.inf:
-            raise ValidationError(f"{name}={getattr(cfg, name)} must be finite and >= 0")
-    if cfg.n_devices % cfg.n_groups != 0:
-        raise ValidationError(
-            f"n_devices={cfg.n_devices} must be divisible by n_groups={cfg.n_groups}")
-    for name in ("n_aps", "cells"):
-        n = getattr(cfg, name)
-        if math.isqrt(n) ** 2 != n:
-            raise ValidationError(f"{name}={n} must be a perfect square")
-    if cfg.distribution_mode not in (1, 2):
-        raise ValidationError("distribution_mode must be 1 or 2")
-    if cfg.distribution_mode == 1 and cfg.n_groups > cfg.cells:
-        raise ValidationError(
-            f"mode 1 needs a cell per group: {cfg.n_groups} groups, {cfg.cells} cells")
-    if cfg.tau_p < cfg.group_size:
-        raise ValidationError(
-            f"tau_p={cfg.tau_p} below group size {cfg.group_size} causes pilot shortage")
-    if cfg.omega and len(cfg.omega) != cfg.n_groups:
-        raise ValidationError("omega must list one weight per group")
-    if (any(ARCHITECTURES[a].needs_bs for a in cfg.architectures)
-            and cfg.n_groups > cfg.cells):
-        raise ValidationError("cellular needs one serving BS (cell) per group")
-    if cfg.fair_comparison:
-        total_cf = cfg.n_aps * cfg.n_ap_antennas
-        total_cell = cfg.cells * cfg.n_bs_antennas
-        if total_cf != total_cell:
-            raise ValidationError(
-                f"fair comparison requires n_aps*n_ap_antennas == cells*n_bs_antennas "
-                f"({total_cf} != {total_cell})")
-    if cfg.seeds < 1 or cfg.rounds < 0:
-        raise ValidationError("seeds must be >= 1 and rounds >= 0")
-    if not -2**127 <= cfg.master_seed < 2**127:  # a 16-byte signed stream tag
-        raise ValidationError(f"master_seed={cfg.master_seed} must lie in [-2**127, 2**127)")
-    if cfg.task not in ("synthetic", "ridge", "idx"):
-        raise ValidationError(f"unknown task {cfg.task!r}")
+    """Raise ValidationError naming the first violated invariant: field by
+    field in declaration order, the value's type (an int or a numpy scalar
+    passes for a float) and its single-key rules; then the cross-key rules."""
+    for f in fields(ScenarioConfig):
+        value = getattr(cfg, f.name)
+        listed = get_origin(f.type) is tuple
+        entry_type = f.type.__args__[0] if listed else f.type
+        accepts = {int: Integral, float: Real}.get(entry_type, entry_type)
+        entries = value if listed and isinstance(value, tuple) else (value,)
+        if listed != isinstance(value, tuple) or not all(isinstance(x, accepts) for x in entries):
+            raise ValidationError(f"{f.name}={value!r} must be "
+                                  f"{'a tuple of' if listed else 'of type'} {entry_type.__name__}")
+        choices = f.metadata.get("choices", ())
+        for rule in f.metadata.get("rules", ()):
+            find, message = _RULES[rule]
+            if (bad := find(entries, choices)) is not None:
+                raise ValidationError(message.format(name=f.name, value=value, entry=bad,
+                                                     choices=", ".join(map(str, choices))))
+    total_cf, total_cell = cfg.n_aps * cfg.n_ap_antennas, cfg.cells * cfg.n_bs_antennas
+    for broken, message in (
+            (cfg.n_devices % cfg.n_groups,
+             f"n_devices={cfg.n_devices} must be divisible by n_groups={cfg.n_groups}"),
+            (cfg.distribution_mode == 1 and cfg.n_groups > cfg.cells,
+             f"mode 1 needs a cell per group: {cfg.n_groups} groups, {cfg.cells} cells"),
+            (cfg.tau_p < cfg.group_size,
+             f"tau_p={cfg.tau_p} below group size {cfg.group_size} causes pilot shortage"),
+            (cfg.omega and len(cfg.omega) != cfg.n_groups, "omega must list one weight per group"),
+            (any(ARCHITECTURES[a].needs_bs for a in cfg.architectures)
+             and cfg.n_groups > cfg.cells, "cellular needs one serving BS (cell) per group"),
+            (cfg.fair_comparison and total_cf != total_cell,
+             "fair comparison requires n_aps*n_ap_antennas == cells*n_bs_antennas "
+             f"({total_cf} != {total_cell})"),
+            # A ridge model is its feature vector, and normalizing needs 2 entries.
+            (cfg.task == "ridge" and cfg.n_features < 2,
+             f"n_features={cfg.n_features} must be >= 2 for task = ridge")):
+        if broken:
+            raise ValidationError(message)
     for key in cfg.idx_paths:
         match = _IDX_KEY.fullmatch(key)
         if match is None or int(match[1]) >= cfg.n_groups:
@@ -314,10 +313,6 @@ def validate_config(cfg):
             _label_filter(cfg, group)
             for key in ("train_images", "train_labels", "test_images", "test_labels"):
                 _idx_path(cfg, group, f"idx_{key}")
-    # A ridge model is its feature vector, and normalizing needs 2 entries.
-    if cfg.task == "ridge" and cfg.n_features < 2:
-        raise ValidationError(
-            f"n_features={cfg.n_features} must be >= 2 for task = ridge")
     return cfg
 
 

@@ -1,17 +1,22 @@
 """Every config either fails validation by name or runs to finite rows.
 
-A derandomized generative fuzz over the numeric config keys, starting from
-the desk configs.  A config passes if ``validate_config`` rejects it with a
-``ValidationError`` or ``ParseError``, or if both verbs finish on it: with
-finite rows, or with a named error (a ``CfotaError``).  Any other
-exception, or any ``RuntimeWarning`` (an error in this suite), fails it.
+A derandomized generative fuzz over every config key that declares a rule,
+starting from the desk configs.  Each key is drawn from its rule kinds, in
+range or at an edge, so a new key joins the fuzz by declaring its rules.
+A config passes if ``validate_config`` rejects it with a ``ValidationError``
+or ``ParseError``, or if both verbs finish on it: with finite rows, or with
+a named error (a ``CfotaError``).  Any other exception, or any
+``RuntimeWarning`` (an error in this suite), fails it.
 
-Valid configs stay tiny: one seed, one round, at most 20 solver iterations,
-at most 9 APs of 4 antennas and 20 devices, one thread.
+The only per-key knowledge here is the budget that keeps valid runs tiny:
+at most 2 seeds, 2 rounds and 20 solver iterations, and at most 9 APs of
+4 antennas, 4 BSs of 8 and 20 devices when drawn; one thread.
 """
 
+from dataclasses import fields
 import math
 from pathlib import Path
+from typing import get_origin
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,65 +29,50 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # huge and tiny.
 EDGES = ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "1e5"]
 
+# The largest count each key draws in range; every other count stops at
+# OTHER_CAP.  Every example draws the first three in range.
+CAPS = {"seeds": 2, "rounds": 2, "max_iters": 20, "n_aps": 9, "n_ap_antennas": 4,
+        "cells": 4, "n_bs_antennas": 8, "n_devices": 20}
+OTHER_CAP = 10
 
-def real(lo, hi):
-    return st.one_of(st.sampled_from(EDGES), st.floats(lo, hi).map(repr))
+# The values each numeric rule kind accepts: a closed range, where None
+# stands for the key's cap.  A "choice" key draws from its choices.
+RANGES = {"count": (1, None), "nonnegative": (0, None), "stream_tag": (-2**127, 2**127 - 1),
+          "finite_positive": (1e-3, 1e3), "finite_nonnegative": (0.0, 20.0),
+          "dbm": (-130.0, 60.0), "gain_db": (-100.0, 0.0)}
+# Rules that take no values of their own: counts reach squares and others,
+# and lists of 0-3 entries reach the empty list and repeats.
+SHAPE_RULES = {"square", "nonempty", "unique"}
+
+FIELDS = {f.name: f for f in fields(runner.ScenarioConfig)}
 
 
-def count(lo, hi):
-    """An int key: a small count, zero, negative, or a value that the int
-    parser rejects."""
-    return st.one_of(st.sampled_from(["0", "-1", "1.5", "1e5"]), st.integers(lo, hi).map(str))
+def in_range(f, kind):
+    """Config values of field ``f`` that follow its rule ``kind``."""
+    if kind == "choice":
+        return st.sampled_from(f.metadata["choices"]).map(str)
+    lo, hi = RANGES[kind]
+    if f.type is int:
+        return st.integers(lo, CAPS.get(f.name, OTHER_CAP) if hi is None else hi).map(str)
+    return st.floats(lo, hi).map(repr)
 
 
-def reals(lo, hi, max_size):
-    return st.lists(real(lo, hi), max_size=max_size).map(", ".join)
+def drawn(f):
+    """Config values of field ``f``: in range of one of its rules, or an
+    edge; a list key lists 0-3 of them, and a bool key is a bool."""
+    if f.type is bool:
+        return st.booleans().map(str)
+    entry = st.one_of(st.sampled_from(EDGES), *(
+        in_range(f, kind) for kind in f.metadata["rules"] if kind not in SHAPE_RULES))
+    if get_origin(f.type) is tuple:
+        return st.lists(entry, max_size=3).map(", ".join)
+    return entry
 
 
-DBM = (-40.0, 60.0)
-KEYS = {
-    "side_m": real(1.0, 1000.0),
-    "decorr_m": real(1.0, 5000.0),
-    "shadow_std_db": real(0.0, 20.0),
-    "beta0_db": real(-60.0, 0.0),
-    "alpha": real(1.0, 6.0),
-    "d0_m": real(0.1, 10.0),
-    "asd_deg": real(0.0, 90.0),
-    "p_max_dbm": real(*DBM),
-    "pilot_power_dbm": real(*DBM),
-    "noise_dbm": real(-130.0, -50.0),
-    "sweep_dbm": reals(*DBM, max_size=3),
-    "omega": reals(0.1, 10.0, max_size=3),
-    "epsilon": real(0.0, 1e-2),
-    "learning_rate": real(1e-3, 10.0),
-    "class_spread": real(0.0, 1.0),
-    "ridge": real(0.0, 1.0),
-    "n_aps": st.sampled_from(["0", "1", "2", "4", "9"]),
-    "cells": st.sampled_from(["0", "1", "2", "4"]),
-    "n_ap_antennas": count(-1, 4),
-    "n_bs_antennas": count(-1, 8),
-    "n_groups": count(-1, 4),
-    "n_devices": count(-1, 20),
-    "tau_p": count(-1, 10),
-    "max_iters": count(-1, 20),
-    "tau_u": count(-1, 60),
-    "distribution_mode": count(0, 3),
-    "n_features": count(-1, 8),
-    "n_classes": count(-1, 6),
-    "hidden_units": count(-1, 8),
-    "samples_per_device": count(-1, 20),
-    "test_samples": count(-1, 40),
-}
-
-# What every example sets, in range: a geometry, and the iteration cap.
-# The devices come in groups of the desk configs' count, 2, with a pilot
-# length from one short of the group size to two above it.  Seeds, rounds
-# and threads stay at 1.
-geometry = st.builds(
-    lambda side, decorr, size, spare: {"side_m": repr(side), "decorr_m": repr(decorr),
-                                       "n_devices": str(2 * size), "tau_p": str(size + spare)},
-    st.floats(1.0, 1000.0), st.floats(1.0, 5000.0), st.integers(1, 10), st.integers(-1, 2))
-max_iters = st.integers(1, 20).map(str)
+KEYS = {name: drawn(f) for name, f in FIELDS.items() if f.metadata.get("rules") or f.type is bool}
+# What every example sets in range: its seeds, rounds and iteration cap.
+budget = st.fixed_dictionaries({name: in_range(FIELDS[name], FIELDS[name].metadata["rules"][0])
+                                for name in ("seeds", "rounds", "max_iters")})
 # Then one to three keys, each in range or at an edge, which may override
 # the above.
 overrides = st.lists(st.sampled_from(sorted(KEYS)), min_size=1, max_size=3,
@@ -98,10 +88,9 @@ def finite_rows(rows):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(base=st.sampled_from(["desk-sweep.cfg", "desk-train.cfg"]), sizes=geometry,
-       cap=max_iters, keys=overrides)
-def test_every_config_fails_by_name_or_runs_to_finite_rows(base, sizes, cap, keys):
-    entries = {"seeds": "1", "rounds": "1", "max_iters": cap, **sizes, **keys}
+@given(base=st.sampled_from(["desk-sweep.cfg", "desk-train.cfg"]), sizes=budget, keys=overrides)
+def test_every_config_fails_by_name_or_runs_to_finite_rows(base, sizes, keys):
+    entries = {**sizes, **keys}
     try:
         cfg = runner.parse_config_lines((CONFIGS / base).read_text().splitlines())
         cfg = runner.validate_config(runner.parse_config_lines(

@@ -1,5 +1,6 @@
 """The README's library example and `cfota` lines run as written."""
 
+from dataclasses import fields
 from pathlib import Path
 import re
 import shlex
@@ -33,3 +34,10 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch):
         argv = [str(README.parent / arg) if arg.startswith("configs/") else arg
                 for arg in argv[1:]]
         assert cli.main(argv) == 0, argv
+
+
+def test_readme_config_keys_name_every_field():
+    section = README.read_text().split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    missing = [f.name for f in fields(runner.ScenarioConfig)
+               if f.name != "idx_paths" and f"`{f.name}`" not in section]
+    assert not missing

@@ -175,6 +175,47 @@ def test_out_of_range_value_names_its_key(tmp_path, key, value):
     assert key in str(err.value)
 
 
+# Keys whose values take any form their type allows.
+FREE_FORM = {"fair_comparison", "out", "data_dir", "idx_paths"}
+
+
+@pytest.mark.parametrize("field", fields(runner.ScenarioConfig), ids=lambda f: f.name)
+def test_every_config_field_declares_rules_or_is_free_form(field):
+    rules = field.metadata.get("rules", ())
+    assert bool(rules) != (field.name in FREE_FORM)
+    assert set(rules) <= set(runner._RULES)
+
+
+# One value of each rule kind's config line that breaks it.
+BREAKS = {"count": "0", "square": "3", "nonnegative": "-1", "finite_positive": "nan",
+          "finite_nonnegative": "nan", "dbm": "4000", "gain_db": "4000", "choice": "3",
+          "stream_tag": str(2**127), "nonempty": ""}
+
+
+@pytest.mark.parametrize("field,kind", [
+    (f, kind) for f in fields(runner.ScenarioConfig) for kind in f.metadata.get("rules", ())],
+    ids=lambda arg: getattr(arg, "name", arg))
+def test_ruled_key_rejects_a_bad_value_by_name(field, kind):
+    # a repeat lists the key's first default entry twice
+    bad = f"{field.default[0]}, {field.default[0]}" if kind == "unique" else BREAKS[kind]
+    with pytest.raises(runner.ValidationError, match=field.name):
+        runner.validate_config(runner.parse_config_lines([f"{field.name} = {bad}"]))
+
+
+@pytest.mark.parametrize("key,value", [("n_aps", 4.0), ("sweep_dbm", 20.0), ("seeds", "2"),
+                                       ("architectures", "level3")])
+def test_value_of_the_wrong_type_names_its_key(key, value):
+    with pytest.raises(runner.ValidationError, match=f"^{key}={value!r} must be "):
+        runner.validate_config(runner.ScenarioConfig(**{key: value}))
+
+
+@pytest.mark.parametrize("key,value", [("learning_rate", 1), ("n_aps", np.int64(9)),
+                                       ("p_max_dbm", np.float64(10.0)),
+                                       ("sweep_dbm", (np.float64(0.0), 10))])
+def test_int_for_a_float_and_numpy_scalars_validate(key, value):
+    assert getattr(runner.validate_config(runner.ScenarioConfig(**{key: value})), key) == value
+
+
 def test_repeated_architecture_is_named_error(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text("architectures = level3, level1, level3\n")
@@ -1071,6 +1112,24 @@ def test_cli_diverging_training_is_named_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("NonFiniteParameters: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("ridge,features,samples,rows", [("0", 2, 1, 1), ("1e-300", 8, 5, 5)])
+def test_cli_singular_ridge_task_is_named_error(tmp_path, capsys, ridge, features, samples,
+                                                rows):
+    # a group of one device with fewer rows than features and a negligible
+    # ridge has no unique optimum: one error line names the three, no rows
+    cfgfile = Path(__file__).resolve().parents[1] / "configs" / "desk-train.cfg"
+    out = tmp_path / "x.csv"
+    sets = ["task=ridge", f"ridge={ridge}", f"n_features={features}",
+            f"samples_per_device={samples}", "n_devices=2", "n_groups=2", "tau_p=1", "seeds=1",
+            "rounds=1", f"out={out}"]
+    argv = [arg for s in sets for arg in ("--set", s)]
+    assert cli_main(["train", "-c", str(cfgfile), *argv]) == 1
+    assert capsys.readouterr().err == (
+        f"InvalidConstants: ridge={float(ridge)} with {rows} rows of {features} features "
+        "leaves the Hessian singular\n")
+    assert not out.exists()
 
 
 def test_cli_non_finite_solve_is_named_error(tmp_path, capsys, monkeypatch):
