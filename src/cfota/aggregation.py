@@ -26,12 +26,13 @@ A record holds one coherence block or, with a leading seed axis on its
 estimates, error blocks and parameter spreads nu, one block of each seed of
 a seed block; the batch entry points solve every seed of such a record at
 once.  ``optimize_batch`` returns one solution record, scored by
-``_Stack.group_mses``, the one level-3 and cellular scorer (the tests
-check it against the formula in ``tests/oracles.mse_level3``), and
+``_Stack.group_mses``, the one level-3 and cellular scorer, and
 ``level1_batch`` the coefficients, combiners and MSEs on the true
 channels.  ``tco_step`` reads one solved row, a record without a seed axis
 at power limits (K,) with ``sol.combiners[s, i]`` (G, D): the benchmark's
-tests pin it.
+tests pin it.  The tests reach the solver through these three only, and check
+them against dense formula oracles (``tests/oracles.py``) that call no
+code of this module.
 """
 
 from dataclasses import dataclass, replace
@@ -482,10 +483,7 @@ def tco_step(problem, power, combiners):
     Device k's (b_k, mu_k) satisfy the stationarity and complementary
     slackness conditions of its power-constrained subproblem: |b_k|^2 <=
     P_k always holds, and mu_k > 0 only on the boundary.  Computed device
-    by device, as the scalar reference for the solver's vectorized update.
-    The projections and quadratic forms come from the combiner core: near
-    the boundary mu_k is the difference of two nearly equal terms, which a
-    one-ulp change in those forms moves by more than 1e-12.
+    by device from the combiner core's projections and quadratic forms.
     """
     h = np.shape(problem.h_hat)
     if len(h) != 3:

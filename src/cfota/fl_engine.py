@@ -114,7 +114,10 @@ class RidgeTask:
     rows sharded over devices so that the data-size-weighted average of the
     local losses reproduces F.  The gradient-Lipschitz constant ``chi`` and
     strong-convexity constant ``xi`` are the extreme eigenvalues of the
-    Hessian, which is independent of theta.
+    Hessian, which is independent of theta.  A Hessian that is singular to
+    working precision, xi <= F eps chi for F features (fewer rows than
+    features and a negligible ridge, say), leaves no unique optimum and
+    raises InvalidConstants.
     """
 
     def __init__(self, features, targets, ridge, shards):
@@ -122,12 +125,14 @@ class RidgeTask:
         self.targets = np.asarray(targets, dtype=float)
         self.ridge = float(ridge)
         self.shards = [np.asarray(s) for s in shards]
-        n = len(self.features)
-        hess = self.features.T @ self.features / n + self.ridge * np.eye(
-            self.features.shape[1])
+        n, n_features = self.features.shape
+        hess = self.features.T @ self.features / n + self.ridge * np.eye(n_features)
         eigs = np.linalg.eigvalsh(hess)
         self.chi = float(eigs[-1])
         self.xi = float(eigs[0])
+        if self.xi <= n_features * np.finfo(float).eps * self.chi:
+            raise InvalidConstants(f"ridge={self.ridge} with {n} rows of {n_features} features "
+                                   "leaves the Hessian singular")
         self._hessian = hess
 
     def loss(self, theta):
@@ -136,11 +141,7 @@ class RidgeTask:
 
     def optimum(self):
         rhs = self.features.T @ self.targets / len(self.features)
-        try:
-            return np.linalg.solve(self._hessian, rhs)
-        except np.linalg.LinAlgError:
-            raise InvalidConstants("ridge={} with {} rows of {} features leaves the Hessian "
-                                   "singular".format(self.ridge, *self.features.shape)) from None
+        return np.linalg.solve(self._hessian, rhs)
 
     def optimal_value(self):
         return self.loss(self.optimum())

@@ -1,18 +1,26 @@
 """Independent oracles and instance builders shared by the test suite.
 
-The Monte Carlo oracles re-simulate the transmission from first principles
-(draw symbols, noise, and, where the metric marginalizes it, the channel
-uncertainty around the estimates) and never reuse the closed-form code
-paths they are checking.
+The oracles never reuse the code paths they are checking:
+
+* the Monte Carlo oracles re-simulate the transmission from first
+  principles (draw symbols, noise, and, where the metric marginalizes it,
+  the channel uncertainty around the estimates);
+* the solver's formula oracles (``combiners``, ``tco``, ``alternate``,
+  ``mse_level3`` and ``mse_level1``) evaluate the paper's formulas one
+  group or one device at a time over dense views of a record, and call no
+  ``aggregation`` code.  The tests reach the solver only through its
+  public entry points;
+* ``mmse_estimate`` assembles one link's estimate around ``estimation``'s
+  covariance helpers, which ``mmse_estimate_cholesky`` checks in turn.
 """
 
 from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
-from cfota import aggregation, estimation, runner
+from cfota import estimation, runner
 from cfota.channel import local_scattering_R, pathloss_db, shadow_covariance
 from cfota.fl_engine import ridge_gradient
 from cfota.rng import substream
@@ -96,8 +104,11 @@ def mc_mse_conditional(h_hat, error_cov, b, v, target, noise_power, n_draws,
 def dense_cpu_view(problem):
     """A level-3 problem's stacked estimates (K, LN) and its dense
     block-diagonal error covariances (K, LN, LN)."""
-    return (problem.h_hat.reshape(len(problem.h_hat), -1),
-            np.stack([block_diag(*blocks) for blocks in problem.error_cov]))
+    n_dev, n_aps, n_ant = problem.h_hat.shape
+    cov = np.zeros((n_dev, n_aps, n_ant, n_aps, n_ant), dtype=complex)
+    for ap in range(n_aps):
+        cov[:, ap, :, ap] = problem.error_cov[:, ap]
+    return problem.h_hat.reshape(n_dev, -1), cov.reshape(n_dev, n_aps * n_ant, -1)
 
 
 def seed_problem(problem, s):
@@ -120,116 +131,6 @@ def block_problem(problems):
                    weights=replace(first.weights, nu=stack(lambda p: p.weights.nu)))
 
 
-def combiners_level1(problem, b):
-    """Local combiners (G, L, N) of every group at every AP for coefficients b."""
-    b = np.asarray(b, dtype=complex)[None, None]
-    combiners = aggregation._Stack(problem, per_ap=True).combiners(b, np.abs(b) ** 2)
-    return combiners.reshape(problem.n_groups, problem.h_hat.shape[1], -1)
-
-
-def combiners_level3(problem, b):
-    """All group combiners (G, D) of a record, the AP-side one viewed
-    jointly or the serving-BS one per BS, for fixed coefficients b: each is
-    the global minimizer of its group's convex MSE."""
-    b = np.asarray(b, dtype=complex)[None, None]
-    return aggregation._Stack(problem).combiners(b, np.abs(b) ** 2)[0, 0]
-
-
-def tco_steps(problem, power, combiners):
-    """Optimal coefficients and KKT multipliers of all devices, (K,) each,
-    at power limits ``power`` (K,) for fixed combiners: the vectorized
-    update the solver runs."""
-    stack = aggregation._Stack(problem)
-    proj, quad, _ = stack.forms(np.asarray(combiners)[None, None])
-    b, mu = stack.tco(proj, quad, np.sqrt(power)[None, None])
-    return b[0, 0], mu[0, 0]
-
-
-class ReferenceStack:
-    """The solver's combiner core as a plain method sequence: each step
-    recomputes what it needs (|b|^2, v^H, the K x K identity) and solves
-    through ``numpy.linalg.solve``.  Arrays have leading (S, P) axes, as in
-    ``aggregation._Stack``, whose streamlined steps must reproduce these
-    bit for bit.
-    """
-
-    def __init__(self, problem, per_ap=False):
-        h, cov = problem.h_hat, problem.error_cov
-        if h.ndim == 3:
-            h, cov = h[None], cov[None]
-        if per_ap or problem.cellular:
-            h, cov = h.swapaxes(1, 2)[:, :, :, None], cov.swapaxes(1, 2)[:, :, :, None]
-        else:
-            h, cov = h[:, None], cov[:, None]
-        n_seeds, n_views, n_dev, n_blocks, n_ant = h.shape
-        gdev = np.asarray(problem.group_of_device)
-        self.n_groups, self.n_views = problem.n_groups, n_views
-        self.per_view = 1 if problem.cellular else self.n_groups
-        self.blocks = (n_blocks, n_ant)
-        h = h.reshape(n_seeds, 1, n_views, n_dev, n_blocks * n_ant)
-        self.h_conj = h.conj()
-        self.h_t = h.swapaxes(-1, -2)
-        self.h_blocks = self.h_t.reshape(n_seeds, 1, n_views, n_blocks, n_ant, n_dev)
-        self.cov_by_device = cov.swapaxes(1, 2).reshape(n_seeds, 1, n_dev, -1)
-        self.cov_cols = cov.reshape(n_seeds, 1, n_views, n_dev, -1).swapaxes(-1, -2)
-        self.noise_power = problem.noise_power
-        self.noise_eye = problem.noise_power * np.eye(n_ant)
-        self.own = gdev == np.arange(self.n_groups)[:, None]
-        w = problem.weights
-        gamma, nu = np.reshape(w.gamma, (1, 1, n_dev)), np.reshape(w.nu, (n_seeds, 1, n_dev))
-        self.target = np.where(self.own, (gamma * nu)[..., None, :], 0.0)
-        self.gamma, self.nu, self.omega = gamma, nu, w.omega
-        self.gain = self.omega[gdev] * gamma * nu
-        self.gdev, self.devices = gdev, np.arange(n_dev)
-
-    def combiners(self, b):
-        rows, n_dev = b.shape[:2], b.shape[-1]
-        n_blocks, n_ant = self.blocks
-        p = np.abs(b) ** 2
-        blocks = (p[..., None, :] @ self.cov_by_device).reshape(
-            *rows, self.n_views, n_blocks, n_ant, n_ant)
-        coef = np.where(self.own, (self.gamma * b * self.nu)[..., None, :], 0.0)
-        coef = coef.reshape(*rows, -1, self.per_view, n_dev).swapaxes(-1, -2)
-        if n_blocks == 1:
-            mat = (self.h_t * p[..., None, None, :]) @ self.h_conj
-            mat = mat + blocks[..., 0, :, :] + self.noise_eye
-            mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
-            v = np.linalg.solve(mat, self.h_t @ coef)
-        else:
-            blocks = blocks + self.noise_eye
-            x = np.linalg.solve(blocks, self.h_blocks).reshape(*rows, self.n_views, -1, n_dev)
-            small = p[..., None, :, None] * (self.h_conj @ x) + np.eye(n_dev)
-            v = x @ np.linalg.solve(small, coef)
-        return v.transpose(0, 1, 4, 2, 3).reshape(*rows, self.n_groups, -1)
-
-    def forms(self, v):
-        *rows, n_groups, dim = v.shape
-        n_blocks, n_ant = self.blocks
-        lead = (*rows, self.n_views, self.per_view)
-        v = v.reshape(*lead, dim)
-        vh = v.conj()
-        proj = (vh @ self.h_t).reshape(*rows, n_groups, -1)
-        outer = vh.reshape(*lead, n_blocks, n_ant, 1) * v.reshape(*lead, n_blocks, 1, n_ant)
-        quad = (outer.reshape(*lead, -1) @ self.cov_cols).real
-        return proj, quad.reshape(*rows, n_groups, -1)
-
-    def tco(self, proj, quad, sqrt_power):
-        own = proj[..., self.gdev, self.devices]
-        denom = (self.omega[:, None] * (np.abs(proj) ** 2 + quad)).sum(axis=-2)
-        mu = np.maximum(0.0, self.gain * np.abs(own) / sqrt_power - denom)
-        den = denom + mu
-        moving = den != 0.0
-        b = np.zeros(den.shape, dtype=complex)
-        np.divide(self.gain * own.conj(), den, out=b, where=moving)
-        return b, np.where(moving, mu, 0.0)
-
-    def group_mses(self, b, v, proj, quad):
-        bb = b[..., None, :]
-        signal = (np.abs(proj * bb - self.target) ** 2).sum(axis=-1)
-        inflation = (np.abs(bb) ** 2 * quad).sum(axis=-1)
-        return signal + inflation + self.noise_power * (v.conj() * v).real.sum(axis=-1)
-
-
 SolvedRow = namedtuple("SolvedRow",
                        "b combiners mu iterations terminated_by values group_values")
 
@@ -241,43 +142,6 @@ def row(solution, s=0, i=0):
     return SolvedRow(solution.b[s, i], solution.combiners[s, i], solution.mu[s, i],
                      stop - 1, solution.terminated_by[s, i], solution.values[s, i, :stop],
                      solution.group_values[s, i, :stop])
-
-
-def reference_solve(problem, power, eps, max_iters):
-    """Plain alternation of one record without a seed axis at power limits
-    (K,): a combiner refresh, then a coefficient step, until an iteration
-    decreases the weighted sum-MSE by less than eps or max_iters have run.
-    Returns a ``SolvedRow``."""
-    stack = ReferenceStack(problem)
-    sqrt_power = np.sqrt(np.asarray(power, dtype=float))[None, None]
-    b = sqrt_power.astype(complex)
-    mu = np.zeros(b.shape)
-    v = stack.combiners(b)
-    proj, quad = stack.forms(v)
-    group_values = [stack.group_mses(b, v, proj, quad)]
-    values = [(group_values[0] * stack.omega).sum(axis=-1)]
-    ended = "max_iters"
-    for it in range(1, max_iters + 1):
-        if it > 1:
-            v = stack.combiners(b)
-            proj, quad = stack.forms(v)
-        b, mu = stack.tco(proj, quad, sqrt_power)
-        group_values.append(stack.group_mses(b, v, proj, quad))
-        values.append((group_values[-1] * stack.omega).sum(axis=-1))
-        if values[-2] - values[-1] < eps:
-            ended = "threshold"
-            break
-    return SolvedRow(
-        b[0, 0], v[0, 0], mu[0, 0], len(values) - 1, ended,
-        np.concatenate(values)[:, 0], np.concatenate(group_values)[:, 0])
-
-
-def reference_level1_combiners(problem, power):
-    """Level-1 combiners (G, L, N) of one AP-side record without a seed
-    axis at full power ``power`` (K,), from the plain method sequence."""
-    b = np.sqrt(np.asarray(power, dtype=float)).astype(complex)[None, None]
-    v = ReferenceStack(problem, per_ap=True).combiners(b)[0, 0]
-    return v.reshape(problem.n_groups, problem.h_hat.shape[1], -1)
 
 
 def mse_level1(problem, b, combiners, channels):
@@ -301,27 +165,109 @@ def mse_level1(problem, b, combiners, channels):
     return mses
 
 
+def group_views(problem):
+    """Each group's view of one level-3 or cellular record without a seed
+    axis: G pairs of estimates (K, D) and dense error covariances
+    (K, D, D), the stacked view of all APs for every group or, in a
+    serving-BS record, the group's own BS."""
+    if problem.cellular:
+        return [(problem.h_hat[:, g], problem.error_cov[:, g]) for g in range(problem.n_groups)]
+    return [dense_cpu_view(problem)] * problem.n_groups
+
+
 def mse_level3(problem, b, combiners):
     """Conditional MSEs (G,) of one level-3 or cellular record without a
     seed axis, from the formula, one group at a time: coefficients b (K,)
     and combiners (G, D) of the record's view.
 
-    Group g's combiner v_g sees the stacked estimates h_k and dense error
-    covariances C_k of all APs, or of the group's own BS in a serving-BS
-    record: the MSE is sum_k |v_g^H h_k b_k - target_k|^2 + |b_k|^2 v_g^H
-    C_k v_g plus sigma^2 |v_g|^2, target_k being gamma_k nu_k for the
-    group's own devices and 0 for the others.
+    Group g's combiner v_g sees the estimates h_k and error covariances C_k
+    of its view: the MSE is sum_k |v_g^H h_k b_k - target_k|^2 + |b_k|^2
+    v_g^H C_k v_g plus sigma^2 |v_g|^2, target_k being gamma_k nu_k for
+    the group's own devices and 0 for the others.
     """
     gamma_nu = problem.weights.gamma * problem.weights.nu
     mses = np.empty(problem.n_groups)
-    for g, v in enumerate(combiners):
-        h, cov = ((problem.h_hat[:, g], problem.error_cov[:, g]) if problem.cellular
-                  else dense_cpu_view(problem))
+    for g, (v, (h, cov)) in enumerate(zip(combiners, group_views(problem))):
         target = np.where(problem.group_of_device == g, gamma_nu, 0.0)
         signal = np.abs(h @ v.conj() * b - target) ** 2
         inflation = np.abs(b) ** 2 * np.einsum("i,kij,j->k", v.conj(), cov, v).real
         mses[g] = np.sum(signal + inflation) + problem.noise_power * np.sum(np.abs(v) ** 2)
     return mses
+
+
+def _combiner(problem, b, g, h, cov):
+    """Group g's MMSE combiner (D,) for coefficients b (K,) in a view of
+    estimates h (K, D) and error covariances cov (K, D, D): v_g = (sigma^2
+    I + sum_k |b_k|^2 (h_k h_k^H + C_k))^-1 sum_{k in g} h_k gamma_k nu_k
+    b_k, the minimizer of the group's MSE."""
+    p = np.abs(b) ** 2
+    mat = (problem.noise_power * np.eye(h.shape[1]) + np.einsum("k,ki,kj->ij", p, h, h.conj())
+           + np.einsum("k,kij->ij", p, cov))
+    own = problem.group_of_device == g
+    w = problem.weights
+    return np.linalg.solve(mat, h[own].T @ (w.gamma * w.nu * b)[own])
+
+
+def combiners(problem, b, per_ap=False):
+    """MMSE combiners of one record without a seed axis for coefficients b
+    (K,), from the formula, one group at a time: (G, D), each in its
+    group's view (``group_views``), or, ``per_ap`` (level 1), (G, L, N),
+    each AP's from its own estimates and error blocks alone."""
+    groups = range(problem.n_groups)
+    if per_ap:
+        return np.array([[_combiner(problem, b, g, problem.h_hat[:, ap], problem.error_cov[:, ap])
+                          for ap in range(problem.h_hat.shape[1])] for g in groups])
+    return np.array([_combiner(problem, b, g, *view)
+                     for g, view in zip(groups, group_views(problem))])
+
+
+def tco(problem, power, combiners):
+    """Optimal transmit coefficients, KKT multipliers and denominators, (K,)
+    each, of one level-3 or cellular record without a seed axis at power
+    limits power (K,) for fixed combiners (G, D) of the record's view, from
+    the formula, one device at a time.
+
+    Device k meets group g's combiner with the projection u_g = v_g^H h_k
+    and the error form q_g = v_g^H C_k v_g of group g's view.  Its
+    coefficient minimizes the weighted sum-MSE subject to |b_k|^2 <= P_k:
+    with the denominator d = sum_g omega_g (|u_g|^2 + q_g) and the gain
+    c = omega_o gamma_k nu_k of its own group o, the KKT multiplier is
+    mu_k = max(0, c |u_o| / sqrt(P_k) - d) and b_k = c conj(u_o) / (d +
+    mu_k), or 0 where d + mu_k = 0.
+    """
+    w = problem.weights
+    views = group_views(problem)
+    b, mu, denom = np.zeros(len(power), dtype=complex), np.zeros(len(power)), np.zeros(len(power))
+    for k, own in enumerate(problem.group_of_device):
+        u = np.array([v.conj() @ h[k] for v, (h, _) in zip(combiners, views)])
+        q = np.array([(v.conj() @ cov[k] @ v).real for v, (_, cov) in zip(combiners, views)])
+        denom[k] = w.omega @ (np.abs(u) ** 2 + q)
+        gain = w.omega[own] * w.gamma[k] * w.nu[k]
+        mu[k] = max(0.0, gain * abs(u[own]) / np.sqrt(power[k]) - denom[k])
+        if denom[k] + mu[k] != 0.0:
+            b[k] = gain * u[own].conjugate() / (denom[k] + mu[k])
+    return b, mu, denom
+
+
+def alternate(problem, power, iters):
+    """Plain alternation of one level-3 or cellular record without a seed
+    axis at power limits power (K,), from the formula oracles: from full
+    power, ``iters`` iterations of a combiner refresh and a coefficient
+    step, each scored by ``mse_level3``.  Returns a ``SolvedRow`` whose
+    traces hold the start and every iteration, and whose combiners are the
+    last iteration's, those its coefficient step read."""
+    power = np.asarray(power, dtype=float)
+    b, mu = np.sqrt(power).astype(complex), np.zeros(len(power))
+    v = combiners(problem, b)
+    group_values = [mse_level3(problem, b, v)]
+    for it in range(iters):
+        if it:
+            v = combiners(problem, b)
+        b, mu, _ = tco(problem, power, v)
+        group_values.append(mse_level3(problem, b, v))
+    group_values = np.array(group_values)
+    return SolvedRow(b, v, mu, iters, "max_iters", group_values @ problem.weights.omega,
+                     group_values)
 
 
 def total_per_block(report, rounds_per_block=1):
@@ -336,8 +282,7 @@ def mc_mse_level3(problem, b, v, g, n_draws, rng):
     serving-BS record, over the group's own BS."""
     target = np.where(problem.group_of_device == g,
                       problem.weights.gamma * problem.weights.nu, 0.0)
-    h_hat, error_cov = ((problem.h_hat[:, g], problem.error_cov[:, g]) if problem.cellular
-                        else dense_cpu_view(problem))
+    h_hat, error_cov = group_views(problem)[g]
     return mc_mse_conditional(h_hat, error_cov, b, v, target,
                               problem.noise_power, n_draws, rng)
 

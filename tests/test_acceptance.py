@@ -13,9 +13,9 @@ from cfota import fl_engine as fl
 from cfota import runner
 from cfota.rng import substream
 
-from oracles import (combiners_level3, dense_cpu_view, desired_global, desk_config,
+from oracles import (dense_cpu_view, desired_global, desk_config,
                      draw_instance, mc_mse_level1, mc_mse_level3,
-                     mmse_estimate, mse_level3, recover, shard_fractions,
+                     mmse_estimate, recover, shard_fractions,
                      row, total_per_block)
 
 N_SOUNDNESS_INSTANCES = 50
@@ -170,8 +170,8 @@ def test_criterion_5_power_sweep_shape():
                                         dtype=complex),
             group_of_device=np.array([0]), weights=weights,
             noise_power=inst["level3"].noise_power)
-        b = np.sqrt(power).astype(complex)
-        [mses[p_dbm]] = mse_level3(problem, b, combiners_level3(problem, b))
+        # the solver's start: full power and its combiners there
+        mses[p_dbm] = agg.optimize_batch(problem, power[None], max_iters=0).values[0, 0, 0]
     assert mses[40.0] < 1e-3 * mses[-10.0]
     _report(5, "power-sweep shape")
 

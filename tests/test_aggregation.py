@@ -9,16 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 from cfota import aggregation as agg
 from cfota.rng import substream
 
-from oracles import (block_problem, cn_noise, combiners_level1, combiners_level3,
-                     dense_cpu_view, desk_config, draw_instance, mc_mse_level1,
-                     mc_mse_level3, mse_level1, mse_level3, recover,
-                     reference_level1_combiners, reference_solve, row, seed_problem,
-                     tco_steps)
+import oracles
+from oracles import (block_problem, cn_noise, dense_cpu_view, desk_config, draw_instance,
+                     mc_mse_level1, mc_mse_level3, mse_level1, mse_level3, recover, row,
+                     seed_problem)
 
 
 def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0):
@@ -29,6 +27,13 @@ def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0):
         h_hat=np.array([[[h_hat]]], dtype=complex),
         error_cov=np.array([[[[error_cov]]]], dtype=complex),
         group_of_device=np.array([0]), weights=weights, noise_power=noise)
+
+
+def solver_combiners(problem, b):
+    """The solver's combiners (G, D) of one record without a seed axis at
+    coefficients b (K,): its start at ``b_init=b``, which runs no
+    iteration, so no power limit enters."""
+    return agg.optimize_batch(problem, np.ones((1, len(b))), b_init=b, max_iters=0).combiners[0, 0]
 
 
 def test_mse_level3_zero_combiner_leaves_target():
@@ -53,7 +58,7 @@ def test_mse_level3_matches_monte_carlo():
     inst = draw_instance(1)
     problem = inst["level3"]
     b = np.sqrt(inst["power"]).astype(complex)
-    combiners = combiners_level3(problem, b)
+    combiners = oracles.combiners(problem, b)
     closed = mse_level3(problem, b, combiners)
     for g in range(problem.n_groups):
         mc = mc_mse_level3(problem, b, combiners[g], g, 100_000,
@@ -64,14 +69,14 @@ def test_mse_level3_matches_monte_carlo():
 def test_combiner_level3_zero_coefficients():
     inst = draw_instance(2)
     problem = inst["level3"]
-    v = combiners_level3(problem, np.zeros(len(problem.h_hat), complex))[0]
+    v = solver_combiners(problem, np.zeros(len(problem.h_hat), complex))[0]
     np.testing.assert_allclose(v, 0.0)
 
 
 def test_combiner_level3_scalar_hand_value():
     # (|b|^2 (h h^H + C) + noise)^{-1} gamma b nu h = (1 + 1)^{-1} * 1
     problem = scalar_problem()
-    v = combiners_level3(problem, np.array([1.0 + 0j]))[0]
+    v = solver_combiners(problem, np.array([1.0 + 0j]))[0]
     assert v[0] == pytest.approx(0.5)
 
 
@@ -81,7 +86,7 @@ def test_combiner_level3_is_minimizer():
     problem = inst["level3"]
     b = np.sqrt(inst["power"]).astype(complex)
     rng = substream(3, "perturb")
-    v_opt = combiners_level3(problem, b)
+    v_opt = solver_combiners(problem, b)
     base = mse_level3(problem, b, v_opt)
     for g in range(problem.n_groups):
         scale = np.linalg.norm(v_opt[g])
@@ -209,18 +214,20 @@ def test_combiner_level1_single_ap_equals_level3():
     cfg = desk_config(n_aps=1, tau_p=3)
     inst = draw_instance(5, cfg=cfg)
     problem = inst["level3"]
-    b = np.sqrt(inst["power"]).astype(complex)
+    b, v1, _ = (a[0, 0] for a in level1_on_estimates(problem, inst["power"][None]))
+    v3 = solver_combiners(problem, b)
     for g in range(problem.n_groups):
-        v3 = combiners_level3(problem, b)[g]
-        v1 = combiners_level1(problem, b)[g, 0]
-        np.testing.assert_allclose(v1, v3, rtol=1e-10)
+        np.testing.assert_allclose(v1[g, 0], v3[g], rtol=1e-10)
 
 
 def test_combiner_level1_zero_coefficients_and_scalar_value():
+    # level 1 runs at full power: devices whose parameters do not spread
+    # (nu = 0) send a zero target, which leaves every local combiner zero
     inst = draw_instance(6)
     problem = inst["level3"]
-    v = combiners_level1(problem,
-                         np.zeros(len(problem.h_hat), complex))[0, 0]
+    w = problem.weights
+    silent = replace(problem, weights=replace(w, nu=np.zeros_like(w.nu)))
+    v = level1_on_estimates(silent, inst["power"][None])[1][0, 0]
     np.testing.assert_allclose(v, 0.0)
 
     weights = agg.AggregationWeights(gamma=np.array([1.0]),
@@ -230,7 +237,7 @@ def test_combiner_level1_zero_coefficients_and_scalar_value():
         h_hat=np.ones((1, 1, 1), dtype=complex),
         error_cov=np.zeros((1, 1, 1, 1), dtype=complex),
         group_of_device=np.array([0]), weights=weights, noise_power=1.0)
-    v = combiners_level1(scalar, np.array([1.0 + 0j]))[0, 0]
+    v = level1_on_estimates(scalar, np.ones((1, 1)))[1][0, 0, 0, 0]
     assert v[0] == pytest.approx(0.5)
 
 
@@ -352,7 +359,7 @@ def test_recover_noiseless_single_device_inverts():
         h_hat=h.reshape(1, 1, 2), error_cov=np.zeros((1, 1, 2, 2), dtype=complex),
         group_of_device=np.array([0]), weights=weights, noise_power=1e-10)
     b = np.array([2.0 + 0j])
-    v = combiners_level3(problem, b)[0]
+    v = solver_combiners(problem, b)[0]
     s = 1.3
     signals = (h[0] * b[0] * s).reshape(1, 2)
     got = recover("level3", signals, v, weights, np.array([0.2]), np.array([0]), 0)
@@ -473,14 +480,17 @@ def test_lockstep_batch_properties(seed, cellular, n_groups, per_group, dim,
        power_db=st.floats(-30.0, 20.0))
 def test_tco_step_matches_vectorized_step(seed, cellular, n_groups, per_group,
                                           dim, n_aps, power_db):
+    # One coefficient step of the solver, from full power, and tco_step at
+    # the combiners it read, against the formula.  Near the boundary mu_k is
+    # the difference of two nearly equal terms, whose size is d_k + mu_k.
     problem = random_problem(seed, cellular, n_groups, per_group, dim, n_aps)
     power = np.ones(len(problem.group_of_device)) * 10.0 ** (power_db / 10.0)
-    b0 = np.sqrt(power).astype(complex)
-    combiners = combiners_level3(problem, b0)
-    b, mu = tco_steps(problem, power, combiners)
-    b_ref, mu_ref = agg.tco_step(problem, power, combiners)
-    assert b == pytest.approx(b_ref, rel=1e-12, abs=1e-300)
-    assert mu == pytest.approx(mu_ref, rel=1e-12, abs=1e-300)
+    step = agg.optimize_batch(problem, power[None], eps=-np.inf, max_iters=1)
+    combiners = step.combiners[0, 0]
+    want_b, want_mu, denom = oracles.tco(problem, power, combiners)
+    for b, mu in ((step.b[0, 0], step.mu[0, 0]), agg.tco_step(problem, power, combiners)):
+        assert np.linalg.norm(b - want_b) <= 1e-9 * np.linalg.norm(want_b)
+        assert np.all(np.abs(mu - want_mu) <= 1e-9 * (denom + want_mu))
 
 
 @settings(max_examples=40, deadline=None)
@@ -495,12 +505,12 @@ def test_cellular_group_equals_one_bs_level3_view(seed, n_groups, per_group, dim
     n_dev = len(problem.group_of_device)
     phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
     b = 10.0 ** (np.asarray(power_db[:n_dev]) / 20.0) * phase
-    cellular = combiners_level3(problem, b)
+    cellular = solver_combiners(problem, b)
     mses = mse_level3(problem, b, cellular)
     for g in range(n_groups):
         one_bs = replace(problem, h_hat=problem.h_hat[:, g:g + 1],
                          error_cov=problem.error_cov[:, g:g + 1], cellular=False)
-        v = combiners_level3(one_bs, b)
+        v = solver_combiners(one_bs, b)
         assert np.linalg.norm(cellular[g] - v[g]) <= 1e-12 * np.linalg.norm(v[g])
         assert mses[g] == pytest.approx(mse_level3(one_bs, b, v)[g], rel=1e-12, abs=0.0)
 
@@ -683,11 +693,16 @@ def varied_problems(seed, cellular, n_groups, per_group, dim, n_aps, n_problems)
         p.weights, gamma=gamma, omega=first.weights.omega)) for p in problems])
 
 
+# A seed block's record and its rows of power limits.
+block_shapes = dict(
+    seed=st.integers(0, 2**32 - 1), cellular=st.booleans(), n_groups=st.integers(1, 3),
+    per_group=st.integers(1, 3), dim=st.integers(1, 4), n_aps=st.integers(1, 4),
+    n_problems=st.integers(1, 3), power_db=st.lists(st.floats(-30.0, 20.0), min_size=1,
+                                                    max_size=5))
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), cellular=st.booleans(),
-       n_groups=st.integers(1, 3), per_group=st.integers(1, 3),
-       dim=st.integers(1, 4), n_aps=st.integers(1, 4), n_problems=st.integers(1, 3),
-       power_db=st.lists(st.floats(-30.0, 20.0), min_size=1, max_size=5))
+@given(**block_shapes)
 def test_seed_batch_rows_equal_single_solves(seed, cellular, n_groups, per_group,
                                              dim, n_aps, n_problems, power_db):
     # Every (seed, power) row of the rectangle, whether it stops early, hits
@@ -730,71 +745,68 @@ def test_seed_batch_holds_error_blocks_once_per_problem():
     assert peak < per_row_copies
 
 
-def assert_same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert got.tobytes() == want.tobytes()
-
-
-def assert_batch_matches_reference(block, powers, max_iters):
-    """Every (seed, power) row of the lockstep batch equals the plain
-    reference iteration of the seed's record at that power, bit for bit."""
-    batch = agg.optimize_batch(block, powers, eps=1e-10, max_iters=max_iters)
-    assert batch.b.shape == (len(block.h_hat), len(powers), len(block.group_of_device))
+def assert_matches_alternation(block, powers, iters):
+    """Every (seed, power) row of a solve run to ``iters`` iterations, with
+    no stopping test, agrees with the plain alternation of the formula
+    oracles: its coefficients and combiners to 1e-9 relative, and each
+    entry of its traces to 1e-10."""
+    batch = agg.optimize_batch(block, powers, eps=-np.inf, max_iters=iters)
     for s in range(len(block.h_hat)):
         for i, power in enumerate(powers):
-            sol = row(batch, s, i)
-            ref = reference_solve(seed_problem(block, s), power, 1e-10, max_iters)
-            for name in ("b", "combiners", "mu", "values", "group_values"):
-                assert_same_bits(getattr(sol, name), getattr(ref, name))
-            assert sol.iterations == ref.iterations
-            assert sol.terminated_by == ref.terminated_by
-    return batch
+            got = row(batch, s, i)
+            want = oracles.alternate(seed_problem(block, s), power, iters)
+            assert (got.iterations, got.terminated_by) == (iters, "max_iters")
+            for name in ("b", "combiners"):
+                err = np.linalg.norm(getattr(got, name) - getattr(want, name))
+                assert err <= 1e-9 * np.linalg.norm(getattr(want, name))
+            for name in ("values", "group_values"):
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                           rtol=1e-10, atol=0.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), view=st.sampled_from(["joint", "cellular", "level1"]),
-       n_groups=st.integers(1, 3), per_group=st.integers(1, 3),
-       dim=st.integers(1, 4), n_aps=st.integers(2, 4), n_problems=st.integers(1, 3),
-       power_db=st.lists(st.floats(-30.0, 20.0), min_size=1, max_size=5),
-       silent=st.booleans())
-def test_streamlined_solve_equals_reference_iteration(seed, view, n_groups, per_group,
-                                                       dim, n_aps, n_problems, power_db,
-                                                       silent):
-    # The solver shares |b|^2, v^H and the solves' set-up between its steps
-    # and skips numpy.linalg.solve's wrapper; none of that may move a bit.
-    # The joint view has several blocks (Woodbury), the cellular view one
-    # block per BS, and level 1 one block per AP.  A silent device (zero
-    # estimate and error) has a zero denominator in every coefficient step.
-    block = varied_problems(seed, view == "cellular", n_groups, per_group, dim, n_aps,
-                            n_problems)
+@settings(max_examples=40, deadline=None)
+@given(silent=st.booleans(), **block_shapes)
+def test_solver_matches_plain_alternation(silent, seed, cellular, n_groups, per_group, dim,
+                                          n_aps, n_problems, power_db):
+    # The joint view has several blocks (Woodbury) when n_aps > 1, the
+    # cellular view one block per BS.  A silent device (zero estimate and
+    # error) has a zero denominator in every coefficient step.
+    block = varied_problems(seed, cellular, n_groups, per_group, dim, n_aps, n_problems)
     if silent:
         h_hat, error_cov = block.h_hat.copy(), block.error_cov.copy()
         h_hat[:, 0], error_cov[:, 0] = 0.0, 0.0
         block = replace(block, h_hat=h_hat, error_cov=error_cov)
-    n_dev = len(block.group_of_device)
-    powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(n_dev)
-    if view != "level1":
-        assert_batch_matches_reference(block, powers, 40)
-        return
-    for s, row in enumerate(agg.level1_batch(block, powers, block.h_hat)[1]):
-        for power, combiners in zip(powers, row):
-            assert_same_bits(combiners,
-                             reference_level1_combiners(seed_problem(block, s), power))
+    powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(len(block.group_of_device))
+    assert_matches_alternation(block, powers, 20)
 
 
-def test_streamlined_solve_equals_reference_with_compaction():
-    # two desk seeds on a power grid whose rows stop at many different
-    # iterations, some by the threshold and some at the cap: one seed
-    # leaves the rectangle, which is rebuilt, while the other runs on to
-    # the cap (level 3: seed 24 leaves, cellular: seed 21)
-    for kind, cap, last in (("level3", 200, [200, 159]), ("cellular", 500, [203, 500])):
-        block = block_problem([draw_instance(seed)[kind] for seed in (21, 24)])
-        powers = np.outer(10.0 ** np.arange(-6.0, 3.0), np.ones(len(block.group_of_device)))
-        batch = assert_batch_matches_reference(block, powers, cap)
-        assert batch.iterations.max(axis=1).tolist() == last
-        assert set(batch.terminated_by.ravel()) == {"threshold", "max_iters"}
-        assert len(set(batch.iterations.ravel())) > 2
+def test_desk_solves_match_plain_alternation():
+    # two desk seeds of each kind at full power and far below it, where the
+    # coefficients reach their limits at once or crawl in the interior
+    insts = [draw_instance(seed) for seed in (21, 24)]
+    powers = np.outer([1.0, 1e-4, 1e-8], insts[0]["power"])
+    for kind in ("level3", "cellular"):
+        assert_matches_alternation(block_problem([inst[kind] for inst in insts]), powers, 60)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**block_shapes)
+def test_rows_stop_by_the_rule(seed, cellular, n_groups, per_group, dim, n_aps, n_problems,
+                               power_db):
+    # A row stops by "threshold" at the first iteration that lowers its
+    # objective by less than eps, and by "max_iters" only when none did.
+    block = varied_problems(seed, cellular, n_groups, per_group, dim, n_aps, n_problems)
+    powers = 10.0 ** (np.asarray(power_db)[:, None] / 10.0) * np.ones(len(block.group_of_device))
+    eps = 1e-10
+    batch = agg.optimize_batch(block, powers, eps=eps, max_iters=40)
+    for s in range(n_problems):
+        for i in range(len(powers)):
+            sol = row(batch, s, i)
+            small = np.flatnonzero(sol.values[:-1] - sol.values[1:] < eps) + 1
+            if sol.terminated_by == "threshold":
+                assert small.tolist() == [sol.iterations]
+            else:
+                assert (sol.terminated_by, sol.iterations, small.size) == ("max_iters", 40, 0)
 
 
 def singular_record(problem):
@@ -893,24 +905,6 @@ def random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups):
         noise_power=10.0 ** rng.uniform(-2.0, 0.0))
 
 
-def per_ap_combiners(problem, b):
-    """Each AP's Hermitian MMSE system, factored and solved on its own."""
-    n_dev, n_aps, n_ant = problem.h_hat.shape
-    w = problem.weights
-    p = np.abs(b) ** 2
-    out = np.empty((problem.n_groups, n_aps, n_ant), dtype=complex)
-    for ap in range(n_aps):
-        h = problem.h_hat[:, ap]
-        mat = problem.noise_power * np.eye(n_ant, dtype=complex)
-        for k in range(n_dev):
-            mat += p[k] * (np.outer(h[k], h[k].conj()) + problem.error_cov[k, ap])
-        factor = cho_factor(0.5 * (mat + mat.conj().T))
-        for g in range(problem.n_groups):
-            coef = np.where(problem.group_of_device == g, w.gamma * b * w.nu, 0.0)
-            out[g, ap] = cho_solve(factor, h.T @ coef)
-    return out
-
-
 level1_shapes = dict(
     seed=st.integers(0, 2**32 - 1), n_dev=st.integers(1, 5),
     n_aps=st.integers(1, 4), n_ant=st.integers(1, 3), n_groups=st.integers(1, 3),
@@ -928,11 +922,10 @@ def power_rows(power_db, n_dev):
 def test_level1_combiners_match_per_ap_reference(seed, n_dev, n_aps, n_ant,
                                                  n_groups, power_db):
     problem = random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups)
-    phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
-    for power in power_rows(power_db, n_dev):
-        b = np.sqrt(power) * phase
-        got = combiners_level1(problem, b)
-        want = per_ap_combiners(problem, b)
+    powers = power_rows(power_db, n_dev)
+    b, combiners, _ = level1_on_estimates(problem, powers)
+    for b_row, got in zip(b[0], combiners[0]):
+        want = oracles.combiners(problem, b_row, per_ap=True)
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -981,48 +974,27 @@ def test_level1_seed_batch_equals_single_solutions(n_problems, seed, n_dev, n_ap
 # Level 3 on per-AP error blocks against the dense stacked system
 # ---------------------------------------------------------------------------
 
-def dense_reference(problem, b):
-    """Combiners (G, LN), projections and quadratic forms (G, K), and
-    per-group MSEs (G,) from the dense stacked system: block-diagonal error
-    covariances and one dense solve per group."""
-    h, cov = dense_cpu_view(problem)
-    w = problem.weights
-    p = np.abs(b) ** 2
-    mat = (problem.noise_power * np.eye(h.shape[1])
-           + np.einsum("k,ki,kj->ij", p, h, h.conj())
-           + np.einsum("k,kij->ij", p, cov))
-    target = np.where(problem.group_of_device == np.arange(problem.n_groups)[:, None],
-                      w.gamma * w.nu, 0.0)
-    v = np.stack([np.linalg.solve(mat, h.T @ (target[g] * b))
-                  for g in range(problem.n_groups)])
-    proj = v.conj() @ h.T
-    quad = np.einsum("pi,kij,pj->pk", v.conj(), cov, v).real
-    mses = ((np.abs(proj * b - target) ** 2).sum(axis=1) + quad @ p
-            + problem.noise_power * np.linalg.norm(v, axis=1) ** 2)
-    return v, proj, quad, mses
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_dev=st.integers(1, 6),
        n_aps=st.integers(1, 5), n_ant=st.integers(1, 4), n_groups=st.integers(1, 3),
        power_db=st.lists(st.floats(-30.0, 20.0), min_size=6, max_size=6))
-def test_block_core_matches_dense_reference(seed, n_dev, n_aps, n_ant, n_groups,
-                                            power_db):
-    # Largest relative deviations seen over 2000 random instances: 6.2e-13
-    # (combiners), 0 (projections), 2.7e-14 (quadratic forms), 1.8e-14 (MSEs).
+def test_block_core_matches_dense_oracles(seed, n_dev, n_aps, n_ant, n_groups, power_db):
+    # The combiners at fixed coefficients, their MSEs and a coefficient
+    # step at them read the block core's combiner solves and forms.
     problem = random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups)
     phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
     b = 10.0 ** (np.asarray(power_db[:n_dev]) / 20.0) * phase
-    v, proj, quad, mses = dense_reference(problem, b)
-    got = combiners_level3(problem, b)
-    assert got.shape == v.shape
-    assert np.linalg.norm(got - v) <= 1e-10 * np.linalg.norm(v)
-    got_proj, got_quad, got_energy = agg._Stack(problem).forms(v[None, None])
-    assert np.linalg.norm(got_proj[0, 0] - proj) <= 1e-12 * np.linalg.norm(proj)
-    assert np.all(np.abs(got_quad[0, 0] - quad) <= 1e-12 * np.abs(quad).max())
-    np.testing.assert_allclose(got_energy[0, 0], np.linalg.norm(v, axis=1) ** 2,
-                               rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(mse_level3(problem, b, got), mses, rtol=1e-10, atol=0.0)
+    power = np.abs(b) ** 2
+    start = agg.optimize_batch(problem, power[None], b_init=b, max_iters=0)
+    got, want = start.combiners[0, 0], oracles.combiners(problem, b)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    np.testing.assert_allclose(start.group_values[0, 0, 0], mse_level3(problem, b, got),
+                               rtol=1e-10, atol=0.0)
+    want_b, want_mu, denom = oracles.tco(problem, power, got)
+    got_b, got_mu = agg.tco_step(problem, power, got)
+    assert np.linalg.norm(got_b - want_b) <= 1e-9 * np.linalg.norm(want_b)
+    assert np.all(np.abs(got_mu - want_mu) <= 1e-9 * (denom + want_mu))
 
 
 def test_level3_solve_forms_no_stacked_matrix():

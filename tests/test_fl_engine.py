@@ -1,4 +1,5 @@
 from functools import partial
+import re
 import warnings
 
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from cfota import aggregation as agg
 from cfota import fl_engine as fl
 from cfota.rng import substream
 
-from oracles import (cn_noise, combiners_level3, denormalize, desired_global,
+from oracles import (cn_noise, denormalize, desired_global,
                      draw_instance, local_update, normalize_vector, row, sqrt_psd)
 
 
@@ -216,6 +217,27 @@ def test_gap_bound_holds_with_injected_noise():
     assert np.all(mean_gaps <= bounds[1:] + 1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_features=st.integers(1, 12), rows=st.integers(1, 24),
+       ridge=st.sampled_from([0.0, 1e-300]))
+def test_ridge_task_without_a_unique_optimum_raises(seed, n_features, rows, ridge):
+    # Fewer rows than features and a negligible ridge leave the Hessian
+    # singular: its smallest eigenvalue is rounding noise of either sign,
+    # so the task always raises instead of training on that noise.  At
+    # least as many Gaussian rows as features never do.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n_features))
+    y = x @ rng.standard_normal(n_features)
+    if rows < n_features:
+        with pytest.raises(fl.InvalidConstants, match=re.escape(
+                f"ridge={ridge} with {rows} rows of {n_features} features leaves the Hessian "
+                "singular")):
+            fl.RidgeTask(x, y, ridge, shards=[np.arange(rows)])
+    else:
+        task = fl.RidgeTask(x, y, ridge, shards=[np.arange(rows)])
+        assert task.xi > n_features * np.finfo(float).eps * task.chi
+
+
 def test_one_dimensional_quadratic_bound_is_tight():
     # chi = xi: the post-step gap equals chi/2 * ||e||^2 exactly, so with
     # fixed-norm errors the measurement meets the bound with equality
@@ -264,7 +286,7 @@ def test_ota_round_noiseless_perfect_csi_recovers_desired():
         group_of_device=np.array([0]),
         weights=agg.AggregationWeights(np.array([1.0]), np.array([1.0]), np.array([std])),
         noise_power=1e-12)
-    v = combiners_level3(problem, b)
+    v = agg.optimize_batch(problem, np.ones((1, 1)), b_init=b, max_iters=0).combiners[0, 0]
     sol = agg.AggregationSolution(b=b, combiners=v, mu=np.zeros(1), iterations=0,
                                   terminated_by="threshold", values=np.empty(0),
                                   group_values=np.empty((0, 1)))
