@@ -188,10 +188,6 @@ def _take_seeds(problem, seeds):
                    weights=replace(w, nu=w.nu[seeds]))
 
 
-# The fill of the combiner coefficients: a complex zero spares np.where a cast.
-_ZERO = np.zeros((), dtype=complex)
-
-
 def _check_finite(arr, live, what):
     """Raise NonFiniteSolve, naming ``what``, unless every row of ``arr``
     that ``live`` marks is finite: the solver passes its (S, P) mask of the
@@ -249,10 +245,12 @@ class _Stack:
 
     Every method takes and returns arrays with leading axes (S, P).  A
     seed's estimates, error blocks and weights are held once, with a unit
-    power axis that broadcasts over its rows.  Each row's arithmetic is a
-    separate matrix product or solve of the same shape and operand layout
-    whatever S and P are, so a row gets bit-identical results alone and in
-    any rectangle.
+    power axis that broadcasts over its rows, and so are, for the combiner
+    systems, each device's second moments R_k = C_k + h_k h_k^H in its
+    single-block views or its error blocks in views of several blocks.
+    Each row's arithmetic is a separate matrix product or solve of the same
+    shape and operand layout whatever S and P are, so a row gets
+    bit-identical results alone and in any rectangle.
 
     Level 3 reads the AP-side record as one view serving every group.
     Level 1 reads it ``per_ap``, one view per AP serving every group, and
@@ -270,12 +268,17 @@ class _Stack:
         self.per_view = 1 if problem.cellular else self.n_groups
         self.blocks = (n_blocks, n_ant)
         h = h.reshape(n_seeds, 1, n_views, n_dev, n_blocks * n_ant)
-        self.h_conj = h.conj()                                        # (S, 1, Gv, K, D)
         self.h_t = h.swapaxes(-1, -2)                                 # (S, 1, Gv, D, K)
-        self.h_blocks = self.h_t.reshape(n_seeds, 1, n_views, n_blocks, n_ant, n_dev)
-        # Device axis first, so the error term of the combiner system is one
-        # product per row (a view of the stacked blocks, not a copy per row).
-        self.cov_by_device = cov.swapaxes(1, 2).reshape(n_seeds, 1, n_dev, -1)
+        # Device axis first, so each row's system, or its error blocks, is one
+        # product of the row's powers with these (not a copy per row).
+        if n_blocks == 1:
+            # Each device's second moment R_k = C_k + h_k h_k^H, in each view.
+            moment = cov[:, None, :, :, 0] + h[..., :, None] * h[..., None, :].conj()
+            self.moment_by_device = moment.swapaxes(2, 3).reshape(n_seeds, 1, n_dev, -1)
+        else:
+            self.cov_by_device = cov.swapaxes(1, 2).reshape(n_seeds, 1, n_dev, -1)
+            self.h_conj = h.conj()                                    # (S, 1, Gv, K, D)
+            self.h_blocks = self.h_t.reshape(n_seeds, 1, n_views, n_blocks, n_ant, n_dev)
         # Blocks as columns, so the quadratic forms are one product per view.
         self.cov_cols = cov.reshape(n_seeds, 1, n_views, n_dev, -1).swapaxes(-1, -2)
         # The real constants that meet complex operands are held as complex:
@@ -283,12 +286,11 @@ class _Stack:
         self.noise_power = problem.noise_power
         self.noise_eye = (problem.noise_power * np.eye(n_ant)).astype(complex)
         self.eye = np.eye(n_dev, dtype=complex)
-        self.own = gdev == np.arange(self.n_groups)[:, None]          # (G, K)
+        own = gdev == np.arange(self.n_groups)[:, None]               # (G, K)
         w = problem.weights
         gamma, nu = np.reshape(w.gamma, (1, 1, n_dev)), np.reshape(w.nu, (n_seeds, 1, n_dev))
-        self.target = np.where(self.own, (gamma * nu)[..., None, :], 0.0).astype(
+        self.target = np.where(own, (gamma * nu)[..., None, :], 0.0).astype(
             complex)                                                  # (S, 1, G, K)
-        self.gamma, self.nu = gamma.astype(complex), nu.astype(complex)
         self.omega = w.omega
         self.omega_col = self.omega[:, None]
         self.gain = self.omega[gdev] * gamma * nu                     # (S, 1, K)
@@ -299,32 +301,31 @@ class _Stack:
         """MMSE combiners of every group for coefficients b (S, P, K) of
         powers p = |b|^2.
 
-        One Hermitian system A = D + H P H^H per row and view, solved for
-        all of the view's groups at once; D = noise + sum_k p_k C_k is
-        block diagonal.  A single-block view solves A directly.  A view of
-        several blocks never forms A: by Woodbury, A^-1 H = D^-1 H (I + P
-        H^H D^-1 H)^-1, one solve per N x N block and one K x K solve.  A
-        group's combiner joins its part of every view: (S, P, G, D) at level
-        3 and cellular, (S, P, G, L*N) at level 1.  Only the rows that
-        ``live`` marks (None: all) are checked for finite systems.  Call it
-        under ``_invalid_raises()``.
+        One Hermitian system A = noise + sum_k p_k R_k per row and view,
+        solved for all of the view's groups at once.  A single-block view
+        forms A as one product of the row's powers with the second moments
+        R_k.  A view of several blocks never forms A: with the block
+        diagonal D = noise + sum_k p_k C_k, by Woodbury, A^-1 H = D^-1 H (I
+        + P H^H D^-1 H)^-1, one solve per N x N block and one K x K solve.
+        Neither is symmetrized: each is Hermitian to within a rounding, and
+        LU needs no more.  A group's combiner joins its part of every view:
+        (S, P, G, D) at level 3 and cellular, (S, P, G, L*N) at level 1.
+        Only the rows that ``live`` marks (None: all) are checked for finite
+        systems.  Call it under ``_invalid_raises()``.
         """
         rows, n_dev = b.shape[:2], b.shape[-1]
         n_blocks, n_ant = self.blocks
-        blocks = (p[..., None, :] @ self.cov_by_device).reshape(
-            *rows, self.n_views, n_blocks, n_ant, n_ant)
-        coef = np.where(self.own, (self.gamma * b * self.nu)[..., None, :], _ZERO)
         # (S, P, 1 or Gv, K, per_view): views that serve every group share one set.
-        coef = coef.reshape(*rows, -1, self.per_view, n_dev).swapaxes(-1, -2)
+        coef = (self.target * b[..., None, :]).reshape(
+            *rows, -1, self.per_view, n_dev).swapaxes(-1, -2)
         if n_blocks == 1:
-            mat = (self.h_t * p[..., None, None, :]) @ self.h_conj    # (S, P, Gv, D, D)
-            mat = mat + blocks[..., 0, :, :] + self.noise_eye
-            mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+            mat = (p[..., None, :] @ self.moment_by_device).reshape(
+                *rows, self.n_views, n_ant, n_ant) + self.noise_eye   # (S, P, Gv, D, D)
             _check_finite(mat, live, "combiner system matrix")
             v = _lu_solve(mat, self.h_t @ coef)                       # (S, P, Gv, D, per_view)
         else:
-            # A weighted sum of Hermitian blocks: LU needs no symmetrizing.
-            blocks = blocks + self.noise_eye
+            blocks = (p[..., None, :] @ self.cov_by_device).reshape(
+                *rows, self.n_views, n_blocks, n_ant, n_ant) + self.noise_eye
             _check_finite(blocks, live, "combiner system matrix")
             x = _lu_solve(blocks, self.h_blocks).reshape(
                 *rows, self.n_views, -1, n_dev)                       # D^-1 H: (S, P, Gv, D, K)

@@ -709,19 +709,22 @@ def _sweep_seeds(cfg, seeds):
     state = draw_block(stats, [t + ("round", 0) for t in tags])
     weights = make_weights(cfg, [_initial_round_stats(cfg, seed) for seed in seeds])
     # mses[kind][s, j, tco]: seed s at grid point j, every seed's whole grid
-    # solved in one batch per kind; level 2 takes the level-3 MSEs.
+    # solved in one batch per kind; level 2 takes the level-3 MSEs.  wsums
+    # holds their weighted sums, each the dot of omega with its row (np.dot
+    # adds each row as that dot does; @ may round differently).
     mses = {kind: _solve_block(cfg, kind, stats, state, weights, powers)[2]
             for kind in dict.fromkeys(arch.solver for arch in archs)}
+    wsums = {kind: np.dot(group, weights.omega).tolist() for kind, group in mses.items()}
+    mses = {kind: group.tolist() for kind, group in mses.items()}
     fronthaul = [fronthaul_counts(cfg, arch.fronthaul) for arch in archs]
     rows = []
     for i, seed in enumerate(seeds):
         for arch, fh in zip(archs, fronthaul):
             for j, p_dbm in enumerate(cfg.sweep_dbm):
                 for tco in range(1 + arch.tco):
-                    group = _floats(mses[arch.solver][i, j, tco])
                     rows.append(ResultRow(arch.name, tco, seed, float(p_dbm),
-                                          float(np.dot(weights.omega, group)), group,
-                                          (), fh))
+                                          wsums[arch.solver][i][j][tco],
+                                          tuple(mses[arch.solver][i][j][tco]), (), fh))
     return rows
 
 

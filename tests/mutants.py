@@ -2,14 +2,15 @@
 tests catch.
 
 Each mutant replaces one piece of text in ``src/cfota/aggregation.py``:
-in the core's ``combiners``, ``forms``, ``tco`` and ``group_mses``, in
-``level1_batch`` or in ``tco_step``.  The text occurs exactly once in
-``src`` and lies in the function the mutant names; ``tests/test_tooling.py``
-checks both, so the list cannot rot silently.  For every mutant the
-script copies ``src`` and ``tests`` to a temporary directory, plants the
-mistake there and runs ``SUBSET`` with ``-x``: a failing run kills the
-mutant, a passing one lets it survive.  The working tree is never
-touched.  Run it from anywhere, with no options:
+in the core's ``__init__`` (the devices' second moments), ``combiners``,
+``forms``, ``tco`` and ``group_mses``, in ``level1_batch`` or in
+``tco_step``.  The text occurs exactly once in ``src`` and lies in the
+function the mutant names; ``tests/test_tooling.py`` checks both, so the
+list cannot rot silently.  For every mutant the script copies ``src`` and
+``tests`` to a temporary directory, plants the mistake there and runs
+``SUBSET`` with ``-x``: a failing run kills the mutant, a passing one
+lets it survive.  The working tree is never touched.  Run it from
+anywhere, with no options:
 
     python tests/mutants.py
 
@@ -37,20 +38,20 @@ SUBSET = ("tests/test_aggregation.py",)
 Mutant = namedtuple("Mutant", "function mistake target replacement")
 
 MUTANTS = (
+    Mutant("__init__", "error covariance dropped from the second moments",
+           "moment = cov[:, None, :, :, 0] + ", "moment = "),
+    Mutant("__init__", "conjugate dropped from the outer products of the estimates",
+           "h[..., None, :].conj()", "h[..., None, :]"),
     Mutant("combiners", "p dropped from the error blocks",
            "(p[..., None, :] @ self.cov_by_device)",
            "(p[..., None, :] ** 0 @ self.cov_by_device)"),
     Mutant("combiners", "conjugate of b in the right-hand side",
-           "(self.gamma * b * self.nu)", "(self.gamma * b.conj() * self.nu)"),
+           "(self.target * b[..., None, :])", "(self.target * b.conj()[..., None, :])"),
     Mutant("combiners", "p dropped from the single-block system",
-           "mat = (self.h_t * p[..., None, None, :]) @ self.h_conj",
-           "mat = self.h_t @ self.h_conj"),
+           "(p[..., None, :] @ self.moment_by_device)",
+           "(p[..., None, :] ** 0 @ self.moment_by_device)"),
     Mutant("combiners", "noise dropped from the single-block system",
-           "mat = mat + blocks[..., 0, :, :] + self.noise_eye",
-           "mat = mat + blocks[..., 0, :, :]"),
-    Mutant("combiners", "conjugate dropped from the symmetrizing",
-           "mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))",
-           "mat = 0.5 * (mat + mat.swapaxes(-1, -2))"),
+           "self.n_views, n_ant, n_ant) + self.noise_eye", "self.n_views, n_ant, n_ant)"),
     Mutant("combiners", "conjugated channels in the single-block right-hand side",
            "_lu_solve(mat, self.h_t @ coef)",
            "_lu_solve(mat, self.h_conj.swapaxes(-1, -2) @ coef)"),

@@ -496,16 +496,22 @@ def test_tco_step_matches_vectorized_step(seed, cellular, n_groups, per_group,
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_groups=st.integers(1, 3),
        per_group=st.integers(1, 3), dim=st.integers(1, 4),
-       power_db=st.lists(st.floats(-30.0, 20.0), min_size=9, max_size=9))
+       power_db=st.lists(st.floats(-30.0, 40.0), min_size=9, max_size=9),
+       log_noise=st.floats(-12.0, 0.0))
 def test_cellular_group_equals_one_bs_level3_view(seed, n_groups, per_group, dim,
-                                                  power_db):
+                                                  power_db, log_noise):
     # group g of a cellular system is served as a one-BS level-3 system built
-    # from its own view: the same combiner and the same conditional MSE
-    problem = random_problem(seed, True, n_groups, per_group, dim)
+    # from its own view: the same combiner and the same conditional MSE.
+    # Down to a noise of 1e-12 and up to 40 dB, where p |h|^2 dominates the
+    # noise, both meet the formula's combiners.
+    problem = replace(random_problem(seed, True, n_groups, per_group, dim),
+                      noise_power=10.0 ** log_noise)
     n_dev = len(problem.group_of_device)
     phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n_dev))
     b = 10.0 ** (np.asarray(power_db[:n_dev]) / 20.0) * phase
     cellular = solver_combiners(problem, b)
+    want = oracles.combiners(problem, b)
+    assert np.linalg.norm(cellular - want) <= 1e-10 * np.linalg.norm(want)
     mses = mse_level3(problem, b, cellular)
     for g in range(n_groups):
         one_bs = replace(problem, h_hat=problem.h_hat[:, g:g + 1],
@@ -918,10 +924,12 @@ def power_rows(power_db, n_dev):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**level1_shapes)
-def test_level1_combiners_match_per_ap_reference(seed, n_dev, n_aps, n_ant,
+@given(log_noise=st.floats(-12.0, 0.0), **level1_shapes)
+def test_level1_combiners_match_per_ap_reference(log_noise, seed, n_dev, n_aps, n_ant,
                                                  n_groups, power_db):
-    problem = random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups)
+    # down to a noise of 1e-12, where p |h|^2 dominates the noise
+    problem = replace(random_ap_problem(seed, n_dev, n_aps, n_ant, n_groups),
+                      noise_power=10.0 ** log_noise)
     powers = power_rows(power_db, n_dev)
     b, combiners, _ = level1_on_estimates(problem, powers)
     for b_row, got in zip(b[0], combiners[0]):
