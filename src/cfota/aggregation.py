@@ -28,11 +28,11 @@ a seed block; the batch entry points solve every seed of such a record at
 once.  ``optimize_batch`` returns one solution record, scored by
 ``_Stack.group_mses``, the one level-3 and cellular scorer, and
 ``level1_batch`` the coefficients, combiners and MSEs on the true
-channels.  ``tco_step`` reads one solved row, a record without a seed axis
-at power limits (K,) with ``sol.combiners[s, i]`` (G, D): the benchmark's
-tests pin it.  The tests reach the solver through these three only, and check
-them against dense formula oracles (``tests/oracles.py``) that call no
-code of this module.
+channels.  ``tco_step`` runs the solver's coefficient step, ``_Stack.tco``,
+on one row: a record without a seed axis at power limits (K,) with
+``sol.combiners[s, i]`` (G, D).  The tests reach the solver through these
+three only, and check them against dense formula oracles
+(``tests/oracles.py``) that call no code of this module.
 """
 
 from dataclasses import dataclass, replace
@@ -479,12 +479,12 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, b_init=None)
 def tco_step(problem, power, combiners):
     """Optimal transmit coefficients and KKT multipliers, (K,) each, of
     every device for fixed combiners (G, D) of the record's view, joint or
-    per serving BS, at power limits ``power`` (K,): one solver row.
+    per serving BS, at power limits ``power`` (K,): the solver's own
+    coefficient step, ``_Stack.tco``, on one row.
 
     Device k's (b_k, mu_k) satisfy the stationarity and complementary
     slackness conditions of its power-constrained subproblem: |b_k|^2 <=
-    P_k always holds, and mu_k > 0 only on the boundary.  Computed device
-    by device from the combiner core's projections and quadratic forms.
+    P_k always holds, and mu_k > 0 only on the boundary.
     """
     h = np.shape(problem.h_hat)
     if len(h) != 3:
@@ -500,18 +500,12 @@ def tco_step(problem, power, combiners):
     power = np.asarray(power, dtype=float)
     if not all(0.0 < x < np.inf for x in power):
         raise ValueError(f"power is {power.tolist()}, expected finite limits > 0")
-    proj, quad, _ = stack.forms(np.asarray(combiners)[None, None])
-    w = problem.weights
-    b, mu = np.zeros(len(power), dtype=complex), np.zeros(len(power))
-    for k, (g, proj_k, quad_k) in enumerate(
-            zip(problem.group_of_device, proj[0, 0].T, quad[0, 0].T)):
-        mag = np.abs(proj_k)
-        denom = float((w.omega * (mag ** 2 + quad_k)).sum())
-        gain = w.omega[g] * w.gamma[k] * w.nu[k]
-        mu_k = max(0.0, gain * mag[g] / np.sqrt(power[k]) - denom)
-        if denom + mu_k != 0.0:
-            b[k], mu[k] = gain * proj_k[g].conjugate() / (denom + mu_k), mu_k
-    return b, mu
+    combiners = np.asarray(combiners, dtype=complex)
+    if not np.isfinite(combiners).all():
+        raise ValueError("combiners hold entries that are not finite, expected finite entries")
+    proj, quad, _ = stack.forms(combiners[None, None])
+    b, mu = stack.tco(proj, quad, np.sqrt(power))
+    return b[0, 0], mu[0, 0]
 
 
 # ---------------------------------------------------------------------------

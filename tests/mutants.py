@@ -1,15 +1,15 @@
-"""Planted mistakes in the combiner core, and which of them the aggregation
+"""Planted mistakes in the solver core, and which of them the aggregation
 tests catch.
 
 Each mutant replaces one piece of text in ``src/cfota/aggregation.py``:
 in the core's ``__init__`` (the devices' second moments), ``combiners``,
-``forms``, ``tco`` and ``group_mses``, in ``level1_batch`` or in
-``tco_step``.  The text occurs exactly once in ``src`` and lies in the
-function the mutant names; ``tests/test_tooling.py`` checks both, so the
-list cannot rot silently.  For every mutant the script copies ``src`` and
-``tests`` to a temporary directory, plants the mistake there and runs
-``SUBSET`` with ``-x``: a failing run kills the mutant, a passing one
-lets it survive.  The working tree is never touched.  Run it from
+``forms``, ``tco`` and ``group_mses``, in ``optimize_batch`` (its stop)
+or in ``level1_batch``.  The text occurs exactly once in ``src`` and lies
+in the function the mutant names; ``tests/test_tooling.py`` checks both,
+so the list cannot rot silently.  For every mutant the script copies
+``src`` and ``tests`` to a temporary directory, plants the mistake there
+and runs ``SUBSET`` with ``-x``: a failing run kills the mutant, a
+passing one lets it survive.  The working tree is never touched.  Run it from
 anywhere, with no options:
 
     python tests/mutants.py
@@ -83,17 +83,13 @@ MUTANTS = (
     Mutant("group_mses", "noise power dropped from the combined noise",
            "return signal + inflation + self.noise_power * energy",
            "return signal + inflation + energy"),
+    Mutant("optimize_batch", "one iteration short of the cap",
+           "for it in range(1, max_iters + 1):", "for it in range(1, max_iters):"),
     Mutant("level1_batch", "conjugate dropped from the projections",
            '"...gln,...kln->...gkl", combiners.conj(), channels',
            '"...gln,...kln->...gkl", combiners, channels'),
     Mutant("level1_batch", "noise averaged over L, not L^2",
            "energy / h[-2] ** 2", "energy / h[-2]"),
-    Mutant("tco_step", "error forms dropped from the denominator",
-           "(mag ** 2 + quad_k)", "(mag ** 2)"),
-    Mutant("tco_step", "P for sqrt(P) in the KKT multiplier",
-           "mag[g] / np.sqrt(power[k])", "mag[g] / power[k]"),
-    Mutant("tco_step", "conjugate dropped from the coefficient",
-           "gain * proj_k[g].conjugate() / (denom + mu_k)", "gain * proj_k[g] / (denom + mu_k)"),
 )
 
 

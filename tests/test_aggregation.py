@@ -493,6 +493,27 @@ def test_tco_step_matches_vectorized_step(seed, cellular, n_groups, per_group,
         assert np.all(np.abs(mu - want_mu) <= 1e-9 * (denom + want_mu))
 
 
+@pytest.mark.parametrize("kind", ["level3", "cellular"])
+def test_solved_rows_hold_the_coefficient_step_at_their_combiners(kind):
+    # A solve ends on a coefficient step, so each row's recorded b and mu
+    # are tco_step's at its recorded combiners, whether the row stopped by
+    # the threshold or at the cap; in the cellular view, seed 1's rows all
+    # stop long before the cap, and it leaves the rectangle while seed 0
+    # runs on.
+    insts = [draw_instance(seed) for seed in (0, 50)]
+    block = block_problem([inst[kind] for inst in insts])
+    powers = np.outer([1.0, 1e-3, 1e-6], insts[0]["power"])
+    sol = agg.optimize_batch(block, powers, max_iters=200)
+    assert set(sol.terminated_by.ravel()) == {"threshold", "max_iters"}
+    for s in range(2):
+        for i, power in enumerate(powers):
+            problem = seed_problem(block, s)
+            b, mu = agg.tco_step(problem, power, sol.combiners[s, i])
+            _, _, denom = oracles.tco(problem, power, sol.combiners[s, i])
+            assert np.linalg.norm(b - sol.b[s, i]) <= 1e-9 * np.linalg.norm(sol.b[s, i])
+            assert np.all(np.abs(mu - sol.mu[s, i]) <= 1e-9 * (denom + sol.mu[s, i]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_groups=st.integers(1, 3),
        per_group=st.integers(1, 3), dim=st.integers(1, 4),
@@ -1142,12 +1163,15 @@ def test_wrong_length_combiner_raises_named_error():
 
 def test_references_read_one_solver_row():
     # a seed block's record, a third group's combiner, a short power row, a
-    # power limit that is not finite and > 0, a b_init that does not
-    # broadcast to the (S, P, K) rows, an iteration cap that is not an
-    # int >= 0, and a NaN threshold
+    # power limit that is not finite and > 0, a solved row's combiners with
+    # a NaN or infinite entry, a b_init that does not broadcast to the
+    # (S, P, K) rows, an iteration cap that is not an int >= 0, and a NaN
+    # threshold
     inst = draw_instance(0)
     problem, power = inst["level3"], inst["power"]
     block, v = block_problem([problem, problem]), np.ones((2, 8))
+    solved = agg.optimize_batch(problem, power[None], max_iters=5).combiners[0, 0]
+    one_entry = np.eye(1, solved.size, 3).reshape(solved.shape) > 0
     for call, match in (
             (lambda: agg.tco_step(block, power, v),
              "problem.h_hat has shape (2, 6, 4, 2), expected (6, 4, 2)"),
@@ -1157,6 +1181,9 @@ def test_references_read_one_solver_row():
             *((partial(agg.tco_step, problem, np.r_[power[:5], bad], v),
                f"power is {[*power[:5].tolist(), bad]}, expected finite limits > 0")
               for bad in (-1.0, 0.0, np.nan, np.inf)),
+            *((partial(agg.tco_step, problem, power, np.where(one_entry, bad, solved)),
+               "combiners hold entries that are not finite, expected finite entries")
+              for bad in (np.nan, np.inf)),
             (lambda: agg.optimize_batch(problem, power[None], b_init=np.ones(3)),
              "b_init has shape (3,), expected (S, P, K) = (1, 1, 6)"),
             *((partial(agg.optimize_batch, problem, power[None], max_iters=cap),
