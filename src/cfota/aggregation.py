@@ -279,11 +279,15 @@ class _Stack:
             self.cov_by_device = cov.swapaxes(1, 2).reshape(n_seeds, 1, n_dev, -1)
             self.h_conj = h.conj()                                    # (S, 1, Gv, K, D)
             self.h_blocks = self.h_t.reshape(n_seeds, 1, n_views, n_blocks, n_ant, n_dev)
-        # Blocks as columns, so the quadratic forms are one product per view.
-        self.cov_cols = cov.reshape(n_seeds, 1, n_views, n_dev, -1).swapaxes(-1, -2)
+        # Blocks as columns, so the quadratic forms are one product per view,
+        # and a last column noise * vec(I) per block, so the same product
+        # gives the combined noise, noise * |v|^2.
+        cols = cov.reshape(n_seeds, 1, n_views, n_dev, -1).swapaxes(-1, -2)
+        noise = np.tile(problem.noise_power * np.eye(n_ant).ravel(), n_blocks)
+        self.cov_cols = np.concatenate(
+            [cols, np.broadcast_to(noise[:, None], (*cols.shape[:-1], 1))], axis=-1)
         # The real constants that meet complex operands are held as complex:
         # numpy would cast them, to the same values, in every such operation.
-        self.noise_power = problem.noise_power
         self.noise_eye = (problem.noise_power * np.eye(n_ant)).astype(complex)
         self.eye = np.eye(n_dev, dtype=complex)
         own = gdev == np.arange(self.n_groups)[:, None]               # (G, K)
@@ -292,7 +296,6 @@ class _Stack:
         self.target = np.where(own, (gamma * nu)[..., None, :], 0.0).astype(
             complex)                                                  # (S, 1, G, K)
         self.omega = w.omega
-        self.omega_col = self.omega[:, None]
         self.gain = self.omega[gdev] * gamma * nu                     # (S, 1, K)
         self.gain_c = self.gain.astype(complex)
         self.gdev, self.devices = gdev, np.arange(n_dev)
@@ -337,11 +340,11 @@ class _Stack:
 
     def forms(self, v):
         """proj[s, r, p, k] = v_p^H h_k and quad[s, r, p, k] = v_p^H C_k v_p,
-        each in group p's view, shapes (S, P, G, K), and the combiners'
-        energies |v_p|^2 (S, P, G).
+        each in group p's view, shapes (S, P, G, K), and the combined noise
+        powers noise * |v_p|^2 (S, P, G).
 
         quad sums the per-block forms: the flattened outer products of each
-        block of v_p times the flattened error blocks.
+        block of v_p times the flattened error blocks, and the noise column.
         """
         *rows, n_groups, dim = v.shape
         n_blocks, n_ant = self.blocks
@@ -351,18 +354,20 @@ class _Stack:
         proj = (vh @ self.h_t).reshape(*rows, n_groups, -1)
         outer = (vh.reshape(*lead, n_blocks, n_ant, 1)
                  * v.reshape(*lead, n_blocks, 1, n_ant))             # (S, P, Gv, G/Gv, nb, N, N)
-        quad = (outer.reshape(*lead, -1) @ self.cov_cols).real
-        energy = np.add.reduce((vh * v).real, axis=-1)
-        return proj, quad.reshape(*rows, n_groups, -1), energy.reshape(*rows, n_groups)
+        quad = (outer.reshape(*lead, -1) @ self.cov_cols).real.reshape(*rows, n_groups, -1)
+        return proj, quad[..., :-1], quad[..., -1]
 
-    def tco(self, proj, quad, sqrt_power):
-        """Closed-form coefficient update of every device and its KKT multiplier.
+    def tco(self, proj, quad, slope):
+        """Closed-form coefficient update of every device and its KKT
+        multiplier, slope (S, P, K) being each device's gain over its
+        amplitude limit, gain / sqrt(P_k).
 
         |b_k|^2 <= P_k always holds, and mu_k > 0 only on the boundary.
         """
         own = proj[..., self.gdev, self.devices]                      # (S, P, K)
-        denom = np.add.reduce(self.omega_col * (np.abs(proj) ** 2 + quad), axis=-2)
-        mu = np.maximum(0.0, self.gain * np.abs(own) / sqrt_power - denom)
+        mag = np.abs(proj)
+        denom = self.omega @ (mag ** 2 + quad)
+        mu = np.maximum(0.0, slope * mag[..., self.gdev, self.devices] - denom)
         den = denom + mu
         if np.count_nonzero(den) == den.size:                        # no zero denominator
             return self.gain_c * own.conj() / den, mu
@@ -371,13 +376,12 @@ class _Stack:
         np.divide(self.gain_c * own.conj(), den, out=b, where=moving)
         return b, np.where(moving, mu, 0.0)
 
-    def group_mses(self, b, p, proj, quad, energy):
+    def group_mses(self, b, p, proj, quad, noise):
         """Per-group conditional MSEs (S, P, G) of coefficients b of powers
         p = |b|^2, from the forms of the combiners: signal mismatch,
         estimation-error inflation and combined noise."""
-        signal = np.add.reduce(np.abs(proj * b[..., None, :] - self.target) ** 2, axis=-1)
-        inflation = np.add.reduce(p[..., None, :] * quad, axis=-1)
-        return signal + inflation + self.noise_power * energy
+        return np.add.reduce(np.abs(proj * b[..., None, :] - self.target) ** 2
+                             + p[..., None, :] * quad, axis=-1) + noise
 
     def objective(self, mses, live):
         values = np.add.reduce(mses * self.omega, axis=-1)
@@ -423,6 +427,8 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, b_init=None)
     iterations = np.zeros(shape, dtype=int)
     ended = np.empty(shape, dtype=object)
     seeds = np.arange(shape[0])                               # the rectangle's seeds
+    rect = slice(None)                                        # them in the traces, while all stay
+    slope = stack.gain / sqrt_power
     active = np.ones(shape, dtype=bool)                       # its unstopped rows
 
     def record(mask, it, how):
@@ -436,8 +442,8 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, b_init=None)
         # refresh or update that follows it.
         p = np.abs(b) ** 2
         v = stack.combiners(b, p, active)
-        proj, quad, energy = stack.forms(v)
-        mses = stack.group_mses(b, p, proj, quad, energy)
+        proj, quad, noise = stack.forms(v)
+        mses = stack.group_mses(b, p, proj, quad, noise)
         prev = stack.objective(mses, active)
         values[..., 0], group_values[..., 0, :] = prev, mses
         # C order: the last bits of the caller's products depend on the layout.
@@ -448,12 +454,12 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, b_init=None)
                                         for a in (values, group_values))
             if it > 1:
                 v = stack.combiners(b, p, active)
-                proj, quad, energy = stack.forms(v)
-            b, mu = stack.tco(proj, quad, sqrt_power)
+                proj, quad, noise = stack.forms(v)
+            b, mu = stack.tco(proj, quad, slope)
             p = np.abs(b) ** 2
-            mses = stack.group_mses(b, p, proj, quad, energy)
+            mses = stack.group_mses(b, p, proj, quad, noise)
             cur = stack.objective(mses, active)
-            values[seeds, :, it], group_values[seeds, :, it] = cur, mses
+            values[rect, :, it], group_values[rect, :, it] = cur, mses
             done = (prev - cur < eps) & active
             if np.count_nonzero(done):
                 record(done, it, "threshold")
@@ -462,8 +468,9 @@ def optimize_batch(problem, power_limits, eps=1e-10, max_iters=500, b_init=None)
                 if not keep.any():
                     break
                 if not keep.all():
-                    seeds = seeds[keep]
+                    seeds = rect = seeds[keep]
                     stack = _Stack(_take_seeds(problem, seeds))
+                    slope = stack.gain / sqrt_power
                     active, b, p, v, mu, cur = (a[keep] for a in (active, b, p, v, mu, cur))
             prev = cur
         else:
@@ -504,7 +511,7 @@ def tco_step(problem, power, combiners):
     if not np.isfinite(combiners).all():
         raise ValueError("combiners hold entries that are not finite, expected finite entries")
     proj, quad, _ = stack.forms(combiners[None, None])
-    b, mu = stack.tco(proj, quad, np.sqrt(power))
+    b, mu = stack.tco(proj, quad, stack.gain / np.sqrt(power))
     return b[0, 0], mu[0, 0]
 
 

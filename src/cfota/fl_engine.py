@@ -79,8 +79,13 @@ def ota_block(local, symbols, theta_bar, gamma, b=None, channels=None,
     through ``channels`` (S, K, Gs, V, R), and the receivers add ``noise``
     (S, Gs, V, R, D).  Gs is 1 when every group hears the same receivers and
     G when group g hears its own.  Group g combines each of its V receiver
-    views with combiners[s, g] (V, R) and sums the V outputs in order, or
-    averages them.  Without ``b`` the round is error-free.
+    views with combiners[s, g] (V, R) and sums the V outputs, or averages
+    them.  Without ``b`` the round is error-free.
+
+    Combining is linear, so no receiver's signal is formed: group g's
+    output is its gains u_gk = sum_V v_gV^H h_kV (G, K) applied to the sent
+    symbols, plus its combined noise sum_V v_gV^H z_V.  Each seed runs alone,
+    so its products have one shape in any block.
 
     Returns the recovered parameters (S, G, D), the real combiner output
     plus the group's mean offset, and the realized squared error (S, G) of
@@ -91,13 +96,18 @@ def ota_block(local, symbols, theta_bar, gamma, b=None, channels=None,
     desired = _group_sums(gamma, local)
     if b is None:
         return desired, np.zeros(desired.shape[:2])
-    # Seed by seed, so that each seed's received signals stay in cache.
+    n_seeds, n_groups, n_views, n_rx = combiners.shape
+    n_heard = channels.shape[2]
+    # Summing the V views' outputs is combining the views stacked, so each
+    # group's combiner is one (V*R,) vector beside the receivers it hears.
+    vh = combiners.conj().reshape(n_seeds, n_heard, -1, n_views * n_rx)      # (S, Gs, G/Gs, V*R)
+    channels = channels.reshape(*channels.shape[:3], -1).transpose(0, 2, 3, 1)  # (S, Gs, V*R, K)
+    noise = noise.reshape(n_seeds, n_heard, n_views * n_rx, -1)             # (S, Gs, V*R, D)
     combined = np.stack([
-        (v.conj()[..., None, :]
-         @ (np.einsum("k...,kd->...d", h, b_s[:, None] * x) + z)).sum(axis=1)[..., 0, :]
-        for b_s, x, h, z, v in zip(b, symbols, channels, noise, combiners)])
+        (v @ h).reshape(n_groups, -1) @ (b_s[:, None] * x) + (v @ z).reshape(n_groups, -1)
+        for b_s, x, h, z, v in zip(b, symbols, channels, noise, vh)])
     if average:
-        combined = combined / combiners.shape[2]
+        combined = combined / n_views
     offset = _group_sums(gamma, theta_bar[..., None])
     return (np.real(combined) + offset,
             (np.abs(desired - (combined + offset)) ** 2).sum(axis=-1))
@@ -239,15 +249,20 @@ class Fnn:
         return np.tanh(batch @ w1 + b1[..., None, :]) @ w2 + b2[..., None, :]
 
     def loss(self, theta, batch, onehot):
-        """Cross-entropy averaged over the batch; labels are one-hot rows."""
+        """Cross-entropy averaged over the batch; labels are one-hot rows.
+
+        Takes one device, for a float, or a stack of devices each with its
+        own shard, for each one's mean: theta (..., P), batch (..., n, F)
+        and onehot (..., n, C), of the logits' shape.
+        """
         logits = self._logits(theta, batch)
         onehot = np.asarray(onehot, dtype=float)
-        if onehot.shape != (len(logits), self.n_outputs):
-            raise ShapeMismatch(f"labels must be one-hot of shape "
-                                f"({len(logits)}, {self.n_outputs})")
-        logz = np.log(np.exp(logits - logits.max(axis=1, keepdims=True))
-                      .sum(axis=1, keepdims=True)) + logits.max(axis=1, keepdims=True)
-        return float(-np.mean(((logits - logz) * onehot).sum(axis=1)))
+        if onehot.shape != logits.shape:
+            raise ShapeMismatch(f"labels must be one-hot of shape {logits.shape}")
+        top = logits.max(axis=-1, keepdims=True)
+        logz = np.log(np.exp(logits - top).sum(axis=-1, keepdims=True)) + top
+        loss = -np.mean(((logits - logz) * onehot).sum(axis=-1), axis=-1)
+        return float(loss) if loss.ndim == 0 else loss
 
     def gradient(self, theta, batch, onehot):
         """Exact backpropagation of the mean cross-entropy.

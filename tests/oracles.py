@@ -542,6 +542,32 @@ def ota_round(local_params, level, b, combiners, h_ap, h_bs, weights, theta_bar,
     return recovered, error_sq
 
 
+def ota_block(local, symbols, theta_bar, gamma, b, channels, noise, combiners, average):
+    """``fl_engine.ota_block`` one seed and one group at a time, in the
+    antenna domain: each receiver view's signal sum_k h_k b_k x_k + z is
+    formed, combined with the group's v^H, and the V outputs are summed, or
+    averaged.  Returns the recovered parameters (S, G, D) and the realized
+    squared errors (S, G)."""
+    n_seeds, n_dev, n_dims = local.shape
+    n_groups, n_views = combiners.shape[1:3]
+    per_group = n_dev // n_groups
+    recovered = np.empty((n_seeds, n_groups, n_dims))
+    error_sq = np.empty((n_seeds, n_groups))
+    for s in range(n_seeds):
+        for g in range(n_groups):
+            heard = g if channels.shape[2] > 1 else 0
+            y = noise[s, heard] + sum(channels[s, k, heard][..., None] * b[s, k] * symbols[s, k]
+                                      for k in range(n_dev))              # (V, R, D)
+            out = sum(combiners[s, g, view].conj() @ y[view] for view in range(n_views))
+            if average:
+                out = out / n_views
+            own = slice(g * per_group, (g + 1) * per_group)
+            offset = gamma[g] @ theta_bar[s, own]
+            recovered[s, g] = out.real + offset
+            error_sq[s, g] = np.sum(np.abs(gamma[g] @ local[s, own] - (out + offset)) ** 2)
+    return recovered, error_sq
+
+
 def device_gradient_fn(cfg, task, device):
     """Gradient of one device's local loss, from its own shard."""
     features, labels = (shard[device] for shard in task.shards)

@@ -11,6 +11,7 @@ from cfota import aggregation as agg
 from cfota import fl_engine as fl
 from cfota.rng import substream
 
+import oracles
 from oracles import (cn_noise, denormalize, desired_global,
                      draw_instance, local_update, normalize_vector, row, sqrt_psd)
 
@@ -124,15 +125,24 @@ def test_fnn_gradient_matches_finite_differences():
     theta = model.init_params(rng)
     x = rng.random((30, 12))
     y = fl.onehot(rng.integers(0, 10, 30), 10)
-    grad = model.gradient(theta, x, y)
     h = 1e-5
     coords = rng.choice(model.n_params, size=10, replace=False)
-    for c in coords:
-        up, down = theta.copy(), theta.copy()
-        up[c] += h
-        down[c] -= h
-        fd = (model.loss(up, x, y) - model.loss(down, x, y)) / (2 * h)
-        assert abs(fd - grad[c]) <= 1e-5 * max(abs(grad[c]), abs(fd), 1e-6)
+    # and a stack of 2 devices, each with its own shard of 7 samples, whose
+    # loss is each device's loss alone
+    stack = (np.stack([model.init_params(rng) for _ in range(2)]), rng.random((2, 7, 12)),
+             fl.onehot(rng.integers(0, 10, 14), 10).reshape(2, 7, 10))
+    assert isinstance(model.loss(theta, x, y), float)
+    assert model.loss(*stack).tolist() == pytest.approx(
+        [model.loss(*(a[i] for a in stack)) for i in range(2)], rel=1e-12)
+    for theta, x, y in ((theta, x, y), stack):
+        grad = model.gradient(theta, x, y)
+        for c in coords:
+            up, down = theta.copy(), theta.copy()
+            up[..., c] += h
+            down[..., c] -= h
+            fd = (model.loss(up, x, y) - model.loss(down, x, y)) / (2 * h)
+            assert np.all(np.abs(fd - grad[..., c])
+                          <= 1e-5 * np.maximum(np.maximum(abs(grad[..., c]), abs(fd)), 1e-6))
 
 
 def test_fnn_shape_mismatch():
@@ -393,3 +403,40 @@ def test_ota_block_per_ap_sum_equals_joint_view(seed, n_seeds, n_groups, per_gro
     (joint, joint_sq), (summed, summed_sq) = out[1], out[n_aps]
     assert np.linalg.norm(summed - joint) <= 1e-12 * np.linalg.norm(joint)
     np.testing.assert_allclose(summed_sq, joint_sq, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_seeds=st.integers(1, 3),
+       n_groups=st.integers(1, 3), per_group=st.integers(1, 3), own_receivers=st.booleans(),
+       n_views=st.integers(1, 4), n_rx=st.integers(1, 4), n_dims=st.integers(2, 9),
+       average=st.booleans())
+def test_ota_block_matches_antenna_domain_oracle(seed, n_seeds, n_groups, per_group,
+                                                 own_receivers, n_views, n_rx, n_dims,
+                                                 average):
+    # recovering each group from its combiners' projections gives what
+    # combining every receiver's signal gives: each group's recovered row to
+    # 1e-12 of its norm and each realized error to 1e-12, whether the groups
+    # hear the same receivers or their own, for one view or several, summed
+    # or averaged; and each seed's rows of a block are its rows alone
+    rng = np.random.default_rng(seed)
+
+    def cn(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+    n_dev, heard = n_groups * per_group, n_groups if own_receivers else 1
+    local = rng.standard_normal((n_seeds, n_dev, n_dims)) * rng.uniform(0.1, 2.0) + 0.3
+    symbols, mean, _ = fl.normalize(local)
+    args = (local, symbols, mean, rng.uniform(0.2, 1.0, (n_groups, per_group)),
+            cn(n_seeds, n_dev), cn(n_seeds, n_dev, heard, n_views, n_rx),
+            cn(n_seeds, heard, n_views, n_rx, n_dims) * 0.3,
+            cn(n_seeds, n_groups, n_views, n_rx))
+    recovered, error_sq = fl.ota_block(*args, average=average)
+    want, want_sq = oracles.ota_block(*args, average=average)
+    assert (np.linalg.norm(recovered - want, axis=-1)
+            <= 1e-12 * np.linalg.norm(want, axis=-1)).all()
+    np.testing.assert_allclose(error_sq, want_sq, rtol=1e-12, atol=0.0)
+    for s in range(n_seeds):
+        alone = fl.ota_block(*(a[s:s + 1] for a in args[:3]), args[3],
+                             *(a[s:s + 1] for a in args[4:]), average=average)
+        np.testing.assert_array_equal(alone[0][0], recovered[s])
+        np.testing.assert_array_equal(alone[1][0], error_sq[s])

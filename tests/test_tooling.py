@@ -39,14 +39,18 @@ def test_failing_hypothesis_test_reports_its_example(tmp_path):
 
 
 def test_each_mutant_plants_its_mistake_once_in_its_function():
-    # the mutation check (tests/mutants.py) replaces each target, so each
-    # must name one spot of src, in the function the mutant says it hits
+    # the mutation check (tests/mutants.py) replaces each target in its file
+    # and runs its subset, so each must name one spot of src, in the function
+    # the mutant says it hits, and the mutants reach the solver core and the
+    # over-the-air round
     sources = [path.read_text() for path in (ROOT / "src").rglob("*.py")]
-    target = (ROOT / mutants.TARGET).read_text()
     for mutant in mutants.MUTANTS:
+        target = (ROOT / mutant.path).read_text()
         assert sum(text.count(mutant.target) for text in sources) == 1, mutant
         assert mutants.enclosing(target, target.index(mutant.target)) == mutant.function, mutant
         assert mutant.replacement != mutant.target, mutant
+        assert all((ROOT / test).is_file() for test in mutant.subset), mutant
+    assert {mutant.path.name for mutant in mutants.MUTANTS} == {"aggregation.py", "fl_engine.py"}
 
 
 def test_tests_read_no_private_name_of_the_solver():
