@@ -10,29 +10,31 @@ baseline:
 * level 2: identical combiners applied per AP, partial sums forwarded
   (same estimate as level 3, different fronthaul)
 * level 1: per-AP combiners built from local estimates only, the
-  group's estimate is a plain average of the per-AP ones, full power
+  group's estimate is a plain average of the per-AP ones, full power;
+  averaging is combining with the stacked local combiners divided by L
 * cellular: each group is served by a single co-located array.
 
 Every architecture reads one record, a ``Level3Problem`` of K devices
 seen by L receivers, through channel views of its per-receiver blocks,
-and shares one combiner core.  Level 3 reads the AP-side record as one
-view of all L AP blocks and level 1 as one single-block view per AP, each
-view serving every group.  The cellular baseline reads the serving-BS
-record, which says so with ``cellular=True``, as one single-block view per
-BS, serving its own group only.  Level 3 and cellular also share the
-alternating solver built on that core.
+and shares one combiner core and one MSE scorer.  Level 3 reads the
+AP-side record as one view of all L AP blocks, and level 1 builds its
+combiners from one single-block view per AP, each view serving every
+group.  The cellular baseline reads the serving-BS record, which says so
+with ``cellular=True``, as one single-block view per BS, serving its own
+group only.  Level 3 and cellular also share the alternating solver built
+on that core.
 
 A record holds one coherence block or, with a leading seed axis on its
 estimates, error blocks and parameter spreads nu, one block of each seed of
 a seed block; the batch entry points solve every seed of such a record at
 once.  ``optimize_batch`` returns one solution record, scored by
-``_Stack.group_mses``, the one level-3 and cellular scorer, and
-``level1_batch`` the coefficients, combiners and MSEs on the true
-channels.  ``tco_step`` runs the solver's coefficient step, ``_Stack.tco``,
-on one row: a record without a seed axis at power limits (K,) with
-``sol.combiners[s, i]`` (G, D).  The tests reach the solver through these
-three only, and check them against dense formula oracles
-(``tests/oracles.py``) that call no code of this module.
+``_Stack.group_mses``, and ``level1_batch`` the coefficients, the CPU's
+joint combiners and the MSEs that ``_Stack.group_mses`` gives them on a
+record of the true channels.  ``tco_step`` runs the solver's coefficient
+step, ``_Stack.tco``, on one row: a record without a seed axis at power
+limits (K,) with ``sol.combiners[s, i]`` (G, D).  The tests reach the
+solver through these three only, and check them against dense formula
+oracles (``tests/oracles.py``) that call no code of this module.
 """
 
 from dataclasses import dataclass, replace
@@ -253,8 +255,9 @@ class _Stack:
     bit-identical results alone and in any rectangle.
 
     Level 3 reads the AP-side record as one view serving every group.
-    Level 1 reads it ``per_ap``, one view per AP serving every group, and
-    uses ``combiners`` only.  The cellular baseline's serving-BS record is
+    Level 1 reads it ``per_ap``, one view per AP serving every group, for
+    its ``combiners``, and scores them in the joint view of the true
+    channels.  The cellular baseline's serving-BS record is
     read as one view per BS, view g serving group g only.
     """
 
@@ -522,14 +525,17 @@ def tco_step(problem, power, combiners):
 def level1_batch(problem, power_limits, channels):
     """Level 1 of every seed of an AP-side record, viewed per AP, at every
     row of power limits: the full-power coefficients b = sqrt(power_limits)
-    (S, P, K) (no TCO at level 1), the local combiners (S, P, G, L, N) at
-    them, and every group's MSE (S, P, G) of its averaged estimate.
+    (S, P, K) (no TCO at level 1), the combiners (S, P, G, L*N) at them,
+    and every group's MSE (S, P, G) of its averaged estimate.
 
-    Row i of ``power_limits`` (P, K) holds every device's power limit, and
+    Averaging the L local combines is combining with the local combiners
+    v_gl stacked AP by AP and divided by L, the CPU's joint layout: that is
+    the combiner returned, and its MSE is the joint view's.  Row i of
+    ``power_limits`` (P, K) holds every device's power limit, and
     ``channels`` holds the true channels in the layout of ``h_hat``.  The
-    MSE conditions on the per-AP combined *true* channels u_gkl = v_gl^H
-    h_kl (a simulation-side metric): with u fixed, only the symbols and
-    noise are random, so there is no estimation-error inflation term.
+    MSE conditions on the combined *true* channels (a simulation-side
+    metric): with them fixed, only the symbols and noise are random, so
+    the scoring record has no error blocks.
     """
     if problem.cellular:
         raise ValueError("level 1 reads an AP-side record, not a serving-BS one (cellular=True)")
@@ -538,21 +544,12 @@ def level1_batch(problem, power_limits, channels):
         raise ValueError(f"channels has shape {np.shape(channels)}, expected {h}, "
                          "the shape of h_hat")
     stack = _Stack(problem, per_ap=True)
+    scorer = _Stack(replace(problem, h_hat=channels,
+                            error_cov=np.broadcast_to(0j, h + h[-1:])))
     b = np.broadcast_to(np.sqrt(power).astype(complex), (stack.n_seeds,) + power.shape)
+    p = np.abs(b) ** 2
     with _invalid_raises():
-        combiners = stack.combiners(b, np.abs(b) ** 2)
-    # C order, so that each sum adds its terms in one order, and the last
-    # bits of the caller's products, which depend on the layout, are fixed.
-    combiners = np.ascontiguousarray(combiners.reshape(*combiners.shape[:3], h[-2], -1))
-    channels = np.reshape(channels, (stack.n_seeds, 1) + h[-3:])
-    proj = np.ascontiguousarray(np.einsum("...gln,...kln->...gkl", combiners.conj(), channels))
-    w = problem.weights
-    own = problem.group_of_device == np.arange(problem.n_groups)[:, None]
-    target = np.where(own, (w.gamma * w.nu)[..., None, None, :], 0.0)  # (S, 1, G, K)
-    mean_u = proj.mean(axis=-1)                                    # averaged combined gains
-    signal = (np.abs(mean_u * b[..., None, :] - target) ** 2).sum(axis=-1)
-    energy = np.abs(combiners) ** 2
-    energy = energy.reshape(*energy.shape[:-2], -1).sum(axis=-1)
-    mses = signal + problem.noise_power * energy / h[-2] ** 2
+        combiners = stack.combiners(b, p) / h[-2]
+        mses = scorer.group_mses(b, p, *scorer.forms(combiners))
     _check_finite(mses, None, "level-1 MSE")
     return b, combiners, mses

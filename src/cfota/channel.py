@@ -62,7 +62,10 @@ def shadow_covariance(device_positions, area, params=LargeScaleParams()):
     x = wrap_distances(device_positions, device_positions, area)
     cov = params.shadow_std_db**2 * np.exp2(-x / params.decorr_m)
     min_eig = np.linalg.eigvalsh(cov).min(axis=-1)
-    bound = -1e-8 * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 1.0)
+    # K variances near the float range sum to inf, and the bound to -inf:
+    # no check, and the gains that follow overflow by name.
+    with np.errstate(over="ignore"):
+        bound = -1e-8 * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 1.0)
     if np.any(min_eig < bound):
         raise NotPSD(f"shadow covariance has eigenvalue {min_eig.min():.3e}; decorr_m = "
                      f"{params.decorr_m} is too large for side_m = {area.side_m}")

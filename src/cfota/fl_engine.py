@@ -1,13 +1,14 @@
 """Federated training over the simulated uplink.
 
 Covers parameter normalization, the over-the-air round of a block of
-seeds (every device of every seed sends at once, and each group's weighted
-aggregate is recovered from the superposed slots), and a convergence
-harness that bounds the optimality gap of strongly convex tasks in terms
-of the per-round aggregation errors.  A small feedforward classifier with
-a tanh hidden layer, softmax output, and analytic gradients is included
-for end-to-end runs.  Both gradients take a stack of devices, each with
-its own shard, as well as a single one.
+seeds (every device of every seed sends at once, and each group recovers
+its weighted aggregate from the superposed slots with one combiner of the
+antennas it hears, level 1's average of local combines included), and a
+convergence harness that bounds the optimality gap of strongly convex
+tasks in terms of the per-round aggregation errors.  A small feedforward
+classifier with a tanh hidden layer, softmax output, and analytic
+gradients is included for end-to-end runs.  Both gradients take a stack
+of devices, each with its own shard, as well as a single one.
 """
 
 import numpy as np
@@ -68,7 +69,7 @@ def _group_sums(gamma, x):
 
 
 def ota_block(local, symbols, theta_bar, gamma, b=None, channels=None,
-              noise=None, combiners=None, average=False):
+              noise=None, combiners=None):
     """One uplink round of a block of seeds: every device sends at once, and
     each group's aggregate is recovered from the superposed slots.
 
@@ -76,16 +77,16 @@ def ota_block(local, symbols, theta_bar, gamma, b=None, channels=None,
     ``symbols`` their normalized form and ``theta_bar`` (S, K) their means;
     gamma[g] (G, K/G) is the share of each of group g's devices in its
     target.  Device k sends b[s, k] * symbols[s, k], one entry per slot,
-    through ``channels`` (S, K, Gs, V, R), and the receivers add ``noise``
-    (S, Gs, V, R, D).  Gs is 1 when every group hears the same receivers and
-    G when group g hears its own.  Group g combines each of its V receiver
-    views with combiners[s, g] (V, R) and sums the V outputs, or averages
-    them.  Without ``b`` the round is error-free.
+    through ``channels`` (S, K, Gs, R) to R receive antennas, and the
+    receivers add ``noise`` (S, Gs, R, D).  Gs is 1 when every group hears
+    the same receivers and G when group g hears its own.  Group g combines
+    what it hears with combiners[s, g] (R,).  Without ``b`` the round is
+    error-free.
 
     Combining is linear, so no receiver's signal is formed: group g's
-    output is its gains u_gk = sum_V v_gV^H h_kV (G, K) applied to the sent
-    symbols, plus its combined noise sum_V v_gV^H z_V.  Each seed runs alone,
-    so its products have one shape in any block.
+    output is its gains u_gk = v_g^H h_k (G, K) applied to the sent
+    symbols, plus its combined noise v_g^H z.  Each seed runs alone, so its
+    products have one shape in any block.
 
     Returns the recovered parameters (S, G, D), the real combiner output
     plus the group's mean offset, and the realized squared error (S, G) of
@@ -96,18 +97,11 @@ def ota_block(local, symbols, theta_bar, gamma, b=None, channels=None,
     desired = _group_sums(gamma, local)
     if b is None:
         return desired, np.zeros(desired.shape[:2])
-    n_seeds, n_groups, n_views, n_rx = combiners.shape
-    n_heard = channels.shape[2]
-    # Summing the V views' outputs is combining the views stacked, so each
-    # group's combiner is one (V*R,) vector beside the receivers it hears.
-    vh = combiners.conj().reshape(n_seeds, n_heard, -1, n_views * n_rx)      # (S, Gs, G/Gs, V*R)
-    channels = channels.reshape(*channels.shape[:3], -1).transpose(0, 2, 3, 1)  # (S, Gs, V*R, K)
-    noise = noise.reshape(n_seeds, n_heard, n_views * n_rx, -1)             # (S, Gs, V*R, D)
+    n_seeds, n_groups, n_rx = combiners.shape
+    vh = combiners.conj().reshape(n_seeds, channels.shape[2], -1, n_rx)  # (S, Gs, G/Gs, R)
     combined = np.stack([
         (v @ h).reshape(n_groups, -1) @ (b_s[:, None] * x) + (v @ z).reshape(n_groups, -1)
-        for b_s, x, h, z, v in zip(b, symbols, channels, noise, vh)])
-    if average:
-        combined = combined / n_views
+        for b_s, x, h, z, v in zip(b, symbols, channels.transpose(0, 2, 3, 1), noise, vh)])
     offset = _group_sums(gamma, theta_bar[..., None])
     return (np.real(combined) + offset,
             (np.abs(desired - (combined + offset)) ** 2).sum(axis=-1))

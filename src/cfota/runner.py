@@ -120,7 +120,7 @@ def _key(default, *rules, choices=()):
 class ScenarioConfig:
     architectures: tuple[str, ...] = _key(("level3",), "nonempty", "choice", "unique",
                                             choices=tuple(ARCHITECTURES))
-    side_m: float = _key(500.0, "finite_positive")
+    side_m: float = _key(500.0, "finite_positive", "wrap_side")
     cells: int = _key(4, "count", "square")
     n_aps: int = _key(4, "count", "square")
     n_ap_antennas: int = _key(2, "count")
@@ -152,7 +152,7 @@ class ScenarioConfig:
     beta0_db: float = _key(-30.5, "gain_db")
     alpha: float = _key(3.67, "finite_positive")
     d0_m: float = _key(1.0, "finite_positive")
-    shadow_std_db: float = _key(4.0, "finite_nonnegative")
+    shadow_std_db: float = _key(4.0, "finite_nonnegative", "finite_square")
     decorr_m: float = _key(9.0, "finite_positive")
     fair_comparison: bool = False
     sweep_dbm: tuple[float, ...] = _key((-10.0, 0.0, 10.0, 20.0, 30.0, 40.0),
@@ -252,6 +252,11 @@ _RULES = {
                         "{name}={value} must be finite and > 0"),
     "finite_nonnegative": (_each(lambda x: 0 <= x < math.inf),
                            "{name}={value} must be finite and >= 0"),
+    "finite_square": (_each(lambda x: x * x < math.inf),
+                      "{name}={value} must have a finite square"),
+    # A wrap displacement has coordinates within 2 sides, so its square is at most 8 side^2.
+    "wrap_side": (_each(lambda x: 8.0 * x * x < math.inf),
+                  "{name}={value} must keep the squared wrap distances finite"),
     "dbm": (_each(lambda dbm: _gain_in_range(dbm - 30.0)),
             "{name}={value} must convert to a finite power > 0 W"),
     "gain_db": (_each(_gain_in_range), "{name}={value} must give a finite reference gain > 0"),
@@ -658,12 +663,13 @@ def _solve_block(cfg, kind, stats, state, weights, powers):
     ``powers`` (P, K), in one batch.
 
     ``state`` is the block's round state and ``weights`` its (S, K) weights.
-    Returns b (S, P, K), the combiners (S, P, G, ...) and the per-group
-    MSEs (S, P, 2, G) at full power (tco=0) and after the solve (tco=1);
-    None, None and zeros without a solver.  Every solver kind is one call.
-    Levels 1 and 3 solve the same AP-side record, level 1 per AP, and
-    ``level1_batch`` scores level 1 on the block's true channels; the
-    cellular baseline solves the serving-BS record, one view per BS.
+    Returns b (S, P, K), the combiners (S, P, G, D) of the antennas each
+    group hears and the per-group MSEs (S, P, 2, G) at full power (tco=0)
+    and after the solve (tco=1); None, None and zeros without a solver.
+    Every solver kind is one call.  Levels 1 and 3 solve the same AP-side
+    record, level 1 per AP, and ``level1_batch`` scores level 1 on the
+    block's true channels; the cellular baseline solves the serving-BS
+    record, one view per BS.
     """
     if kind is None:
         return None, None, np.zeros((len(weights.nu), len(powers), 2, cfg.n_groups))
@@ -854,16 +860,13 @@ def _ota_round(cfg, kind, local, symbols, theta_bar, gamma, b, combiners, state,
         return fl_engine.ota_block(local, symbols, theta_bar, gamma)
     n_seeds, n_dev, n_slots = symbols.shape
     bs = kind == "cellular"
-    # Group views Gs and receiver views V of the channels, noise and combiners:
-    # level 1 averages one view per AP, every other kind combines one view.
-    views = (cfg.n_groups if bs else 1, cfg.n_aps if kind == "level1" else 1)
+    # Every group hears all APs, or in the cellular baseline its own BS.
+    heard = cfg.n_groups if bs else 1
     channels = (state.bs if bs else state.ap).h
     return fl_engine.ota_block(
         local, symbols, theta_bar, gamma, b[:, 0],
-        channels.reshape(n_seeds, n_dev, *views, -1),
-        noise[bs].reshape(n_seeds, *views, -1, n_slots),
-        combiners[:, 0].reshape(n_seeds, cfg.n_groups, views[1], -1),
-        average=kind == "level1")
+        channels.reshape(n_seeds, n_dev, heard, -1),
+        noise[bs].reshape(n_seeds, heard, -1, n_slots), combiners[:, 0])
 
 
 def _train_seeds(cfg, seeds):

@@ -88,17 +88,19 @@ MUTANTS = (
           "quad, axis=-1) + noise", "quad, axis=-1)"),
     _core("optimize_batch", "one iteration short of the cap",
           "for it in range(1, max_iters + 1):", "for it in range(1, max_iters):"),
-    _core("level1_batch", "conjugate dropped from the projections",
-          '"...gln,...kln->...gkl", combiners.conj(), channels',
-          '"...gln,...kln->...gkl", combiners, channels'),
-    _core("level1_batch", "noise averaged over L, not L^2",
-          "energy / h[-2] ** 2", "energy / h[-2]"),
+    _core("level1_batch", "the local combiners summed, not averaged: 1/L dropped",
+          "combiners = stack.combiners(b, p) / h[-2]", "combiners = stack.combiners(b, p)"),
+    _core("level1_batch", "the local combiners divided by L^2, not L",
+          "combiners = stack.combiners(b, p) / h[-2]",
+          "combiners = stack.combiners(b, p) / h[-2] ** 2"),
+    _core("level1_batch", "scored on the estimates, not the true channels",
+          "replace(problem, h_hat=channels,", "replace(problem, h_hat=problem.h_hat,"),
+    _core("level1_batch", "the record's error blocks kept in the scorer",
+          "error_cov=np.broadcast_to(0j, h + h[-1:])", "error_cov=problem.error_cov"),
     _round("ota_block", "conjugate dropped from the gains",
            "(v @ h).reshape(n_groups, -1)", "(v.conj() @ h).reshape(n_groups, -1)"),
     _round("ota_block", "noise combined without the conjugate",
            "(v @ z)", "(v.conj() @ z)"),
-    _round("ota_block", "averaged over the receive antennas, not the views",
-           "combined / n_views", "combined / n_rx"),
     _round("ota_block", "coefficients b dropped from the sent symbols",
            "@ (b_s[:, None] * x)", "@ x"),
     _round("ota_block", "mean offset dropped from the recovered parameters",

@@ -144,6 +144,14 @@ def row(solution, s=0, i=0):
                      solution.group_values[s, i, :stop])
 
 
+def local_combiners(joint, n_aps):
+    """Level 1's per-AP local combiners (..., L, N) from the joint form
+    (..., L*N) that ``level1_batch`` returns: the local ones stacked AP by
+    AP and divided by L, so that combining with it averages the L local
+    combines."""
+    return joint.reshape(*joint.shape[:-1], n_aps, -1) * n_aps
+
+
 def mse_level1(problem, b, combiners, channels):
     """Level-1 MSEs (G,) of one record without a seed axis, from the
     formula, one group at a time: coefficients b (K,), combiners (G, L, N)
@@ -618,6 +626,8 @@ def train_rows(cfg, seed):
             b, combiners, group_mses = runner._solve_block(
                 cfg, arch.solver, stats, state, runner.make_weights(cfg, [nu]), power)
             level = "level3" if arch.name == "level2" else arch.name
+            if level == "level1":
+                combiners = local_combiners(combiners, cfg.n_aps)
             recovered, _ = ota_round(
                 local, level, None if b is None else b[0, 0],
                 None if combiners is None else combiners[0, 0],

@@ -14,7 +14,7 @@ from cfota import runner
 from cfota.rng import substream
 
 from oracles import (dense_cpu_view, desired_global, desk_config,
-                     draw_instance, mc_mse_level1, mc_mse_level3,
+                     draw_instance, local_combiners, mc_mse_level1, mc_mse_level3,
                      mmse_estimate, recover, shard_fractions,
                      row, total_per_block)
 
@@ -64,6 +64,7 @@ def test_criterion_1_mse_oracle_equivalence():
 
         h_true = inst["state"].ap.h
         b1, v1, closed = (a[0, 0] for a in agg.level1_batch(p3, power[None], h_true))
+        v1 = local_combiners(v1, inst["cfg"].n_aps)
         for g in range(p3.n_groups):
             mc = mc_mse_level1(p3, b1, v1, h_true, g, n_draws,
                                substream(seed, "acc1-l1", g))

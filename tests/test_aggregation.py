@@ -15,8 +15,8 @@ from cfota.rng import substream
 
 import oracles
 from oracles import (block_problem, cn_noise, dense_cpu_view, desk_config, draw_instance,
-                     mc_mse_level1, mc_mse_level3, mse_level1, mse_level3, recover, row,
-                     seed_problem)
+                     local_combiners, mc_mse_level1, mc_mse_level3, mse_level1, mse_level3,
+                     recover, row, seed_problem)
 
 
 def scalar_problem(h_hat=1.0, error_cov=0.0, noise=1.0, gamma_nu=1.0):
@@ -217,7 +217,7 @@ def test_combiner_level1_single_ap_equals_level3():
     b, v1, _ = (a[0, 0] for a in level1_on_estimates(problem, inst["power"][None]))
     v3 = solver_combiners(problem, b)
     for g in range(problem.n_groups):
-        np.testing.assert_allclose(v1[g, 0], v3[g], rtol=1e-10)
+        np.testing.assert_allclose(v1[g], v3[g], rtol=1e-10)
 
 
 def test_combiner_level1_zero_coefficients_and_scalar_value():
@@ -237,7 +237,7 @@ def test_combiner_level1_zero_coefficients_and_scalar_value():
         h_hat=np.ones((1, 1, 1), dtype=complex),
         error_cov=np.zeros((1, 1, 1, 1), dtype=complex),
         group_of_device=np.array([0]), weights=weights, noise_power=1.0)
-    v = level1_on_estimates(scalar, np.ones((1, 1)))[1][0, 0, 0, 0]
+    v = level1_on_estimates(scalar, np.ones((1, 1)))[1][0, 0, 0]
     assert v[0] == pytest.approx(0.5)
 
 
@@ -245,9 +245,10 @@ def test_mse_level1_zero_coefficients():
     # level 1 always runs at full power, so the oracle alone scores b = 0
     inst = draw_instance(7)
     problem = inst["level3"]
-    v = agg.level1_batch(problem, inst["power"][None], inst["state"].ap.h)[1][0, 0]
-    b0 = np.zeros(len(problem.h_hat), dtype=complex)
     n_aps = problem.h_hat.shape[1]
+    v = local_combiners(
+        agg.level1_batch(problem, inst["power"][None], inst["state"].ap.h)[1][0, 0], n_aps)
+    b0 = np.zeros(len(problem.h_hat), dtype=complex)
     target = np.bincount(problem.group_of_device,
                          (problem.weights.gamma * problem.weights.nu) ** 2)
     z_term = problem.noise_power * (np.abs(v) ** 2).sum(axis=(1, 2)) / n_aps**2
@@ -264,6 +265,7 @@ def test_mse_level1_matches_the_formula_oracle():
         for channels in (inst["state"].ap.h, problem.h_hat):
             b, v, mses = (a[0, 0] for a in
                           agg.level1_batch(problem, inst["power"][None], channels))
+            v = local_combiners(v, inst["cfg"].n_aps)
             np.testing.assert_allclose(mses, mse_level1(problem, b, v, channels),
                                        rtol=1e-12, atol=0.0)
 
@@ -279,9 +281,9 @@ def test_mse_level1_single_ap_conditional_form():
     for g in range(problem.n_groups):
         own = problem.group_of_device == g
         target = np.where(own, problem.weights.gamma * problem.weights.nu, 0.0)
-        gains = h_true[:, 0] @ v[g, 0].conj()
+        gains = h_true[:, 0] @ v[g].conj()
         expected = float((np.abs(gains * b - target) ** 2).sum()
-                         + problem.noise_power * np.linalg.norm(v[g, 0]) ** 2)
+                         + problem.noise_power * np.linalg.norm(v[g]) ** 2)
         assert got[g] == pytest.approx(expected, rel=1e-12)
 
 
@@ -290,6 +292,7 @@ def test_mse_level1_matches_monte_carlo():
     problem = inst["level3"]
     h_true = inst["state"].ap.h
     b, v, closed = (a[0, 0] for a in agg.level1_batch(problem, inst["power"][None], h_true))
+    v = local_combiners(v, inst["cfg"].n_aps)
     for g in range(problem.n_groups):
         mc = mc_mse_level1(problem, b, v, h_true, g, 100_000,
                            substream(9, "mc1", g))
@@ -315,16 +318,19 @@ def test_recover_level2_equals_level3():
 
 
 def test_recover_level1_averages_local_combines():
+    # the CPU's combine with level 1's joint combiner averages the L local
+    # combines
     inst = draw_instance(17)
     problem = inst["level3"]
     cfg = inst["cfg"]
-    v = agg.level1_batch(problem, inst["power"][None], problem.h_hat)[1][0, 0]
+    joint = agg.level1_batch(problem, inst["power"][None], problem.h_hat)[1][0, 0]
+    v = local_combiners(joint, cfg.n_aps)
     rng = substream(17, "slots")
     signals = (rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8))
                + 1j * rng.standard_normal((cfg.n_aps, cfg.n_ap_antennas, 8)))
     w, theta_bar = problem.weights, inst["theta_bar"]
     for g in range(problem.n_groups):
-        got = recover("level1", signals, v[g], w, theta_bar, problem.group_of_device, g)
+        got = recover("level3", signals, joint[g], w, theta_bar, problem.group_of_device, g)
         per_ap = np.stack([
             np.einsum("n,nd->d", v[g, ap].conj(), signals[ap])
             for ap in range(cfg.n_aps)])
@@ -629,6 +635,7 @@ def test_relabelling_aps_relabels_the_level1_combiners(seed, n_groups, per_group
     relabelled = replace(problem, h_hat=problem.h_hat[:, aps], error_cov=problem.error_cov[:, aps])
     (_, got, got_mses), (_, want, want_mses) = (agg.level1_batch(p, powers, p.h_hat)
                                                 for p in (relabelled, problem))
+    got, want = (local_combiners(v, n_aps) for v in (got, want))
     assert_rows_close(got, want[..., aps, :], axes=(-2, -1))
     np.testing.assert_allclose(got_mses, want_mses, rtol=1e-12, atol=0.0)
 
@@ -953,7 +960,7 @@ def test_level1_combiners_match_per_ap_reference(log_noise, seed, n_dev, n_aps, 
                       noise_power=10.0 ** log_noise)
     powers = power_rows(power_db, n_dev)
     b, combiners, _ = level1_on_estimates(problem, powers)
-    for b_row, got in zip(b[0], combiners[0]):
+    for b_row, got in zip(b[0], local_combiners(combiners[0], n_aps)):
         want = oracles.combiners(problem, b_row, per_ap=True)
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -3,10 +3,11 @@
 A derandomized generative fuzz over every config key that declares a rule,
 starting from the desk configs.  Each key is drawn from its rule kinds, in
 range or at an edge, so a new key joins the fuzz by declaring its rules.
-A config passes if ``validate_config`` rejects it with a ``ValidationError``
-or ``ParseError``, or if both verbs finish on it: with finite rows, or with
-a named error (a ``CfotaError``).  Any other exception, or any
-``RuntimeWarning`` (an error in this suite), fails it.
+Beside it, a deterministic table sets every ruled key alone to every edge
+on both desk configs.  A config passes if ``validate_config`` rejects it
+with a ``ValidationError`` or ``ParseError``, or if both verbs finish on
+it: with finite rows, or with a named error (a ``CfotaError``).  Any other
+exception, or any ``RuntimeWarning`` (an error in this suite), fails it.
 
 The only per-key knowledge here is the budget that keeps valid runs tiny:
 at most 2 seeds, 2 rounds and 20 solver iterations, and at most 9 APs of
@@ -14,12 +15,14 @@ at most 2 seeds, 2 rounds and 20 solver iterations, and at most 9 APs of
 """
 
 from dataclasses import fields
+from itertools import product
 import math
 from pathlib import Path
 from typing import get_origin
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from cfota import CfotaError, runner
 
@@ -41,10 +44,12 @@ RANGES = {"count": (1, None), "nonnegative": (0, None), "stream_tag": (-2**127, 
           "finite_positive": (1e-3, 1e3), "finite_nonnegative": (0.0, 20.0),
           "dbm": (-130.0, 60.0), "gain_db": (-100.0, 0.0)}
 # Rules that take no values of their own: counts reach squares and others,
-# and lists of 0-3 entries reach the empty list and repeats.
-SHAPE_RULES = {"square", "nonempty", "unique"}
+# lists of 0-3 entries reach the empty list and repeats, and the huge edges
+# reach the bounds on squares.
+SHAPE_RULES = {"square", "nonempty", "unique", "finite_square", "wrap_side"}
 
 FIELDS = {f.name: f for f in fields(runner.ScenarioConfig)}
+BASES = ["desk-sweep.cfg", "desk-train.cfg"]
 
 
 def in_range(f, kind):
@@ -88,7 +93,7 @@ def finite_rows(rows):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(base=st.sampled_from(["desk-sweep.cfg", "desk-train.cfg"]), sizes=budget, keys=overrides)
+@given(base=st.sampled_from(BASES), sizes=budget, keys=overrides)
 def test_every_config_fails_by_name_or_runs_to_finite_rows(base, sizes, keys):
     entries = {**sizes, **keys}
     try:
@@ -103,3 +108,16 @@ def test_every_config_fails_by_name_or_runs_to_finite_rows(base, sizes, keys):
         except CfotaError:
             continue
         assert finite_rows(rows), run.__name__
+
+
+@pytest.mark.parametrize("key", sorted(KEYS))
+def test_every_ruled_key_fails_by_name_or_runs_at_every_edge(key):
+    # the fuzz draws 1-3 keys per example, so it reaches one key alone at an
+    # edge by luck: here each key meets every edge alone, on both desk
+    # configs, at the smallest budget, through the fuzz's own check
+    check = test_every_config_fails_by_name_or_runs_to_finite_rows.hypothesis.inner_test
+    for base, edge in product(BASES, EDGES):
+        try:
+            check(base, {"seeds": "1", "rounds": "1", "max_iters": "2"}, {key: edge})
+        except Exception as exc:
+            raise AssertionError(f"{key} = {edge} on {base}") from exc

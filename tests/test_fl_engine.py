@@ -266,12 +266,10 @@ def test_one_dimensional_quadratic_bound_is_tight():
     assert gap1 == pytest.approx(bound, rel=1e-9)
 
 
-def _block_round(theta, gamma, solution=None, channels=None, noise_power=0.0,
-                 rng=None, views=1):
+def _block_round(theta, gamma, solution=None, channels=None, noise_power=0.0, rng=None):
     """``ota_block`` at S = 1 on AP channels (K, L, N): recovered (G, D)
     parameters and realized squared errors (G,) for device shares gamma
-    (G, K/G).  ``views`` is 1 for the level-3 recovery and L for level 2;
-    the slot noise is drawn as (L, N, D)."""
+    (G, K/G); the slot noise is drawn as (L, N, D)."""
     symbols, mean, _ = fl.normalize(theta)
     if solution is None:
         out = fl.ota_block(theta[None], symbols[None], mean[None], gamma)
@@ -279,9 +277,8 @@ def _block_round(theta, gamma, solution=None, channels=None, noise_power=0.0,
         n_dev, n_aps, n_ant = channels.shape
         noise = cn_noise((n_aps, n_ant, theta.shape[1]), noise_power, rng)
         out = fl.ota_block(theta[None], symbols[None], mean[None], gamma,
-                           solution.b[None], channels.reshape(1, n_dev, 1, views, -1),
-                           noise.reshape(1, 1, views, -1, theta.shape[1]),
-                           solution.combiners.reshape(1, len(gamma), views, -1))
+                           solution.b[None], channels.reshape(1, n_dev, 1, -1),
+                           noise.reshape(1, 1, -1, theta.shape[1]), solution.combiners[None])
     return tuple(a[0] for a in out)
 
 
@@ -359,52 +356,6 @@ def test_ota_round_realized_error_matches_closed_form():
         assert per_slot[g] == pytest.approx(closed[g], rel=0.02)
 
 
-def test_ota_round_level2_equals_level3_recovery():
-    inst = draw_instance(22)
-    problem = inst["level3"]
-    cfg = inst["cfg"]
-    sol = row(agg.optimize_batch(problem, inst["power"][None], max_iters=50))
-    rng = substream(22, "theta")
-    theta = rng.standard_normal((cfg.n_devices, 60)) * 0.2 + 0.05
-    gamma = problem.weights.gamma.reshape(cfg.n_groups, -1)
-    out = {views: _block_round(theta, gamma, sol, inst["state"].ap.h,
-                               problem.noise_power, substream(22, "slots"),
-                               views=views)[0]
-           for views in (1, cfg.n_aps)}
-    np.testing.assert_allclose(out[cfg.n_aps], out[1], rtol=1e-10, atol=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_seeds=st.integers(1, 3),
-       n_groups=st.integers(1, 3), per_group=st.integers(1, 3),
-       n_aps=st.integers(1, 5), n_ant=st.integers(1, 4), n_dims=st.integers(2, 12))
-def test_ota_block_per_ap_sum_equals_joint_view(seed, n_seeds, n_groups, per_group,
-                                                n_aps, n_ant, n_dims):
-    # level 2 combines each AP's slots with its block of the combiner and sums
-    # the L outputs; level 3 combines the stacked L*N antennas at once
-    rng = np.random.default_rng(seed)
-
-    def cn(*shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-    n_dev = n_groups * per_group
-    local = rng.standard_normal((n_seeds, n_dev, n_dims)) * rng.uniform(0.1, 2.0) + 0.3
-    symbols, mean, _ = fl.normalize(local)
-    gamma = rng.uniform(0.2, 1.0, (n_groups, per_group))
-    b = cn(n_seeds, n_dev)
-    channels = cn(n_seeds, n_dev, n_aps, n_ant)
-    noise = cn(n_seeds, n_aps, n_ant, n_dims) * 0.1
-    combiners = cn(n_seeds, n_groups, n_aps, n_ant)
-    out = {views: fl.ota_block(local, symbols, mean, gamma, b,
-                               channels.reshape(n_seeds, n_dev, 1, views, -1),
-                               noise.reshape(n_seeds, 1, views, -1, n_dims),
-                               combiners.reshape(n_seeds, n_groups, views, -1))
-           for views in (1, n_aps)}
-    (joint, joint_sq), (summed, summed_sq) = out[1], out[n_aps]
-    assert np.linalg.norm(summed - joint) <= 1e-12 * np.linalg.norm(joint)
-    np.testing.assert_allclose(summed_sq, joint_sq, rtol=1e-12, atol=0.0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_seeds=st.integers(1, 3),
        n_groups=st.integers(1, 3), per_group=st.integers(1, 3), own_receivers=st.booleans(),
@@ -416,8 +367,10 @@ def test_ota_block_matches_antenna_domain_oracle(seed, n_seeds, n_groups, per_gr
     # recovering each group from its combiners' projections gives what
     # combining every receiver's signal gives: each group's recovered row to
     # 1e-12 of its norm and each realized error to 1e-12, whether the groups
-    # hear the same receivers or their own, for one view or several, summed
-    # or averaged; and each seed's rows of a block are its rows alone
+    # hear the same receivers or their own.  The oracle combines each of V
+    # receiver views and sums the V outputs, or averages them as level 1
+    # does; the round combines the views stacked, with the combiners divided
+    # by V to average.  Each seed's rows of a block are its rows alone.
     rng = np.random.default_rng(seed)
 
     def cn(*shape):
@@ -426,17 +379,21 @@ def test_ota_block_matches_antenna_domain_oracle(seed, n_seeds, n_groups, per_gr
     n_dev, heard = n_groups * per_group, n_groups if own_receivers else 1
     local = rng.standard_normal((n_seeds, n_dev, n_dims)) * rng.uniform(0.1, 2.0) + 0.3
     symbols, mean, _ = fl.normalize(local)
-    args = (local, symbols, mean, rng.uniform(0.2, 1.0, (n_groups, per_group)),
-            cn(n_seeds, n_dev), cn(n_seeds, n_dev, heard, n_views, n_rx),
-            cn(n_seeds, heard, n_views, n_rx, n_dims) * 0.3,
-            cn(n_seeds, n_groups, n_views, n_rx))
-    recovered, error_sq = fl.ota_block(*args, average=average)
-    want, want_sq = oracles.ota_block(*args, average=average)
+    channels = cn(n_seeds, n_dev, heard, n_views, n_rx)
+    noise = cn(n_seeds, heard, n_views, n_rx, n_dims) * 0.3
+    combiners = cn(n_seeds, n_groups, n_views, n_rx)
+    head = (local, symbols, mean, rng.uniform(0.2, 1.0, (n_groups, per_group)),
+            cn(n_seeds, n_dev))
+    args = head + (channels.reshape(n_seeds, n_dev, heard, -1),
+                   noise.reshape(n_seeds, heard, -1, n_dims),
+                   combiners.reshape(n_seeds, n_groups, -1) / (n_views if average else 1))
+    recovered, error_sq = fl.ota_block(*args)
+    want, want_sq = oracles.ota_block(*head, channels, noise, combiners, average=average)
     assert (np.linalg.norm(recovered - want, axis=-1)
             <= 1e-12 * np.linalg.norm(want, axis=-1)).all()
     np.testing.assert_allclose(error_sq, want_sq, rtol=1e-12, atol=0.0)
     for s in range(n_seeds):
         alone = fl.ota_block(*(a[s:s + 1] for a in args[:3]), args[3],
-                             *(a[s:s + 1] for a in args[4:]), average=average)
+                             *(a[s:s + 1] for a in args[4:]))
         np.testing.assert_array_equal(alone[0][0], recovered[s])
         np.testing.assert_array_equal(alone[1][0], error_sq[s])

@@ -188,8 +188,9 @@ def test_every_config_field_declares_rules_or_is_free_form(field):
 
 # One value of each rule kind's config line that breaks it.
 BREAKS = {"count": "0", "square": "3", "nonnegative": "-1", "finite_positive": "nan",
-          "finite_nonnegative": "nan", "dbm": "4000", "gain_db": "4000", "choice": "3",
-          "stream_tag": str(2**127), "nonempty": ""}
+          "finite_nonnegative": "nan", "finite_square": "1e155", "wrap_side": "1e154",
+          "dbm": "4000", "gain_db": "4000", "choice": "3", "stream_tag": str(2**127),
+          "nonempty": ""}
 
 
 @pytest.mark.parametrize("field,kind", [
@@ -920,6 +921,14 @@ def test_cli_names_a_shadowing_spread_beyond_the_float_range(tmp_path, capsys):
     assert err.startswith("GainOverflow: ") and "shadow_std_db = 100000.0" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_shadowing_variances_beyond_the_float_range_stop_by_name():
+    # shadow_std_db = 1e154 keeps its square finite, so it validates, but
+    # the K variances sum beyond the float range: the run still stops at
+    # the first overflowing gain, and warns of nothing on the way
+    with pytest.raises(cfota.channel.GainOverflow):
+        runner.run_mse_sweep(desk_config(seeds=1, shadow_std_db=1e154))
 
 
 @pytest.mark.parametrize("command", ["mse-sweep", "train"])
